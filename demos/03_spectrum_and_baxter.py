@@ -3,24 +3,19 @@
 # ways: from the separated wavefunction and from the difference equation.
 import numpy as np
 
-from sgsov import (ModelParams, monodromy, build_sov_basis,
-                   diagonalize_transfer, check_functional_equation,
-                   extract_Q_grid, fit_Q_polynomial, qbar_from_q)
+from sgsov import ModelParams, prepare, check_functional_equation
 from sgsov.spectrum import polyval_ascending
 
 params = ModelParams(2, 3, 2, kappa=[1.1j, 0.8j], xi=[1.0, 1.3])
-mono = monodromy(params)
-basis = build_sov_basis(params, mono=mono, rng=np.random.default_rng(5))
-states = diagonalize_transfer(params, mono, rng=np.random.default_rng(23))
+# the eigenstates arrive with the wavefunction ratios of extract_Q_grid and
+# the fitted polynomials of fit_Q_polynomial
+sol = prepare(params, seed=5)
+basis, states = sol.basis, sol.states
 
 print(f"{len(states)} joint eigenstates of the transfer family and the charge\n")
 print("idx  sector   eigenvalue coefficients (degree: value)        "
       "funcEq     Baxter-fit deg")
 for i, st in enumerate(states):
-    extract_Q_grid(st, basis)
-    st.q_poly, st.nullspace_dim = fit_Q_polynomial(
-        params, st.t_coeffs, np.random.default_rng(7))
-    st.qbar_poly = qbar_from_q(params, st.q_poly)
     fe = check_functional_equation(params, st.t_coeffs, np.random.default_rng(3))
     coeffs = "  ".join(f"{dg}: {c.real:+.4f}" for dg, c in sorted(st.t_coeffs.items()))
     print(f"{i:3d}    q^{st.theta_m}   {coeffs}   {fe:.1e}   {len(st.q_poly) - 1}")

@@ -3,15 +3,13 @@
 # orthogonality and the eigenbasis resolution of the identity.
 import numpy as np
 
-from sgsov import (ModelParams, monodromy, build_sov_basis,
-                   diagonalize_transfer, extract_Q_grid, fit_Q_polynomial,
-                   qbar_from_q, attach_q_data, SeparateState, materialize,
+from sgsov import (ModelParams, prepare, SeparateState, materialize,
                    scalar_product_det, eigen_action, identity_resolution_T)
 from sgsov.model_core import frob
 
 params = ModelParams(3, 3, 2, kappa=[1.1j, 1.3j, 0.7j], xi=[1.0, 1.2, 0.9])
-mono = monodromy(params)
-basis = build_sov_basis(params, mono=mono, rng=np.random.default_rng(5))
+sol = prepare(params, seed=5)
+basis = sol.basis
 rng = np.random.default_rng(40)
 
 print("random separate states: determinant vs dense contraction")
@@ -26,12 +24,7 @@ for trial in range(5):
     print(f"  pair {trial}: det = {det:+.6f}   dense = {dense:+.6f}"
           f"   rel.diff = {abs(det - dense) / abs(det):.1e}")
 
-states = diagonalize_transfer(params, mono, rng=np.random.default_rng(23))
-for st in states:
-    extract_Q_grid(st, basis)
-    st.q_poly, _ = fit_Q_polynomial(params, st.t_coeffs, np.random.default_rng(7))
-    st.qbar_poly = qbar_from_q(params, st.q_poly)
-    attach_q_data(st, basis)
+states = sol.states
 
 print("\neigenstate pairings <t|t'> (moment-matrix determinants), first five states:")
 for i in range(5):

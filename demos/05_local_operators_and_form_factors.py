@@ -3,17 +3,14 @@
 # compare against brute-force contractions.
 import numpy as np
 
-from sgsov import (ModelParams, monodromy, build_sov_basis, site_embed,
-                   weyl_generators, diagonalize_transfer, extract_Q_grid,
-                   fit_Q_polynomial, qbar_from_q, attach_q_data,
-                   eigenstate_separate_states, materialize, eigen_action,
+from sgsov import (ModelParams, prepare, site_embed, weyl_generators,
                    reconstruct_u, reconstruct_v2k, ff_u, ff_elementary,
                    npoint, ElementaryBasisElement)
 from sgsov.model_core import rel_err
 
 params = ModelParams(3, 3, 2, kappa=[1.1j, 1.3j, 0.7j], xi=[1.0, 1.2, 0.9])
-mono = monodromy(params)
-basis = build_sov_basis(params, mono=mono, rng=np.random.default_rng(5))
+sol = prepare(params, seed=5)
+mono, basis = sol.mono, sol.basis
 
 print("inverse problem: reconstructed local operators vs embedded generators")
 for n in (1, 2, 3):
@@ -23,16 +20,8 @@ for n in (1, 2, 3):
                     site_embed(params, n, np.diag(np.diag(V) ** 2)))
     print(f"  site {n}: shift generator {err_u:.1e}   clock squared {err_v:.1e}")
 
-states = diagonalize_transfer(params, mono, rng=np.random.default_rng(23))
-covs, vecs = [], []
-for st in states:
-    extract_Q_grid(st, basis)
-    st.q_poly, _ = fit_Q_polynomial(params, st.t_coeffs, np.random.default_rng(7))
-    st.qbar_poly = qbar_from_q(params, st.q_poly)
-    attach_q_data(st, basis)
-    lst, rst = eigenstate_separate_states(st, basis)
-    covs.append(materialize(lst, basis))
-    vecs.append(materialize(rst, basis))
+# dense covectors and vectors of the eigenstates, for the comparisons
+states, covs, vecs = sol.states, sol.covs, sol.vecs
 
 u1 = site_embed(params, 1, weyl_generators(params.p)[0])
 print("\nform factors of the first-site shift generator (determinant vs dense):")
@@ -52,10 +41,8 @@ dense = covs[3] @ dense_op @ vecs[11]
 print(f"\ntwo-variable elementary monomial between states 3 and 11:")
 print(f"  determinant {det:+.6e}   dense {dense:+.6e}")
 
-st = states[0]
-norm = eigen_action(basis, st, st)
-val = npoint(params, basis, st, [u1, u1], states)
-dense = (covs[0] @ u1 @ u1 @ vecs[0]) / norm
+val = npoint(params, basis, states[0], [u1, u1], states)
+dense = (covs[0] @ u1 @ u1 @ vecs[0]) / sol.norms[0]
 print(f"\ntwo-point function via the eigenbasis expansion:")
 print(f"  expansion {val:+.6e}   dense {dense:+.6e}   "
       f"rel.diff {abs(val - dense) / abs(dense):.1e}")

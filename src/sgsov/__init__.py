@@ -27,7 +27,8 @@ from .spectrum import (TransferEigenstate, EmptyNullspace, ZeroReference,
 from .separate_states import (SeparateState, IncompleteSpectrum, materialize,
                               scalar_product_det, phi_general, phi_matrix,
                               eigen_action, identity_resolution_T,
-                              attach_q_data, eigenstate_separate_states)
+                              attach_q_data, eigenstate_separate_states,
+                              eigen_dense, Solution, prepare)
 from .local_ops import (SingularMatrix, ShiftedMonodromy, ElementaryOp,
                         ElementaryBasisElement, shifted_monodromy,
                         reconstruct_u, reconstruct_alpha0, reconstruct_beta,
@@ -38,6 +39,6 @@ from .local_ops import (SingularMatrix, ShiftedMonodromy, ElementaryOp,
 from .form_factors import (FormFactorResult, ShiftUnavailable, ff_u,
                            ff_elementary, npoint, shift_eigenvalue)
 from .oracle import (ComparisonReport, direct_matrix_element, verify_suite,
-                     reports_to_jsonl, DEFAULT_TOLERANCES)
+                     verify_solution, reports_to_jsonl, DEFAULT_TOLERANCES)
 
 __version__ = "0.1.0"

@@ -16,7 +16,6 @@ import numpy as np
 
 from .params import ModelParams, SgSovError, DegenerateKappa
 from . import model_core as mc
-from . import sov_basis as sb
 from . import spectrum as sp
 from . import separate_states as ss
 from . import form_factors as ffm
@@ -143,35 +142,22 @@ def _emit_reports(reports, writer):
     return ok
 
 
-def _prepare(params, seed, tolerances=None):
-    gap = (tolerances or {}).get("zero_gap", oracle.DEFAULT_TOLERANCES["zero_gap"])
-    mono = mc.monodromy(params)
-    basis = sb.build_sov_basis(params, mono=mono, rel_gap=gap,
-                               rng=np.random.default_rng(np.random.SeedSequence([seed, 1])))
-    states = sp.diagonalize_transfer(params, mono,
-                                     rng=np.random.default_rng(np.random.SeedSequence([seed, 2])))
-    for st in states:
-        sp.extract_Q_grid(st, basis)
-        st.q_poly, st.nullspace_dim = sp.fit_Q_polynomial(
-            params, st.t_coeffs, np.random.default_rng(np.random.SeedSequence([seed, 3])))
-        st.qbar_poly = sp.qbar_from_q(params, st.q_poly)
-        ss.attach_q_data(st, basis)
-    return mono, basis, states
+# commands that emit the report rows of verify_suite on these sections
+_SUITE_SECTIONS = {"check-algebra": {"algebra"}, "scalar": {"scalar"},
+                   "verify-all": None}
 
 
-def cmd_check_algebra(params, seed, tolerances, writer, threads):
+def cmd_verify(params, seed, tolerances, writer, threads, sections=None):
     reports = oracle.verify_suite(params, seed, tolerances, threads=threads,
-                                  sections={"algebra"})
+                                  sections=sections)
     return EXIT_OK if _emit_reports(reports, writer) else EXIT_CHECK_FAILED
 
 
 def cmd_sov_build(params, seed, tolerances, writer, threads):
-    reports = oracle.verify_suite(params, seed, tolerances, threads=threads,
-                                  sections={"sov"})
-    gap = (tolerances or {}).get("zero_gap", oracle.DEFAULT_TOLERANCES["zero_gap"])
-    mono = mc.monodromy(params)
-    basis = sb.build_sov_basis(params, mono=mono, rel_gap=gap,
-                               rng=np.random.default_rng(np.random.SeedSequence([seed, 1])))
+    sol = ss.prepare(params, seed, tolerances)
+    reports = oracle.verify_solution(sol, tolerances, threads=threads,
+                                     sections={"sov"})
+    basis = sol.basis
     for a in range(params.n_sites):
         writer.emit({"kind": "variable", "index": a,
                      "zero": fmt_complex(basis.grid.z[a]),
@@ -184,13 +170,11 @@ def cmd_sov_build(params, seed, tolerances, writer, threads):
 
 
 def cmd_spectrum(params, seed, tolerances, writer, threads):
-    mono, basis, states = _prepare(params, seed, tolerances)
+    sol = ss.prepare(params, seed, tolerances)
     degrees = list(range(-params.n_bar, params.n_bar + 1, 2))
     ok = True
-    for i, st in enumerate(states):
-        fe = sp.check_functional_equation(
-            params, st.t_coeffs,
-            np.random.default_rng(np.random.SeedSequence([seed, 4])))
+    for i, st in enumerate(sol.states):
+        fe = sp.check_functional_equation(params, st.t_coeffs, sol.rng(4))
         bax = st.diagnostics.get("factorization_residual", 0.0)
         row = {"index": i,
                "theta_sector": st.theta_m if st.theta_m is not None else "",
@@ -209,61 +193,43 @@ def cmd_spectrum(params, seed, tolerances, writer, threads):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_scalar(params, seed, tolerances, writer, threads):
-    reports = oracle.verify_suite(params, seed, tolerances, threads=threads,
-                                  sections={"scalar"})
-    return EXIT_OK if _emit_reports(reports, writer) else EXIT_CHECK_FAILED
-
-
 def cmd_ff(params, seed, tolerances, writer, threads, kind, site, factors, ops):
     tol = dict(oracle.DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
-    mono, basis, states = _prepare(params, seed, tolerances)
-    covs, vecs, norms = [], [], []
-    for st in states:
-        lst, rst = ss.eigenstate_separate_states(st, basis)
-        covs.append(ss.materialize(lst, basis))
-        vecs.append(ss.materialize(rst, basis))
-        norms.append(ss.eigen_action(basis, st, st))
+    sol = ss.prepare(params, seed, tolerances)
+    mono, basis, states = sol.mono, sol.basis, sol.states
+    covs, vecs, norms = sol.covs, sol.vecs, sol.norms
     d = params.dim
     ok = True
-    if kind == "u":
-        op = mc.site_embed(params, site, mc.weyl_generators(
-            params.p, params.u[site - 1], params.v[site - 1], params.p_prime)[0])
-        shift_ratio = None
+    if kind in ("u", "elementary"):
+        if kind == "u":
+            dense_op = mc.site_embed(params, site, mc.weyl_generators(
+                params.p, params.u[site - 1], params.v[site - 1], params.p_prime)[0])
+            op_scale, tol_key = 1.0 / np.sqrt(d), "ff_u"
+            shift = None
+            if site != 1:
+                # chain-shift eigenvalues <t|W|t> / <t|t> of every eigenstate
+                W = lo.cyclic_shift_permutation(params, site)
+                shift = np.sum(covs @ W * vecs, axis=1) / np.sum(covs * vecs, axis=1)
+
+            def determinant(i, j):
+                ratio = None if shift is None else shift[i] / shift[j]
+                return ffm.ff_u(params, basis, states[i], states[j], site, shift_ratio=ratio)
+        else:
+            elem = lo.ElementaryBasisElement(tuple(factors))
+            dense_op = elem.to_dense(params, basis, mono)
+            op_scale, tol_key = max(np.linalg.norm(dense_op), 1e-300) / d, "ff_elementary"
+
+            def determinant(i, j):
+                return ffm.ff_elementary(params, basis, states[i], states[j], elem)
         for i in range(d):
             for j in range(d):
-                if site == 1:
-                    res = ffm.ff_u(params, basis, states[i], states[j], 1)
-                else:
-                    W = lo.cyclic_shift_permutation(params, site)
-                    phi_i = ffm.shift_eigenvalue(params, basis, states[i], W)
-                    phi_j = ffm.shift_eigenvalue(params, basis, states[j], W)
-                    res = ffm.ff_u(params, basis, states[i], states[j], site,
-                                   shift_ratio=phi_i / phi_j)
-                dense = covs[i] @ op @ vecs[j]
-                scale = max(abs(dense), abs(res.value),
-                            np.linalg.norm(covs[i]) * np.linalg.norm(vecs[j]) / np.sqrt(d))
-                err = float(abs(dense - res.value) / scale)
-                passed = bool(err <= tol["ff_u"])
-                ok = ok and passed
-                writer.emit({"bra": i, "ket": j,
-                             "determinant": fmt_complex(res.value),
-                             "oracle": fmt_complex(dense),
-                             "relErr": err, "selectionZero": bool(res.selection_zero),
-                             "pass": passed})
-    elif kind == "elementary":
-        elem = lo.ElementaryBasisElement(tuple(factors))
-        dense_op = elem.to_dense(params, basis, mono)
-        for i in range(d):
-            for j in range(d):
-                res = ffm.ff_elementary(params, basis, states[i], states[j], elem)
+                res = determinant(i, j)
                 dense = covs[i] @ dense_op @ vecs[j]
                 scale = max(abs(dense), abs(res.value),
-                            np.linalg.norm(covs[i]) * np.linalg.norm(vecs[j])
-                            * max(np.linalg.norm(dense_op), 1e-300) / d)
+                            np.linalg.norm(covs[i]) * np.linalg.norm(vecs[j]) * op_scale)
                 err = float(abs(dense - res.value) / scale)
-                passed = bool(err <= tol["ff_elementary"])
+                passed = bool(err <= tol[tol_key])
                 ok = ok and passed
                 writer.emit({"bra": i, "ket": j,
                              "determinant": fmt_complex(res.value),
@@ -283,11 +249,11 @@ def cmd_ff(params, seed, tolerances, writer, threads, kind, site, factors, ops):
                     params.p, params.u[n - 1], params.v[n - 1], params.p_prime)[0]))
             else:
                 raise ConfigError(f"unknown operator token '{tok}'")
+        dense_prod = np.eye(d, dtype=complex)
+        for m in mats:
+            dense_prod = dense_prod @ m
         for i, st in enumerate(states):
             val = ffm.npoint(params, basis, st, mats, states)
-            dense_prod = np.eye(d, dtype=complex)
-            for m in mats:
-                dense_prod = dense_prod @ m
             dense = (covs[i] @ dense_prod @ vecs[i]) / norms[i]
             scale = max(abs(dense), abs(val),
                         np.linalg.norm(covs[i]) * np.linalg.norm(vecs[i]) / abs(norms[i]))
@@ -300,11 +266,6 @@ def cmd_ff(params, seed, tolerances, writer, threads, kind, site, factors, ops):
     else:
         raise ConfigError(f"unknown form-factor kind '{kind}'")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def cmd_verify_all(params, seed, tolerances, writer, threads):
-    reports = oracle.verify_suite(params, seed, tolerances, threads=threads)
-    return EXIT_OK if _emit_reports(reports, writer) else EXIT_CHECK_FAILED
 
 
 def build_parser():
@@ -347,14 +308,13 @@ def main(argv=None):
     writer = RowWriter(args.csv or args.json,
                        "csv" if args.csv else "json")
     try:
-        if args.command == "check-algebra":
-            return cmd_check_algebra(params, seed, tolerances, writer, args.threads)
+        if args.command in _SUITE_SECTIONS:
+            return cmd_verify(params, seed, tolerances, writer, args.threads,
+                              _SUITE_SECTIONS[args.command])
         if args.command == "sov-build":
             return cmd_sov_build(params, seed, tolerances, writer, args.threads)
         if args.command == "spectrum":
             return cmd_spectrum(params, seed, tolerances, writer, args.threads)
-        if args.command == "scalar":
-            return cmd_scalar(params, seed, tolerances, writer, args.threads)
         if args.command == "ff":
             factors = []
             if args.factors:
@@ -364,8 +324,6 @@ def main(argv=None):
             ops = args.ops.split(",") if args.ops else []
             return cmd_ff(params, seed, tolerances, writer, args.threads,
                           args.kind, args.site, factors, ops)
-        if args.command == "verify-all":
-            return cmd_verify_all(params, seed, tolerances, writer, args.threads)
         return EXIT_BAD_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -15,10 +15,10 @@ import numpy as np
 
 from .params import ModelParams, SgSovError
 from . import model_core as mc
-from .sov_basis import SovBasis
+from .sov_basis import SovBasis, cross_product, vandermonde
 from .spectrum import TransferEigenstate
-from .separate_states import (IncompleteSpectrum, eigen_action, phi_general,
-                              eigenstate_separate_states, materialize)
+from .separate_states import (IncompleteSpectrum, eigen_dense, phi_general,
+                              require_q_data)
 from .local_ops import ElementaryBasisElement
 
 __all__ = [
@@ -40,19 +40,11 @@ class FormFactorResult:
     context: dict = field(default_factory=dict)
 
 
-def _require_q_data(*states):
-    for st in states:
-        if st.q_vals is None or st.qbar_vals is None:
-            raise SgSovError("attach Baxter grid data to the eigenstates first")
-
-
 def shift_eigenvalue(params: ModelParams, basis: SovBasis,
                      state: TransferEigenstate, w_matrix):
     """Eigenvalue of a chain-shift permutation on a transfer eigenstate,
     from the materialized separate-state representation."""
-    lst, rst = eigenstate_separate_states(state, basis)
-    cov = materialize(lst, basis)
-    vec = materialize(rst, basis)
+    (cov,), (vec,), _ = eigen_dense([state], basis)
     return complex(cov @ w_matrix @ vec) / complex(cov @ vec)
 
 
@@ -72,10 +64,9 @@ def ff_u(params: ModelParams, basis: SovBasis, bra: TransferEigenstate,
 
     For n > 1 the prefactor ratio of chain-shift eigenvalues must be supplied
     (available on homogeneous chains)."""
-    _require_q_data(bra, ket)
+    require_q_data(bra, ket)
     if n != 1 and shift_ratio is None:
-        kap, xi = np.asarray(params.kappa), np.asarray(params.xi)
-        if np.max(np.abs(kap - kap[0])) > 1e-12 or np.max(np.abs(xi - xi[0])) > 1e-12:
+        if not params.homogeneous:
             raise ShiftUnavailable(
                 "site shifts need the chain-shift eigenvalue ratio, computable "
                 "on homogeneous chains only")
@@ -126,7 +117,7 @@ def ff_elementary(params: ModelParams, basis: SovBasis,
     """Matrix element of a canonical elementary monomial: one determinant
     with a block of grid-power columns for every excited variable and
     moment columns for the spectator variables."""
-    _require_q_data(bra, ket)
+    require_q_data(bra, ket)
     p = params.p
     nsep = params.n_separate
     grid = basis.grid.grid
@@ -144,12 +135,11 @@ def ff_elementary(params: ModelParams, basis: SovBasis,
     size = nsep + r * p - g
     M = np.zeros((size, size), dtype=complex)
     col = 0
-    col_values = []
+    col_roots = []
     for (a, k, alpha) in factors:
         for j in range(p - alpha + 1):
-            val = grid[a, (k + j) % p] ** 2
-            col_values.append(val)
-            M[:, col] = val ** np.arange(size)
+            col_roots.append(grid[a, (k + j) % p])
+            M[:, col] = (col_roots[-1] ** 2) ** np.arange(size)
             col += 1
     for b in spectators:
         for a_row in range(size):
@@ -186,19 +176,11 @@ def ff_elementary(params: ModelParams, basis: SovBasis,
     sign *= (-1.0) ** ((r - 1) * (g - r)) if r else 1.0
     qpow = np.prod([params.q ** (-(nsep - r) * alpha * (alpha - 1) / 2)
                     for (_, _, alpha) in factors]) if factors else 1.0
-    v_small = 1.0 + 0.0j
-    for i in range(r):
-        for j in range(i + 1, r):
-            v_small *= grid[factors[j][0], factors[j][1]] ** 2 \
-                - grid[factors[i][0], factors[i][1]] ** 2
-    v_big = 1.0 + 0.0j
-    for i in range(len(col_values)):
-        for j in range(i + 1, len(col_values)):
-            v_big *= col_values[j] - col_values[i]
-    z_cross = 1.0 + 0.0j
-    for a in excited:
-        for b in spectators:
-            z_cross *= basis.grid.z[a] ** 2 - basis.grid.z[b] ** 2
+    z = basis.grid.z
+    v_small = vandermonde([grid[a, k] for (a, k, _) in factors], squares=True)
+    v_big = vandermonde(col_roots, squares=True)
+    z_cross = np.prod([cross_product(z[a], z[spectators], squares=True)
+                       for a in excited])
     pref = sign * qpow * f_num * v_small / (f_den * z_cross * v_big)
 
     sector = 1.0 + 0.0j
@@ -224,12 +206,7 @@ def npoint(params: ModelParams, basis: SovBasis, state: TransferEigenstate,
     separate-state materializations."""
     if len(states) < params.dim:
         raise IncompleteSpectrum(f"need the full spectrum of {params.dim} states")
-    covs, vecs, norms = {}, {}, {}
-    for i, st in enumerate(states):
-        lst, rst = eigenstate_separate_states(st, basis)
-        covs[i] = materialize(lst, basis)
-        vecs[i] = materialize(rst, basis)
-        norms[i] = eigen_action(basis, st, st)
+    covs, vecs, norms = eigen_dense(states, basis)
     t_idx = states.index(state)
 
     def me(slot, i, j):

@@ -13,7 +13,7 @@ import numpy as np
 from .params import ModelParams, DegenerateKappa, SgSovError
 from . import model_core as mc
 from .model_core import Monodromy
-from .sov_basis import SovBasis
+from .sov_basis import SovBasis, cross_product, grid_values
 
 __all__ = [
     "SingularMatrix", "ShiftedMonodromy", "ElementaryOp", "ElementaryBasisElement",
@@ -182,7 +182,6 @@ def _gauss_binom_poly(n, m):
             if right is not None:
                 acc[i:i + len(right)] += right  # z^i * binom(j-1, i)
             row.append(acc)
-        row = row
     return row[m]
 
 
@@ -338,10 +337,7 @@ def eta_ref_operator(basis: SovBasis, power: int = 1):
 def eta_interp_operator(basis: SovBasis, power: int = 1):
     """Diagonal operator with eigenvalue (prod xi / prod_{a<=nsep} eta_a)^power."""
     params = basis.params
-    nsep = params.n_separate
-    prods = np.prod(basis.grid.grid[np.arange(nsep)[:, None],
-                                    basis.tuples[:, :nsep].T], axis=0)
-    vals = (params.xi_prod / prods) ** power
+    vals = (params.xi_prod / np.prod(grid_values(basis), axis=1)) ** power
     return (basis.right * (vals * basis.measure)[None, :]) @ basis.left
 
 
@@ -357,11 +353,7 @@ def elementary_O(params: ModelParams, basis: SovBasis, a: int, k: int,
     for j in range(k + 1, k + params.p):
         op = mono.B.evaluate(grid[a, j % params.p]) @ op
     z = basis.grid.z
-    denom = params.p * params.kprod ** (params.p - 1)
-    for b in range(nsep):
-        if b != a:
-            denom *= z[a] / z[b] - z[b] / z[a]
-    op = op / denom
+    op = op / (params.p * params.kprod ** (params.p - 1) * cross_product(z[a], z[:nsep], a))
     if params.even_chain:
         op = op @ eta_ref_operator(basis, -(params.p - 1))
     return ElementaryOp(a, k, op)
@@ -384,15 +376,9 @@ def o_action_weight(params: ModelParams, basis: SovBasis, a: int, k: int, j: int
     tup = basis.tuples[j]
     if tup[a] != k:
         return 0.0 + 0.0j
-    grid = basis.grid.grid
-    eta = grid[a, k]
-    denom = 1.0 + 0.0j
-    for b in range(params.n_separate):
-        if b == a:
-            continue
-        etb = grid[b, tup[b]]
-        denom *= eta / etb - etb / eta
-    return complex(mc.a_coeff(params, eta) / denom)
+    nsep = params.n_separate
+    vals = basis.grid.grid[np.arange(nsep), tup[:nsep]]
+    return complex(mc.a_coeff(params, vals[a]) / cross_product(vals[a], vals, a))
 
 
 def binvA_interpolation(params: ModelParams, basis: SovBasis, lam,
@@ -473,14 +459,8 @@ def reduce_O_monomial(params: ModelParams, basis: SovBasis, factors):
             j += 1
         run = seq[i:j]
         while len(run) > params.p:
-            k_top = run[0][1]
-            avg = mc.average_value(params, "A", basis.grid.z[a])
-            denom = 1.0 + 0.0j
-            for b in range(params.n_separate):
-                if b != a:
-                    denom *= basis.grid.z[a] / basis.grid.z[b] \
-                        - basis.grid.z[b] / basis.grid.z[a]
-            scalar *= avg / denom
+            z = basis.grid.z[:params.n_separate]
+            scalar *= mc.average_value(params, "A", z[a]) / cross_product(z[a], z, a)
             run = run[:1] + run[1 + params.p:]
             if run[:1] and len(run) > 1 and (run[1][1] - run[0][1]) % params.p != params.p - 1:
                 return ZERO_MONOMIAL

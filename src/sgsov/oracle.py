@@ -23,7 +23,7 @@ from . import form_factors as ffm
 from . import local_ops as lo
 
 __all__ = ["ComparisonReport", "direct_matrix_element", "verify_suite",
-           "reports_to_jsonl", "DEFAULT_TOLERANCES"]
+           "verify_solution", "reports_to_jsonl", "DEFAULT_TOLERANCES"]
 
 
 DEFAULT_TOLERANCES = {
@@ -96,16 +96,13 @@ def direct_matrix_element(left_state, operator, right_state):
 
 
 class _Suite:
-    def __init__(self, params, seed, tolerances=None):
-        self.params = params
-        self.seed = seed
+    def __init__(self, sol, tolerances=None):
+        self.params = sol.params
+        self.rng = sol.rng
         self.tol = dict(DEFAULT_TOLERANCES)
         if tolerances:
             self.tol.update(tolerances)
         self.reports = []
-
-    def rng(self, salt):
-        return np.random.default_rng(np.random.SeedSequence([self.seed, salt]))
 
     def check(self, label, err, tol_key, scale=1.0, diagnostic=False, **context):
         tol = self.tol[tol_key] if isinstance(tol_key, str) else tol_key
@@ -135,29 +132,28 @@ def verify_suite(params: ModelParams, seed: int = 0, tolerances=None,
                  threads: int = 1, sections=None):
     """Run the full invariant battery in dependency order; returns the list
     of comparison reports.  Deterministic for a fixed (params, seed)."""
-    s = _Suite(params, seed, tolerances)
-    want = (lambda name: sections is None or name in sections)
-    mono = mc.monodromy(params)
+    return verify_solution(ss.prepare(params, seed, tolerances), tolerances,
+                           threads=threads, sections=sections)
 
+
+def verify_solution(sol: ss.Solution, tolerances=None, threads: int = 1,
+                    sections=None):
+    """``verify_suite`` on a prepared solution; only the parts of it that
+    the chosen sections use get built."""
+    s = _Suite(sol, tolerances)
+    want = (lambda name: sections is None or name in sections)
     if want("algebra"):
-        _algebra_section(s, mono)
-    basis = None
-    states = None
-    if want("sov") or want("spectrum") or want("scalar") or want("local") or want("ff"):
-        basis = sb.build_sov_basis(params, mono=mono, rng=s.rng(1),
-                                   rel_gap=s.tol["zero_gap"])
-        if want("sov"):
-            _sov_section(s, mono, basis)
-    if want("spectrum") or want("scalar") or want("ff"):
-        states = _prepare_spectrum(s, mono, basis)
-        if want("spectrum"):
-            _spectrum_section(s, mono, basis, states)
+        _algebra_section(s, sol.mono)
+    if want("sov"):
+        _sov_section(s, sol.mono, sol.basis)
+    if want("spectrum"):
+        _spectrum_section(s, sol)
     if want("scalar"):
-        _scalar_section(s, mono, basis, states)
+        _scalar_section(s, sol)
     if want("local"):
-        _local_section(s, mono, basis, threads=threads)
+        _local_section(s, sol.mono, sol.basis, threads=threads)
     if want("ff"):
-        _ff_section(s, mono, basis, states, threads=threads)
+        _ff_section(s, sol, threads=threads)
     return s.reports
 
 
@@ -314,23 +310,11 @@ def _sov_section(s, mono, basis):
     s.check("left_shift_relations", worst, "sov_pattern")
 
 
-def _prepare_spectrum(s, mono, basis):
+def _spectrum_section(s, sol):
     params = s.params
-    states = sp.diagonalize_transfer(params, mono, rng=s.rng(30))
-    for st in states:
-        sp.extract_Q_grid(st, basis)
-        st.q_poly, st.nullspace_dim = sp.fit_Q_polynomial(
-            params, st.t_coeffs, s.rng(31))
-        st.qbar_poly = sp.qbar_from_q(params, st.q_poly)
-        ss.attach_q_data(st, basis)
-    return states
-
-
-def _spectrum_section(s, mono, basis, states):
-    params = s.params
+    basis, states = sol.basis, sol.states
     d = params.dim
     s.check("state_count", 0.0 if len(states) == d else 1.0, "functional_eq")
-    rng = s.rng(32)
     worst_t = max(sp.check_functional_equation(params, st.t_coeffs, s.rng(33))
                   for st in states)
     s.check("functional_equation_true", worst_t, "functional_eq")
@@ -398,26 +382,20 @@ def _spectrum_section(s, mono, basis, states):
     s.check("qbar_difference_eq", worst, "baxter_grid")
     # separate-state representations reproduce the eigenvectors
     worst = 0.0
-    for st in states:
-        lst, rst = ss.eigenstate_separate_states(st, basis)
-        vec = ss.materialize(rst, basis)
-        cov = ss.materialize(lst, basis)
+    for st, cov, vec in zip(states, sol.covs, sol.vecs):
         cr = abs(np.vdot(vec, st.vec_right)) / (np.linalg.norm(vec) * np.linalg.norm(st.vec_right))
         cl = abs(np.vdot(cov.conj(), st.vec_left.conj())) / (np.linalg.norm(cov) * np.linalg.norm(st.vec_left))
         worst = max(worst, 1 - cr, 1 - cl)
     s.check("eigenstate_collinearity", worst, "factorization")
 
 
-def _scalar_section(s, mono, basis, states):
+def _scalar_section(s, sol):
     params = s.params
     d = params.dim
     rng = s.rng(40)
     nsep = params.n_separate
-    covs, vecs = [], []
-    for st in states:
-        lst, rst = ss.eigenstate_separate_states(st, basis)
-        covs.append(ss.materialize(lst, basis))
-        vecs.append(ss.materialize(rst, basis))
+    basis, states = sol.basis, sol.states
+    covs, vecs, norms = sol.covs, sol.vecs, sol.norms
     worst = 0.0
     for _ in range(20):
         al = rng.standard_normal((nsep, params.p)) + 1j * rng.standard_normal((nsep, params.p))
@@ -437,11 +415,10 @@ def _scalar_section(s, mono, basis, states):
     worst_diag = 0.0
     worst_orth = 0.0
     worst_null = 0.0
-    diag_dets = [abs(ss.eigen_action(basis, st, st)) for st in states]
+    diag_dets = np.abs(norms)
     for i, sti in enumerate(states):
         dense = covs[i] @ vecs[i]
-        det = ss.eigen_action(basis, sti, sti)
-        worst_diag = max(worst_diag, abs(dense - det) / max(abs(dense), 1e-300))
+        worst_diag = max(worst_diag, abs(dense - norms[i]) / max(abs(dense), 1e-300))
         for j, stj in enumerate(states):
             if i == j:
                 continue
@@ -479,10 +456,6 @@ def _local_section(s, mono, basis, threads=1):
     p = params.p
     rng = s.rng(50)
 
-    def site_jobs():
-        for n in range(1, params.n_sites + 1):
-            yield n
-
     def check_site(n):
         out = []
         sh = lo.shifted_monodromy(params, n)
@@ -515,9 +488,9 @@ def _local_section(s, mono, basis, threads=1):
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(check_site, site_jobs()))
+            results = list(ex.map(check_site, range(1, params.n_sites + 1)))
     else:
-        results = [check_site(n) for n in site_jobs()]
+        results = [check_site(n) for n in range(1, params.n_sites + 1)]
     for chunk in results:
         for label, err in chunk:
             s.check(label, err, "reconstruction")
@@ -603,14 +576,10 @@ def _local_section(s, mono, basis, threads=1):
     s.check("elementary_zero_rule", worst_zero, "elementary")
     s.check("elementary_consecutive_nonzero",
             0.0 if worst_cons > 1e-6 else 1.0, "elementary")
+    z = basis.grid.z[:nsep]
     for a in range(nsep):
         lhs = lo.elementary_O_power(params, basis, a, 1, p + 1, mono)
-        denom = 1.0 + 0.0j
-        for b in range(nsep):
-            if b != a:
-                denom *= basis.grid.z[a] / basis.grid.z[b] \
-                    - basis.grid.z[b] / basis.grid.z[a]
-        scal = mc.average_value(params, "A", basis.grid.z[a]) / denom
+        scal = mc.average_value(params, "A", z[a]) / sb.cross_product(z[a], z, a)
         rhs = scal * lo.elementary_O(params, basis, a, 1, mono).matrix
         s.check(f"elementary_cycle[{a}]", mc.rel_err(lhs, rhs), "elementary")
     if nsep >= 2:
@@ -626,7 +595,7 @@ def _local_section(s, mono, basis, threads=1):
         s.check("elementary_exchange", worst, "elementary")
         seq = [(1, 2), (0, 1)]
         red = lo.reduce_O_monomial(params, basis, seq)
-        dense_in = ops[1] * 0 + np.eye(d)
+        dense_in = np.eye(d, dtype=complex)
         for a, k in seq:
             dense_in = dense_in @ lo.elementary_O(params, basis, a, k, mono).matrix
         scal, ordered = red
@@ -648,9 +617,7 @@ def _local_section(s, mono, basis, threads=1):
         tgt = lo.binvA_dense(params, mono, lam, 1)
         s.check(f"interpolation_identity[{i}]", mc.rel_err(got, tgt), "elementary")
     # homogeneous chains: permutation realization and shift diagnostics
-    kap, xi = np.asarray(params.kappa), np.asarray(params.xi)
-    if params.n_sites > 1 and np.max(np.abs(kap - kap[0])) < 1e-12 \
-            and np.max(np.abs(xi - xi[0])) < 1e-12:
+    if params.n_sites > 1 and params.homogeneous:
         lam = params.spectral_samples(rng, 1)[0]
         for n in range(2, params.n_sites + 1):
             W = lo.cyclic_shift_permutation(params, n)
@@ -660,15 +627,11 @@ def _local_section(s, mono, basis, threads=1):
             s.check(f"shift_permutation[{n}]", worst, "reconstruction")
 
 
-def _ff_section(s, mono, basis, states, threads=1):
+def _ff_section(s, sol, threads=1):
     params = s.params
     d = params.dim
-    covs, vecs, norms = [], [], []
-    for st in states:
-        lst, rst = ss.eigenstate_separate_states(st, basis)
-        covs.append(ss.materialize(lst, basis))
-        vecs.append(ss.materialize(rst, basis))
-        norms.append(ss.eigen_action(basis, st, st))
+    mono, basis, states = sol.mono, sol.basis, sol.states
+    covs, vecs, norms = sol.covs, sol.vecs, sol.norms
     u1 = mc.site_embed(params, 1, mc.weyl_generators(
         params.p, params.u[0], params.v[0], params.p_prime)[0])
 
@@ -727,9 +690,7 @@ def _ff_section(s, mono, basis, states, threads=1):
     # shift-eigenvalue diagnostic on homogeneous chains: the permutation
     # eigenvalues are exact unit phases; the transfer/Baxter-ratio
     # predictions are reported without assertion (unproven here)
-    kap, xi = np.asarray(params.kappa), np.asarray(params.xi)
-    if params.n_sites > 1 and np.max(np.abs(kap - kap[0])) < 1e-12 \
-            and np.max(np.abs(xi - xi[0])) < 1e-12:
+    if params.n_sites > 1 and params.homogeneous:
         W = lo.cyclic_shift_permutation(params, 2)
         mup = complex(params.mu_plus[0])
         for i in (0, 1):

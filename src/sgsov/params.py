@@ -150,6 +150,13 @@ class ModelParams:
     def self_adjoint(self) -> bool:
         return self.hermitian_eps is not None
 
+    @property
+    def homogeneous(self) -> bool:
+        """Every site carries the same kappa and the same xi."""
+        kap, xi = np.asarray(self.kappa), np.asarray(self.xi)
+        return bool(np.max(np.abs(kap - kap[0])) <= 1e-12
+                    and np.max(np.abs(xi - xi[0])) <= 1e-12)
+
     # -- sampling ----------------------------------------------------------
 
     def spectral_samples(self, rng, count, exclude=(), min_dist=1e-3,

@@ -1,5 +1,6 @@
 """Separate states, the scalar-product determinant, eigenstate pairings,
-orthogonality and the resolution of the identity over transfer eigenstates.
+orthogonality, the resolution of the identity over transfer eigenstates,
+and the prepared solution of one chain.
 
 A separate state is specified by one coefficient table per separate
 variable; its dense materialization is the measure-weighted sum over the
@@ -11,18 +12,22 @@ entries are weighted moment sums over each variable's grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .params import ModelParams, SgSovError
-from .sov_basis import SovBasis
-from .spectrum import TransferEigenstate, polyval_ascending
+from . import model_core as mc
+from .sov_basis import SovBasis, build_sov_basis, vandermonde_weights
+from .spectrum import (TransferEigenstate, diagonalize_transfer, extract_Q_grid,
+                       fit_Q_polynomial, polyval_ascending, qbar_from_q)
 
 __all__ = [
     "SeparateState", "IncompleteSpectrum", "materialize",
     "scalar_product_det", "phi_general", "phi_matrix", "eigen_action",
-    "identity_resolution_T", "attach_q_data", "eigenstate_separate_states",
-    "t_coeff_null_vector",
+    "identity_resolution_T", "attach_q_data", "require_q_data",
+    "eigenstate_separate_states", "eigen_dense", "t_coeff_null_vector",
+    "Solution", "prepare",
 ]
 
 
@@ -46,29 +51,12 @@ class SeparateState:
         self.coeff = np.asarray(self.coeff, dtype=complex)
 
 
-def _vandermonde_weights(basis: SovBasis):
-    """Squared-difference Vandermonde over the separate-variable grid values
-    for every label tuple, divided by the gauge functions."""
-    params = basis.params
-    nsep = params.n_separate
-    vals = basis.grid.grid[:nsep]  # (nsep, p)
-    tup = basis.tuples[:, :nsep]   # (d, nsep)
-    gathered = vals[np.arange(nsep)[None, :], tup]  # (d, nsep)
-    vdm = np.ones(params.dim, dtype=complex)
-    for b in range(nsep):
-        for a in range(b + 1, nsep):
-            vdm *= gathered[:, a] ** 2 - gathered[:, b] ** 2
-    om = basis.omega
-    wgt = np.prod(om[np.arange(nsep)[None, :], tup], axis=1)
-    return vdm / wgt
-
-
 def materialize(state: SeparateState, basis: SovBasis):
     """Dense covector (left) or vector (right) of a separate state."""
     params = basis.params
     nsep = params.n_separate
     tup = basis.tuples[:, :nsep]
-    w = _vandermonde_weights(basis).copy()
+    w = vandermonde_weights(basis)
     w *= np.prod(state.coeff[np.arange(nsep)[None, :], tup], axis=1)
     if params.even_chain:
         m = state.theta_m if state.theta_m is not None else 0
@@ -120,10 +108,16 @@ def attach_q_data(state: TransferEigenstate, basis: SovBasis):
     return state
 
 
+def require_q_data(*states):
+    """Raise unless every eigenstate carries its Baxter grid tables."""
+    for st in states:
+        if st.q_vals is None or st.qbar_vals is None:
+            raise SgSovError("attach Baxter grid data to the eigenstates first")
+
+
 def eigenstate_separate_states(state: TransferEigenstate, basis: SovBasis):
     """The left/right separate-state representations of an eigenstate."""
-    if state.q_vals is None:
-        attach_q_data(state, basis)
+    require_q_data(state)
     left = SeparateState("left", state.qbar_vals, state.theta_m)
     right = SeparateState("right", state.q_vals, state.theta_m)
     return left, right
@@ -160,6 +154,19 @@ def eigen_action(basis: SovBasis, bra: TransferEigenstate,
     return basis.c_ref * np.linalg.det(phi_matrix(basis, bra, ket))
 
 
+def eigen_dense(states, basis: SovBasis):
+    """Stacked dense covectors and vectors of the separate-state
+    representations of ``states``, shape (len(states), d) each, and the
+    determinant norms <t|t>."""
+    covs, vecs = [], []
+    for st in states:
+        left, right = eigenstate_separate_states(st, basis)
+        covs.append(materialize(left, basis))
+        vecs.append(materialize(right, basis))
+    norms = [eigen_action(basis, st, st) for st in states]
+    return np.array(covs), np.array(vecs), np.array(norms)
+
+
 def identity_resolution_T(states, basis: SovBasis):
     """Sum of |t><t| / <t|t> over the whole spectrum, built from the
     separate-state materializations and determinant pairings."""
@@ -167,14 +174,8 @@ def identity_resolution_T(states, basis: SovBasis):
     if len(states) < params.dim:
         raise IncompleteSpectrum(
             f"need {params.dim} eigenstates, got {len(states)}")
-    out = np.zeros((params.dim, params.dim), dtype=complex)
-    for st in states:
-        lst, rst = eigenstate_separate_states(st, basis)
-        cov = materialize(lst, basis)
-        vec = materialize(rst, basis)
-        norm = eigen_action(basis, st, st)
-        out += np.outer(vec, cov) / norm
-    return out
+    covs, vecs, norms = eigen_dense(states, basis)
+    return (vecs.T / norms) @ covs
 
 
 def t_coeff_null_vector(params: ModelParams, bra_t: dict, ket_t: dict):
@@ -183,3 +184,59 @@ def t_coeff_null_vector(params: ModelParams, bra_t: dict, ket_t: dict):
     nsep = params.n_separate
     degs = [2 * b - nsep - 1 for b in range(1, nsep + 1)]
     return np.array([ket_t.get(dg, 0.0) - bra_t.get(dg, 0.0) for dg in degs])
+
+
+# ---------------------------------------------------------------------------
+# The prepared solution of one chain
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class Solution:
+    """The monodromy, the calibrated SOV basis and the transfer eigenstates
+    with their Baxter polynomials and grid tables, shared by every scalar
+    product and form factor of one chain.
+
+    The basis, the eigenstates and the stacked ``covs``/``vecs``/``norms``
+    of ``eigen_dense`` are built on first use, from the seed streams
+    ``[seed, 1]`` (basis), ``[seed, 2]`` (diagonalization) and a fresh
+    ``[seed, 3]`` per Baxter fit, so they do not depend on the order of
+    use.  Nothing is modified after it is built."""
+    params: ModelParams
+    seed: int
+    mono: mc.Monodromy
+    rel_gap: float = 1e-6         # minimal relative separation of the B zeros
+
+    def rng(self, salt):
+        return np.random.default_rng(np.random.SeedSequence([self.seed, salt]))
+
+    @cached_property
+    def basis(self) -> SovBasis:
+        return build_sov_basis(self.params, mono=self.mono, rng=self.rng(1),
+                               rel_gap=self.rel_gap)
+
+    @cached_property
+    def states(self) -> tuple:
+        basis = self.basis
+        states = diagonalize_transfer(self.params, self.mono, rng=self.rng(2))
+        for st in states:
+            extract_Q_grid(st, basis)
+            st.q_poly, st.nullspace_dim = fit_Q_polynomial(
+                self.params, st.t_coeffs, self.rng(3))
+            st.qbar_poly = qbar_from_q(self.params, st.q_poly)
+            attach_q_data(st, basis)
+        return tuple(states)
+
+    @cached_property
+    def _dense(self):
+        return eigen_dense(self.states, self.basis)
+
+    covs = property(lambda self: self._dense[0])
+    vecs = property(lambda self: self._dense[1])
+    norms = property(lambda self: self._dense[2])
+
+
+def prepare(params: ModelParams, seed: int = 0, tolerances=None) -> Solution:
+    """The prepared solution of one chain; ``tolerances`` may carry the
+    ``zero_gap`` separation of the B zeros."""
+    rel_gap = (tolerances or {}).get("zero_gap", Solution.rel_gap)
+    return Solution(params, seed, mc.monodromy(params), rel_gap)

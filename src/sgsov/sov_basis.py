@@ -23,7 +23,8 @@ __all__ = [
     "SovGrid", "SovBasis", "SimplicityViolation", "DegenerateSpectrum",
     "GaugeInconsistency", "b_zeros", "build_sov_basis", "kappa_index",
     "inverse_kappa", "identity_resolution_sov", "measure_weights_formula",
-    "mjj_formula", "b_pattern",
+    "mjj_formula", "b_pattern", "vandermonde", "cross_product",
+    "grid_values", "vandermonde_weights",
 ]
 
 
@@ -68,6 +69,36 @@ def _tuple_table(p, n_sites):
     """(p^N, N) array of 0-based tuples in linear order (site 1 fastest)."""
     idx = np.arange(p ** n_sites)
     return np.stack([(idx // p ** a) % p for a in range(n_sites)], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# Pairwise products over the separate variables
+# ---------------------------------------------------------------------------
+
+def _pair_factor(xa, xb, squares):
+    return xa ** 2 - xb ** 2 if squares else xa / xb - xb / xa
+
+
+def vandermonde(x, squares=False):
+    """prod_{b<a} (x_a/x_b - x_b/x_a) over the last axis of ``x``, or of
+    (x_a^2 - x_b^2) with ``squares``; leading axes are batch axes."""
+    x = np.asarray(x)
+    n = x.shape[-1]
+    out = np.ones(x.shape[:-1], dtype=complex)
+    for b in range(n):
+        for a in range(b + 1, n):
+            out = out * _pair_factor(x[..., a], x[..., b], squares)
+    return out[()]
+
+
+def cross_product(xa, x, skip=None, squares=False):
+    """prod_{b != skip} (xa/x_b - x_b/xa), or of (xa^2 - x_b^2) with
+    ``squares``, over the entries of ``x``."""
+    out = 1.0 + 0.0j
+    for b, xb in enumerate(x):
+        if b != skip:
+            out *= _pair_factor(xa, xb, squares)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +211,7 @@ def b_zeros(params: ModelParams, rel_gap=1e-6) -> SovGrid:
     # consistency: the factorized average must reproduce the 2x2 route
     for L in (0.9 + 0.4j, 1.6 - 0.2j):
         fac = kprod_p * (z_all[-1] if params.even_chain else 1.0) \
-            * np.prod(L / z_all[:nsep] - z_all[:nsep] / L)
+            * cross_product(L, z_all[:nsep])
         direct = complex(mc.average_monodromy(params, L)[0, 1])
         if abs(fac - direct) > 1e-8 * max(abs(direct), 1e-300):
             raise SgSovError(f"B-average factorization mismatch: {fac} vs {direct}")
@@ -237,21 +268,33 @@ def _label_eigenvectors(params, grid, tuples, b_ops, rng, tol=1e-8):
 # Calibrated basis
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SovBasis:
     """Calibrated left covectors and right vectors indexed by label tuples.
 
     ``left[j]`` is the covector (row) and ``right[:, j]`` the vector for the
-    j-th tuple in linear order.  ``measure[j]`` is the reciprocal pairing
-    entering the resolution of the identity."""
+    j-th tuple in linear order.  The constructor derives the diagonal
+    pairings ``mjj``, the measure ``measure[j] = 1 / mjj[j]`` entering the
+    resolution of the identity, and the gauge table ``omega``; nothing is
+    modified afterwards."""
     params: ModelParams
     grid: SovGrid
     tuples: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    measure: np.ndarray = None
-    mjj: np.ndarray = None
     c_ref: complex = 1.0
+    mjj: np.ndarray = field(init=False)
+    measure: np.ndarray = field(init=False)
+    omega: np.ndarray = field(init=False)   # omega_a(eta_a^{(h)}) = (eta_a^{(h)})^{nsep-1}
+
+    def __post_init__(self):
+        mjj = np.einsum("jd,dj->j", self.left, self.right)
+        if np.min(np.abs(mjj)) < 1e-12 * np.max(np.abs(mjj)):
+            raise GaugeInconsistency("a diagonal pairing vanished; measure is singular")
+        nsep = self.params.n_separate
+        object.__setattr__(self, "mjj", mjj)
+        object.__setattr__(self, "measure", 1.0 / mjj)
+        object.__setattr__(self, "omega", self.grid.grid[:nsep] ** (nsep - 1))
 
     def flat_index(self, h) -> int:
         p = self.params.p
@@ -262,30 +305,14 @@ class SovBasis:
         h[a] = (h[a] + delta) % self.params.p
         return self.flat_index(h)
 
-    @property
-    def omega(self):
-        """Gauge table omega_a(eta_a^{(h)}) = (eta_a^{(h)})^{nsep-1}."""
-        nsep = self.params.n_separate
-        return self.grid.grid[:nsep] ** (nsep - 1)
-
-    def pairing(self, j) -> complex:
-        return complex(self.left[j] @ self.right[:, j])
-
 
 def _interp_weights(params, grid, tup, lam):
     """c_a(lam) for a separated-variable label tuple: the Lagrange-type factor
     multiplying the shift of variable a in the action of A or D."""
     nsep = params.n_separate
     vals = grid.grid[np.arange(nsep), tup[:nsep]]
-    out = np.empty(nsep, dtype=complex)
-    for a in range(nsep):
-        num = 1.0 + 0.0j
-        for b in range(nsep):
-            if b == a:
-                continue
-            num *= (lam / vals[b] - vals[b] / lam) / (vals[a] / vals[b] - vals[b] / vals[a])
-        out[a] = num
-    return out
+    return np.array([cross_product(lam, vals, a) / cross_product(vals[a], vals, a)
+                     for a in range(nsep)])
 
 
 def _project_scale(target, raw):
@@ -420,13 +447,8 @@ def build_sov_basis(params: ModelParams, grid: SovGrid = None, mono=None,
                 f"reference-direction cycle fails to close: residual {cyc:.3e}")
 
     # ---- right sweep: anchored by the closed-form pairing at the zero tuple ----
-    eta0 = grid.grid[:nsep, 0]
-    denom = 1.0 + 0.0j
-    for b in range(nsep):
-        for a in range(b + 1, nsep):
-            denom *= eta0[a] / eta0[b] - eta0[b] / eta0[a]
     c_ref = (grid.eta0[-1] * np.sqrt(p)) ** params.e_n
-    m00 = c_ref / denom
+    m00 = c_ref / vandermonde(grid.grid[:nsep, 0])
     right[:, 0] = R_raw[:, 0] * (m00 / (left[0] @ R_raw[:, 0]))
     assigned_r[0] = True
 
@@ -484,46 +506,32 @@ def build_sov_basis(params: ModelParams, grid: SovGrid = None, mono=None,
             f"calibration step residual {worst_step:.3e} exceeds {tol:.1e}; "
             "labels or parameters are degenerate")
 
-    basis = SovBasis(params, grid, tuples, left, right, c_ref=complex(c_ref))
-    basis.mjj = np.einsum("jd,dj->j", left, right)
-    if np.min(np.abs(basis.mjj)) < 1e-12 * np.max(np.abs(basis.mjj)):
-        raise GaugeInconsistency("a diagonal pairing vanished; measure is singular")
-    basis.measure = 1.0 / basis.mjj
-    return basis
+    return SovBasis(params, grid, tuples, left, right, c_ref=complex(c_ref))
+
+
+def grid_values(basis: SovBasis):
+    """(d, nsep) grid values of the separate variables for every label tuple."""
+    nsep = basis.params.n_separate
+    return basis.grid.grid[np.arange(nsep)[None, :], basis.tuples[:, :nsep]]
+
+
+def vandermonde_weights(basis: SovBasis):
+    """Squared-difference Vandermonde over the separate-variable grid values
+    for every label tuple, divided by the gauge functions."""
+    nsep = basis.params.n_separate
+    wgt = np.prod(basis.omega[np.arange(nsep)[None, :], basis.tuples[:, :nsep]], axis=1)
+    return vandermonde(grid_values(basis), squares=True) / wgt
 
 
 def mjj_formula(basis: SovBasis):
     """Closed form of the diagonal pairings in the reference gauge."""
-    params = basis.params
-    nsep = params.n_separate
-    out = np.empty(params.dim, dtype=complex)
-    for j in range(params.dim):
-        vals = basis.grid.grid[np.arange(nsep), basis.tuples[j][:nsep]]
-        denom = 1.0 + 0.0j
-        for b in range(nsep):
-            for a in range(b + 1, nsep):
-                denom *= vals[a] / vals[b] - vals[b] / vals[a]
-        out[j] = basis.c_ref / denom
-    return out
+    return basis.c_ref / vandermonde(grid_values(basis))
 
 
 def measure_weights_formula(basis: SovBasis):
     """Explicit identity-decomposition weights: squared-difference Vandermonde
     over the gauge functions and the reference constant."""
-    params = basis.params
-    nsep = params.n_separate
-    out = np.empty(params.dim, dtype=complex)
-    omega = basis.omega
-    for j in range(params.dim):
-        tup = basis.tuples[j]
-        vals = basis.grid.grid[np.arange(nsep), tup[:nsep]]
-        vdm = 1.0 + 0.0j
-        for b in range(nsep):
-            for a in range(b + 1, nsep):
-                vdm *= vals[a] ** 2 - vals[b] ** 2
-        w = np.prod(omega[np.arange(nsep), tup[:nsep]])
-        out[j] = vdm / (basis.c_ref * w)
-    return out
+    return vandermonde_weights(basis) / basis.c_ref
 
 
 def identity_resolution_sov(basis: SovBasis):

@@ -178,7 +178,7 @@ def extract_Q_grid(state: TransferEigenstate, basis: SovBasis, tol=1e-7):
     """Wavefunction components in the SOV basis and the per-variable ratio
     tables of the Baxter function; validates the separated factorization."""
     params = basis.params
-    p, nsep = params.p, params.n_separate
+    p = params.p
     psi = basis.left @ state.vec_right
     state.psi = psi
     j0 = int(np.argmax(np.abs(psi)))

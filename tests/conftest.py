@@ -1,53 +1,19 @@
-"""Shared desk-scale configurations and fully prepared computation bundles."""
+"""Shared desk-scale configurations and their prepared solutions."""
 
 import numpy as np
 import pytest
 
 from sgsov.params import ModelParams
 from sgsov import model_core as mc
-from sgsov import sov_basis as sb
-from sgsov import spectrum as sp
-from sgsov import separate_states as ss
+from sgsov.separate_states import prepare
 
 SEED = 1234
 
 
-class Bundle:
-    """Everything the downstream checks need for one parameter set."""
-
-    def __init__(self, params, seed=SEED):
-        self.params = params
-        self.seed = seed
-        self.mono = mc.monodromy(params)
-        self.basis = sb.build_sov_basis(
-            params, mono=self.mono,
-            rng=np.random.default_rng(np.random.SeedSequence([seed, 1])))
-        self.states = sp.diagonalize_transfer(
-            params, self.mono,
-            rng=np.random.default_rng(np.random.SeedSequence([seed, 2])))
-        for st in self.states:
-            sp.extract_Q_grid(st, self.basis)
-            st.q_poly, st.nullspace_dim = sp.fit_Q_polynomial(
-                params, st.t_coeffs,
-                np.random.default_rng(np.random.SeedSequence([seed, 3])))
-            st.qbar_poly = sp.qbar_from_q(params, st.q_poly)
-            ss.attach_q_data(st, self.basis)
-        self.covs = []
-        self.vecs = []
-        self.norms = []
-        for st in self.states:
-            lst, rst = ss.eigenstate_separate_states(st, self.basis)
-            self.covs.append(ss.materialize(lst, self.basis))
-            self.vecs.append(ss.materialize(rst, self.basis))
-            self.norms.append(ss.eigen_action(self.basis, st, st))
-
-    def embedded_u(self, n, power=1):
-        U, _ = mc.weyl_generators(self.params.p, self.params.u[n - 1],
-                                  self.params.v[n - 1], self.params.p_prime)
-        return mc.site_embed(self.params, n, np.linalg.matrix_power(U, power))
-
-    def rng(self, salt):
-        return np.random.default_rng(np.random.SeedSequence([self.seed, salt]))
+def embedded_u(params, n, power=1):
+    """The site-n shift generator (to ``power``) on the full chain."""
+    U, _ = mc.weyl_generators(params.p, params.u[n - 1], params.v[n - 1], params.p_prime)
+    return mc.site_embed(params, n, np.linalg.matrix_power(U, power))
 
 
 def cfg_a_params():
@@ -72,27 +38,27 @@ def stretch_params():
 
 @pytest.fixture(scope="session")
 def cfg_a():
-    return Bundle(cfg_a_params())
+    return prepare(cfg_a_params(), SEED)
 
 
 @pytest.fixture(scope="session")
 def cfg_b():
-    return Bundle(cfg_b_params())
+    return prepare(cfg_b_params(), SEED)
 
 
 @pytest.fixture(scope="session")
 def n1():
-    return Bundle(n1_params())
+    return prepare(n1_params(), SEED)
 
 
 @pytest.fixture(scope="session")
 def hom3():
-    return Bundle(hom3_params())
+    return prepare(hom3_params(), SEED)
 
 
 @pytest.fixture(scope="session")
 def stretch():
-    return Bundle(stretch_params())
+    return prepare(stretch_params(), SEED)
 
 
 @pytest.fixture(scope="session")

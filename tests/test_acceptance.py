@@ -16,6 +16,8 @@ from sgsov import form_factors as ff
 from sgsov import local_ops as lo
 from sgsov import oracle
 
+from conftest import embedded_u
+
 
 def _report(num, title, worst, tol, extra=""):
     status = "PASS" if worst <= tol else "FAIL"
@@ -187,11 +189,11 @@ def test_criterion_5_reconstructions(desk_bundles):
             sh = lo.shifted_monodromy(params, n)
             for k in (1, params.p - 1):
                 worst = max(worst, mc.rel_err(lo.reconstruct_u(params, n, k, sh),
-                                              bundle.embedded_u(n, k)))
+                                              embedded_u(bundle.params, n, k)))
             worst = max(worst, mc.rel_err(lo.reconstruct_u_via_dc(params, n, sh),
-                                          bundle.embedded_u(n)))
+                                          embedded_u(bundle.params, n)))
             a0 = lo.reconstruct_alpha0(params, n, sh)
-            tgt = lo.beta_target(params, n, 0) @ np.linalg.inv(bundle.embedded_u(n))
+            tgt = lo.beta_target(params, n, 0) @ np.linalg.inv(embedded_u(bundle.params, n))
             worst = max(worst, mc.rel_err(a0, tgt))
             for k in range(params.p):
                 worst = max(worst, mc.rel_err(lo.reconstruct_beta(params, n, k, sh),
@@ -304,7 +306,7 @@ def test_criterion_8_form_factors(cfg_a, cfg_b):
     for bundle in (cfg_a, cfg_b):
         params, basis = bundle.params, bundle.basis
         d = params.dim
-        u1 = bundle.embedded_u(1)
+        u1 = embedded_u(bundle.params, 1)
         for i in range(d):
             for j in range(d):
                 dense = bundle.covs[i] @ u1 @ bundle.vecs[j]
@@ -348,7 +350,7 @@ def test_criterion_8_form_factors(cfg_a, cfg_b):
     worst_np = 0.0
     for bundle in (cfg_a, cfg_b):
         params, basis = bundle.params, bundle.basis
-        u1 = bundle.embedded_u(1)
+        u1 = embedded_u(bundle.params, 1)
         idx = 0
         val = ff.npoint(params, basis, bundle.states[idx], [u1, u1], bundle.states)
         dense = (bundle.covs[idx] @ u1 @ u1 @ bundle.vecs[idx]) / bundle.norms[idx]

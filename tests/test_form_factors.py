@@ -8,7 +8,8 @@ from sgsov import separate_states as ss
 from sgsov import form_factors as ff
 from sgsov import local_ops as lo
 
-from conftest import Bundle, cfg_a_params
+from conftest import cfg_a_params, embedded_u
+from sgsov.separate_states import prepare
 
 
 def _pair_scale(bundle, i, j, opnorm=1.0):
@@ -20,7 +21,7 @@ def test_ff_u_full_sweep(desk_bundles):
     for bundle in desk_bundles.values():
         params, basis = bundle.params, bundle.basis
         d = params.dim
-        u1 = bundle.embedded_u(1)
+        u1 = embedded_u(bundle.params, 1)
         for i in range(d):
             for j in range(d):
                 dense = bundle.covs[i] @ u1 @ bundle.vecs[j]
@@ -32,7 +33,7 @@ def test_ff_u_full_sweep(desk_bundles):
 def test_ff_u_selection_rule_even_chain(cfg_b):
     params, basis = cfg_b.params, cfg_b.basis
     d = params.dim
-    u1 = cfg_b.embedded_u(1)
+    u1 = embedded_u(cfg_b.params, 1)
     for i in range(d):
         for j in range(d):
             res = ff.ff_u(params, basis, cfg_b.states[i], cfg_b.states[j], 1)
@@ -63,7 +64,7 @@ def test_ff_u_shifted_site_homogeneous(hom3):
     d = params.dim
     for n in (2, 3):
         W = lo.cyclic_shift_permutation(params, n)
-        un = hom3.embedded_u(n)
+        un = embedded_u(hom3.params, n)
         phis = [ff.shift_eigenvalue(params, basis, st, W) for st in hom3.states]
         for i in range(0, d, 5):
             for j in range(0, d, 7):
@@ -164,7 +165,7 @@ def test_ff_elementary_sector_rule(cfg_b):
 def test_ff_values_do_not_depend_on_basis_normalization(cfg_a):
     # a basis rebuilt from a different random stream carries different raw
     # eigenvector scales; the separated form factors must not change
-    other = Bundle(cfg_a_params(), seed=777)
+    other = prepare(cfg_a_params(), 777)
     for i, j in ((0, 1), (3, 9), (12, 20)):
         v1 = ff.ff_u(cfg_a.params, cfg_a.basis, cfg_a.states[i], cfg_a.states[j], 1).value
         # identify the matching states in the rebuilt bundle by eigenvalue
@@ -180,7 +181,7 @@ def test_ff_values_do_not_depend_on_basis_normalization(cfg_a):
 
 def test_npoint_single_insertion_reduces_to_form_factor(cfg_a):
     params, basis = cfg_a.params, cfg_a.basis
-    u1 = cfg_a.embedded_u(1)
+    u1 = embedded_u(cfg_a.params, 1)
     st = cfg_a.states[0]
     val = ff.npoint(params, basis, st, [u1], cfg_a.states)
     dense = (cfg_a.covs[0] @ u1 @ cfg_a.vecs[0]) / cfg_a.norms[0]
@@ -190,7 +191,7 @@ def test_npoint_single_insertion_reduces_to_form_factor(cfg_a):
 def test_npoint_two_point_expansion(desk_bundles):
     for bundle in desk_bundles.values():
         params, basis = bundle.params, bundle.basis
-        u1 = bundle.embedded_u(1)
+        u1 = embedded_u(bundle.params, 1)
         for idx in (0, len(bundle.states) // 2):
             st = bundle.states[idx]
             val = ff.npoint(params, basis, st, [u1, u1], bundle.states)
@@ -202,7 +203,7 @@ def test_npoint_two_point_expansion(desk_bundles):
 
 def test_npoint_two_point_with_determinant_route(cfg_a):
     params, basis = cfg_a.params, cfg_a.basis
-    u1 = cfg_a.embedded_u(1)
+    u1 = embedded_u(cfg_a.params, 1)
 
     def det_me(bra, ket):
         return ff.ff_u(params, basis, bra, ket, 1).value
@@ -216,7 +217,7 @@ def test_npoint_two_point_with_determinant_route(cfg_a):
 
 def test_npoint_mixed_operators_even_chain(cfg_b):
     params, basis = cfg_b.params, cfg_b.basis
-    u1 = cfg_b.embedded_u(1)
+    u1 = embedded_u(cfg_b.params, 1)
     v2 = lo.reconstruct_v2k(params, 1, 1)
     for idx in (0, 4):
         st = cfg_b.states[idx]
@@ -227,7 +228,7 @@ def test_npoint_mixed_operators_even_chain(cfg_b):
 
 
 def test_npoint_requires_full_spectrum(cfg_a):
-    u1 = cfg_a.embedded_u(1)
+    u1 = embedded_u(cfg_a.params, 1)
     with pytest.raises(ss.IncompleteSpectrum):
         ff.npoint(cfg_a.params, cfg_a.basis, cfg_a.states[0], [u1, u1],
                   cfg_a.states[:-2])

@@ -10,6 +10,8 @@ from sgsov.params import ModelParams, DegenerateKappa
 from sgsov import model_core as mc
 from sgsov import local_ops as lo
 
+from conftest import embedded_u
+
 
 def test_shifted_monodromy_trivial_rotation(cfg_a):
     sh = lo.shifted_monodromy(cfg_a.params, 1)
@@ -47,7 +49,7 @@ def test_reconstruct_u_every_site(desk_bundles):
             sh = lo.shifted_monodromy(params, n)
             for k in (1, params.p - 1):
                 got = lo.reconstruct_u(params, n, k, sh)
-                assert mc.rel_err(got, bundle.embedded_u(n, k)) <= 1e-9
+                assert mc.rel_err(got, embedded_u(bundle.params, n, k)) <= 1e-9
 
 
 def test_reconstruct_u_full_period_is_identity(cfg_a):
@@ -60,7 +62,7 @@ def test_reconstruct_u_lower_row_route(desk_bundles):
         params = bundle.params
         for n in range(1, params.n_sites + 1):
             got = lo.reconstruct_u_via_dc(params, n)
-            assert mc.rel_err(got, bundle.embedded_u(n)) <= 1e-9
+            assert mc.rel_err(got, embedded_u(bundle.params, n)) <= 1e-9
 
 
 def test_reconstruct_rational_family(desk_bundles):
@@ -70,7 +72,7 @@ def test_reconstruct_rational_family(desk_bundles):
             sh = lo.shifted_monodromy(params, n)
             a0 = lo.reconstruct_alpha0(params, n, sh)
             tgt = lo.beta_target(params, n, 0) \
-                @ np.linalg.inv(bundle.embedded_u(n))
+                @ np.linalg.inv(embedded_u(bundle.params, n))
             assert mc.rel_err(a0, tgt) <= 1e-9
             for k in range(params.p):
                 got = lo.reconstruct_beta(params, n, k, sh)
