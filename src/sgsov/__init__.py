@@ -25,8 +25,8 @@ from .spectrum import (TransferEigenstate, EmptyNullspace, ZeroReference,
                        diagonalize_transfer, check_functional_equation,
                        extract_Q_grid, fit_Q_polynomial, qbar_from_q)
 from .separate_states import (SeparateState, IncompleteSpectrum, materialize,
-                              scalar_product_det, phi_general, phi_matrix,
-                              eigen_action, identity_resolution_T,
+                              scalar_product_det, phi_moments, phi_general,
+                              phi_matrix, eigen_action, identity_resolution_T,
                               attach_q_data, eigenstate_separate_states,
                               eigen_dense, Solution, prepare)
 from .local_ops import (SingularMatrix, ShiftedMonodromy, ElementaryOp,

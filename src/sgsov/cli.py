@@ -222,12 +222,13 @@ def cmd_ff(params, seed, tolerances, writer, threads, kind, site, factors, ops):
 
             def determinant(i, j):
                 return ffm.ff_elementary(params, basis, states[i], states[j], elem)
+        dense_all = covs @ dense_op @ vecs.T
+        ncov, nvec = np.linalg.norm(covs, axis=1), np.linalg.norm(vecs, axis=1)
         for i in range(d):
             for j in range(d):
                 res = determinant(i, j)
-                dense = covs[i] @ dense_op @ vecs[j]
-                scale = max(abs(dense), abs(res.value),
-                            np.linalg.norm(covs[i]) * np.linalg.norm(vecs[j]) * op_scale)
+                dense = dense_all[i, j]
+                scale = max(abs(dense), abs(res.value), ncov[i] * nvec[j] * op_scale)
                 err = float(abs(dense - res.value) / scale)
                 passed = bool(err <= tol[tol_key])
                 ok = ok and passed

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import ModelParams, SgSovError
-from . import model_core as mc
 from .sov_basis import SovBasis, cross_product, vandermonde
 from .spectrum import TransferEigenstate
-from .separate_states import (IncompleteSpectrum, eigen_dense, phi_general,
+from .separate_states import (IncompleteSpectrum, eigen_dense, phi_moments,
                               require_q_data)
 from .local_ops import ElementaryBasisElement
 
@@ -75,31 +74,24 @@ def ff_u(params: ModelParams, basis: SovBasis, bra: TransferEigenstate,
         return FormFactorResult(0.0 + 0.0j, selection_zero=True)
     lam = complex(params.mu_plus[n - 1])
     nsep = params.n_separate
-    p = params.p
-    grid = basis.grid.grid
-    omega = basis.omega
+    even = params.even_chain
+    exps = list(range(1, 2 * nsep - 2, 2)) + ([2 * nsep - 1, -1] if even else [])
+    mom = phi_moments(basis, bra.qbar_vals, ket.q_vals, exps)
     U = np.empty((nsep, nsep), dtype=complex)
-    for b in range(nsep - 1):
-        for a in range(nsep):
-            U[a, b] = phi_general(basis, bra, ket, a, 2 * b + 1)
-    for a in range(nsep):
-        vals = grid[a]
-        ker = 0.0 + 0.0j
-        for h in range(p):
-            hp = (h + 1) % p
-            ker += (ket.q_vals[a, h] * bra.qbar_vals[a, hp]
-                    * mc.a_coeff(params, vals[hp])
-                    * vals[h] ** (nsep - 1) / omega[a, h]
-                    / (lam / vals[hp] - vals[hp] / lam))
-        col = basis.c_ref * ker / (params.kprod * basis.grid.eta0[-1] ** params.e_n)
-        if params.even_chain:
-            mprime = ket.theta_m
-            col = col + np.sqrt(p) * (
-                params.q ** mprime * (lam / params.xi_prod)
-                * phi_general(basis, bra, ket, a, 2 * nsep - 1)
-                - params.q ** (-mprime) * (params.xi_prod / lam)
-                * phi_general(basis, bra, ket, a, -1))
-        U[a, nsep - 1] = col
+    U[:, :nsep - 1] = mom[:, :nsep - 1]
+    # substituted column: sum_h Q_ket(eta^{(h)}) (eta^{(h)})^{nsep-1} / omega
+    # * Qbar_bra(eta^{(h+1)}) a(eta^{(h+1)}) / (lam/eta^{(h+1)} - eta^{(h+1)}/lam)
+    eta = basis.grid.grid[:nsep]
+    pole = bra.qbar_vals * basis.grid.a_vals / (lam / eta - eta / lam)
+    pole_next = np.concatenate((pole[:, 1:], pole[:, :1]), axis=1)   # h -> h+1
+    ker = (ket.q_vals * eta ** (nsep - 1) / basis.omega * pole_next).sum(axis=1)
+    col = basis.c_ref * ker / (params.kprod * basis.grid.eta0[-1] ** params.e_n)
+    if even:
+        mprime = ket.theta_m
+        col = col + np.sqrt(params.p) * (
+            params.q ** mprime * (lam / params.xi_prod) * mom[:, -2]
+            - params.q ** (-mprime) * (params.xi_prod / lam) * mom[:, -1])
+    U[:, nsep - 1] = col
     value = np.linalg.det(U)
     if shift_ratio is not None:
         value = shift_ratio * value
@@ -141,11 +133,9 @@ def ff_elementary(params: ModelParams, basis: SovBasis,
             col_roots.append(grid[a, (k + j) % p])
             M[:, col] = (col_roots[-1] ** 2) ** np.arange(size)
             col += 1
-    for b in spectators:
-        for a_row in range(size):
-            M[a_row, col] = phi_general(basis, bra, ket, b,
-                                        2 * a_row + h0 + g)
-        col += 1
+    mom = phi_moments(basis, bra.qbar_vals, ket.q_vals,
+                      range(h0 + g, 2 * size + h0 + g, 2))
+    M[:, col:] = mom[spectators].T
 
     # scalar prefactor
     f_num = 1.0 + 0.0j
@@ -154,7 +144,7 @@ def ff_elementary(params: ModelParams, basis: SovBasis,
         f_num *= (ket.q_vals[a, (k - alpha) % p] * bra.qbar_vals[a, k]
                   * eta_k ** (h0 + alpha * (nsep - r)) / omega[a, k])
         for h in range(alpha):
-            f_num *= mc.a_coeff(params, grid[a, (k - h) % p])
+            f_num *= basis.grid.a_vals[a, (k - h) % p]
     # cross factors between excited variables follow the operator order:
     # the i-th factor still sees variable a_j at its original grid index,
     # while the j-th factor sees a_i already lowered by alpha_i (i < j)

@@ -244,34 +244,28 @@ def binvA_power_sov(params: ModelParams, basis: SovBasis, k: int, lam,
             for rest in compositions(total - first, parts - 1):
                 yield (first,) + rest
 
+    tup = basis.tuples                  # odd chains: one entry per separate variable
+    eta = grid[np.arange(nsep), tup]
     for alphas in compositions(k, nsep):
         multi = q_multinomial(q, k, alphas)
         if abs(multi) < 1e-14:
             continue
         coeffs = np.ones(d, dtype=complex)
-        for j in range(d):
-            tup = basis.tuples[j]
-            val = 1.0 + 0.0j
-            for vvar in range(nsep):
-                eta_v = grid[vvar, tup[vvar]]
-                for h in range(alphas[vvar]):
-                    val *= mc.a_coeff(params, eta_v * q ** (-h)) \
-                        / (lam * q ** h / eta_v - eta_v / (lam * q ** h))
-                for ivar in range(nsep):
-                    if ivar == vvar:
-                        continue
-                    eta_i = grid[ivar, tup[ivar]]
-                    for h in range(alphas[ivar] - alphas[vvar] + 1, alphas[ivar] + 1):
-                        val *= 1.0 / (eta_v * q ** h / eta_i - eta_i / (eta_v * q ** h))
-            coeffs[j] = val
+        for vvar in range(nsep):
+            eta_v = eta[:, vvar]
+            for h in range(alphas[vvar]):
+                # a(eta_v q^{-h}) read from the grid table, as q^p = 1
+                coeffs *= basis.grid.a_vals[vvar, (tup[:, vvar] - h) % p] \
+                    / (lam * q ** h / eta_v - eta_v / (lam * q ** h))
+            for ivar in range(nsep):
+                if ivar == vvar:
+                    continue
+                eta_i = eta[:, ivar]
+                for h in range(alphas[ivar] - alphas[vvar] + 1, alphas[ivar] + 1):
+                    coeffs *= 1.0 / (eta_v * q ** h / eta_i - eta_i / (eta_v * q ** h))
         # operator with left action <y_j| -> coeff_j <y_{j - alpha}|
-        for j in range(d):
-            tgt = basis.tuples[j].copy()
-            for vvar in range(nsep):
-                tgt[vvar] = (tgt[vvar] - alphas[vvar]) % p
-            jt = basis.flat_index(tgt)
-            out += (multi * kpref * coeffs[j] * basis.measure[j]) \
-                * np.outer(basis.right[:, j], basis.left[jt])
+        target = ((tup - np.asarray(alphas)) % p) @ p ** np.arange(nsep)
+        out += (basis.right * (multi * kpref * coeffs * basis.measure)) @ basis.left[target]
     return out
 
 
@@ -378,7 +372,7 @@ def o_action_weight(params: ModelParams, basis: SovBasis, a: int, k: int, j: int
         return 0.0 + 0.0j
     nsep = params.n_separate
     vals = basis.grid.grid[np.arange(nsep), tup[:nsep]]
-    return complex(mc.a_coeff(params, vals[a]) / cross_product(vals[a], vals, a))
+    return complex(basis.grid.a_vals[a, k] / cross_product(vals[a], vals, a))
 
 
 def binvA_interpolation(params: ModelParams, basis: SovBasis, lam,

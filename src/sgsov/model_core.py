@@ -285,32 +285,20 @@ def rmatrix(lam, q):
                      [0, 0, 0, a]], dtype=complex)
 
 
-def _aux_kron(M2, slot, dim):
-    """Lift a 2x2 array of dense blocks into the 4-dim doubled auxiliary space."""
-    T = np.zeros((4, 4, dim, dim), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                for e in range(2):
-                    if slot == 0 and b == e:
-                        T[a * 2 + b, c * 2 + e] = M2[a, c]
-                    elif slot == 1 and a == c:
-                        T[a * 2 + b, c * 2 + e] = M2[b, e]
-    return T
-
-
 def yang_baxter_residual(params: ModelParams, lam, mu, mono: Monodromy = None):
     """Relative residual of the quadratic exchange relation at (lam, mu)."""
     mono = mono if mono is not None else monodromy(params)
     d = params.dim
-    M1 = _aux_kron(mono.evaluate(lam), 0, d)
-    M2 = _aux_kron(mono.evaluate(mu), 1, d)
+    Tl, Tm = mono.evaluate(lam), mono.evaluate(mu)
+    # products of T(lam) (x) 1 and 1 (x) T(mu) in the doubled auxiliary space:
+    # block [(a, b), (c, e)] is Tl[a, c] Tm[b, e], resp. Tm[b, e] Tl[a, c]
+    prod12 = np.matmul(Tl[:, None, :, None], Tm[None, :, None, :]).reshape(4, 4, d, d)
+    prod21 = np.matmul(Tm[None, :, None, :], Tl[:, None, :, None]).reshape(4, 4, d, d)
     R = rmatrix(lam / mu, params.q)
-    prod12 = np.einsum("abij,bcjk->acik", M1, M2)
-    prod21 = np.einsum("abij,bcjk->acik", M2, M1)
     lhs = np.einsum("ab,bcij->acij", R, prod12)
     rhs = np.einsum("abij,bc->acij", prod21, R)
-    scale = frob(R) * np.sqrt(np.sum(np.abs(M1) ** 2)) * np.sqrt(np.sum(np.abs(M2) ** 2))
+    # each block of T appears twice in its lift, so each lift has norm sqrt(2) |T|
+    scale = 2.0 * frob(R) * frob(Tl) * frob(Tm)
     return frob(lhs - rhs) / scale
 
 

@@ -153,7 +153,7 @@ def verify_solution(sol: ss.Solution, tolerances=None, threads: int = 1,
     if want("local"):
         _local_section(s, sol.mono, sol.basis, threads=threads)
     if want("ff"):
-        _ff_section(s, sol, threads=threads)
+        _ff_section(s, sol)
     return s.reports
 
 
@@ -297,16 +297,19 @@ def _sov_section(s, mono, basis):
         dprod = np.prod(mc.d_coeff(params, grid.grid[a]))
         s.value_check(f"cycle_d[{a}]", dprod,
                       mc.average_value(params, "D", grid.z[a]), "measure")
-    # shift relations (verification direction)
+    # shift relations (verification direction), one A(eta) per grid point;
+    # the coefficients are evaluated here, not read from the basis tables
     worst = 0.0
-    for j in range(d):
-        tup = basis.tuples[j]
-        for a in range(nsep):
-            eta = grid.grid[a, tup[a]]
-            target = mc.a_coeff(params, eta) * basis.left[basis.shifted_index(j, a, -1)]
-            got = basis.left[j] @ mono.A.evaluate(eta)
-            worst = max(worst, float(np.linalg.norm(got - target)
-                                     / max(np.linalg.norm(target), 1e-300)))
+    down = basis.shifted_indices(-1)
+    a_vals = mc.a_coeff(params, grid.grid[:nsep])
+    for a in range(nsep):
+        for h in range(params.p):
+            js = np.flatnonzero(basis.tuples[:, a] == h)
+            target = a_vals[a, h] * basis.left[down[js, a]]
+            got = basis.left[js] @ mono.A.evaluate(grid.grid[a, h])
+            worst = max(worst, float(np.max(
+                np.linalg.norm(got - target, axis=1)
+                / np.maximum(np.linalg.norm(target, axis=1), 1e-300))))
     s.check("left_shift_relations", worst, "sov_pattern")
 
 
@@ -333,19 +336,23 @@ def _spectrum_section(s, sol):
         worst_im = max(max(abs(c.imag) for c in st.t_coeffs.values()) for st in states)
         scale = max(max(abs(c) for c in st.t_coeffs.values()) for st in states)
         s.check("eigenvalue_reality", worst_im, "functional_eq", scale=scale)
-    # discrete Baxter relations on the grid
+    # discrete Baxter relations on the grid, for every label and variable;
+    # the coefficients are evaluated here, not read from the basis tables
     worst = 0.0
+    nsep = params.n_separate
+    eta_sep = basis.grid.grid[:nsep]
+    rows, tup = np.arange(nsep), basis.tuples[:, :nsep]
+    eta = eta_sep[rows, tup]
+    a_lab = mc.a_coeff(params, eta_sep)[rows, tup]
+    d_lab = mc.d_coeff(params, eta_sep)[rows, tup]
+    down, up = basis.shifted_indices(-1), basis.shifted_indices(+1)
     for st in states:
         psi = st.psi
         pmax = float(np.max(np.abs(psi)))
-        for j in range(d):
-            tup = basis.tuples[j]
-            for r in range(params.n_separate):
-                eta = basis.grid.grid[r, tup[r]]
-                lhs = st.t_at(eta) * psi[j]
-                rhs = mc.a_coeff(params, eta) * psi[basis.shifted_index(j, r, -1)] \
-                    + mc.d_coeff(params, eta) * psi[basis.shifted_index(j, r, +1)]
-                worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), pmax))
+        lhs = st.t_at(eta) * psi[:, None]
+        rhs = a_lab * psi[down] + d_lab * psi[up]
+        worst = max(worst, float(np.max(
+            np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), pmax))))
     s.check("baxter_grid", worst, "baxter_grid")
     s.check("wavefunction_factorization",
             max(st.diagnostics["factorization_residual"] for st in states),
@@ -627,7 +634,7 @@ def _local_section(s, mono, basis, threads=1):
             s.check(f"shift_permutation[{n}]", worst, "reconstruction")
 
 
-def _ff_section(s, sol, threads=1):
+def _ff_section(s, sol):
     params = s.params
     d = params.dim
     mono, basis, states = sol.mono, sol.basis, sol.states
@@ -635,22 +642,14 @@ def _ff_section(s, sol, threads=1):
     u1 = mc.site_embed(params, 1, mc.weyl_generators(
         params.p, params.u[0], params.v[0], params.p_prime)[0])
 
-    def pair_err(i):
-        worst = 0.0
-        for j in range(d):
-            dense = covs[i] @ u1 @ vecs[j]
-            res = ffm.ff_u(params, basis, states[i], states[j], 1)
-            scale = max(abs(dense), abs(res.value),
-                        np.linalg.norm(covs[i]) * np.linalg.norm(vecs[j]) / np.sqrt(d))
-            worst = max(worst, abs(dense - res.value) / scale)
-        return worst
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            worst = max(ex.map(pair_err, range(d)))
-    else:
-        worst = max(pair_err(i) for i in range(d))
-    s.check("ff_u_full_sweep", worst, "ff_u", pairs=d * d)
+    dense = covs @ u1 @ vecs.T
+    det = np.array([[ffm.ff_u(params, basis, bra, ket, 1).value for ket in states]
+                    for bra in states])
+    scale = np.maximum(np.maximum(np.abs(dense), np.abs(det)),
+                       np.outer(np.linalg.norm(covs, axis=1),
+                                np.linalg.norm(vecs, axis=1)) / np.sqrt(d))
+    s.check("ff_u_full_sweep", float(np.max(np.abs(dense - det) / scale)), "ff_u",
+            pairs=d * d)
 
     elems = [lo.ElementaryBasisElement(((0, 1, 1),))]
     if params.n_separate >= 2:

@@ -24,7 +24,8 @@ from .spectrum import (TransferEigenstate, diagonalize_transfer, extract_Q_grid,
 
 __all__ = [
     "SeparateState", "IncompleteSpectrum", "materialize",
-    "scalar_product_det", "phi_general", "phi_matrix", "eigen_action",
+    "scalar_product_det", "phi_moments", "phi_general", "phi_matrix",
+    "eigen_action",
     "identity_resolution_T", "attach_q_data", "require_q_data",
     "eigenstate_separate_states", "eigen_dense", "t_coeff_null_vector",
     "Solution", "prepare",
@@ -81,14 +82,17 @@ def scalar_product_det(alpha: SeparateState, beta: SeparateState,
     nsep = params.n_separate
     if params.even_chain and (alpha.theta_m - beta.theta_m) % params.p != 0:
         return 0.0 + 0.0j
-    vals = basis.grid.grid[:nsep]
-    om = basis.omega
-    M = np.empty((nsep, nsep), dtype=complex)
-    for a in range(nsep):
-        w = alpha.coeff[a] * beta.coeff[a] / om[a]
-        for b in range(nsep):
-            M[a, b] = np.sum(w * vals[a] ** (2 * b))
+    M = phi_moments(basis, alpha.coeff, beta.coeff, range(0, 2 * nsep, 2))
     return basis.c_ref * np.linalg.det(M)
+
+
+def phi_moments(basis: SovBasis, left, right, exponents):
+    """Weighted grid moments of two coefficient tables of shape (nsep, p):
+    ``out[a, k] = sum_h left[a, h] * right[a, h] * eta_a^{(h)}**e_k / omega[a, h]``
+    for every separate variable a and exponent e_k, shape (nsep, len(exponents))."""
+    w = left * right / basis.omega
+    eta = basis.grid.grid[:basis.params.n_separate, :, None]
+    return np.einsum("ah,ahk->ak", w, eta ** np.asarray(exponents, dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +131,7 @@ def phi_general(basis: SovBasis, bra: TransferEigenstate,
                 ket: TransferEigenstate, a: int, exponent: int):
     """Weighted grid moment of the two Baxter functions on variable ``a``:
     sum_h Qbar_bra * Q_ket * eta^exponent / omega."""
-    vals = basis.grid.grid[a]
-    w = bra.qbar_vals[a] * ket.q_vals[a] / basis.omega[a]
-    return complex(np.sum(w * vals ** exponent))
+    return complex(phi_moments(basis, bra.qbar_vals, ket.q_vals, [exponent])[a, 0])
 
 
 def phi_matrix(basis: SovBasis, bra: TransferEigenstate,
@@ -137,11 +139,8 @@ def phi_matrix(basis: SovBasis, bra: TransferEigenstate,
     """Moment matrix of the eigenstate pairing; ``half_shift`` moves every
     column exponent by that many half-steps (in units of eta)."""
     nsep = basis.params.n_separate
-    M = np.empty((nsep, nsep), dtype=complex)
-    for a in range(nsep):
-        for b in range(nsep):
-            M[a, b] = phi_general(basis, bra, ket, a, 2 * b + half_shift)
-    return M
+    return phi_moments(basis, bra.qbar_vals, ket.q_vals,
+                       range(half_shift, 2 * nsep + half_shift, 2))
 
 
 def eigen_action(basis: SovBasis, bra: TransferEigenstate,

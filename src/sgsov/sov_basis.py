@@ -105,21 +105,36 @@ def cross_product(xa, x, skip=None, squares=False):
 # Operator zeros of the B family and the root grids
 # ---------------------------------------------------------------------------
 
+def _read_only(x):
+    x.flags.writeable = False
+    return x
+
+
 @dataclass
 class SovGrid:
     """Zeros of the averaged B entry and the chosen p-th root grids.
 
     ``z`` has length N; for an even chain the last entry is the reference
     variable fixed by the overall scale of the average rather than a root of
-    it.  ``grid[a, h] = q^h * eta0[a]``."""
+    it.  ``grid[a, h] = q^h * eta0[a]``.
+
+    The constructor also tabulates, on the separate-variable grids, the shift
+    coefficients ``a_vals[a, h] = a(eta_a^{(h)})`` and ``d_vals``, shape
+    (nsep, p); the tables are read-only."""
     params: ModelParams
     z: np.ndarray
     eta0: np.ndarray
     grid: np.ndarray = field(init=False)
+    a_vals: np.ndarray = field(init=False)
+    d_vals: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        q = self.params.q
-        self.grid = self.eta0[:, None] * q ** np.arange(self.params.p)[None, :]
+        params = self.params
+        nsep = params.n_separate
+        self.grid = self.eta0[:, None] * params.q ** np.arange(params.p)[None, :]
+        eta = self.grid[:nsep]
+        self.a_vals = _read_only(mc.a_coeff(params, eta))
+        self.d_vals = _read_only(mc.d_coeff(params, eta))
 
 
 def _pair_and_root(params, z_values):
@@ -294,7 +309,7 @@ class SovBasis:
         nsep = self.params.n_separate
         object.__setattr__(self, "mjj", mjj)
         object.__setattr__(self, "measure", 1.0 / mjj)
-        object.__setattr__(self, "omega", self.grid.grid[:nsep] ** (nsep - 1))
+        object.__setattr__(self, "omega", _read_only(self.grid.grid[:nsep] ** (nsep - 1)))
 
     def flat_index(self, h) -> int:
         p = self.params.p
@@ -304,6 +319,14 @@ class SovBasis:
         h = self.tuples[j].copy()
         h[a] = (h[a] + delta) % self.params.p
         return self.flat_index(h)
+
+    def shifted_indices(self, delta):
+        """(d, nsep) table of ``shifted_index(j, a, delta)`` over every label
+        j and separate variable a."""
+        p, nsep = self.params.p, self.params.n_separate
+        tup = self.tuples[:, :nsep]
+        stride = p ** np.arange(nsep)
+        return np.arange(len(tup))[:, None] + stride * ((tup + delta) % p - tup)
 
 
 def _interp_weights(params, grid, tup, lam):
@@ -332,14 +355,15 @@ def build_sov_basis(params: ModelParams, grid: SovGrid = None, mono=None,
     tuples = _tuple_table(p, params.n_sites)
 
     # cycle consistency of the gauge coefficients against the average values
+    abar_vals = mc.abar_coeff(params, grid.grid[:nsep])
     for a in range(nsep):
-        dprod = np.prod(mc.d_coeff(params, grid.grid[a]))
+        dprod = np.prod(grid.d_vals[a])
         dav = mc.average_value(params, "D", grid.z[a])
         if abs(dprod - dav) > tol * max(abs(dav), 1e-300):
             raise GaugeInconsistency(
                 f"cycle product of the d coefficients on variable {a} "
                 f"misses the D average: {dprod} vs {dav}")
-        aprod = np.prod(mc.abar_coeff(params, grid.grid[a]))
+        aprod = np.prod(abar_vals[a])
         aav = mc.average_value(params, "A", grid.z[a])
         if abs(aprod - aav) > tol * max(abs(aav), 1e-300):
             raise GaugeInconsistency(
@@ -390,7 +414,7 @@ def build_sov_basis(params: ModelParams, grid: SovGrid = None, mono=None,
         r = left[jb] @ mono.A.evaluate(lam)
         cw = _interp_weights(params, grid, tuples[jb], lam)
         for a in range(nsep):
-            r = r - cw[a] * mc.a_coeff(params, grid.grid[a, tuples[jb][a]]) * left[_shift(jb, a, -1)]
+            r = r - cw[a] * grid.a_vals[a, tuples[jb][a]] * left[_shift(jb, a, -1)]
         return r
 
     def left_anchor_step(kn):
@@ -419,7 +443,7 @@ def build_sov_basis(params: ModelParams, grid: SovGrid = None, mono=None,
             a = next(i for i in range(nsep) if tuples[j][i] > 0)
             jprev = _shift(j, a, -1)
             h = tuples[jprev][a]
-            w = left[jprev] @ d_ops[(a, h)] / mc.d_coeff(params, grid.grid[a, h])
+            w = left[jprev] @ d_ops[(a, h)] / grid.d_vals[a, h]
             g, res = _project_scale(w, L_raw[j])
             worst_step = max(worst_step, res)
             left[j] = g * L_raw[j]
@@ -456,7 +480,7 @@ def build_sov_basis(params: ModelParams, grid: SovGrid = None, mono=None,
         r = mono.A.evaluate(lam) @ right[:, jb]
         cw = _interp_weights(params, grid, tuples[jb], lam)
         for a in range(nsep):
-            r = r - cw[a] * mc.abar_coeff(params, grid.grid[a, tuples[jb][a]]) * right[:, _shift(jb, a, +1)]
+            r = r - cw[a] * abar_vals[a, tuples[jb][a]] * right[:, _shift(jb, a, +1)]
         return r
 
     def right_anchor_step(kn):
@@ -484,7 +508,7 @@ def build_sov_basis(params: ModelParams, grid: SovGrid = None, mono=None,
             a = next(i for i in range(nsep) if tuples[j][i] > 0)
             jprev = _shift(j, a, -1)
             h = tuples[jprev][a]
-            w = a_ops[(a, h)] @ right[:, jprev] / mc.abar_coeff(params, grid.grid[a, h])
+            w = a_ops[(a, h)] @ right[:, jprev] / abar_vals[a, h]
             g, res = _project_scale(w, R_raw[:, j])
             worst_step = max(worst_step, res)
             right[:, j] = g * R_raw[:, j]

@@ -160,18 +160,15 @@ def check_functional_equation(params: ModelParams, t_coeffs, rng=None,
     rng = rng if rng is not None else np.random.default_rng(0)
     pts = params.spectral_samples(rng, n_points)
     p = params.p
-    worst = 0.0
-    for lam in pts:
-        lams = lam * params.q ** np.arange(p)
-        D = np.zeros((p, p), dtype=complex)
-        for j in range(p):
-            D[j, j] = eval_t(t_coeffs, lams[j])
-            D[j, (j + 1) % p] = -mc.d_coeff(params, lams[j])
-            D[j, (j - 1) % p] = -mc.a_coeff(params, lams[j])
-        rownorms = np.linalg.norm(D, axis=1)
-        val = abs(np.linalg.det(D)) / max(np.prod(rownorms), 1e-300)
-        worst = max(worst, val)
-    return worst
+    lams = np.asarray(pts)[:, None] * params.q ** np.arange(p)     # (points, p)
+    j = np.arange(p)
+    D = np.zeros((len(pts), p, p), dtype=complex)
+    D[:, j, j] = eval_t(t_coeffs, lams)
+    D[:, j, (j + 1) % p] = -mc.d_coeff(params, lams)
+    D[:, j, (j - 1) % p] = -mc.a_coeff(params, lams)
+    rownorms = np.linalg.norm(D, axis=2)
+    vals = np.abs(np.linalg.det(D)) / np.maximum(np.prod(rownorms, axis=1), 1e-300)
+    return float(np.max(vals, initial=0.0))
 
 
 def extract_Q_grid(state: TransferEigenstate, basis: SovBasis, tol=1e-7):

@@ -125,6 +125,37 @@ def test_yang_baxter_relation(cfg_a, cfg_b):
             assert mc.yang_baxter_residual(bundle.params, lam, mu, bundle.mono) <= 1e-10
 
 
+def _lifted_residual(params, lam, mu, mono):
+    """The exchange relation with both monodromies lifted entry by entry to
+    the 4-dim doubled auxiliary space."""
+    d = params.dim
+    lifts = []
+    for T, slot in ((mono.evaluate(lam), 0), (mono.evaluate(mu), 1)):
+        M = np.zeros((4, 4, d, d), dtype=complex)
+        for a, b, c, e in np.ndindex(2, 2, 2, 2):
+            if slot == 0 and b == e:
+                M[a * 2 + b, c * 2 + e] = T[a, c]
+            elif slot == 1 and a == c:
+                M[a * 2 + b, c * 2 + e] = T[b, e]
+        lifts.append(M)
+    M1, M2 = lifts
+    R = mc.rmatrix(lam / mu, params.q)
+    lhs = np.einsum("ab,bcij->acij", R, np.einsum("abij,bcjk->acik", M1, M2))
+    rhs = np.einsum("abij,bc->acij", np.einsum("abij,bcjk->acik", M2, M1), R)
+    return mc.frob(lhs - rhs) / (mc.frob(R) * mc.frob(M1) * mc.frob(M2))
+
+
+def test_yang_baxter_residual_detects_a_broken_relation(cfg_b):
+    # doubling B breaks the relations that are not homogeneous in B; the
+    # block products must then reproduce the lifted residual
+    mono = cfg_b.mono
+    broken = mc.Monodromy(mono.A, mono.B * 2.0, mono.C, mono.D)
+    lam, mu = cfg_b.params.spectral_samples(cfg_b.rng(103), 2)
+    res = mc.yang_baxter_residual(cfg_b.params, lam, mu, broken)
+    assert res > 1e-3
+    assert abs(res - _lifted_residual(cfg_b.params, lam, mu, broken)) <= 1e-12 * res
+
+
 def test_parity_and_degree_structure(desk_bundles):
     for bundle in desk_bundles.values():
         params, mono = bundle.params, bundle.mono
