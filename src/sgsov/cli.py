@@ -89,14 +89,16 @@ def load_config(path):
     except ValueError as exc:
         raise ConfigError(str(exc))
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("tolerances must be an object")
     for k, v in tolerances.items():
-        if k not in oracle.DEFAULT_TOLERANCES or not isinstance(v, (int, float)):
-            raise ConfigError(f"unknown or non-numeric tolerance override '{k}'")
+        if k not in oracle.DEFAULT_TOLERANCES or isinstance(v, bool) \
+                or not isinstance(v, (int, float)) or not 0 < v < np.inf:
+            raise ConfigError(f"tolerance override '{k}' is unknown or not a finite "
+                              f"positive number: {v!r}")
     return params, seed, dict(tolerances)
 
 
@@ -147,16 +149,14 @@ _SUITE_SECTIONS = {"check-algebra": {"algebra"}, "scalar": {"scalar"},
                    "verify-all": None}
 
 
-def cmd_verify(params, seed, tolerances, writer, threads, sections=None):
-    reports = oracle.verify_suite(params, seed, tolerances, threads=threads,
-                                  sections=sections)
+def cmd_verify(params, seed, tolerances, writer, sections=None):
+    reports = oracle.verify_suite(params, seed, tolerances, sections=sections)
     return EXIT_OK if _emit_reports(reports, writer) else EXIT_CHECK_FAILED
 
 
-def cmd_sov_build(params, seed, tolerances, writer, threads):
+def cmd_sov_build(params, seed, tolerances, writer):
     sol = ss.prepare(params, seed, tolerances)
-    reports = oracle.verify_solution(sol, tolerances, threads=threads,
-                                     sections={"sov"})
+    reports = oracle.verify_solution(sol, tolerances, sections={"sov"})
     basis = sol.basis
     for a in range(params.n_sites):
         writer.emit({"kind": "variable", "index": a,
@@ -169,7 +169,7 @@ def cmd_sov_build(params, seed, tolerances, writer, threads):
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
-def cmd_spectrum(params, seed, tolerances, writer, threads):
+def cmd_spectrum(params, seed, tolerances, writer):
     sol = ss.prepare(params, seed, tolerances)
     degrees = list(range(-params.n_bar, params.n_bar + 1, 2))
     ok = True
@@ -193,7 +193,7 @@ def cmd_spectrum(params, seed, tolerances, writer, threads):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_ff(params, seed, tolerances, writer, threads, kind, site, factors, ops):
+def cmd_ff(params, seed, tolerances, writer, kind, site, factors, ops):
     tol = dict(oracle.DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
     sol = ss.prepare(params, seed, tolerances)
@@ -280,7 +280,8 @@ def build_parser():
     ap.add_argument("--seed", type=int, default=None, help="override config seed")
     ap.add_argument("--tol", type=float, default=None,
                     help="replace every default tolerance with this value")
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--threads", type=int, default=1,
+                    help="accepted and ignored; every section runs in the calling thread")
     out = ap.add_mutually_exclusive_group()
     out.add_argument("--csv", metavar="PATH", help="write CSV rows to PATH")
     out.add_argument("--json", metavar="PATH", help="write JSON lines to PATH")
@@ -299,6 +300,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         params, seed, tolerances = load_config(args.config)
+        if args.tol is not None and not 0 < args.tol < np.inf:
+            raise ConfigError(f"--tol must be a finite positive number, got {args.tol}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -310,12 +313,12 @@ def main(argv=None):
                        "csv" if args.csv else "json")
     try:
         if args.command in _SUITE_SECTIONS:
-            return cmd_verify(params, seed, tolerances, writer, args.threads,
+            return cmd_verify(params, seed, tolerances, writer,
                               _SUITE_SECTIONS[args.command])
         if args.command == "sov-build":
-            return cmd_sov_build(params, seed, tolerances, writer, args.threads)
+            return cmd_sov_build(params, seed, tolerances, writer)
         if args.command == "spectrum":
-            return cmd_spectrum(params, seed, tolerances, writer, args.threads)
+            return cmd_spectrum(params, seed, tolerances, writer)
         if args.command == "ff":
             factors = []
             if args.factors:
@@ -323,8 +326,7 @@ def main(argv=None):
                     a, k, alpha = (int(x) for x in part.split(":"))
                     factors.append((a - 1, k, alpha))
             ops = args.ops.split(",") if args.ops else []
-            return cmd_ff(params, seed, tolerances, writer, args.threads,
-                          args.kind, args.site, factors, ops)
+            return cmd_ff(params, seed, tolerances, writer, args.kind, args.site, factors, ops)
         return EXIT_BAD_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,15 +5,15 @@ elementary shift operators with their exchange algebra.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .params import ModelParams, DegenerateKappa, SgSovError
 from . import model_core as mc
 from .model_core import Monodromy
-from .sov_basis import SovBasis, cross_product, grid_values
+from .sov_basis import SovBasis, cross_product, grid_values, _read_only
 
 __all__ = [
     "SingularMatrix", "ShiftedMonodromy", "ElementaryOp", "ElementaryBasisElement",
@@ -28,79 +28,92 @@ __all__ = [
     "cyclic_shift_permutation", "spanning_rank",
 ]
 
-log = logging.getLogger(__name__)
-
-
 class SingularMatrix(SgSovError):
     """A generator evaluation that must be inverted is numerically singular."""
 
 
 def _solve(Amat, Bmat, cond_limit=1e10, what=""):
-    """Pivoted-LU solve A^{-1} B with a condition check."""
-    cond = np.linalg.cond(Amat)
-    log.debug("inverting %s: condition number %.3e", what or "operator", cond)
+    """Pivoted-LU solve A^{-1} B with a condition check; returns the solution,
+    read-only, and the condition number of A."""
+    cond = float(np.linalg.cond(Amat))
     if not np.isfinite(cond) or cond > cond_limit:
         raise SingularMatrix(f"condition number {cond:.3e} while inverting {what}")
-    return np.linalg.solve(Amat, Bmat)
+    return _read_only(np.linalg.solve(Amat, Bmat)), cond
 
 
 # ---------------------------------------------------------------------------
 # Shifted monodromy and the reconstruction identities
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ShiftedMonodromy:
-    """Monodromy with the chain cyclically reordered so that site n is the
-    rightmost factor; realizes the dressing by the shift operator without
-    materializing it."""
+    """Per-site reconstruction frame: the monodromy with the chain cyclically
+    reordered so that site n is the rightmost factor (the dressing by the
+    shift operator, without materializing it), and the solves that every
+    local generator of site n is rebuilt from, each computed once, on first
+    use, as a read-only array: ``binva`` = B^{-1}A at mu_+ (the shift
+    generator U), ``alpha0`` = A^{-1}B at mu_-, and ``betas[k]`` = U^k alpha0
+    U^{1-k}, k = 0..p-1.  ``binva_cond`` and ``alpha0_cond`` are the
+    condition numbers of B(mu_+) and A(mu_-)."""
+    params: ModelParams
     n: int
     mono: Monodromy
+
+    @cached_property
+    def _plus(self):
+        lam = self.params.mu_plus[self.n - 1]
+        return _solve(self.mono.B.evaluate(lam), self.mono.A.evaluate(lam), what="B(mu_+)")
+
+    @cached_property
+    def _minus(self):
+        lam = self.params.mu_minus[self.n - 1]
+        return _solve(self.mono.A.evaluate(lam), self.mono.B.evaluate(lam), what="A(mu_-)")
+
+    binva = property(lambda self: self._plus[0])
+    binva_cond = property(lambda self: self._plus[1])
+    alpha0 = property(lambda self: self._minus[0])
+    alpha0_cond = property(lambda self: self._minus[1])
+
+    @cached_property
+    def betas(self) -> np.ndarray:
+        binva, inv = self.binva, np.linalg.inv(self.binva)
+        return _read_only(np.stack([
+            np.linalg.matrix_power(binva, k) @ self.alpha0 @ np.linalg.matrix_power(inv, k - 1)
+            for k in range(self.params.p)]))
 
 
 def shifted_monodromy(params: ModelParams, n: int) -> ShiftedMonodromy:
     if not 1 <= n <= params.n_sites:
         raise IndexError(f"site index {n} out of range 1..{params.n_sites}")
     order = list(range(n - 1, 0, -1)) + list(range(params.n_sites, n - 1, -1))
-    return ShiftedMonodromy(n, mc.monodromy(params, site_order=order))
-
-
-def _binva_at(params, mono, lam):
-    return _solve(mono.B.evaluate(lam), mono.A.evaluate(lam), what="B(lam)")
+    return ShiftedMonodromy(params, n, mc.monodromy(params, site_order=order))
 
 
 def reconstruct_u(params: ModelParams, n: int, k: int = 1,
                   shifted: ShiftedMonodromy = None):
     """k-th power of the site-n shift generator from the reordered monodromy
     evaluated at the first quantum-determinant zero."""
-    sh = shifted if shifted is not None else shifted_monodromy(params, n)
-    binva = _binva_at(params, sh.mono, params.mu_plus[n - 1])
-    return np.linalg.matrix_power(binva, k)
+    return np.linalg.matrix_power((shifted or shifted_monodromy(params, n)).binva, k)
 
 
 def reconstruct_u_via_dc(params: ModelParams, n: int,
                          shifted: ShiftedMonodromy = None):
     """Alternative route through the lower row of the monodromy."""
-    sh = shifted if shifted is not None else shifted_monodromy(params, n)
-    lam = params.mu_plus[n - 1]
-    return _solve(sh.mono.D.evaluate(lam), sh.mono.C.evaluate(lam), what="D(lam)")
+    mono, lam = (shifted or shifted_monodromy(params, n)).mono, params.mu_plus[n - 1]
+    return _solve(mono.D.evaluate(lam), mono.C.evaluate(lam), what="D(mu_+)")[0]
 
 
 def reconstruct_alpha0(params: ModelParams, n: int,
                        shifted: ShiftedMonodromy = None):
     """The rational local operator obtained at the second determinant zero."""
-    sh = shifted if shifted is not None else shifted_monodromy(params, n)
-    lam = params.mu_minus[n - 1]
-    return _solve(sh.mono.A.evaluate(lam), sh.mono.B.evaluate(lam), what="A(lam)")
+    return (shifted or shifted_monodromy(params, n)).alpha0
 
 
 def reconstruct_beta(params: ModelParams, n: int, k: int,
                      shifted: ShiftedMonodromy = None):
-    """Conjugate of the rational local operator by the k-th shift power."""
-    sh = shifted if shifted is not None else shifted_monodromy(params, n)
-    binva = _binva_at(params, sh.mono, params.mu_plus[n - 1])
-    alpha0 = reconstruct_alpha0(params, n, sh)
-    return (np.linalg.matrix_power(binva, k) @ alpha0
-            @ np.linalg.matrix_power(np.linalg.inv(binva), k - 1))
+    """Conjugate of the rational local operator by the k-th shift power
+    (p-periodic in k, as U^p is central)."""
+    return (shifted or shifted_monodromy(params, n)).betas[k % params.p]
 
 
 def beta_target(params: ModelParams, n: int, k: int):
@@ -135,11 +148,8 @@ def reconstruct_v2k(params: ModelParams, n: int, k: int,
     kap = params.kappa[n - 1]
     if abs(kap ** 4 - 1.0) < 1e-10:
         raise DegenerateKappa(f"kappa^4 = 1 at site {n}: Fourier denominator vanishes")
-    sh = shifted if shifted is not None else shifted_monodromy(params, n)
-    q = params.q
-    acc = np.zeros((params.dim, params.dim), dtype=complex)
-    for a in range(params.p):
-        acc += q ** (-k * (2 * a - 1)) * reconstruct_beta(params, n, a, sh)
+    phases = params.q ** (-k * (2 * np.arange(params.p) - 1))
+    acc = np.tensordot(phases, (shifted or shifted_monodromy(params, n)).betas, axes=1)
     v2p = params.v[n - 1] ** (2 * params.p)
     pref = (-1.0) ** k * (v2p * kap ** (2 * params.p) + 1) \
         / (params.p * kap ** (2 * k) * (kap ** 2 - kap ** (-2)))
@@ -218,7 +228,8 @@ def q_multinomial_direct(q, k: int, alphas):
 # ---------------------------------------------------------------------------
 
 def binvA_dense(params: ModelParams, mono: Monodromy, lam, k: int = 1):
-    return np.linalg.matrix_power(_binva_at(params, mono, lam), k)
+    binva = _solve(mono.B.evaluate(lam), mono.A.evaluate(lam), what="B(lam)")[0]
+    return np.linalg.matrix_power(binva, k)
 
 
 def binvA_power_sov(params: ModelParams, basis: SovBasis, k: int, lam,
@@ -512,31 +523,26 @@ def cyclic_shift_permutation(params: ModelParams, n: int):
     return W
 
 
-def spanning_rank(params: ModelParams, n: int, tol=1e-8):
+def _local_block(params: ModelParams, n: int, op):
+    """Project an operator supported on site n onto its local factor: the
+    partial trace over the other sites (site 1 is the fastest tensor factor),
+    divided by their dimension."""
+    p, N = params.p, params.n_sites
+    return np.einsum("xiyxjy->ij", op.reshape((p ** (N - n), p, p ** (n - 1)) * 2)) \
+        / p ** (N - 1)
+
+
+def spanning_rank(params: ModelParams, n: int, tol=1e-8,
+                  shifted: ShiftedMonodromy = None):
     """Dimension of the operator algebra generated at site n by the shift
     powers and the conjugated rational family, computed on the local factor."""
-    sh = shifted_monodromy(params, n)
-    binva = _binva_at(params, sh.mono, params.mu_plus[n - 1])
-    gens = [np.linalg.matrix_power(binva, k) for k in range(1, params.p)]
-    mid = _solve(sh.mono.B.evaluate(params.mu_minus[n - 1]),
-                 sh.mono.A.evaluate(params.mu_minus[n - 1]), what="B(mu_-)")
-    for k in range(1, params.p):
-        gens.append(np.linalg.matrix_power(binva, k) @ mid
-                    @ np.linalg.matrix_power(binva, params.p - 1 - k))
-
-    def local_block(op):
-        """Project an operator supported on site n onto its local factor."""
-        p = params.p
-        scale = p ** (params.n_sites - 1)
-        out = np.zeros((p, p), dtype=complex)
-        for i in range(p):
-            for j in range(p):
-                Eij = np.zeros((p, p), dtype=complex)
-                Eij[j, i] = 1.0
-                out[i, j] = np.trace(mc.site_embed(params, n, Eij) @ op) / scale
-        return out
-
-    basis_ops = [np.eye(params.p, dtype=complex)] + [local_block(g) for g in gens]
+    sh = shifted or shifted_monodromy(params, n)
+    lam = params.mu_minus[n - 1]
+    mid = _solve(sh.mono.B.evaluate(lam), sh.mono.A.evaluate(lam), what="B(mu_-)")[0]
+    powers = [np.linalg.matrix_power(sh.binva, k) for k in range(params.p)]
+    gens = powers[1:] + [powers[k] @ mid @ powers[params.p - 1 - k]
+                         for k in range(1, params.p)]
+    basis_ops = [np.eye(params.p, dtype=complex)] + [_local_block(params, n, g) for g in gens]
     # close under products until the spanned dimension stabilizes
     def rank_of(mats):
         M = np.stack([m.reshape(-1) for m in mats])

@@ -1,0 +1,108 @@
+"""The per-site reconstruction frame: each local-operator solve is computed
+once per site, the rational family and the clock powers equal their explicit
+formulas, the frame is immutable, and the local factor of an operator is one
+partial trace."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from sgsov import model_core as mc
+from sgsov import local_ops as lo
+
+CHAINS = ("cfg_a", "cfg_b")
+
+
+@pytest.fixture(params=CHAINS)
+def sol(request):
+    return request.getfixturevalue(request.param)
+
+
+def _right_divide(M, N):
+    """M N^{-1} through a solve."""
+    return np.linalg.solve(N.T, M.T).T
+
+
+def _beta_ref(sh, k):
+    """U^k alpha0 U^{1-k}, with U = B^{-1}A at mu_+ and alpha0 = A^{-1}B at
+    mu_-, each solved here from the reordered monodromy."""
+    params, mono = sh.params, sh.mono
+    lp, lm = params.mu_plus[sh.n - 1], params.mu_minus[sh.n - 1]
+    U = np.linalg.solve(mono.B.evaluate(lp), mono.A.evaluate(lp))
+    alpha0 = np.linalg.solve(mono.A.evaluate(lm), mono.B.evaluate(lm))
+    if k == 0:
+        return alpha0 @ U
+    return _right_divide(np.linalg.matrix_power(U, k) @ alpha0,
+                         np.linalg.matrix_power(U, k - 1))
+
+
+def test_one_solve_per_reconstruction_per_site(sol, monkeypatch):
+    params, p = sol.params, sol.params.p
+    calls = []
+    solve = lo._solve
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("what"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lo, "_solve", counting)
+    for n in range(1, params.n_sites + 1):
+        calls.clear()
+        sh = lo.shifted_monodromy(params, n)
+        for k in (1, p - 1):
+            lo.reconstruct_u(params, n, k, sh)
+        lo.reconstruct_u_via_dc(params, n, sh)
+        lo.reconstruct_alpha0(params, n, sh)
+        for k in range(p):
+            lo.reconstruct_beta(params, n, k, sh)
+        for k in range(1, p):
+            lo.reconstruct_v2k(params, n, k, sh)
+        assert lo.spanning_rank(params, n, shifted=sh) == p * p
+        # B^{-1}A at mu_+, A^{-1}B at mu_-, D^{-1}C at mu_+, B^{-1}A at mu_-
+        assert len(calls) == 4, calls
+
+
+def test_beta_and_clock_powers_equal_the_explicit_formulas(sol):
+    params, p = sol.params, sol.params.p
+    q = params.q
+    for n in range(1, params.n_sites + 1):
+        sh = lo.shifted_monodromy(params, n)
+        refs = [_beta_ref(sh, k) for k in range(p)]
+        for k in range(p):
+            assert mc.rel_err(lo.reconstruct_beta(params, n, k, sh), refs[k]) <= 1e-12
+        kap, v2p = params.kappa[n - 1], params.v[n - 1] ** (2 * p)
+        for k in range(1, p):
+            pref = (-1.0) ** k * (v2p * kap ** (2 * p) + 1) \
+                / (p * kap ** (2 * k) * (kap ** 2 - kap ** (-2)))
+            ref = pref * sum(q ** (-k * (2 * a - 1)) * refs[a] for a in range(p))
+            assert mc.rel_err(lo.reconstruct_v2k(params, n, k, sh), ref) <= 1e-12
+
+
+def test_frame_is_immutable(cfg_a):
+    sh = lo.shifted_monodromy(cfg_a.params, 2)
+    for name in ("params", "n", "mono", "binva"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sh, name, None)
+    for arr in (sh.binva, sh.alpha0, sh.betas):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+    assert sh.binva_cond >= 1.0 and sh.alpha0_cond >= 1.0
+    assert np.shares_memory(lo.reconstruct_alpha0(cfg_a.params, 2, sh), sh.alpha0)
+
+
+def test_local_block_is_the_site_trace(cfg_a):
+    params, p = cfg_a.params, cfg_a.params.p
+    rng = cfg_a.rng(950)
+    d = params.dim
+    op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    for n in range(1, params.n_sites + 1):
+        for X in (op, lo.reconstruct_beta(params, n, 1)):
+            ref = np.zeros((p, p), dtype=complex)
+            for i in range(p):
+                for j in range(p):
+                    E = np.zeros((p, p), dtype=complex)
+                    E[j, i] = 1.0
+                    ref[i, j] = np.trace(mc.site_embed(params, n, E) @ X) \
+                        / p ** (params.n_sites - 1)
+            assert mc.rel_err(lo._local_block(params, n, X), ref) <= 1e-12

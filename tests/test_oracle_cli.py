@@ -214,3 +214,18 @@ def test_load_config_validation(tmp_path):
     bad.write_text(json.dumps(_cfg_a_payload(tolerances={"nope": 1.0})))
     with pytest.raises(ConfigError):
         load_config(str(bad))
+
+
+@pytest.mark.parametrize("payload, argv", [
+    ({"tolerances": {"algebra": float("nan")}}, []),
+    ({"tolerances": {"algebra": -1.0}}, []),
+    ({"tolerances": {"algebra": True}}, []),
+    ({"seed": True}, []),
+    ({}, ["--tol", "nan"]),
+    ({}, ["--tol", "-1"]),
+], ids=["tol-nan", "tol-negative", "tol-bool", "seed-bool", "cli-tol-nan", "cli-tol-negative"])
+def test_bad_tolerance_or_seed_rejected_at_load(tmp_path, capsys, payload, argv):
+    cfg = _write_cfg(tmp_path, dict(_n1_payload(), **payload))
+    assert main(["verify-all", "--config", cfg] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error" in captured.err
