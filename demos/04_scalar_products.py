@@ -4,7 +4,7 @@
 import numpy as np
 
 from sgsov import (ModelParams, prepare, SeparateState, materialize,
-                   scalar_product_det, eigen_action, identity_resolution_T)
+                   scalar_product_det, eigen_action_table, identity_resolution_T)
 from sgsov.model_core import frob
 
 params = ModelParams(3, 3, 2, kappa=[1.1j, 1.3j, 0.7j], xi=[1.0, 1.2, 0.9])
@@ -27,12 +27,11 @@ for trial in range(5):
 states = sol.states
 
 print("\neigenstate pairings <t|t'> (moment-matrix determinants), first five states:")
-for i in range(5):
-    row = "  ".join(f"{abs(eigen_action(basis, states[i], states[j])):9.2e}"
-                    for j in range(5))
-    print(f"  {row}")
+pairings, _ = eigen_action_table(basis, states[:5], states[:5])
+for row in np.abs(pairings):
+    print("  " + "  ".join(f"{x:9.2e}" for x in row))
 print("  (off-diagonal entries vanish: distinct eigenvalues are orthogonal)")
 
-ident = identity_resolution_T(states, basis)
+ident = identity_resolution_T(sol)
 print(f"\neigenbasis resolution of the identity: |sum - 1| = "
       f"{frob(ident - np.eye(params.dim)):.2e}")

@@ -41,7 +41,7 @@ dense = covs[3] @ dense_op @ vecs[11]
 print(f"\ntwo-variable elementary monomial between states 3 and 11:")
 print(f"  determinant {det:+.6e}   dense {dense:+.6e}")
 
-val = npoint(params, basis, states[0], [u1, u1], states)
+val = npoint(sol, 0, [u1, u1])
 dense = (covs[0] @ u1 @ u1 @ vecs[0]) / sol.norms[0]
 print(f"\ntwo-point function via the eigenbasis expansion:")
 print(f"  expansion {val:+.6e}   dense {dense:+.6e}   "

@@ -26,7 +26,8 @@ from .spectrum import (TransferEigenstate, EmptyNullspace, ZeroReference,
                        extract_Q_grid, fit_Q_polynomial, qbar_from_q)
 from .separate_states import (SeparateState, IncompleteSpectrum, materialize,
                               scalar_product_det, phi_moments, phi_general,
-                              phi_matrix, eigen_action, identity_resolution_T,
+                              phi_matrix, eigen_action, eigen_action_table,
+                              identity_resolution_T,
                               attach_q_data, eigenstate_separate_states,
                               eigen_dense, Solution, prepare)
 from .local_ops import (SingularMatrix, ShiftedMonodromy, ElementaryOp,
@@ -35,8 +36,8 @@ from .local_ops import (SingularMatrix, ShiftedMonodromy, ElementaryOp,
                         reconstruct_v2k, q_number, q_factorial, q_multinomial,
                         binvA_power_sov, binvA_interpolation, elementary_O,
                         reduce_O_monomial, cyclic_shift_permutation,
-                        spanning_rank, v2k_shift_sum)
-from .form_factors import (FormFactorResult, ShiftUnavailable, ff_u,
+                        spanning_rank, v2k_shift_sums)
+from .form_factors import (FormFactorResult, ShiftUnavailable, ff_u, ff_u_table,
                            ff_elementary, npoint, shift_eigenvalue)
 from .oracle import (ComparisonReport, direct_matrix_element, verify_suite,
                      verify_solution, reports_to_jsonl, DEFAULT_TOLERANCES)

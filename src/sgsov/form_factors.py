@@ -16,12 +16,12 @@ import numpy as np
 from .params import ModelParams, SgSovError
 from .sov_basis import SovBasis, cross_product, vandermonde
 from .spectrum import TransferEigenstate
-from .separate_states import (IncompleteSpectrum, eigen_dense, phi_moments,
-                              require_q_data)
+from .separate_states import (IncompleteSpectrum, _cmul, eigen_dense, phi_moments,
+                              require_q_data, sector_zero, stacked_tables)
 from .local_ops import ElementaryBasisElement
 
 __all__ = [
-    "FormFactorResult", "ShiftUnavailable", "ff_u", "ff_elementary", "npoint",
+    "FormFactorResult", "ShiftUnavailable", "ff_u", "ff_u_table", "ff_elementary", "npoint",
     "shift_eigenvalue",
 ]
 
@@ -47,11 +47,49 @@ def shift_eigenvalue(params: ModelParams, basis: SovBasis,
     return complex(cov @ w_matrix @ vec) / complex(cov @ vec)
 
 
-def _u_selection_ok(params, bra, ket, n):
-    if not params.even_chain:
-        return True
-    step = 1 if n % 2 == 1 else -1
-    return (bra.theta_m - ket.theta_m - step) % params.p == 0
+def _require_shift(params: ModelParams, n: int, shift_ratio):
+    if n != 1 and shift_ratio is None:
+        if not params.homogeneous:
+            raise ShiftUnavailable(
+                "site shifts need the chain-shift eigenvalue ratio, computable "
+                "on homogeneous chains only")
+        raise ShiftUnavailable("pass shift_ratio for n > 1")
+
+
+def _u_step(n: int):
+    """Charge step of the site-n shift generator on an even chain."""
+    return 1 if n % 2 == 1 else -1
+
+
+def _sector_weights(params: ModelParams, m: int, n: int):
+    """Weights of the two theta-sector columns of ``ff_u`` for a ket in
+    sector m (even chains)."""
+    lam = complex(params.mu_plus[n - 1])
+    return (params.q ** m * (lam / params.xi_prod),
+            params.q ** (-m) * (params.xi_prod / lam))
+
+
+def _ff_u_matrices(params: ModelParams, basis: SovBasis, qbar, q, weights, n):
+    """The ff_u determinant matrices of Qbar tables ``qbar`` against Q tables
+    ``q``, (..., nsep, p) each, broadcast over the leading axes.  On even
+    chains ``weights`` are the ket's ``_sector_weights``, shaped to broadcast
+    against (..., nsep)."""
+    lam = complex(params.mu_plus[n - 1])
+    nsep = params.n_separate
+    even = params.even_chain
+    exps = list(range(1, 2 * nsep - 2, 2)) + ([2 * nsep - 1, -1] if even else [])
+    mom = phi_moments(basis, qbar, q, exps)
+    # substituted column: sum_h Q_ket(eta^{(h)}) (eta^{(h)})^{nsep-1} / omega
+    # * Qbar_bra(eta^{(h+1)}) a(eta^{(h+1)}) / (lam/eta^{(h+1)} - eta^{(h+1)}/lam)
+    eta = basis.grid.grid[:nsep]
+    pole = qbar * basis.grid.a_vals / (lam / eta - eta / lam)
+    pole_next = np.concatenate((pole[..., 1:], pole[..., :1]), axis=-1)   # h -> h+1
+    ker = (q * eta ** (nsep - 1) / basis.omega * pole_next).sum(axis=-1)
+    col = basis.c_ref * ker / (params.kprod * basis.grid.eta0[-1] ** params.e_n)
+    if even:
+        col = col + np.sqrt(params.p) * (weights[0] * mom[..., -2]
+                                         - weights[1] * mom[..., -1])
+    return np.concatenate((mom[..., :nsep - 1], col[..., None]), axis=-1)
 
 
 def ff_u(params: ModelParams, basis: SovBasis, bra: TransferEigenstate,
@@ -64,38 +102,38 @@ def ff_u(params: ModelParams, basis: SovBasis, bra: TransferEigenstate,
     For n > 1 the prefactor ratio of chain-shift eigenvalues must be supplied
     (available on homogeneous chains)."""
     require_q_data(bra, ket)
-    if n != 1 and shift_ratio is None:
-        if not params.homogeneous:
-            raise ShiftUnavailable(
-                "site shifts need the chain-shift eigenvalue ratio, computable "
-                "on homogeneous chains only")
-        raise ShiftUnavailable("pass shift_ratio for n > 1")
-    if not _u_selection_ok(params, bra, ket, n):
+    _require_shift(params, n, shift_ratio)
+    if sector_zero(params, bra.theta_m, ket.theta_m, _u_step(n)):
         return FormFactorResult(0.0 + 0.0j, selection_zero=True)
-    lam = complex(params.mu_plus[n - 1])
-    nsep = params.n_separate
-    even = params.even_chain
-    exps = list(range(1, 2 * nsep - 2, 2)) + ([2 * nsep - 1, -1] if even else [])
-    mom = phi_moments(basis, bra.qbar_vals, ket.q_vals, exps)
-    U = np.empty((nsep, nsep), dtype=complex)
-    U[:, :nsep - 1] = mom[:, :nsep - 1]
-    # substituted column: sum_h Q_ket(eta^{(h)}) (eta^{(h)})^{nsep-1} / omega
-    # * Qbar_bra(eta^{(h+1)}) a(eta^{(h+1)}) / (lam/eta^{(h+1)} - eta^{(h+1)}/lam)
-    eta = basis.grid.grid[:nsep]
-    pole = bra.qbar_vals * basis.grid.a_vals / (lam / eta - eta / lam)
-    pole_next = np.concatenate((pole[:, 1:], pole[:, :1]), axis=1)   # h -> h+1
-    ker = (ket.q_vals * eta ** (nsep - 1) / basis.omega * pole_next).sum(axis=1)
-    col = basis.c_ref * ker / (params.kprod * basis.grid.eta0[-1] ** params.e_n)
-    if even:
-        mprime = ket.theta_m
-        col = col + np.sqrt(params.p) * (
-            params.q ** mprime * (lam / params.xi_prod) * mom[:, -2]
-            - params.q ** (-mprime) * (params.xi_prod / lam) * mom[:, -1])
-    U[:, nsep - 1] = col
+    weights = _sector_weights(params, ket.theta_m, n) if params.even_chain else None
+    U = _ff_u_matrices(params, basis, bra.qbar_vals, ket.q_vals, weights, n)
     value = np.linalg.det(U)
     if shift_ratio is not None:
         value = shift_ratio * value
     return FormFactorResult(value, matrix=U if keep_matrix else None)
+
+
+def ff_u_table(params: ModelParams, basis: SovBasis, bras, kets, n: int = 1,
+               shift_ratio=None):
+    """``ff_u`` from every bra to every ket, shape (len(bras), len(kets)), as
+    one batched determinant, and the mask of the selection zeros.  For n > 1,
+    ``shift_ratio`` holds the chain-shift eigenvalue ratio of each pair (or
+    broadcasts to that shape)."""
+    _require_shift(params, n, shift_ratio)
+    qbar, _, theta_bra = stacked_tables(bras)
+    _, q, theta_ket = stacked_tables(kets)
+    weights = None
+    if params.even_chain:
+        # Python scalars per ket, as the per-pair call forms them, so that
+        # both give the same values; shape (2, len(kets), 1)
+        weights = np.array([_sector_weights(params, int(m), n) for m in theta_ket]).T[..., None]
+    values = np.linalg.det(_ff_u_matrices(params, basis, qbar[:, None], q[None],
+                                          weights, n))
+    if shift_ratio is not None:
+        values = _cmul(np.asarray(shift_ratio), values)
+    zero = np.broadcast_to(sector_zero(params, theta_bra[:, None], theta_ket[None],
+                                       _u_step(n)), values.shape)
+    return np.where(zero, 0.0, values), zero
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +157,7 @@ def ff_elementary(params: ModelParams, basis: SovBasis,
     g = sum(f[2] for f in factors)
     h0 = elem.theta_a_pow if params.even_chain else 0
     hN = elem.theta_pow if params.even_chain else 0
-    if params.even_chain and \
-            (bra.theta_m - ket.theta_m - hN) % p != 0:
+    if sector_zero(params, bra.theta_m, ket.theta_m, hN):
         return FormFactorResult(0.0 + 0.0j, selection_zero=True)
     excited = [f[0] for f in factors]
     spectators = [b for b in range(nsep) if b not in excited]
@@ -185,19 +222,20 @@ def ff_elementary(params: ModelParams, basis: SovBasis,
 # Multi-point expansion
 # ---------------------------------------------------------------------------
 
-def npoint(params: ModelParams, basis: SovBasis, state: TransferEigenstate,
-           ops, states, me_fns=None):
-    """Normalized expectation <t| O_1 ... O_m |t> / <t|t> expanded over the
-    full eigenbasis.
+def npoint(sol, index: int, ops, me_fns=None):
+    """Normalized expectation <t| O_1 ... O_m |t> / <t|t> of the eigenstate
+    ``sol.states[index]``, expanded over the full eigenbasis of ``sol``: a
+    ``Solution``, or any object with ``params``, ``states`` and the stacked
+    ``covs``/``vecs``/``norms`` of ``eigen_dense``.
 
     ``ops`` is a list of dense operators; ``me_fns`` optionally supplies a
     matrix-element function (bra, ket) -> complex for each slot (determinant
     routes plug in here), defaulting to dense contraction with the
     separate-state materializations."""
-    if len(states) < params.dim:
-        raise IncompleteSpectrum(f"need the full spectrum of {params.dim} states")
-    covs, vecs, norms = eigen_dense(states, basis)
-    t_idx = states.index(state)
+    dim = sol.params.dim
+    states, covs, vecs, norms = sol.states, sol.covs, sol.vecs, sol.norms
+    if len(norms) < dim:
+        raise IncompleteSpectrum(f"need the full spectrum of {dim} states")
 
     def me(slot, i, j):
         if me_fns is not None and me_fns[slot] is not None:
@@ -205,10 +243,10 @@ def npoint(params: ModelParams, basis: SovBasis, state: TransferEigenstate,
         return covs[i] @ ops[slot] @ vecs[j]
 
     m = len(ops)
-    amps = {t_idx: 1.0 + 0.0j}
+    amps = {index: 1.0 + 0.0j}
     for slot in range(m):
         new = {}
-        targets = range(len(states)) if slot < m - 1 else [t_idx]
+        targets = range(len(states)) if slot < m - 1 else [index]
         for j in targets:
             acc = 0.0 + 0.0j
             for i, amp in amps.items():
@@ -218,5 +256,5 @@ def npoint(params: ModelParams, basis: SovBasis, state: TransferEigenstate,
             if acc != 0.0:
                 new[j] = acc / (norms[j] if slot < m - 1 else 1.0)
         amps = new
-    total = amps.get(t_idx, 0.0 + 0.0j)
-    return total / norms[t_idx]
+    total = amps.get(index, 0.0 + 0.0j)
+    return total / norms[index]

@@ -25,7 +25,7 @@ __all__ = [
     "elementary_O", "elementary_O_power", "o_action_weight",
     "eta_diag_operator", "eta_ref_operator", "eta_interp_operator",
     "binvA_interpolation", "reduce_O_monomial", "ZERO_MONOMIAL",
-    "cyclic_shift_permutation", "spanning_rank",
+    "cyclic_shift_permutation", "spanning_rank", "v2k_shift_sums",
 ]
 
 class SingularMatrix(SgSovError):
@@ -280,12 +280,13 @@ def binvA_power_sov(params: ModelParams, basis: SovBasis, k: int, lam,
     return out
 
 
-def v2k_shift_sum(params: ModelParams, basis: SovBasis, k: int,
-                  mono: Monodromy = None):
-    """Even clock powers at the first site assembled entirely from separated
-    shift sums (odd chains): the Fourier combination of the rational family,
-    with every factor realized through the multinomial representation and the
-    central full-period scalars."""
+def v2k_shift_sums(params: ModelParams, basis: SovBasis, ks, mono: Monodromy = None):
+    """Even clock powers V^{2k} at the first site, for every k in ``ks``,
+    assembled entirely from separated shift sums (odd chains): the Fourier
+    combination of the rational family, with every factor realized through
+    the multinomial representation and the central full-period scalars.
+    The p+1 shift powers and the p products of the family are built once;
+    each k is a phase-weighted sum of the products.  Shape (len(ks), d, d)."""
     if params.even_chain:
         raise SgSovError("the separated shift-sum route is stated for odd chains")
     mono = mono if mono is not None else mc.monodromy(params)
@@ -300,19 +301,16 @@ def v2k_shift_sum(params: ModelParams, basis: SovBasis, k: int,
     central_m = mc.average_value(params, "B", big_m) / mc.average_value(params, "A", big_m)
     mid = binvA_power_sov(params, basis, p - 1, mu_m, mono) * central_m
     powers = {m: binvA_power_sov(params, basis, m, mu_p, mono) for m in range(1, p + 1)}
-    acc = np.zeros((d, d), dtype=complex)
-    q = params.q
-    for m in range(p):
-        left = powers[m] if m >= 1 else np.eye(d, dtype=complex)
-        if m == 0:
-            right = powers[1]
-        else:
-            right = powers[p + 1 - m] / central_p
-        acc += q ** (-k * (2 * m - 1)) * (left @ mid @ right)
+    # product m: (B^{-1}A)^m mid (B^{-1}A)^{p+1-m} / central_p, and mid B^{-1}A at m = 0
+    products = np.array([(powers[m] if m else np.eye(d, dtype=complex)) @ mid
+                         @ (powers[p + 1 - m] / central_p if m else powers[1])
+                         for m in range(p)])
+    ks = np.asarray(ks)
+    phases = params.q ** (-ks[:, None] * (2 * np.arange(p) - 1))
     v2p = params.v[0] ** (2 * p)
-    pref = (-1.0) ** k * (v2p * kap ** (2 * p) + 1) \
-        / (p * kap ** (2 * k) * (kap ** 2 - kap ** (-2)))
-    return pref * acc
+    pref = (-1.0) ** ks * (v2p * kap ** (2 * p) + 1) \
+        / (p * kap ** (2 * ks) * (kap ** 2 - kap ** (-2)))
+    return np.einsum("k,km,mij->kij", pref, phases, products)
 
 
 # ---------------------------------------------------------------------------

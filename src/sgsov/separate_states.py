@@ -18,14 +18,14 @@ import numpy as np
 
 from .params import ModelParams, SgSovError
 from . import model_core as mc
-from .sov_basis import SovBasis, build_sov_basis, vandermonde_weights
+from .sov_basis import SovBasis, _read_only, build_sov_basis, vandermonde_weights
 from .spectrum import (TransferEigenstate, diagonalize_transfer, extract_Q_grid,
                        fit_Q_polynomial, polyval_ascending, qbar_from_q)
 
 __all__ = [
     "SeparateState", "IncompleteSpectrum", "materialize",
     "scalar_product_det", "phi_moments", "phi_general", "phi_matrix",
-    "eigen_action",
+    "sector_zero", "eigen_action", "eigen_action_table", "stacked_tables",
     "identity_resolution_T", "attach_q_data", "require_q_data",
     "eigenstate_separate_states", "eigen_dense", "t_coeff_null_vector",
     "Solution", "prepare",
@@ -80,19 +80,21 @@ def scalar_product_det(alpha: SeparateState, beta: SeparateState,
         raise ValueError("scalar_product_det expects (left, right) states")
     params = basis.params
     nsep = params.n_separate
-    if params.even_chain and (alpha.theta_m - beta.theta_m) % params.p != 0:
+    if sector_zero(params, alpha.theta_m, beta.theta_m):
         return 0.0 + 0.0j
     M = phi_moments(basis, alpha.coeff, beta.coeff, range(0, 2 * nsep, 2))
     return basis.c_ref * np.linalg.det(M)
 
 
 def phi_moments(basis: SovBasis, left, right, exponents):
-    """Weighted grid moments of two coefficient tables of shape (nsep, p):
-    ``out[a, k] = sum_h left[a, h] * right[a, h] * eta_a^{(h)}**e_k / omega[a, h]``
-    for every separate variable a and exponent e_k, shape (nsep, len(exponents))."""
+    """Weighted grid moments of two coefficient tables of shape (..., nsep, p),
+    broadcast against each other over the leading axes:
+    ``out[..., a, k] = sum_h left[..., a, h] * right[..., a, h]
+    * eta_a^{(h)}**e_k / omega[a, h]`` for every separate variable a and
+    exponent e_k, shape (..., nsep, len(exponents))."""
     w = left * right / basis.omega
     eta = basis.grid.grid[:basis.params.n_separate, :, None]
-    return np.einsum("ah,ahk->ak", w, eta ** np.asarray(exponents, dtype=int))
+    return np.einsum("...ah,ahk->...ak", w, eta ** np.asarray(exponents, dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -143,38 +145,82 @@ def phi_matrix(basis: SovBasis, bra: TransferEigenstate,
                        range(half_shift, 2 * nsep + half_shift, 2))
 
 
+def sector_zero(params: ModelParams, bra_theta, ket_theta, step: int = 0):
+    """Whether the charge-sector rule of an even chain sets a matrix element
+    to zero: theta_bra - theta_ket differs from ``step`` mod p.  Elementwise
+    on arrays of sector labels; always false on odd chains."""
+    return params.even_chain and (bra_theta - ket_theta - step) % params.p != 0
+
+
+def _pairing_dets(basis: SovBasis, qbar, q):
+    """Determinants of the moment matrices of Qbar tables against Q tables,
+    (..., nsep, p) each, broadcast over the leading axes; the pairings are
+    ``c_ref`` times these."""
+    nsep = basis.params.n_separate
+    return np.linalg.det(phi_moments(basis, qbar, q, range(0, 2 * nsep, 2)))
+
+
+def _cmul(a, b):
+    """Elementwise complex product ``a * b``, rounded as the scalar complex
+    product is (NumPy's vectorized one may round otherwise), so that the
+    pair tables equal the per-pair calls bit for bit."""
+    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
+
+
 def eigen_action(basis: SovBasis, bra: TransferEigenstate,
                  ket: TransferEigenstate):
     """Pairing <bra|ket> of the separate-state representations, as the
     determinant of the moment matrix (with the sector rule on even chains)."""
-    params = basis.params
-    if params.even_chain and (bra.theta_m - ket.theta_m) % params.p != 0:
+    if sector_zero(basis.params, bra.theta_m, ket.theta_m):
         return 0.0 + 0.0j
-    return basis.c_ref * np.linalg.det(phi_matrix(basis, bra, ket))
+    return basis.c_ref * _pairing_dets(basis, bra.qbar_vals, ket.q_vals)
+
+
+def stacked_tables(states):
+    """The Qbar and Q grid tables of eigenstates stacked on a leading axis,
+    shape (len(states), nsep, p) each, and their charge-sector labels (0 on
+    odd chains, which have none); read-only arrays."""
+    require_q_data(*states)
+    return (_read_only(np.array([st.qbar_vals for st in states])),
+            _read_only(np.array([st.q_vals for st in states])),
+            _read_only(np.array([st.theta_m or 0 for st in states], dtype=int)))
+
+
+def eigen_action_table(basis: SovBasis, bras, kets):
+    """Pairings <bra|ket> of every bra with every ket, shape
+    (len(bras), len(kets)), as one batched determinant, and the mask of the
+    pairs that the sector rule sets to zero."""
+    qbar, _, theta_bra = stacked_tables(bras)
+    _, q, theta_ket = stacked_tables(kets)
+    values = _cmul(basis.c_ref, _pairing_dets(basis, qbar[:, None], q[None]))
+    zero = np.broadcast_to(sector_zero(basis.params, theta_bra[:, None],
+                                       theta_ket[None]), values.shape)
+    return np.where(zero, 0.0, values), zero
 
 
 def eigen_dense(states, basis: SovBasis):
     """Stacked dense covectors and vectors of the separate-state
     representations of ``states``, shape (len(states), d) each, and the
-    determinant norms <t|t>."""
+    determinant norms <t|t>, one batched determinant over the diagonal
+    pairs."""
     covs, vecs = [], []
     for st in states:
         left, right = eigenstate_separate_states(st, basis)
         covs.append(materialize(left, basis))
         vecs.append(materialize(right, basis))
-    norms = [eigen_action(basis, st, st) for st in states]
-    return np.array(covs), np.array(vecs), np.array(norms)
+    qbar, q, _ = stacked_tables(states)
+    return np.array(covs), np.array(vecs), _cmul(basis.c_ref, _pairing_dets(basis, qbar, q))
 
 
-def identity_resolution_T(states, basis: SovBasis):
-    """Sum of |t><t| / <t|t> over the whole spectrum, built from the
-    separate-state materializations and determinant pairings."""
-    params = basis.params
-    if len(states) < params.dim:
-        raise IncompleteSpectrum(
-            f"need {params.dim} eigenstates, got {len(states)}")
-    covs, vecs, norms = eigen_dense(states, basis)
-    return (vecs.T / norms) @ covs
+def identity_resolution_T(sol):
+    """Sum of |t><t| / <t|t> over the whole spectrum, from the
+    separate-state materializations and determinant pairings of ``sol``: a
+    ``Solution``, or any object with ``params`` and the stacked
+    ``covs``/``vecs``/``norms`` of ``eigen_dense``."""
+    dim = sol.params.dim
+    if len(sol.norms) < dim:
+        raise IncompleteSpectrum(f"need {dim} eigenstates, got {len(sol.norms)}")
+    return (sol.vecs.T / sol.norms) @ sol.covs
 
 
 def t_coeff_null_vector(params: ModelParams, bra_t: dict, ket_t: dict):
@@ -195,8 +241,11 @@ class Solution:
     with their Baxter polynomials and grid tables, shared by every scalar
     product and form factor of one chain.
 
-    The basis, the eigenstates and the stacked ``covs``/``vecs``/``norms``
-    of ``eigen_dense`` are built on first use, from the seed streams
+    The basis, the eigenstates, their stacked Baxter grid tables
+    ``qbar_vals``/``q_vals`` (shape (d, nsep, p)), sector labels ``theta_m``
+    and transfer coefficients ``t_rows``, and the stacked
+    ``covs``/``vecs``/``norms`` of ``eigen_dense`` are built on first use,
+    as read-only arrays, from the seed streams
     ``[seed, 1]`` (basis), ``[seed, 2]`` (diagonalization) and a fresh
     ``[seed, 3]`` per Baxter fit, so they do not depend on the order of
     use.  Nothing is modified after it is built."""
@@ -226,8 +275,24 @@ class Solution:
         return tuple(states)
 
     @cached_property
+    def _tables(self):
+        return stacked_tables(self.states)
+
+    qbar_vals = property(lambda self: self._tables[0])
+    q_vals = property(lambda self: self._tables[1])
+    theta_m = property(lambda self: self._tables[2])
+
+    @cached_property
+    def t_rows(self) -> np.ndarray:
+        """Transfer coefficients, shape (d, n_bar + 1); column c holds the
+        degree 2c - n_bar."""
+        degrees = range(-self.params.n_bar, self.params.n_bar + 1, 2)
+        return _read_only(np.array([[st.t_coeffs[dg] for dg in degrees]
+                                    for st in self.states]))
+
+    @cached_property
     def _dense(self):
-        return eigen_dense(self.states, self.basis)
+        return tuple(_read_only(x) for x in eigen_dense(self.states, self.basis))
 
     covs = property(lambda self: self._dense[0])
     vecs = property(lambda self: self._dense[1])

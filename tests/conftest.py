@@ -1,5 +1,7 @@
 """Shared desk-scale configurations and their prepared solutions."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,13 @@ def embedded_u(params, n, power=1):
     """The site-n shift generator (to ``power``) on the full chain."""
     U, _ = mc.weyl_generators(params.p, params.u[n - 1], params.v[n - 1], params.p_prime)
     return mc.site_embed(params, n, np.linalg.matrix_power(U, power))
+
+
+def short_spectrum(sol, missing):
+    """The eigenbasis of ``sol`` without its last ``missing`` eigenstates."""
+    keep = slice(0, sol.params.dim - missing)
+    return SimpleNamespace(params=sol.params, states=sol.states[keep],
+                           covs=sol.covs[keep], vecs=sol.vecs[keep], norms=sol.norms[keep])
 
 
 def cfg_a_params():

@@ -172,7 +172,7 @@ def test_criterion_4_scalar_products(desk_bundles):
                           if nsep > 1 else np.sqrt(diag[i] * diag[j]))
                 worst_null = max(worst_null, float(
                     np.linalg.norm(phi @ V) / (ref * np.linalg.norm(V))))
-        ident = ss.identity_resolution_T(bundle.states, basis)
+        ident = ss.identity_resolution_T(bundle)
         worst_ident = max(worst_ident, mc.frob(ident - np.eye(params.dim)) / params.dim)
     _report(4, "determinant scalar products vs dense (20 pairs/config)", worst_pairs, 1e-8)
     _report(4, "eigenstate orthogonality", worst_orth, 1e-8)
@@ -352,7 +352,7 @@ def test_criterion_8_form_factors(cfg_a, cfg_b):
         params, basis = bundle.params, bundle.basis
         u1 = embedded_u(bundle.params, 1)
         idx = 0
-        val = ff.npoint(params, basis, bundle.states[idx], [u1, u1], bundle.states)
+        val = ff.npoint(bundle, idx, [u1, u1])
         dense = (bundle.covs[idx] @ u1 @ u1 @ bundle.vecs[idx]) / bundle.norms[idx]
         worst_np = max(worst_np, abs(val - dense)
                        / max(abs(dense), abs(val),

@@ -8,7 +8,7 @@ from sgsov import separate_states as ss
 from sgsov import form_factors as ff
 from sgsov import local_ops as lo
 
-from conftest import cfg_a_params, embedded_u
+from conftest import cfg_a_params, embedded_u, short_spectrum
 from sgsov.separate_states import prepare
 
 
@@ -180,21 +180,17 @@ def test_ff_values_do_not_depend_on_basis_normalization(cfg_a):
 
 
 def test_npoint_single_insertion_reduces_to_form_factor(cfg_a):
-    params, basis = cfg_a.params, cfg_a.basis
     u1 = embedded_u(cfg_a.params, 1)
-    st = cfg_a.states[0]
-    val = ff.npoint(params, basis, st, [u1], cfg_a.states)
+    val = ff.npoint(cfg_a, 0, [u1])
     dense = (cfg_a.covs[0] @ u1 @ cfg_a.vecs[0]) / cfg_a.norms[0]
     assert abs(val - dense) <= 1e-9 * max(abs(dense), 1e-300)
 
 
 def test_npoint_two_point_expansion(desk_bundles):
     for bundle in desk_bundles.values():
-        params, basis = bundle.params, bundle.basis
         u1 = embedded_u(bundle.params, 1)
         for idx in (0, len(bundle.states) // 2):
-            st = bundle.states[idx]
-            val = ff.npoint(params, basis, st, [u1, u1], bundle.states)
+            val = ff.npoint(bundle, idx, [u1, u1])
             dense = (bundle.covs[idx] @ u1 @ u1 @ bundle.vecs[idx]) / bundle.norms[idx]
             scale = max(abs(dense), abs(val),
                         _pair_scale(bundle, idx, idx) / abs(bundle.norms[idx]))
@@ -208,20 +204,16 @@ def test_npoint_two_point_with_determinant_route(cfg_a):
     def det_me(bra, ket):
         return ff.ff_u(params, basis, bra, ket, 1).value
 
-    st = cfg_a.states[2]
-    val = ff.npoint(params, basis, st, [u1, u1], cfg_a.states,
-                    me_fns=[det_me, det_me])
+    val = ff.npoint(cfg_a, 2, [u1, u1], me_fns=[det_me, det_me])
     dense = (cfg_a.covs[2] @ u1 @ u1 @ cfg_a.vecs[2]) / cfg_a.norms[2]
     assert abs(val - dense) <= 1e-6 * max(abs(dense), 1e-300)
 
 
 def test_npoint_mixed_operators_even_chain(cfg_b):
-    params, basis = cfg_b.params, cfg_b.basis
     u1 = embedded_u(cfg_b.params, 1)
-    v2 = lo.reconstruct_v2k(params, 1, 1)
+    v2 = lo.reconstruct_v2k(cfg_b.params, 1, 1)
     for idx in (0, 4):
-        st = cfg_b.states[idx]
-        val = ff.npoint(params, basis, st, [u1, v2], cfg_b.states)
+        val = ff.npoint(cfg_b, idx, [u1, v2])
         dense = (cfg_b.covs[idx] @ u1 @ v2 @ cfg_b.vecs[idx]) / cfg_b.norms[idx]
         scale = max(abs(dense), abs(val), 1e-6)
         assert abs(val - dense) <= 1e-6 * scale
@@ -230,5 +222,4 @@ def test_npoint_mixed_operators_even_chain(cfg_b):
 def test_npoint_requires_full_spectrum(cfg_a):
     u1 = embedded_u(cfg_a.params, 1)
     with pytest.raises(ss.IncompleteSpectrum):
-        ff.npoint(cfg_a.params, cfg_a.basis, cfg_a.states[0], [u1, u1],
-                  cfg_a.states[:-2])
+        ff.npoint(short_spectrum(cfg_a, 2), 0, [u1, u1])

@@ -1,5 +1,6 @@
 """The array determinant kernels against their per-entry scalar formulas,
-and the read-only grid tables they are built from.
+the read-only grid tables they are built from, and the pair tables against
+the per-pair calls.
 
 The references evaluate one moment, one grid point and one scalar
 ``a_coeff`` at a time, as the formulas are written; the kernels sum the same
@@ -14,6 +15,7 @@ from sgsov import model_core as mc
 from sgsov import separate_states as ss
 from sgsov import form_factors as ff
 from sgsov import local_ops as lo
+from sgsov import oracle
 from sgsov.sov_basis import cross_product, vandermonde
 
 RTOL = 1e-12
@@ -248,3 +250,92 @@ def test_ff_elementary_matches_scalar_formula(sol):
             pref, ref, scale = ff_elementary_ref(params, basis, states[i], states[j], elem)
             _assert_matrix_close(res.matrix, ref, scale)
             _assert_det_close(res.value, pref * np.linalg.det(ref), scale, pref)
+
+
+# -- pair tables -----------------------------------------------------------------
+
+def test_ff_u_table_equals_per_pair_calls(sol):
+    params, basis, states = sol.params, sol.basis, sol.states
+    values, zeros = ff.ff_u_table(params, basis, states, states, 1)
+    per_pair = [[ff.ff_u(params, basis, bra, ket, 1) for ket in states] for bra in states]
+    assert values.shape == zeros.shape == (params.dim, params.dim)
+    # the same operations in the same order: bit-identical
+    assert np.array_equal(values, [[r.value for r in row] for row in per_pair])
+    assert np.array_equal(zeros, [[r.selection_zero for r in row] for row in per_pair])
+    assert zeros.any() if params.even_chain else not zeros.any()
+
+
+def test_ff_u_table_at_a_shifted_site(hom3):
+    params, basis, states = hom3.params, hom3.basis, hom3.states
+    with pytest.raises(ff.ShiftUnavailable):
+        ff.ff_u_table(params, basis, states, states, 2)
+    shift = np.linspace(0.5, 1.5, params.dim) * np.exp(1j * np.arange(params.dim))
+    ratio = shift[:, None] / shift[None, :]
+    values, _ = ff.ff_u_table(params, basis, states[:4], states, 2, shift_ratio=ratio[:4])
+    for i in range(4):
+        for j, ket in enumerate(states):
+            ref = ff.ff_u(params, basis, states[i], ket, 2, shift_ratio=ratio[i, j]).value
+            assert values[i, j] == ref
+
+
+def test_eigen_action_table_equals_per_pair_calls(sol):
+    params, basis, states = sol.params, sol.basis, sol.states
+    values, zeros = ss.eigen_action_table(basis, states, states)
+    ref = np.array([[ss.eigen_action(basis, bra, ket) for ket in states] for bra in states])
+    theta = np.array([st.theta_m or 0 for st in states])
+    assert np.array_equal(zeros, params.even_chain & ((theta[:, None] - theta) % params.p != 0))
+    assert np.all(values[zeros] == 0.0) and np.all(ref[zeros] == 0.0)
+    assert np.array_equal(values, ref)
+
+
+def test_eigen_dense_norms_equal_per_state_pairings(sol):
+    ref = [ss.eigen_action(sol.basis, st, st) for st in sol.states]
+    assert np.array_equal(sol.norms, ref)
+
+
+def test_stacked_tables_on_solution(sol):
+    params, states = sol.params, sol.states
+    d, nsep, p = params.dim, params.n_separate, params.p
+    assert sol.q_vals.shape == sol.qbar_vals.shape == (d, nsep, p)
+    assert sol.t_rows.shape == (d, params.n_bar + 1)
+    for i, st in enumerate(states):
+        assert np.array_equal(sol.q_vals[i], st.q_vals)
+        assert np.array_equal(sol.qbar_vals[i], st.qbar_vals)
+        assert sol.theta_m[i] == (st.theta_m if params.even_chain else 0)
+        for c, dg in enumerate(range(-params.n_bar, params.n_bar + 1, 2)):
+            assert sol.t_rows[i, c] == st.t_coeffs[dg]
+    for table in (sol.q_vals, sol.qbar_vals, sol.theta_m, sol.t_rows,
+                  sol.covs, sol.vecs, sol.norms):
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+
+def _scalar_worst_by_pair_loop(sol):
+    """The orthogonality and null-vector worst values, one pair at a time."""
+    params, basis, states = sol.params, sol.basis, sol.states
+    nsep = params.n_separate
+    diag_dets = np.abs(sol.norms)
+    worst_orth = worst_null = 0.0
+    for i, sti in enumerate(states):
+        for j, stj in enumerate(states):
+            if i == j or (params.even_chain and sti.theta_m != stj.theta_m):
+                continue
+            phi = ss.phi_matrix(basis, sti, stj)
+            det = abs(np.linalg.det(phi)) * abs(basis.c_ref)
+            worst_orth = max(worst_orth, det / np.sqrt(diag_dets[i] * diag_dets[j]))
+            V = ss.t_coeff_null_vector(params, sti.t_coeffs, stj.t_coeffs)
+            ref = np.sqrt(np.sqrt(diag_dets[i] * diag_dets[j]))
+            worst_null = max(worst_null, float(
+                np.linalg.norm(phi @ V)
+                / max(mc.frob(phi) * np.linalg.norm(V),
+                      ref ** (2 * (nsep - 1) / max(nsep, 1)) * np.linalg.norm(V), 1e-300)))
+    return worst_orth, worst_null
+
+
+def test_batched_scalar_checks_equal_pair_loop(sol):
+    rows = {r.label: r for r in oracle.verify_solution(sol, sections={"scalar"})}
+    worst_orth, worst_null = _scalar_worst_by_pair_loop(sol)
+    for label, ref in (("eigenstate_orthogonality", worst_orth),
+                       ("orthogonality_null_vector", worst_null)):
+        assert rows[label].passed
+        assert abs(rows[label].rel_err - ref) <= RTOL * ref

@@ -226,9 +226,50 @@ def test_shift_power_even_chain_rejected(cfg_b):
 def test_clock_powers_from_shift_sums(n1, cfg_a):
     for bundle in (n1, cfg_a):
         params = bundle.params
-        for k in range(1, params.p):
-            got = lo.v2k_shift_sum(params, bundle.basis, k, bundle.mono)
+        ks = range(1, params.p)
+        for k, got in zip(ks, lo.v2k_shift_sums(params, bundle.basis, ks, bundle.mono)):
             assert mc.rel_err(got, lo.v_power_target(params, 1, k)) <= 1e-8
+
+
+def _v2k_shift_sum_ref(params, basis, k, mono):
+    """The clock power V^{2k} from separated shift sums, one k at a time, with
+    every shift power built for that k."""
+    p, d = params.p, params.dim
+    kap = params.kappa[0]
+    mu_p, mu_m = complex(params.mu_plus[0]), complex(params.mu_minus[0])
+    central_p = mc.average_value(params, "A", mu_p ** p) / mc.average_value(params, "B", mu_p ** p)
+    central_m = mc.average_value(params, "B", mu_m ** p) / mc.average_value(params, "A", mu_m ** p)
+    mid = lo.binvA_power_sov(params, basis, p - 1, mu_m, mono) * central_m
+    powers = {m: lo.binvA_power_sov(params, basis, m, mu_p, mono) for m in range(1, p + 1)}
+    acc = np.zeros((d, d), dtype=complex)
+    for m in range(p):
+        left = powers[m] if m >= 1 else np.eye(d, dtype=complex)
+        right = powers[1] if m == 0 else powers[p + 1 - m] / central_p
+        acc += params.q ** (-k * (2 * m - 1)) * (left @ mid @ right)
+    pref = (-1.0) ** k * (params.v[0] ** (2 * p) * kap ** (2 * p) + 1) \
+        / (p * kap ** (2 * k) * (kap ** 2 - kap ** (-2)))
+    return pref * acc
+
+
+def test_shift_sums_build_each_power_once(n1, cfg_a, stretch, monkeypatch):
+    for bundle in (n1, cfg_a, stretch):
+        params, basis, mono = bundle.params, bundle.basis, bundle.mono
+        ks = range(1, params.p)
+        refs = [_v2k_shift_sum_ref(params, basis, k, mono) for k in ks]
+        calls = []
+        power = lo.binvA_power_sov
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return power(*args, **kwargs)
+
+        monkeypatch.setattr(lo, "binvA_power_sov", counting)
+        got = lo.v2k_shift_sums(params, basis, ks, mono)
+        monkeypatch.undo()
+        assert len(calls) == params.p + 1
+        assert got.shape == (len(ks), params.dim, params.dim)
+        for g, ref in zip(got, refs):
+            assert mc.rel_err(g, ref) <= 1e-12
 
 
 def test_elementary_action_weights(desk_bundles):

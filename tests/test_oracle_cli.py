@@ -76,7 +76,7 @@ def test_report_serialization_roundtrip(cfg_b):
     for line in oracle.reports_to_jsonl(reports).strip().splitlines():
         row = json.loads(line)
         assert {"label", "lhs", "rhs", "absErr", "relErr",
-                "tolerance", "pass", "context"} <= set(row)
+                "tolerance", "margin", "pass", "context"} <= set(row)
 
 
 # -- command line -----------------------------------------------------------
@@ -102,6 +102,20 @@ def _n1_payload():
     return {"model": {"N": 1, "p": 3, "p_prime": 2,
                       "kappa": [[0.0, 0.9]], "xi": [[1.1, 0.0]]},
             "seed": 1234}
+
+
+def test_report_margin_in_reports_and_cli_rows(tmp_path):
+    report = oracle.ComparisonReport("x", 0.0, 0.0, 1e-9, 2e-9, 1e-8, True)
+    assert report.margin == 2e-9 / 1e-8
+    diag = oracle.ComparisonReport("y", 0.0, 0.0, 1.0, 1.0, 0.0, True,
+                                   {"diagnostic": True})
+    assert diag.margin is None and json.loads(diag.to_json())["margin"] is None
+    out = tmp_path / "rows.json"
+    assert main(["check-algebra", "--config", _write_cfg(tmp_path, _n1_payload()),
+                 "--json", str(out)]) == 0
+    for line in out.read_text().splitlines():
+        row = json.loads(line)
+        assert row["margin"] == row["relErr"] / row["tolerance"]
 
 
 def test_cli_check_algebra_ok(tmp_path, capsys):

@@ -7,6 +7,8 @@ import pytest
 from sgsov import model_core as mc
 from sgsov import separate_states as ss
 
+from conftest import short_spectrum
+
 
 def _random_state(bundle, rng, side):
     params = bundle.params
@@ -137,13 +139,13 @@ def test_identity_resolution_eigenbasis(desk_bundles):
     tols = {"n1": 1e-10, "cfg_b": 1e-8, "cfg_a": 1e-7}
     for name, bundle in desk_bundles.items():
         d = bundle.params.dim
-        ident = ss.identity_resolution_T(bundle.states, bundle.basis)
+        ident = ss.identity_resolution_T(bundle)
         assert mc.frob(ident - np.eye(d)) <= tols[name] * d
 
 
 def test_identity_resolution_requires_full_spectrum(cfg_a):
     with pytest.raises(ss.IncompleteSpectrum):
-        ss.identity_resolution_T(cfg_a.states[:-1], cfg_a.basis)
+        ss.identity_resolution_T(short_spectrum(cfg_a, 1))
 
 
 def test_eigen_action_equals_dense_cross_pairings(cfg_a):
