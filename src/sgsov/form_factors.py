@@ -16,7 +16,7 @@ import numpy as np
 from .params import ModelParams, SgSovError
 from .sov_basis import SovBasis, cross_product, vandermonde
 from .spectrum import TransferEigenstate
-from .separate_states import (IncompleteSpectrum, _cmul, eigen_dense, phi_moments,
+from .separate_states import (IncompleteSpectrum, _cmul, phi_moments,
                               require_q_data, sector_zero, stacked_tables)
 from .local_ops import ElementaryBasisElement
 
@@ -39,11 +39,11 @@ class FormFactorResult:
     context: dict = field(default_factory=dict)
 
 
-def shift_eigenvalue(params: ModelParams, basis: SovBasis,
-                     state: TransferEigenstate, w_matrix):
-    """Eigenvalue of a chain-shift permutation on a transfer eigenstate,
-    from the materialized separate-state representation."""
-    (cov,), (vec,), _ = eigen_dense([state], basis)
+def shift_eigenvalue(sol, index: int, w_matrix):
+    """Eigenvalue of a chain-shift permutation on the eigenstate
+    ``sol.states[index]``, from its materialized separate-state
+    representation ``sol.covs[index]``, ``sol.vecs[index]``."""
+    cov, vec = sol.covs[index], sol.vecs[index]
     return complex(cov @ w_matrix @ vec) / complex(cov @ vec)
 
 

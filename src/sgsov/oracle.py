@@ -319,6 +319,11 @@ def _sov_section(s, mono, basis):
                 np.linalg.norm(got - target, axis=1)
                 / np.maximum(np.linalg.norm(target, axis=1), 1e-300))))
     s.check("left_shift_relations", worst, "sov_pattern")
+    # how close the construction came to its own bounds (reported, not asserted)
+    s.check("sov_label_mismatch", basis.label_mismatch, 0.0, diagnostic=True,
+            bound=sb.LABEL_TOL)
+    s.check("sov_calibration_residual", basis.calibration_residual, 0.0,
+            diagnostic=True, bound=sb.CALIBRATION_TOL)
 
 
 def _spectrum_section(s, sol):
@@ -686,7 +691,7 @@ def _ff_section(s, sol):
         W = lo.cyclic_shift_permutation(params, 2)
         mup = complex(params.mu_plus[0])
         for i in (0, 1):
-            phi = ffm.shift_eigenvalue(params, basis, states[i], W)
+            phi = ffm.shift_eigenvalue(sol, i, W)
             s.check(f"shift_phase_unit[{i}]", abs(abs(phi) - 1.0), "reconstruction",
                     phi=phi)
             s.check(f"shift_phase_cycle[{i}]",

@@ -163,20 +163,23 @@ class ModelParams:
                          mod_range=(0.5, 2.0)):
         """Draw generic spectral points: modulus in ``mod_range``, uniform
         argument, rejecting points within ``min_dist`` of any excluded value
-        (quantum-determinant zeros are always excluded)."""
-        excl = list(np.asarray(self.mu_plus)) + list(np.asarray(self.mu_minus))
-        excl += [complex(z) for z in np.asarray(exclude).reshape(-1)] if len(np.atleast_1d(exclude)) else []
-        excl = np.asarray(excl, dtype=complex)
+        (quantum-determinant zeros are always excluded).
+
+        Each round draws the missing points as (modulus, argument) pairs in
+        one call; the draws, the accepted points and the generator state
+        afterwards equal those of a loop that draws one pair per attempt."""
+        excl = np.concatenate([np.asarray(self.mu_plus), np.asarray(self.mu_minus),
+                               np.asarray(exclude, dtype=complex).reshape(-1)])
         out = []
-        attempts = 0
+        attempts, limit = 0, 1000 * max(count, 1)
         while len(out) < count:
-            attempts += 1
-            if attempts > 1000 * max(count, 1):
+            if attempts == limit:
                 raise SgSovError("spectral sampling failed: exclusion set too dense")
-            r = rng.uniform(*mod_range)
-            phi = rng.uniform(0.0, 2.0 * np.pi)
+            need = min(count - len(out), limit - attempts)
+            attempts += need
+            r, phi = rng.uniform([mod_range[0], 0.0], [mod_range[1], 2.0 * np.pi],
+                                 size=(need, 2)).T
             lam = r * np.exp(1j * phi)
-            if excl.size and np.min(np.abs(excl - lam)) < min_dist:
-                continue
-            out.append(complex(lam))
+            far = np.min(np.abs(excl[None, :] - lam[:, None]), axis=1) >= min_dist
+            out.extend(complex(x) for x in lam[far])
         return out

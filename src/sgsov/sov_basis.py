@@ -24,8 +24,14 @@ __all__ = [
     "GaugeInconsistency", "b_zeros", "build_sov_basis", "kappa_index",
     "inverse_kappa", "identity_resolution_sov", "measure_weights_formula",
     "mjj_formula", "b_pattern", "vandermonde", "cross_product",
-    "grid_values", "vandermonde_weights",
+    "grid_values", "vandermonde_weights", "flat_indices", "rayleigh_pairings",
+    "LABEL_TOL", "CALIBRATION_TOL",
 ]
+
+# bounds of the pattern mismatch of the B-eigenvector labeling and of the
+# worst calibration step of ``build_sov_basis``
+LABEL_TOL = 1e-8
+CALIBRATION_TOL = 1e-7
 
 
 class SimplicityViolation(SgSovError):
@@ -63,6 +69,13 @@ def inverse_kappa(j, p, n_sites):
         out.append(j0 % p + 1)
         j0 //= p
     return tuple(out)
+
+
+def flat_indices(tuples, p):
+    """0-based linear indices of 0-based label tuples along the last axis,
+    entries taken mod p, site 1 fastest: ``(h % p) @ p ** arange(N)``."""
+    h = np.asarray(tuples)
+    return (h % p) @ p ** np.arange(h.shape[-1])
 
 
 def _tuple_table(p, n_sites):
@@ -247,11 +260,17 @@ def b_pattern(params: ModelParams, grid: SovGrid, tuples, lam):
     return out
 
 
-def _label_eigenvectors(params, grid, tuples, b_ops, rng, tol=1e-8):
+def rayleigh_pairings(L, op, R):
+    """``L[i] @ op @ R[:, i]`` for every row i of ``L``, as one matrix
+    product."""
+    return np.sum(L * (op @ R).T, axis=1)
+
+
+def _label_eigenvectors(params, grid, tuples, b_ops, rng, tol=LABEL_TOL):
     """Diagonalize a random combination of the B probes and assign labels.
 
     Returns (right eigvec matrix R with columns in label order, rows of
-    R^{-1} in label order)."""
+    R^{-1} in label order, worst relative pattern mismatch)."""
     d = params.dim
     probes = len(b_ops)
     patterns = np.stack([b_pattern(params, grid, tuples, lam) for lam, _ in b_ops], axis=1)
@@ -265,7 +284,7 @@ def _label_eigenvectors(params, grid, tuples, b_ops, rng, tol=1e-8):
         # measured per-probe eigenvalues via the Rayleigh pairing l B r / l r
         measured = np.empty((d, probes), dtype=complex)
         for jp, (_, op) in enumerate(b_ops):
-            measured[:, jp] = np.einsum("ij,jk,ki->i", Linv, op, R)
+            measured[:, jp] = rayleigh_pairings(Linv, op, R)
         cost = np.linalg.norm(measured[None, :, :] - patterns[:, None, :], axis=2) \
             / pat_scale[:, None]
         row, col = linear_sum_assignment(cost)
@@ -291,13 +310,18 @@ class SovBasis:
     j-th tuple in linear order.  The constructor derives the diagonal
     pairings ``mjj``, the measure ``measure[j] = 1 / mjj[j]`` entering the
     resolution of the identity, and the gauge table ``omega``; nothing is
-    modified afterwards."""
+    modified afterwards.  ``label_mismatch`` is the worst relative mismatch
+    between measured and predicted B-eigenvalue patterns of the labeling
+    (bound ``LABEL_TOL``), ``calibration_residual`` the worst relative
+    residual of a calibration step (bound ``CALIBRATION_TOL``)."""
     params: ModelParams
     grid: SovGrid
     tuples: np.ndarray
     left: np.ndarray
     right: np.ndarray
     c_ref: complex = 1.0
+    label_mismatch: float = 0.0
+    calibration_residual: float = 0.0
     mjj: np.ndarray = field(init=False)
     measure: np.ndarray = field(init=False)
     omega: np.ndarray = field(init=False)   # omega_a(eta_a^{(h)}) = (eta_a^{(h)})^{nsep-1}
@@ -312,8 +336,7 @@ class SovBasis:
         object.__setattr__(self, "omega", _read_only(self.grid.grid[:nsep] ** (nsep - 1)))
 
     def flat_index(self, h) -> int:
-        p = self.params.p
-        return int(sum((int(x) % p) * p ** a for a, x in enumerate(h)))
+        return int(flat_indices(h, self.params.p))
 
     def shifted_index(self, j, a, delta) -> int:
         h = self.tuples[j].copy()
@@ -346,7 +369,7 @@ def _project_scale(target, raw):
 
 
 def build_sov_basis(params: ModelParams, grid: SovGrid = None, mono=None,
-                    rng=None, tol=1e-7, rel_gap=1e-6) -> SovBasis:
+                    rng=None, tol=CALIBRATION_TOL, rel_gap=1e-6) -> SovBasis:
     """Construct, label and calibrate the left and right SOV bases."""
     rng = rng if rng is not None else np.random.default_rng(0)
     mono = mono if mono is not None else mc.monodromy(params)
@@ -373,7 +396,7 @@ def build_sov_basis(params: ModelParams, grid: SovGrid = None, mono=None,
     exclude = grid.grid.reshape(-1)
     probe_pts = params.spectral_samples(rng, nsep + 1, exclude=exclude)
     b_ops = [(lam, mono.B.evaluate(lam)) for lam in probe_pts]
-    R_raw, L_raw, _ = _label_eigenvectors(params, grid, tuples, b_ops, rng)
+    R_raw, L_raw, label_mismatch = _label_eigenvectors(params, grid, tuples, b_ops, rng)
 
     # precompute generator evaluations on the grid
     d_ops = {(a, h): mono.D.evaluate(grid.grid[a, h]) for a in range(nsep) for h in range(p)}
@@ -387,13 +410,13 @@ def build_sov_basis(params: ModelParams, grid: SovGrid = None, mono=None,
 
     def _shift(j, a, delta):
         h = tuples[j].copy()
-        h[a] = (h[a] + delta) % p
-        return int(h @ p ** np.arange(params.n_sites))
+        h[a] += delta
+        return int(flat_indices(h, p))
 
     def _slice_anchor(kn):
         base = np.zeros(params.n_sites, dtype=int)
         base[-1] = kn
-        return int(base @ p ** np.arange(params.n_sites))
+        return int(flat_indices(base, p))
 
     def _even_coeffs(jb, lam):
         """Prefactors of the reference-direction shifts in the action of A."""
@@ -530,7 +553,9 @@ def build_sov_basis(params: ModelParams, grid: SovGrid = None, mono=None,
             f"calibration step residual {worst_step:.3e} exceeds {tol:.1e}; "
             "labels or parameters are degenerate")
 
-    return SovBasis(params, grid, tuples, left, right, c_ref=complex(c_ref))
+    return SovBasis(params, grid, tuples, left, right, c_ref=complex(c_ref),
+                    label_mismatch=float(label_mismatch),
+                    calibration_residual=float(worst_step))
 
 
 def grid_values(basis: SovBasis):

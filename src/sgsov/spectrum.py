@@ -12,7 +12,8 @@ import numpy as np
 
 from .params import ModelParams, SgSovError
 from . import model_core as mc
-from .sov_basis import SovBasis, DegenerateSpectrum
+from .sov_basis import (SovBasis, DegenerateSpectrum, flat_indices,
+                        rayleigh_pairings)
 
 __all__ = [
     "TransferEigenstate", "EmptyNullspace", "ZeroReference",
@@ -93,6 +94,7 @@ def diagonalize_transfer(params: ModelParams, mono=None, rng=None,
     else:
         blocks.append((None, np.arange(d)))
 
+    T1 = tpoly.evaluate(lam1)
     R = np.zeros((d, d), dtype=complex)
     col = 0
     ms = []
@@ -109,7 +111,7 @@ def diagonalize_transfer(params: ModelParams, mono=None, rng=None,
             if i == len(w) or abs(w[i] - w[start]) > 1e-6 * scale:
                 groups.append(list(range(start, i)))
                 start = i
-        T1sub = tpoly.evaluate(lam1)[np.ix_(idx, idx)]
+        T1sub = T1[np.ix_(idx, idx)]
         for g in groups:
             if len(g) > 1:
                 P = v[:, g]
@@ -123,32 +125,33 @@ def diagonalize_transfer(params: ModelParams, mono=None, rng=None,
         col += len(idx)
     L = np.linalg.inv(R)
 
+    # Rayleigh pairings l C r / l r of every state, one product per degree
     degrees = list(range(-params.n_bar, params.n_bar + 1, 2))
-    coeff_ops = {deg: tpoly.coeff(deg) for deg in degrees}
-    states = []
-    for i in range(d):
-        l, r = L[i], R[:, i]
-        norm = l @ r
-        t_coeffs = {deg: complex(l @ coeff_ops[deg] @ r / norm) for deg in degrees}
-        states.append(TransferEigenstate(t_coeffs=t_coeffs, theta_m=ms[i],
-                                         vec_right=r, vec_left=l))
+    norm = np.sum(L * R.T, axis=1)
+    vecs = np.stack([rayleigh_pairings(L, tpoly.coeff(deg), R) / norm
+                     for deg in degrees], axis=1)            # (d, len(degrees))
+    states = [TransferEigenstate(t_coeffs=dict(zip(degrees, map(complex, vecs[i]))),
+                                 theta_m=ms[i], vec_right=R[:, i], vec_left=L[i])
+              for i in range(d)]
 
-    # joint-label simplicity
-    vecs = np.array([[s.t_coeffs[deg] for deg in degrees] for s in states])
+    # joint-label simplicity: no two states of one sector share their labels
     scale = max(np.max(np.abs(vecs)), 1e-300)
-    for i in range(d):
-        for j in range(i + 1, d):
-            if states[i].theta_m == states[j].theta_m and \
-                    np.max(np.abs(vecs[i] - vecs[j])) < gap_tol * scale:
-                raise DegenerateSpectrum(
-                    f"joint labels {i} and {j} collide below {gap_tol:.1e}")
+    sector = np.array([-1 if m is None else m for m in ms])
+    gap = np.zeros((d, d))
+    for k in range(len(degrees)):
+        gap = np.maximum(gap, np.abs(vecs[:, None, k] - vecs[None, :, k]))
+    collide = np.triu(sector[:, None] == sector[None, :], 1) & (gap < gap_tol * scale)
+    if collide.any():
+        i, j = np.argwhere(collide)[0]
+        raise DegenerateSpectrum(
+            f"joint labels {i} and {j} collide below {gap_tol:.1e}")
     # residual of the eigen-relation at a fresh spectral point
     lam2 = params.spectral_samples(rng, 1)[0]
     T2 = tpoly.evaluate(lam2)
-    for s in states:
-        res = np.linalg.norm(T2 @ s.vec_right - s.t_at(lam2) * s.vec_right)
-        if res > 1e-8 * np.linalg.norm(T2) * np.linalg.norm(s.vec_right):
-            raise DegenerateSpectrum(f"eigenvector residual {res:.3e} too large")
+    res = np.linalg.norm(T2 @ R - (vecs @ np.power(lam2, degrees)) * R, axis=0)
+    bad = np.flatnonzero(res > 1e-8 * np.linalg.norm(T2) * np.linalg.norm(R, axis=0))
+    if bad.size:
+        raise DegenerateSpectrum(f"eigenvector residual {res[bad[0]]:.3e} too large")
     return states
 
 
@@ -179,24 +182,18 @@ def extract_Q_grid(state: TransferEigenstate, basis: SovBasis, tol=1e-7):
     psi = basis.left @ state.vec_right
     state.psi = psi
     j0 = int(np.argmax(np.abs(psi)))
-    if abs(psi[j0]) < 1e-13 * np.linalg.norm(state.vec_right):
+    if abs(psi[j0]) <= 1e-13 * np.linalg.norm(state.vec_right):
         raise ZeroReference("all SOV components of the eigenvector vanish")
-    anchor = basis.tuples[j0].copy()
+    anchor = basis.tuples[j0]
     nvar = params.n_sites
-    grid_ratios = np.zeros((nvar, p), dtype=complex)
-    for a in range(nvar):
-        for h in range(p):
-            tup = anchor.copy()
-            tup[a] = h
-            grid_ratios[a, h] = psi[basis.flat_index(tup)] / psi[j0]
+    # label tuples of the anchor with variable a set to h, shape (nvar, p, nvar)
+    tups = np.broadcast_to(anchor, (nvar, p, nvar)).copy()
+    tups[np.arange(nvar), :, np.arange(nvar)] = np.arange(p)
+    grid_ratios = psi[flat_indices(tups, p)] / psi[j0]
     state.q_grid = grid_ratios
     state.q_anchor = tuple(anchor)
     # factorization across the whole label set
-    predicted = np.empty(params.dim, dtype=complex)
-    for j in range(params.dim):
-        tup = basis.tuples[j]
-        val = np.prod([grid_ratios[a, tup[a]] for a in range(nvar)])
-        predicted[j] = val * psi[j0]
+    predicted = np.prod(grid_ratios[np.arange(nvar), basis.tuples], axis=1) * psi[j0]
     resid = np.max(np.abs(predicted - psi)) / max(np.max(np.abs(psi)), 1e-300)
     state.diagnostics["factorization_residual"] = float(resid)
     if resid > tol:
