@@ -370,28 +370,31 @@ def _project_scale(target, raw):
 
 def build_sov_basis(params: ModelParams, grid: SovGrid = None, mono=None,
                     rng=None, tol=CALIBRATION_TOL, rel_gap=1e-6) -> SovBasis:
-    """Construct, label and calibrate the left and right SOV bases."""
+    """Construct, label and calibrate the left and right SOV bases.
+
+    One calibration sweep serves both sides: the left covectors step through
+    D(eta) with the coefficients d, the right vectors, calibrated as rows,
+    through A(eta) with the right-gauge coefficients abar; on an even chain
+    both join the slices of the reference variable through the action of
+    A(lam)."""
     rng = rng if rng is not None else np.random.default_rng(0)
     mono = mono if mono is not None else mc.monodromy(params)
     grid = grid if grid is not None else b_zeros(params, rel_gap=rel_gap)
     p, nsep, d = params.p, params.n_separate, params.dim
+    n_ref = params.n_sites - 1
     tuples = _tuple_table(p, params.n_sites)
 
     # cycle consistency of the gauge coefficients against the average values
     abar_vals = mc.abar_coeff(params, grid.grid[:nsep])
     for a in range(nsep):
-        dprod = np.prod(grid.d_vals[a])
-        dav = mc.average_value(params, "D", grid.z[a])
-        if abs(dprod - dav) > tol * max(abs(dav), 1e-300):
-            raise GaugeInconsistency(
-                f"cycle product of the d coefficients on variable {a} "
-                f"misses the D average: {dprod} vs {dav}")
-        aprod = np.prod(abar_vals[a])
-        aav = mc.average_value(params, "A", grid.z[a])
-        if abs(aprod - aav) > tol * max(abs(aav), 1e-300):
-            raise GaugeInconsistency(
-                f"cycle product of the right-gauge coefficients on variable {a} "
-                f"misses the A average: {aprod} vs {aav}")
+        for vals, op, what in ((grid.d_vals, "D", "d coefficients"),
+                               (abar_vals, "A", "right-gauge coefficients")):
+            prod = np.prod(vals[a])
+            avg = mc.average_value(params, op, grid.z[a])
+            if abs(prod - avg) > tol * max(abs(avg), 1e-300):
+                raise GaugeInconsistency(
+                    f"cycle product of the {what} on variable {a} "
+                    f"misses the {op} average: {prod} vs {avg}")
 
     exclude = grid.grid.reshape(-1)
     probe_pts = params.spectral_samples(rng, nsep + 1, exclude=exclude)
@@ -401,11 +404,6 @@ def build_sov_basis(params: ModelParams, grid: SovGrid = None, mono=None,
     # precompute generator evaluations on the grid
     d_ops = {(a, h): mono.D.evaluate(grid.grid[a, h]) for a in range(nsep) for h in range(p)}
     a_ops = {(a, h): mono.A.evaluate(grid.grid[a, h]) for a in range(nsep) for h in range(p)}
-
-    left = np.zeros((d, d), dtype=complex)
-    right = np.zeros((d, d), dtype=complex)
-    assigned_l = np.zeros(d, dtype=bool)
-    assigned_r = np.zeros(d, dtype=bool)
     worst_step = 0.0
 
     def _shift(j, a, delta):
@@ -414,147 +412,102 @@ def build_sov_basis(params: ModelParams, grid: SovGrid = None, mono=None,
         return int(flat_indices(h, p))
 
     def _slice_anchor(kn):
-        base = np.zeros(params.n_sites, dtype=int)
-        base[-1] = kn
-        return int(flat_indices(base, p))
+        """Index of the tuple (0, ..., 0, kn)."""
+        return kn * p ** n_ref
 
-    def _even_coeffs(jb, lam):
-        """Prefactors of the reference-direction shifts in the action of A."""
-        bk = b_pattern(params, grid, tuples[jb:jb + 1], lam)[0]
-        eta_n = grid.grid[-1, tuples[jb][-1]]
-        eta_a_val = params.xi_prod / np.prod(grid.grid[np.arange(nsep), tuples[jb][:nsep]])
-        pref = bk / eta_n
-        return pref * lam / eta_a_val, pref * eta_a_val / lam
-
-    # ---- left sweep: anchor at the zero tuple, then shifts ----
-    anchor = L_raw[0] / np.linalg.norm(L_raw[0])
-    phase = anchor[np.argmax(np.abs(anchor))]
-    left[0] = anchor * (abs(phase) / phase)
-    assigned_l[0] = True
-
-    def left_even_residual(jb, lam):
-        """cov[jb] . A(lam) minus the known separate-variable shift terms."""
-        r = left[jb] @ mono.A.evaluate(lam)
+    def reference_residual(x, act, shift_vals, s, jb, lam):
+        """The action of A(lam) on x[jb] less its shifts of the separate
+        variables (by s = -1 on the left, +1 on the right), which leaves
+        r = c_+ x[jb + e_N] + c_- x[jb - e_N]; returns r and (c_+, c_-)."""
+        r = act(x[jb], mono.A.evaluate(lam))
         cw = _interp_weights(params, grid, tuples[jb], lam)
         for a in range(nsep):
-            r = r - cw[a] * grid.a_vals[a, tuples[jb][a]] * left[_shift(jb, a, -1)]
-        return r
+            r = r - cw[a] * shift_vals[a, tuples[jb][a]] * x[_shift(jb, a, s)]
+        bk = b_pattern(params, grid, tuples[jb:jb + 1], lam)[0]
+        eta_a_val = params.xi_prod / np.prod(grid.grid[np.arange(nsep), tuples[jb][:nsep]])
+        pref = bk / grid.grid[-1, tuples[jb][-1]]
+        # the lam-proportional prefactor goes with the neighbour x[jb + s e_N]
+        c_s, c_rev = pref * lam / eta_a_val, -(pref * eta_a_val / lam)
+        return r, ((c_s, c_rev) if s > 0 else (c_rev, c_s))
 
-    def left_anchor_step(kn):
-        """Targets along the reference direction: solves
-        r(lam) = c_m(lam) cov[k - e_N] - c_p(lam) cov[k + e_N]."""
-        jb = _slice_anchor(kn - 1)
-        jm = _shift(jb, params.n_sites - 1, -1)
-        jp_ = _shift(jb, params.n_sites - 1, +1)
-        lam1, lam2 = params.spectral_samples(rng, 2, exclude=exclude)
-        r1 = left_even_residual(jb, lam1)
-        c1m, c1p = _even_coeffs(jb, lam1)
-        if not assigned_l[jm]:
-            r2 = left_even_residual(jb, lam2)
-            c2m, c2p = _even_coeffs(jb, lam2)
-            det = c1m * (-c2p) - (-c1p) * c2m
-            xm = ((-c2p) * r1 - (-c1p) * r2) / det
-            xp = (c1m * r2 - c2m * r1) / det
-            return [(jm, xm), (jp_, xp)]
-        return [(jp_, -(r1 - c1m * left[jm]) / c1p)]
+    def step_up(x, act, shift_vals, s, jb, lam):
+        """x[jb + e_N] solved from the reference residual at lam, given
+        x[jb - e_N]."""
+        r, (cp, cm) = reference_residual(x, act, shift_vals, s, jb, lam)
+        return (r - cm * x[_shift(jb, n_ref, -1)]) / cp
 
-    def fill_left_slice(kn):
-        nonlocal worst_step
-        for j in range(d):
-            if assigned_l[j] or (params.even_chain and tuples[j][-1] != kn):
-                continue
-            a = next(i for i in range(nsep) if tuples[j][i] > 0)
-            jprev = _shift(j, a, -1)
-            h = tuples[jprev][a]
-            w = left[jprev] @ d_ops[(a, h)] / grid.d_vals[a, h]
-            g, res = _project_scale(w, L_raw[j])
+    def calibrate(raw, x0, act, step_ops, step_vals, shift_vals, s):
+        """Rows g_j raw[j] scaled from x[0] = x0: within a slice of the
+        reference variable each x[j] is fitted to
+        act(x[j - e_a], step_ops[a, h]) / step_vals[a, h]; on an even chain
+        the first tuple of each next slice comes from ``reference_residual``
+        (from two points where neither neighbour is known yet)."""
+        x = np.zeros((d, d), dtype=complex)
+        assigned = np.zeros(d, dtype=bool)
+        x[0], assigned[0] = x0, True
+
+        def fix(j, target):
+            nonlocal worst_step
+            g, res = _project_scale(target, raw[j])
             worst_step = max(worst_step, res)
-            left[j] = g * L_raw[j]
-            assigned_l[j] = True
+            x[j] = g * raw[j]
+            assigned[j] = True
 
-    fill_left_slice(0)
+        def fill_slice(kn):
+            for j in range(d):
+                if assigned[j] or (params.even_chain and tuples[j][-1] != kn):
+                    continue
+                a = next(i for i in range(nsep) if tuples[j][i] > 0)
+                jprev = _shift(j, a, -1)
+                h = tuples[jprev][a]
+                fix(j, act(x[jprev], step_ops[(a, h)]) / step_vals[a, h])
+
+        fill_slice(0)
+        for kn in range(1, p) if params.even_chain else ():
+            jb, jp = _slice_anchor(kn - 1), _slice_anchor(kn)
+            if not assigned[jp]:
+                jm = _shift(jb, n_ref, -1)
+                lam1, lam2 = params.spectral_samples(rng, 2, exclude=exclude)
+                if assigned[jm]:
+                    fix(jp, step_up(x, act, shift_vals, s, jb, lam1))
+                else:
+                    r1, (p1, m1) = reference_residual(x, act, shift_vals, s, jb, lam1)
+                    r2, (p2, m2) = reference_residual(x, act, shift_vals, s, jb, lam2)
+                    det = p1 * m2 - m1 * p2
+                    fix(jm, (p1 * r2 - p2 * r1) / det)
+                    fix(jp, (m2 * r1 - m1 * r2) / det)
+            fill_slice(kn)
+        return x
+
+    # left: anchored at the zero tuple with a unit-modulus largest entry
+    anchor = L_raw[0] / np.linalg.norm(L_raw[0])
+    phase = anchor[np.argmax(np.abs(anchor))]
+    left = calibrate(L_raw, anchor * (abs(phase) / phase), np.matmul,
+                     d_ops, grid.d_vals, grid.a_vals, -1)
     if params.even_chain:
-        for kn in range(1, p):
-            if not assigned_l[_slice_anchor(kn)]:
-                for jdx, vec in left_anchor_step(kn):
-                    g, res = _project_scale(vec, L_raw[jdx])
-                    worst_step = max(worst_step, res)
-                    left[jdx] = g * L_raw[jdx]
-                    assigned_l[jdx] = True
-            fill_left_slice(kn)
         # closure around the reference direction
         jb = _slice_anchor(p - 1)
         lam = params.spectral_samples(rng, 1, exclude=exclude)[0]
-        cm, cp = _even_coeffs(jb, lam)
-        r = left_even_residual(jb, lam)
-        wrap = -(r - cm * left[_shift(jb, params.n_sites - 1, -1)]) / cp
+        wrap = step_up(left, np.matmul, grid.a_vals, -1, jb, lam)
         cyc = np.linalg.norm(wrap - left[0]) / np.linalg.norm(left[0])
         if cyc > tol:
             raise GaugeInconsistency(
                 f"reference-direction cycle fails to close: residual {cyc:.3e}")
 
-    # ---- right sweep: anchored by the closed-form pairing at the zero tuple ----
+    # right: anchored by the closed-form pairing at the zero tuple
     c_ref = (grid.eta0[-1] * np.sqrt(p)) ** params.e_n
     m00 = c_ref / vandermonde(grid.grid[:nsep, 0])
-    right[:, 0] = R_raw[:, 0] * (m00 / (left[0] @ R_raw[:, 0]))
-    assigned_r[0] = True
-
-    def right_even_residual(jb, lam):
-        r = mono.A.evaluate(lam) @ right[:, jb]
-        cw = _interp_weights(params, grid, tuples[jb], lam)
-        for a in range(nsep):
-            r = r - cw[a] * abar_vals[a, tuples[jb][a]] * right[:, _shift(jb, a, +1)]
-        return r
-
-    def right_anchor_step(kn):
-        """Solves r(lam) = c_p(lam) vec[k + e_N] - c_m(lam) vec[k - e_N]."""
-        jb = _slice_anchor(kn - 1)
-        jm = _shift(jb, params.n_sites - 1, -1)
-        jp_ = _shift(jb, params.n_sites - 1, +1)
-        lam1, lam2 = params.spectral_samples(rng, 2, exclude=exclude)
-        r1 = right_even_residual(jb, lam1)
-        c1p, c1m = _even_coeffs(jb, lam1)
-        if not assigned_r[jm]:
-            r2 = right_even_residual(jb, lam2)
-            c2p, c2m = _even_coeffs(jb, lam2)
-            det = c1p * (-c2m) - (-c1m) * c2p
-            xp = ((-c2m) * r1 - (-c1m) * r2) / det
-            xm = (c1p * r2 - c2p * r1) / det
-            return [(jp_, xp), (jm, xm)]
-        return [(jp_, (r1 + c1m * right[:, jm]) / c1p)]
-
-    def fill_right_slice(kn):
-        nonlocal worst_step
-        for j in range(d):
-            if assigned_r[j] or (params.even_chain and tuples[j][-1] != kn):
-                continue
-            a = next(i for i in range(nsep) if tuples[j][i] > 0)
-            jprev = _shift(j, a, -1)
-            h = tuples[jprev][a]
-            w = a_ops[(a, h)] @ right[:, jprev] / abar_vals[a, h]
-            g, res = _project_scale(w, R_raw[:, j])
-            worst_step = max(worst_step, res)
-            right[:, j] = g * R_raw[:, j]
-            assigned_r[j] = True
-
-    fill_right_slice(0)
-    if params.even_chain:
-        for kn in range(1, p):
-            if not assigned_r[_slice_anchor(kn)]:
-                for jdx, vec in right_anchor_step(kn):
-                    g, res = _project_scale(vec, R_raw[:, jdx])
-                    worst_step = max(worst_step, res)
-                    right[:, jdx] = g * R_raw[:, jdx]
-                    assigned_r[jdx] = True
-            fill_right_slice(kn)
+    raw = R_raw.T
+    right = calibrate(raw, raw[0] * (m00 / (left[0] @ raw[0])), lambda v, M: M @ v,
+                      a_ops, abar_vals, abar_vals, +1)
 
     if worst_step > tol:
         raise GaugeInconsistency(
             f"calibration step residual {worst_step:.3e} exceeds {tol:.1e}; "
             "labels or parameters are degenerate")
 
-    return SovBasis(params, grid, tuples, left, right, c_ref=complex(c_ref),
-                    label_mismatch=float(label_mismatch),
+    return SovBasis(params, grid, tuples, left, np.ascontiguousarray(right.T),
+                    c_ref=complex(c_ref), label_mismatch=float(label_mismatch),
                     calibration_residual=float(worst_step))
 
 

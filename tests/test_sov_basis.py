@@ -7,7 +7,9 @@ import pytest
 from sgsov import model_core as mc
 from sgsov import sov_basis as sb
 
-from conftest import n1_params, cfg_a_params
+from sgsov.params import ModelParams
+
+from conftest import SEED, n1_params, cfg_a_params
 
 
 def test_kappa_index_corners():
@@ -206,6 +208,21 @@ def test_reference_shift_closes_cycle(cfg_b):
         got = basis.left[j] @ theta
         ref = basis.left[basis.shifted_index(j, params.n_sites - 1, -1)]
         assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_reference_shift_on_both_sides(p):
+    # on vectors the charge is the unit raising shift.  The sweeps reach the
+    # slices k_N = 1 and p - 1 by the two-point solve and, from p = 5 on,
+    # the slices in between by the one-sided step; p = 3 is cfg_b
+    params = ModelParams(2, p, 2, kappa=[1.1j, 0.8j], xi=[1.0, 1.3])
+    basis = sb.build_sov_basis(params, rng=np.random.default_rng(SEED))
+    theta = mc.theta_charge(params)
+    for j in range(params.dim):
+        down = basis.left[basis.shifted_index(j, 1, -1)]
+        up = basis.right[:, basis.shifted_index(j, 1, +1)]
+        assert np.linalg.norm(basis.left[j] @ theta - down) <= 1e-8 * np.linalg.norm(down)
+        assert np.linalg.norm(theta @ basis.right[:, j] - up) <= 1e-8 * np.linalg.norm(up)
 
 
 def test_label_shifts_invert_and_close(cfg_a):
