@@ -13,7 +13,7 @@ import numpy as np
 from .params import ModelParams, DegenerateKappa, SgSovError
 from . import model_core as mc
 from .model_core import Monodromy
-from .sov_basis import SovBasis, cross_product, grid_values, _read_only
+from .sov_basis import SovBasis, cross_product, grid_values, sov_diagonal, _read_only
 
 __all__ = [
     "SingularMatrix", "ShiftedMonodromy", "ElementaryOp", "ElementaryBasisElement",
@@ -276,7 +276,7 @@ def binvA_power_sov(params: ModelParams, basis: SovBasis, k: int, lam,
                     coeffs *= 1.0 / (eta_v * q ** h / eta_i - eta_i / (eta_v * q ** h))
         # operator with left action <y_j| -> coeff_j <y_{j - alpha}|
         target = ((tup - np.asarray(alphas)) % p) @ p ** np.arange(nsep)
-        out += (basis.right * (multi * kpref * coeffs * basis.measure)) @ basis.left[target]
+        out += sov_diagonal(basis, multi * kpref * coeffs, target)
     return out
 
 
@@ -328,8 +328,7 @@ class ElementaryOp:
 
 def eta_diag_operator(basis: SovBasis, a: int, power: int = 1):
     """Operator diagonal in the SOV basis with eigenvalue eta_a^{(k_a)}^power."""
-    vals = basis.grid.grid[a, basis.tuples[:, a]] ** power
-    return (basis.right * (vals * basis.measure)[None, :]) @ basis.left
+    return sov_diagonal(basis, basis.grid.grid[a, basis.tuples[:, a]] ** power)
 
 
 def eta_ref_operator(basis: SovBasis, power: int = 1):
@@ -340,8 +339,7 @@ def eta_ref_operator(basis: SovBasis, power: int = 1):
 def eta_interp_operator(basis: SovBasis, power: int = 1):
     """Diagonal operator with eigenvalue (prod xi / prod_{a<=nsep} eta_a)^power."""
     params = basis.params
-    vals = (params.xi_prod / np.prod(grid_values(basis), axis=1)) ** power
-    return (basis.right * (vals * basis.measure)[None, :]) @ basis.left
+    return sov_diagonal(basis, (params.xi_prod / np.prod(grid_values(basis), axis=1)) ** power)
 
 
 def elementary_O(params: ModelParams, basis: SovBasis, a: int, k: int,

@@ -25,6 +25,7 @@ __all__ = [
     "inverse_kappa", "identity_resolution_sov", "measure_weights_formula",
     "mjj_formula", "b_pattern", "vandermonde", "cross_product",
     "grid_values", "vandermonde_weights", "flat_indices", "rayleigh_pairings",
+    "sov_diagonal",
     "LABEL_TOL", "CALIBRATION_TOL",
 ]
 
@@ -536,6 +537,13 @@ def measure_weights_formula(basis: SovBasis):
     return vandermonde_weights(basis) / basis.c_ref
 
 
+def sov_diagonal(basis: SovBasis, weights=1.0, rows=slice(None)):
+    """sum_j weights[j] |j><rows[j]| / <j|j>: the operator taking the
+    covector <j| to weights[j] <rows[j]|, diagonal in the SOV basis for the
+    default ``rows``."""
+    return (basis.right * (weights * basis.measure)) @ basis.left[rows]
+
+
 def identity_resolution_sov(basis: SovBasis):
     """Sum of measure-weighted outer products; equals the identity."""
-    return (basis.right * basis.measure[None, :]) @ basis.left
+    return sov_diagonal(basis)
