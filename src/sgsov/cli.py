@@ -102,6 +102,45 @@ def load_config(path):
     return params, seed, dict(tolerances)
 
 
+def _site_arg(text, params, what):
+    """An integer site index in 1..N."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise ConfigError(f"{what}: site must be an integer, got {text!r}")
+    if not 1 <= n <= params.n_sites:
+        raise ConfigError(f"{what}: site {n} out of range 1..{params.n_sites}")
+    return n
+
+
+def _parse_op(token, params):
+    """('v2' or 'u', site) of one ``--ops`` token such as 'u1' or 'v21'."""
+    token = token.strip()
+    for name in ("v2", "u"):
+        if token.startswith(name):
+            return name, _site_arg(token[len(name):], params, f"--ops token '{token}'")
+    raise ConfigError(f"unknown operator token '{token}'")
+
+
+def _parse_factors(text, params):
+    """The ``--factors`` string 'a:k:alpha,...' (1-based variable a) as
+    0-based (a, k, alpha) triples with a in 1..n_separate strictly
+    ascending, k in 0..p-1 and alpha in 1..p."""
+    factors = []
+    for part in text.split(",") if text else []:
+        try:
+            a, k, alpha = (int(x) for x in part.split(":"))
+        except ValueError:
+            raise ConfigError(f"--factors: '{part}' is not three integers a:k:alpha")
+        if not (1 <= a <= params.n_separate and 0 <= k < params.p and 1 <= alpha <= params.p):
+            raise ConfigError(f"--factors: '{part}' needs a in 1..{params.n_separate}, "
+                              f"k in 0..{params.p - 1} and alpha in 1..{params.p}")
+        if factors and a - 1 <= factors[-1][0]:
+            raise ConfigError("--factors: variables must be strictly ascending")
+        factors.append((a - 1, k, alpha))
+    return factors
+
+
 def fmt_complex(z):
     z = complex(z)
     return f"{z.real:.12g}{z.imag:+.12g}j"
@@ -238,17 +277,12 @@ def cmd_ff(params, seed, tolerances, writer, kind, site, factors, ops):
                              "pass": passed})
     elif kind == "npoint":
         mats = []
-        for tok in ops:
-            tok = tok.strip()
-            if tok.startswith("v2"):
-                n = int(tok[2:])
+        for name, n in (_parse_op(tok, params) for tok in ops):
+            if name == "v2":
                 mats.append(lo.reconstruct_v2k(params, n, 1))
-            elif tok.startswith("u"):
-                n = int(tok[1:])
+            else:
                 mats.append(mc.site_embed(params, n, mc.weyl_generators(
                     params.p, params.u[n - 1], params.v[n - 1], params.p_prime)[0]))
-            else:
-                raise ConfigError(f"unknown operator token '{tok}'")
         dense_prod = np.eye(d, dtype=complex)
         for m in mats:
             dense_prod = dense_prod @ m
@@ -301,6 +335,14 @@ def main(argv=None):
         params, seed, tolerances = load_config(args.config)
         if args.tol is not None and not 0 < args.tol < np.inf:
             raise ConfigError(f"--tol must be a finite positive number, got {args.tol}")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
+        if args.command == "ff":
+            _site_arg(args.site, params, "--site")
+            factors = _parse_factors(args.factors, params)
+            ops = args.ops.split(",") if args.ops else []
+            for tok in ops:
+                _parse_op(tok, params)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -319,12 +361,6 @@ def main(argv=None):
         if args.command == "spectrum":
             return cmd_spectrum(params, seed, tolerances, writer)
         if args.command == "ff":
-            factors = []
-            if args.factors:
-                for part in args.factors.split(","):
-                    a, k, alpha = (int(x) for x in part.split(":"))
-                    factors.append((a - 1, k, alpha))
-            ops = args.ops.split(",") if args.ops else []
             return cmd_ff(params, seed, tolerances, writer, args.kind, args.site, factors, ops)
         return EXIT_BAD_CONFIG
     except ConfigError as exc:

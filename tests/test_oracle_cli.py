@@ -243,3 +243,25 @@ def test_bad_tolerance_or_seed_rejected_at_load(tmp_path, capsys, payload, argv)
     assert main(["verify-all", "--config", cfg] + argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "config error" in captured.err
+
+
+def _cfg_b_payload():
+    return {"model": {"N": 2, "p": 3, "p_prime": 2,
+                      "kappa": [[0.0, 1.1], [0.0, 0.8]], "xi": [[1.0, 0.0], [1.3, 0.0]]},
+            "seed": 1234}
+
+
+@pytest.mark.parametrize("payload, argv", [
+    (_n1_payload(), ["verify-all", "--seed", "-3"]),
+    (_n1_payload(), ["ff", "--site", "0"]),
+    (_n1_payload(), ["ff", "--site", "5"]),
+    (_cfg_b_payload(), ["ff", "--kind", "elementary", "--factors", "1:2"]),
+    (_cfg_b_payload(), ["ff", "--kind", "elementary", "--factors", "9:0:1"]),
+    (_cfg_b_payload(), ["ff", "--kind", "elementary", "--factors", "2:0:1,1:0:1"]),
+    (_n1_payload(), ["ff", "--kind", "npoint", "--ops", "u9"]),
+], ids=["seed-negative", "site-0", "site-5", "factor-two-fields", "factor-variable",
+        "factors-descending", "op-site"])
+def test_bad_arguments_rejected_before_computation(tmp_path, capsys, payload, argv):
+    assert main(argv + ["--config", _write_cfg(tmp_path, payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error" in captured.err
