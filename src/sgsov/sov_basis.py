@@ -197,22 +197,23 @@ def b_zeros(params: ModelParams, rel_gap=1e-6) -> SovGrid:
     ``rel_gap`` is the minimal admissible separation of two zeros relative
     to the largest zero modulus."""
     nsep = params.n_separate
-    # Laurent coefficients of the averaged B entry from the 2x2 route:
-    # sample at n_bar+1 circles is overkill; evaluate on enough points and
-    # solve the small Vandermonde for coefficients of Lambda^{-nsep..nsep}.
+    # Laurent coefficients of the averaged B entry from the 2x2 route: solve
+    # the small Vandermonde for the coefficients of Lambda^{-nsep..nsep}.  The
+    # entry has the parity of nsep, so nodes +-Lambda carry the same
+    # information; the nodes are spread over a half circle, distinct in
+    # Lambda^2, which keeps the system well conditioned.
     degs = np.arange(-nsep, nsep + 1, 2)
-    pts = 1.3 * np.exp(2j * np.pi * np.arange(len(degs)) / len(degs)) if len(degs) > 1 \
-        else np.array([1.3 + 0j])
+    pts = 1.3 * np.exp(1j * np.pi * (np.arange(len(degs)) + 0.37) / len(degs))
     vals = np.array([mc.average_monodromy(params, L)[0, 1] for L in pts])
     V = pts[:, None] ** degs[None, :]
     coeffs = np.linalg.solve(V, vals)
     # polynomial in x = Lambda^2 of degree nsep: roots are the squared zeros
     poly = coeffs[::-1]  # highest Lambda power first
-    roots_sq = np.roots(poly) if nsep > 0 else np.array([])
+    roots_sq = np.roots(poly)
     order = np.lexsort((np.round(roots_sq.imag, 10), np.round(roots_sq.real, 10)))
     roots_sq = roots_sq[order]
     z = np.sqrt(roots_sq.astype(complex))
-    scale = max(np.max(np.abs(z)) if z.size else 1.0, 1e-300)
+    scale = max(np.max(np.abs(z)), 1e-300)
     gap = rel_gap * scale
     for a in range(nsep):
         for b in range(a + 1, nsep):
@@ -230,7 +231,7 @@ def b_zeros(params: ModelParams, rel_gap=1e-6) -> SovGrid:
         # overall sign of the factorized form fixes the sign of one root
         probe = 1.7 + 0.3j
         fac = kprod_p * np.prod(probe / z - z / probe)
-        actual = np.polyval(poly, probe ** 2) / probe ** nsep if nsep else coeffs[0]
+        actual = np.polyval(poly, probe ** 2) / probe ** nsep
         ratio = actual / fac
         if abs(ratio - 1) > abs(ratio + 1):
             z[-1] = -z[-1]

@@ -210,6 +210,25 @@ def test_reference_shift_closes_cycle(cfg_b):
         assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
+def test_b_zeros_well_conditioned_on_long_chain(monkeypatch):
+    # the Laurent fit of the averaged B entry must not rest on a singular
+    # Vandermonde; with nodes paired as +-Lambda an N=5 chain lost the
+    # conjugate pairing of its zeros
+    conds = []
+    solve = np.linalg.solve
+
+    def recording_solve(a, b):
+        conds.append(np.linalg.cond(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    params = ModelParams(5, 3, 2, kappa=[1.1j, 1.3j, 0.7j, 0.9j, 1.2j],
+                         xi=[1.0, 1.2, 0.9, 1.1, 0.8])
+    grid = sb.b_zeros(params)
+    assert grid.z.shape == (5,)
+    assert conds and max(conds) < 1e10
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_reference_shift_on_both_sides(p):
     # on vectors the charge is the unit raising shift.  The sweeps reach the
