@@ -197,11 +197,9 @@ def b_zeros(params: ModelParams, rel_gap=1e-6) -> SovGrid:
     ``rel_gap`` is the minimal admissible separation of two zeros relative
     to the largest zero modulus."""
     nsep = params.n_separate
-    # Laurent coefficients of the averaged B entry from the 2x2 route: solve
-    # the small Vandermonde for the coefficients of Lambda^{-nsep..nsep}.  The
-    # entry has the parity of nsep, so nodes +-Lambda carry the same
-    # information; the nodes are spread over a half circle, distinct in
-    # Lambda^2, which keeps the system well conditioned.
+    # Laurent coefficients of the averaged B entry, of the parity of nsep, by
+    # a Vandermonde solve for Lambda^{-nsep..nsep}; nodes +-Lambda would make
+    # it singular, so they lie on a half circle, distinct in Lambda^2
     degs = np.arange(-nsep, nsep + 1, 2)
     pts = 1.3 * np.exp(1j * np.pi * (np.arange(len(degs)) + 0.37) / len(degs))
     vals = np.array([mc.average_monodromy(params, L)[0, 1] for L in pts])
@@ -372,18 +370,15 @@ def _project_scale(target, raw):
 
 def build_sov_basis(params: ModelParams, grid: SovGrid = None, mono=None,
                     rng=None, tol=CALIBRATION_TOL, rel_gap=1e-6) -> SovBasis:
-    """Construct, label and calibrate the left and right SOV bases.
-
-    One calibration sweep serves both sides: the left covectors step through
-    D(eta) with the coefficients d, the right vectors, calibrated as rows,
-    through A(eta) with the right-gauge coefficients abar; on an even chain
-    both join the slices of the reference variable through the action of
-    A(lam)."""
+    """Construct, label and calibrate the left and right SOV bases, both by
+    one calibration sweep: covectors step through D(eta) with d, vectors
+    (calibrated as rows) through A(eta) with abar."""
     rng = rng if rng is not None else np.random.default_rng(0)
     mono = mono if mono is not None else mc.monodromy(params)
     grid = grid if grid is not None else b_zeros(params, rel_gap=rel_gap)
     p, nsep, d = params.p, params.n_separate, params.dim
     n_ref = params.n_sites - 1
+    ref_stride = p ** n_ref           # index of the tuple (0, ..., 0, 1)
     tuples = _tuple_table(p, params.n_sites)
 
     # cycle consistency of the gauge coefficients against the average values
@@ -412,10 +407,6 @@ def build_sov_basis(params: ModelParams, grid: SovGrid = None, mono=None,
         h = tuples[j].copy()
         h[a] += delta
         return int(flat_indices(h, p))
-
-    def _slice_anchor(kn):
-        """Index of the tuple (0, ..., 0, kn)."""
-        return kn * p ** n_ref
 
     def reference_residual(x, act, shift_vals, s, jb, lam):
         """The action of A(lam) on x[jb] less its shifts of the separate
@@ -466,7 +457,7 @@ def build_sov_basis(params: ModelParams, grid: SovGrid = None, mono=None,
 
         fill_slice(0)
         for kn in range(1, p) if params.even_chain else ():
-            jb, jp = _slice_anchor(kn - 1), _slice_anchor(kn)
+            jb, jp = (kn - 1) * ref_stride, kn * ref_stride
             if not assigned[jp]:
                 jm = _shift(jb, n_ref, -1)
                 lam1, lam2 = params.spectral_samples(rng, 2, exclude=exclude)
@@ -488,7 +479,7 @@ def build_sov_basis(params: ModelParams, grid: SovGrid = None, mono=None,
                      d_ops, grid.d_vals, grid.a_vals, -1)
     if params.even_chain:
         # closure around the reference direction
-        jb = _slice_anchor(p - 1)
+        jb = (p - 1) * ref_stride
         lam = params.spectral_samples(rng, 1, exclude=exclude)[0]
         wrap = step_up(left, np.matmul, grid.a_vals, -1, jb, lam)
         cyc = np.linalg.norm(wrap - left[0]) / np.linalg.norm(left[0])
@@ -539,9 +530,8 @@ def measure_weights_formula(basis: SovBasis):
 
 
 def sov_diagonal(basis: SovBasis, weights=1.0, rows=slice(None)):
-    """sum_j weights[j] |j><rows[j]| / <j|j>: the operator taking the
-    covector <j| to weights[j] <rows[j]|, diagonal in the SOV basis for the
-    default ``rows``."""
+    """sum_j weights[j] |j><rows[j]| / <j|j>, taking the covector <j| to
+    weights[j] <rows[j]|; diagonal in the SOV basis for the default rows."""
     return (basis.right * (weights * basis.measure)) @ basis.left[rows]
 
 
