@@ -10,13 +10,14 @@ from sgsov.model_core import rel_err
 
 params = ModelParams(3, 3, 2, kappa=[1.1j, 1.3j, 0.7j], xi=[1.0, 1.2, 0.9])
 sol = prepare(params, seed=5)
-mono, basis = sol.mono, sol.basis
+basis = sol.basis
 
 print("inverse problem: reconstructed local operators vs embedded generators")
 for n in (1, 2, 3):
+    frame = sol.frame(n)   # the site-n reordered monodromy and its solves
     U, V = weyl_generators(params.p, params.u[n - 1], params.v[n - 1], params.p_prime)
-    err_u = rel_err(reconstruct_u(params, n), site_embed(params, n, U))
-    err_v = rel_err(reconstruct_v2k(params, n, 1),
+    err_u = rel_err(reconstruct_u(params, n, 1, frame), site_embed(params, n, U))
+    err_v = rel_err(reconstruct_v2k(params, n, 1, frame),
                     site_embed(params, n, np.diag(np.diag(V) ** 2)))
     print(f"  site {n}: shift generator {err_u:.1e}   clock squared {err_v:.1e}")
 
@@ -35,7 +36,7 @@ for i in range(27):
 print(f"  all {27 * 27} pairs agree; worst relative deviation = {worst:.2e}")
 
 elem = ElementaryBasisElement(((0, 1, 1), (1, 2, 1)))
-dense_op = elem.to_dense(params, basis, mono)
+dense_op = elem.to_dense(params, basis, sol.elementary_ops)
 det = ff_elementary(params, basis, states[3], states[11], elem).value
 dense = covs[3] @ dense_op @ vecs[11]
 print(f"\ntwo-variable elementary monomial between states 3 and 11:")

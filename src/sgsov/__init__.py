@@ -30,7 +30,7 @@ from .separate_states import (SeparateState, IncompleteSpectrum, materialize,
                               identity_resolution_T,
                               attach_q_data, eigenstate_separate_states,
                               eigen_dense, Solution, prepare)
-from .local_ops import (SingularMatrix, ShiftedMonodromy, ElementaryOp,
+from .local_ops import (SingularMatrix, ShiftedMonodromy,
                         ElementaryBasisElement, shifted_monodromy,
                         reconstruct_u, reconstruct_alpha0, reconstruct_beta,
                         reconstruct_v2k, q_number, q_factorial, q_multinomial,

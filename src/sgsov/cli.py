@@ -236,7 +236,7 @@ def cmd_ff(params, seed, tolerances, writer, kind, site, factors, ops):
     tol = dict(oracle.DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
     sol = ss.prepare(params, seed, tolerances)
-    mono, basis, states = sol.mono, sol.basis, sol.states
+    basis, states = sol.basis, sol.states
     covs, vecs, norms = sol.covs, sol.vecs, sol.norms
     d = params.dim
     ok = True
@@ -255,7 +255,7 @@ def cmd_ff(params, seed, tolerances, writer, kind, site, factors, ops):
                                            shift_ratio=ratio)
         else:
             elem = lo.ElementaryBasisElement(tuple(factors))
-            dense_op = elem.to_dense(params, basis, mono)
+            dense_op = elem.to_dense(params, basis, sol.elementary_ops)
             op_scale, tol_key = max(np.linalg.norm(dense_op), 1e-300) / d, "ff_elementary"
             res = [[ffm.ff_elementary(params, basis, bra, ket, elem) for ket in states]
                    for bra in states]
@@ -279,7 +279,7 @@ def cmd_ff(params, seed, tolerances, writer, kind, site, factors, ops):
         mats = []
         for name, n in (_parse_op(tok, params) for tok in ops):
             if name == "v2":
-                mats.append(lo.reconstruct_v2k(params, n, 1))
+                mats.append(lo.reconstruct_v2k(params, n, 1, sol.frame(n)))
             else:
                 mats.append(mc.site_embed(params, n, mc.weyl_generators(
                     params.p, params.u[n - 1], params.v[n - 1], params.p_prime)[0]))

@@ -16,7 +16,7 @@ from .model_core import Monodromy
 from .sov_basis import SovBasis, cross_product, grid_values, sov_diagonal, _read_only
 
 __all__ = [
-    "SingularMatrix", "ShiftedMonodromy", "ElementaryOp", "ElementaryBasisElement",
+    "SingularMatrix", "ShiftedMonodromy", "ElementaryBasisElement",
     "shifted_monodromy", "reconstruct_u", "reconstruct_u_via_dc",
     "reconstruct_alpha0", "reconstruct_beta", "beta_target", "beta_sum_target",
     "reconstruct_v2k", "v_power_target",
@@ -317,15 +317,6 @@ def v2k_shift_sums(params: ModelParams, basis: SovBasis, ks, mono: Monodromy = N
 # Elementary shift operators
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ElementaryOp:
-    """Normalized product of B evaluations and one A evaluation acting as a
-    weighted lowering shift on a single separate variable."""
-    a: int          # separate-variable index, 0-based
-    k: int          # grid index, 0-based
-    matrix: np.ndarray
-
-
 def eta_diag_operator(basis: SovBasis, a: int, power: int = 1):
     """Operator diagonal in the SOV basis with eigenvalue eta_a^{(k_a)}^power."""
     return sov_diagonal(basis, basis.grid.grid[a, basis.tuples[:, a]] ** power)
@@ -343,8 +334,11 @@ def eta_interp_operator(basis: SovBasis, power: int = 1):
 
 
 def elementary_O(params: ModelParams, basis: SovBasis, a: int, k: int,
-                 mono: Monodromy = None) -> ElementaryOp:
-    """Elementary lowering operator on variable ``a`` at grid index ``k``."""
+                 mono: Monodromy = None) -> np.ndarray:
+    """Elementary lowering operator O_{a,k} on variable ``a`` at grid index
+    ``k``: the normalized product of p-1 B evaluations and one A evaluation,
+    a weighted lowering shift of that separate variable.  A prepared
+    ``Solution`` holds the whole family as ``elementary_ops``."""
     nsep = params.n_separate
     if not 0 <= a < nsep or not 0 <= k < params.p:
         raise IndexError("variable or grid index out of range")
@@ -357,17 +351,18 @@ def elementary_O(params: ModelParams, basis: SovBasis, a: int, k: int,
     op = op / (params.p * params.kprod ** (params.p - 1) * cross_product(z[a], z[:nsep], a))
     if params.even_chain:
         op = op @ eta_ref_operator(basis, -(params.p - 1))
-    return ElementaryOp(a, k, op)
+    return op
 
 
-def elementary_O_power(params: ModelParams, basis: SovBasis, a: int, k: int,
-                       alpha: int, mono: Monodromy = None):
-    """Descending product O_{a,k} O_{a,k-1} ... of length alpha."""
+def elementary_O_power(ops, a: int, k: int, alpha: int):
+    """Descending product O_{a,k} O_{a,k-1} ... of length alpha, read from
+    the table ``ops[a, k]`` = O_{a,k} of shape (nsep, p, d, d)."""
     if alpha < 1:
         raise IndexError("power must be >= 1")
-    out = np.eye(params.dim, dtype=complex)
+    p, d = ops.shape[1], ops.shape[-1]
+    out = np.eye(d, dtype=complex)
     for j in range(alpha):
-        out = out @ elementary_O(params, basis, a, (k - j) % params.p, mono).matrix
+        out = out @ ops[a, (k - j) % p]
     return out
 
 
@@ -382,13 +377,11 @@ def o_action_weight(params: ModelParams, basis: SovBasis, a: int, k: int, j: int
     return complex(basis.grid.a_vals[a, k] / cross_product(vals[a], vals, a))
 
 
-def binvA_interpolation(params: ModelParams, basis: SovBasis, lam,
-                        mono: Monodromy = None):
-    """Reassemble B^{-1}(lam) A(lam) from the elementary operators through
-    the pole expansion over the separate-variable grid (plus the charge term
-    on even chains, where the charge acts on SOV labels as the unit shift of
-    the reference variable)."""
-    mono = mono if mono is not None else mc.monodromy(params)
+def binvA_interpolation(params: ModelParams, basis: SovBasis, lam, ops):
+    """Reassemble B^{-1}(lam) A(lam) from the elementary operators
+    ``ops[a, k]`` = O_{a,k} through the pole expansion over the
+    separate-variable grid (plus the charge term on even chains, where the
+    charge acts on SOV labels as the unit shift of the reference variable)."""
     lam = complex(lam)
     d = params.dim
     out = np.zeros((d, d), dtype=complex)
@@ -396,8 +389,7 @@ def binvA_interpolation(params: ModelParams, basis: SovBasis, lam,
     for a in range(params.n_separate):
         for k in range(params.p):
             eta = grid[a, k]
-            out += elementary_O(params, basis, a, k, mono).matrix \
-                / (lam / eta - eta / lam)
+            out += ops[a, k] / (lam / eta - eta / lam)
     out = out / params.kprod
     if params.even_chain:
         out = eta_ref_operator(basis, -1) @ out
@@ -486,7 +478,9 @@ class ElementaryBasisElement:
     def total_power(self):
         return sum(f[2] for f in self.factors)
 
-    def to_dense(self, params: ModelParams, basis: SovBasis, mono=None):
+    def to_dense(self, params: ModelParams, basis: SovBasis, ops):
+        """Dense operator of the monomial, its factors read from the table
+        ``ops[a, k]`` = O_{a,k}."""
         out = np.eye(params.dim, dtype=complex)
         if params.even_chain and (self.theta_pow or self.theta_a_pow):
             theta = mc.theta_charge(params)
@@ -495,7 +489,7 @@ class ElementaryBasisElement:
                 theta @ eta_interp_operator(basis, -1), self.theta_a_pow)
             out = pre @ mid
         for a, k, alpha in self.factors:
-            out = out @ elementary_O_power(params, basis, a, k, alpha, mono)
+            out = out @ elementary_O_power(ops, a, k, alpha)
         return out
 
 

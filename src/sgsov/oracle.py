@@ -159,7 +159,7 @@ def verify_solution(sol: ss.Solution, tolerances=None, sections=None):
     if want("scalar"):
         _scalar_section(s, sol)
     if want("local"):
-        _local_section(s, sol.mono, sol.basis)
+        _local_section(s, sol)
     if want("ff"):
         _ff_section(s, sol)
     return s.reports
@@ -470,12 +470,13 @@ def _scalar_section(s, sol):
         s.check("hermitian_dual", worst, "hermitian_dual")
 
 
-def _local_section(s, mono, basis):
+def _local_section(s, sol):
     params = s.params
+    mono, basis = sol.mono, sol.basis
     d = params.dim
     p = params.p
     rng = s.rng(50)
-    frames = [lo.shifted_monodromy(params, n) for n in range(1, params.n_sites + 1)]
+    frames = [sol.frame(n) for n in range(1, params.n_sites + 1)]
     for n, sh in enumerate(frames, start=1):
         U = mc.weyl_generators(p, params.u[n - 1], params.v[n - 1], params.p_prime)[0]
         for k in (1, p - 1):
@@ -559,14 +560,13 @@ def _local_section(s, mono, basis):
         total += term
     s.check("q_sum_identity",
             abs(total - lo.q_number(params.q, sum(alphas))), "qcombinatorics")
-    # elementary operators, built once: ops[a][k] = O_{a,k}
+    # elementary operators: ops[a, k] = O_{a,k}
     nsep = params.n_separate
-    ops = [[lo.elementary_O(params, basis, a, k, mono).matrix for k in range(p)]
-           for a in range(nsep)]
+    ops = sol.elementary_ops
     worst = 0.0
     for a in range(nsep):
         for k in range(p):
-            O = ops[a][k]
+            O = ops[a, k]
             sc = np.linalg.norm(O)
             for j in range(d):
                 got = basis.left[j] @ O
@@ -578,8 +578,8 @@ def _local_section(s, mono, basis):
     worst_zero, worst_cons = 0.0, 1.0
     for k in range(p):
         for h in range(p):
-            prod = ops[0][k] @ ops[0][h]
-            sc = np.linalg.norm(ops[0][k]) * np.linalg.norm(ops[0][h])
+            prod = ops[0, k] @ ops[0, h]
+            sc = np.linalg.norm(ops[0, k]) * np.linalg.norm(ops[0, h])
             if (h - k) % p == p - 1:
                 worst_cons = min(worst_cons, np.linalg.norm(prod) / sc)
             else:
@@ -589,14 +589,14 @@ def _local_section(s, mono, basis):
             0.0 if worst_cons > 1e-6 else 1.0, "elementary")
     z = basis.grid.z[:nsep]
     for a in range(nsep):
-        lhs = lo.elementary_O_power(params, basis, a, 1, p + 1, mono)
+        lhs = lo.elementary_O_power(ops, a, 1, p + 1)
         scal = mc.average_value(params, "A", z[a]) / sb.cross_product(z[a], z, a)
-        s.check(f"elementary_cycle[{a}]", mc.rel_err(lhs, scal * ops[a][1]), "elementary")
+        s.check(f"elementary_cycle[{a}]", mc.rel_err(lhs, scal * ops[a, 1]), "elementary")
     if nsep >= 2:
         worst = 0.0
         for k in range(p):
             for h in range(p):
-                Oa, Ob = ops[0][k], ops[1][h]
+                Oa, Ob = ops[0, k], ops[1, h]
                 ratio = lo._exchange_ratio(basis, 0, k, 1, h)
                 lhs, rhs = Oa @ Ob, ratio * (Ob @ Oa)
                 worst = max(worst, mc.rel_err(lhs, rhs,
@@ -606,14 +606,14 @@ def _local_section(s, mono, basis):
         scal, ordered = lo.reduce_O_monomial(params, basis, seq)
         dense_in = np.eye(d, dtype=complex)
         for a, k in seq:
-            dense_in = dense_in @ ops[a][k]
+            dense_in = dense_in @ ops[a, k]
         dense_out = np.eye(d, dtype=complex)
         for a, k in ordered:
-            dense_out = dense_out @ ops[a][k]
+            dense_out = dense_out @ ops[a, k]
         s.check("monomial_reduction", mc.rel_err(dense_in, scal * dense_out), "elementary")
     if params.even_chain:
         etaA = lo.eta_interp_operator(basis, 1)
-        O = ops[0][1]
+        O = ops[0, 1]
         s.check("eta_interp_exchange",
                 mc.rel_err(etaA @ O, O @ etaA / params.q), "elementary")
         theta = mc.theta_charge(params)
@@ -621,7 +621,7 @@ def _local_section(s, mono, basis):
                 mc.frob(theta @ O - O @ theta) / (mc.frob(theta) * mc.frob(O)),
                 "elementary")
     for i, lam in enumerate(params.spectral_samples(rng, 3, exclude=excl)):
-        got = lo.binvA_interpolation(params, basis, lam, mono)
+        got = lo.binvA_interpolation(params, basis, lam, ops)
         tgt = lo.binvA_dense(params, mono, lam, 1)
         s.check(f"interpolation_identity[{i}]", mc.rel_err(got, tgt), "elementary")
     # homogeneous chains: permutation realization and shift diagnostics
@@ -637,7 +637,7 @@ def _local_section(s, mono, basis):
 def _ff_section(s, sol):
     params = s.params
     d = params.dim
-    mono, basis, states = sol.mono, sol.basis, sol.states
+    basis, states = sol.basis, sol.states
     covs, vecs, norms = sol.covs, sol.vecs, sol.norms
     u1 = mc.site_embed(params, 1, mc.weyl_generators(
         params.p, params.u[0], params.v[0], params.p_prime)[0])
@@ -659,7 +659,7 @@ def _ff_section(s, sol):
     rng = s.rng(60)
     pair_list = [(int(rng.integers(0, d)), int(rng.integers(0, d))) for _ in range(10)]
     for e_idx, elem in enumerate(elems):
-        dense_op = elem.to_dense(params, basis, mono)
+        dense_op = elem.to_dense(params, basis, sol.elementary_ops)
         worst = 0.0
         for i, j in pair_list:
             dense = covs[i] @ dense_op @ vecs[j]
@@ -676,7 +676,8 @@ def _ff_section(s, sol):
     s.value_check("npoint_two_u", val, dense, "npoint",
                   scale=max(abs(dense), np.linalg.norm(covs[0]) * np.linalg.norm(vecs[0])
                             / abs(norms[0])))
-    v2 = lo.reconstruct_v2k(params, 1, 1) if abs(params.kappa[0] ** 4 - 1) > 1e-10 \
+    v2 = lo.reconstruct_v2k(params, 1, 1, sol.frame(1)) \
+        if abs(params.kappa[0] ** 4 - 1) > 1e-10 \
         else None
     if v2 is not None:
         val = ffm.npoint(sol, 0, [u1, v2])

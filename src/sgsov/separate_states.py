@@ -18,6 +18,7 @@ import numpy as np
 
 from .params import ModelParams, SgSovError
 from . import model_core as mc
+from . import local_ops as lo
 from .sov_basis import SovBasis, _read_only, build_sov_basis, vandermonde_weights
 from .spectrum import (TransferEigenstate, diagonalize_transfer, extract_Q_grid,
                        fit_Q_polynomial, polyval_ascending, qbar_from_q)
@@ -237,15 +238,17 @@ def t_coeff_null_vector(params: ModelParams, bra_t: dict, ket_t: dict):
 
 @dataclass(frozen=True, eq=False)
 class Solution:
-    """The monodromy, the calibrated SOV basis and the transfer eigenstates
-    with their Baxter polynomials and grid tables, shared by every scalar
-    product and form factor of one chain.
+    """The monodromy, the calibrated SOV basis, the transfer eigenstates
+    with their Baxter polynomials and grid tables, and the local-operator
+    data, shared by every scalar product, form factor and reconstruction of
+    one chain.
 
     The basis, the eigenstates, their stacked Baxter grid tables
     ``qbar_vals``/``q_vals`` (shape (d, nsep, p)), sector labels ``theta_m``
-    and transfer coefficients ``t_rows``, and the stacked
-    ``covs``/``vecs``/``norms`` of ``eigen_dense`` are built on first use,
-    as read-only arrays, from the seed streams
+    and transfer coefficients ``t_rows``, the stacked
+    ``covs``/``vecs``/``norms`` of ``eigen_dense`` and the table
+    ``elementary_ops`` are built on first use, as read-only arrays, from the
+    seed streams
     ``[seed, 1]`` (basis), ``[seed, 2]`` (diagonalization) and a fresh
     ``[seed, 3]`` per Baxter fit, so they do not depend on the order of
     use.  Nothing is modified after it is built."""
@@ -297,6 +300,23 @@ class Solution:
     covs = property(lambda self: self._dense[0])
     vecs = property(lambda self: self._dense[1])
     norms = property(lambda self: self._dense[2])
+
+    @cached_property
+    def elementary_ops(self) -> np.ndarray:
+        """The elementary lowering operators, ``[a, k]`` = O_{a,k}, shape
+        (nsep, p, d, d)."""
+        params, basis = self.params, self.basis
+        return _read_only(np.array([[lo.elementary_O(params, basis, a, k, self.mono)
+                                     for k in range(params.p)]
+                                    for a in range(params.n_separate)]))
+
+    def frame(self, n: int) -> lo.ShiftedMonodromy:
+        """The site-n reconstruction frame.  Site 1 keeps the default site
+        order, so its frame reuses ``mono``.  Frames are not cached: each
+        other one holds its own reordered monodromy."""
+        if n == 1:
+            return lo.ShiftedMonodromy(self.params, 1, self.mono)
+        return lo.shifted_monodromy(self.params, n)
 
 
 def prepare(params: ModelParams, seed: int = 0, tolerances=None) -> Solution:

@@ -253,7 +253,7 @@ def test_criterion_7_elementary_operators(desk_bundles):
     for bundle in desk_bundles.values():
         params, basis, mono = bundle.params, bundle.basis, bundle.mono
         p, d = params.p, params.dim
-        ops = {(a, k): lo.elementary_O(params, basis, a, k, mono).matrix
+        ops = {(a, k): lo.elementary_O(params, basis, a, k, mono)
                for a in range(params.n_separate) for k in range(p)}
         for a in range(params.n_separate):
             for k in range(p):
@@ -273,7 +273,7 @@ def test_criterion_7_elementary_operators(desk_bundles):
                         worst = max(worst, float(
                             np.linalg.norm(prod)
                             / (np.linalg.norm(ops[(a, k)]) * np.linalg.norm(ops[(a, h)]))))
-            lhs = lo.elementary_O_power(params, basis, a, 1, p + 1, mono)
+            lhs = lo.elementary_O_power(bundle.elementary_ops, a, 1, p + 1)
             denom = 1.0 + 0.0j
             for b in range(params.n_separate):
                 if b != a:
@@ -291,7 +291,7 @@ def test_criterion_7_elementary_operators(desk_bundles):
         rng = bundle.rng(907)
         for lam in params.spectral_samples(rng, 3, exclude=basis.grid.grid.reshape(-1)):
             worst = max(worst, mc.rel_err(
-                lo.binvA_interpolation(params, basis, lam, mono),
+                lo.binvA_interpolation(params, basis, lam, bundle.elementary_ops),
                 lo.binvA_dense(params, mono, lam, 1)))
         for n in range(1, params.n_sites + 1):
             ranks_ok = ranks_ok and lo.spanning_rank(params, n) == p * p
@@ -330,12 +330,12 @@ def test_criterion_8_form_factors(cfg_a, cfg_b):
                  lo.ElementaryBasisElement(((0, 1, 1), (1, 2, 1))),
                  lo.ElementaryBasisElement(((0, 2, 2), (2, 0, 1)))]),
     ):
-        params, basis, mono = bundle.params, bundle.basis, bundle.mono
+        params, basis = bundle.params, bundle.basis
         d = params.dim
         rng = bundle.rng(908)
         pairs = [(int(rng.integers(0, d)), int(rng.integers(0, d))) for _ in range(12)]
         for elem in elems:
-            dense_op = elem.to_dense(params, basis, mono)
+            dense_op = elem.to_dense(params, basis, bundle.elementary_ops)
             opn = np.linalg.norm(dense_op)
             for i, j in pairs:
                 dense = bundle.covs[i] @ dense_op @ bundle.vecs[j]

@@ -1,7 +1,8 @@
 """The per-site reconstruction frame: each local-operator solve is computed
 once per site, the rational family and the clock powers equal their explicit
 formulas, the frame is immutable, and the local factor of an operator is one
-partial trace."""
+partial trace.  The prepared solution owns the elementary-operator table and
+the site frames, and one verification builds each of them once."""
 
 import dataclasses
 
@@ -10,6 +11,10 @@ import pytest
 
 from sgsov import model_core as mc
 from sgsov import local_ops as lo
+from sgsov import oracle
+from sgsov.separate_states import prepare
+
+from conftest import SEED, cfg_a_params
 
 CHAINS = ("cfg_a", "cfg_b")
 
@@ -106,3 +111,60 @@ def test_local_block_is_the_site_trace(cfg_a):
                     ref[i, j] = np.trace(mc.site_embed(params, n, E) @ X) \
                         / p ** (params.n_sites - 1)
             assert mc.rel_err(lo._local_block(params, n, X), ref) <= 1e-12
+
+
+def test_solution_owns_the_elementary_table_and_the_frames(sol):
+    params, basis, mono = sol.params, sol.basis, sol.mono
+    p, nsep, d = params.p, params.n_separate, params.dim
+    ops = sol.elementary_ops
+    assert ops.shape == (nsep, p, d, d)
+    with pytest.raises(ValueError):
+        ops[0, 0, 0, 0] = 1.0
+    ref = [[lo.elementary_O(params, basis, a, k, mono) for k in range(p)]
+           for a in range(nsep)]
+    for a in range(nsep):
+        for k in range(p):
+            assert np.array_equal(ops[a, k], ref[a][k])
+        for k, alpha in ((1, 1), (2, 2), (1, p + 1)):
+            prod = np.eye(d, dtype=complex)
+            for j in range(alpha):
+                prod = prod @ ref[a][(k - j) % p]
+            assert np.array_equal(lo.elementary_O_power(ops, a, k, alpha), prod)
+    lam = params.spectral_samples(sol.rng(951), 1, exclude=basis.grid.grid.reshape(-1))[0]
+    total = np.zeros((d, d), dtype=complex)
+    for a in range(nsep):
+        for k in range(p):
+            eta = basis.grid.grid[a, k]
+            total += ref[a][k] / (lam / eta - eta / lam)
+    total = total / params.kprod
+    if params.even_chain:
+        theta = mc.theta_charge(params)
+        even = lam * theta @ lo.eta_interp_operator(basis, -1) \
+            - lo.eta_interp_operator(basis, 1) @ np.linalg.inv(theta) / lam
+        total = lo.eta_ref_operator(basis, -1) @ total
+        total = total + lo.eta_ref_operator(basis, -1) @ even
+    assert np.array_equal(lo.binvA_interpolation(params, basis, lam, ops), total)
+
+    assert sol.frame(1).mono is mono
+    assert sol.frame(2) is not sol.frame(2)
+    with pytest.raises(IndexError):
+        sol.frame(params.n_sites + 1)
+    if sol.params.n_sites == 3:
+        got, ref_frame = sol.frame(2), lo.shifted_monodromy(params, 2)
+        for e in "ABCD":
+            assert np.array_equal(got.mono.entry(e).evaluate(lam),
+                                  ref_frame.mono.entry(e).evaluate(lam))
+
+
+def test_one_verification_builds_each_operator_once(monkeypatch):
+    sol = prepare(cfg_a_params(), SEED)
+    calls = {"elementary_O": 0, "monodromy": 0}
+    for module, name in ((lo, "elementary_O"), (mc, "monodromy")):
+        def counting(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    oracle.verify_solution(sol)
+    # nsep * p = 9 elementary operators; the reordered monodromies of sites
+    # 2 and 3 (site 1's frame reuses the solution's monodromy)
+    assert calls == {"elementary_O": 9, "monodromy": 2}

@@ -277,7 +277,7 @@ def test_elementary_action_weights(desk_bundles):
         params, basis, mono = bundle.params, bundle.basis, bundle.mono
         for a in range(params.n_separate):
             for k in range(params.p):
-                O = lo.elementary_O(params, basis, a, k, mono).matrix
+                O = lo.elementary_O(params, basis, a, k, mono)
                 sc = np.linalg.norm(O)
                 for j in range(params.dim):
                     got = basis.left[j] @ O
@@ -292,7 +292,7 @@ def test_elementary_adjacency_rule(desk_bundles):
     for bundle in desk_bundles.values():
         params, basis, mono = bundle.params, bundle.basis, bundle.mono
         p = params.p
-        ops = [lo.elementary_O(params, basis, 0, k, mono).matrix for k in range(p)]
+        ops = [lo.elementary_O(params, basis, 0, k, mono) for k in range(p)]
         for k in range(p):
             for h in range(p):
                 prod = ops[k] @ ops[h]
@@ -307,14 +307,14 @@ def test_elementary_full_cycle_scalar(desk_bundles):
     for bundle in desk_bundles.values():
         params, basis, mono = bundle.params, bundle.basis, bundle.mono
         for a in range(params.n_separate):
-            lhs = lo.elementary_O_power(params, basis, a, 1, params.p + 1, mono)
+            lhs = lo.elementary_O_power(bundle.elementary_ops, a, 1, params.p + 1)
             denom = 1.0 + 0.0j
             for b in range(params.n_separate):
                 if b != a:
                     denom *= basis.grid.z[a] / basis.grid.z[b] \
                         - basis.grid.z[b] / basis.grid.z[a]
             scal = mc.average_value(params, "A", basis.grid.z[a]) / denom
-            rhs = scal * lo.elementary_O(params, basis, a, 1, mono).matrix
+            rhs = scal * lo.elementary_O(params, basis, a, 1, mono)
             assert mc.rel_err(lhs, rhs) <= 1e-8
 
 
@@ -323,8 +323,8 @@ def test_elementary_exchange_ratio(cfg_a):
     for (a, b) in ((0, 1), (0, 2), (1, 2)):
         for k in range(params.p):
             for h in range(params.p):
-                Oa = lo.elementary_O(params, basis, a, k, mono).matrix
-                Ob = lo.elementary_O(params, basis, b, h, mono).matrix
+                Oa = lo.elementary_O(params, basis, a, k, mono)
+                Ob = lo.elementary_O(params, basis, b, h, mono)
                 ratio = lo._exchange_ratio(basis, a, k, b, h)
                 lhs = Oa @ Ob
                 rhs = ratio * (Ob @ Oa)
@@ -334,7 +334,7 @@ def test_elementary_exchange_ratio(cfg_a):
 
 def test_elementary_charge_commutations(cfg_b):
     params, basis, mono = cfg_b.params, cfg_b.basis, cfg_b.mono
-    O = lo.elementary_O(params, basis, 0, 1, mono).matrix
+    O = lo.elementary_O(params, basis, 0, 1, mono)
     etaA = lo.eta_interp_operator(basis, 1)
     etaN = lo.eta_ref_operator(basis, 1)
     theta = mc.theta_charge(params)
@@ -351,7 +351,7 @@ def test_pole_expansion_reassembles_shift_combination(desk_bundles):
         rng = bundle.rng(506)
         excl = basis.grid.grid.reshape(-1)
         for lam in params.spectral_samples(rng, 3, exclude=excl):
-            got = lo.binvA_interpolation(params, basis, lam, mono)
+            got = lo.binvA_interpolation(params, basis, lam, bundle.elementary_ops)
             tgt = lo.binvA_dense(params, mono, lam, 1)
             assert mc.rel_err(got, tgt) <= 1e-8
 
@@ -363,7 +363,7 @@ def test_pole_expansion_single_site_has_three_terms(n1):
     total = np.zeros((3, 3), dtype=complex)
     for k in range(3):
         eta = basis.grid.grid[0, k]
-        total += lo.elementary_O(params, basis, 0, k, mono).matrix \
+        total += lo.elementary_O(params, basis, 0, k, mono) \
             / (lam / eta - eta / lam)
     total = total / params.kprod
     assert mc.rel_err(total, lo.binvA_dense(params, mono, lam, 1)) <= 1e-10
@@ -376,10 +376,10 @@ def test_monomial_reduction_swap(cfg_a):
     assert [a for a, _ in ordered] == [0, 1]
     dense_in = np.eye(params.dim, dtype=complex)
     for a, k in seq:
-        dense_in = dense_in @ lo.elementary_O(params, basis, a, k, mono).matrix
+        dense_in = dense_in @ lo.elementary_O(params, basis, a, k, mono)
     dense_out = np.eye(params.dim, dtype=complex)
     for a, k in ordered:
-        dense_out = dense_out @ lo.elementary_O(params, basis, a, k, mono).matrix
+        dense_out = dense_out @ lo.elementary_O(params, basis, a, k, mono)
     assert mc.rel_err(dense_in, scal * dense_out) <= 1e-9
 
 
@@ -398,8 +398,8 @@ def test_monomial_reduction_folds_full_cycle(cfg_a):
     assert ordered == [(0, 1)]
     dense_in = np.eye(params.dim, dtype=complex)
     for a, k in seq:
-        dense_in = dense_in @ lo.elementary_O(params, basis, a, k, mono).matrix
-    dense_out = lo.elementary_O(params, basis, 0, 1, mono).matrix
+        dense_in = dense_in @ lo.elementary_O(params, basis, a, k, mono)
+    dense_out = lo.elementary_O(params, basis, 0, 1, mono)
     assert mc.rel_err(dense_in, scal * dense_out) <= 1e-8
 
 

@@ -208,6 +208,15 @@ def test_cli_ff_npoint(tmp_path):
     assert len(rows) == 3 and all(r["pass"] for r in rows)
 
 
+def test_cli_ff_elementary_pair_table(tmp_path):
+    cfg = _write_cfg(tmp_path, _cfg_b_payload())
+    out = tmp_path / "ffe.jsonl"
+    assert main(["ff", "--kind", "elementary", "--factors", "1:1:1", "--config", cfg,
+                 "--json", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(rows) == 9 * 9 and all(r["pass"] for r in rows)
+
+
 def test_cli_verify_all_deterministic_stream(tmp_path):
     cfg = _write_cfg(tmp_path, _n1_payload())
     out1, out2 = tmp_path / "v1.jsonl", tmp_path / "v2.jsonl"
