@@ -3,9 +3,10 @@
 # compare against brute-force contractions.
 import numpy as np
 
-from sgsov import (ModelParams, prepare, site_embed, weyl_generators,
-                   reconstruct_u, reconstruct_v2k, ff_u, ff_elementary,
-                   npoint, ElementaryBasisElement)
+from sgsov import (ModelParams, prepare, embedded_u, reconstruct_u,
+                   reconstruct_v2k, ff_u, ff_elementary, npoint,
+                   ElementaryBasisElement)
+from sgsov.local_ops import v_power_target
 from sgsov.model_core import rel_err
 
 params = ModelParams(3, 3, 2, kappa=[1.1j, 1.3j, 0.7j], xi=[1.0, 1.2, 0.9])
@@ -15,16 +16,14 @@ basis = sol.basis
 print("inverse problem: reconstructed local operators vs embedded generators")
 for n in (1, 2, 3):
     frame = sol.frame(n)   # the site-n reordered monodromy and its solves
-    U, V = weyl_generators(params.p, params.u[n - 1], params.v[n - 1], params.p_prime)
-    err_u = rel_err(reconstruct_u(params, n, 1, frame), site_embed(params, n, U))
-    err_v = rel_err(reconstruct_v2k(params, n, 1, frame),
-                    site_embed(params, n, np.diag(np.diag(V) ** 2)))
+    err_u = rel_err(reconstruct_u(params, n, 1, frame), embedded_u(params, n))
+    err_v = rel_err(reconstruct_v2k(params, n, 1, frame), v_power_target(params, n, 1))
     print(f"  site {n}: shift generator {err_u:.1e}   clock squared {err_v:.1e}")
 
 # dense covectors and vectors of the eigenstates, for the comparisons
 states, covs, vecs = sol.states, sol.covs, sol.vecs
 
-u1 = site_embed(params, 1, weyl_generators(params.p)[0])
+u1 = embedded_u(params, 1)
 print("\nform factors of the first-site shift generator (determinant vs dense):")
 worst = 0.0
 for i in range(27):

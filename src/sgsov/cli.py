@@ -242,8 +242,7 @@ def cmd_ff(params, seed, tolerances, writer, kind, site, factors, ops):
     ok = True
     if kind in ("u", "elementary"):
         if kind == "u":
-            dense_op = mc.site_embed(params, site, mc.weyl_generators(
-                params.p, params.u[site - 1], params.v[site - 1], params.p_prime)[0])
+            dense_op = mc.embedded_u(params, site)
             op_scale, tol_key = 1.0 / np.sqrt(d), "ff_u"
             ratio = None
             if site != 1:
@@ -281,8 +280,7 @@ def cmd_ff(params, seed, tolerances, writer, kind, site, factors, ops):
             if name == "v2":
                 mats.append(lo.reconstruct_v2k(params, n, 1, sol.frame(n)))
             else:
-                mats.append(mc.site_embed(params, n, mc.weyl_generators(
-                    params.p, params.u[n - 1], params.v[n - 1], params.p_prime)[0]))
+                mats.append(mc.embedded_u(params, n))
         dense_prod = np.eye(d, dtype=complex)
         for m in mats:
             dense_prod = dense_prod @ m

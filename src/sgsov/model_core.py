@@ -16,7 +16,7 @@ from .params import ModelParams, OddChain, SgSovError
 
 __all__ = [
     "OperatorLaurent", "Monodromy", "NotCentral",
-    "weyl_generators", "site_embed", "site_index_digits",
+    "weyl_generators", "site_embed", "embedded_u", "site_index_digits",
     "lax_matrix", "monodromy", "transfer_poly", "transfer",
     "theta_charge", "rmatrix", "yang_baxter_residual",
     "a_coeff", "d_coeff", "abar_coeff", "dbar_coeff",
@@ -167,6 +167,12 @@ def site_embed(params: ModelParams, n: int, X):
     left = np.eye(p ** (N - n), dtype=complex)
     right = np.eye(p ** (n - 1), dtype=complex)
     return np.kron(left, np.kron(X, right))
+
+
+def embedded_u(params: ModelParams, n: int, power: int = 1):
+    """The site-n shift generator (to ``power``) on the full chain."""
+    U, _ = weyl_generators(params.p, params.u[n - 1], params.v[n - 1], params.p_prime)
+    return site_embed(params, n, np.linalg.matrix_power(U, power))
 
 
 def _site_ops(params: ModelParams, n: int):

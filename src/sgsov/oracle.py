@@ -478,17 +478,16 @@ def _local_section(s, sol):
     rng = s.rng(50)
     frames = [sol.frame(n) for n in range(1, params.n_sites + 1)]
     for n, sh in enumerate(frames, start=1):
-        U = mc.weyl_generators(p, params.u[n - 1], params.v[n - 1], params.p_prime)[0]
         for k in (1, p - 1):
             got = lo.reconstruct_u(params, n, k, sh)
-            tgt = mc.site_embed(params, n, np.linalg.matrix_power(U, k))
+            tgt = mc.embedded_u(params, n, k)
             s.check(f"reconstruct_u[{n},{k}]", mc.rel_err(got, tgt), "reconstruction",
                     **({"cond": sh.binva_cond} if k == 1 else {}))
         got = lo.reconstruct_u_via_dc(params, n, sh)
-        s.check(f"reconstruct_u_dc[{n}]", mc.rel_err(got, mc.site_embed(params, n, U)),
+        s.check(f"reconstruct_u_dc[{n}]", mc.rel_err(got, mc.embedded_u(params, n)),
                 "reconstruction")
         a0 = lo.reconstruct_alpha0(params, n, sh)
-        tgt = lo.beta_target(params, n, 0) @ mc.site_embed(params, n, np.linalg.inv(U))
+        tgt = lo.beta_target(params, n, 0) @ mc.embedded_u(params, n, -1)
         s.check(f"reconstruct_alpha0[{n}]", mc.rel_err(a0, tgt), "reconstruction",
                 cond=sh.alpha0_cond)
         for k in range(p):
@@ -639,8 +638,7 @@ def _ff_section(s, sol):
     d = params.dim
     basis, states = sol.basis, sol.states
     covs, vecs, norms = sol.covs, sol.vecs, sol.norms
-    u1 = mc.site_embed(params, 1, mc.weyl_generators(
-        params.p, params.u[0], params.v[0], params.p_prime)[0])
+    u1 = mc.embedded_u(params, 1)
 
     dense = covs @ u1 @ vecs.T
     det = ffm.ff_u_table(params, basis, states, states, 1)[0]

@@ -2,20 +2,13 @@
 
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from sgsov.params import ModelParams
-from sgsov import model_core as mc
+from sgsov.model_core import embedded_u  # noqa: F401  (imported by the tests)
 from sgsov.separate_states import prepare
 
 SEED = 1234
-
-
-def embedded_u(params, n, power=1):
-    """The site-n shift generator (to ``power``) on the full chain."""
-    U, _ = mc.weyl_generators(params.p, params.u[n - 1], params.v[n - 1], params.p_prime)
-    return mc.site_embed(params, n, np.linalg.matrix_power(U, power))
 
 
 def short_spectrum(sol, missing):
