@@ -12,8 +12,7 @@ against brute-force dense linear algebra on the p^N state space.
 from .params import ModelParams, SgSovError, OddChain, DegenerateKappa
 from .model_core import (OperatorLaurent, Monodromy, NotCentral,
                          weyl_generators, site_embed, embedded_u, lax_matrix,
-                         monodromy,
-                         transfer, transfer_poly, theta_charge, rmatrix,
+                         monodromy, transfer, theta_charge, rmatrix,
                          yang_baxter_residual, a_coeff, d_coeff, abar_coeff,
                          dbar_coeff, quantum_determinant,
                          quantum_determinant_product, average_lax,

@@ -17,7 +17,7 @@ from .params import ModelParams, OddChain, SgSovError
 __all__ = [
     "OperatorLaurent", "Monodromy", "NotCentral",
     "weyl_generators", "site_embed", "embedded_u", "site_index_digits",
-    "lax_matrix", "monodromy", "transfer_poly", "transfer",
+    "lax_matrix", "monodromy", "transfer",
     "theta_charge", "rmatrix", "yang_baxter_residual",
     "a_coeff", "d_coeff", "abar_coeff", "dbar_coeff",
     "quantum_determinant", "quantum_determinant_product",
@@ -61,20 +61,6 @@ class OperatorLaurent:
     def degrees(self):
         return sorted(self.coeffs)
 
-    @property
-    def min_deg(self):
-        return min(self.coeffs) if self.coeffs else 0
-
-    @property
-    def max_deg(self):
-        return max(self.coeffs) if self.coeffs else 0
-
-    @property
-    def parity(self):
-        """0 if only even powers occur, 1 if only odd, None if mixed/empty."""
-        pars = {d % 2 for d in self.coeffs}
-        return pars.pop() if len(pars) == 1 else None
-
     def coeff(self, deg):
         c = self.coeffs.get(int(deg))
         if c is None:
@@ -107,9 +93,6 @@ class OperatorLaurent:
         for d, c in self.coeffs.items():
             out += (lam ** d) * c
         return out
-
-    def scale(self) -> float:
-        return float(np.sqrt(sum(np.linalg.norm(c) ** 2 for c in self.coeffs.values())))
 
 
 @dataclass
@@ -250,11 +233,6 @@ def monodromy(params: ModelParams, site_order=None) -> Monodromy:
     for n in site_order[1:]:
         M = _mat2_product(M, lax_matrix(params, n))
     return Monodromy(A=M[0][0], B=M[0][1], C=M[1][0], D=M[1][1])
-
-
-def transfer_poly(params: ModelParams, mono: Monodromy = None) -> OperatorLaurent:
-    mono = mono if mono is not None else monodromy(params)
-    return mono.transfer()
 
 
 def transfer(params: ModelParams, lam, mono: Monodromy = None):
@@ -410,19 +388,9 @@ def average_value_dense(params: ModelParams, entry: str, lam, mono: Monodromy = 
     return complex(scalar), dev
 
 
-def average_value(params: ModelParams, entry: str, big_lam, mono: Monodromy = None,
-                  verify=False, tol=1e-9):
-    """Average value of a monodromy entry as a function of Lambda = lam^p.
-
-    Computed from the 2x2 product of averaged Lax matrices; with ``verify``
-    the dense p-fold operator product is cross-checked against it."""
+def average_value(params: ModelParams, entry: str, big_lam):
+    """Average value of a monodromy entry as a function of Lambda = lam^p,
+    from the 2x2 product of averaged Lax matrices (``average_value_dense``
+    is the dense p-fold operator product it is checked against)."""
     i, j = _ENTRY_SLOT[entry]
-    val = complex(average_monodromy(params, big_lam)[i, j])
-    if verify:
-        lam = complex(big_lam) ** (1.0 / params.p)
-        dense, _ = average_value_dense(params, entry, lam, mono=mono, tol=tol)
-        scale = max(abs(val), abs(dense), 1e-300)
-        if abs(dense - val) > 100 * tol * scale:
-            raise NotCentral(
-                f"average of {entry}: dense product {dense} vs Lax-average route {val}")
-    return val
+    return complex(average_monodromy(params, big_lam)[i, j])
