@@ -683,21 +683,13 @@ def _ff_section(s, sol):
         s.value_check("npoint_u_v2", val, dense, "npoint",
                       scale=max(abs(dense), np.linalg.norm(covs[0])
                                 * np.linalg.norm(vecs[0]) / abs(norms[0])))
-    # shift-eigenvalue diagnostic on homogeneous chains: the permutation
-    # eigenvalues are exact unit phases; the transfer/Baxter-ratio
-    # predictions are reported without assertion (unproven here)
+    # homogeneous chains: the eigenvalues of the unit chain shift are unit
+    # phases whose N-th power is 1
     if params.n_sites > 1 and params.homogeneous:
         W = lo.cyclic_shift_permutation(params, 2)
-        mup = complex(params.mu_plus[0])
         for i in (0, 1):
             phi = ffm.shift_eigenvalue(sol, i, W)
             s.check(f"shift_phase_unit[{i}]", abs(abs(phi) - 1.0), "reconstruction",
                     phi=phi)
             s.check(f"shift_phase_cycle[{i}]",
                     abs(phi ** params.n_sites - 1.0), 1e-6, phi=phi)
-            qratio = sp.polyval_ascending(states[i].q_poly, mup / params.q) \
-                / sp.polyval_ascending(states[i].q_poly, mup)
-            s.check(f"shift_eigenvalue_diagnostic[{i}]",
-                    abs(phi / states[i].t_at(mup) - 1.0), 0.0, diagnostic=True,
-                    phi=phi, transfer_ratio=phi / states[i].t_at(mup),
-                    baxter_ratio=phi / qratio)
