@@ -61,35 +61,14 @@ def _u_step(n: int):
     return 1 if n % 2 == 1 else -1
 
 
-def _sector_weights(params: ModelParams, m: int, n: int):
-    """Weights of the two theta-sector columns of ``ff_u`` for a ket in
-    sector m (even chains)."""
-    lam = complex(params.mu_plus[n - 1])
-    return (params.q ** m * (lam / params.xi_prod),
-            params.q ** (-m) * (params.xi_prod / lam))
-
-
-def _ff_u_matrices(params: ModelParams, basis: SovBasis, qbar, q, weights, n):
-    """The ff_u determinant matrices of Qbar tables ``qbar`` against Q tables
-    ``q``, (..., nsep, p) each, broadcast over the leading axes.  On even
-    chains ``weights`` are the ket's ``_sector_weights``, shaped to broadcast
-    against (..., nsep)."""
-    lam = complex(params.mu_plus[n - 1])
-    nsep = params.n_separate
-    even = params.even_chain
-    exps = list(range(1, 2 * nsep - 2, 2)) + ([2 * nsep - 1, -1] if even else [])
-    mom = phi_moments(basis, qbar, q, exps)
-    # substituted column: sum_h Q_ket(eta^{(h)}) (eta^{(h)})^{nsep-1} / omega
-    # * Qbar_bra(eta^{(h+1)}) a(eta^{(h+1)}) / (lam/eta^{(h+1)} - eta^{(h+1)}/lam)
-    eta = basis.grid.grid[:nsep]
-    pole = qbar * basis.grid.a_vals / (lam / eta - eta / lam)
-    pole_next = np.concatenate((pole[..., 1:], pole[..., :1]), axis=-1)   # h -> h+1
-    ker = (q * eta ** (nsep - 1) / basis.omega * pole_next).sum(axis=-1)
-    col = basis.c_ref * ker / (params.kprod * basis.grid.eta0[-1] ** params.e_n)
-    if even:
-        col = col + np.sqrt(params.p) * (weights[0] * mom[..., -2]
-                                         - weights[1] * mom[..., -1])
-    return np.concatenate((mom[..., :nsep - 1], col[..., None]), axis=-1)
+def _ff_u_matrices(basis: SovBasis, qbar, q, theta, n):
+    """The site-n ff_u determinant matrices of Qbar tables ``qbar`` against Q
+    tables ``q``, (..., nsep, p) each, broadcast over the leading axes, for
+    kets in the charge sectors ``theta`` (0 on odd chains).  Each Q table is
+    contracted with the weights of its sector first, so a pair table weights
+    every ket once."""
+    ket = np.einsum("...ah,...aghk->...agk", q, basis.ff_u_weights[n - 1, theta])
+    return np.einsum("...ag,...agk->...ak", qbar, ket)
 
 
 def ff_u(params: ModelParams, basis: SovBasis, bra: TransferEigenstate,
@@ -105,8 +84,7 @@ def ff_u(params: ModelParams, basis: SovBasis, bra: TransferEigenstate,
     _require_shift(params, n, shift_ratio)
     if sector_zero(params, bra.theta_m, ket.theta_m, _u_step(n)):
         return FormFactorResult(0.0 + 0.0j, selection_zero=True)
-    weights = _sector_weights(params, ket.theta_m, n) if params.even_chain else None
-    U = _ff_u_matrices(params, basis, bra.qbar_vals, ket.q_vals, weights, n)
+    U = _ff_u_matrices(basis, bra.qbar_vals, ket.q_vals, ket.theta_m or 0, n)
     value = np.linalg.det(U)
     if shift_ratio is not None:
         value = shift_ratio * value
@@ -122,13 +100,7 @@ def ff_u_table(params: ModelParams, basis: SovBasis, bras, kets, n: int = 1,
     _require_shift(params, n, shift_ratio)
     qbar, _, theta_bra = stacked_tables(bras)
     _, q, theta_ket = stacked_tables(kets)
-    weights = None
-    if params.even_chain:
-        # Python scalars per ket, as the per-pair call forms them, so that
-        # both give the same values; shape (2, len(kets), 1)
-        weights = np.array([_sector_weights(params, int(m), n) for m in theta_ket]).T[..., None]
-    values = np.linalg.det(_ff_u_matrices(params, basis, qbar[:, None], q[None],
-                                          weights, n))
+    values = np.linalg.det(_ff_u_matrices(basis, qbar[:, None], q[None], theta_ket, n))
     if shift_ratio is not None:
         values = _cmul(np.asarray(shift_ratio), values)
     zero = np.broadcast_to(sector_zero(params, theta_bra[:, None], theta_ket[None],

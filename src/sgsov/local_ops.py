@@ -32,7 +32,11 @@ class SingularMatrix(SgSovError):
     """A generator evaluation that must be inverted is numerically singular."""
 
 
-def _solve(Amat, Bmat, cond_limit=1e10, what=""):
+# condition number above which an operator is not inverted
+COND_LIMIT = 1e10
+
+
+def _solve(Amat, Bmat, cond_limit=COND_LIMIT, what=""):
     """Pivoted-LU solve A^{-1} B with a condition check; returns the solution,
     read-only, and the condition number of A."""
     cond = float(np.linalg.cond(Amat))
@@ -232,8 +236,7 @@ def binvA_dense(params: ModelParams, mono: Monodromy, lam, k: int = 1):
     return np.linalg.matrix_power(binva, k)
 
 
-def binvA_power_sov(params: ModelParams, basis: SovBasis, k: int, lam,
-                    mono: Monodromy = None):
+def binvA_power_sov(params: ModelParams, basis: SovBasis, k: int, lam):
     """Assemble the k-th power of B^{-1}A from the multinomial sum over
     label-lowering shifts in the SOV basis (odd chains)."""
     if params.even_chain:
@@ -280,7 +283,7 @@ def binvA_power_sov(params: ModelParams, basis: SovBasis, k: int, lam,
     return out
 
 
-def v2k_shift_sums(params: ModelParams, basis: SovBasis, ks, mono: Monodromy = None):
+def v2k_shift_sums(params: ModelParams, basis: SovBasis, ks):
     """Even clock powers V^{2k} at the first site, for every k in ``ks``,
     assembled entirely from separated shift sums (odd chains): the Fourier
     combination of the rational family, with every factor realized through
@@ -289,7 +292,6 @@ def v2k_shift_sums(params: ModelParams, basis: SovBasis, ks, mono: Monodromy = N
     each k is a phase-weighted sum of the products.  Shape (len(ks), d, d)."""
     if params.even_chain:
         raise SgSovError("the separated shift-sum route is stated for odd chains")
-    mono = mono if mono is not None else mc.monodromy(params)
     p, d = params.p, params.dim
     kap = params.kappa[0]
     if abs(kap ** 4 - 1.0) < 1e-10:
@@ -299,8 +301,8 @@ def v2k_shift_sums(params: ModelParams, basis: SovBasis, ks, mono: Monodromy = N
     big_p, big_m = mu_p ** p, mu_m ** p
     central_p = mc.average_value(params, "A", big_p) / mc.average_value(params, "B", big_p)
     central_m = mc.average_value(params, "B", big_m) / mc.average_value(params, "A", big_m)
-    mid = binvA_power_sov(params, basis, p - 1, mu_m, mono) * central_m
-    powers = {m: binvA_power_sov(params, basis, m, mu_p, mono) for m in range(1, p + 1)}
+    mid = binvA_power_sov(params, basis, p - 1, mu_m) * central_m
+    powers = {m: binvA_power_sov(params, basis, m, mu_p) for m in range(1, p + 1)}
     # product m: (B^{-1}A)^m mid (B^{-1}A)^{p+1-m} / central_p, and mid B^{-1}A at m = 0
     products = np.array([(powers[m] if m else np.eye(d, dtype=complex)) @ mid
                          @ (powers[p + 1 - m] / central_p if m else powers[1])

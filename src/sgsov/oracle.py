@@ -167,6 +167,12 @@ def verify_solution(sol: ss.Solution, tolerances=None, sections=None):
 
 # -- sections ---------------------------------------------------------------
 
+def _column_cond(M):
+    """Condition number of ``M`` with unit columns: within sqrt(d) of the
+    best over column scalings."""
+    return float(np.linalg.cond(M / np.linalg.norm(M, axis=0)))
+
+
 def _algebra_section(s, mono):
     params = s.params
     rng = s.rng(10)
@@ -324,6 +330,8 @@ def _sov_section(s, mono, basis):
             bound=sb.LABEL_TOL)
     s.check("sov_calibration_residual", basis.calibration_residual, 0.0,
             diagnostic=True, bound=sb.CALIBRATION_TOL)
+    s.check("sov_basis_cond", _column_cond(basis.right), 0.0, diagnostic=True,
+            bound=lo.COND_LIMIT)
 
 
 def _spectrum_section(s, sol):
@@ -407,6 +415,9 @@ def _spectrum_section(s, sol):
         cl = abs(np.vdot(cov.conj(), st.vec_left.conj())) / (np.linalg.norm(cov) * np.linalg.norm(st.vec_left))
         worst = max(worst, 1 - cr, 1 - cl)
     s.check("eigenstate_collinearity", worst, "factorization")
+    s.check("transfer_eigvec_cond",
+            _column_cond(np.array([st.vec_right for st in states]).T), 0.0,
+            diagnostic=True, bound=lo.COND_LIMIT)
 
 
 def _scalar_section(s, sol):
@@ -510,7 +521,7 @@ def _local_section(s, sol):
     if not params.even_chain:
         for k in range(1, p + 1):
             lam = params.spectral_samples(rng, 1, exclude=excl)[0]
-            got = lo.binvA_power_sov(params, basis, k, lam, mono)
+            got = lo.binvA_power_sov(params, basis, k, lam)
             tgt = lo.binvA_dense(params, mono, lam, k)
             s.check(f"shift_power_sov[{k}]", mc.rel_err(got, tgt), "monomial")
         lam = params.spectral_samples(rng, 1, exclude=excl)[0]
@@ -521,7 +532,7 @@ def _local_section(s, sol):
                 "monomial")
         if abs(params.kappa[0] ** 4 - 1.0) > 1e-10:
             ks = range(1, p)
-            for k, got in zip(ks, lo.v2k_shift_sums(params, basis, ks, mono)):
+            for k, got in zip(ks, lo.v2k_shift_sums(params, basis, ks)):
                 s.check(f"clock_power_shift_sum[{k}]",
                         mc.rel_err(got, lo.v_power_target(params, 1, k)), "monomial")
     # q-combinatorics

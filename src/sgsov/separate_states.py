@@ -19,7 +19,8 @@ import numpy as np
 from .params import ModelParams, SgSovError
 from . import model_core as mc
 from . import local_ops as lo
-from .sov_basis import SovBasis, _read_only, build_sov_basis, vandermonde_weights
+from .sov_basis import (SovBasis, _read_only, build_sov_basis, moment_weights,
+                        vandermonde_weights)
 from .spectrum import (TransferEigenstate, diagonalize_transfer, extract_Q_grid,
                        fit_Q_polynomial, polyval_ascending, qbar_from_q)
 
@@ -79,12 +80,9 @@ def scalar_product_det(alpha: SeparateState, beta: SeparateState,
     sectors must match for a nonzero result."""
     if alpha.side != "left" or beta.side != "right":
         raise ValueError("scalar_product_det expects (left, right) states")
-    params = basis.params
-    nsep = params.n_separate
-    if sector_zero(params, alpha.theta_m, beta.theta_m):
+    if sector_zero(basis.params, alpha.theta_m, beta.theta_m):
         return 0.0 + 0.0j
-    M = phi_moments(basis, alpha.coeff, beta.coeff, range(0, 2 * nsep, 2))
-    return basis.c_ref * np.linalg.det(M)
+    return basis.c_ref * _pairing_dets(basis, alpha.coeff, beta.coeff)
 
 
 def phi_moments(basis: SovBasis, left, right, exponents):
@@ -92,10 +90,10 @@ def phi_moments(basis: SovBasis, left, right, exponents):
     broadcast against each other over the leading axes:
     ``out[..., a, k] = sum_h left[..., a, h] * right[..., a, h]
     * eta_a^{(h)}**e_k / omega[a, h]`` for every separate variable a and
-    exponent e_k, shape (..., nsep, len(exponents))."""
-    w = left * right / basis.omega
-    eta = basis.grid.grid[:basis.params.n_separate, :, None]
-    return np.einsum("...ah,ahk->...ak", w, eta ** np.asarray(exponents, dtype=int))
+    exponent e_k, shape (..., nsep, len(exponents)).  The fixed exponents of
+    the pairings and of ``ff_u`` read the weight tables of the basis
+    instead."""
+    return np.einsum("...ah,ahk->...ak", left * right, moment_weights(basis, exponents))
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +153,9 @@ def sector_zero(params: ModelParams, bra_theta, ket_theta, step: int = 0):
 
 def _pairing_dets(basis: SovBasis, qbar, q):
     """Determinants of the moment matrices of Qbar tables against Q tables,
-    (..., nsep, p) each, broadcast over the leading axes; the pairings are
-    ``c_ref`` times these."""
-    nsep = basis.params.n_separate
-    return np.linalg.det(phi_moments(basis, qbar, q, range(0, 2 * nsep, 2)))
+    (..., nsep, p) each, broadcast over the leading axes, contracted against
+    ``basis.pairing_weights``; the pairings are ``c_ref`` times these."""
+    return np.linalg.det(np.einsum("...ah,ahk->...ak", qbar * q, basis.pairing_weights))
 
 
 def _cmul(a, b):

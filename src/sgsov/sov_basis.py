@@ -25,7 +25,7 @@ __all__ = [
     "inverse_kappa", "identity_resolution_sov", "measure_weights_formula",
     "mjj_formula", "b_pattern", "vandermonde", "cross_product",
     "grid_values", "vandermonde_weights", "flat_indices", "rayleigh_pairings",
-    "sov_diagonal",
+    "sov_diagonal", "moment_weights",
     "LABEL_TOL", "CALIBRATION_TOL",
 ]
 
@@ -313,7 +313,20 @@ class SovBasis:
     modified afterwards.  ``label_mismatch`` is the worst relative mismatch
     between measured and predicted B-eigenvalue patterns of the labeling
     (bound ``LABEL_TOL``), ``calibration_residual`` the worst relative
-    residual of a calibration step (bound ``CALIBRATION_TOL``)."""
+    residual of a calibration step (bound ``CALIBRATION_TOL``).
+
+    The constructor also builds the read-only weight tables of the
+    determinant kernels, which contract a Qbar table against a Q table,
+    both (nsep, p):
+    - ``pairing_weights[a, h, k] = eta_a^{(h)}**(2k) / omega[a, h]``, shape
+      (nsep, p, nsep): the moment matrix of a pairing;
+    - ``ff_u_weights[n - 1, m, a, g, h, k]``, shape (N, S, nsep, p, p, nsep)
+      with S = p sectors on even chains and S = 1 on odd ones: the weight of
+      Qbar(eta_a^{(g)}) Q(eta_a^{(h)}) in column k of the site-n ``ff_u``
+      matrix for a ket in sector m.  Its diagonal g = h holds the moment
+      columns eta**(2k+1) / omega and, on even chains, the theta-sector
+      terms in the last column; the last column also holds the pole terms
+      at g = h + 1 (mod p)."""
     params: ModelParams
     grid: SovGrid
     tuples: np.ndarray
@@ -325,6 +338,8 @@ class SovBasis:
     mjj: np.ndarray = field(init=False)
     measure: np.ndarray = field(init=False)
     omega: np.ndarray = field(init=False)   # omega_a(eta_a^{(h)}) = (eta_a^{(h)})^{nsep-1}
+    pairing_weights: np.ndarray = field(init=False)
+    ff_u_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         mjj = np.einsum("jd,dj->j", self.left, self.right)
@@ -334,6 +349,9 @@ class SovBasis:
         object.__setattr__(self, "mjj", mjj)
         object.__setattr__(self, "measure", 1.0 / mjj)
         object.__setattr__(self, "omega", _read_only(self.grid.grid[:nsep] ** (nsep - 1)))
+        object.__setattr__(self, "pairing_weights",
+                           _read_only(moment_weights(self, range(0, 2 * nsep, 2))))
+        object.__setattr__(self, "ff_u_weights", _read_only(_ff_u_weights(self)))
 
     def flat_index(self, h) -> int:
         return int(flat_indices(h, self.params.p))
@@ -350,6 +368,40 @@ class SovBasis:
         tup = self.tuples[:, :nsep]
         stride = p ** np.arange(nsep)
         return np.arange(len(tup))[:, None] + stride * ((tup + delta) % p - tup)
+
+
+def moment_weights(basis: SovBasis, exponents):
+    """``eta_a^{(h)}**e_k / omega[a, h]`` on the separate-variable grids, shape
+    (nsep, p, len(exponents)): the weights that turn the product of two
+    coefficient tables into grid moments."""
+    eta = basis.grid.grid[:basis.params.n_separate, :, None]
+    return eta ** np.asarray(exponents, dtype=int) / basis.omega[..., None]
+
+
+def _ff_u_weights(basis: SovBasis):
+    """The ``ff_u_weights`` table of every site and sector (see ``SovBasis``)."""
+    params, grid = basis.params, basis.grid
+    nsep, p = params.n_separate, params.p
+    lam = np.asarray(params.mu_plus, dtype=complex)[:, None, None]      # site n: mu_+[n-1]
+    h = np.arange(p)
+    out = np.zeros((params.n_sites, p if params.even_chain else 1, nsep, p, p, nsep),
+                   dtype=complex)
+    out[..., h, h, :nsep - 1] = moment_weights(basis, range(1, 2 * nsep - 2, 2))
+    if params.even_chain:
+        # sector m: sqrt(p) (q^m lam / xi_prod eta^{2 nsep - 1} - q^-m xi_prod / lam eta^-1) / omega
+        hi, lo = np.moveaxis(moment_weights(basis, [2 * nsep - 1, -1]), -1, 0)
+        m, lam_m = h[:, None, None], lam[:, None]
+        out[..., h, h, -1] = np.sqrt(p) * (params.q ** m * (lam_m / params.xi_prod) * hi
+                                           - params.q ** -m * (params.xi_prod / lam_m) * lo)
+    # pole terms, Qbar at g = h+1 against Q at h:
+    # a(eta^{(g)}) / (lam/eta^{(g)} - eta^{(g)}/lam) (eta^{(h)})^{nsep-1} / omega,
+    # with the normalization of the substituted column
+    eta = grid.grid[:nsep]
+    pole = np.roll(basis.c_ref / (params.kprod * grid.eta0[-1] ** params.e_n)
+                   * grid.a_vals / (lam / eta - eta / lam), -1, axis=-1) \
+        * moment_weights(basis, [nsep - 1])[..., 0]
+    out[..., (h + 1) % p, h, -1] += pole[:, None]
+    return out
 
 
 def _interp_weights(params, grid, tup, lam):

@@ -218,7 +218,7 @@ def test_criterion_6_sov_monomials(n1, cfg_a):
         for k in range(1, params.p + 1):
             lam = params.spectral_samples(rng, 1, exclude=excl)[0]
             worst = max(worst, mc.rel_err(
-                lo.binvA_power_sov(params, basis, k, lam, mono),
+                lo.binvA_power_sov(params, basis, k, lam),
                 lo.binvA_dense(params, mono, lam, k)))
         lam = params.spectral_samples(rng, 1, exclude=excl)[0]
         scal = mc.average_value(params, "A", lam ** params.p) \

@@ -16,10 +16,10 @@ from sgsov import separate_states as ss
 from sgsov import form_factors as ff
 from sgsov import local_ops as lo
 from sgsov import oracle
-from sgsov.sov_basis import cross_product, vandermonde
+from sgsov.sov_basis import SovBasis, cross_product, moment_weights, vandermonde
 
 RTOL = 1e-12
-CHAINS = ("n1", "cfg_b", "stretch")     # nsep = 1; even chain; nsep = 3, p = 5
+CHAINS = ("n1", "cfg_b", "cfg_a", "stretch")   # nsep = 1; even chain; N = 3, p = 3; nsep = 3, p = 5
 
 
 @pytest.fixture(params=CHAINS)
@@ -180,6 +180,77 @@ def test_grid_tables_are_read_only(sol):
     for table in (basis.grid.a_vals, basis.grid.d_vals, basis.omega):
         with pytest.raises(ValueError):
             table[0, 0] = 1.0
+
+
+def test_weight_tables_are_built_read_only_by_the_constructor(sol, monkeypatch):
+    params, basis, states = sol.params, sol.basis, sol.states
+    nsep, p, n_sites = params.n_separate, params.p, params.n_sites
+    fresh = SovBasis(params, basis.grid, basis.tuples, basis.left, basis.right,
+                     c_ref=basis.c_ref)
+    sectors = p if params.even_chain else 1
+    for name, shape in (("pairing_weights", (nsep, p, nsep)),
+                        ("ff_u_weights", (n_sites, sectors, nsep, p, p, nsep))):
+        table = vars(fresh)[name]          # an instance field, not built on use
+        assert table.shape == shape
+        assert np.array_equal(table, getattr(basis, name))
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 1.0
+    assert np.array_equal(basis.pairing_weights, moment_weights(basis, range(0, 2 * nsep, 2)))
+    # the per-pair kernels read the tables: no moment is computed per call
+    calls = []
+    moments = ss.phi_moments
+
+    def counting(*args):
+        calls.append(args)
+        return moments(*args)
+
+    for module in (ss, ff):
+        monkeypatch.setattr(module, "phi_moments", counting)
+    ss.phi_matrix(basis, states[0], states[0])      # the counter is in place
+    assert len(calls) == 1
+    calls.clear()
+    for i, j in _pairs(sol, count=4):
+        ff.ff_u(params, basis, states[i], states[j], 1)
+        ss.eigen_action(basis, states[i], states[j])
+    assert calls == []
+
+
+def _theta_sector_weights(params, m, n):
+    """The two theta-sector column weights of ``ff_u`` for a ket in sector m,
+    as the per-pair kernel once formed them."""
+    lam = complex(params.mu_plus[n - 1])
+    return (params.q ** m * (lam / params.xi_prod),
+            params.q ** (-m) * (params.xi_prod / lam))
+
+
+def test_ff_u_sector_tables_match_theta_column_formula(cfg_b):
+    params, basis = cfg_b.params, cfg_b.basis
+    nsep, p = params.n_separate, params.p
+    eta, omega = basis.grid.grid[:nsep], basis.omega
+    h = np.arange(p)
+    for n in range(1, params.n_sites + 1):
+        lam = complex(params.mu_plus[n - 1])
+        pole = np.zeros((nsep, p, p), dtype=complex)
+        for a in range(nsep):
+            for k in range(p):
+                g = (k + 1) % p
+                pole[a, g, k] = (basis.c_ref * mc.a_coeff(params, eta[a, g])
+                                 / (lam / eta[a, g] - eta[a, g] / lam)
+                                 * eta[a, k] ** (nsep - 1) / omega[a, k]
+                                 / (params.kprod * basis.grid.eta0[-1] ** params.e_n))
+        for m in range(p):
+            table = basis.ff_u_weights[n - 1, m]
+            w_hi, w_lo = _theta_sector_weights(params, m, n)
+            hi = np.sqrt(p) * w_hi * eta ** (2 * nsep - 1) / omega
+            lo_ = np.sqrt(p) * w_lo * eta ** (-1) / omega
+            ref = np.zeros_like(table)
+            ref[:, h, h, :nsep - 1] = [[eta[a, k] ** np.arange(1, 2 * nsep - 2, 2) / omega[a, k]
+                                        for k in range(p)] for a in range(nsep)]
+            ref[:, h, h, -1] = hi - lo_
+            ref[..., -1] += pole
+            scale = np.abs(ref)
+            scale[:, h, h, -1] = np.abs(hi) + np.abs(lo_)
+            _assert_matrix_close(table, ref, scale)
 
 
 def test_shifted_indices_match_scalar_shifts(sol):

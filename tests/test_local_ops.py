@@ -178,7 +178,7 @@ def test_shift_power_separated_representation(n1, cfg_a):
         excl = basis.grid.grid.reshape(-1)
         for k in range(1, params.p + 1):
             lam = params.spectral_samples(rng, 1, exclude=excl)[0]
-            got = lo.binvA_power_sov(params, basis, k, lam, mono)
+            got = lo.binvA_power_sov(params, basis, k, lam)
             tgt = lo.binvA_dense(params, mono, lam, k)
             assert mc.rel_err(got, tgt) <= 1e-8
 
@@ -189,7 +189,7 @@ def test_shift_power_single_term_collapse(cfg_a):
     params, basis, mono = cfg_a.params, cfg_a.basis, cfg_a.mono
     lam = params.spectral_samples(cfg_a.rng(504), 1,
                                   exclude=basis.grid.grid.reshape(-1))[0]
-    got = lo.binvA_power_sov(params, basis, 1, lam, mono)
+    got = lo.binvA_power_sov(params, basis, 1, lam)
     d = params.dim
     direct = np.zeros((d, d), dtype=complex)
     for j in range(d):
@@ -220,18 +220,18 @@ def test_shift_power_full_period_is_central(n1, cfg_a):
 
 def test_shift_power_even_chain_rejected(cfg_b):
     with pytest.raises(Exception):
-        lo.binvA_power_sov(cfg_b.params, cfg_b.basis, 1, 1.7 + 0.1j, cfg_b.mono)
+        lo.binvA_power_sov(cfg_b.params, cfg_b.basis, 1, 1.7 + 0.1j)
 
 
 def test_clock_powers_from_shift_sums(n1, cfg_a):
     for bundle in (n1, cfg_a):
         params = bundle.params
         ks = range(1, params.p)
-        for k, got in zip(ks, lo.v2k_shift_sums(params, bundle.basis, ks, bundle.mono)):
+        for k, got in zip(ks, lo.v2k_shift_sums(params, bundle.basis, ks)):
             assert mc.rel_err(got, lo.v_power_target(params, 1, k)) <= 1e-8
 
 
-def _v2k_shift_sum_ref(params, basis, k, mono):
+def _v2k_shift_sum_ref(params, basis, k):
     """The clock power V^{2k} from separated shift sums, one k at a time, with
     every shift power built for that k."""
     p, d = params.p, params.dim
@@ -239,8 +239,8 @@ def _v2k_shift_sum_ref(params, basis, k, mono):
     mu_p, mu_m = complex(params.mu_plus[0]), complex(params.mu_minus[0])
     central_p = mc.average_value(params, "A", mu_p ** p) / mc.average_value(params, "B", mu_p ** p)
     central_m = mc.average_value(params, "B", mu_m ** p) / mc.average_value(params, "A", mu_m ** p)
-    mid = lo.binvA_power_sov(params, basis, p - 1, mu_m, mono) * central_m
-    powers = {m: lo.binvA_power_sov(params, basis, m, mu_p, mono) for m in range(1, p + 1)}
+    mid = lo.binvA_power_sov(params, basis, p - 1, mu_m) * central_m
+    powers = {m: lo.binvA_power_sov(params, basis, m, mu_p) for m in range(1, p + 1)}
     acc = np.zeros((d, d), dtype=complex)
     for m in range(p):
         left = powers[m] if m >= 1 else np.eye(d, dtype=complex)
@@ -253,9 +253,9 @@ def _v2k_shift_sum_ref(params, basis, k, mono):
 
 def test_shift_sums_build_each_power_once(n1, cfg_a, stretch, monkeypatch):
     for bundle in (n1, cfg_a, stretch):
-        params, basis, mono = bundle.params, bundle.basis, bundle.mono
+        params, basis = bundle.params, bundle.basis
         ks = range(1, params.p)
-        refs = [_v2k_shift_sum_ref(params, basis, k, mono) for k in ks]
+        refs = [_v2k_shift_sum_ref(params, basis, k) for k in ks]
         calls = []
         power = lo.binvA_power_sov
 
@@ -264,7 +264,7 @@ def test_shift_sums_build_each_power_once(n1, cfg_a, stretch, monkeypatch):
             return power(*args, **kwargs)
 
         monkeypatch.setattr(lo, "binvA_power_sov", counting)
-        got = lo.v2k_shift_sums(params, basis, ks, mono)
+        got = lo.v2k_shift_sums(params, basis, ks)
         monkeypatch.undo()
         assert len(calls) == params.p + 1
         assert got.shape == (len(ks), params.dim, params.dim)
