@@ -41,7 +41,8 @@ dense = covs[3] @ dense_op @ vecs[11]
 print(f"\ntwo-variable elementary monomial between states 3 and 11:")
 print(f"  determinant {det:+.6e}   dense {dense:+.6e}")
 
-val = npoint(sol, 0, [u1, u1])
+u1_table = covs @ u1 @ vecs.T   # <t_i| u1 |t_j> between all eigenstates
+val = npoint(sol, 0, [u1_table, u1_table])
 dense = (covs[0] @ u1 @ u1 @ vecs[0]) / sol.norms[0]
 print(f"\ntwo-point function via the eigenbasis expansion:")
 print(f"  expansion {val:+.6e}   dense {dense:+.6e}   "

@@ -209,6 +209,7 @@ def cmd_sov_build(params, seed, tolerances, writer):
 
 
 def cmd_spectrum(params, seed, tolerances, writer):
+    tol = {**oracle.DEFAULT_TOLERANCES, **tolerances}
     sol = ss.prepare(params, seed, tolerances)
     degrees = list(range(-params.n_bar, params.n_bar + 1, 2))
     ok = True
@@ -228,13 +229,12 @@ def cmd_spectrum(params, seed, tolerances, writer):
         for k in range(len(st.q_poly), (params.p - 1) * params.n_sites + 1):
             row[f"q[{k}]"] = fmt_complex(0.0)
         writer.emit(row)
-        ok = ok and fe <= oracle.DEFAULT_TOLERANCES["functional_eq"]
+        ok = ok and fe <= tol["functional_eq"]
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_ff(params, seed, tolerances, writer, kind, site, factors, ops):
-    tol = dict(oracle.DEFAULT_TOLERANCES)
-    tol.update(tolerances or {})
+    tol = {**oracle.DEFAULT_TOLERANCES, **tolerances}
     sol = ss.prepare(params, seed, tolerances)
     basis, states = sol.basis, sol.states
     covs, vecs, norms = sol.covs, sol.vecs, sol.norms
@@ -256,10 +256,7 @@ def cmd_ff(params, seed, tolerances, writer, kind, site, factors, ops):
             elem = lo.ElementaryBasisElement(tuple(factors))
             dense_op = elem.to_dense(params, basis, sol.elementary_ops)
             op_scale, tol_key = max(np.linalg.norm(dense_op), 1e-300) / d, "ff_elementary"
-            res = [[ffm.ff_elementary(params, basis, bra, ket, elem) for ket in states]
-                   for bra in states]
-            values = np.array([[r.value for r in row] for row in res])
-            zeros = np.array([[r.selection_zero for r in row] for row in res])
+            values, zeros = ffm.ff_elementary_table(params, basis, states, states, elem)
         dense_all = covs @ dense_op @ vecs.T
         ncov, nvec = np.linalg.norm(covs, axis=1), np.linalg.norm(vecs, axis=1)
         for i in range(d):
@@ -284,8 +281,9 @@ def cmd_ff(params, seed, tolerances, writer, kind, site, factors, ops):
         dense_prod = np.eye(d, dtype=complex)
         for m in mats:
             dense_prod = dense_prod @ m
+        tables = [covs @ m @ vecs.T for m in mats]
         for i in range(d):
-            val = ffm.npoint(sol, i, mats)
+            val = ffm.npoint(sol, i, tables)
             dense = (covs[i] @ dense_prod @ vecs[i]) / norms[i]
             scale = max(abs(dense), abs(val),
                         np.linalg.norm(covs[i]) * np.linalg.norm(vecs[i]) / abs(norms[i]))

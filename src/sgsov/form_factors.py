@@ -9,7 +9,7 @@ controlled set of columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from .separate_states import (IncompleteSpectrum, _cmul, phi_moments,
 from .local_ops import ElementaryBasisElement
 
 __all__ = [
-    "FormFactorResult", "ShiftUnavailable", "ff_u", "ff_u_table", "ff_elementary", "npoint",
-    "shift_eigenvalue",
+    "FormFactorResult", "ShiftUnavailable", "ff_u", "ff_u_table", "ff_elementary",
+    "ff_elementary_table", "npoint", "shift_eigenvalue",
 ]
 
 
@@ -33,10 +33,8 @@ class ShiftUnavailable(SgSovError):
 @dataclass
 class FormFactorResult:
     value: complex
-    method: str = "determinant"
     selection_zero: bool = False
     matrix: np.ndarray = None
-    context: dict = field(default_factory=dict)
 
 
 def shift_eigenvalue(sol, index: int, w_matrix):
@@ -112,6 +110,71 @@ def ff_u_table(params: ModelParams, basis: SovBasis, bras, kets, n: int = 1,
 # Elementary-operator form factors
 # ---------------------------------------------------------------------------
 
+def _ff_elementary_values(params: ModelParams, basis: SovBasis, qbar, q, theta,
+                          elem: ElementaryBasisElement):
+    """The elementary form factors of ``elem`` for Qbar tables ``qbar`` against
+    Q tables ``q``, (..., nsep, p) each, broadcast over the leading axes, for
+    kets in the charge sectors ``theta`` (read on even chains only), and their
+    determinant matrices.  The grid-power columns and every grid factor of
+    the prefactor are built once; per pair only the spectator moments, the
+    Q.Qbar factor and the sector factor are formed."""
+    p, nsep = params.p, params.n_separate
+    grid, omega, z = basis.grid.grid, basis.omega, basis.grid.z
+    factors = elem.factors
+    r = len(factors)
+    g = sum(alpha for _, _, alpha in factors)
+    h0 = elem.theta_a_pow if params.even_chain else 0
+    excited = [a for a, _, _ in factors]
+    spectators = [b for b in range(nsep) if b not in excited]
+    size = nsep + r * p - g
+    # a block of grid-power columns for every excited variable, then the
+    # moment columns of the spectator variables
+    col_roots = [grid[a, (k + j) % p] for a, k, alpha in factors
+                 for j in range(p - alpha + 1)]
+    powers = (np.array(col_roots, dtype=complex) ** 2) ** np.arange(size)[:, None]
+    mom = phi_moments(basis, qbar, q, range(h0 + g, 2 * size + h0 + g, 2))[..., spectators, :]
+    M = np.empty(mom.shape[:-2] + (size, size), dtype=complex)
+    M[..., :len(col_roots)] = powers
+    M[..., len(col_roots):] = np.swapaxes(mom, -1, -2)
+
+    # grid part of the scalar prefactor
+    f_num = 1.0 + 0.0j
+    for a, k, alpha in factors:
+        f_num *= grid[a, k] ** (h0 + alpha * (nsep - r)) / omega[a, k]
+        for h in range(alpha):
+            f_num *= basis.grid.a_vals[a, (k - h) % p]
+    # cross factors between excited variables follow the operator order:
+    # the i-th factor still sees variable a_j at its original grid index,
+    # while the j-th factor sees a_i already lowered by alpha_i (i < j)
+    f_den = 1.0 + 0.0j
+    for i, (ai, ki, alphai) in enumerate(factors):
+        for aj, kj, alphaj in factors[i + 1:]:
+            for h in range(alphai):
+                x, y = grid[ai, (ki - h) % p], grid[aj, kj]
+                f_den *= x / y - y / x
+            for h in range(alphaj):
+                x, y = grid[aj, (kj - h) % p], grid[ai, (ki - alphai) % p]
+                f_den *= x / y - y / x
+    # variable order, then the operator-ordering orientation of the excited blocks
+    sign = (-1.0) ** (sum(a - i for i, a in enumerate(excited)) + (r - 1) * (g - r))
+    qpow = np.prod([params.q ** (-(nsep - r) * alpha * (alpha - 1) / 2)
+                    for _, _, alpha in factors])
+    v_small = vandermonde([grid[a, k] for a, k, _ in factors], squares=True)
+    v_big = vandermonde(col_roots, squares=True)
+    z_cross = np.prod([cross_product(z[a], z[spectators], squares=True)
+                       for a in excited])
+    pref = sign * qpow * f_num * v_small / (f_den * z_cross * v_big)
+    if params.even_chain:
+        # the sector factor of every ket sector, read by label
+        pref = _cmul(np.array([basis.c_ref * params.q ** (h0 * m)
+                               / (basis.grid.eta0[-1] ** elem.theta_pow
+                                  * params.xi_prod ** h0)
+                               for m in range(p)])[theta], pref)
+    for a, k, alpha in factors:
+        pref = _cmul(pref, _cmul(q[..., a, (k - alpha) % p], qbar[..., a, k]))
+    return _cmul(pref, np.linalg.det(M)), M
+
+
 def ff_elementary(params: ModelParams, basis: SovBasis,
                   bra: TransferEigenstate, ket: TransferEigenstate,
                   elem: ElementaryBasisElement,
@@ -120,113 +183,43 @@ def ff_elementary(params: ModelParams, basis: SovBasis,
     with a block of grid-power columns for every excited variable and
     moment columns for the spectator variables."""
     require_q_data(bra, ket)
-    p = params.p
-    nsep = params.n_separate
-    grid = basis.grid.grid
-    omega = basis.omega
-    factors = list(elem.factors)
-    r = len(factors)
-    g = sum(f[2] for f in factors)
-    h0 = elem.theta_a_pow if params.even_chain else 0
-    hN = elem.theta_pow if params.even_chain else 0
-    if sector_zero(params, bra.theta_m, ket.theta_m, hN):
+    if sector_zero(params, bra.theta_m, ket.theta_m, elem.theta_pow):
         return FormFactorResult(0.0 + 0.0j, selection_zero=True)
-    excited = [f[0] for f in factors]
-    spectators = [b for b in range(nsep) if b not in excited]
-    size = nsep + r * p - g
-    M = np.zeros((size, size), dtype=complex)
-    col = 0
-    col_roots = []
-    for (a, k, alpha) in factors:
-        for j in range(p - alpha + 1):
-            col_roots.append(grid[a, (k + j) % p])
-            M[:, col] = (col_roots[-1] ** 2) ** np.arange(size)
-            col += 1
-    mom = phi_moments(basis, bra.qbar_vals, ket.q_vals,
-                      range(h0 + g, 2 * size + h0 + g, 2))
-    M[:, col:] = mom[spectators].T
+    value, M = _ff_elementary_values(params, basis, bra.qbar_vals, ket.q_vals,
+                                     ket.theta_m or 0, elem)
+    return FormFactorResult(value[()], matrix=M if keep_matrix else None)
 
-    # scalar prefactor
-    f_num = 1.0 + 0.0j
-    for i, (a, k, alpha) in enumerate(factors):
-        eta_k = grid[a, k]
-        f_num *= (ket.q_vals[a, (k - alpha) % p] * bra.qbar_vals[a, k]
-                  * eta_k ** (h0 + alpha * (nsep - r)) / omega[a, k])
-        for h in range(alpha):
-            f_num *= basis.grid.a_vals[a, (k - h) % p]
-    # cross factors between excited variables follow the operator order:
-    # the i-th factor still sees variable a_j at its original grid index,
-    # while the j-th factor sees a_i already lowered by alpha_i (i < j)
-    f_den = 1.0 + 0.0j
-    for i, (ai, ki, alphai) in enumerate(factors):
-        for j, (aj, kj, alphaj) in enumerate(factors):
-            if j <= i:
-                continue
-            for h in range(alphai):
-                x = grid[ai, (ki - h) % p]
-                y = grid[aj, kj]
-                f_den *= x / y - y / x
-            for h in range(alphaj):
-                x = grid[aj, (kj - h) % p]
-                y = grid[ai, (ki - alphai) % p]
-                f_den *= x / y - y / x
-    sign = (-1.0) ** sum(a - i for i, (a, _, _) in enumerate(factors))
-    # operator-ordering orientation of the excited blocks
-    sign *= (-1.0) ** ((r - 1) * (g - r)) if r else 1.0
-    qpow = np.prod([params.q ** (-(nsep - r) * alpha * (alpha - 1) / 2)
-                    for (_, _, alpha) in factors]) if factors else 1.0
-    z = basis.grid.z
-    v_small = vandermonde([grid[a, k] for (a, k, _) in factors], squares=True)
-    v_big = vandermonde(col_roots, squares=True)
-    z_cross = np.prod([cross_product(z[a], z[spectators], squares=True)
-                       for a in excited])
-    pref = sign * qpow * f_num * v_small / (f_den * z_cross * v_big)
 
-    sector = 1.0 + 0.0j
-    if params.even_chain:
-        sector = basis.c_ref * params.q ** (h0 * ket.theta_m) \
-            / (basis.grid.eta0[-1] ** hN * params.xi_prod ** h0)
-    value = sector * pref * np.linalg.det(M)
-    return FormFactorResult(value, matrix=M if keep_matrix else None)
+def ff_elementary_table(params: ModelParams, basis: SovBasis, bras, kets,
+                        elem: ElementaryBasisElement):
+    """``ff_elementary`` from every bra to every ket, shape
+    (len(bras), len(kets)), through the same kernel on the stacked tables,
+    and the mask of the selection zeros."""
+    qbar, _, theta_bra = stacked_tables(bras)
+    _, q, theta_ket = stacked_tables(kets)
+    values = _ff_elementary_values(params, basis, qbar[:, None], q[None], theta_ket, elem)[0]
+    zero = np.broadcast_to(sector_zero(params, theta_bra[:, None], theta_ket[None],
+                                       elem.theta_pow), values.shape)
+    return np.where(zero, 0.0, values), zero
 
 
 # ---------------------------------------------------------------------------
 # Multi-point expansion
 # ---------------------------------------------------------------------------
 
-def npoint(sol, index: int, ops, me_fns=None):
+def npoint(sol, index: int, tables):
     """Normalized expectation <t| O_1 ... O_m |t> / <t|t> of the eigenstate
     ``sol.states[index]``, expanded over the full eigenbasis of ``sol``: a
-    ``Solution``, or any object with ``params``, ``states`` and the stacked
-    ``covs``/``vecs``/``norms`` of ``eigen_dense``.
+    ``Solution``, or any object with ``params`` and the determinant norms
+    ``norms`` of ``eigen_dense``.
 
-    ``ops`` is a list of dense operators; ``me_fns`` optionally supplies a
-    matrix-element function (bra, ket) -> complex for each slot (determinant
-    routes plug in here), defaulting to dense contraction with the
-    separate-state materializations."""
-    dim = sol.params.dim
-    states, covs, vecs, norms = sol.states, sol.covs, sol.vecs, sol.norms
-    if len(norms) < dim:
-        raise IncompleteSpectrum(f"need the full spectrum of {dim} states")
-
-    def me(slot, i, j):
-        if me_fns is not None and me_fns[slot] is not None:
-            return me_fns[slot](states[i], states[j])
-        return covs[i] @ ops[slot] @ vecs[j]
-
-    m = len(ops)
-    amps = {index: 1.0 + 0.0j}
-    for slot in range(m):
-        new = {}
-        targets = range(len(states)) if slot < m - 1 else [index]
-        for j in targets:
-            acc = 0.0 + 0.0j
-            for i, amp in amps.items():
-                if amp == 0.0:
-                    continue
-                acc += amp * me(slot, i, j)
-            if acc != 0.0:
-                new[j] = acc / (norms[j] if slot < m - 1 else 1.0)
-        amps = new
-    total = amps.get(index, 0.0 + 0.0j)
-    return total / norms[index]
+    ``tables[s][i, j]`` is the matrix element <t_i| O_s |t_j> between
+    eigenstates, from dense contraction (``sol.covs @ O @ sol.vecs.T``) or
+    from a determinant pair table (``ff_u_table(...)[0]``)."""
+    norms = sol.norms
+    if len(norms) < sol.params.dim:
+        raise IncompleteSpectrum(f"need the full spectrum of {sol.params.dim} states")
+    amps = tables[0][index]
+    for table in tables[1:]:
+        amps = (amps / norms) @ table
+    return amps[index] / norms[index]

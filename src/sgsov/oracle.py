@@ -651,12 +651,12 @@ def _ff_section(s, sol):
     covs, vecs, norms = sol.covs, sol.vecs, sol.norms
     u1 = mc.embedded_u(params, 1)
 
-    dense = covs @ u1 @ vecs.T
+    u1_table = covs @ u1 @ vecs.T
     det = ffm.ff_u_table(params, basis, states, states, 1)[0]
-    scale = np.maximum(np.maximum(np.abs(dense), np.abs(det)),
+    scale = np.maximum(np.maximum(np.abs(u1_table), np.abs(det)),
                        np.outer(np.linalg.norm(covs, axis=1),
                                 np.linalg.norm(vecs, axis=1)) / np.sqrt(d))
-    s.check("ff_u_full_sweep", float(np.max(np.abs(dense - det) / scale)), "ff_u",
+    s.check("ff_u_full_sweep", float(np.max(np.abs(u1_table - det) / scale)), "ff_u",
             pairs=d * d)
 
     elems = [lo.ElementaryBasisElement(((0, 1, 1),))]
@@ -679,8 +679,8 @@ def _ff_section(s, sol):
             worst = max(worst, abs(dense - res.value) / scale)
         s.check(f"ff_elementary[{e_idx}]", worst, "ff_elementary",
                 factors=str(elem.factors))
-    # two-point expansion
-    val = ffm.npoint(sol, 0, [u1, u1])
+    # two-point expansions over the dense tables
+    val = ffm.npoint(sol, 0, [u1_table, u1_table])
     dense = (covs[0] @ u1 @ u1 @ vecs[0]) / norms[0]
     s.value_check("npoint_two_u", val, dense, "npoint",
                   scale=max(abs(dense), np.linalg.norm(covs[0]) * np.linalg.norm(vecs[0])
@@ -689,7 +689,7 @@ def _ff_section(s, sol):
         if abs(params.kappa[0] ** 4 - 1) > 1e-10 \
         else None
     if v2 is not None:
-        val = ffm.npoint(sol, 0, [u1, v2])
+        val = ffm.npoint(sol, 0, [u1_table, covs @ v2 @ vecs.T])
         dense = (covs[0] @ u1 @ v2 @ vecs[0]) / norms[0]
         s.value_check("npoint_u_v2", val, dense, "npoint",
                       scale=max(abs(dense), np.linalg.norm(covs[0])

@@ -352,7 +352,8 @@ def test_criterion_8_form_factors(cfg_a, cfg_b):
         params, basis = bundle.params, bundle.basis
         u1 = embedded_u(bundle.params, 1)
         idx = 0
-        val = ff.npoint(bundle, idx, [u1, u1])
+        u1_table = bundle.covs @ u1 @ bundle.vecs.T
+        val = ff.npoint(bundle, idx, [u1_table, u1_table])
         dense = (bundle.covs[idx] @ u1 @ u1 @ bundle.vecs[idx]) / bundle.norms[idx]
         worst_np = max(worst_np, abs(val - dense)
                        / max(abs(dense), abs(val),

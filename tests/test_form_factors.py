@@ -12,6 +12,11 @@ from conftest import cfg_a_params, embedded_u, short_spectrum
 from sgsov.separate_states import prepare
 
 
+def _table(bundle, op):
+    """Dense matrix elements <t_i| op |t_j> between all eigenstates."""
+    return bundle.covs @ op @ bundle.vecs.T
+
+
 def _pair_scale(bundle, i, j, opnorm=1.0):
     return np.linalg.norm(bundle.covs[i]) * np.linalg.norm(bundle.vecs[j]) \
         * opnorm / np.sqrt(bundle.params.dim)
@@ -181,7 +186,7 @@ def test_ff_values_do_not_depend_on_basis_normalization(cfg_a):
 
 def test_npoint_single_insertion_reduces_to_form_factor(cfg_a):
     u1 = embedded_u(cfg_a.params, 1)
-    val = ff.npoint(cfg_a, 0, [u1])
+    val = ff.npoint(cfg_a, 0, [_table(cfg_a, u1)])
     dense = (cfg_a.covs[0] @ u1 @ cfg_a.vecs[0]) / cfg_a.norms[0]
     assert abs(val - dense) <= 1e-9 * max(abs(dense), 1e-300)
 
@@ -190,7 +195,7 @@ def test_npoint_two_point_expansion(desk_bundles):
     for bundle in desk_bundles.values():
         u1 = embedded_u(bundle.params, 1)
         for idx in (0, len(bundle.states) // 2):
-            val = ff.npoint(bundle, idx, [u1, u1])
+            val = ff.npoint(bundle, idx, [_table(bundle, u1)] * 2)
             dense = (bundle.covs[idx] @ u1 @ u1 @ bundle.vecs[idx]) / bundle.norms[idx]
             scale = max(abs(dense), abs(val),
                         _pair_scale(bundle, idx, idx) / abs(bundle.norms[idx]))
@@ -200,11 +205,8 @@ def test_npoint_two_point_expansion(desk_bundles):
 def test_npoint_two_point_with_determinant_route(cfg_a):
     params, basis = cfg_a.params, cfg_a.basis
     u1 = embedded_u(cfg_a.params, 1)
-
-    def det_me(bra, ket):
-        return ff.ff_u(params, basis, bra, ket, 1).value
-
-    val = ff.npoint(cfg_a, 2, [u1, u1], me_fns=[det_me, det_me])
+    det_table = ff.ff_u_table(params, basis, cfg_a.states, cfg_a.states, 1)[0]
+    val = ff.npoint(cfg_a, 2, [det_table, det_table])
     dense = (cfg_a.covs[2] @ u1 @ u1 @ cfg_a.vecs[2]) / cfg_a.norms[2]
     assert abs(val - dense) <= 1e-6 * max(abs(dense), 1e-300)
 
@@ -213,13 +215,29 @@ def test_npoint_mixed_operators_even_chain(cfg_b):
     u1 = embedded_u(cfg_b.params, 1)
     v2 = lo.reconstruct_v2k(cfg_b.params, 1, 1)
     for idx in (0, 4):
-        val = ff.npoint(cfg_b, idx, [u1, v2])
+        val = ff.npoint(cfg_b, idx, [_table(cfg_b, u1), _table(cfg_b, v2)])
         dense = (cfg_b.covs[idx] @ u1 @ v2 @ cfg_b.vecs[idx]) / cfg_b.norms[idx]
         scale = max(abs(dense), abs(val), 1e-6)
         assert abs(val - dense) <= 1e-6 * scale
 
 
+def test_npoint_three_operators_middle_slot(cfg_a, cfg_b):
+    # u1 v2 u1: the middle table is summed over both intermediate states; on
+    # the even chain cfg_b the charge rule makes the expectation vanish
+    for bundle in (cfg_a, cfg_b):
+        u1 = embedded_u(bundle.params, 1)
+        v2 = lo.reconstruct_v2k(bundle.params, 1, 1)
+        tables = [_table(bundle, op) for op in (u1, v2, u1)]
+        for idx in (0, len(bundle.states) // 2):
+            val = ff.npoint(bundle, idx, tables)
+            dense = (bundle.covs[idx] @ u1 @ v2 @ u1 @ bundle.vecs[idx]) / bundle.norms[idx]
+            scale = max(abs(dense), abs(val),
+                        _pair_scale(bundle, idx, idx) / abs(bundle.norms[idx]))
+            assert abs(val - dense) <= 1e-6 * scale
+
+
 def test_npoint_requires_full_spectrum(cfg_a):
-    u1 = embedded_u(cfg_a.params, 1)
+    short = short_spectrum(cfg_a, 2)
+    table = short.covs @ embedded_u(cfg_a.params, 1) @ short.vecs.T
     with pytest.raises(ss.IncompleteSpectrum):
-        ff.npoint(short_spectrum(cfg_a, 2), 0, [u1, u1])
+        ff.npoint(short, 0, [table, table])

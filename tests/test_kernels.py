@@ -336,6 +336,21 @@ def test_ff_u_table_equals_per_pair_calls(sol):
     assert zeros.any() if params.even_chain else not zeros.any()
 
 
+def test_ff_elementary_table_equals_per_pair_calls(sol):
+    params, basis, states = sol.params, sol.basis, sol.states
+    # every pair; every tenth bra on the d = 125 chain
+    bras = states if params.dim <= 27 else states[::10]
+    for elem in _elements(params):
+        values, zeros = ff.ff_elementary_table(params, basis, bras, states, elem)
+        per_pair = [[ff.ff_elementary(params, basis, bra, ket, elem) for ket in states]
+                    for bra in bras]
+        assert values.shape == zeros.shape == (len(bras), params.dim)
+        # one kernel, the same operations in the same order: bit-identical
+        assert np.array_equal(values, [[r.value for r in row] for row in per_pair])
+        assert np.array_equal(zeros, [[r.selection_zero for r in row] for row in per_pair])
+        assert np.all(values[zeros] == 0.0)
+
+
 def test_ff_u_table_at_a_shifted_site(hom3):
     params, basis, states = hom3.params, hom3.basis, hom3.states
     with pytest.raises(ff.ShiftUnavailable):

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from sgsov.params import ModelParams, DegenerateKappa
+from sgsov.params import ModelParams, DegenerateKappa, SgSovError
 from sgsov import model_core as mc
 from sgsov import local_ops as lo
 
@@ -219,7 +219,7 @@ def test_shift_power_full_period_is_central(n1, cfg_a):
 
 
 def test_shift_power_even_chain_rejected(cfg_b):
-    with pytest.raises(Exception):
+    with pytest.raises(SgSovError, match="odd chains"):
         lo.binvA_power_sov(cfg_b.params, cfg_b.basis, 1, 1.7 + 0.1j)
 
 

@@ -179,6 +179,16 @@ def test_cli_spectrum_row_count_cfg_a(tmp_path):
     assert len(rows) == 27
 
 
+def test_cli_spectrum_checks_the_merged_tolerances(tmp_path):
+    # the functional-equation residuals (about 1e-15) miss a 1e-30 tolerance,
+    # whether it comes from --tol or from the config
+    cfg = _write_cfg(tmp_path, _cfg_a_payload())
+    assert main(["spectrum", "--config", cfg]) == 0
+    assert main(["spectrum", "--config", cfg, "--tol", "1e-30"]) == 1
+    cfg = _write_cfg(tmp_path, _cfg_a_payload(tolerances={"functional_eq": 1e-30}))
+    assert main(["spectrum", "--config", cfg]) == 1
+
+
 def test_cli_scalar_and_sov_build(tmp_path):
     cfg = _write_cfg(tmp_path, _n1_payload())
     out = tmp_path / "rows.jsonl"
