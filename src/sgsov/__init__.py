@@ -38,7 +38,7 @@ from .local_ops import (SingularMatrix, ShiftedMonodromy,
                         reduce_O_monomial, cyclic_shift_permutation,
                         spanning_rank, v2k_shift_sums)
 from .form_factors import (FormFactorResult, ShiftUnavailable, ff_u, ff_u_table,
-                           ff_elementary, ff_elementary_table, npoint, shift_eigenvalue)
+                           ff_elementary, ff_elementary_table, npoint, shift_eigenvalues)
 from .oracle import (ComparisonReport, direct_matrix_element, verify_suite,
                      verify_solution, reports_to_jsonl, DEFAULT_TOLERANCES)
 

@@ -119,7 +119,7 @@ def _parse_op(token, params):
     for name in ("v2", "u"):
         if token.startswith(name):
             return name, _site_arg(token[len(name):], params, f"--ops token '{token}'")
-    raise ConfigError(f"unknown operator token '{token}'")
+    raise ConfigError(f"--ops: unknown operator token '{token}'")
 
 
 def _parse_factors(text, params):
@@ -152,7 +152,10 @@ class RowWriter:
 
     def __init__(self, path=None, fmt="json"):
         self.fmt = fmt
-        self.fh = open(path, "w") if path else sys.stdout
+        try:
+            self.fh = open(path, "w") if path else sys.stdout
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}")
         self.owns = path is not None
         self.writer = None
 
@@ -174,11 +177,7 @@ class RowWriter:
 def _emit_reports(reports, writer):
     ok = True
     for r in reports:
-        writer.emit({
-            "label": r.label, "absErr": r.abs_err, "relErr": r.rel_err,
-            "tolerance": r.tolerance, "margin": r.margin, "pass": r.passed,
-            "context": json.dumps(r.context, sort_keys=True, default=str),
-        })
+        writer.emit(r.row())
         ok = ok and r.passed
     return ok
 
@@ -237,65 +236,39 @@ def cmd_ff(params, seed, tolerances, writer, kind, site, factors, ops):
     tol = {**oracle.DEFAULT_TOLERANCES, **tolerances}
     sol = ss.prepare(params, seed, tolerances)
     basis, states = sol.basis, sol.states
-    covs, vecs, norms = sol.covs, sol.vecs, sol.norms
-    d = params.dim
-    ok = True
-    if kind in ("u", "elementary"):
-        if kind == "u":
-            dense_op = mc.embedded_u(params, site)
-            op_scale, tol_key = 1.0 / np.sqrt(d), "ff_u"
-            ratio = None
-            if site != 1:
-                # chain-shift eigenvalues <t|W|t> / <t|t> of every eigenstate
-                W = lo.cyclic_shift_permutation(params, site)
-                shift = np.sum(covs @ W * vecs, axis=1) / np.sum(covs * vecs, axis=1)
-                ratio = shift[:, None] / shift[None, :]
-            values, zeros = ffm.ff_u_table(params, basis, states, states, site,
-                                           shift_ratio=ratio)
-        else:
-            elem = lo.ElementaryBasisElement(tuple(factors))
-            dense_op = elem.to_dense(params, basis, sol.elementary_ops)
-            op_scale, tol_key = max(np.linalg.norm(dense_op), 1e-300) / d, "ff_elementary"
-            values, zeros = ffm.ff_elementary_table(params, basis, states, states, elem)
-        dense_all = covs @ dense_op @ vecs.T
-        ncov, nvec = np.linalg.norm(covs, axis=1), np.linalg.norm(vecs, axis=1)
-        for i in range(d):
-            for j in range(d):
-                value, dense = values[i, j], dense_all[i, j]
-                scale = max(abs(dense), abs(value), ncov[i] * nvec[j] * op_scale)
-                err = float(abs(dense - value) / scale)
-                passed = bool(err <= tol[tol_key])
-                ok = ok and passed
-                writer.emit({"bra": i, "ket": j,
-                             "determinant": fmt_complex(value),
-                             "oracle": fmt_complex(dense),
-                             "relErr": err, "selectionZero": bool(zeros[i, j]),
-                             "pass": passed})
-    elif kind == "npoint":
-        mats = []
-        for name, n in (_parse_op(tok, params) for tok in ops):
-            if name == "v2":
-                mats.append(lo.reconstruct_v2k(params, n, 1, sol.frame(n)))
-            else:
-                mats.append(mc.embedded_u(params, n))
-        dense_prod = np.eye(d, dtype=complex)
-        for m in mats:
-            dense_prod = dense_prod @ m
-        tables = [covs @ m @ vecs.T for m in mats]
-        for i in range(d):
-            val = ffm.npoint(sol, i, tables)
-            dense = (covs[i] @ dense_prod @ vecs[i]) / norms[i]
-            scale = max(abs(dense), abs(val),
-                        np.linalg.norm(covs[i]) * np.linalg.norm(vecs[i]) / abs(norms[i]))
-            err = float(abs(val - dense) / scale)
-            passed = bool(err <= tol["npoint"])
-            ok = ok and passed
-            writer.emit({"state": i, "expansion": fmt_complex(val),
-                         "oracle": fmt_complex(dense), "relErr": err,
-                         "pass": passed})
+    if kind == "npoint":
+        mats = [lo.reconstruct_v2k(params, n, 1, sol.frame(n)) if name == "v2"
+                else mc.embedded_u(params, n) for name, n in ops]
+        values, dense, _, rel = oracle.npoint_errors(sol, mats, np.arange(params.dim))
+        passed = rel <= tol["npoint"]
+        for i, err in enumerate(rel):
+            writer.emit({"state": i, "expansion": fmt_complex(values[i]),
+                         "oracle": fmt_complex(dense[i]), "relErr": float(err),
+                         "pass": bool(passed[i])})
+        return EXIT_OK if passed.all() else EXIT_CHECK_FAILED
+    if kind == "u":
+        dense_op, tol_key = mc.embedded_u(params, site), "ff_u"
+        ratio = None
+        if site != 1:
+            phi = ffm.shift_eigenvalues(sol, lo.cyclic_shift_permutation(params, site))
+            ratio = phi[:, None] / phi[None, :]
+        values, zeros = ffm.ff_u_table(params, basis, states, states, site,
+                                       shift_ratio=ratio)
+    elif kind == "elementary":
+        elem = lo.ElementaryBasisElement(tuple(factors))
+        dense_op, tol_key = elem.to_dense(params, basis, sol.elementary_ops), "ff_elementary"
+        values, zeros = ffm.ff_elementary_table(params, basis, states, states, elem)
     else:
         raise ConfigError(f"unknown form-factor kind '{kind}'")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    dense, rel = oracle.table_rel_err(sol, dense_op, values)
+    passed = rel <= tol[tol_key]
+    for (i, j), err in np.ndenumerate(rel):
+        writer.emit({"bra": i, "ket": j,
+                     "determinant": fmt_complex(values[i, j]),
+                     "oracle": fmt_complex(dense[i, j]),
+                     "relErr": float(err), "selectionZero": bool(zeros[i, j]),
+                     "pass": bool(passed[i, j])})
+    return EXIT_OK if passed.all() else EXIT_CHECK_FAILED
 
 
 def build_parser():
@@ -334,11 +307,13 @@ def main(argv=None):
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be a nonnegative integer, got {args.seed}")
         if args.command == "ff":
-            _site_arg(args.site, params, "--site")
+            site = _site_arg(args.site, params, "--site")
+            if args.kind == "u" and site != 1 and not params.homogeneous:
+                raise ConfigError(f"--site {site}: form factors beyond the first site "
+                                  "need the chain-shift symmetry of a homogeneous chain")
             factors = _parse_factors(args.factors, params)
-            ops = args.ops.split(",") if args.ops else []
-            for tok in ops:
-                _parse_op(tok, params)
+            ops = [_parse_op(tok, params) for tok in args.ops.split(",")]
+        writer = RowWriter(args.csv or args.json, "csv" if args.csv else "json")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -346,8 +321,6 @@ def main(argv=None):
         seed = args.seed
     if args.tol is not None:
         tolerances = {k: args.tol for k in oracle.DEFAULT_TOLERANCES}
-    writer = RowWriter(args.csv or args.json,
-                       "csv" if args.csv else "json")
     try:
         if args.command in _SUITE_SECTIONS:
             return cmd_verify(params, seed, tolerances, writer,

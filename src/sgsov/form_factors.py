@@ -22,7 +22,7 @@ from .local_ops import ElementaryBasisElement
 
 __all__ = [
     "FormFactorResult", "ShiftUnavailable", "ff_u", "ff_u_table", "ff_elementary",
-    "ff_elementary_table", "npoint", "shift_eigenvalue",
+    "ff_elementary_table", "npoint", "shift_eigenvalues",
 ]
 
 
@@ -37,12 +37,12 @@ class FormFactorResult:
     matrix: np.ndarray = None
 
 
-def shift_eigenvalue(sol, index: int, w_matrix):
-    """Eigenvalue of a chain-shift permutation on the eigenstate
-    ``sol.states[index]``, from its materialized separate-state
-    representation ``sol.covs[index]``, ``sol.vecs[index]``."""
-    cov, vec = sol.covs[index], sol.vecs[index]
-    return complex(cov @ w_matrix @ vec) / complex(cov @ vec)
+def shift_eigenvalues(sol, w_matrix):
+    """Eigenvalues <t|W|t> / <t|t> of a chain-shift permutation ``w_matrix``
+    on every eigenstate of ``sol``, from the materialized separate-state
+    representations ``sol.covs``, ``sol.vecs``."""
+    return np.sum(sol.covs @ w_matrix * sol.vecs, axis=1) \
+        / np.sum(sol.covs * sol.vecs, axis=1)
 
 
 def _require_shift(params: ModelParams, n: int, shift_ratio):

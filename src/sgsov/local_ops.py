@@ -19,7 +19,7 @@ __all__ = [
     "SingularMatrix", "ShiftedMonodromy", "ElementaryBasisElement",
     "shifted_monodromy", "reconstruct_u", "reconstruct_u_via_dc",
     "reconstruct_alpha0", "reconstruct_beta", "beta_target", "beta_sum_target",
-    "reconstruct_v2k", "v_power_target",
+    "reconstruct_v2k", "v_power_target", "fourier_degenerate", "v2k_fourier_weights",
     "q_number", "q_factorial", "q_multinomial", "q_multinomial_direct",
     "binvA_power_sov", "binvA_dense",
     "elementary_O", "elementary_O_power", "o_action_weight",
@@ -143,21 +143,35 @@ def v_power_target(params: ModelParams, n: int, k: int):
     return mc.site_embed(params, n, np.diag(w ** (2 * k)))
 
 
+def fourier_degenerate(params: ModelParams, n: int) -> bool:
+    """kappa_n^4 = 1: the Fourier denominator of the V_n^{2k} reconstruction
+    vanishes."""
+    return abs(params.kappa[n - 1] ** 4 - 1.0) < 1e-10
+
+
+def v2k_fourier_weights(params: ModelParams, n: int, ks):
+    """The Fourier phases (len(ks), p) and prefactors (len(ks),) that turn
+    the rational family of site n into the clock powers V_n^{2k}:
+    V_n^{2k} = pref[k] sum_m phases[k, m] beta_m."""
+    if fourier_degenerate(params, n):
+        raise DegenerateKappa(f"kappa^4 = 1 at site {n}: Fourier denominator vanishes")
+    p, kap = params.p, params.kappa[n - 1]
+    ks = np.asarray(ks)
+    phases = params.q ** (-ks[:, None] * (2 * np.arange(p) - 1))
+    pref = (-1.0) ** ks * (params.v[n - 1] ** (2 * p) * kap ** (2 * p) + 1) \
+        / (p * kap ** (2 * ks) * (kap ** 2 - kap ** (-2)))
+    return phases, pref
+
+
 def reconstruct_v2k(params: ModelParams, n: int, k: int,
                     shifted: ShiftedMonodromy = None):
     """Even powers of the clock generator by discrete Fourier transform of
     the rational family."""
     if not 1 <= k <= params.p - 1:
         raise IndexError("power index must lie in 1..p-1")
-    kap = params.kappa[n - 1]
-    if abs(kap ** 4 - 1.0) < 1e-10:
-        raise DegenerateKappa(f"kappa^4 = 1 at site {n}: Fourier denominator vanishes")
-    phases = params.q ** (-k * (2 * np.arange(params.p) - 1))
-    acc = np.tensordot(phases, (shifted or shifted_monodromy(params, n)).betas, axes=1)
-    v2p = params.v[n - 1] ** (2 * params.p)
-    pref = (-1.0) ** k * (v2p * kap ** (2 * params.p) + 1) \
-        / (params.p * kap ** (2 * k) * (kap ** 2 - kap ** (-2)))
-    return pref * acc
+    phases, pref = v2k_fourier_weights(params, n, [k])
+    betas = (shifted or shifted_monodromy(params, n)).betas
+    return pref[0] * np.tensordot(phases[0], betas, axes=1)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +307,7 @@ def v2k_shift_sums(params: ModelParams, basis: SovBasis, ks):
     if params.even_chain:
         raise SgSovError("the separated shift-sum route is stated for odd chains")
     p, d = params.p, params.dim
-    kap = params.kappa[0]
-    if abs(kap ** 4 - 1.0) < 1e-10:
-        raise DegenerateKappa("kappa^4 = 1: Fourier denominator vanishes")
+    phases, pref = v2k_fourier_weights(params, 1, ks)
     mu_p = complex(params.mu_plus[0])
     mu_m = complex(params.mu_minus[0])
     big_p, big_m = mu_p ** p, mu_m ** p
@@ -307,11 +319,6 @@ def v2k_shift_sums(params: ModelParams, basis: SovBasis, ks):
     products = np.array([(powers[m] if m else np.eye(d, dtype=complex)) @ mid
                          @ (powers[p + 1 - m] / central_p if m else powers[1])
                          for m in range(p)])
-    ks = np.asarray(ks)
-    phases = params.q ** (-ks[:, None] * (2 * np.arange(p) - 1))
-    v2p = params.v[0] ** (2 * p)
-    pref = (-1.0) ** ks * (v2p * kap ** (2 * p) + 1) \
-        / (p * kap ** (2 * ks) * (kap ** 2 - kap ** (-2)))
     return np.einsum("k,km,mij->kij", pref, phases, products)
 
 

@@ -22,7 +22,8 @@ from . import form_factors as ffm
 from . import local_ops as lo
 
 __all__ = ["ComparisonReport", "direct_matrix_element", "verify_suite",
-           "verify_solution", "reports_to_jsonl", "DEFAULT_TOLERANCES"]
+           "verify_solution", "reports_to_jsonl", "table_rel_err", "npoint_errors",
+           "DEFAULT_TOLERANCES"]
 
 
 DEFAULT_TOLERANCES = {
@@ -54,8 +55,6 @@ DEFAULT_TOLERANCES = {
 @dataclass
 class ComparisonReport:
     label: str
-    lhs: float
-    rhs: float
     abs_err: float
     rel_err: float
     tolerance: float
@@ -70,25 +69,46 @@ class ComparisonReport:
             return None
         return self.rel_err / self.tolerance
 
-    def to_json(self):
-        def enc(x):
-            if isinstance(x, complex):
-                return f"{x.real:.12g}{x.imag:+.12g}j"
-            if isinstance(x, (np.floating, np.integer)):
-                return x.item()
-            return x
-        payload = {
-            "label": self.label,
-            "lhs": enc(self.lhs), "rhs": enc(self.rhs),
-            "absErr": self.abs_err, "relErr": self.rel_err,
-            "tolerance": self.tolerance, "margin": self.margin, "pass": self.passed,
-            "context": {k: enc(v) for k, v in self.context.items()},
-        }
-        return json.dumps(payload, sort_keys=True)
+    def row(self):
+        """The report as one row of the CLI stream, with ``context`` as a
+        JSON string."""
+        return {"label": self.label, "absErr": self.abs_err, "relErr": self.rel_err,
+                "tolerance": self.tolerance, "margin": self.margin, "pass": self.passed,
+                "context": json.dumps(self.context, sort_keys=True, default=str)}
 
 
 def reports_to_jsonl(reports):
-    return "\n".join(r.to_json() for r in reports) + "\n"
+    return "\n".join(json.dumps(r.row(), sort_keys=True) for r in reports) + "\n"
+
+
+def table_rel_err(sol, op, values, bras=slice(None), kets=slice(None)):
+    """The dense table of ``op`` from ``bras`` to ``kets`` and the relErr of
+    the determinant table ``values`` against it, pair by pair:
+    |dense - det| / max(|dense|, |det|, |cov_i| |vec_j| |op|_F / d)."""
+    covs, vecs = sol.covs[bras], sol.vecs[kets]
+    dense = covs @ op @ vecs.T
+    floor = np.outer(np.linalg.norm(covs, axis=1), np.linalg.norm(vecs, axis=1)) \
+        * (max(np.linalg.norm(op), 1e-300) / sol.params.dim)
+    scale = np.maximum(np.maximum(np.abs(dense), np.abs(values)), floor)
+    return dense, np.abs(dense - values) / scale
+
+
+def npoint_errors(sol, ops, index):
+    """The multi-point expansions <t| O_1 ... O_m |t> / <t|t> over the dense
+    tables of ``ops`` for the eigenstates ``index`` (a sequence of indices),
+    their dense values, and the absolute and relative errors,
+    relErr = |val - dense| / max(|dense|, |cov| |vec| / |<t|t>|)."""
+    tables = [sol.covs @ op @ sol.vecs.T for op in ops]
+    values = np.array([ffm.npoint(sol, i, tables) for i in index])
+    covs, vecs, norms = sol.covs[index], sol.vecs[index], sol.norms[index]
+    left = covs
+    for op in ops:
+        left = left @ op
+    dense = np.sum(left * vecs, axis=1) / norms
+    err = np.abs(values - dense)
+    scale = np.maximum(np.abs(dense), np.linalg.norm(covs, axis=1)
+                       * np.linalg.norm(vecs, axis=1) / np.abs(norms))
+    return values, dense, err, err / scale
 
 
 def direct_matrix_element(left_state, operator, right_state):
@@ -111,28 +131,25 @@ class _Suite:
             self.tol.update(tolerances)
         self.reports = []
 
-    def check(self, label, err, tol_key, scale=1.0, diagnostic=False, **context):
+    def report(self, label, err, rel, tol_key, context):
+        """Append one report of absolute error ``err`` and relative error
+        ``rel``; diagnostic reports always pass."""
         tol = self.tol[tol_key] if isinstance(tol_key, str) else tol_key
-        rel = float(err) / max(abs(scale), 1e-300)
-        passed = True if diagnostic else bool(rel <= tol)
+        passed = True if context.get("diagnostic", False) else bool(rel <= tol)
         self.reports.append(ComparisonReport(
-            label=label, lhs=float(err), rhs=0.0, abs_err=float(err),
-            rel_err=rel, tolerance=float(tol), passed=passed,
-            context=dict(context, diagnostic=diagnostic)))
+            label=label, abs_err=float(err), rel_err=float(rel), tolerance=float(tol),
+            passed=passed, context=context))
         return passed
 
+    def check(self, label, err, tol_key, scale=1.0, diagnostic=False, **context):
+        return self.report(label, err, float(err) / max(abs(scale), 1e-300), tol_key,
+                           dict(context, diagnostic=diagnostic))
+
     def value_check(self, label, lhs, rhs, tol_key, scale=None, **context):
-        tol = self.tol[tol_key] if isinstance(tol_key, str) else tol_key
         err = abs(lhs - rhs)
         if scale is None:
             scale = max(abs(lhs), abs(rhs), 1e-300)
-        rel = err / max(abs(scale), 1e-300)
-        passed = bool(rel <= tol)
-        self.reports.append(ComparisonReport(
-            label=label, lhs=abs(lhs), rhs=abs(rhs), abs_err=float(err),
-            rel_err=float(rel), tolerance=float(tol), passed=passed,
-            context=context))
-        return passed
+        return self.report(label, err, err / max(abs(scale), 1e-300), tol_key, context)
 
 
 def verify_suite(params: ModelParams, seed: int = 0, tolerances=None,
@@ -508,7 +525,7 @@ def _local_section(s, sol):
         s.check(f"beta_sum_rule[{n}]",
                 mc.rel_err(sh.betas.sum(axis=0), lo.beta_sum_target(params, n) * np.eye(d)),
                 "reconstruction")
-        if abs(params.kappa[n - 1] ** 4 - 1.0) > 1e-10:
+        if not lo.fourier_degenerate(params, n):
             for k in range(1, p):
                 s.check(f"reconstruct_v2k[{n},{k}]",
                         mc.rel_err(lo.reconstruct_v2k(params, n, k, sh),
@@ -530,7 +547,7 @@ def _local_section(s, sol):
         s.check("shift_power_central",
                 mc.rel_err(lo.binvA_dense(params, mono, lam, p), scal * np.eye(d)),
                 "monomial")
-        if abs(params.kappa[0] ** 4 - 1.0) > 1e-10:
+        if not lo.fourier_degenerate(params, 1):
             ks = range(1, p)
             for k, got in zip(ks, lo.v2k_shift_sums(params, basis, ks)):
                 s.check(f"clock_power_shift_sum[{k}]",
@@ -648,15 +665,10 @@ def _ff_section(s, sol):
     params = s.params
     d = params.dim
     basis, states = sol.basis, sol.states
-    covs, vecs, norms = sol.covs, sol.vecs, sol.norms
     u1 = mc.embedded_u(params, 1)
 
-    u1_table = covs @ u1 @ vecs.T
     det = ffm.ff_u_table(params, basis, states, states, 1)[0]
-    scale = np.maximum(np.maximum(np.abs(u1_table), np.abs(det)),
-                       np.outer(np.linalg.norm(covs, axis=1),
-                                np.linalg.norm(vecs, axis=1)) / np.sqrt(d))
-    s.check("ff_u_full_sweep", float(np.max(np.abs(u1_table - det) / scale)), "ff_u",
+    s.check("ff_u_full_sweep", float(np.max(table_rel_err(sol, u1, det)[1])), "ff_u",
             pairs=d * d)
 
     elems = [lo.ElementaryBasisElement(((0, 1, 1),))]
@@ -666,40 +678,28 @@ def _ff_section(s, sol):
     if params.even_chain:
         elems.append(lo.ElementaryBasisElement((), theta_pow=1, theta_a_pow=1))
     rng = s.rng(60)
-    pair_list = [(int(rng.integers(0, d)), int(rng.integers(0, d))) for _ in range(10)]
+    bras, kets = np.array([(int(rng.integers(0, d)), int(rng.integers(0, d)))
+                           for _ in range(10)]).T
     for e_idx, elem in enumerate(elems):
+        # the sampled pairs are the diagonal of the table over the sampled states
         dense_op = elem.to_dense(params, basis, sol.elementary_ops)
-        worst = 0.0
-        for i, j in pair_list:
-            dense = covs[i] @ dense_op @ vecs[j]
-            res = ffm.ff_elementary(params, basis, states[i], states[j], elem)
-            scale = max(abs(dense), abs(res.value),
-                        np.linalg.norm(covs[i]) * np.linalg.norm(vecs[j])
-                        * max(np.linalg.norm(dense_op), 1e-300) / d)
-            worst = max(worst, abs(dense - res.value) / scale)
-        s.check(f"ff_elementary[{e_idx}]", worst, "ff_elementary",
-                factors=str(elem.factors))
+        det = ffm.ff_elementary_table(params, basis, [states[i] for i in bras],
+                                      [states[j] for j in kets], elem)[0]
+        err = table_rel_err(sol, dense_op, det, bras, kets)[1]
+        s.check(f"ff_elementary[{e_idx}]", float(np.max(np.diagonal(err))),
+                "ff_elementary", factors=str(elem.factors))
     # two-point expansions over the dense tables
-    val = ffm.npoint(sol, 0, [u1_table, u1_table])
-    dense = (covs[0] @ u1 @ u1 @ vecs[0]) / norms[0]
-    s.value_check("npoint_two_u", val, dense, "npoint",
-                  scale=max(abs(dense), np.linalg.norm(covs[0]) * np.linalg.norm(vecs[0])
-                            / abs(norms[0])))
-    v2 = lo.reconstruct_v2k(params, 1, 1, sol.frame(1)) \
-        if abs(params.kappa[0] ** 4 - 1) > 1e-10 \
-        else None
-    if v2 is not None:
-        val = ffm.npoint(sol, 0, [u1_table, covs @ v2 @ vecs.T])
-        dense = (covs[0] @ u1 @ v2 @ vecs[0]) / norms[0]
-        s.value_check("npoint_u_v2", val, dense, "npoint",
-                      scale=max(abs(dense), np.linalg.norm(covs[0])
-                                * np.linalg.norm(vecs[0]) / abs(norms[0])))
+    _, _, err, rel = npoint_errors(sol, [u1, u1], [0])
+    s.report("npoint_two_u", err[0], rel[0], "npoint", {})
+    if not lo.fourier_degenerate(params, 1):
+        v2 = lo.reconstruct_v2k(params, 1, 1, sol.frame(1))
+        _, _, err, rel = npoint_errors(sol, [u1, v2], [0])
+        s.report("npoint_u_v2", err[0], rel[0], "npoint", {})
     # homogeneous chains: the eigenvalues of the unit chain shift are unit
     # phases whose N-th power is 1
     if params.n_sites > 1 and params.homogeneous:
-        W = lo.cyclic_shift_permutation(params, 2)
-        for i in (0, 1):
-            phi = ffm.shift_eigenvalue(sol, i, W)
+        phis = ffm.shift_eigenvalues(sol, lo.cyclic_shift_permutation(params, 2))
+        for i, phi in enumerate(phis[:2]):
             s.check(f"shift_phase_unit[{i}]", abs(abs(phi) - 1.0), "reconstruction",
                     phi=phi)
             s.check(f"shift_phase_cycle[{i}]",

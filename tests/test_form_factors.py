@@ -70,7 +70,7 @@ def test_ff_u_shifted_site_homogeneous(hom3):
     for n in (2, 3):
         W = lo.cyclic_shift_permutation(params, n)
         un = embedded_u(hom3.params, n)
-        phis = [ff.shift_eigenvalue(hom3, i, W) for i in range(d)]
+        phis = ff.shift_eigenvalues(hom3, W)
         for i in range(0, d, 5):
             for j in range(0, d, 7):
                 res = ff.ff_u(params, basis, hom3.states[i], hom3.states[j], n,
@@ -90,8 +90,7 @@ def test_shift_eigenvalue_diagnostic_homogeneous(hom3):
     # rotation being the identity; reported as a diagnostic
     params = hom3.params
     W = lo.cyclic_shift_permutation(params, 2)
-    for i in range(6):
-        phi = ff.shift_eigenvalue(hom3, i, W)
+    for phi in ff.shift_eigenvalues(hom3, W)[:6]:
         assert abs(abs(phi) - 1.0) <= 1e-8
         # N applications of the unit shift close the cycle
         assert abs(phi ** params.n_sites - 1.0) <= 1e-6

@@ -75,8 +75,9 @@ def test_report_serialization_roundtrip(cfg_b):
     reports = oracle.verify_suite(cfg_b.params, seed=4, sections={"algebra"})
     for line in oracle.reports_to_jsonl(reports).strip().splitlines():
         row = json.loads(line)
-        assert {"label", "lhs", "rhs", "absErr", "relErr",
-                "tolerance", "margin", "pass", "context"} <= set(row)
+        assert set(row) == {"label", "absErr", "relErr", "tolerance", "margin", "pass",
+                            "context"}
+        assert isinstance(json.loads(row["context"]), dict)
 
 
 # -- command line -----------------------------------------------------------
@@ -105,11 +106,10 @@ def _n1_payload():
 
 
 def test_report_margin_in_reports_and_cli_rows(tmp_path):
-    report = oracle.ComparisonReport("x", 0.0, 0.0, 1e-9, 2e-9, 1e-8, True)
+    report = oracle.ComparisonReport("x", 1e-9, 2e-9, 1e-8, True)
     assert report.margin == 2e-9 / 1e-8
-    diag = oracle.ComparisonReport("y", 0.0, 0.0, 1.0, 1.0, 0.0, True,
-                                   {"diagnostic": True})
-    assert diag.margin is None and json.loads(diag.to_json())["margin"] is None
+    diag = oracle.ComparisonReport("y", 1.0, 1.0, 0.0, True, {"diagnostic": True})
+    assert diag.margin is None and diag.row()["margin"] is None
     out = tmp_path / "rows.json"
     assert main(["check-algebra", "--config", _write_cfg(tmp_path, _n1_payload()),
                  "--json", str(out)]) == 0
@@ -278,9 +278,37 @@ def _cfg_b_payload():
     (_cfg_b_payload(), ["ff", "--kind", "elementary", "--factors", "9:0:1"]),
     (_cfg_b_payload(), ["ff", "--kind", "elementary", "--factors", "2:0:1,1:0:1"]),
     (_n1_payload(), ["ff", "--kind", "npoint", "--ops", "u9"]),
+    (_n1_payload(), ["ff", "--kind", "npoint", "--ops", ""]),
+    (_cfg_b_payload(), ["ff", "--kind", "u", "--site", "2"]),
+    (_n1_payload(), ["verify-all", "--json", "/nonexistent/dir/x.jsonl"]),
+    (_n1_payload(), ["ff", "--csv", "/nonexistent/dir/x.csv"]),
 ], ids=["seed-negative", "site-0", "site-5", "factor-two-fields", "factor-variable",
-        "factors-descending", "op-site"])
+        "factors-descending", "op-site", "ops-empty", "site-inhomogeneous",
+        "json-unwritable", "csv-unwritable"])
 def test_bad_arguments_rejected_before_computation(tmp_path, capsys, payload, argv):
     assert main(argv + ["--config", _write_cfg(tmp_path, payload)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "config error" in captured.err
+
+
+def test_cli_ff_u_shifted_site_on_homogeneous_chain(tmp_path):
+    payload = _cfg_a_payload()
+    payload["model"]["kappa"] = [[0.0, 1.1]] * 3
+    payload["model"]["xi"] = [[1.0, 0.0]] * 3
+    out = tmp_path / "ff.jsonl"
+    assert main(["ff", "--kind", "u", "--site", "2", "--config", _write_cfg(tmp_path, payload),
+                 "--json", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(rows) == 27 * 27 and all(r["pass"] for r in rows)
+
+
+def test_cli_ff_u_and_oracle_share_the_error_rule(tmp_path):
+    # the worst row of the CLI pair table is the oracle's ff_u_full_sweep row
+    cfg = _write_cfg(tmp_path, _cfg_a_payload())
+    out = tmp_path / "ff.jsonl"
+    assert main(["ff", "--kind", "u", "--config", cfg, "--json", str(out)]) == 0
+    worst = max(json.loads(line)["relErr"] for line in out.read_text().splitlines())
+    params, seed, tolerances = load_config(cfg)
+    rows = {r.label: r for r in oracle.verify_suite(params, seed, tolerances,
+                                                     sections={"ff"})}
+    assert worst == rows["ff_u_full_sweep"].rel_err

@@ -253,7 +253,7 @@ def test_construction_residuals_are_read_only_diagnostic_rows(cfg_b):
     assert type(basis.label_mismatch) is float and type(basis.calibration_residual) is float
     with pytest.raises(dataclasses.FrozenInstanceError):
         basis.label_mismatch = 0.0
-    streams = [[r.to_json() for r in verify_solution(prepare(cfg_b_params(), SEED),
+    streams = [[r.row() for r in verify_solution(prepare(cfg_b_params(), SEED),
                                                       sections={"sov"})]
                for _ in range(2)]
     assert streams[0] == streams[1]
