@@ -30,7 +30,7 @@ print(f"  scalar value          {qd:.6f}")
 print(f"  operator identity dev {frob(AD - qd * np.eye(params.dim)) / frob(AD):.2e}")
 
 l1, l2 = params.spectral_samples(rng, 2)
-T1, T2 = transfer(params, l1, mono), transfer(params, l2, mono)
+T1, T2 = transfer(mono, l1), transfer(mono, l2)
 print(f"\ncommuting transfer family: |[T(l1), T(l2)]| / scale = "
       f"{frob(T1 @ T2 - T2 @ T1) / (frob(T1) * frob(T2)):.2e}")
 

@@ -16,7 +16,7 @@ for a in range(params.n_sites):
     print(f"  variable {a + 1}: Z = {grid.z[a]:.6f}   root = {grid.eta0[a]:.6f}"
           f"   root^2 = {grid.eta0[a] ** 2:.6f}")
 
-basis = build_sov_basis(params, grid, mono, rng=np.random.default_rng(5))
+basis = build_sov_basis(params, mono, np.random.default_rng(5), grid)
 
 G = basis.left @ basis.right
 off = G - np.diag(np.diag(G))

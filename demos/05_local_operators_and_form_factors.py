@@ -16,8 +16,8 @@ basis = sol.basis
 print("inverse problem: reconstructed local operators vs embedded generators")
 for n in (1, 2, 3):
     frame = sol.frame(n)   # the site-n reordered monodromy and its solves
-    err_u = rel_err(reconstruct_u(params, n, 1, frame), embedded_u(params, n))
-    err_v = rel_err(reconstruct_v2k(params, n, 1, frame), v_power_target(params, n, 1))
+    err_u = rel_err(reconstruct_u(frame), embedded_u(params, n))
+    err_v = rel_err(reconstruct_v2k(frame, 1), v_power_target(params, n, 1))
     print(f"  site {n}: shift generator {err_u:.1e}   clock squared {err_v:.1e}")
 
 # dense covectors and vectors of the eigenstates, for the comparisons

@@ -71,9 +71,9 @@ def load_config(path):
     if not isinstance(p_prime, int) or p_prime % 2 or p_prime <= 0:
         raise ConfigError("model.p_prime must be a positive even integer")
 
-    def site_list(key, default=None):
+    def site_list(key):
         if key not in model:
-            return default
+            return None
         vals = model[key]
         if not isinstance(vals, list) or len(vals) != n:
             raise ConfigError(f"model.{key} must be a list of length N={n}")
@@ -150,7 +150,7 @@ class RowWriter:
     """Append-only row emitter: JSON lines (default) or CSV with a fixed
     column order."""
 
-    def __init__(self, path=None, fmt="json"):
+    def __init__(self, path, fmt):
         self.fmt = fmt
         try:
             self.fh = open(path, "w") if path else sys.stdout
@@ -187,7 +187,7 @@ _SUITE_SECTIONS = {"check-algebra": {"algebra"}, "scalar": {"scalar"},
                    "verify-all": None}
 
 
-def cmd_verify(params, seed, tolerances, writer, sections=None):
+def cmd_verify(params, seed, tolerances, writer, sections):
     reports = oracle.verify_suite(params, seed, tolerances, sections=sections)
     return EXIT_OK if _emit_reports(reports, writer) else EXIT_CHECK_FAILED
 
@@ -196,12 +196,13 @@ def cmd_sov_build(params, seed, tolerances, writer):
     sol = ss.prepare(params, seed, tolerances)
     reports = oracle.verify_solution(sol, tolerances, sections={"sov"})
     basis = sol.basis
+    # both row kinds carry every column (the absent ones empty): one CSV header
     for a in range(params.n_sites):
         writer.emit({"kind": "variable", "index": a,
                      "zero": fmt_complex(basis.grid.z[a]),
-                     "root": fmt_complex(basis.grid.eta0[a])})
+                     "root": fmt_complex(basis.grid.eta0[a]), "tuple": "", "weight": ""})
     for j in range(params.dim):
-        writer.emit({"kind": "measure", "index": j,
+        writer.emit({"kind": "measure", "index": j, "zero": "", "root": "",
                      "tuple": "".join(map(str, basis.tuples[j])),
                      "weight": fmt_complex(basis.measure[j])})
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
@@ -237,7 +238,7 @@ def cmd_ff(params, seed, tolerances, writer, kind, site, factors, ops):
     sol = ss.prepare(params, seed, tolerances)
     basis, states = sol.basis, sol.states
     if kind == "npoint":
-        mats = [lo.reconstruct_v2k(params, n, 1, sol.frame(n)) if name == "v2"
+        mats = [lo.reconstruct_v2k(sol.frame(n), 1) if name == "v2"
                 else mc.embedded_u(params, n) for name, n in ops]
         values, dense, _, rel = oracle.npoint_errors(sol, mats, np.arange(params.dim))
         passed = rel <= tol["npoint"]

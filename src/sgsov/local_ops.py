@@ -34,13 +34,14 @@ class SingularMatrix(SgSovError):
 
 # condition number above which an operator is not inverted
 COND_LIMIT = 1e10
+RANK_TOL = 1e-8  # relative singular-value threshold of ``spanning_rank``
 
 
-def _solve(Amat, Bmat, cond_limit=COND_LIMIT, what=""):
+def _solve(Amat, Bmat, what):
     """Pivoted-LU solve A^{-1} B with a condition check; returns the solution,
-    read-only, and the condition number of A."""
+    read-only, and the condition number of A (named ``what`` in the error)."""
     cond = float(np.linalg.cond(Amat))
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularMatrix(f"condition number {cond:.3e} while inverting {what}")
     return _read_only(np.linalg.solve(Amat, Bmat)), cond
 
@@ -93,31 +94,27 @@ def shifted_monodromy(params: ModelParams, n: int) -> ShiftedMonodromy:
     return ShiftedMonodromy(params, n, mc.monodromy(params, site_order=order))
 
 
-def reconstruct_u(params: ModelParams, n: int, k: int = 1,
-                  shifted: ShiftedMonodromy = None):
-    """k-th power of the site-n shift generator from the reordered monodromy
-    evaluated at the first quantum-determinant zero."""
-    return np.linalg.matrix_power((shifted or shifted_monodromy(params, n)).binva, k)
+def reconstruct_u(frame: ShiftedMonodromy, k: int = 1):
+    """k-th power of the frame site's shift generator from the reordered
+    monodromy evaluated at the first quantum-determinant zero."""
+    return np.linalg.matrix_power(frame.binva, k)
 
 
-def reconstruct_u_via_dc(params: ModelParams, n: int,
-                         shifted: ShiftedMonodromy = None):
+def reconstruct_u_via_dc(frame: ShiftedMonodromy):
     """Alternative route through the lower row of the monodromy."""
-    mono, lam = (shifted or shifted_monodromy(params, n)).mono, params.mu_plus[n - 1]
+    mono, lam = frame.mono, frame.params.mu_plus[frame.n - 1]
     return _solve(mono.D.evaluate(lam), mono.C.evaluate(lam), what="D(mu_+)")[0]
 
 
-def reconstruct_alpha0(params: ModelParams, n: int,
-                       shifted: ShiftedMonodromy = None):
+def reconstruct_alpha0(frame: ShiftedMonodromy):
     """The rational local operator obtained at the second determinant zero."""
-    return (shifted or shifted_monodromy(params, n)).alpha0
+    return frame.alpha0
 
 
-def reconstruct_beta(params: ModelParams, n: int, k: int,
-                     shifted: ShiftedMonodromy = None):
+def reconstruct_beta(frame: ShiftedMonodromy, k: int):
     """Conjugate of the rational local operator by the k-th shift power
     (p-periodic in k, as U^p is central)."""
-    return (shifted or shifted_monodromy(params, n)).betas[k % params.p]
+    return frame.betas[k % frame.params.p]
 
 
 def beta_target(params: ModelParams, n: int, k: int):
@@ -163,15 +160,13 @@ def v2k_fourier_weights(params: ModelParams, n: int, ks):
     return phases, pref
 
 
-def reconstruct_v2k(params: ModelParams, n: int, k: int,
-                    shifted: ShiftedMonodromy = None):
-    """Even powers of the clock generator by discrete Fourier transform of
-    the rational family."""
-    if not 1 <= k <= params.p - 1:
+def reconstruct_v2k(frame: ShiftedMonodromy, k: int):
+    """Even powers of the frame site's clock generator by discrete Fourier
+    transform of the rational family."""
+    if not 1 <= k <= frame.params.p - 1:
         raise IndexError("power index must lie in 1..p-1")
-    phases, pref = v2k_fourier_weights(params, n, [k])
-    betas = (shifted or shifted_monodromy(params, n)).betas
-    return pref[0] * np.tensordot(phases[0], betas, axes=1)
+    phases, pref = v2k_fourier_weights(frame.params, frame.n, [k])
+    return pref[0] * np.tensordot(phases[0], frame.betas, axes=1)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +240,8 @@ def q_multinomial_direct(q, k: int, alphas):
 # Separated representation of powers of the shift combination
 # ---------------------------------------------------------------------------
 
-def binvA_dense(params: ModelParams, mono: Monodromy, lam, k: int = 1):
+def binvA_dense(mono: Monodromy, lam, k: int = 1):
+    """k-th power of B^{-1}(lam) A(lam) by a dense solve."""
     binva = _solve(mono.B.evaluate(lam), mono.A.evaluate(lam), what="B(lam)")[0]
     return np.linalg.matrix_power(binva, k)
 
@@ -343,7 +339,7 @@ def eta_interp_operator(basis: SovBasis, power: int = 1):
 
 
 def elementary_O(params: ModelParams, basis: SovBasis, a: int, k: int,
-                 mono: Monodromy = None) -> np.ndarray:
+                 mono: Monodromy) -> np.ndarray:
     """Elementary lowering operator O_{a,k} on variable ``a`` at grid index
     ``k``: the normalized product of p-1 B evaluations and one A evaluation,
     a weighted lowering shift of that separate variable.  A prepared
@@ -351,7 +347,6 @@ def elementary_O(params: ModelParams, basis: SovBasis, a: int, k: int,
     nsep = params.n_separate
     if not 0 <= a < nsep or not 0 <= k < params.p:
         raise IndexError("variable or grid index out of range")
-    mono = mono if mono is not None else mc.monodromy(params)
     grid = basis.grid.grid
     op = mono.A.evaluate(grid[a, k % params.p])
     for j in range(k + 1, k + params.p):
@@ -531,21 +526,20 @@ def _local_block(params: ModelParams, n: int, op):
         / p ** (N - 1)
 
 
-def spanning_rank(params: ModelParams, n: int, tol=1e-8,
-                  shifted: ShiftedMonodromy = None):
-    """Dimension of the operator algebra generated at site n by the shift
-    powers and the conjugated rational family, computed on the local factor."""
-    sh = shifted or shifted_monodromy(params, n)
+def spanning_rank(frame: ShiftedMonodromy):
+    """Dimension of the operator algebra generated at the frame's site by the
+    shift powers and the conjugated rational family, on the local factor."""
+    params, n, mono = frame.params, frame.n, frame.mono
     lam = params.mu_minus[n - 1]
-    mid = _solve(sh.mono.B.evaluate(lam), sh.mono.A.evaluate(lam), what="B(mu_-)")[0]
-    powers = [np.linalg.matrix_power(sh.binva, k) for k in range(params.p)]
+    mid = _solve(mono.B.evaluate(lam), mono.A.evaluate(lam), what="B(mu_-)")[0]
+    powers = [np.linalg.matrix_power(frame.binva, k) for k in range(params.p)]
     gens = powers[1:] + [powers[k] @ mid @ powers[params.p - 1 - k]
                          for k in range(1, params.p)]
     basis_ops = [np.eye(params.p, dtype=complex)] + [_local_block(params, n, g) for g in gens]
     # close under products until the spanned dimension stabilizes
     def rank_of(mats):
         M = np.stack([m.reshape(-1) for m in mats])
-        return np.linalg.matrix_rank(M, tol=tol * np.linalg.norm(M))
+        return np.linalg.matrix_rank(M, tol=RANK_TOL * np.linalg.norm(M))
 
     current = list(basis_ops)
     r = rank_of(current)

@@ -235,8 +235,7 @@ def monodromy(params: ModelParams, site_order=None) -> Monodromy:
     return Monodromy(A=M[0][0], B=M[0][1], C=M[1][0], D=M[1][1])
 
 
-def transfer(params: ModelParams, lam, mono: Monodromy = None):
-    mono = mono if mono is not None else monodromy(params)
+def transfer(mono: Monodromy, lam):
     return mono.A.evaluate(lam) + mono.D.evaluate(lam)
 
 
@@ -269,9 +268,8 @@ def rmatrix(lam, q):
                      [0, 0, 0, a]], dtype=complex)
 
 
-def yang_baxter_residual(params: ModelParams, lam, mu, mono: Monodromy = None):
+def yang_baxter_residual(params: ModelParams, lam, mu, mono: Monodromy):
     """Relative residual of the quadratic exchange relation at (lam, mu)."""
-    mono = mono if mono is not None else monodromy(params)
     d = params.dim
     Tl, Tm = mono.evaluate(lam), mono.evaluate(mu)
     # products of T(lam) (x) 1 and 1 (x) T(mu) in the doubled auxiliary space:
@@ -369,21 +367,20 @@ def average_monodromy(params: ModelParams, big_lam):
     return M
 
 _ENTRY_SLOT = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}
+CENTRAL_TOL = 1e-9  # relative deviation from a scalar of a central average
 
 
-def average_value_dense(params: ModelParams, entry: str, lam, mono: Monodromy = None,
-                        tol=1e-9):
+def average_value_dense(params: ModelParams, entry: str, lam, mono: Monodromy):
     """Oracle route: multiply the p operators O(q^k lam) and reduce the
     (necessarily central) product to its scalar.  Raises NotCentral if the
     product is not proportional to the identity."""
-    mono = mono if mono is not None else monodromy(params)
     op = mono.entry(entry)
     prod = np.eye(params.dim, dtype=complex)
     for k in range(1, params.p + 1):
         prod = prod @ op.evaluate(params.q ** k * lam)
     scalar = np.trace(prod) / params.dim
     dev = frob(prod - scalar * np.eye(params.dim))
-    if dev > tol * max(frob(prod), 1e-300):
+    if dev > CENTRAL_TOL * max(frob(prod), 1e-300):
         raise NotCentral(f"average of {entry} deviates from scalar*Id by {dev:.3e}")
     return complex(scalar), dev
 

@@ -16,6 +16,9 @@ import numpy as np
 __all__ = ["ModelParams", "SgSovError", "DegenerateKappa", "OddChain"]
 
 
+SAMPLE_MODULUS = (0.5, 2.0)  # modulus range of ``ModelParams.spectral_samples``
+
+
 class SgSovError(Exception):
     """Base class for numerical / structural failures of the toolkit."""
 
@@ -159,9 +162,8 @@ class ModelParams:
 
     # -- sampling ----------------------------------------------------------
 
-    def spectral_samples(self, rng, count, exclude=(), min_dist=1e-3,
-                         mod_range=(0.5, 2.0)):
-        """Draw generic spectral points: modulus in ``mod_range``, uniform
+    def spectral_samples(self, rng, count, exclude=(), min_dist=1e-3):
+        """Draw generic spectral points: modulus in ``SAMPLE_MODULUS``, uniform
         argument, rejecting points within ``min_dist`` of any excluded value
         (quantum-determinant zeros are always excluded).
 
@@ -177,7 +179,7 @@ class ModelParams:
                 raise SgSovError("spectral sampling failed: exclusion set too dense")
             need = min(count - len(out), limit - attempts)
             attempts += need
-            r, phi = rng.uniform([mod_range[0], 0.0], [mod_range[1], 2.0 * np.pi],
+            r, phi = rng.uniform([SAMPLE_MODULUS[0], 0.0], [SAMPLE_MODULUS[1], 2.0 * np.pi],
                                  size=(need, 2)).T
             lam = r * np.exp(1j * phi)
             far = np.min(np.abs(excl[None, :] - lam[:, None]), axis=1) >= min_dist

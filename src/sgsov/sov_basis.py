@@ -266,7 +266,7 @@ def rayleigh_pairings(L, op, R):
     return np.sum(L * (op @ R).T, axis=1)
 
 
-def _label_eigenvectors(params, grid, tuples, b_ops, rng, tol=LABEL_TOL):
+def _label_eigenvectors(params, grid, tuples, b_ops, rng):
     """Diagonalize a random combination of the B probes and assign labels.
 
     Returns (right eigvec matrix R with columns in label order, rows of
@@ -289,7 +289,7 @@ def _label_eigenvectors(params, grid, tuples, b_ops, rng, tol=LABEL_TOL):
             / pat_scale[:, None]
         row, col = linear_sum_assignment(cost)
         worst = cost[row, col].max()
-        if worst < tol:
+        if worst < LABEL_TOL:
             perm = np.empty(d, dtype=int)
             perm[row] = col
             return R[:, perm], Linv[perm, :], worst
@@ -420,13 +420,11 @@ def _project_scale(target, raw):
     return g, res
 
 
-def build_sov_basis(params: ModelParams, grid: SovGrid = None, mono=None,
-                    rng=None, tol=CALIBRATION_TOL, rel_gap=1e-6) -> SovBasis:
+def build_sov_basis(params: ModelParams, mono, rng, grid: SovGrid = None,
+                    rel_gap=1e-6) -> SovBasis:
     """Construct, label and calibrate the left and right SOV bases, both by
     one calibration sweep: covectors step through D(eta) with d, vectors
     (calibrated as rows) through A(eta) with abar."""
-    rng = rng if rng is not None else np.random.default_rng(0)
-    mono = mono if mono is not None else mc.monodromy(params)
     grid = grid if grid is not None else b_zeros(params, rel_gap=rel_gap)
     p, nsep, d = params.p, params.n_separate, params.dim
     n_ref = params.n_sites - 1
@@ -440,7 +438,7 @@ def build_sov_basis(params: ModelParams, grid: SovGrid = None, mono=None,
                                (abar_vals, "A", "right-gauge coefficients")):
             prod = np.prod(vals[a])
             avg = mc.average_value(params, op, grid.z[a])
-            if abs(prod - avg) > tol * max(abs(avg), 1e-300):
+            if abs(prod - avg) > CALIBRATION_TOL * max(abs(avg), 1e-300):
                 raise GaugeInconsistency(
                     f"cycle product of the {what} on variable {a} "
                     f"misses the {op} average: {prod} vs {avg}")
@@ -535,7 +533,7 @@ def build_sov_basis(params: ModelParams, grid: SovGrid = None, mono=None,
         lam = params.spectral_samples(rng, 1, exclude=exclude)[0]
         wrap = step_up(left, np.matmul, grid.a_vals, -1, jb, lam)
         cyc = np.linalg.norm(wrap - left[0]) / np.linalg.norm(left[0])
-        if cyc > tol:
+        if cyc > CALIBRATION_TOL:
             raise GaugeInconsistency(
                 f"reference-direction cycle fails to close: residual {cyc:.3e}")
 
@@ -546,9 +544,9 @@ def build_sov_basis(params: ModelParams, grid: SovGrid = None, mono=None,
     right = calibrate(raw, raw[0] * (m00 / (left[0] @ raw[0])), lambda v, M: M @ v,
                       a_ops, abar_vals, abar_vals, +1)
 
-    if worst_step > tol:
+    if worst_step > CALIBRATION_TOL:
         raise GaugeInconsistency(
-            f"calibration step residual {worst_step:.3e} exceeds {tol:.1e}; "
+            f"calibration step residual {worst_step:.3e} exceeds {CALIBRATION_TOL:.1e}; "
             "labels or parameters are degenerate")
 
     return SovBasis(params, grid, tuples, left, np.ascontiguousarray(right.T),

@@ -23,6 +23,11 @@ __all__ = [
 ]
 
 
+FE_POINTS = 10            # spectral points of the functional-equation check
+FACTORIZATION_TOL = 1e-7  # worst relative factorization residual of a wavefunction
+NULL_TOL = 1e-9           # relative SVD-null and pivot threshold of the Baxter fit
+
+
 class EmptyNullspace(SgSovError):
     """No polynomial solves the functional difference equation at tolerance."""
 
@@ -69,14 +74,12 @@ def polyval_ascending(coeffs, lam):
     return complex(out) if out.ndim == 0 else out
 
 
-def diagonalize_transfer(params: ModelParams, mono=None, rng=None,
+def diagonalize_transfer(params: ModelParams, mono, rng,
                          gap_tol=1e-8) -> list[TransferEigenstate]:
     """Joint eigenstates of the transfer family, with eigenvalue Laurent
     coefficients recovered from left/right pairings of the coefficient
     operators.  On even chains the charge eigenspaces are diagonalized
     separately, which makes the joint labels exact."""
-    rng = rng if rng is not None else np.random.default_rng(0)
-    mono = mono if mono is not None else mc.monodromy(params)
     tpoly = mono.transfer()
     d = params.dim
     lam0, lam1 = params.spectral_samples(rng, 2)
@@ -155,13 +158,11 @@ def diagonalize_transfer(params: ModelParams, mono=None, rng=None,
     return states
 
 
-def check_functional_equation(params: ModelParams, t_coeffs, rng=None,
-                              n_points=10):
+def check_functional_equation(params: ModelParams, t_coeffs, rng):
     """Maximal normalized determinant of the cyclic tridiagonal family built
-    from the candidate eigenvalue and the gauge coefficients; vanishes
-    exactly on the spectrum."""
-    rng = rng if rng is not None else np.random.default_rng(0)
-    pts = params.spectral_samples(rng, n_points)
+    from the candidate eigenvalue and the gauge coefficients, over
+    ``FE_POINTS`` spectral points; vanishes exactly on the spectrum."""
+    pts = params.spectral_samples(rng, FE_POINTS)
     p = params.p
     lams = np.asarray(pts)[:, None] * params.q ** np.arange(p)     # (points, p)
     j = np.arange(p)
@@ -174,7 +175,7 @@ def check_functional_equation(params: ModelParams, t_coeffs, rng=None,
     return float(np.max(vals, initial=0.0))
 
 
-def extract_Q_grid(state: TransferEigenstate, basis: SovBasis, tol=1e-7):
+def extract_Q_grid(state: TransferEigenstate, basis: SovBasis):
     """Wavefunction components in the SOV basis and the per-variable ratio
     tables of the Baxter function; validates the separated factorization."""
     params = basis.params
@@ -196,7 +197,7 @@ def extract_Q_grid(state: TransferEigenstate, basis: SovBasis, tol=1e-7):
     predicted = np.prod(grid_ratios[np.arange(nvar), basis.tuples], axis=1) * psi[j0]
     resid = np.max(np.abs(predicted - psi)) / max(np.max(np.abs(psi)), 1e-300)
     state.diagnostics["factorization_residual"] = float(resid)
-    if resid > tol:
+    if resid > FACTORIZATION_TOL:
         raise DegenerateSpectrum(
             f"wavefunction does not factorize over the separate variables: {resid:.2e}")
     if params.even_chain:
@@ -208,7 +209,7 @@ def extract_Q_grid(state: TransferEigenstate, basis: SovBasis, tol=1e-7):
     return grid_ratios
 
 
-def _min_degree_representative(null_basis, tol=1e-9):
+def _min_degree_representative(null_basis):
     """Eliminate from the top degree downward to find the lowest-degree
     element of the nullspace span."""
     V = np.array(null_basis)  # (k, D+1) ascending coefficients
@@ -220,7 +221,7 @@ def _min_degree_representative(null_basis, tol=1e-9):
         if row >= k:
             break
         piv = row + np.argmax(np.abs(W[row:, c]))
-        if abs(W[piv, c]) < tol * max(np.max(np.abs(W)), 1e-300):
+        if abs(W[piv, c]) < NULL_TOL * max(np.max(np.abs(W)), 1e-300):
             continue
         W[[row, piv]] = W[[piv, row]]
         W[row] = W[row] / W[row, c]
@@ -235,13 +236,11 @@ def _min_degree_representative(null_basis, tol=1e-9):
     return cand / cand[-1]
 
 
-def fit_Q_polynomial(params: ModelParams, t_coeffs, rng=None, tol=1e-9,
-                     sv_tol=1e-9):
+def fit_Q_polynomial(params: ModelParams, t_coeffs, rng):
     """Polynomial solution of the finite difference equation
     t(lam) Q(lam) = a(lam) Q(lam/q) + d(lam) Q(lam q), found as the SVD
     nullspace of the sampled linear map; returns the minimal-degree
     representative (leading coefficient one) and the nullspace dimension."""
-    rng = rng if rng is not None else np.random.default_rng(0)
     deg_max = (params.p - 1) * params.n_sites
     n_pts = 2 * (deg_max + params.n_sites) + 1
     pts = np.array(params.spectral_samples(rng, n_pts))
@@ -254,11 +253,11 @@ def fit_Q_polynomial(params: ModelParams, t_coeffs, rng=None, tol=1e-9,
     # row scaling keeps the SVD threshold meaningful across samples
     W = W / np.linalg.norm(W, axis=1, keepdims=True)
     _, sv, vh = np.linalg.svd(W)
-    null_mask = sv <= sv_tol * sv[0]
+    null_mask = sv <= NULL_TOL * sv[0]
     nd = int(np.sum(null_mask)) + max(0, W.shape[1] - len(sv))
     if nd == 0:
         raise EmptyNullspace(
-            f"no polynomial solution at threshold {sv_tol:.1e}; smallest "
+            f"no polynomial solution at threshold {NULL_TOL:.1e}; smallest "
             f"singular value {sv[-1] / sv[0]:.3e}")
     null_basis = vh[len(sv) - int(np.sum(null_mask)):].conj()
     coeffs = _min_degree_representative(null_basis)

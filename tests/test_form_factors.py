@@ -212,7 +212,7 @@ def test_npoint_two_point_with_determinant_route(cfg_a):
 
 def test_npoint_mixed_operators_even_chain(cfg_b):
     u1 = embedded_u(cfg_b.params, 1)
-    v2 = lo.reconstruct_v2k(cfg_b.params, 1, 1)
+    v2 = lo.reconstruct_v2k(lo.shifted_monodromy(cfg_b.params, 1), 1)
     for idx in (0, 4):
         val = ff.npoint(cfg_b, idx, [_table(cfg_b, u1), _table(cfg_b, v2)])
         dense = (cfg_b.covs[idx] @ u1 @ v2 @ cfg_b.vecs[idx]) / cfg_b.norms[idx]
@@ -225,7 +225,7 @@ def test_npoint_three_operators_middle_slot(cfg_a, cfg_b):
     # the even chain cfg_b the charge rule makes the expectation vanish
     for bundle in (cfg_a, cfg_b):
         u1 = embedded_u(bundle.params, 1)
-        v2 = lo.reconstruct_v2k(bundle.params, 1, 1)
+        v2 = lo.reconstruct_v2k(lo.shifted_monodromy(bundle.params, 1), 1)
         tables = [_table(bundle, op) for op in (u1, v2, u1)]
         for idx in (0, len(bundle.states) // 2):
             val = ff.npoint(bundle, idx, tables)

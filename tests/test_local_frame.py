@@ -56,14 +56,14 @@ def test_one_solve_per_reconstruction_per_site(sol, monkeypatch):
         calls.clear()
         sh = lo.shifted_monodromy(params, n)
         for k in (1, p - 1):
-            lo.reconstruct_u(params, n, k, sh)
-        lo.reconstruct_u_via_dc(params, n, sh)
-        lo.reconstruct_alpha0(params, n, sh)
+            lo.reconstruct_u(sh, k)
+        lo.reconstruct_u_via_dc(sh)
+        lo.reconstruct_alpha0(sh)
         for k in range(p):
-            lo.reconstruct_beta(params, n, k, sh)
+            lo.reconstruct_beta(sh, k)
         for k in range(1, p):
-            lo.reconstruct_v2k(params, n, k, sh)
-        assert lo.spanning_rank(params, n, shifted=sh) == p * p
+            lo.reconstruct_v2k(sh, k)
+        assert lo.spanning_rank(sh) == p * p
         # B^{-1}A at mu_+, A^{-1}B at mu_-, D^{-1}C at mu_+, B^{-1}A at mu_-
         assert len(calls) == 4, calls
 
@@ -75,13 +75,13 @@ def test_beta_and_clock_powers_equal_the_explicit_formulas(sol):
         sh = lo.shifted_monodromy(params, n)
         refs = [_beta_ref(sh, k) for k in range(p)]
         for k in range(p):
-            assert mc.rel_err(lo.reconstruct_beta(params, n, k, sh), refs[k]) <= 1e-12
+            assert mc.rel_err(lo.reconstruct_beta(sh, k), refs[k]) <= 1e-12
         kap, v2p = params.kappa[n - 1], params.v[n - 1] ** (2 * p)
         for k in range(1, p):
             pref = (-1.0) ** k * (v2p * kap ** (2 * p) + 1) \
                 / (p * kap ** (2 * k) * (kap ** 2 - kap ** (-2)))
             ref = pref * sum(q ** (-k * (2 * a - 1)) * refs[a] for a in range(p))
-            assert mc.rel_err(lo.reconstruct_v2k(params, n, k, sh), ref) <= 1e-12
+            assert mc.rel_err(lo.reconstruct_v2k(sh, k), ref) <= 1e-12
 
 
 def test_frame_is_immutable(cfg_a):
@@ -93,7 +93,7 @@ def test_frame_is_immutable(cfg_a):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
     assert sh.binva_cond >= 1.0 and sh.alpha0_cond >= 1.0
-    assert np.shares_memory(lo.reconstruct_alpha0(cfg_a.params, 2, sh), sh.alpha0)
+    assert np.shares_memory(lo.reconstruct_alpha0(sh), sh.alpha0)
 
 
 def test_local_block_is_the_site_trace(cfg_a):
@@ -102,7 +102,7 @@ def test_local_block_is_the_site_trace(cfg_a):
     d = params.dim
     op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     for n in range(1, params.n_sites + 1):
-        for X in (op, lo.reconstruct_beta(params, n, 1)):
+        for X in (op, lo.reconstruct_beta(lo.shifted_monodromy(params, n), 1)):
             ref = np.zeros((p, p), dtype=complex)
             for i in range(p):
                 for j in range(p):

@@ -26,7 +26,7 @@ def test_shifted_monodromy_trace_equality(cfg_a):
     for n in (2, 3):
         sh = lo.shifted_monodromy(cfg_a.params, n)
         for lam in cfg_a.params.spectral_samples(rng, 5):
-            t1 = mc.transfer(cfg_a.params, lam, cfg_a.mono)
+            t1 = mc.transfer(cfg_a.mono, lam)
             t2 = sh.mono.A.evaluate(lam) + sh.mono.D.evaluate(lam)
             assert mc.rel_err(t1, t2) <= 1e-10
 
@@ -48,12 +48,12 @@ def test_reconstruct_u_every_site(desk_bundles):
         for n in range(1, params.n_sites + 1):
             sh = lo.shifted_monodromy(params, n)
             for k in (1, params.p - 1):
-                got = lo.reconstruct_u(params, n, k, sh)
+                got = lo.reconstruct_u(sh, k)
                 assert mc.rel_err(got, embedded_u(bundle.params, n, k)) <= 1e-9
 
 
 def test_reconstruct_u_full_period_is_identity(cfg_a):
-    got = lo.reconstruct_u(cfg_a.params, 1, cfg_a.params.p)
+    got = lo.reconstruct_u(lo.shifted_monodromy(cfg_a.params, 1), cfg_a.params.p)
     assert mc.rel_err(got, np.eye(cfg_a.params.dim)) <= 1e-9
 
 
@@ -61,7 +61,7 @@ def test_reconstruct_u_lower_row_route(desk_bundles):
     for bundle in desk_bundles.values():
         params = bundle.params
         for n in range(1, params.n_sites + 1):
-            got = lo.reconstruct_u_via_dc(params, n)
+            got = lo.reconstruct_u_via_dc(lo.shifted_monodromy(params, n))
             assert mc.rel_err(got, embedded_u(bundle.params, n)) <= 1e-9
 
 
@@ -70,12 +70,12 @@ def test_reconstruct_rational_family(desk_bundles):
         params = bundle.params
         for n in range(1, params.n_sites + 1):
             sh = lo.shifted_monodromy(params, n)
-            a0 = lo.reconstruct_alpha0(params, n, sh)
+            a0 = lo.reconstruct_alpha0(sh)
             tgt = lo.beta_target(params, n, 0) \
                 @ np.linalg.inv(embedded_u(bundle.params, n))
             assert mc.rel_err(a0, tgt) <= 1e-9
             for k in range(params.p):
-                got = lo.reconstruct_beta(params, n, k, sh)
+                got = lo.reconstruct_beta(sh, k)
                 assert mc.rel_err(got, lo.beta_target(params, n, k)) <= 1e-9
 
 
@@ -84,7 +84,7 @@ def test_beta_sum_rule(desk_bundles):
         params = bundle.params
         for n in range(1, params.n_sites + 1):
             sh = lo.shifted_monodromy(params, n)
-            total = sum(lo.reconstruct_beta(params, n, k, sh)
+            total = sum(lo.reconstruct_beta(sh, k)
                         for k in range(params.p))
             tgt = lo.beta_sum_target(params, n) * np.eye(params.dim)
             assert mc.rel_err(total, tgt) <= 1e-9
@@ -96,7 +96,7 @@ def test_reconstruct_clock_powers(desk_bundles):
         for n in range(1, params.n_sites + 1):
             sh = lo.shifted_monodromy(params, n)
             for k in range(1, params.p):
-                got = lo.reconstruct_v2k(params, n, k, sh)
+                got = lo.reconstruct_v2k(sh, k)
                 assert mc.rel_err(got, lo.v_power_target(params, n, k)) <= 1e-8
 
 
@@ -104,7 +104,7 @@ def test_odd_clock_powers_from_even_ones(cfg_a):
     # v^1 = v^{2h} with 2h = 1 + p since the p-th power is central and one
     params = cfg_a.params
     h = (1 + params.p) // 2
-    got = lo.reconstruct_v2k(params, 1, h)
+    got = lo.reconstruct_v2k(lo.shifted_monodromy(params, 1), h)
     _, V = mc.weyl_generators(params.p, params.u[0], params.v[0], params.p_prime)
     assert mc.rel_err(got, mc.site_embed(params, 1, V)) <= 1e-8
 
@@ -112,7 +112,7 @@ def test_odd_clock_powers_from_even_ones(cfg_a):
 def test_degenerate_coupling_guard():
     params = ModelParams(1, 3, 2, kappa=[1j], xi=[1.1])
     with pytest.raises(DegenerateKappa):
-        lo.reconstruct_v2k(params, 1, 1)
+        lo.reconstruct_v2k(lo.shifted_monodromy(params, 1), 1)
 
 
 def test_q_numbers_at_third_root():
@@ -179,7 +179,7 @@ def test_shift_power_separated_representation(n1, cfg_a):
         for k in range(1, params.p + 1):
             lam = params.spectral_samples(rng, 1, exclude=excl)[0]
             got = lo.binvA_power_sov(params, basis, k, lam)
-            tgt = lo.binvA_dense(params, mono, lam, k)
+            tgt = lo.binvA_dense(mono, lam, k)
             assert mc.rel_err(got, tgt) <= 1e-8
 
 
@@ -214,7 +214,7 @@ def test_shift_power_full_period_is_central(n1, cfg_a):
                                       exclude=bundle.basis.grid.grid.reshape(-1))[0]
         big = lam ** params.p
         scal = mc.average_value(params, "A", big) / mc.average_value(params, "B", big)
-        got = lo.binvA_dense(params, mono, lam, params.p)
+        got = lo.binvA_dense(mono, lam, params.p)
         assert mc.rel_err(got, scal * np.eye(params.dim)) <= 1e-8
 
 
@@ -352,7 +352,7 @@ def test_pole_expansion_reassembles_shift_combination(desk_bundles):
         excl = basis.grid.grid.reshape(-1)
         for lam in params.spectral_samples(rng, 3, exclude=excl):
             got = lo.binvA_interpolation(params, basis, lam, bundle.elementary_ops)
-            tgt = lo.binvA_dense(params, mono, lam, 1)
+            tgt = lo.binvA_dense(mono, lam, 1)
             assert mc.rel_err(got, tgt) <= 1e-8
 
 
@@ -366,7 +366,7 @@ def test_pole_expansion_single_site_has_three_terms(n1):
         total += lo.elementary_O(params, basis, 0, k, mono) \
             / (lam / eta - eta / lam)
     total = total / params.kprod
-    assert mc.rel_err(total, lo.binvA_dense(params, mono, lam, 1)) <= 1e-10
+    assert mc.rel_err(total, lo.binvA_dense(mono, lam, 1)) <= 1e-10
 
 
 def test_monomial_reduction_swap(cfg_a):
@@ -407,4 +407,4 @@ def test_local_operator_space_spanned(desk_bundles):
     for bundle in desk_bundles.values():
         params = bundle.params
         for n in range(1, params.n_sites + 1):
-            assert lo.spanning_rank(params, n) == params.p ** 2
+            assert lo.spanning_rank(lo.shifted_monodromy(params, n)) == params.p ** 2

@@ -173,8 +173,8 @@ def test_transfer_family_commutes(desk_bundles):
     for bundle in desk_bundles.values():
         rng = bundle.rng(103)
         l1, l2 = bundle.params.spectral_samples(rng, 2)
-        T1 = mc.transfer(bundle.params, l1, bundle.mono)
-        T2 = mc.transfer(bundle.params, l2, bundle.mono)
+        T1 = mc.transfer(bundle.mono, l1)
+        T2 = mc.transfer(bundle.mono, l2)
         assert mc.frob(T1 @ T2 - T2 @ T1) <= 1e-10 * mc.frob(T1) * mc.frob(T2)
 
 
@@ -184,7 +184,7 @@ def test_transfer_single_site_is_spectral_constant(n1):
 
 def test_transfer_selfadjoint_on_real_line(cfg_a):
     assert cfg_a.params.self_adjoint
-    T = mc.transfer(cfg_a.params, 1.37, cfg_a.mono)
+    T = mc.transfer(cfg_a.mono, 1.37)
     assert mc.frob(T - T.conj().T) <= 1e-10 * mc.frob(T)
 
 

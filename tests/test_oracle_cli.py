@@ -3,6 +3,7 @@ front end (exit codes, row formats, determinism)."""
 
 import json
 import csv as csv_mod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ def test_direct_matrix_element_identity(cfg_a):
 
 def test_direct_matrix_element_eigen_relation(cfg_a):
     lam = cfg_a.params.spectral_samples(cfg_a.rng(601), 1)[0]
-    T = mc.transfer(cfg_a.params, lam, cfg_a.mono)
+    T = mc.transfer(cfg_a.mono, lam)
     for i, j in ((0, 0), (2, 5)):
         me = oracle.direct_matrix_element(cfg_a.covs[i], T, cfg_a.vecs[j])
         pairing = cfg_a.covs[i] @ cfg_a.vecs[j]
@@ -189,14 +190,30 @@ def test_cli_spectrum_checks_the_merged_tolerances(tmp_path):
     assert main(["spectrum", "--config", cfg]) == 1
 
 
-def test_cli_scalar_and_sov_build(tmp_path):
+@pytest.mark.parametrize("fmt", ["--json", "--csv"])
+def test_cli_scalar_and_sov_build(tmp_path, fmt):
     cfg = _write_cfg(tmp_path, _n1_payload())
-    out = tmp_path / "rows.jsonl"
-    assert main(["sov-build", "--config", cfg, "--json", str(out)]) == 0
-    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    out = tmp_path / "rows.out"
+    assert main(["sov-build", "--config", cfg, fmt, str(out)]) == 0
+    if fmt == "--csv":
+        with open(out, newline="") as fh:
+            rows = list(csv_mod.DictReader(fh))
+        # one row per variable and one per label tuple: N + p^N for n1
+        assert len(rows) == 1 + 3
+    else:
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
     kinds = {r.get("kind") for r in rows}
     assert {"variable", "measure"} <= kinds
     assert main(["scalar", "--config", cfg]) == 0
+
+
+def test_cli_tol_reaches_every_asserted_row(tmp_path):
+    out = tmp_path / "rows.jsonl"
+    cfg = str(Path(__file__).resolve().parent.parent / "configs" / "hom3.json")
+    assert main(["verify-all", "--config", cfg, "--tol", "1e-30", "--json", str(out)]) == 1
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    asserted = [r for r in rows if not json.loads(r["context"]).get("diagnostic", False)]
+    assert asserted and all(r["tolerance"] == 1e-30 for r in asserted)
 
 
 def test_cli_ff_u_full_pair_table(tmp_path):

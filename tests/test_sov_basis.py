@@ -235,7 +235,7 @@ def test_reference_shift_on_both_sides(p):
     # slices k_N = 1 and p - 1 by the two-point solve and, from p = 5 on,
     # the slices in between by the one-sided step; p = 3 is cfg_b
     params = ModelParams(2, p, 2, kappa=[1.1j, 0.8j], xi=[1.0, 1.3])
-    basis = sb.build_sov_basis(params, rng=np.random.default_rng(SEED))
+    basis = sb.build_sov_basis(params, mc.monodromy(params), np.random.default_rng(SEED))
     theta = mc.theta_charge(params)
     for j in range(params.dim):
         down = basis.left[basis.shifted_index(j, 1, -1)]

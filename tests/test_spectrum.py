@@ -25,7 +25,7 @@ def test_single_site_spectrum_is_constant(n1):
 def test_eigen_relation_at_fresh_points(desk_bundles):
     for bundle in desk_bundles.values():
         lam = bundle.params.spectral_samples(bundle.rng(301), 1)[0]
-        T = mc.transfer(bundle.params, lam, bundle.mono)
+        T = mc.transfer(bundle.mono, lam)
         for st in bundle.states:
             res = np.linalg.norm(T @ st.vec_right - st.t_at(lam) * st.vec_right)
             assert res <= 1e-8 * mc.frob(T) * np.linalg.norm(st.vec_right)
