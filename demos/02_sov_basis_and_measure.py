@@ -29,7 +29,7 @@ print(f"diagonal pairings vs closed form: worst rel. diff = "
 
 print("\nsample measure weights (complex, not a probability measure):")
 for j in (0, 5, 13, 26):
-    tup = "".join(map(str, basis.tuples[j]))
+    tup = "".join(map(str, params.tuples[j]))
     print(f"  labels {tup}: weight = {basis.measure[j]:.6f}")
 
 ident = identity_resolution_sov(basis)

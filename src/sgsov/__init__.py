@@ -19,8 +19,8 @@ from .model_core import (OperatorLaurent, Monodromy, NotCentral,
                          average_monodromy, average_value, average_value_dense)
 from .sov_basis import (SovGrid, SovBasis, SimplicityViolation,
                         DegenerateSpectrum, GaugeInconsistency, b_zeros,
-                        build_sov_basis, kappa_index, inverse_kappa,
-                        identity_resolution_sov, measure_weights_formula)
+                        build_sov_basis, identity_resolution_sov,
+                        measure_weights_formula)
 from .spectrum import (TransferEigenstate, EmptyNullspace, ZeroReference,
                        diagonalize_transfer, check_functional_equation,
                        extract_Q_grid, fit_Q_polynomial, qbar_from_q)

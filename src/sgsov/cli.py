@@ -203,7 +203,7 @@ def cmd_sov_build(params, seed, tolerances, writer):
                      "root": fmt_complex(basis.grid.eta0[a]), "tuple": "", "weight": ""})
     for j in range(params.dim):
         writer.emit({"kind": "measure", "index": j, "zero": "", "root": "",
-                     "tuple": "".join(map(str, basis.tuples[j])),
+                     "tuple": "".join(map(str, params.tuples[j])),
                      "weight": fmt_complex(basis.measure[j])})
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
@@ -217,7 +217,7 @@ def cmd_spectrum(params, seed, tolerances, writer):
         fe = sp.check_functional_equation(params, st.t_coeffs, sol.rng(4))
         bax = st.diagnostics.get("factorization_residual", 0.0)
         row = {"index": i,
-               "theta_sector": st.theta_m if st.theta_m is not None else "",
+               "theta_sector": st.theta_m if params.even_chain else "",
                "functional_eq_residual": fe,
                "factorization_residual": bax,
                "nullspace_dim": st.nullspace_dim}
@@ -282,7 +282,9 @@ def build_parser():
     ap.add_argument("--config", required=True, help="JSON run configuration")
     ap.add_argument("--seed", type=int, default=None, help="override config seed")
     ap.add_argument("--tol", type=float, default=None,
-                    help="replace every default tolerance with this value")
+                    help="replace every error tolerance with this value; the zero_gap "
+                         "and functional_eq_reject settings keep their config or "
+                         "default values")
     ap.add_argument("--threads", type=int, default=1,
                     help="accepted and ignored; every section runs in the calling thread")
     out = ap.add_mutually_exclusive_group()
@@ -321,7 +323,8 @@ def main(argv=None):
     if args.seed is not None:
         seed = args.seed
     if args.tol is not None:
-        tolerances = {k: args.tol for k in oracle.DEFAULT_TOLERANCES}
+        tolerances = {k: tolerances.get(k, v) if k in oracle.NOT_ERROR_BOUNDS else args.tol
+                      for k, v in oracle.DEFAULT_TOLERANCES.items()}
     try:
         if args.command in _SUITE_SECTIONS:
             return cmd_verify(params, seed, tolerances, writer,

@@ -82,7 +82,7 @@ def ff_u(params: ModelParams, basis: SovBasis, bra: TransferEigenstate,
     _require_shift(params, n, shift_ratio)
     if sector_zero(params, bra.theta_m, ket.theta_m, _u_step(n)):
         return FormFactorResult(0.0 + 0.0j, selection_zero=True)
-    U = _ff_u_matrices(basis, bra.qbar_vals, ket.q_vals, ket.theta_m or 0, n)
+    U = _ff_u_matrices(basis, bra.qbar_vals, ket.q_vals, ket.theta_m, n)
     value = np.linalg.det(U)
     if shift_ratio is not None:
         value = shift_ratio * value
@@ -186,7 +186,7 @@ def ff_elementary(params: ModelParams, basis: SovBasis,
     if sector_zero(params, bra.theta_m, ket.theta_m, elem.theta_pow):
         return FormFactorResult(0.0 + 0.0j, selection_zero=True)
     value, M = _ff_elementary_values(params, basis, bra.qbar_vals, ket.q_vals,
-                                     ket.theta_m or 0, elem)
+                                     ket.theta_m, elem)
     return FormFactorResult(value[()], matrix=M if keep_matrix else None)
 
 

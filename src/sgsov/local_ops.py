@@ -268,7 +268,7 @@ def binvA_power_sov(params: ModelParams, basis: SovBasis, k: int, lam):
             for rest in compositions(total - first, parts - 1):
                 yield (first,) + rest
 
-    tup = basis.tuples                  # odd chains: one entry per separate variable
+    tup = params.tuples                 # odd chains: one digit per separate variable
     eta = grid[np.arange(nsep), tup]
     for alphas in compositions(k, nsep):
         multi = q_multinomial(q, k, alphas)
@@ -288,8 +288,7 @@ def binvA_power_sov(params: ModelParams, basis: SovBasis, k: int, lam):
                 for h in range(alphas[ivar] - alphas[vvar] + 1, alphas[ivar] + 1):
                     coeffs *= 1.0 / (eta_v * q ** h / eta_i - eta_i / (eta_v * q ** h))
         # operator with left action <y_j| -> coeff_j <y_{j - alpha}|
-        target = ((tup - np.asarray(alphas)) % p) @ p ** np.arange(nsep)
-        out += sov_diagonal(basis, multi * kpref * coeffs, target)
+        out += sov_diagonal(basis, multi * kpref * coeffs, params.flat_indices(tup - alphas))
     return out
 
 
@@ -324,7 +323,7 @@ def v2k_shift_sums(params: ModelParams, basis: SovBasis, ks):
 
 def eta_diag_operator(basis: SovBasis, a: int, power: int = 1):
     """Operator diagonal in the SOV basis with eigenvalue eta_a^{(k_a)}^power."""
-    return sov_diagonal(basis, basis.grid.grid[a, basis.tuples[:, a]] ** power)
+    return sov_diagonal(basis, basis.grid.grid[a, basis.params.tuples[:, a]] ** power)
 
 
 def eta_ref_operator(basis: SovBasis, power: int = 1):
@@ -373,7 +372,7 @@ def elementary_O_power(ops, a: int, k: int, alpha: int):
 def o_action_weight(params: ModelParams, basis: SovBasis, a: int, k: int, j: int):
     """Left-action weight of the elementary operator on the covector with
     label tuple j (nonzero only when that tuple sits at grid index k)."""
-    tup = basis.tuples[j]
+    tup = params.tuples[j]
     if tup[a] != k:
         return 0.0 + 0.0j
     nsep = params.n_separate
@@ -505,15 +504,9 @@ def cyclic_shift_permutation(params: ModelParams, n: int):
     """Permutation matrix realizing the chain rotation that moves site
     content j to site j + n - 1; conjugation by it reproduces the reordered
     monodromy on homogeneous chains."""
-    p, N = params.p, params.n_sites
     d = params.dim
-    src = np.arange(d)
-    digits = [(src // p ** a) % p for a in range(N)]
-    dest = np.zeros(d, dtype=int)
-    for a in range(N):
-        dest += digits[(a - (n - 1)) % N] * p ** a
     W = np.zeros((d, d), dtype=complex)
-    W[dest, src] = 1.0
+    W[params.flat_indices(np.roll(params.tuples, n - 1, axis=1)), np.arange(d)] = 1.0
     return W
 
 

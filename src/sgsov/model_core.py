@@ -16,7 +16,7 @@ from .params import ModelParams, OddChain, SgSovError
 
 __all__ = [
     "OperatorLaurent", "Monodromy", "NotCentral",
-    "weyl_generators", "site_embed", "embedded_u", "site_index_digits",
+    "weyl_generators", "site_embed", "embedded_u",
     "lax_matrix", "monodromy", "transfer",
     "theta_charge", "rmatrix", "yang_baxter_residual",
     "a_coeff", "d_coeff", "abar_coeff", "dbar_coeff",
@@ -131,16 +131,6 @@ def weyl_generators(p, u=1.0, v=1.0, p_prime=2):
     return U, V
 
 
-def site_index_digits(p, n_sites, n):
-    """Digit of every computational-basis index at (1-based) site n.
-
-    Site 1 is the fastest-running tensor factor."""
-    if not 1 <= n <= n_sites:
-        raise IndexError(f"site index {n} out of range 1..{n_sites}")
-    idx = np.arange(p ** n_sites)
-    return (idx // p ** (n - 1)) % p
-
-
 def site_embed(params: ModelParams, n: int, X):
     """Embed a p x p matrix as an operator acting on tensor slot n only."""
     p, N = params.p, params.n_sites
@@ -246,8 +236,7 @@ def theta_charge(params: ModelParams):
         raise OddChain("the grading charge exists only for even chains")
     diag = np.ones(params.dim, dtype=complex)
     for n in range(1, params.n_sites + 1):
-        digits = site_index_digits(params.p, params.n_sites, n)
-        vals = params.v[n - 1] * params.q ** digits
+        vals = params.v[n - 1] * params.q ** params.tuples[:, n - 1]
         diag = diag * (vals if n % 2 == 0 else 1.0 / vals)
     return np.diag(diag)
 

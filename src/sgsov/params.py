@@ -132,6 +132,27 @@ class ModelParams:
     def xi_prod(self) -> complex:
         return complex(np.prod(np.asarray(self.xi)))
 
+    # -- label encoding ----------------------------------------------------
+
+    @cached_property
+    def tuples(self) -> np.ndarray:
+        """Read-only (p^N, N) table of the digit tuples h in Z_p^N in linear
+        order, site 1 fastest.  The SOV labels and the computational basis
+        (digit a of a basis index is the clock state of site a + 1) share it."""
+        out = np.arange(self.dim)[:, None] // self.p ** np.arange(self.n_sites) % self.p
+        out.flags.writeable = False
+        return out
+
+    def flat_indices(self, h):
+        """Linear indices of digit tuples along the last axis of ``h``,
+        entries taken mod p; the inverse of ``tuples``."""
+        return (np.asarray(h) % self.p) @ self.p ** np.arange(self.n_sites)
+
+    def shifted_indices(self, delta):
+        """(p^N, N) table whose entry [j, a] is the index of tuple j with
+        digit a moved by ``delta``."""
+        return self.flat_indices(self.tuples[:, None] + delta * np.eye(self.n_sites, dtype=int))
+
     # -- self-adjoint family ----------------------------------------------
 
     @cached_property

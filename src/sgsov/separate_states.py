@@ -43,29 +43,27 @@ class SeparateState:
     """Coefficient tables alpha_a(eta_a^{(h)}) of a separate state.
 
     ``coeff`` has shape (n_separate, p); ``theta_m`` labels the charge sector
-    and is used only on even chains."""
+    and is used only on even chains (0 on odd ones)."""
     side: str                     # "left" | "right"
     coeff: np.ndarray
-    theta_m: int | None = None
+    theta_m: int = 0
 
     def __post_init__(self):
         if self.side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         self.coeff = np.asarray(self.coeff, dtype=complex)
+        self.theta_m = int(self.theta_m)
 
 
 def materialize(state: SeparateState, basis: SovBasis):
     """Dense covector (left) or vector (right) of a separate state."""
     params = basis.params
     nsep = params.n_separate
-    tup = basis.tuples[:, :nsep]
     w = vandermonde_weights(basis)
-    w *= np.prod(state.coeff[np.arange(nsep)[None, :], tup], axis=1)
+    w *= np.prod(state.coeff[np.arange(nsep)[None, :], params.tuples[:, :nsep]], axis=1)
     if params.even_chain:
-        m = state.theta_m if state.theta_m is not None else 0
         sign = 1 if state.side == "left" else -1
-        hN = basis.tuples[:, -1]
-        w = w * params.q ** (sign * m * hN) / np.sqrt(params.p)
+        w = w * params.q ** (sign * state.theta_m * params.tuples[:, -1]) / np.sqrt(params.p)
     if state.side == "left":
         return w @ basis.left
     return basis.right @ w
@@ -181,7 +179,7 @@ def stacked_tables(states):
     require_q_data(*states)
     return (_read_only(np.array([st.qbar_vals for st in states])),
             _read_only(np.array([st.q_vals for st in states])),
-            _read_only(np.array([st.theta_m or 0 for st in states], dtype=int)))
+            _read_only(np.array([st.theta_m for st in states], dtype=int)))
 
 
 def eigen_action_table(basis: SovBasis, bras, kets):
@@ -221,12 +219,13 @@ def identity_resolution_T(sol):
     return (sol.vecs.T / sol.norms) @ sol.covs
 
 
-def t_coeff_null_vector(params: ModelParams, bra_t: dict, ket_t: dict):
-    """Difference of interior eigenvalue coefficients; annihilates the moment
-    matrix of two distinct eigenstates."""
-    nsep = params.n_separate
-    degs = [2 * b - nsep - 1 for b in range(1, nsep + 1)]
-    return np.array([ket_t.get(dg, 0.0) - bra_t.get(dg, 0.0) for dg in degs])
+def t_coeff_null_vector(params: ModelParams, bra_t, ket_t):
+    """Difference of the interior eigenvalue coefficients, of the degrees
+    2b - nsep - 1 (b = 1..nsep), of two rows of transfer coefficients
+    (``Solution.t_rows``), broadcast over the leading axes; annihilates the
+    moment matrix of two distinct eigenstates."""
+    interior = slice(params.e_n, params.e_n + params.n_separate)
+    return ket_t[..., interior] - bra_t[..., interior]
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@ from . import model_core as mc
 
 __all__ = [
     "SovGrid", "SovBasis", "SimplicityViolation", "DegenerateSpectrum",
-    "GaugeInconsistency", "b_zeros", "build_sov_basis", "kappa_index",
-    "inverse_kappa", "identity_resolution_sov", "measure_weights_formula",
+    "GaugeInconsistency", "b_zeros", "build_sov_basis",
+    "identity_resolution_sov", "measure_weights_formula",
     "mjj_formula", "b_pattern", "vandermonde", "cross_product",
-    "grid_values", "vandermonde_weights", "flat_indices", "rayleigh_pairings",
+    "grid_values", "vandermonde_weights", "rayleigh_pairings",
     "sov_diagonal", "moment_weights",
     "LABEL_TOL", "CALIBRATION_TOL",
 ]
@@ -45,44 +45,6 @@ class DegenerateSpectrum(SgSovError):
 
 class GaugeInconsistency(SgSovError):
     """A closed cycle of shift calibrations fails to return to its start."""
-
-
-# ---------------------------------------------------------------------------
-# Tuple <-> linear index bookkeeping
-# ---------------------------------------------------------------------------
-
-def kappa_index(h, p):
-    """1-based linear index of a tuple (h_1..h_N) with h_a in {1..p};
-    site 1 runs fastest."""
-    h = tuple(int(x) for x in h)
-    if any(not 1 <= x <= p for x in h):
-        raise IndexError(f"tuple entries must lie in 1..{p}: {h}")
-    return h[0] + sum(p ** a * (h[a] - 1) for a in range(1, len(h)))
-
-
-def inverse_kappa(j, p, n_sites):
-    """Inverse of ``kappa_index``."""
-    if not 1 <= j <= p ** n_sites:
-        raise IndexError(f"linear index {j} out of range 1..{p ** n_sites}")
-    j0 = j - 1
-    out = []
-    for _ in range(n_sites):
-        out.append(j0 % p + 1)
-        j0 //= p
-    return tuple(out)
-
-
-def flat_indices(tuples, p):
-    """0-based linear indices of 0-based label tuples along the last axis,
-    entries taken mod p, site 1 fastest: ``(h % p) @ p ** arange(N)``."""
-    h = np.asarray(tuples)
-    return (h % p) @ p ** np.arange(h.shape[-1])
-
-
-def _tuple_table(p, n_sites):
-    """(p^N, N) array of 0-based tuples in linear order (site 1 fastest)."""
-    idx = np.arange(p ** n_sites)
-    return np.stack([(idx // p ** a) % p for a in range(n_sites)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +86,7 @@ def _read_only(x):
     return x
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SovGrid:
     """Zeros of the averaged B entry and the chosen p-th root grids.
 
@@ -134,7 +96,7 @@ class SovGrid:
 
     The constructor also tabulates, on the separate-variable grids, the shift
     coefficients ``a_vals[a, h] = a(eta_a^{(h)})`` and ``d_vals``, shape
-    (nsep, p); the tables are read-only."""
+    (nsep, p); it marks every array read-only, ``z`` and ``eta0`` in place."""
     params: ModelParams
     z: np.ndarray
     eta0: np.ndarray
@@ -143,12 +105,12 @@ class SovGrid:
     d_vals: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        params = self.params
-        nsep = params.n_separate
-        self.grid = self.eta0[:, None] * params.q ** np.arange(params.p)[None, :]
-        eta = self.grid[:nsep]
-        self.a_vals = _read_only(mc.a_coeff(params, eta))
-        self.d_vals = _read_only(mc.d_coeff(params, eta))
+        params, nsep = self.params, self.params.n_separate
+        _read_only(self.z), _read_only(self.eta0)
+        grid = _read_only(self.eta0[:, None] * params.q ** np.arange(params.p)[None, :])
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "a_vals", _read_only(mc.a_coeff(params, grid[:nsep])))
+        object.__setattr__(self, "d_vals", _read_only(mc.d_coeff(params, grid[:nsep])))
 
 
 def _pair_and_root(params, z_values):
@@ -266,14 +228,15 @@ def rayleigh_pairings(L, op, R):
     return np.sum(L * (op @ R).T, axis=1)
 
 
-def _label_eigenvectors(params, grid, tuples, b_ops, rng):
+def _label_eigenvectors(params, grid, b_ops, rng):
     """Diagonalize a random combination of the B probes and assign labels.
 
     Returns (right eigvec matrix R with columns in label order, rows of
     R^{-1} in label order, worst relative pattern mismatch)."""
     d = params.dim
     probes = len(b_ops)
-    patterns = np.stack([b_pattern(params, grid, tuples, lam) for lam, _ in b_ops], axis=1)
+    patterns = np.stack([b_pattern(params, grid, params.tuples, lam) for lam, _ in b_ops],
+                        axis=1)
     pat_scale = np.maximum(np.linalg.norm(patterns, axis=1), 1e-300)
     last_err = None
     for _ in range(6):
@@ -307,9 +270,10 @@ class SovBasis:
     """Calibrated left covectors and right vectors indexed by label tuples.
 
     ``left[j]`` is the covector (row) and ``right[:, j]`` the vector for the
-    j-th tuple in linear order.  The constructor derives the diagonal
-    pairings ``mjj``, the measure ``measure[j] = 1 / mjj[j]`` entering the
-    resolution of the identity, and the gauge table ``omega``; nothing is
+    j-th tuple ``params.tuples[j]``.  The constructor marks ``left`` and
+    ``right`` read-only in place and derives the diagonal pairings ``mjj``,
+    the measure ``measure[j] = 1 / mjj[j]`` entering the resolution of the
+    identity, and the gauge table ``omega``, all read-only; nothing is
     modified afterwards.  ``label_mismatch`` is the worst relative mismatch
     between measured and predicted B-eigenvalue patterns of the labeling
     (bound ``LABEL_TOL``), ``calibration_residual`` the worst relative
@@ -329,7 +293,6 @@ class SovBasis:
       at g = h + 1 (mod p)."""
     params: ModelParams
     grid: SovGrid
-    tuples: np.ndarray
     left: np.ndarray
     right: np.ndarray
     c_ref: complex = 1.0
@@ -342,32 +305,23 @@ class SovBasis:
     ff_u_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        mjj = np.einsum("jd,dj->j", self.left, self.right)
+        mjj = np.einsum("jd,dj->j", _read_only(self.left), _read_only(self.right))
         if np.min(np.abs(mjj)) < 1e-12 * np.max(np.abs(mjj)):
             raise GaugeInconsistency("a diagonal pairing vanished; measure is singular")
         nsep = self.params.n_separate
-        object.__setattr__(self, "mjj", mjj)
-        object.__setattr__(self, "measure", 1.0 / mjj)
+        object.__setattr__(self, "mjj", _read_only(mjj))
+        object.__setattr__(self, "measure", _read_only(1.0 / mjj))
         object.__setattr__(self, "omega", _read_only(self.grid.grid[:nsep] ** (nsep - 1)))
         object.__setattr__(self, "pairing_weights",
                            _read_only(moment_weights(self, range(0, 2 * nsep, 2))))
         object.__setattr__(self, "ff_u_weights", _read_only(_ff_u_weights(self)))
 
-    def flat_index(self, h) -> int:
-        return int(flat_indices(h, self.params.p))
-
     def shifted_index(self, j, a, delta) -> int:
-        h = self.tuples[j].copy()
-        h[a] = (h[a] + delta) % self.params.p
-        return self.flat_index(h)
-
-    def shifted_indices(self, delta):
-        """(d, nsep) table of ``shifted_index(j, a, delta)`` over every label
-        j and separate variable a."""
-        p, nsep = self.params.p, self.params.n_separate
-        tup = self.tuples[:, :nsep]
-        stride = p ** np.arange(nsep)
-        return np.arange(len(tup))[:, None] + stride * ((tup + delta) % p - tup)
+        """Index of tuple j with digit a moved by ``delta``, one label at a
+        time (``params.shifted_indices`` tabulates every label)."""
+        h = self.params.tuples[j].copy()
+        h[a] += delta
+        return int(self.params.flat_indices(h))
 
 
 def moment_weights(basis: SovBasis, exponents):
@@ -428,8 +382,7 @@ def build_sov_basis(params: ModelParams, mono, rng, grid: SovGrid = None,
     grid = grid if grid is not None else b_zeros(params, rel_gap=rel_gap)
     p, nsep, d = params.p, params.n_separate, params.dim
     n_ref = params.n_sites - 1
-    ref_stride = p ** n_ref           # index of the tuple (0, ..., 0, 1)
-    tuples = _tuple_table(p, params.n_sites)
+    tuples, shifted = params.tuples, {s: params.shifted_indices(s) for s in (-1, 1)}
 
     # cycle consistency of the gauge coefficients against the average values
     abar_vals = mc.abar_coeff(params, grid.grid[:nsep])
@@ -446,17 +399,12 @@ def build_sov_basis(params: ModelParams, mono, rng, grid: SovGrid = None,
     exclude = grid.grid.reshape(-1)
     probe_pts = params.spectral_samples(rng, nsep + 1, exclude=exclude)
     b_ops = [(lam, mono.B.evaluate(lam)) for lam in probe_pts]
-    R_raw, L_raw, label_mismatch = _label_eigenvectors(params, grid, tuples, b_ops, rng)
+    R_raw, L_raw, label_mismatch = _label_eigenvectors(params, grid, b_ops, rng)
 
     # precompute generator evaluations on the grid
     d_ops = {(a, h): mono.D.evaluate(grid.grid[a, h]) for a in range(nsep) for h in range(p)}
     a_ops = {(a, h): mono.A.evaluate(grid.grid[a, h]) for a in range(nsep) for h in range(p)}
     worst_step = 0.0
-
-    def _shift(j, a, delta):
-        h = tuples[j].copy()
-        h[a] += delta
-        return int(flat_indices(h, p))
 
     def reference_residual(x, act, shift_vals, s, jb, lam):
         """The action of A(lam) on x[jb] less its shifts of the separate
@@ -465,7 +413,7 @@ def build_sov_basis(params: ModelParams, mono, rng, grid: SovGrid = None,
         r = act(x[jb], mono.A.evaluate(lam))
         cw = _interp_weights(params, grid, tuples[jb], lam)
         for a in range(nsep):
-            r = r - cw[a] * shift_vals[a, tuples[jb][a]] * x[_shift(jb, a, s)]
+            r = r - cw[a] * shift_vals[a, tuples[jb][a]] * x[shifted[s][jb, a]]
         bk = b_pattern(params, grid, tuples[jb:jb + 1], lam)[0]
         eta_a_val = params.xi_prod / np.prod(grid.grid[np.arange(nsep), tuples[jb][:nsep]])
         pref = bk / grid.grid[-1, tuples[jb][-1]]
@@ -477,7 +425,7 @@ def build_sov_basis(params: ModelParams, mono, rng, grid: SovGrid = None,
         """x[jb + e_N] solved from the reference residual at lam, given
         x[jb - e_N]."""
         r, (cp, cm) = reference_residual(x, act, shift_vals, s, jb, lam)
-        return (r - cm * x[_shift(jb, n_ref, -1)]) / cp
+        return (r - cm * x[shifted[-1][jb, n_ref]]) / cp
 
     def calibrate(raw, x0, act, step_ops, step_vals, shift_vals, s):
         """Rows g_j raw[j] scaled from x[0] = x0: within a slice of the
@@ -501,15 +449,15 @@ def build_sov_basis(params: ModelParams, mono, rng, grid: SovGrid = None,
                 if assigned[j] or (params.even_chain and tuples[j][-1] != kn):
                     continue
                 a = next(i for i in range(nsep) if tuples[j][i] > 0)
-                jprev = _shift(j, a, -1)
+                jprev = shifted[-1][j, a]
                 h = tuples[jprev][a]
                 fix(j, act(x[jprev], step_ops[(a, h)]) / step_vals[a, h])
 
         fill_slice(0)
+        jb = 0                        # the tuple (0, ..., 0, kn - 1)
         for kn in range(1, p) if params.even_chain else ():
-            jb, jp = (kn - 1) * ref_stride, kn * ref_stride
+            jm, jp = shifted[-1][jb, n_ref], shifted[+1][jb, n_ref]
             if not assigned[jp]:
-                jm = _shift(jb, n_ref, -1)
                 lam1, lam2 = params.spectral_samples(rng, 2, exclude=exclude)
                 if assigned[jm]:
                     fix(jp, step_up(x, act, shift_vals, s, jb, lam1))
@@ -520,6 +468,7 @@ def build_sov_basis(params: ModelParams, mono, rng, grid: SovGrid = None,
                     fix(jm, (p1 * r2 - p2 * r1) / det)
                     fix(jp, (m2 * r1 - m1 * r2) / det)
             fill_slice(kn)
+            jb = jp
         return x
 
     # left: anchored at the zero tuple with a unit-modulus largest entry
@@ -529,7 +478,7 @@ def build_sov_basis(params: ModelParams, mono, rng, grid: SovGrid = None,
                      d_ops, grid.d_vals, grid.a_vals, -1)
     if params.even_chain:
         # closure around the reference direction
-        jb = (p - 1) * ref_stride
+        jb = shifted[-1][0, n_ref]     # the tuple (0, ..., 0, p - 1)
         lam = params.spectral_samples(rng, 1, exclude=exclude)[0]
         wrap = step_up(left, np.matmul, grid.a_vals, -1, jb, lam)
         cyc = np.linalg.norm(wrap - left[0]) / np.linalg.norm(left[0])
@@ -549,7 +498,7 @@ def build_sov_basis(params: ModelParams, mono, rng, grid: SovGrid = None,
             f"calibration step residual {worst_step:.3e} exceeds {CALIBRATION_TOL:.1e}; "
             "labels or parameters are degenerate")
 
-    return SovBasis(params, grid, tuples, left, np.ascontiguousarray(right.T),
+    return SovBasis(params, grid, left, np.ascontiguousarray(right.T),
                     c_ref=complex(c_ref), label_mismatch=float(label_mismatch),
                     calibration_residual=float(worst_step))
 
@@ -557,14 +506,14 @@ def build_sov_basis(params: ModelParams, mono, rng, grid: SovGrid = None,
 def grid_values(basis: SovBasis):
     """(d, nsep) grid values of the separate variables for every label tuple."""
     nsep = basis.params.n_separate
-    return basis.grid.grid[np.arange(nsep)[None, :], basis.tuples[:, :nsep]]
+    return basis.grid.grid[np.arange(nsep)[None, :], basis.params.tuples[:, :nsep]]
 
 
 def vandermonde_weights(basis: SovBasis):
     """Squared-difference Vandermonde over the separate-variable grid values
     for every label tuple, divided by the gauge functions."""
     nsep = basis.params.n_separate
-    wgt = np.prod(basis.omega[np.arange(nsep)[None, :], basis.tuples[:, :nsep]], axis=1)
+    wgt = np.prod(basis.omega[np.arange(nsep)[None, :], basis.params.tuples[:, :nsep]], axis=1)
     return vandermonde(grid_values(basis), squares=True) / wgt
 
 

@@ -12,8 +12,7 @@ import numpy as np
 
 from .params import ModelParams, SgSovError
 from . import model_core as mc
-from .sov_basis import (SovBasis, DegenerateSpectrum, flat_indices,
-                        rayleigh_pairings)
+from .sov_basis import SovBasis, DegenerateSpectrum, rayleigh_pairings
 
 __all__ = [
     "TransferEigenstate", "EmptyNullspace", "ZeroReference",
@@ -41,7 +40,7 @@ class TransferEigenstate:
     """One joint eigenstate of the commuting transfer family (and of the
     grading charge on even chains)."""
     t_coeffs: dict                      # even degree -> complex coefficient
-    theta_m: int | None                 # Z_p exponent of the charge eigenvalue
+    theta_m: int                        # Z_p exponent of the charge eigenvalue, 0 on odd chains
     vec_right: np.ndarray
     vec_left: np.ndarray                # covector (row)
     psi: np.ndarray = None              # wavefunction on SOV labels
@@ -95,7 +94,7 @@ def diagonalize_transfer(params: ModelParams, mono, rng,
         if sum(len(ix) for _, ix in blocks) != d:
             raise DegenerateSpectrum("charge eigenspaces do not exhaust the space")
     else:
-        blocks.append((None, np.arange(d)))
+        blocks.append((0, np.arange(d)))
 
     T1 = tpoly.evaluate(lam1)
     R = np.zeros((d, d), dtype=complex)
@@ -139,7 +138,7 @@ def diagonalize_transfer(params: ModelParams, mono, rng,
 
     # joint-label simplicity: no two states of one sector share their labels
     scale = max(np.max(np.abs(vecs)), 1e-300)
-    sector = np.array([-1 if m is None else m for m in ms])
+    sector = np.array(ms)
     gap = np.zeros((d, d))
     for k in range(len(degrees)):
         gap = np.maximum(gap, np.abs(vecs[:, None, k] - vecs[None, :, k]))
@@ -185,16 +184,16 @@ def extract_Q_grid(state: TransferEigenstate, basis: SovBasis):
     j0 = int(np.argmax(np.abs(psi)))
     if abs(psi[j0]) <= 1e-13 * np.linalg.norm(state.vec_right):
         raise ZeroReference("all SOV components of the eigenvector vanish")
-    anchor = basis.tuples[j0]
+    anchor = params.tuples[j0]
     nvar = params.n_sites
     # label tuples of the anchor with variable a set to h, shape (nvar, p, nvar)
     tups = np.broadcast_to(anchor, (nvar, p, nvar)).copy()
     tups[np.arange(nvar), :, np.arange(nvar)] = np.arange(p)
-    grid_ratios = psi[flat_indices(tups, p)] / psi[j0]
+    grid_ratios = psi[params.flat_indices(tups)] / psi[j0]
     state.q_grid = grid_ratios
     state.q_anchor = tuple(anchor)
     # factorization across the whole label set
-    predicted = np.prod(grid_ratios[np.arange(nvar), basis.tuples], axis=1) * psi[j0]
+    predicted = np.prod(grid_ratios[np.arange(nvar), params.tuples], axis=1) * psi[j0]
     resid = np.max(np.abs(predicted - psi)) / max(np.max(np.abs(psi)), 1e-300)
     state.diagnostics["factorization_residual"] = float(resid)
     if resid > FACTORIZATION_TOL:

@@ -78,7 +78,7 @@ def test_criterion_2_sov_basis(desk_bundles):
         rng = bundle.rng(902)
         for lam in params.spectral_samples(rng, 3, exclude=basis.grid.grid.reshape(-1)):
             B = mono.B.evaluate(lam)
-            pats = sb.b_pattern(params, basis.grid, basis.tuples, lam)
+            pats = sb.b_pattern(params, basis.grid, basis.params.tuples, lam)
             res = np.linalg.norm(basis.left @ B - pats[:, None] * basis.left, axis=1)
             worst_pattern = max(worst_pattern, float(np.max(
                 res / (np.linalg.norm(B) * np.linalg.norm(basis.left, axis=1)))))
@@ -114,7 +114,7 @@ def test_criterion_3_spectrum(desk_bundles):
             psi = st.psi
             pmax = np.max(np.abs(psi))
             for j in range(params.dim):
-                tup = basis.tuples[j]
+                tup = basis.params.tuples[j]
                 for r in range(params.n_separate):
                     eta = basis.grid.grid[r, tup[r]]
                     lhs = st.t_at(eta) * psi[j]
@@ -149,8 +149,8 @@ def test_criterion_4_scalar_products(desk_bundles):
         for _ in range(20):
             al = rng.standard_normal((nsep, params.p)) + 1j * rng.standard_normal((nsep, params.p))
             be = rng.standard_normal((nsep, params.p)) + 1j * rng.standard_normal((nsep, params.p))
-            ml = int(rng.integers(0, params.p)) if params.even_chain else None
-            mr = int(rng.integers(0, params.p)) if params.even_chain else None
+            ml = int(rng.integers(0, params.p)) if params.even_chain else 0
+            mr = int(rng.integers(0, params.p)) if params.even_chain else 0
             a_st = ss.SeparateState("left", al, ml)
             b_st = ss.SeparateState("right", be, mr)
             cov = ss.materialize(a_st, basis)
@@ -166,7 +166,7 @@ def test_criterion_4_scalar_products(desk_bundles):
                 val = ss.eigen_action(basis, si, sj)
                 worst_orth = max(worst_orth, abs(val) / np.sqrt(diag[i] * diag[j]))
                 phi = ss.phi_matrix(basis, si, sj)
-                V = ss.t_coeff_null_vector(params, si.t_coeffs, sj.t_coeffs)
+                V = ss.t_coeff_null_vector(params, bundle.t_rows[i], bundle.t_rows[j])
                 ref = max(mc.frob(phi),
                           (diag[i] * diag[j]) ** (0.5 * (nsep - 1) / nsep)
                           if nsep > 1 else np.sqrt(diag[i] * diag[j]))

@@ -185,7 +185,7 @@ def test_grid_tables_are_read_only(sol):
 def test_weight_tables_are_built_read_only_by_the_constructor(sol, monkeypatch):
     params, basis, states = sol.params, sol.basis, sol.states
     nsep, p, n_sites = params.n_separate, params.p, params.n_sites
-    fresh = SovBasis(params, basis.grid, basis.tuples, basis.left, basis.right,
+    fresh = SovBasis(params, basis.grid, basis.left, basis.right,
                      c_ref=basis.c_ref)
     sectors = p if params.even_chain else 1
     for name, shape in (("pairing_weights", (nsep, p, nsep)),
@@ -256,9 +256,9 @@ def test_ff_u_sector_tables_match_theta_column_formula(cfg_b):
 def test_shifted_indices_match_scalar_shifts(sol):
     basis = sol.basis
     for delta in (-1, 1):
-        table = basis.shifted_indices(delta)
+        table = sol.params.shifted_indices(delta)
         for j in range(0, sol.params.dim, 7):
-            for a in range(sol.params.n_separate):
+            for a in range(sol.params.n_sites):
                 assert table[j, a] == basis.shifted_index(j, a, delta)
 
 
@@ -288,7 +288,7 @@ def test_scalar_product_det_matches_scalar_sums(sol):
     for _ in range(5):
         left, right = (rng.standard_normal((nsep, p)) + 1j * rng.standard_normal((nsep, p))
                        for _ in range(2))
-        m = 0 if params.even_chain else None
+        m = 0
         ref, scale = moment_matrix_ref(basis, left, right, range(0, 2 * nsep, 2))
         got = ss.scalar_product_det(ss.SeparateState("left", left, m),
                                     ss.SeparateState("right", right, m), basis)
@@ -409,7 +409,7 @@ def _scalar_worst_by_pair_loop(sol):
             phi = ss.phi_matrix(basis, sti, stj)
             det = abs(np.linalg.det(phi)) * abs(basis.c_ref)
             worst_orth = max(worst_orth, det / np.sqrt(diag_dets[i] * diag_dets[j]))
-            V = ss.t_coeff_null_vector(params, sti.t_coeffs, stj.t_coeffs)
+            V = ss.t_coeff_null_vector(params, sol.t_rows[i], sol.t_rows[j])
             ref = np.sqrt(np.sqrt(diag_dets[i] * diag_dets[j]))
             worst_null = max(worst_null, float(
                 np.linalg.norm(phi @ V)

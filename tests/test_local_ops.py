@@ -193,7 +193,7 @@ def test_shift_power_single_term_collapse(cfg_a):
     d = params.dim
     direct = np.zeros((d, d), dtype=complex)
     for j in range(d):
-        tup = basis.tuples[j]
+        tup = basis.params.tuples[j]
         for a in range(params.n_separate):
             eta = basis.grid.grid[a, tup[a]]
             coeff = mc.a_coeff(params, eta) / (lam / eta - eta / lam)

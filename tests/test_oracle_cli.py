@@ -148,6 +148,16 @@ def test_cli_degenerate_exit(tmp_path):
     assert main(["verify-all", "--config", cfg]) == 3
 
 
+def test_cli_tol_keeps_the_settings_that_are_not_error_bounds(tmp_path):
+    # a loose --tol neither widens the B-zero separation nor lowers the
+    # rejection floor of the functional equation, and a tight one keeps a
+    # configured zero_gap
+    cfg = str(Path(__file__).resolve().parent.parent / "configs" / "cfg_a.json")
+    assert main(["verify-all", "--config", cfg, "--tol", "0.9"]) == 0
+    cfg = _write_cfg(tmp_path, _cfg_a_payload(tolerances={"zero_gap": 1.0}))
+    assert main(["verify-all", "--config", cfg, "--tol", "1e-30"]) == 3
+
+
 def test_cli_degenerate_coupling_on_clock_request(tmp_path):
     payload = {"model": {"N": 1, "p": 3, "p_prime": 2,
                          "kappa": [[0.0, 1.0]], "xi": [[1.1, 0.0]]},

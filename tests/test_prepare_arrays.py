@@ -100,15 +100,15 @@ def _per_label_grid(state, basis):
     p, nvar = basis.params.p, basis.params.n_sites
     psi = basis.left @ state.vec_right
     j0 = int(np.argmax(np.abs(psi)))
-    anchor = basis.tuples[j0]
+    anchor = basis.params.tuples[j0]
     ratios = np.zeros((nvar, p), dtype=complex)
     for a in range(nvar):
         for h in range(p):
             tup = anchor.copy()
             tup[a] = h
-            ratios[a, h] = psi[basis.flat_index(tup)] / psi[j0]
+            ratios[a, h] = psi[basis.params.flat_indices(tup)] / psi[j0]
     predicted = np.array([np.prod([ratios[a, tup[a]] for a in range(nvar)])
-                          for tup in basis.tuples]) * psi[j0]
+                          for tup in basis.params.tuples]) * psi[j0]
     resid = np.max(np.abs(predicted - psi)) / np.max(np.abs(psi))
     return ratios, resid, tuple(anchor)
 
@@ -218,7 +218,7 @@ def test_label_mismatch_is_the_pattern_mismatch_of_the_basis(request, name):
     measured = np.stack([sb.rayleigh_pairings(basis.left, sol.mono.B.evaluate(lam),
                                               basis.right) / basis.mjj
                          for lam in probes], axis=1)
-    patterns = np.stack([sb.b_pattern(params, basis.grid, basis.tuples, lam)
+    patterns = np.stack([sb.b_pattern(params, basis.grid, basis.params.tuples, lam)
                          for lam in probes], axis=1)
     mismatch = np.max(np.linalg.norm(measured - patterns, axis=1)
                       / np.linalg.norm(patterns, axis=1))
@@ -235,9 +235,9 @@ def test_calibration_residual_is_the_worst_shift_step(cfg_a):
     abar = mc.abar_coeff(params, basis.grid.grid[:nsep])
     worst = 0.0
     for j in range(1, params.dim):
-        a = int(np.flatnonzero(basis.tuples[j])[0])
+        a = int(np.flatnonzero(basis.params.tuples[j])[0])
         jprev = basis.shifted_index(j, a, -1)
-        h = basis.tuples[jprev][a]
+        h = basis.params.tuples[jprev][a]
         eta = basis.grid.grid[a, h]
         for w, got in ((basis.left[jprev] @ mono.D.evaluate(eta) / basis.grid.d_vals[a, h],
                         basis.left[j]),

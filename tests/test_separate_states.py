@@ -14,7 +14,7 @@ def _random_state(bundle, rng, side):
     params = bundle.params
     coeff = rng.standard_normal((params.n_separate, params.p)) \
         + 1j * rng.standard_normal((params.n_separate, params.p))
-    m = int(rng.integers(0, params.p)) if params.even_chain else None
+    m = int(rng.integers(0, params.p)) if params.even_chain else 0
     return ss.SeparateState(side, coeff, m)
 
 
@@ -34,7 +34,7 @@ def test_materialize_single_slice(cfg_a):
     coeff = np.zeros((params.n_separate, params.p), dtype=complex)
     coeff[:, 1] = 1.0
     vec = ss.materialize(ss.SeparateState("right", coeff), basis)
-    j = basis.flat_index([1] * params.n_sites)
+    j = basis.params.flat_indices([1] * params.n_sites)
     expect = basis.right[:, j]
     overlap = abs(np.vdot(vec, expect)) / (np.linalg.norm(vec) * np.linalg.norm(expect))
     assert overlap >= 1 - 1e-12
@@ -128,7 +128,7 @@ def test_orthogonality_null_vector(desk_bundles):
                 if i == j or (params.even_chain and si.theta_m != sj.theta_m):
                     continue
                 phi = ss.phi_matrix(basis, si, sj)
-                V = ss.t_coeff_null_vector(params, si.t_coeffs, sj.t_coeffs)
+                V = ss.t_coeff_null_vector(params, bundle.t_rows[i], bundle.t_rows[j])
                 ref = max(mc.frob(phi),
                           (diag[i] * diag[j]) ** (0.5 * (nsep - 1) / nsep)
                           if nsep > 1 else np.sqrt(diag[i] * diag[j]))

@@ -66,12 +66,28 @@ def test_solution_and_basis_are_frozen(cfg_b):
     basis = cfg_b.basis
     with pytest.raises(dataclasses.FrozenInstanceError):
         basis.measure = None
-    fresh = sb.SovBasis(basis.params, basis.grid, basis.tuples, basis.left,
+    fresh = sb.SovBasis(basis.params, basis.grid, basis.left,
                         basis.right, c_ref=basis.c_ref)
     assert np.array_equal(fresh.mjj, np.einsum("jd,dj->j", basis.left, basis.right))
     assert np.array_equal(fresh.measure, 1.0 / fresh.mjj)
     nsep = basis.params.n_separate
     assert np.array_equal(fresh.omega, basis.grid.grid[:nsep] ** (nsep - 1))
+
+
+@pytest.mark.parametrize("name", ["cfg_b", "cfg_a"])
+def test_basis_and_grid_arrays_are_read_only(name, request):
+    basis = request.getfixturevalue(name).basis
+    grid = basis.grid
+    arrays = {f: getattr(basis, f) for f in ("left", "right", "mjj", "measure", "omega",
+                                             "pairing_weights", "ff_u_weights")}
+    arrays.update({f"grid.{f}": getattr(grid, f)
+                   for f in ("z", "eta0", "grid", "a_vals", "d_vals")})
+    for label, arr in arrays.items():
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+    for field in dataclasses.fields(grid):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(grid, field.name, None)
 
 
 def _count_basis_builds(monkeypatch, fail=False):

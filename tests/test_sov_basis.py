@@ -12,28 +12,38 @@ from sgsov.params import ModelParams
 from conftest import SEED, n1_params, cfg_a_params
 
 
-def test_kappa_index_corners():
-    assert sb.kappa_index((1, 1, 1), 3) == 1
-    assert sb.kappa_index((3, 3, 3), 3) == 27
-    assert sb.kappa_index((2, 1, 1), 3) == 2
-    assert sb.kappa_index((1, 2, 1), 3) == 4
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("n_sites", [1, 2, 3])
+def test_label_encoding_owner(p, n_sites):
+    params = ModelParams(n_sites, p, 2, kappa=[1.1j] * n_sites, xi=[1.0] * n_sites)
+    tup, d = params.tuples, params.dim
+    assert tup.shape == (d, n_sites)
+    assert np.array_equal(params.flat_indices(tup), np.arange(d))
+    assert len({tuple(h) for h in tup}) == d
+    # site 1 runs fastest
+    assert tuple(tup[1]) == (1,) + (0,) * (n_sites - 1)
+    if n_sites > 1:
+        assert tuple(tup[p]) == (0, 1) + (0,) * (n_sites - 2)
+    # digits are taken mod p
+    assert np.array_equal(params.flat_indices(tup + p), np.arange(d))
+    assert np.array_equal(params.flat_indices(tup - 2 * p), np.arange(d))
+    up, down = params.shifted_indices(+1), params.shifted_indices(-1)
+    assert up.shape == down.shape == (d, n_sites)
+    for a in range(n_sites):
+        assert np.array_equal(np.sort(up[:, a]), np.arange(d))
+        assert np.array_equal(down[up[:, a], a], np.arange(d))
+        assert np.array_equal(up[down[:, a], a], np.arange(d))
+        moved = tup[up[:, a]]
+        assert np.array_equal(moved[:, a], (tup[:, a] + 1) % p)
+        assert np.array_equal(np.delete(moved, a, axis=1), np.delete(tup, a, axis=1))
+    with pytest.raises(ValueError):
+        tup[0, 0] = 1
 
 
-def test_kappa_index_roundtrip_exhaustive():
-    p, n = 3, 3
-    seen = set()
-    for j in range(1, p ** n + 1):
-        h = sb.inverse_kappa(j, p, n)
-        assert sb.kappa_index(h, p) == j
-        seen.add(h)
-    assert len(seen) == p ** n
-
-
-def test_kappa_index_range_errors():
-    with pytest.raises(IndexError):
-        sb.kappa_index((0, 1), 3)
-    with pytest.raises(IndexError):
-        sb.inverse_kappa(10, 3, 2)
+def test_odd_chain_sectors_are_integer_zero(cfg_a):
+    assert not cfg_a.params.even_chain
+    assert all(type(st.theta_m) is int and st.theta_m == 0 for st in cfg_a.states)
+    assert np.array_equal(cfg_a.theta_m, np.zeros(cfg_a.params.dim, dtype=int))
 
 
 def test_single_site_zero_is_xi_cubed():
@@ -88,7 +98,7 @@ def test_left_covectors_are_b_eigenvectors(desk_bundles):
         rng = bundle.rng(201)
         for lam in params.spectral_samples(rng, 3, exclude=basis.grid.grid.reshape(-1)):
             B = mono.B.evaluate(lam)
-            pats = sb.b_pattern(params, basis.grid, basis.tuples, lam)
+            pats = sb.b_pattern(params, basis.grid, basis.params.tuples, lam)
             res = np.linalg.norm(basis.left @ B - pats[:, None] * basis.left, axis=1)
             rel = res / (np.linalg.norm(B) * np.linalg.norm(basis.left, axis=1))
             assert np.max(rel) <= 1e-8
@@ -100,7 +110,7 @@ def test_label_assignment_is_bijective(cfg_a):
     lam = params.spectral_samples(cfg_a.rng(202), 1,
                                   exclude=basis.grid.grid.reshape(-1))[0]
     B = mono.B.evaluate(lam)
-    pats = sb.b_pattern(params, basis.grid, basis.tuples, lam)
+    pats = sb.b_pattern(params, basis.grid, basis.params.tuples, lam)
     measured = np.array([(basis.left[j] @ B @ basis.right[:, j]) / basis.mjj[j]
                          for j in range(params.dim)])
     assert np.max(np.abs(measured - pats) / np.max(np.abs(pats))) <= 1e-8
@@ -121,7 +131,7 @@ def test_left_shift_relations(desk_bundles):
     for bundle in desk_bundles.values():
         params, basis, mono = bundle.params, bundle.basis, bundle.mono
         for j in range(params.dim):
-            tup = basis.tuples[j]
+            tup = basis.params.tuples[j]
             for a in range(params.n_separate):
                 eta = basis.grid.grid[a, tup[a]]
                 target = mc.a_coeff(params, eta) \
@@ -135,7 +145,7 @@ def test_right_shift_relations(desk_bundles):
     for bundle in desk_bundles.values():
         params, basis, mono = bundle.params, bundle.basis, bundle.mono
         for j in range(params.dim):
-            tup = basis.tuples[j]
+            tup = basis.params.tuples[j]
             for a in range(params.n_separate):
                 eta = basis.grid.grid[a, tup[a]]
                 target = mc.dbar_coeff(params, eta) \
@@ -170,7 +180,7 @@ def test_pairing_independent_of_reference_label(cfg_b):
     p = cfg_b.params.p
     for j in range(cfg_b.params.dim):
         j0 = basis.shifted_index(j, cfg_b.params.n_sites - 1,
-                                 -int(basis.tuples[j][-1]))
+                                 -int(basis.params.tuples[j][-1]))
         assert abs(basis.mjj[j] - basis.mjj[j0]) <= 1e-9 * abs(basis.mjj[j0])
 
 

@@ -95,7 +95,7 @@ def test_discrete_difference_relations_on_grid(desk_bundles):
             psi = st.psi
             pmax = np.max(np.abs(psi))
             for j in range(params.dim):
-                tup = basis.tuples[j]
+                tup = basis.params.tuples[j]
                 for r in range(params.n_separate):
                     eta = basis.grid.grid[r, tup[r]]
                     lhs = st.t_at(eta) * psi[j]
