@@ -29,6 +29,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_DEGENERATE = 3
 
+# the only keys a configuration may hold, at the top level and in 'model'
+CONFIG_KEYS = ("model", "seed", "tolerances")
+MODEL_KEYS = ("N", "p", "p_prime", "kappa", "xi", "u", "v")
+
 _DEGENERATE = (SimplicityViolation, DegenerateSpectrum, GaugeInconsistency,
                SingularMatrix, DegenerateKappa)
 
@@ -54,9 +58,13 @@ def load_config(path):
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    if not isinstance(raw, dict) or "model" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("model"), dict):
         raise ConfigError("config must be an object with a 'model' section")
     model = raw["model"]
+    for where, keys, allowed in (("config", raw, CONFIG_KEYS), ("model", model, MODEL_KEYS)):
+        for key in keys:
+            if key not in allowed:
+                raise ConfigError(f"unknown {where} key '{key}'; allowed: {', '.join(allowed)}")
     for key in ("N", "p", "kappa", "xi"):
         if key not in model:
             raise ConfigError(f"model section is missing '{key}'")

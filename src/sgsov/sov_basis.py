@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .params import ModelParams, SgSovError
 from . import model_core as mc
@@ -229,7 +228,13 @@ def rayleigh_pairings(L, op, R):
 
 
 def _label_eigenvectors(params, grid, b_ops, rng):
-    """Diagonalize a random combination of the B probes and assign labels.
+    """Diagonalize a random combination of the B probes and give each label
+    the eigenvector whose measured pattern is nearest to its own.
+
+    Past ``b_zeros`` the spectrum of B is simple, so the labels have distinct
+    patterns; a nearest match that is a bijection with every mismatch below
+    ``LABEL_TOL`` is then the optimal assignment.  Anything else raises
+    ``DegenerateSpectrum`` with the worst eigenvalue condition number.
 
     Returns (right eigvec matrix R with columns in label order, rows of
     R^{-1} in label order, worst relative pattern mismatch)."""
@@ -238,27 +243,24 @@ def _label_eigenvectors(params, grid, b_ops, rng):
     patterns = np.stack([b_pattern(params, grid, params.tuples, lam) for lam, _ in b_ops],
                         axis=1)
     pat_scale = np.maximum(np.linalg.norm(patterns, axis=1), 1e-300)
-    last_err = None
-    for _ in range(6):
-        c = rng.standard_normal(probes) + 1j * rng.standard_normal(probes)
-        S = sum(ci * op for ci, (_, op) in zip(c, b_ops))
-        _, R = np.linalg.eig(S)
-        Linv = np.linalg.inv(R)
-        # measured per-probe eigenvalues via the Rayleigh pairing l B r / l r
-        measured = np.empty((d, probes), dtype=complex)
-        for jp, (_, op) in enumerate(b_ops):
-            measured[:, jp] = rayleigh_pairings(Linv, op, R)
-        cost = np.linalg.norm(measured[None, :, :] - patterns[:, None, :], axis=2) \
-            / pat_scale[:, None]
-        row, col = linear_sum_assignment(cost)
-        worst = cost[row, col].max()
-        if worst < LABEL_TOL:
-            perm = np.empty(d, dtype=int)
-            perm[row] = col
-            return R[:, perm], Linv[perm, :], worst
-        last_err = worst
+    c = rng.standard_normal(probes) + 1j * rng.standard_normal(probes)
+    S = sum(ci * op for ci, (_, op) in zip(c, b_ops))
+    _, R = np.linalg.eig(S)
+    Linv = np.linalg.inv(R)
+    # measured per-probe eigenvalues via the Rayleigh pairing l B r / l r
+    measured = np.stack([rayleigh_pairings(Linv, op, R) for _, op in b_ops], axis=1)
+    cost = np.linalg.norm(measured[None, :, :] - patterns[:, None, :], axis=2) \
+        / pat_scale[:, None]
+    perm = np.argmin(cost, axis=1)
+    worst = cost[np.arange(d), perm].max()
+    if worst < LABEL_TOL and np.unique(perm).size == d:
+        return R[:, perm], Linv[perm, :], worst
+    # l_i r_i = 1, so |l_i| |r_i| is the condition number of eigenvalue i
+    cond = np.max(np.linalg.norm(Linv, axis=1) * np.linalg.norm(R, axis=0))
+    cause = "mismatch above bound" if worst >= LABEL_TOL else "nearest match not a bijection"
     raise DegenerateSpectrum(
-        f"B-eigenvalue labeling failed: worst pattern mismatch {last_err:.3e}")
+        f"B-eigenvalue labeling failed ({cause}): worst pattern mismatch {worst:.3e} "
+        f"(bound {LABEL_TOL:.0e}), worst eigenvalue condition number {cond:.2e}")
 
 
 # ---------------------------------------------------------------------------

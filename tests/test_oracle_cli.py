@@ -339,3 +339,22 @@ def test_cli_ff_u_and_oracle_share_the_error_rule(tmp_path):
     rows = {r.label: r for r in oracle.verify_suite(params, seed, tolerances,
                                                      sections={"ff"})}
     assert worst == rows["ff_u_full_sweep"].rel_err
+
+
+def _shipped_cfg_b_with(top=None, model=None):
+    payload = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                          / "cfg_b.json").read_text())
+    payload.update(top or {})
+    payload["model"].update(model or {})
+    return payload
+
+
+@pytest.mark.parametrize("payload, key", [
+    (_shipped_cfg_b_with(top={"tolerance": {"ff_u": 1e-30}}), "tolerance"),
+    (_shipped_cfg_b_with(model={"p_prim": 4}), "p_prim"),
+], ids=["top-level-tolerance", "model-p_prim"])
+def test_unknown_config_keys_rejected_at_load(tmp_path, capsys, payload, key):
+    # a misspelt key would otherwise be ignored and the run use the defaults
+    assert main(["verify-all", "--config", _write_cfg(tmp_path, payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error" in captured.err and f"'{key}'" in captured.err

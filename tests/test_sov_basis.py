@@ -1,6 +1,11 @@
 """Operator zeros of the B family, label bookkeeping, basis calibration,
 measure and the separated resolution of the identity."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -114,6 +119,57 @@ def test_label_assignment_is_bijective(cfg_a):
     measured = np.array([(basis.left[j] @ B @ basis.right[:, j]) / basis.mjj[j]
                          for j in range(params.dim)])
     assert np.max(np.abs(measured - pats) / np.max(np.abs(pats))) <= 1e-8
+
+
+def _probe_ops(sol, seed):
+    params, mono = sol.params, sol.mono
+    pts = params.spectral_samples(np.random.default_rng(seed), params.n_separate + 1,
+                                  exclude=sol.basis.grid.grid.reshape(-1))
+    return [(lam, mono.B.evaluate(lam)) for lam in pts]
+
+
+def test_labeling_of_foreign_probes_fails_after_one_eig(cfg_a, hom3, monkeypatch):
+    # hom3's B operators (same d = 27) match none of cfg_a's patterns; the
+    # labeling refuses at once and names the mismatch and the conditioning
+    assert hom3.params.dim == cfg_a.params.dim
+    grid, b_ops = cfg_a.basis.grid, _probe_ops(hom3, 5)
+    calls, eig = [], np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+    with pytest.raises(sb.DegenerateSpectrum,
+                       match=r"mismatch above bound.*worst pattern mismatch \d\.\d+e[+-]\d+ "
+                             r".*condition number \d\.\d+e[+-]\d+"):
+        sb._label_eigenvectors(cfg_a.params, grid, b_ops, np.random.default_rng(6))
+    assert len(calls) == 1
+
+
+def test_labeling_refuses_a_nearest_match_that_is_not_a_bijection(cfg_a, monkeypatch):
+    # label 1 predicted with label 0's pattern: both pick one eigenvector
+    grid, b_ops, pattern = cfg_a.basis.grid, _probe_ops(cfg_a, 5), sb.b_pattern
+
+    def label_1_copies_label_0(params, grid, tuples, lam):
+        out = pattern(params, grid, tuples, lam)
+        out[1] = out[0]
+        return out
+
+    monkeypatch.setattr(sb, "b_pattern", label_1_copies_label_0)
+    with pytest.raises(sb.DegenerateSpectrum, match="not a bijection.*condition number"):
+        sb._label_eigenvectors(cfg_a.params, grid, b_ops, np.random.default_rng(6))
+
+
+def test_numpy_is_the_only_third_party_import():
+    # the packages that ``import sgsov`` adds to sys.modules, beyond the
+    # standard library
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys; before = set(sys.modules); import sgsov; "
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "['numpy', 'sgsov']"
 
 
 def test_biorthogonality(desk_bundles):
