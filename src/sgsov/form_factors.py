@@ -65,8 +65,8 @@ def _ff_u_matrices(basis: SovBasis, qbar, q, theta, n):
     kets in the charge sectors ``theta`` (0 on odd chains).  Each Q table is
     contracted with the weights of its sector first, so a pair table weights
     every ket once."""
-    ket = np.einsum("...ah,...aghk->...agk", q, basis.ff_u_weights[n - 1, theta])
-    return np.einsum("...ag,...agk->...ak", qbar, ket)
+    ket = (q[..., None, None, :] @ basis.ff_u_weights[n - 1, theta])[..., 0, :]
+    return (qbar[..., None, :] @ ket)[..., 0, :]
 
 
 def ff_u(params: ModelParams, basis: SovBasis, bra: TransferEigenstate,

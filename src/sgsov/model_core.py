@@ -266,8 +266,8 @@ def yang_baxter_residual(params: ModelParams, lam, mu, mono: Monodromy):
     prod12 = np.matmul(Tl[:, None, :, None], Tm[None, :, None, :]).reshape(4, 4, d, d)
     prod21 = np.matmul(Tm[None, :, None, :], Tl[:, None, :, None]).reshape(4, 4, d, d)
     R = rmatrix(lam / mu, params.q)
-    lhs = np.einsum("ab,bcij->acij", R, prod12)
-    rhs = np.einsum("abij,bc->acij", prod21, R)
+    lhs = (R @ prod12.reshape(4, -1)).reshape(4, 4, d, d)
+    rhs = (R.T @ prod21.swapaxes(0, 1).reshape(4, -1)).reshape(4, 4, d, d).swapaxes(0, 1)
     # each block of T appears twice in its lift, so each lift has norm sqrt(2) |T|
     scale = 2.0 * frob(R) * frob(Tl) * frob(Tm)
     return frob(lhs - rhs) / scale

@@ -91,7 +91,12 @@ def phi_moments(basis: SovBasis, left, right, exponents):
     exponent e_k, shape (..., nsep, len(exponents)).  The fixed exponents of
     the pairings and of ``ff_u`` read the weight tables of the basis
     instead."""
-    return np.einsum("...ah,ahk->...ak", left * right, moment_weights(basis, exponents))
+    return _moments(left, right, moment_weights(basis, exponents))
+
+
+def _moments(left, right, weights):
+    """``phi_moments`` against a weight table ``weights[a, h, k]``."""
+    return ((left * right)[..., None, :] @ weights)[..., 0, :]
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +158,7 @@ def _pairing_dets(basis: SovBasis, qbar, q):
     """Determinants of the moment matrices of Qbar tables against Q tables,
     (..., nsep, p) each, broadcast over the leading axes, contracted against
     ``basis.pairing_weights``; the pairings are ``c_ref`` times these."""
-    return np.linalg.det(np.einsum("...ah,ahk->...ak", qbar * q, basis.pairing_weights))
+    return np.linalg.det(_moments(qbar, q, basis.pairing_weights))
 
 
 def _cmul(a, b):

@@ -374,6 +374,28 @@ def test_eigen_action_table_equals_per_pair_calls(sol):
     assert np.array_equal(values, ref)
 
 
+@pytest.mark.parametrize("chain", ["cfg_b", "cfg_a"])   # even; odd
+def test_determinant_kernels_make_no_einsum_call(chain, request, monkeypatch):
+    # the Q-table contractions are stacked BLAS products, not NumPy's generic
+    # einsum loops
+    sol = request.getfixturevalue(chain)
+    params, basis, states = sol.params, sol.basis, sol.states
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.einsum called by a determinant kernel")
+
+    monkeypatch.setattr(np, "einsum", refuse)
+    bra, ket = states[1], states[2]
+    ff.ff_u(params, basis, bra, ket, 1)
+    ss.eigen_action(basis, bra, ket)
+    ff.ff_u_table(params, basis, states[:3], states, 1)
+    ss.eigen_action_table(basis, states[:3], states)
+    ss.phi_moments(basis, bra.qbar_vals, ket.q_vals, [0, 2, 5])
+    for elem in _elements(params):
+        ff.ff_elementary(params, basis, bra, ket, elem)
+        ff.ff_elementary_table(params, basis, states[:3], states, elem)
+
+
 def test_eigen_dense_norms_equal_per_state_pairings(sol):
     ref = [ss.eigen_action(sol.basis, st, st) for st in sol.states]
     assert np.array_equal(sol.norms, ref)

@@ -156,6 +156,41 @@ def test_yang_baxter_residual_detects_a_broken_relation(cfg_b):
     assert abs(res - _lifted_residual(cfg_b.params, lam, mu, broken)) <= 1e-12 * res
 
 
+def _block_residual(params, lam, mu, mono):
+    """The exchange relation one block product at a time:
+    sum R[(a,b),(a',b')] Tl[a',c] Tm[b',e] against
+    sum Tm[b,e'] Tl[a,c'] R[(c',e'),(c,e)], relative to the same scale as
+    ``yang_baxter_residual``."""
+    Tl, Tm = mono.evaluate(lam), mono.evaluate(mu)
+    R = mc.rmatrix(lam / mu, params.q)
+    err2 = 0.0
+    for a, b, c, e in np.ndindex(2, 2, 2, 2):
+        lhs = sum(R[2 * a + b, 2 * a2 + b2] * (Tl[a2, c] @ Tm[b2, e])
+                  for a2, b2 in np.ndindex(2, 2))
+        rhs = sum((Tm[b, e2] @ Tl[a, c2]) * R[2 * c2 + e2, 2 * c + e]
+                  for c2, e2 in np.ndindex(2, 2))
+        err2 += np.linalg.norm(lhs - rhs) ** 2
+    return np.sqrt(err2) / (2.0 * mc.frob(R) * mc.frob(Tl) * mc.frob(Tm))
+
+
+@pytest.mark.parametrize("chain", ["cfg_b", "hom3"])
+def test_yang_baxter_residual_equals_block_reference(chain, request):
+    sol = request.getfixturevalue(chain)
+    params, mono = sol.params, sol.mono
+    broken = mc.Monodromy(mono.A, mono.B * 2.0, mono.C, mono.D)
+    rng = sol.rng(104)
+    for _ in range(3):
+        lam, mu = params.spectral_samples(rng, 2)
+        # both are relative to the same scale: they agree to 1e-12 of it, and
+        # on a broken relation to 1e-12 of the residual itself
+        ref = _block_residual(params, lam, mu, mono)
+        assert ref <= 1e-10
+        assert abs(mc.yang_baxter_residual(params, lam, mu, mono) - ref) <= 1e-12
+        ref = _block_residual(params, lam, mu, broken)
+        assert ref > 1e-3
+        assert abs(mc.yang_baxter_residual(params, lam, mu, broken) - ref) <= 1e-12 * ref
+
+
 def test_parity_and_degree_structure(desk_bundles):
     for bundle in desk_bundles.values():
         params, mono = bundle.params, bundle.mono

@@ -11,6 +11,8 @@ import pytest
 from sgsov import model_core as mc
 from sgsov import oracle
 from sgsov import spectrum as sp
+from sgsov import separate_states as ss
+from sgsov.sov_basis import DegenerateSpectrum
 from sgsov.cli import main, load_config, ConfigError
 
 
@@ -55,6 +57,26 @@ def test_verify_suite_threaded_matches_serial(cfg_b):
     r2 = oracle.reports_to_jsonl(oracle.verify_suite(cfg_b.params, seed=9,
                                                      threads=3))
     assert r1 == r2
+
+
+def test_verify_suite_fails_on_the_basis_before_the_algebra_section(n1, monkeypatch):
+    # every section past the algebra needs the basis: one that cannot be built
+    # ends the run before the algebra section computes rows that are lost
+    calls = []
+    algebra = oracle._algebra_section
+    monkeypatch.setattr(oracle, "_algebra_section",
+                        lambda *args: calls.append(1) or algebra(*args))
+
+    def degenerate(*args, **kwargs):
+        raise DegenerateSpectrum("no labeling")
+
+    monkeypatch.setattr(ss, "build_sov_basis", degenerate)
+    with pytest.raises(DegenerateSpectrum):
+        oracle.verify_suite(n1.params, seed=3)
+    assert calls == []
+    # the algebra section alone needs no basis
+    assert all(r.passed for r in oracle.verify_suite(n1.params, seed=3, sections={"algebra"}))
+    assert calls == [1]
 
 
 def test_fault_localization(cfg_a):
