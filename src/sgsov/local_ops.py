@@ -6,7 +6,7 @@ elementary shift operators with their exchange algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -22,7 +22,7 @@ __all__ = [
     "reconstruct_v2k", "v_power_target", "fourier_degenerate", "v2k_fourier_weights",
     "q_number", "q_factorial", "q_multinomial", "q_multinomial_direct",
     "binvA_power_sov", "binvA_dense",
-    "elementary_O", "elementary_O_power", "o_action_weight",
+    "elementary_O", "elementary_O_power", "o_action_weight", "o_action_weights",
     "eta_diag_operator", "eta_ref_operator", "eta_interp_operator",
     "binvA_interpolation", "reduce_O_monomial", "ZERO_MONOMIAL",
     "cyclic_shift_permutation", "spanning_rank", "v2k_shift_sums",
@@ -186,10 +186,13 @@ def q_factorial(q, k: int):
     return out
 
 
+@lru_cache(maxsize=None)
 def _gauss_binom_poly(n, m):
-    """Gaussian binomial as an integer-coefficient polynomial (ascending)."""
+    """Gaussian binomial as an integer-coefficient polynomial (ascending), a
+    tuple of Python ints; cached, as the shift powers ask for the same few
+    again and again."""
     if m < 0 or m > n:
-        return np.zeros(1, dtype=object)
+        return (0,)
     row = [np.array([1], dtype=object)]  # binom(j, 0..j) built row by row
     for j in range(1, n + 1):
         prev = row
@@ -205,7 +208,7 @@ def _gauss_binom_poly(n, m):
             if right is not None:
                 acc[i:i + len(right)] += right  # z^i * binom(j-1, i)
             row.append(acc)
-    return row[m]
+    return tuple(row[m])
 
 
 def q_multinomial(q, k: int, alphas):
@@ -257,7 +260,6 @@ def binvA_power_sov(params: ModelParams, basis: SovBasis, k: int, lam):
     q = params.q
     lam = complex(lam)
     grid = basis.grid.grid
-    out = np.zeros((d, d), dtype=complex)
     kpref = params.kprod ** (-k)
 
     def compositions(total, parts):
@@ -270,6 +272,9 @@ def binvA_power_sov(params: ModelParams, basis: SovBasis, k: int, lam):
 
     tup = params.tuples                 # odd chains: one digit per separate variable
     eta = grid[np.arange(nsep), tup]
+    # the left action of every composition, <y_j| -> coeff_j <y_{j - alpha}|,
+    # gathered into one (labels, d) array of shifted covectors
+    shifted = np.zeros((d, d), dtype=complex)
     for alphas in compositions(k, nsep):
         multi = q_multinomial(q, k, alphas)
         if abs(multi) < 1e-14:
@@ -287,9 +292,8 @@ def binvA_power_sov(params: ModelParams, basis: SovBasis, k: int, lam):
                 eta_i = eta[:, ivar]
                 for h in range(alphas[ivar] - alphas[vvar] + 1, alphas[ivar] + 1):
                     coeffs *= 1.0 / (eta_v * q ** h / eta_i - eta_i / (eta_v * q ** h))
-        # operator with left action <y_j| -> coeff_j <y_{j - alpha}|
-        out += sov_diagonal(basis, multi * kpref * coeffs, params.flat_indices(tup - alphas))
-    return out
+        shifted += (multi * kpref * coeffs)[:, None] * basis.left[params.flat_indices(tup - alphas)]
+    return (basis.right * basis.measure) @ shifted
 
 
 def v2k_shift_sums(params: ModelParams, basis: SovBasis, ks):
@@ -372,12 +376,14 @@ def elementary_O_power(ops, a: int, k: int, alpha: int):
 def o_action_weight(params: ModelParams, basis: SovBasis, a: int, k: int, j: int):
     """Left-action weight of the elementary operator on the covector with
     label tuple j (nonzero only when that tuple sits at grid index k)."""
-    tup = params.tuples[j]
-    if tup[a] != k:
-        return 0.0 + 0.0j
-    nsep = params.n_separate
-    vals = basis.grid.grid[np.arange(nsep), tup[:nsep]]
-    return complex(basis.grid.a_vals[a, k] / cross_product(vals[a], vals, a))
+    return complex(o_action_weights(params, basis, a, k)[j])
+
+
+def o_action_weights(params: ModelParams, basis: SovBasis, a: int, k: int):
+    """``o_action_weight`` of every label tuple, shape (d,)."""
+    vals = grid_values(basis)
+    cross = cross_product(vals[:, a], vals.T, a)
+    return np.where(params.tuples[:, a] == k, basis.grid.a_vals[a, k] / cross, 0.0)
 
 
 def binvA_interpolation(params: ModelParams, basis: SovBasis, lam, ops):

@@ -17,7 +17,7 @@ from .params import ModelParams, OddChain, SgSovError
 __all__ = [
     "OperatorLaurent", "Monodromy", "NotCentral",
     "weyl_generators", "site_embed", "embedded_u",
-    "lax_matrix", "monodromy", "transfer",
+    "local_lax", "lax_matrix", "monodromy", "transfer",
     "theta_charge", "rmatrix", "yang_baxter_residual",
     "a_coeff", "d_coeff", "abar_coeff", "dbar_coeff",
     "quantum_determinant", "quantum_determinant_product",
@@ -49,8 +49,8 @@ def rel_err(lhs, rhs, scale=None) -> float:
 
 class OperatorLaurent:
     """Laurent polynomial in the spectral parameter whose coefficients are
-    dense matrices.  Products are computed by coefficient convolution, so
-    degree and parity structure is exact by construction."""
+    dense matrices, keyed by degree, so degree and parity structure is
+    exact by construction."""
 
     def __init__(self, coeffs, dim):
         self.dim = dim
@@ -71,15 +71,6 @@ class OperatorLaurent:
         out = {d: c.copy() for d, c in self.coeffs.items()}
         for d, c in other.coeffs.items():
             out[d] = out[d] + c if d in out else c.copy()
-        return OperatorLaurent(out, self.dim)
-
-    def __matmul__(self, other):
-        out = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                d = d1 + d2
-                prod = c1 @ c2
-                out[d] = out[d] + prod if d in out else prod
         return OperatorLaurent(out, self.dim)
 
     def __mul__(self, scalar):
@@ -148,35 +139,34 @@ def embedded_u(params: ModelParams, n: int, power: int = 1):
     return site_embed(params, n, np.linalg.matrix_power(U, power))
 
 
-def _site_ops(params: ModelParams, n: int):
-    U, V = weyl_generators(params.p, params.u[n - 1], params.v[n - 1], params.p_prime)
-    return (site_embed(params, n, U), site_embed(params, n, V),
-            site_embed(params, n, np.linalg.inv(U)), site_embed(params, n, np.linalg.inv(V)))
-
-
 # ---------------------------------------------------------------------------
 # Lax matrix, monodromy, transfer matrix, grading charge
 # ---------------------------------------------------------------------------
 
-def lax_matrix(params: ModelParams, n: int):
-    """2x2 matrix of degree-1 operator Laurent polynomials for site n.
+def local_lax(params: ModelParams, n: int):
+    """Local p x p coefficients of the site-n Lax matrix: ``[i][j]`` maps
+    each power of the spectral parameter to its coefficient on C^p.
 
     Diagonal entries are independent of the spectral parameter; off-diagonal
     entries carry exactly the powers +1 and -1."""
     kap = params.kappa[n - 1]
     xi = params.xi[n - 1]
     sq = params.sqrt_q
-    d = params.dim
-    Uop, Vop, Uinv, Vinv = _site_ops(params, n)
-    a11 = kap * (Uop @ (Vop * (kap / sq) + Vinv * (sq / kap)))
-    a22 = kap * (Uinv @ (Vop * (sq / kap) + Vinv * (kap / sq)))
+    U, V = weyl_generators(params.p, params.u[n - 1], params.v[n - 1], params.p_prime)
+    Uinv, Vinv = np.linalg.inv(U), np.linalg.inv(V)
+    a11 = kap * (U @ (V * (kap / sq) + Vinv * (sq / kap)))
+    a22 = kap * (Uinv @ (V * (sq / kap) + Vinv * (kap / sq)))
     # (lam_n * v - 1/(v*lam_n)) / i  with lam_n = lam/xi
-    b_plus = kap * Vop / (1j * xi)
-    b_minus = -kap * xi * Vinv / 1j
-    c_plus = kap * Vinv / (1j * xi)
-    c_minus = -kap * xi * Vop / 1j
-    return [[OperatorLaurent({0: a11}, d), OperatorLaurent({1: b_plus, -1: b_minus}, d)],
-            [OperatorLaurent({1: c_plus, -1: c_minus}, d), OperatorLaurent({0: a22}, d)]]
+    return [[{0: a11}, {1: kap * V / (1j * xi), -1: -kap * xi * Vinv / 1j}],
+            [{1: kap * Vinv / (1j * xi), -1: -kap * xi * V / 1j}, {0: a22}]]
+
+
+def lax_matrix(params: ModelParams, n: int):
+    """2x2 matrix of degree-1 operator Laurent polynomials for site n: the
+    local coefficients of ``local_lax`` embedded on tensor slot n."""
+    return [[OperatorLaurent({dg: site_embed(params, n, c) for dg, c in entry.items()},
+                             params.dim) for entry in row]
+            for row in local_lax(params, n)]
 
 
 def lax_projector_factorization(params: ModelParams, n: int, sign: str):
@@ -207,22 +197,44 @@ def lax_projector_factorization(params: ModelParams, n: int, sign: str):
     return P, Q, const
 
 
-def _mat2_product(X, Y):
-    """Product of 2x2 matrices with OperatorLaurent entries (X to the left)."""
-    return [[X[i][0] @ Y[0][j] + X[i][1] @ Y[1][j] for j in range(2)] for i in range(2)]
+def _kron_entry(row, col):
+    """Entry sum_c row[c] (x) col[c] of a product of 2x2 Laurent matrices
+    acting on different tensor slots, the left factor on the slower slot;
+    each entry maps a degree to its coefficient."""
+    out = {}
+    for left, right in zip(row, col):
+        for d1, a in left.items():
+            for d2, b in right.items():
+                k = (a[:, None, :, None] * b[None, :, None, :]).reshape(
+                    a.shape[0] * b.shape[0], -1)
+                out[d1 + d2] = out[d1 + d2] + k if d1 + d2 in out else k
+    return out
 
 
 def monodromy(params: ModelParams, site_order=None) -> Monodromy:
     """Ordered product of Lax matrices, site N leftmost by default.
 
     ``site_order`` gives the left-to-right factor order and allows cyclic
-    reorderings of the chain."""
+    reorderings of the chain.  Each Lax factor acts on its own tensor slot,
+    so the product is the Kronecker recursion M_ij = sum_c L[i][c] (x) M'_cj
+    over the local p x p coefficients of ``local_lax``, with the leftmost
+    factor on the slowest slot; a reordered chain then gets one permutation
+    of the tensor slots (site 1 is the fastest digit)."""
+    N, p = params.n_sites, params.p
     if site_order is None:
-        site_order = list(range(params.n_sites, 0, -1))
-    M = lax_matrix(params, site_order[0])
-    for n in site_order[1:]:
-        M = _mat2_product(M, lax_matrix(params, n))
-    return Monodromy(A=M[0][0], B=M[0][1], C=M[1][0], D=M[1][1])
+        site_order = list(range(N, 0, -1))
+    M = local_lax(params, site_order[-1])
+    for n in reversed(site_order[:-1]):
+        L = local_lax(params, n)
+        M = [[_kron_entry(L[i], [M[0][j], M[1][j]]) for j in range(2)] for i in range(2)]
+    # index of each basis state in the factor-ordered tensor product
+    perm = params.tuples[:, np.asarray(site_order) - 1] @ p ** np.arange(N - 1, -1, -1)
+    if np.any(perm != np.arange(params.dim)):
+        M = [[{dg: c.take(perm, 0).take(perm, 1) for dg, c in entry.items()} for entry in row]
+             for row in M]
+    A, B, C, D = (OperatorLaurent(dict(sorted(entry.items())), params.dim)
+                  for row in M for entry in row)
+    return Monodromy(A=A, B=B, C=C, D=D)
 
 
 def transfer(mono: Monodromy, lam):
@@ -259,18 +271,19 @@ def rmatrix(lam, q):
 
 def yang_baxter_residual(params: ModelParams, lam, mu, mono: Monodromy):
     """Relative residual of the quadratic exchange relation at (lam, mu)."""
-    d = params.dim
     Tl, Tm = mono.evaluate(lam), mono.evaluate(mu)
     # products of T(lam) (x) 1 and 1 (x) T(mu) in the doubled auxiliary space:
     # block [(a, b), (c, e)] is Tl[a, c] Tm[b, e], resp. Tm[b, e] Tl[a, c]
-    prod12 = np.matmul(Tl[:, None, :, None], Tm[None, :, None, :]).reshape(4, 4, d, d)
-    prod21 = np.matmul(Tm[None, :, None, :], Tl[:, None, :, None]).reshape(4, 4, d, d)
+    P12 = np.matmul(Tl[:, None, :, None], Tm[None, :, None, :]).reshape(4, -1)
+    P21 = np.matmul(Tm[None, :, None, :], Tl[:, None, :, None]).reshape(4, 4, -1)
     R = rmatrix(lam / mu, params.q)
-    lhs = (R @ prod12.reshape(4, -1)).reshape(4, 4, d, d)
-    rhs = (R.T @ prod21.swapaxes(0, 1).reshape(4, -1)).reshape(4, 4, d, d).swapaxes(0, 1)
+    # one block row x of R P12 - P21 R at a time: R contracts the row pairs
+    # of P12 and the column pairs of P21, so neither stack is transposed
+    err = np.sqrt(sum(np.linalg.norm((R[x] @ P12).reshape(4, -1) - R.T @ P21[x]) ** 2
+                      for x in range(4)))
     # each block of T appears twice in its lift, so each lift has norm sqrt(2) |T|
     scale = 2.0 * frob(R) * frob(Tl) * frob(Tm)
-    return frob(lhs - rhs) / scale
+    return err / scale
 
 
 # ---------------------------------------------------------------------------

@@ -360,14 +360,13 @@ def _spectrum_section(s, sol):
     basis, states = sol.basis, sol.states
     d = params.dim
     s.check("state_count", 0.0 if len(states) == d else 1.0, "functional_eq")
-    worst_t = max(sp.check_functional_equation(params, st.t_coeffs, s.rng(33))
-                  for st in states)
+    worst_t = float(np.max(sp.check_functional_equations(
+        params, [st.t_coeffs for st in states], s.rng(33))))
     s.check("functional_equation_true", worst_t, "functional_eq")
-    rej = 0.0
-    for key in sorted(states[0].t_coeffs):
-        pert = dict(states[0].t_coeffs)
+    perturbed = [dict(states[0].t_coeffs) for _ in states[0].t_coeffs]
+    for pert, key in zip(perturbed, sorted(states[0].t_coeffs)):
         pert[key] = pert[key] + 0.1
-        rej = max(rej, sp.check_functional_equation(params, pert, s.rng(33)))
+    rej = float(np.max(sp.check_functional_equations(params, perturbed, s.rng(33))))
     # a fixed perturbation dilutes with the matrix order and the coefficient
     # scale; the scale-free criterion is the separation from true eigenvalues
     floor = s.tol["functional_eq_reject"] if params.p == 3 else 1e-6
@@ -375,26 +374,10 @@ def _spectrum_section(s, sol):
     s.check("functional_equation_reject", 0.0 if separated else 1.0,
             "functional_eq", residual=rej, floor=floor)
     if params.self_adjoint:
-        worst_im = max(max(abs(c.imag) for c in st.t_coeffs.values()) for st in states)
-        scale = max(max(abs(c) for c in st.t_coeffs.values()) for st in states)
-        s.check("eigenvalue_reality", worst_im, "functional_eq", scale=scale)
-    # discrete Baxter relations on the grid, for every label and variable;
-    # the coefficients are evaluated here, not read from the basis tables
-    worst = 0.0
-    nsep = params.n_separate
-    eta_sep = basis.grid.grid[:nsep]
-    rows, tup = np.arange(nsep), params.tuples[:, :nsep]
-    eta = eta_sep[rows, tup]
-    a_lab = mc.a_coeff(params, eta_sep)[rows, tup]
-    d_lab = mc.d_coeff(params, eta_sep)[rows, tup]
-    down, up = (params.shifted_indices(delta)[:, :nsep] for delta in (-1, +1))
-    for st in states:
-        psi = st.psi
-        pmax = float(np.max(np.abs(psi)))
-        lhs = st.t_at(eta) * psi[:, None]
-        rhs = a_lab * psi[down] + d_lab * psi[up]
-        worst = max(worst, float(np.max(
-            np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), pmax))))
+        s.check("eigenvalue_reality", np.max(np.abs(sol.t_rows.imag)), "functional_eq",
+                scale=np.max(np.abs(sol.t_rows)))
+    worst = _baxter_grid_residual(params, basis, [st.t_coeffs for st in states],
+                                  np.array([st.psi for st in states]))
     s.check("baxter_grid", worst, "baxter_grid")
     s.check("wavefunction_factorization",
             max(st.diagnostics["factorization_residual"] for st in states),
@@ -409,17 +392,15 @@ def _spectrum_section(s, sol):
                     for st in states)
         s.check("sector_asymptotics", worst, "functional_eq",
                 scale=max(abs(st.t_coeffs[params.n_sites]) for st in states))
+    # how close each Baxter fit came to a second null direction (reported,
+    # not asserted)
+    s.check("baxter_fit_gap", min(st.diagnostics["baxter_fit_gap"] for st in states), 0.0,
+            diagnostic=True, bound=sp.NULL_TOL)
     # two-route agreement of the Baxter function
-    worst = 0.0
-    for st in states:
-        anchor = np.array(st.q_anchor)
-        for a in range(params.n_separate):
-            pv = sp.polyval_ascending(st.q_poly, basis.grid.grid[a])
-            rp = pv / pv[anchor[a]]
-            rg = st.q_grid[a] / st.q_grid[a][anchor[a]]
-            worst = max(worst, float(np.max(np.abs(rp - rg))
-                                     / max(np.max(np.abs(rp)), 1e-300)))
-    s.check("q_two_routes", worst, "baxter_grid")
+    nsep = params.n_separate
+    s.check("q_two_routes", _two_route_gap(
+        sol.q_vals, np.array([st.q_grid[:nsep] for st in states]),
+        np.array([st.q_anchor for st in states])[:, :nsep]), "baxter_grid")
     # conjugate-gauge difference equation for the transformed polynomial
     worst = 0.0
     for st in states[: min(6, len(states))]:
@@ -430,14 +411,10 @@ def _spectrum_section(s, sol):
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
     s.check("qbar_difference_eq", worst, "baxter_grid")
     # separate-state representations reproduce the eigenvectors
-    worst = 0.0
-    for st, cov, vec in zip(states, sol.covs, sol.vecs):
-        cr = abs(np.vdot(vec, st.vec_right)) / (np.linalg.norm(vec) * np.linalg.norm(st.vec_right))
-        cl = abs(np.vdot(cov.conj(), st.vec_left.conj())) / (np.linalg.norm(cov) * np.linalg.norm(st.vec_left))
-        worst = max(worst, 1 - cr, 1 - cl)
-    s.check("eigenstate_collinearity", worst, "factorization")
-    s.check("transfer_eigvec_cond",
-            _column_cond(np.array([st.vec_right for st in states]).T), 0.0,
+    R = np.array([st.vec_right for st in states])
+    s.check("eigenstate_collinearity", _collinearity_defect(
+        sol.covs, sol.vecs, np.array([st.vec_left for st in states]), R), "factorization")
+    s.check("transfer_eigvec_cond", _column_cond(R.T), 0.0,
             diagnostic=True, bound=lo.COND_LIMIT)
 
 
@@ -489,15 +466,7 @@ def _scalar_section(s, sol):
     ident = ss.identity_resolution_T(sol)
     s.check("t_identity", mc.frob(ident - np.eye(d)) / d, "t_identity")
     if params.self_adjoint:
-        worst = 0.0
-        for i in range(d):
-            dual = np.conj(vecs[i])
-            col = abs(np.vdot(dual.conj(), covs[i].conj())) \
-                / (np.linalg.norm(dual) * np.linalg.norm(covs[i]))
-            alpha = np.linalg.norm(vecs[i]) ** 2 / (covs[i] @ vecs[i])
-            res = np.linalg.norm(dual - alpha * covs[i]) / np.linalg.norm(dual)
-            worst = max(worst, 1 - col, res)
-        s.check("hermitian_dual", worst, "hermitian_dual")
+        s.check("hermitian_dual", _hermitian_dual_defect(covs, vecs), "hermitian_dual")
 
 
 def _local_section(s, sol):
@@ -592,18 +561,8 @@ def _local_section(s, sol):
     # elementary operators: ops[a, k] = O_{a,k}
     nsep = params.n_separate
     ops = sol.elementary_ops
-    worst = 0.0
-    for a in range(nsep):
-        for k in range(p):
-            O = ops[a, k]
-            sc = np.linalg.norm(O)
-            for j in range(d):
-                got = basis.left[j] @ O
-                w = lo.o_action_weight(params, basis, a, k, j)
-                tgt = w * basis.left[basis.shifted_index(j, a, -1)] if w else 0 * got
-                worst = max(worst, float(np.linalg.norm(got - tgt)
-                                         / (np.linalg.norm(basis.left[j]) * sc)))
-    s.check("elementary_action", worst, "elementary")
+    s.check("elementary_action", _elementary_action_residual(params, basis, ops),
+            "elementary")
     worst_zero, worst_cons = 0.0, 1.0
     for k in range(p):
         for h in range(p):
@@ -706,3 +665,72 @@ def _ff_section(s, sol):
                     phi=phi)
             s.check(f"shift_phase_cycle[{i}]",
                     abs(phi ** params.n_sites - 1.0), "reconstruction", phi=phi)
+
+
+# -- array kernels of the per-state and per-label checks --------------------
+
+def _rows_norm(x):
+    return np.linalg.norm(x, axis=-1)
+
+
+def _baxter_grid_residual(params, basis, t_coeffs, psi):
+    """Worst relative residual of the discrete Baxter relations
+    t(eta) psi_j = a(eta) psi_{j - e_a} + d(eta) psi_{j + e_a} of the states
+    with transfer coefficients ``t_coeffs`` and SOV wavefunctions ``psi``
+    (states, d), at every label j and separate variable a; a and d are
+    evaluated here, not read from the basis tables."""
+    nsep = params.n_separate
+    eta_sep = basis.grid.grid[:nsep]
+    rows, tup = np.arange(nsep), params.tuples[:, :nsep]
+    a_lab = mc.a_coeff(params, eta_sep)[rows, tup]
+    d_lab = mc.d_coeff(params, eta_sep)[rows, tup]
+    down, up = (params.shifted_indices(delta)[:, :nsep] for delta in (-1, +1))
+    lhs = sp.eval_t_rows(t_coeffs, eta_sep[rows, tup]) * psi[..., None]
+    rhs = a_lab * psi[:, down] + d_lab * psi[:, up]
+    pmax = np.max(np.abs(psi), axis=1)[:, None, None]
+    return float(np.max(
+        np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), pmax)))
+
+
+def _two_route_gap(q_vals, q_grid, anchor):
+    """Worst gap between the Baxter polynomial on the grids ``q_vals`` and
+    the wavefunction ratios ``q_grid`` (states, nsep, p), each divided by its
+    value at the state's ``anchor`` digits (states, nsep), relative to the
+    largest polynomial ratio of each variable."""
+    rp, rg = (x / np.take_along_axis(x, anchor[..., None], axis=2) for x in (q_vals, q_grid))
+    return float(np.max(np.max(np.abs(rp - rg), axis=2)
+                        / np.maximum(np.max(np.abs(rp), axis=2), 1e-300)))
+
+
+def _collinearity_defect(covs, vecs, vec_left, vec_right):
+    """Worst 1 - |cos| between the separate-state covectors and vectors and
+    the transfer eigen-covectors and eigenvectors, state by state."""
+    cr = np.abs(np.sum(vecs.conj() * vec_right, axis=1)) \
+        / (_rows_norm(vecs) * _rows_norm(vec_right))
+    cl = np.abs(np.sum(covs * vec_left.conj(), axis=1)) \
+        / (_rows_norm(covs) * _rows_norm(vec_left))
+    return float(np.max(1 - np.append(cr, cl), initial=0.0))
+
+
+def _hermitian_dual_defect(covs, vecs):
+    """Worst defect of the conjugate vectors as multiples of the covectors:
+    1 - |cos| and the residual after the pairing-implied factor."""
+    dual = vecs.conj()
+    col = np.abs(np.sum(dual * covs.conj(), axis=1)) / (_rows_norm(dual) * _rows_norm(covs))
+    alpha = _rows_norm(vecs) ** 2 / np.sum(covs * vecs, axis=1)
+    res = _rows_norm(dual - alpha[:, None] * covs) / _rows_norm(dual)
+    return float(np.max(np.append(1 - col, res), initial=0.0))
+
+
+def _elementary_action_residual(params, basis, ops):
+    """Worst relative residual of the left action of every elementary
+    operator ``ops[a, k]`` on every SOV covector against its weighted
+    lowering shift, one product per operator."""
+    worst = 0.0
+    down = params.shifted_indices(-1)
+    left_norms = _rows_norm(basis.left)
+    for a, k in np.ndindex(ops.shape[:2]):
+        tgt = lo.o_action_weights(params, basis, a, k)[:, None] * basis.left[down[:, a]]
+        worst = max(worst, float(np.max(_rows_norm(basis.left @ ops[a, k] - tgt)
+                                        / (left_norms * np.linalg.norm(ops[a, k])))))
+    return worst

@@ -21,14 +21,14 @@ from . import model_core as mc
 from . import local_ops as lo
 from .sov_basis import (SovBasis, _read_only, build_sov_basis, moment_weights,
                         vandermonde_weights)
-from .spectrum import (TransferEigenstate, diagonalize_transfer, extract_Q_grid,
-                       fit_Q_polynomial, polyval_ascending, qbar_from_q)
+from .spectrum import (TransferEigenstate, diagonalize_transfer, extract_Q_grids,
+                       fit_Q_polynomials, polyval_rows, qbar_from_q)
 
 __all__ = [
     "SeparateState", "IncompleteSpectrum", "materialize",
     "scalar_product_det", "phi_moments", "phi_general", "phi_matrix",
     "sector_zero", "eigen_action", "eigen_action_table", "stacked_tables",
-    "identity_resolution_T", "attach_q_data", "require_q_data",
+    "identity_resolution_T", "attach_q_data", "attach_q_tables", "require_q_data",
     "eigenstate_separate_states", "eigen_dense", "t_coeff_null_vector",
     "Solution", "prepare",
 ]
@@ -57,16 +57,24 @@ class SeparateState:
 
 def materialize(state: SeparateState, basis: SovBasis):
     """Dense covector (left) or vector (right) of a separate state."""
+    return _materialize(basis, state.side, state.coeff, state.theta_m)
+
+
+def _materialize(basis: SovBasis, side, coeff, theta_m):
+    """``materialize`` of coefficient tables (..., nsep, p) with sector labels
+    (...), one matrix-vector product per table, stacked."""
     params = basis.params
     nsep = params.n_separate
-    w = vandermonde_weights(basis)
-    w *= np.prod(state.coeff[np.arange(nsep)[None, :], params.tuples[:, :nsep]], axis=1)
+    # contiguous, so that each product over the variables rounds alike in a batch
+    w = vandermonde_weights(basis) * np.prod(np.ascontiguousarray(
+        coeff[..., np.arange(nsep)[None, :], params.tuples[:, :nsep]]), axis=-1)
     if params.even_chain:
-        sign = 1 if state.side == "left" else -1
-        w = w * params.q ** (sign * state.theta_m * params.tuples[:, -1]) / np.sqrt(params.p)
-    if state.side == "left":
-        return w @ basis.left
-    return basis.right @ w
+        sign = 1 if side == "left" else -1
+        theta_m = np.asarray(theta_m)[..., None]
+        w = w * params.q ** (sign * theta_m * params.tuples[:, -1]) / np.sqrt(params.p)
+    if side == "left":
+        return (w[..., None, :] @ basis.left)[..., 0, :]
+    return (basis.right @ w[..., :, None])[..., 0]
 
 
 def scalar_product_det(alpha: SeparateState, beta: SeparateState,
@@ -106,14 +114,19 @@ def _moments(left, right, weights):
 def attach_q_data(state: TransferEigenstate, basis: SovBasis):
     """Evaluate the fitted Baxter polynomial and its conjugate partner on the
     separate-variable grids and cache the tables on the eigenstate."""
-    params = basis.params
-    nsep = params.n_separate
-    if state.q_poly is None:
+    return attach_q_tables([state], basis)[0]
+
+
+def attach_q_tables(states, basis: SovBasis):
+    """``attach_q_data`` on every state of ``states`` at once."""
+    if any(st.q_poly is None for st in states):
         raise SgSovError("fit the Baxter polynomial before attaching Q data")
-    grids = basis.grid.grid[:nsep]
-    state.q_vals = polyval_ascending(state.q_poly, grids)
-    state.qbar_vals = polyval_ascending(state.qbar_poly, grids)
-    return state
+    grids = basis.grid.grid[:basis.params.n_separate]
+    q_vals = polyval_rows([st.q_poly for st in states], grids)
+    qbar_vals = polyval_rows([st.qbar_poly for st in states], grids)
+    for st, q, qbar in zip(states, q_vals, qbar_vals):
+        st.q_vals, st.qbar_vals = q, qbar
+    return states
 
 
 def require_q_data(*states):
@@ -204,13 +217,9 @@ def eigen_dense(states, basis: SovBasis):
     representations of ``states``, shape (len(states), d) each, and the
     determinant norms <t|t>, one batched determinant over the diagonal
     pairs."""
-    covs, vecs = [], []
-    for st in states:
-        left, right = eigenstate_separate_states(st, basis)
-        covs.append(materialize(left, basis))
-        vecs.append(materialize(right, basis))
-    qbar, q, _ = stacked_tables(states)
-    return np.array(covs), np.array(vecs), _cmul(basis.c_ref, _pairing_dets(basis, qbar, q))
+    qbar, q, theta = stacked_tables(states)
+    return (_materialize(basis, "left", qbar, theta), _materialize(basis, "right", q, theta),
+            _cmul(basis.c_ref, _pairing_dets(basis, qbar, q)))
 
 
 def identity_resolution_T(sol):
@@ -250,9 +259,10 @@ class Solution:
     ``covs``/``vecs``/``norms`` of ``eigen_dense`` and the table
     ``elementary_ops`` are built on first use, as read-only arrays, from the
     seed streams
-    ``[seed, 1]`` (basis), ``[seed, 2]`` (diagonalization) and a fresh
-    ``[seed, 3]`` per Baxter fit, so they do not depend on the order of
-    use.  Nothing is modified after it is built."""
+    ``[seed, 1]`` (basis), ``[seed, 2]`` (diagonalization) and ``[seed, 3]``
+    (the sample points that every Baxter fit shares), so they do not
+    depend on the order of use.  The per-state steps run as one batch over
+    all states.  Nothing is modified after it is built."""
     params: ModelParams
     seed: int
     mono: mc.Monodromy
@@ -268,15 +278,16 @@ class Solution:
 
     @cached_property
     def states(self) -> tuple:
-        basis = self.basis
-        states = diagonalize_transfer(self.params, self.mono, rng=self.rng(2))
-        for st in states:
-            extract_Q_grid(st, basis)
-            st.q_poly, st.nullspace_dim = fit_Q_polynomial(
-                self.params, st.t_coeffs, self.rng(3))
-            st.qbar_poly = qbar_from_q(self.params, st.q_poly)
-            attach_q_data(st, basis)
-        return tuple(states)
+        params, basis = self.params, self.basis
+        states = diagonalize_transfer(params, self.mono, rng=self.rng(2))
+        extract_Q_grids(states, basis)
+        polys, nds, gaps = fit_Q_polynomials(params, [st.t_coeffs for st in states],
+                                             self.rng(3))
+        for st, poly, nd, gap in zip(states, polys, nds, gaps):
+            st.q_poly, st.nullspace_dim = poly, nd
+            st.qbar_poly = qbar_from_q(params, poly)
+            st.diagnostics["baxter_fit_gap"] = float(gap)
+        return tuple(attach_q_tables(states, basis))
 
     @cached_property
     def _tables(self):
@@ -311,12 +322,17 @@ class Solution:
                                      for k in range(params.p)]
                                     for a in range(params.n_separate)]))
 
+    @cached_property
+    def _frame1(self) -> lo.ShiftedMonodromy:
+        return lo.ShiftedMonodromy(self.params, 1, self.mono)
+
     def frame(self, n: int) -> lo.ShiftedMonodromy:
         """The site-n reconstruction frame.  Site 1 keeps the default site
-        order, so its frame reuses ``mono``.  Frames are not cached: each
-        other one holds its own reordered monodromy."""
+        order, so its frame reuses ``mono`` and is cached with its solves.
+        Frames of other sites are not cached: each holds its own reordered
+        monodromy."""
         if n == 1:
-            return lo.ShiftedMonodromy(self.params, 1, self.mono)
+            return self._frame1
         return lo.shifted_monodromy(self.params, n)
 
 

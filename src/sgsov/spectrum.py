@@ -16,9 +16,9 @@ from .sov_basis import SovBasis, DegenerateSpectrum, rayleigh_pairings
 
 __all__ = [
     "TransferEigenstate", "EmptyNullspace", "ZeroReference",
-    "diagonalize_transfer", "check_functional_equation",
-    "extract_Q_grid", "fit_Q_polynomial", "qbar_from_q",
-    "eval_t", "polyval_ascending",
+    "diagonalize_transfer", "check_functional_equation", "check_functional_equations",
+    "extract_Q_grid", "extract_Q_grids", "fit_Q_polynomial", "fit_Q_polynomials",
+    "qbar_from_q", "eval_t", "eval_t_rows", "polyval_ascending", "polyval_rows",
 ]
 
 
@@ -58,19 +58,40 @@ class TransferEigenstate:
 
 
 def eval_t(t_coeffs, lam):
-    lam = np.asarray(lam, dtype=complex)
-    out = np.zeros_like(lam)
-    for deg, c in t_coeffs.items():
-        out = out + c * lam ** deg
+    out = eval_t_rows([t_coeffs], lam)[0]
     return complex(out) if out.ndim == 0 else out
+
+
+def eval_t_rows(t_coeffs, lam):
+    """``eval_t`` of each coefficient dict of ``t_coeffs`` (sharing their
+    degrees) at the points ``lam``, shape (len(t_coeffs),) + lam.shape."""
+    lam = np.asarray(lam, dtype=complex)
+    rows = np.array([list(t.values()) for t in t_coeffs]).reshape(
+        (len(t_coeffs), -1) + (1,) * lam.ndim)
+    out = np.zeros(rows.shape[:1] + lam.shape, dtype=complex)
+    for c, deg in enumerate(t_coeffs[0]):
+        out = out + rows[:, c] * lam ** deg
+    return out
 
 
 def polyval_ascending(coeffs, lam):
-    lam = np.asarray(lam, dtype=complex)
-    out = np.zeros_like(lam)
-    for k, c in enumerate(coeffs):
-        out = out + c * lam ** k
+    out = polyval_rows([coeffs], lam)[0]
     return complex(out) if out.ndim == 0 else out
+
+
+def polyval_rows(coeffs, lam):
+    """``polyval_ascending`` of each coefficient list of ``coeffs`` at the
+    points ``lam``, shape (len(coeffs),) + lam.shape; shorter lists are
+    padded with zero coefficients."""
+    lam = np.asarray(lam, dtype=complex)
+    K = max(len(c) for c in coeffs)
+    rows = np.zeros((len(coeffs), K), dtype=complex)
+    for row, c in zip(rows, coeffs):
+        row[:len(c)] = c
+    out = np.zeros((len(coeffs),) + lam.shape, dtype=complex)
+    for k in range(K):
+        out = out + rows[:, k].reshape((-1,) + (1,) * lam.ndim) * lam ** k
+    return out
 
 
 def diagonalize_transfer(params: ModelParams, mono, rng,
@@ -161,50 +182,72 @@ def check_functional_equation(params: ModelParams, t_coeffs, rng):
     """Maximal normalized determinant of the cyclic tridiagonal family built
     from the candidate eigenvalue and the gauge coefficients, over
     ``FE_POINTS`` spectral points; vanishes exactly on the spectrum."""
+    return float(check_functional_equations(params, [t_coeffs], rng)[0])
+
+
+def check_functional_equations(params: ModelParams, t_coeffs, rng):
+    """``check_functional_equation`` of every coefficient dict of
+    ``t_coeffs`` at one shared draw of spectral points."""
     pts = params.spectral_samples(rng, FE_POINTS)
     p = params.p
     lams = np.asarray(pts)[:, None] * params.q ** np.arange(p)     # (points, p)
     j = np.arange(p)
-    D = np.zeros((len(pts), p, p), dtype=complex)
-    D[:, j, j] = eval_t(t_coeffs, lams)
-    D[:, j, (j + 1) % p] = -mc.d_coeff(params, lams)
-    D[:, j, (j - 1) % p] = -mc.a_coeff(params, lams)
-    rownorms = np.linalg.norm(D, axis=2)
-    vals = np.abs(np.linalg.det(D)) / np.maximum(np.prod(rownorms, axis=1), 1e-300)
-    return float(np.max(vals, initial=0.0))
+    D = np.zeros((len(t_coeffs), len(pts), p, p), dtype=complex)
+    D[..., j, j] = eval_t_rows(t_coeffs, lams)
+    D[..., j, (j + 1) % p] = -mc.d_coeff(params, lams)
+    D[..., j, (j - 1) % p] = -mc.a_coeff(params, lams)
+    rownorms = np.linalg.norm(D, axis=-1)
+    vals = np.abs(np.linalg.det(D)) / np.maximum(np.prod(rownorms, axis=-1), 1e-300)
+    return np.max(vals, axis=-1, initial=0.0)
 
 
 def extract_Q_grid(state: TransferEigenstate, basis: SovBasis):
     """Wavefunction components in the SOV basis and the per-variable ratio
     tables of the Baxter function; validates the separated factorization."""
+    return extract_Q_grids([state], basis)[0]
+
+
+def extract_Q_grids(states, basis: SovBasis):
+    """``extract_Q_grid`` on every state of ``states`` at once, shape
+    (len(states), N, p); the first state that fails raises."""
     params = basis.params
     p = params.p
-    psi = basis.left @ state.vec_right
-    state.psi = psi
-    j0 = int(np.argmax(np.abs(psi)))
-    if abs(psi[j0]) <= 1e-13 * np.linalg.norm(state.vec_right):
-        raise ZeroReference("all SOV components of the eigenvector vanish")
+    R = np.stack([st.vec_right for st in states])
+    # one matrix-vector product per state, stacked
+    psi = (basis.left @ R[..., None])[..., 0]                 # (states, d)
+    rows = np.arange(len(states))[:, None]
+    j0 = np.argmax(np.abs(psi), axis=1)
+    ref = psi[rows[:, 0], j0]
+    zero = np.abs(ref) <= 1e-13 * np.linalg.norm(R, axis=1)
+    ref = np.where(zero, 1.0, ref)            # those states raise below
     anchor = params.tuples[j0]
     nvar = params.n_sites
-    # label tuples of the anchor with variable a set to h, shape (nvar, p, nvar)
-    tups = np.broadcast_to(anchor, (nvar, p, nvar)).copy()
-    tups[np.arange(nvar), :, np.arange(nvar)] = np.arange(p)
-    grid_ratios = psi[params.flat_indices(tups)] / psi[j0]
-    state.q_grid = grid_ratios
-    state.q_anchor = tuple(anchor)
+    # index of each anchor with variable a set to h, shape (states, nvar, p)
+    idx = j0[:, None, None] + (np.arange(p) - anchor[..., None]) * p ** np.arange(nvar)[:, None]
+    grid_ratios = psi[rows[..., None], idx] / ref[:, None, None]
     # factorization across the whole label set
-    predicted = np.prod(grid_ratios[np.arange(nvar), params.tuples], axis=1) * psi[j0]
-    resid = np.max(np.abs(predicted - psi)) / max(np.max(np.abs(psi)), 1e-300)
-    state.diagnostics["factorization_residual"] = float(resid)
-    if resid > FACTORIZATION_TOL:
-        raise DegenerateSpectrum(
-            f"wavefunction does not factorize over the separate variables: {resid:.2e}")
+    predicted = np.prod(np.ascontiguousarray(
+        grid_ratios[rows[..., None], np.arange(nvar), params.tuples]), axis=-1) * ref[:, None]
+    resid = np.max(np.abs(predicted - psi), axis=1) \
+        / np.maximum(np.max(np.abs(psi), axis=1), 1e-300)
+    bad = np.flatnonzero(zero | (resid > FACTORIZATION_TOL))
+    if bad.size and zero[bad[0]]:
+        raise ZeroReference("all SOV components of the eigenvector vanish")
+    if bad.size:
+        raise DegenerateSpectrum("wavefunction does not factorize over the separate "
+                                 f"variables: {resid[bad[0]]:.2e}")
     if params.even_chain:
         # the reference-variable dependence is the pure charge phase
-        m = state.theta_m
-        expect = params.q ** (-m * (np.arange(p) - anchor[-1]))
-        dev = np.max(np.abs(grid_ratios[-1] - expect))
-        state.diagnostics["reference_phase_residual"] = float(dev)
+        m = np.array([st.theta_m for st in states])
+        expect = params.q ** (-m[:, None] * (np.arange(p) - anchor[:, -1:]))
+        phase_dev = np.max(np.abs(grid_ratios[:, -1] - expect), axis=1)
+    for i, st in enumerate(states):
+        st.psi = psi[i]
+        st.q_grid = grid_ratios[i]
+        st.q_anchor = tuple(anchor[i])
+        st.diagnostics["factorization_residual"] = float(resid[i])
+        if params.even_chain:
+            st.diagnostics["reference_phase_residual"] = float(phase_dev[i])
     return grid_ratios
 
 
@@ -240,27 +283,38 @@ def fit_Q_polynomial(params: ModelParams, t_coeffs, rng):
     t(lam) Q(lam) = a(lam) Q(lam/q) + d(lam) Q(lam q), found as the SVD
     nullspace of the sampled linear map; returns the minimal-degree
     representative (leading coefficient one) and the nullspace dimension."""
+    polys, nds, _ = fit_Q_polynomials(params, [t_coeffs], rng)
+    return polys[0], nds[0]
+
+
+def fit_Q_polynomials(params: ModelParams, t_coeffs, rng):
+    """``fit_Q_polynomial`` for every coefficient dict of ``t_coeffs`` at one
+    shared draw of sample points, with one stacked SVD; returns the
+    polynomials, the nullspace dimensions and the fit gaps: per state the
+    smallest singular value above the null threshold over the largest."""
     deg_max = (params.p - 1) * params.n_sites
     n_pts = 2 * (deg_max + params.n_sites) + 1
     pts = np.array(params.spectral_samples(rng, n_pts))
     q = params.q
     mono_pow = np.arange(deg_max + 1)
     W = (pts[:, None] ** mono_pow[None, :]) * (
-        eval_t(t_coeffs, pts)[:, None]
+        eval_t_rows(t_coeffs, pts)[..., None]
         - mc.a_coeff(params, pts)[:, None] * q ** (-mono_pow[None, :])
         - mc.d_coeff(params, pts)[:, None] * q ** (mono_pow[None, :]))
     # row scaling keeps the SVD threshold meaningful across samples
-    W = W / np.linalg.norm(W, axis=1, keepdims=True)
-    _, sv, vh = np.linalg.svd(W)
-    null_mask = sv <= NULL_TOL * sv[0]
-    nd = int(np.sum(null_mask)) + max(0, W.shape[1] - len(sv))
-    if nd == 0:
-        raise EmptyNullspace(
-            f"no polynomial solution at threshold {NULL_TOL:.1e}; smallest "
-            f"singular value {sv[-1] / sv[0]:.3e}")
-    null_basis = vh[len(sv) - int(np.sum(null_mask)):].conj()
-    coeffs = _min_degree_representative(null_basis)
-    return coeffs, nd
+    W = W / np.linalg.norm(W, axis=-1, keepdims=True)
+    _, svs, vhs = np.linalg.svd(W, full_matrices=False)
+    polys, nds, gaps = [], [], []
+    for sv, vh in zip(svs, vhs):
+        nd = int(np.sum(sv <= NULL_TOL * sv[0]))
+        if nd == 0:
+            raise EmptyNullspace(
+                f"no polynomial solution at threshold {NULL_TOL:.1e}; smallest "
+                f"singular value {sv[-1] / sv[0]:.3e}")
+        polys.append(_min_degree_representative(vh[len(sv) - nd:].conj()))
+        nds.append(nd)
+        gaps.append(float(sv[len(sv) - nd - 1] / sv[0]))
+    return polys, nds, np.array(gaps)
 
 
 def qbar_from_q(params: ModelParams, q_poly):
@@ -268,6 +322,5 @@ def qbar_from_q(params: ModelParams, q_poly):
     equation in the reference gauge: lam^{N mod p} * Q(-lam)."""
     chi = params.n_sites % params.p
     out = np.zeros(len(q_poly) + chi, dtype=complex)
-    for k, c in enumerate(q_poly):
-        out[k + chi] = c * (-1.0) ** k
+    out[chi:] = q_poly * (-1.0) ** np.arange(len(q_poly))
     return out

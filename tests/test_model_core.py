@@ -1,9 +1,12 @@
 """Weyl pairs, Lax and monodromy structure, exchange relations, grading
 charge, quantum determinant and average values."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from sgsov.cli import load_config
 from sgsov.params import ModelParams, OddChain
 from sgsov import model_core as mc
 
@@ -115,6 +118,74 @@ def test_monodromy_evaluation_matches_lax_product(cfg_a):
         err = np.sqrt(sum(np.linalg.norm(M[i][j] - prod[i][j]) ** 2
                           for i in range(2) for j in range(2)))
         assert err <= 1e-10 * scale
+
+
+ROOT = Path(__file__).resolve().parent.parent
+KRON_CHAINS = [ROOT / "configs" / f"{name}.json"
+               for name in ("n1", "cfg_b", "cfg_a", "hom3", "stretch_p5")] \
+    + [ROOT / "perfbench" / "configs" / "dense_wall_even.json", "N5p3"]
+
+
+def _kron_chain(path):
+    if path == "N5p3":
+        # dense_wall_even at p=3 with a fifth site
+        return ModelParams(5, 3, 2, kappa=[1.1j, 1.3j, 0.7j, 0.9j, 1.2j],
+                           xi=[1.0, 1.2, 0.9, 1.1, 0.8])
+    return load_config(str(path))[0]
+
+
+def _dense_product(params, site_order):
+    """The monodromy as the ordered product of the embedded Lax matrices,
+    by coefficient convolution of dense d x d matrices, left to right."""
+    def mul(X, Y):
+        out = {}
+        for d1, c1 in X.items():
+            for d2, c2 in Y.items():
+                out[d1 + d2] = out[d1 + d2] + c1 @ c2 if d1 + d2 in out else c1 @ c2
+        return out
+
+    def add(X, Y):
+        out = dict(X)
+        for dg, c in Y.items():
+            out[dg] = out[dg] + c if dg in out else c
+        return out
+
+    def lax(n):
+        return [[entry.coeffs for entry in row] for row in mc.lax_matrix(params, n)]
+
+    M = lax(site_order[0])
+    for n in site_order[1:]:
+        L = lax(n)
+        M = [[add(mul(M[i][0], L[0][j]), mul(M[i][1], L[1][j])) for j in range(2)]
+             for i in range(2)]
+    return {"ABCD"[2 * i + j]: {dg: c for dg, c in M[i][j].items() if np.any(c)}
+            for i in range(2) for j in range(2)}
+
+
+@pytest.mark.parametrize("path", KRON_CHAINS, ids=lambda p: getattr(p, "stem", p))
+def test_kronecker_monodromy_equals_dense_product(path):
+    params = _kron_chain(path)
+    N = params.n_sites
+    for n in range(1, N + 1):
+        # the factor order of the site-n frame; n = 1 is the default order
+        order = list(range(n - 1, 0, -1)) + list(range(N, n - 1, -1))
+        got = mc.monodromy(params, site_order=None if n == 1 else order)
+        ref = _dense_product(params, order)
+        for e in "ABCD":
+            coeffs = got.entry(e).coeffs
+            assert sorted(coeffs) == sorted(ref[e])
+            for dg, c in ref[e].items():
+                assert np.linalg.norm(coeffs[dg] - c) <= 1e-14 * np.linalg.norm(c)
+
+
+def test_monodromy_builds_no_embedded_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("site_embed called")
+    monkeypatch.setattr(mc, "site_embed", refuse)
+    for params in (n1_params(), cfg_b_params(), cfg_a_params()):
+        for n in range(1, params.n_sites + 1):
+            order = list(range(n - 1, 0, -1)) + list(range(params.n_sites, n - 1, -1))
+            mc.monodromy(params, site_order=order)
 
 
 def test_yang_baxter_relation(cfg_a, cfg_b):
