@@ -6,7 +6,8 @@ matching their measured eigenvalue patterns against the factorized form
 b_k(lam).  Normalizations are then calibrated along a spanning tree of
 shift moves so that the separated actions of the Yang-Baxter generators
 hold with the reference gauge coefficients, and the left/right pairing
-reproduces the closed-form diagonal measure.
+reproduces the closed-form diagonal measure; on an even chain the grading
+charge carries them along the reference variable.
 """
 
 from __future__ import annotations
@@ -378,13 +379,20 @@ def _project_scale(target, raw):
 
 def build_sov_basis(params: ModelParams, mono, rng, grid: SovGrid = None,
                     rel_gap=1e-6) -> SovBasis:
-    """Construct, label and calibrate the left and right SOV bases, both by
-    one calibration sweep: covectors step through D(eta) with d, vectors
-    (calibrated as rows) through A(eta) with abar."""
+    """Construct, label and calibrate the left and right SOV bases.
+
+    One calibration sweep over the slice k_N = 0 of the reference digit (every
+    label on an odd chain) scales both: covectors step through D(eta) with d,
+    vectors (calibrated as rows) through A(eta) with abar.  On an even chain
+    the reference digit is the slowest, and slice k is the charge image of
+    slice 0, <j + k e_N| = <j| theta^-k and |j + k e_N> = theta^k |j>; one
+    step of A(lam) around the reference direction checks that the cycle
+    closes."""
     grid = grid if grid is not None else b_zeros(params, rel_gap=rel_gap)
     p, nsep, d = params.p, params.n_separate, params.dim
     n_ref = params.n_sites - 1
-    tuples, shifted = params.tuples, {s: params.shifted_indices(s) for s in (-1, 1)}
+    d0 = d // p if params.even_chain else d        # labels of the slice k_N = 0
+    tuples, down = params.tuples, params.shifted_indices(-1)
 
     # cycle consistency of the gauge coefficients against the average values
     abar_vals = mc.abar_coeff(params, grid.grid[:nsep])
@@ -408,81 +416,44 @@ def build_sov_basis(params: ModelParams, mono, rng, grid: SovGrid = None,
     a_ops = {(a, h): mono.A.evaluate(grid.grid[a, h]) for a in range(nsep) for h in range(p)}
     worst_step = 0.0
 
-    def reference_residual(x, act, shift_vals, s, jb, lam):
-        """The action of A(lam) on x[jb] less its shifts of the separate
-        variables (by s = -1 on the left, +1 on the right), which leaves
-        r = c_+ x[jb + e_N] + c_- x[jb - e_N]; returns r and (c_+, c_-)."""
-        r = act(x[jb], mono.A.evaluate(lam))
-        cw = _interp_weights(params, grid, tuples[jb], lam)
-        for a in range(nsep):
-            r = r - cw[a] * shift_vals[a, tuples[jb][a]] * x[shifted[s][jb, a]]
-        bk = b_pattern(params, grid, tuples[jb:jb + 1], lam)[0]
-        eta_a_val = params.xi_prod / np.prod(grid.grid[np.arange(nsep), tuples[jb][:nsep]])
-        pref = bk / grid.grid[-1, tuples[jb][-1]]
-        # the lam-proportional prefactor goes with the neighbour x[jb + s e_N]
-        c_s, c_rev = pref * lam / eta_a_val, -(pref * eta_a_val / lam)
-        return r, ((c_s, c_rev) if s > 0 else (c_rev, c_s))
-
-    def step_up(x, act, shift_vals, s, jb, lam):
-        """x[jb + e_N] solved from the reference residual at lam, given
-        x[jb - e_N]."""
-        r, (cp, cm) = reference_residual(x, act, shift_vals, s, jb, lam)
-        return (r - cm * x[shifted[-1][jb, n_ref]]) / cp
-
-    def calibrate(raw, x0, act, step_ops, step_vals, shift_vals, s):
-        """Rows g_j raw[j] scaled from x[0] = x0: within a slice of the
-        reference variable each x[j] is fitted to
-        act(x[j - e_a], step_ops[a, h]) / step_vals[a, h]; on an even chain
-        the first tuple of each next slice comes from ``reference_residual``
-        (from two points where neither neighbour is known yet)."""
-        x = np.zeros((d, d), dtype=complex)
-        assigned = np.zeros(d, dtype=bool)
-        x[0], assigned[0] = x0, True
-
-        def fix(j, target):
-            nonlocal worst_step
-            g, res = _project_scale(target, raw[j])
+    def calibrate(raw, x0, act, step_ops, step_vals, s):
+        """Rows g_j raw[j] scaled from x[0] = x0: on the slice k_N = 0 each
+        x[j] is fitted to act(x[j - e_a], step_ops[a, h]) / step_vals[a, h];
+        slice k is slice 0 times diag(theta)**(s k)."""
+        nonlocal worst_step
+        x = np.empty((d0, d), dtype=complex)
+        x[0] = x0
+        for j in range(1, d0):
+            a = next(i for i in range(nsep) if tuples[j][i] > 0)
+            jprev = down[j, a]
+            h = tuples[jprev][a]
+            g, res = _project_scale(act(x[jprev], step_ops[(a, h)]) / step_vals[a, h], raw[j])
             worst_step = max(worst_step, res)
             x[j] = g * raw[j]
-            assigned[j] = True
-
-        def fill_slice(kn):
-            for j in range(d):
-                if assigned[j] or (params.even_chain and tuples[j][-1] != kn):
-                    continue
-                a = next(i for i in range(nsep) if tuples[j][i] > 0)
-                jprev = shifted[-1][j, a]
-                h = tuples[jprev][a]
-                fix(j, act(x[jprev], step_ops[(a, h)]) / step_vals[a, h])
-
-        fill_slice(0)
-        jb = 0                        # the tuple (0, ..., 0, kn - 1)
-        for kn in range(1, p) if params.even_chain else ():
-            jm, jp = shifted[-1][jb, n_ref], shifted[+1][jb, n_ref]
-            if not assigned[jp]:
-                lam1, lam2 = params.spectral_samples(rng, 2, exclude=exclude)
-                if assigned[jm]:
-                    fix(jp, step_up(x, act, shift_vals, s, jb, lam1))
-                else:
-                    r1, (p1, m1) = reference_residual(x, act, shift_vals, s, jb, lam1)
-                    r2, (p2, m2) = reference_residual(x, act, shift_vals, s, jb, lam2)
-                    det = p1 * m2 - m1 * p2
-                    fix(jm, (p1 * r2 - p2 * r1) / det)
-                    fix(jp, (m2 * r1 - m1 * r2) / det)
-            fill_slice(kn)
-            jb = jp
-        return x
+        if not params.even_chain:
+            return x
+        charge = np.diag(mc.theta_charge(params)) ** (s * np.arange(p))[:, None]
+        return (x[None] * charge[:, None, :]).reshape(d, d)
 
     # left: anchored at the zero tuple with a unit-modulus largest entry
     anchor = L_raw[0] / np.linalg.norm(L_raw[0])
     phase = anchor[np.argmax(np.abs(anchor))]
     left = calibrate(L_raw, anchor * (abs(phase) / phase), np.matmul,
-                     d_ops, grid.d_vals, grid.a_vals, -1)
+                     d_ops, grid.d_vals, -1)
     if params.even_chain:
-        # closure around the reference direction
-        jb = shifted[-1][0, n_ref]     # the tuple (0, ..., 0, p - 1)
+        # closure around the reference direction: the action of A(lam) on
+        # <jb| less its shifts of the separate variables leaves
+        # c_+ <jb + e_N| + c_- <jb - e_N|, with jb the tuple (0, ..., 0, p - 1)
+        jb = down[0, n_ref]
         lam = params.spectral_samples(rng, 1, exclude=exclude)[0]
-        wrap = step_up(left, np.matmul, grid.a_vals, -1, jb, lam)
+        r = left[jb] @ mono.A.evaluate(lam)
+        cw = _interp_weights(params, grid, tuples[jb], lam)
+        for a in range(nsep):
+            r = r - cw[a] * grid.a_vals[a, 0] * left[down[jb, a]]
+        pref = b_pattern(params, grid, tuples[jb:jb + 1], lam)[0] / grid.grid[-1, p - 1]
+        eta_a_val = params.xi_prod / np.prod(grid.grid[:nsep, 0])
+        c_plus, c_minus = -(pref * eta_a_val / lam), pref * lam / eta_a_val
+        wrap = (r - c_minus * left[down[jb, n_ref]]) / c_plus
         cyc = np.linalg.norm(wrap - left[0]) / np.linalg.norm(left[0])
         if cyc > CALIBRATION_TOL:
             raise GaugeInconsistency(
@@ -493,7 +464,7 @@ def build_sov_basis(params: ModelParams, mono, rng, grid: SovGrid = None,
     m00 = c_ref / vandermonde(grid.grid[:nsep, 0])
     raw = R_raw.T
     right = calibrate(raw, raw[0] * (m00 / (left[0] @ raw[0])), lambda v, M: M @ v,
-                      a_ops, abar_vals, abar_vals, +1)
+                      a_ops, abar_vals, +1)
 
     if worst_step > CALIBRATION_TOL:
         raise GaugeInconsistency(

@@ -295,19 +295,35 @@ def test_b_zeros_well_conditioned_on_long_chain(monkeypatch):
     assert conds and max(conds) < 1e10
 
 
-@pytest.mark.parametrize("p", [3, 5])
-def test_reference_shift_on_both_sides(p):
-    # on vectors the charge is the unit raising shift.  The sweeps reach the
-    # slices k_N = 1 and p - 1 by the two-point solve and, from p = 5 on,
-    # the slices in between by the one-sided step; p = 3 is cfg_b
-    params = ModelParams(2, p, 2, kappa=[1.1j, 0.8j], xi=[1.0, 1.3])
+@pytest.mark.parametrize("n_sites, p, kappa, xi", [
+    pytest.param(2, 3, [1.1j, 0.8j], [1.0, 1.3], id="3"),
+    pytest.param(2, 5, [1.1j, 0.8j], [1.0, 1.3], id="5"),
+    # the chain of perfbench/configs/dense_wall_even.json at p = 3: nsep = 3
+    pytest.param(4, 3, [1.1j, 1.3j, 0.7j, 0.9j], [1.0, 1.2, 0.9, 1.1], id="N4-p3"),
+])
+def test_reference_shift_on_both_sides(n_sites, p, kappa, xi):
+    # on vectors the charge is the unit raising shift.  The slices k_N >= 1 are
+    # built as charge images of the slice k_N = 0, so this holds across the
+    # whole label set only if theta**p = 1 wraps the last slice onto the first
+    params = ModelParams(n_sites, p, 2, kappa=kappa, xi=xi)
     basis = sb.build_sov_basis(params, mc.monodromy(params), np.random.default_rng(SEED))
     theta = mc.theta_charge(params)
+    n_ref = params.n_sites - 1
     for j in range(params.dim):
-        down = basis.left[basis.shifted_index(j, 1, -1)]
-        up = basis.right[:, basis.shifted_index(j, 1, +1)]
+        down = basis.left[basis.shifted_index(j, n_ref, -1)]
+        up = basis.right[:, basis.shifted_index(j, n_ref, +1)]
         assert np.linalg.norm(basis.left[j] @ theta - down) <= 1e-8 * np.linalg.norm(down)
         assert np.linalg.norm(theta @ basis.right[:, j] - up) <= 1e-8 * np.linalg.norm(up)
+
+
+def test_reference_closure_guards_the_charge_images(cfg_b, monkeypatch):
+    # the slices k_N >= 1 are charge images of the slice k_N = 0; with the
+    # wrong charge the A(lam) step around the reference direction must not close
+    params = cfg_b.params
+    theta = mc.theta_charge(params)
+    monkeypatch.setattr(mc, "theta_charge", lambda params: theta @ theta)
+    with pytest.raises(sb.GaugeInconsistency, match="reference-direction cycle fails to close"):
+        sb.build_sov_basis(params, cfg_b.mono, np.random.default_rng(SEED))
 
 
 def test_label_shifts_invert_and_close(cfg_a):
