@@ -24,7 +24,8 @@ __all__ = [
 
 FE_POINTS = 10            # spectral points of the functional-equation check
 FACTORIZATION_TOL = 1e-7  # worst relative factorization residual of a wavefunction
-NULL_TOL = 1e-9           # relative SVD-null and pivot threshold of the Baxter fit
+NULL_TOL = 1e-9           # relative SVD-null and top-coefficient threshold of the Baxter fit
+LABEL_GAP_TOL = 1e-8      # relative gap below which two joint transfer labels collide
 
 
 class EmptyNullspace(SgSovError):
@@ -94,16 +95,16 @@ def polyval_rows(coeffs, lam):
     return out
 
 
-def diagonalize_transfer(params: ModelParams, mono, rng,
-                         gap_tol=1e-8) -> list[TransferEigenstate]:
+def diagonalize_transfer(params: ModelParams, mono, rng) -> list[TransferEigenstate]:
     """Joint eigenstates of the transfer family, with eigenvalue Laurent
     coefficients recovered from left/right pairings of the coefficient
     operators.  On even chains the charge eigenspaces are diagonalized
-    separately, which makes the joint labels exact."""
+    separately, which makes the joint labels exact.  The eigenvectors are
+    those of T at one spectral point; a degenerate pair there shows as a
+    label collision or as an eigen-residual at a fresh point, and raises."""
     tpoly = mono.transfer()
     d = params.dim
-    lam0, lam1 = params.spectral_samples(rng, 2)
-    T0 = tpoly.evaluate(lam0)
+    T0 = tpoly.evaluate(params.spectral_samples(rng, 1)[0])
 
     blocks = []
     if params.even_chain:
@@ -117,33 +118,13 @@ def diagonalize_transfer(params: ModelParams, mono, rng,
     else:
         blocks.append((0, np.arange(d)))
 
-    T1 = tpoly.evaluate(lam1)
     R = np.zeros((d, d), dtype=complex)
     col = 0
     ms = []
     for m, idx in blocks:
-        sub = T0[np.ix_(idx, idx)]
-        w, v = np.linalg.eig(sub)
-        # refine near-degenerate clusters with a second spectral point
+        w, v = np.linalg.eig(T0[np.ix_(idx, idx)])
         order = np.argsort(w.real * 1e6 + w.imag)
-        w, v = w[order], v[:, order]
-        scale = max(np.max(np.abs(w)), 1e-300)
-        groups = []
-        start = 0
-        for i in range(1, len(w) + 1):
-            if i == len(w) or abs(w[i] - w[start]) > 1e-6 * scale:
-                groups.append(list(range(start, i)))
-                start = i
-        T1sub = T1[np.ix_(idx, idx)]
-        for g in groups:
-            if len(g) > 1:
-                P = v[:, g]
-                small = np.linalg.pinv(P) @ T1sub @ P
-                _, mix = np.linalg.eig(small)
-                v[:, g] = P @ mix
-        full = np.zeros((d, len(idx)), dtype=complex)
-        full[idx, :] = v
-        R[:, col:col + len(idx)] = full
+        R[idx, col:col + len(idx)] = v[:, order]
         ms.extend([m] * len(idx))
         col += len(idx)
     L = np.linalg.inv(R)
@@ -163,11 +144,11 @@ def diagonalize_transfer(params: ModelParams, mono, rng,
     gap = np.zeros((d, d))
     for k in range(len(degrees)):
         gap = np.maximum(gap, np.abs(vecs[:, None, k] - vecs[None, :, k]))
-    collide = np.triu(sector[:, None] == sector[None, :], 1) & (gap < gap_tol * scale)
+    collide = np.triu(sector[:, None] == sector[None, :], 1) & (gap < LABEL_GAP_TOL * scale)
     if collide.any():
         i, j = np.argwhere(collide)[0]
         raise DegenerateSpectrum(
-            f"joint labels {i} and {j} collide below {gap_tol:.1e}")
+            f"joint labels {i} and {j} collide below {LABEL_GAP_TOL:.1e}")
     # residual of the eigen-relation at a fresh spectral point
     lam2 = params.spectral_samples(rng, 1)[0]
     T2 = tpoly.evaluate(lam2)
@@ -251,38 +232,14 @@ def extract_Q_grids(states, basis: SovBasis):
     return grid_ratios
 
 
-def _min_degree_representative(null_basis):
-    """Eliminate from the top degree downward to find the lowest-degree
-    element of the nullspace span."""
-    V = np.array(null_basis)  # (k, D+1) ascending coefficients
-    k, ncols = V.shape
-    # Gaussian elimination on reversed columns (highest degree first)
-    W = V[:, ::-1].copy()
-    row = 0
-    for c in range(ncols):
-        if row >= k:
-            break
-        piv = row + np.argmax(np.abs(W[row:, c]))
-        if abs(W[piv, c]) < NULL_TOL * max(np.max(np.abs(W)), 1e-300):
-            continue
-        W[[row, piv]] = W[[piv, row]]
-        W[row] = W[row] / W[row, c]
-        for r in range(k):
-            if r != row:
-                W[r] = W[r] - W[r, c] * W[row]
-        row += 1
-    cand = W[row - 1, ::-1] if row > 0 else V[0]
-    # normalize: leading coefficient one
-    nz = np.where(np.abs(cand) > 1e-10 * np.max(np.abs(cand)))[0]
-    cand = cand[: nz[-1] + 1] if nz.size else cand
-    return cand / cand[-1]
-
-
 def fit_Q_polynomial(params: ModelParams, t_coeffs, rng):
     """Polynomial solution of the finite difference equation
     t(lam) Q(lam) = a(lam) Q(lam/q) + d(lam) Q(lam q), found as the SVD
-    nullspace of the sampled linear map; returns the minimal-degree
-    representative (leading coefficient one) and the nullspace dimension."""
+    nullspace of the sampled linear map; returns the null vector cut at its
+    highest coefficient of at least ``NULL_TOL`` times the largest, with
+    leading coefficient one, and the nullspace dimension, which is always 1:
+    a wider nullspace raises ``DegenerateSpectrum``, an empty one
+    ``EmptyNullspace``."""
     polys, nds, _ = fit_Q_polynomials(params, [t_coeffs], rng)
     return polys[0], nds[0]
 
@@ -290,8 +247,10 @@ def fit_Q_polynomial(params: ModelParams, t_coeffs, rng):
 def fit_Q_polynomials(params: ModelParams, t_coeffs, rng):
     """``fit_Q_polynomial`` for every coefficient dict of ``t_coeffs`` at one
     shared draw of sample points, with one stacked SVD; returns the
-    polynomials, the nullspace dimensions and the fit gaps: per state the
-    smallest singular value above the null threshold over the largest."""
+    polynomials, the nullspace dimensions (all 1) and the fit gaps: per
+    state the smallest singular value above the null threshold over the
+    largest.  The first state whose nullspace is not one-dimensional
+    raises."""
     deg_max = (params.p - 1) * params.n_sites
     n_pts = 2 * (deg_max + params.n_sites) + 1
     pts = np.array(params.spectral_samples(rng, n_pts))
@@ -311,9 +270,16 @@ def fit_Q_polynomials(params: ModelParams, t_coeffs, rng):
             raise EmptyNullspace(
                 f"no polynomial solution at threshold {NULL_TOL:.1e}; smallest "
                 f"singular value {sv[-1] / sv[0]:.3e}")
-        polys.append(_min_degree_representative(vh[len(sv) - nd:].conj()))
+        if nd > 1:
+            raise DegenerateSpectrum(
+                f"Baxter nullspace has dimension {nd} at threshold {NULL_TOL:.1e}, "
+                "not 1")
+        v = vh[-1].conj()
+        top = np.flatnonzero(np.abs(v) >= NULL_TOL * np.max(np.abs(v)))[-1]
+        poly = v[:top + 1] / v[top]
+        polys.append(poly / poly[-1])     # complex x / x need not round to 1
         nds.append(nd)
-        gaps.append(float(sv[len(sv) - nd - 1] / sv[0]))
+        gaps.append(float(sv[-2] / sv[0]))
     return polys, nds, np.array(gaps)
 
 

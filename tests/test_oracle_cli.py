@@ -3,6 +3,7 @@ front end (exit codes, row formats, determinism)."""
 
 import json
 import csv as csv_mod
+import re
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,19 @@ def test_cli_degenerate_exit(tmp_path):
     payload = _cfg_a_payload(tolerances={"zero_gap": 1.0})
     cfg = _write_cfg(tmp_path, payload)
     assert main(["verify-all", "--config", cfg]) == 3
+
+
+def test_wide_baxter_nullspace_raises(tmp_path, monkeypatch, cfg_a, capsys):
+    # a null threshold just above state 0's fit gap takes in a second null
+    # direction: the fit names the dimension and the CLI exits 3
+    st = cfg_a.states[0]
+    monkeypatch.setattr(sp, "NULL_TOL", 1.01 * st.diagnostics["baxter_fit_gap"])
+    with pytest.raises(DegenerateSpectrum) as info:
+        sp.fit_Q_polynomial(cfg_a.params, st.t_coeffs, cfg_a.rng(3))
+    dim = re.search(r"nullspace has dimension (\d+)", str(info.value))
+    assert dim and int(dim.group(1)) > 1
+    assert main(["spectrum", "--config", _write_cfg(tmp_path, _cfg_a_payload())]) == 3
+    assert "nullspace has dimension" in capsys.readouterr().err
 
 
 def test_cli_tol_keeps_the_settings_that_are_not_error_bounds(tmp_path):

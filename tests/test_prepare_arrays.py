@@ -173,7 +173,7 @@ def _first_collision(states, degrees, gap_tol):
 
 
 @pytest.mark.parametrize("name", ["cfg_b", "cfg_a"])
-def test_label_collision_raises_on_first_pair(request, name):
+def test_label_collision_raises_on_first_pair(request, monkeypatch, name):
     sol = request.getfixturevalue(name)
     params, degrees = sol.params, _degrees(sol.params)
     vecs = np.array([[st.t_coeffs[dg] for dg in degrees] for st in sol.states])
@@ -185,8 +185,9 @@ def test_label_collision_raises_on_first_pair(request, name):
     for gap_tol in (0.5 * (gaps[2] + gaps[3]), 10.0):
         want = _first_collision(sol.states, degrees, gap_tol)
         assert want is not None
+        monkeypatch.setattr(sp, "LABEL_GAP_TOL", gap_tol)
         with pytest.raises(sb.DegenerateSpectrum, match="collide") as info:
-            sp.diagonalize_transfer(params, sol.mono, rng=sol.rng(2), gap_tol=gap_tol)
+            sp.diagonalize_transfer(params, sol.mono, rng=sol.rng(2))
         got = tuple(int(x) for x in re.findall(r"labels (\d+) and (\d+)", str(info.value))[0])
         assert got == want
 

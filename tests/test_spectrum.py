@@ -186,6 +186,23 @@ def test_no_solution_for_invalid_eigenvalue(cfg_a):
         sp.fit_Q_polynomial(cfg_a.params, pert, cfg_a.rng(306))
 
 
+def test_mixed_eigenvector_fails_the_residual_check(cfg_a, monkeypatch):
+    # an eigenvector mixed with another one of its sector still gets the
+    # right Rayleigh labels, so only the eigen-residual at a fresh point
+    # can catch it
+    eig = np.linalg.eig
+
+    def mixed_eig(a):
+        w, v = eig(a)
+        order = np.argsort(w.real * 1e6 + w.imag)
+        v[:, order[0]] += 0.3 * v[:, order[1]]
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eig", mixed_eig)
+    with pytest.raises(sp.DegenerateSpectrum, match="eigenvector residual"):
+        sp.diagonalize_transfer(cfg_a.params, cfg_a.mono, rng=cfg_a.rng(2))
+
+
 def test_stretch_spectrum_complete(stretch):
     assert len(stretch.states) == 125
     for st in stretch.states[:10]:
