@@ -10,9 +10,10 @@ against brute-force dense linear algebra on the p^N state space.
 """
 
 from .params import ModelParams, SgSovError, OddChain, DegenerateKappa
-from .model_core import (OperatorLaurent, Monodromy, NotCentral,
-                         weyl_generators, site_embed, embedded_u, lax_matrix,
-                         monodromy, transfer, theta_charge, rmatrix,
+from .model_core import (OperatorLaurent, GradedLaurent, Monodromy, NotCentral,
+                         NotGraded, weyl_generators, site_embed, embedded_u,
+                         lax_matrix, monodromy, transfer, digit_charge,
+                         theta_charge, rmatrix,
                          yang_baxter_residual, a_coeff, d_coeff, abar_coeff,
                          dbar_coeff, quantum_determinant,
                          quantum_determinant_product, average_lax,

@@ -3,21 +3,25 @@ grading charge, quantum determinant and average values.
 
 Everything here is materialized as dense complex matrices on the p^N state
 space, so that every algebraic identity downstream can be checked against
-brute-force linear algebra.
+brute-force linear algebra.  Each monodromy entry also has a block view on
+the p sectors of the alternating digit charge, which it moves by one fixed
+step; the exchange relation is checked on those blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .params import ModelParams, OddChain, SgSovError
 
 __all__ = [
-    "OperatorLaurent", "Monodromy", "NotCentral",
+    "OperatorLaurent", "GradedLaurent", "Monodromy", "NotCentral", "NotGraded",
     "weyl_generators", "site_embed", "embedded_u",
     "local_lax", "lax_matrix", "monodromy", "transfer",
+    "digit_charge", "graded_laurent", "scatter_blocks",
     "theta_charge", "rmatrix", "yang_baxter_residual",
     "a_coeff", "d_coeff", "abar_coeff", "dbar_coeff",
     "quantum_determinant", "quantum_determinant_product",
@@ -28,6 +32,10 @@ __all__ = [
 
 class NotCentral(SgSovError):
     """An operator that must be a scalar multiple of the identity is not."""
+
+
+class NotGraded(SgSovError):
+    """An operator has a nonzero entry off its charge shift."""
 
 
 def frob(x) -> float:
@@ -86,16 +94,78 @@ class OperatorLaurent:
         return out
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class GradedLaurent:
+    """Block form of an operator Laurent polynomial that moves the charge by
+    ``shift``: ``blocks[g, x]`` (read-only, shape (ndeg, p, d/p, d/p)) is
+    the coefficient of degree ``degrees[g]`` restricted to the map from
+    charge sector x to sector x + shift, with the sectors' basis indices in
+    the rows of ``sectors``."""
+    shift: int
+    degrees: np.ndarray
+    blocks: np.ndarray
+    sectors: np.ndarray
+
+    def evaluate(self, lam):
+        """The p blocks at the given spectral point, shape (p, d/p, d/p)."""
+        return np.tensordot(complex(lam) ** self.degrees, self.blocks, axes=1)
+
+
+def scatter_blocks(sectors, shift, blocks):
+    """Dense matrix whose map from charge sector x to sector x + shift is
+    ``blocks[x]``, zero elsewhere."""
+    p, m = sectors.shape
+    out = np.zeros((p * m, p * m), dtype=blocks.dtype)
+    out[sectors[(np.arange(p) + shift) % p][:, :, None], sectors[:, None, :]] = blocks
+    return out
+
+
+def graded_laurent(op: OperatorLaurent, charge, p) -> GradedLaurent:
+    """The block form of ``op`` on the sectors of ``charge`` (values in Z_p,
+    each taken by d/p basis states).  The shift is read off the largest
+    entry of the lowest coefficient; raises NotGraded if any nonzero entry
+    of any coefficient lies off it."""
+    sectors = np.argsort(charge, kind="stable").reshape(p, -1)
+    coeffs = [op.coeffs[g] for g in op.degrees]
+    shift = 0
+    if coeffs:
+        row, col = np.unravel_index(np.argmax(np.abs(coeffs[0])), coeffs[0].shape)
+        shift = int(charge[row] - charge[col]) % p
+    rows = sectors[(np.arange(p) + shift) % p][:, :, None]
+    m = sectors.shape[1]
+    blocks = np.empty((len(coeffs), p, m, m), dtype=complex)
+    for g, c in enumerate(coeffs):
+        blocks[g] = c[rows, sectors[:, None, :]]
+    dropped = sum(np.count_nonzero(c) for c in coeffs) - np.count_nonzero(blocks)
+    if dropped:
+        raise NotGraded(f"{dropped} nonzero entries lie off the charge shift {shift}")
+    blocks.flags.writeable = False
+    sectors.flags.writeable = False
+    return GradedLaurent(shift, np.asarray(op.degrees), blocks, sectors)
+
+
+@dataclass(eq=False)
 class Monodromy:
-    """The 2x2 matrix of Yang-Baxter generators as operator Laurent polynomials."""
+    """The 2x2 matrix of Yang-Baxter generators as operator Laurent
+    polynomials, with the alternating digit charge (in Z_p) of each basis
+    state in the factor order they were built in."""
     A: OperatorLaurent
     B: OperatorLaurent
     C: OperatorLaurent
     D: OperatorLaurent
+    charge: np.ndarray
+    p: int
 
     def entry(self, name) -> OperatorLaurent:
         return getattr(self, name)
+
+    def graded(self, name) -> GradedLaurent:
+        """Read-only block view of one entry on the charge sectors."""
+        return self._graded[name]
+
+    @cached_property
+    def _graded(self):
+        return {name: graded_laurent(self.entry(name), self.charge, self.p) for name in "ABCD"}
 
     def evaluate(self, lam):
         """2x2 array of dense matrices at the given spectral point."""
@@ -211,6 +281,23 @@ def _kron_entry(row, col):
     return out
 
 
+def digit_charge(params: ModelParams, site_order=None):
+    """Alternating digit charge chi(k) = sum_pos (-1)^pos k_{site_order[pos]}
+    mod p of every basis state (read-only), site N first by default.
+
+    In the product of Lax factors in that order, the factor at position pos
+    with auxiliary indices (i_pos, i_pos+1) moves its site's digit by
+    i_pos + i_pos+1 - 1 (the clock keeps it, U and U^-1 move it by -1 and
+    +1), so the alternating sum telescopes: every monodromy entry (i, j)
+    moves chi by i - (-1)^N j - (N mod 2), whatever its degree."""
+    N = params.n_sites
+    if site_order is None:
+        site_order = list(range(N, 0, -1))
+    chi = params.tuples[:, np.asarray(site_order) - 1] @ (-1) ** np.arange(N) % params.p
+    chi.flags.writeable = False
+    return chi
+
+
 def monodromy(params: ModelParams, site_order=None) -> Monodromy:
     """Ordered product of Lax matrices, site N leftmost by default.
 
@@ -219,7 +306,8 @@ def monodromy(params: ModelParams, site_order=None) -> Monodromy:
     so the product is the Kronecker recursion M_ij = sum_c L[i][c] (x) M'_cj
     over the local p x p coefficients of ``local_lax``, with the leftmost
     factor on the slowest slot; a reordered chain then gets one permutation
-    of the tensor slots (site 1 is the fastest digit)."""
+    of the tensor slots (site 1 is the fastest digit).  The result records
+    the ``digit_charge`` of the same order."""
     N, p = params.n_sites, params.p
     if site_order is None:
         site_order = list(range(N, 0, -1))
@@ -234,7 +322,7 @@ def monodromy(params: ModelParams, site_order=None) -> Monodromy:
              for row in M]
     A, B, C, D = (OperatorLaurent(dict(sorted(entry.items())), params.dim)
                   for row in M for entry in row)
-    return Monodromy(A=A, B=B, C=C, D=D)
+    return Monodromy(A=A, B=B, C=C, D=D, charge=digit_charge(params, site_order), p=p)
 
 
 def transfer(mono: Monodromy, lam):
@@ -242,15 +330,14 @@ def transfer(mono: Monodromy, lam):
 
 
 def theta_charge(params: ModelParams):
-    """Grading charge of the even chain: product of the clock generators with
-    alternating exponents.  Diagonal in the computational basis."""
+    """Grading charge of the even chain: product of the clock generators
+    V_n^{(-1)^n}, which is (prod_n v_n^{(-1)^n}) q^chi with chi the
+    ``digit_charge``.  Diagonal in the computational basis."""
     if not params.even_chain:
         raise OddChain("the grading charge exists only for even chains")
-    diag = np.ones(params.dim, dtype=complex)
-    for n in range(1, params.n_sites + 1):
-        vals = params.v[n - 1] * params.q ** params.tuples[:, n - 1]
-        diag = diag * (vals if n % 2 == 0 else 1.0 / vals)
-    return np.diag(diag)
+    v = np.asarray(params.v)
+    scale = np.prod(v ** (-1) ** np.arange(1, params.n_sites + 1))
+    return np.diag(scale * params.q ** digit_charge(params))
 
 
 # ---------------------------------------------------------------------------
@@ -270,17 +357,28 @@ def rmatrix(lam, q):
 
 
 def yang_baxter_residual(params: ModelParams, lam, mu, mono: Monodromy):
-    """Relative residual of the quadratic exchange relation at (lam, mu)."""
-    Tl, Tm = mono.evaluate(lam), mono.evaluate(mu)
+    """Relative residual of the quadratic exchange relation at (lam, mu),
+    formed on the charge blocks of the monodromy entries."""
+    p = mono.p
+    views = [mono.graded(name) for name in "ABCD"]
+    shift = np.array([v.shift for v in views]).reshape(2, 2)
+    if (shift[0, 0] + shift[1, 1] - shift[0, 1] - shift[1, 0]) % p:
+        # R only mixes (a, b) with (b, a), so the terms of each block of the
+        # relation share one shift exactly when s_A + s_D = s_B + s_C
+        raise NotGraded(f"entry shifts {shift.ravel().tolist()} mix charge sectors "
+                        "in the exchange relation")
+    Tl, Tm = (np.array([v.evaluate(x) for v in views]).reshape((2, 2) + views[0].blocks.shape[1:])
+              for x in (lam, mu))
+    # Tl[:, :, roll[b, e]][a, c, b, e, x] is block x + s_be of Tl[a, c]: the
+    # one that takes the image of block x of Tm[b, e] (and conversely)
+    roll = (np.arange(p) + shift[..., None]) % p
     # products of T(lam) (x) 1 and 1 (x) T(mu) in the doubled auxiliary space:
     # block [(a, b), (c, e)] is Tl[a, c] Tm[b, e], resp. Tm[b, e] Tl[a, c]
-    P12 = np.matmul(Tl[:, None, :, None], Tm[None, :, None, :]).reshape(4, -1)
-    P21 = np.matmul(Tm[None, :, None, :], Tl[:, None, :, None]).reshape(4, 4, -1)
+    P12 = np.matmul(Tl[:, :, roll], Tm).transpose(0, 2, 1, 3, 4, 5, 6).reshape(4, 4, -1)
+    P21 = np.matmul(Tm[:, :, roll], Tl).transpose(2, 0, 3, 1, 4, 5, 6).reshape(4, 4, -1)
     R = rmatrix(lam / mu, params.q)
-    # one block row x of R P12 - P21 R at a time: R contracts the row pairs
-    # of P12 and the column pairs of P21, so neither stack is transposed
-    err = np.sqrt(sum(np.linalg.norm((R[x] @ P12).reshape(4, -1) - R.T @ P21[x]) ** 2
-                      for x in range(4)))
+    # R contracts the row pairs of P12 and the column pairs of P21
+    err = np.linalg.norm((R @ P12.reshape(4, -1)).reshape(P12.shape) - np.matmul(R.T, P21))
     # each block of T appears twice in its lift, so each lift has norm sqrt(2) |T|
     scale = 2.0 * frob(R) * frob(Tl) * frob(Tm)
     return err / scale
