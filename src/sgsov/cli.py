@@ -41,11 +41,14 @@ class ConfigError(Exception):
     pass
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _complex_from(value, where):
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2 \
-            and all(isinstance(x, (int, float)) for x in value):
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
         return complex(value[0], value[1])
     raise ConfigError(f"{where}: complex values must be numbers or [re, im] pairs")
 
@@ -103,8 +106,7 @@ def load_config(path):
     if not isinstance(tolerances, dict):
         raise ConfigError("tolerances must be an object")
     for k, v in tolerances.items():
-        if k not in oracle.DEFAULT_TOLERANCES or isinstance(v, bool) \
-                or not isinstance(v, (int, float)) or not 0 < v < np.inf:
+        if k not in oracle.DEFAULT_TOLERANCES or not _is_number(v) or not 0 < v < np.inf:
             raise ConfigError(f"tolerance override '{k}' is unknown or not a finite "
                               f"positive number: {v!r}")
     return params, seed, dict(tolerances)

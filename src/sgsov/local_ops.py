@@ -38,7 +38,7 @@ RANK_TOL = 1e-8  # relative singular-value threshold of ``spanning_rank``
 
 
 def _solve(X, Y, lam, what):
-    """X(lam)^{-1} Y(lam) for two graded entries of one monodromy, one
+    """X(lam)^{-1} Y(lam) for two entries of one monodromy, one
     pivoted-LU solve per charge block, with a condition check; returns the
     solution as a dense read-only array, and the 2-norm condition number of
     X(lam) (named ``what`` in the error): its singular values are those of
@@ -46,13 +46,13 @@ def _solve(X, Y, lam, what):
     shift = Y.shift - X.shift
     # block x of the solution maps sector x to x + shift, and block x of Y
     # lands in sector x + Y.shift, which block x + shift of X maps onto
-    xb = np.roll(X.evaluate(lam), -shift, axis=0)
+    xb = np.roll(X.blocks_at(lam), -shift, axis=0)
     sv = np.linalg.svd(xb, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = float(np.max(sv) / np.min(sv))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularMatrix(f"condition number {cond:.3e} while inverting {what}")
-    sol = np.linalg.solve(xb, Y.evaluate(lam))
+    sol = np.linalg.solve(xb, Y.blocks_at(lam))
     return _read_only(mc.scatter_blocks(X.sectors, shift, sol)), cond
 
 
@@ -77,12 +77,12 @@ class ShiftedMonodromy:
     @cached_property
     def _plus(self):
         lam = self.params.mu_plus[self.n - 1]
-        return _solve(self.mono.graded("B"), self.mono.graded("A"), lam, what="B(mu_+)")
+        return _solve(self.mono.B, self.mono.A, lam, what="B(mu_+)")
 
     @cached_property
     def _minus(self):
         lam = self.params.mu_minus[self.n - 1]
-        return _solve(self.mono.graded("A"), self.mono.graded("B"), lam, what="A(mu_-)")
+        return _solve(self.mono.A, self.mono.B, lam, what="A(mu_-)")
 
     binva = property(lambda self: self._plus[0])
     binva_cond = property(lambda self: self._plus[1])
@@ -113,7 +113,7 @@ def reconstruct_u(frame: ShiftedMonodromy, k: int = 1):
 def reconstruct_u_via_dc(frame: ShiftedMonodromy):
     """Alternative route through the lower row of the monodromy."""
     mono, lam = frame.mono, frame.params.mu_plus[frame.n - 1]
-    return _solve(mono.graded("D"), mono.graded("C"), lam, what="D(mu_+)")[0]
+    return _solve(mono.D, mono.C, lam, what="D(mu_+)")[0]
 
 
 def reconstruct_alpha0(frame: ShiftedMonodromy):
@@ -255,7 +255,7 @@ def q_multinomial_direct(q, k: int, alphas):
 
 def binvA_dense(mono: Monodromy, lam, k: int = 1):
     """k-th power of B^{-1}(lam) A(lam) by a dense solve."""
-    binva = _solve(mono.graded("B"), mono.graded("A"), lam, what="B(lam)")[0]
+    binva = _solve(mono.B, mono.A, lam, what="B(lam)")[0]
     return np.linalg.matrix_power(binva, k)
 
 
@@ -540,7 +540,7 @@ def spanning_rank(frame: ShiftedMonodromy):
     shift powers and the conjugated rational family, on the local factor."""
     params, n, mono = frame.params, frame.n, frame.mono
     lam = params.mu_minus[n - 1]
-    mid = _solve(mono.graded("B"), mono.graded("A"), lam, what="B(mu_-)")[0]
+    mid = _solve(mono.B, mono.A, lam, what="B(mu_-)")[0]
     powers = [np.linalg.matrix_power(frame.binva, k) for k in range(params.p)]
     gens = powers[1:] + [powers[k] @ mid @ powers[params.p - 1 - k]
                          for k in range(1, params.p)]

@@ -1,27 +1,26 @@
 """Cyclic Weyl representation, Lax and monodromy matrices, transfer matrix,
 grading charge, quantum determinant and average values.
 
-Everything here is materialized as dense complex matrices on the p^N state
-space, so that every algebraic identity downstream can be checked against
-brute-force linear algebra.  Each monodromy entry also has a block view on
-the p sectors of the alternating digit charge, which it moves by one fixed
-step; the exchange relation is checked on those blocks.
+Every monodromy entry moves the alternating digit charge by one fixed step,
+so it is stored as its p charge blocks of size d/p; it evaluates to a dense
+complex matrix on the p^N state space, so that every algebraic identity
+downstream can be checked against brute-force linear algebra.  The exchange
+relation is checked on the blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .params import ModelParams, OddChain, SgSovError
 
 __all__ = [
-    "OperatorLaurent", "GradedLaurent", "Monodromy", "NotCentral", "NotGraded",
+    "OperatorLaurent", "Monodromy", "NotCentral", "NotGraded",
     "weyl_generators", "site_embed", "embedded_u",
     "local_lax", "lax_matrix", "monodromy", "transfer",
-    "digit_charge", "graded_laurent", "scatter_blocks",
+    "digit_charge", "scatter_blocks",
     "theta_charge", "rmatrix", "yang_baxter_residual",
     "a_coeff", "d_coeff", "abar_coeff", "dbar_coeff",
     "quantum_determinant", "quantum_determinant_product",
@@ -52,64 +51,8 @@ def rel_err(lhs, rhs, scale=None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials with dense operator coefficients
+# Laurent polynomials stored as charge blocks
 # ---------------------------------------------------------------------------
-
-class OperatorLaurent:
-    """Laurent polynomial in the spectral parameter whose coefficients are
-    dense matrices, keyed by degree, so degree and parity structure is
-    exact by construction."""
-
-    def __init__(self, coeffs, dim):
-        self.dim = dim
-        self.coeffs = {int(d): np.asarray(c, dtype=complex) for d, c in coeffs.items()
-                       if np.any(c)}
-
-    @property
-    def degrees(self):
-        return sorted(self.coeffs)
-
-    def coeff(self, deg):
-        c = self.coeffs.get(int(deg))
-        if c is None:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return c
-
-    def __add__(self, other):
-        out = {d: c.copy() for d, c in self.coeffs.items()}
-        for d, c in other.coeffs.items():
-            out[d] = out[d] + c if d in out else c.copy()
-        return OperatorLaurent(out, self.dim)
-
-    def __mul__(self, scalar):
-        return OperatorLaurent({d: scalar * c for d, c in self.coeffs.items()}, self.dim)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, lam):
-        lam = complex(lam)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for d, c in self.coeffs.items():
-            out += (lam ** d) * c
-        return out
-
-
-@dataclass(frozen=True, eq=False)
-class GradedLaurent:
-    """Block form of an operator Laurent polynomial that moves the charge by
-    ``shift``: ``blocks[g, x]`` (read-only, shape (ndeg, p, d/p, d/p)) is
-    the coefficient of degree ``degrees[g]`` restricted to the map from
-    charge sector x to sector x + shift, with the sectors' basis indices in
-    the rows of ``sectors``."""
-    shift: int
-    degrees: np.ndarray
-    blocks: np.ndarray
-    sectors: np.ndarray
-
-    def evaluate(self, lam):
-        """The p blocks at the given spectral point, shape (p, d/p, d/p)."""
-        return np.tensordot(complex(lam) ** self.degrees, self.blocks, axes=1)
-
 
 def scatter_blocks(sectors, shift, blocks):
     """Dense matrix whose map from charge sector x to sector x + shift is
@@ -120,35 +63,84 @@ def scatter_blocks(sectors, shift, blocks):
     return out
 
 
-def graded_laurent(op: OperatorLaurent, charge, p) -> GradedLaurent:
-    """The block form of ``op`` on the sectors of ``charge`` (values in Z_p,
-    each taken by d/p basis states).  The shift is read off the largest
-    entry of the lowest coefficient; raises NotGraded if any nonzero entry
-    of any coefficient lies off it."""
-    sectors = np.argsort(charge, kind="stable").reshape(p, -1)
-    coeffs = [op.coeffs[g] for g in op.degrees]
-    shift = 0
-    if coeffs:
-        row, col = np.unravel_index(np.argmax(np.abs(coeffs[0])), coeffs[0].shape)
-        shift = int(charge[row] - charge[col]) % p
-    rows = sectors[(np.arange(p) + shift) % p][:, :, None]
-    m = sectors.shape[1]
-    blocks = np.empty((len(coeffs), p, m, m), dtype=complex)
-    for g, c in enumerate(coeffs):
-        blocks[g] = c[rows, sectors[:, None, :]]
-    dropped = sum(np.count_nonzero(c) for c in coeffs) - np.count_nonzero(blocks)
-    if dropped:
-        raise NotGraded(f"{dropped} nonzero entries lie off the charge shift {shift}")
-    blocks.flags.writeable = False
-    sectors.flags.writeable = False
-    return GradedLaurent(shift, np.asarray(op.degrees), blocks, sectors)
+@dataclass(frozen=True, eq=False)
+class OperatorLaurent:
+    """Laurent polynomial in the spectral parameter whose coefficients move
+    a Z_p charge by ``shift``, stored as its charge blocks: ``blocks[g, x]``
+    (read-only, shape (ndeg, p, d/p, d/p)) is the coefficient of degree
+    ``degrees[g]`` (ascending) restricted to the map from charge sector x to
+    sector x + shift, with the sectors' basis indices, in index order, in
+    the rows of ``sectors``."""
+    shift: int
+    degrees: list
+    blocks: np.ndarray
+    sectors: np.ndarray
+
+    @classmethod
+    def gather(cls, coeffs, charge, p):
+        """The block form of the dense coefficients ``coeffs`` (degree ->
+        d x d matrix; all-zero ones are dropped) on the sectors of
+        ``charge`` (values in Z_p, each taken by d/p basis states).  The
+        shift is read off the largest entry of the lowest coefficient;
+        raises NotGraded if any nonzero entry of any coefficient lies off
+        it."""
+        sectors = np.argsort(charge, kind="stable").reshape(p, -1)
+        degrees = sorted(int(g) for g, c in coeffs.items() if np.any(c))
+        dense = [np.asarray(coeffs[g], dtype=complex) for g in degrees]
+        shift = 0
+        if dense:
+            row, col = np.unravel_index(np.argmax(np.abs(dense[0])), dense[0].shape)
+            shift = int(charge[row] - charge[col]) % p
+        rows = sectors[(np.arange(p) + shift) % p][:, :, None]
+        m = sectors.shape[1]
+        blocks = np.empty((len(dense), p, m, m), dtype=complex)
+        for g, c in enumerate(dense):
+            blocks[g] = c[rows, sectors[:, None, :]]
+        dropped = sum(np.count_nonzero(c) for c in dense) - np.count_nonzero(blocks)
+        if dropped:
+            raise NotGraded(f"{dropped} nonzero entries lie off the charge shift {shift}")
+        blocks.flags.writeable = False
+        sectors.flags.writeable = False
+        return cls(shift, degrees, blocks, sectors)
+
+    def coeff(self, deg):
+        """Dense coefficient of degree ``deg`` (zero if absent)."""
+        if int(deg) not in self.degrees:
+            d = self.sectors.size
+            return np.zeros((d, d), dtype=complex)
+        return scatter_blocks(self.sectors, self.shift, self.blocks[self.degrees.index(int(deg))])
+
+    @property
+    def coeffs(self):
+        """Dense coefficients by degree, scattered on each access."""
+        return {g: scatter_blocks(self.sectors, self.shift, b)
+                for g, b in zip(self.degrees, self.blocks)}
+
+    def __mul__(self, scalar):
+        blocks = scalar * self.blocks
+        blocks.flags.writeable = False
+        return replace(self, blocks=blocks)
+
+    def blocks_at(self, lam):
+        """The p blocks at the given spectral point, shape (p, d/p, d/p),
+        summed from zeros in ascending degree: the order of the dense sum of
+        the coefficients, which ``evaluate`` thus equals bit for bit."""
+        lam = complex(lam)
+        out = np.zeros(self.blocks.shape[1:], dtype=complex)
+        for g, b in zip(self.degrees, self.blocks):
+            out += (lam ** g) * b
+        return out
+
+    def evaluate(self, lam):
+        """Dense value at the given spectral point."""
+        return scatter_blocks(self.sectors, self.shift, self.blocks_at(lam))
 
 
 @dataclass(eq=False)
 class Monodromy:
     """The 2x2 matrix of Yang-Baxter generators as operator Laurent
-    polynomials, with the alternating digit charge (in Z_p) of each basis
-    state in the factor order they were built in."""
+    polynomials on the sectors of the alternating digit charge (in Z_p) of
+    each basis state, in the factor order they were built in."""
     A: OperatorLaurent
     B: OperatorLaurent
     C: OperatorLaurent
@@ -159,21 +151,10 @@ class Monodromy:
     def entry(self, name) -> OperatorLaurent:
         return getattr(self, name)
 
-    def graded(self, name) -> GradedLaurent:
-        """Read-only block view of one entry on the charge sectors."""
-        return self._graded[name]
-
-    @cached_property
-    def _graded(self):
-        return {name: graded_laurent(self.entry(name), self.charge, self.p) for name in "ABCD"}
-
     def evaluate(self, lam):
         """2x2 array of dense matrices at the given spectral point."""
         return np.array([[self.A.evaluate(lam), self.B.evaluate(lam)],
                          [self.C.evaluate(lam), self.D.evaluate(lam)]])
-
-    def transfer(self) -> OperatorLaurent:
-        return self.A + self.D
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +214,11 @@ def local_lax(params: ModelParams, n: int):
 
 def lax_matrix(params: ModelParams, n: int):
     """2x2 matrix of degree-1 operator Laurent polynomials for site n: the
-    local coefficients of ``local_lax`` embedded on tensor slot n."""
-    return [[OperatorLaurent({dg: site_embed(params, n, c) for dg, c in entry.items()},
-                             params.dim) for entry in row]
+    local coefficients of ``local_lax`` embedded on tensor slot n, on the
+    sectors of the site-n digit."""
+    digit = params.tuples[:, n - 1]
+    return [[OperatorLaurent.gather({dg: site_embed(params, n, c) for dg, c in entry.items()},
+                                    digit, params.p) for entry in row]
             for row in local_lax(params, n)]
 
 
@@ -298,19 +281,14 @@ def digit_charge(params: ModelParams, site_order=None):
     return chi
 
 
-def monodromy(params: ModelParams, site_order=None) -> Monodromy:
-    """Ordered product of Lax matrices, site N leftmost by default.
-
-    ``site_order`` gives the left-to-right factor order and allows cyclic
-    reorderings of the chain.  Each Lax factor acts on its own tensor slot,
-    so the product is the Kronecker recursion M_ij = sum_c L[i][c] (x) M'_cj
-    over the local p x p coefficients of ``local_lax``, with the leftmost
-    factor on the slowest slot; a reordered chain then gets one permutation
-    of the tensor slots (site 1 is the fastest digit).  The result records
-    the ``digit_charge`` of the same order."""
+def _kron_coeffs(params: ModelParams, site_order):
+    """Dense coefficients (2x2 list of degree -> d x d dicts) of the ordered
+    product of Lax matrices, in the basis order: the Kronecker recursion
+    M_ij = sum_c L[i][c] (x) M'_cj over the local p x p coefficients of
+    ``local_lax``, with the leftmost factor on the slowest slot; a reordered
+    chain then gets one permutation of the tensor slots (site 1 is the
+    fastest digit)."""
     N, p = params.n_sites, params.p
-    if site_order is None:
-        site_order = list(range(N, 0, -1))
     M = local_lax(params, site_order[-1])
     for n in reversed(site_order[:-1]):
         L = local_lax(params, n)
@@ -320,9 +298,23 @@ def monodromy(params: ModelParams, site_order=None) -> Monodromy:
     if np.any(perm != np.arange(params.dim)):
         M = [[{dg: c.take(perm, 0).take(perm, 1) for dg, c in entry.items()} for entry in row]
              for row in M]
-    A, B, C, D = (OperatorLaurent(dict(sorted(entry.items())), params.dim)
-                  for row in M for entry in row)
-    return Monodromy(A=A, B=B, C=C, D=D, charge=digit_charge(params, site_order), p=p)
+    return M
+
+
+def monodromy(params: ModelParams, site_order=None) -> Monodromy:
+    """Ordered product of Lax matrices, site N leftmost by default.
+
+    ``site_order`` gives the left-to-right factor order and allows cyclic
+    reorderings of the chain.  Each entry is gathered once from the dense
+    coefficients of ``_kron_coeffs`` onto the sectors of the
+    ``digit_charge`` of the same order, which the result records; the
+    dense coefficients are not kept."""
+    if site_order is None:
+        site_order = list(range(params.n_sites, 0, -1))
+    charge = digit_charge(params, site_order)
+    A, B, C, D = (OperatorLaurent.gather(entry, charge, params.p)
+                  for row in _kron_coeffs(params, site_order) for entry in row)
+    return Monodromy(A=A, B=B, C=C, D=D, charge=charge, p=params.p)
 
 
 def transfer(mono: Monodromy, lam):
@@ -360,15 +352,15 @@ def yang_baxter_residual(params: ModelParams, lam, mu, mono: Monodromy):
     """Relative residual of the quadratic exchange relation at (lam, mu),
     formed on the charge blocks of the monodromy entries."""
     p = mono.p
-    views = [mono.graded(name) for name in "ABCD"]
-    shift = np.array([v.shift for v in views]).reshape(2, 2)
+    entries = [mono.entry(name) for name in "ABCD"]
+    shift = np.array([op.shift for op in entries]).reshape(2, 2)
     if (shift[0, 0] + shift[1, 1] - shift[0, 1] - shift[1, 0]) % p:
         # R only mixes (a, b) with (b, a), so the terms of each block of the
         # relation share one shift exactly when s_A + s_D = s_B + s_C
         raise NotGraded(f"entry shifts {shift.ravel().tolist()} mix charge sectors "
                         "in the exchange relation")
-    Tl, Tm = (np.array([v.evaluate(x) for v in views]).reshape((2, 2) + views[0].blocks.shape[1:])
-              for x in (lam, mu))
+    Tl, Tm = (np.array([op.blocks_at(x) for op in entries]).reshape(
+        (2, 2) + entries[0].blocks.shape[1:]) for x in (lam, mu))
     # Tl[:, :, roll[b, e]][a, c, b, e, x] is block x + s_be of Tl[a, c]: the
     # one that takes the image of block x of Tm[b, e] (and conversely)
     roll = (np.arange(p) + shift[..., None]) % p

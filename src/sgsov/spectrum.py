@@ -98,25 +98,17 @@ def polyval_rows(coeffs, lam):
 def diagonalize_transfer(params: ModelParams, mono, rng) -> list[TransferEigenstate]:
     """Joint eigenstates of the transfer family, with eigenvalue Laurent
     coefficients recovered from left/right pairings of the coefficient
-    operators.  On even chains the charge eigenspaces are diagonalized
-    separately, which makes the joint labels exact.  The eigenvectors are
-    those of T at one spectral point; a degenerate pair there shows as a
-    label collision or as an eigen-residual at a fresh point, and raises."""
-    tpoly = mono.transfer()
+    operators.  On even chains the digit-charge sectors (``mono.A.sectors``)
+    are diagonalized separately, which makes the joint labels exact.  The
+    eigenvectors are those of T at one spectral point; a degenerate pair
+    there shows as a label collision or as an eigen-residual at a fresh
+    point, and raises."""
     d = params.dim
-    T0 = tpoly.evaluate(params.spectral_samples(rng, 1)[0])
-
-    blocks = []
+    T0 = mc.transfer(mono, params.spectral_samples(rng, 1)[0])
     if params.even_chain:
-        theta_diag = np.diag(mc.theta_charge(params))
-        for m in range(params.p):
-            idx = np.where(np.abs(theta_diag - params.q ** m) < 1e-10)[0]
-            if idx.size:
-                blocks.append((m, idx))
-        if sum(len(ix) for _, ix in blocks) != d:
-            raise DegenerateSpectrum("charge eigenspaces do not exhaust the space")
+        blocks = list(enumerate(mono.A.sectors))
     else:
-        blocks.append((0, np.arange(d)))
+        blocks = [(0, np.arange(d))]
 
     R = np.zeros((d, d), dtype=complex)
     col = 0
@@ -132,7 +124,7 @@ def diagonalize_transfer(params: ModelParams, mono, rng) -> list[TransferEigenst
     # Rayleigh pairings l C r / l r of every state, one product per degree
     degrees = list(range(-params.n_bar, params.n_bar + 1, 2))
     norm = np.sum(L * R.T, axis=1)
-    vecs = np.stack([rayleigh_pairings(L, tpoly.coeff(deg), R) / norm
+    vecs = np.stack([rayleigh_pairings(L, mono.A.coeff(deg) + mono.D.coeff(deg), R) / norm
                      for deg in degrees], axis=1)            # (d, len(degrees))
     states = [TransferEigenstate(t_coeffs=dict(zip(degrees, map(complex, vecs[i]))),
                                  theta_m=ms[i], vec_right=R[:, i], vec_left=L[i])
@@ -151,7 +143,7 @@ def diagonalize_transfer(params: ModelParams, mono, rng) -> list[TransferEigenst
             f"joint labels {i} and {j} collide below {LABEL_GAP_TOL:.1e}")
     # residual of the eigen-relation at a fresh spectral point
     lam2 = params.spectral_samples(rng, 1)[0]
-    T2 = tpoly.evaluate(lam2)
+    T2 = mc.transfer(mono, lam2)
     res = np.linalg.norm(T2 @ R - (vecs @ np.power(lam2, degrees)) * R, axis=0)
     bad = np.flatnonzero(res > 1e-8 * np.linalg.norm(T2) * np.linalg.norm(R, axis=0))
     if bad.size:

@@ -1,8 +1,10 @@
 """The charge grading of the monodromy: every entry moves the alternating
-digit charge by one fixed step, its block view scatters back to the dense
-coefficients bit for bit, an entry off its shift is refused, and the
-blockwise solves of the local reconstructions agree with dense linear
-algebra, condition number included."""
+digit charge by one fixed step and is stored only as its charge blocks,
+which scatter back to the dense coefficients of the Kronecker recursion bit
+for bit and evaluate to their degree-ordered dense sum bit for bit; an
+entry off its shift is refused, and the blockwise solves of the local
+reconstructions agree with dense linear algebra, condition number
+included."""
 
 import dataclasses
 from pathlib import Path
@@ -28,6 +30,11 @@ def _frames(params):
     return [lo.shifted_monodromy(params, n) for n in range(1, params.n_sites + 1)]
 
 
+def _order(sh):
+    N = sh.params.n_sites
+    return list(range(sh.n - 1, 0, -1)) + list(range(N, sh.n - 1, -1))
+
+
 def _telescoped_shift(N, i, j):
     """Charge step of entry (i, j): the alternating sum of the digit steps
     i_pos + i_pos+1 - 1 of the Lax factors telescopes to this."""
@@ -40,31 +47,64 @@ def test_block_view_scatters_back_to_every_dense_coefficient(chain):
     p, N = params.p, params.n_sites
     for sh in _frames(params):
         mono = sh.mono
-        assert np.array_equal(mono.charge, mc.digit_charge(
-            params, list(range(sh.n - 1, 0, -1)) + list(range(N, sh.n - 1, -1))))
+        assert np.array_equal(mono.charge, mc.digit_charge(params, _order(sh)))
+        kron = mc._kron_coeffs(params, _order(sh))
         for name, (i, j) in zip("ABCD", np.ndindex(2, 2)):
-            op, view = mono.entry(name), mono.graded(name)
-            assert view.shift == _telescoped_shift(N, i, j) % p
-            assert view.blocks.shape == (len(op.degrees), p, params.dim // p, params.dim // p)
-            assert view.degrees.tolist() == op.degrees
-            assert not view.blocks.flags.writeable
+            op, ref = mono.entry(name), kron[i][j]
+            assert op.shift == _telescoped_shift(N, i, j) % p
+            assert op.blocks.shape == (len(op.degrees), p, params.dim // p, params.dim // p)
+            assert op.degrees == sorted(ref)
+            assert not op.blocks.flags.writeable and not op.sectors.flags.writeable
+            coeffs = op.coeffs
             for g, deg in enumerate(op.degrees):
-                dense = mc.scatter_blocks(view.sectors, view.shift, view.blocks[g])
-                assert np.array_equal(dense, op.coeff(deg)), (name, deg)
+                dense = mc.scatter_blocks(op.sectors, op.shift, op.blocks[g])
+                assert np.array_equal(dense, ref[deg]), (name, deg)
+                assert np.array_equal(op.coeff(deg), ref[deg]), (name, deg)
+                assert np.array_equal(coeffs[deg], ref[deg]), (name, deg)
 
 
-def test_entry_off_its_shift_is_refused(cfg_b):
-    mono, p = cfg_b.mono, cfg_b.params.p
+@pytest.mark.parametrize("chain", CHAINS)
+def test_entries_store_only_their_blocks(chain):
+    params = CHAINS[chain]()
+    d, p = params.dim, params.p
+    for sh in _frames(params):
+        mono = sh.mono
+        for name in "ABCD":
+            op = mono.entry(name)
+            dense_bytes = sum(c.nbytes for c in op.coeffs.values())
+            assert op.blocks.nbytes * p == dense_bytes
+        stored = [getattr(mono, f.name) for f in dataclasses.fields(mono)]
+        stored += [getattr(op, f.name) for op in stored if isinstance(op, mc.OperatorLaurent)
+                   for f in dataclasses.fields(op)]
+        assert not any(np.shape(x)[-2:] == (d, d) for x in stored if isinstance(x, np.ndarray))
+
+
+@pytest.mark.parametrize("chain", CHAINS)
+def test_evaluate_is_the_degree_ordered_dense_sum(chain):
+    params = CHAINS[chain]()
+    lam = params.spectral_samples(np.random.default_rng(5), 1)[0]
+    for sh in _frames(params):
+        kron = mc._kron_coeffs(params, _order(sh))
+        for name, (i, j) in zip("ABCD", np.ndindex(2, 2)):
+            want = np.zeros((params.dim, params.dim), dtype=complex)
+            for deg in sorted(kron[i][j]):
+                want += (complex(lam) ** deg) * kron[i][j][deg]
+            assert np.array_equal(sh.mono.entry(name).evaluate(lam), want), name
+
+
+def test_entry_off_its_shift_is_refused(cfg_b, monkeypatch):
+    params, mono, p = cfg_b.params, cfg_b.mono, cfg_b.params.p
     chi = mono.charge
+    kron = mc._kron_coeffs(params, list(range(params.n_sites, 0, -1)))
+    coeffs = kron[0][1]
     deg = mono.B.degrees[0]
-    coeff = mono.B.coeff(deg).copy()
-    row, col = np.argwhere((chi[:, None] - chi[None, :] - mono.graded("B").shift) % p != 0)[0]
-    coeff[row, col] = 1e-30
-    planted = mc.OperatorLaurent({**mono.B.coeffs, deg: coeff}, mono.B.dim)
+    row, col = np.argwhere((chi[:, None] - chi[None, :] - mono.B.shift) % p != 0)[0]
+    coeffs[deg][row, col] = 1e-30
     with pytest.raises(mc.NotGraded, match="1 nonzero entries lie off"):
-        mc.graded_laurent(planted, chi, p)
+        mc.OperatorLaurent.gather(coeffs, chi, p)
+    monkeypatch.setattr(mc, "_kron_coeffs", lambda *args: kron)
     with pytest.raises(mc.NotGraded):
-        dataclasses.replace(mono, B=planted).graded("B")
+        mc.monodromy(params)
 
 
 def test_exchange_relation_refuses_shifts_that_mix_sectors(cfg_b):
@@ -102,7 +142,7 @@ def test_blockwise_solve_matches_dense_solve_and_condition(chain):
         mono = sh.mono
         for x, y, lam in _solve_cases(sh):
             X, Y = mono.entry(x).evaluate(lam), mono.entry(y).evaluate(lam)
-            got, cond = lo._solve(mono.graded(x), mono.graded(y), lam, what=x)
+            got, cond = lo._solve(mono.entry(x), mono.entry(y), lam, what=x)
             ref = np.linalg.solve(X, Y)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
             assert abs(cond - np.linalg.cond(X)) <= 1e-10 * np.linalg.cond(X)
@@ -115,6 +155,6 @@ def test_condition_limit_is_the_dense_condition_number(cfg_a, monkeypatch):
     dense = np.linalg.cond(mono.B.evaluate(lam))
     monkeypatch.setattr(lo, "COND_LIMIT", dense * (1 - 1e-8))
     with pytest.raises(lo.SingularMatrix, match=r"condition number .* while inverting B\(mu_\+\)"):
-        lo._solve(mono.graded("B"), mono.graded("A"), lam, what="B(mu_+)")
+        lo._solve(mono.B, mono.A, lam, what="B(mu_+)")
     monkeypatch.setattr(lo, "COND_LIMIT", dense * (1 + 1e-8))
-    lo._solve(mono.graded("B"), mono.graded("A"), lam, what="B(mu_+)")
+    lo._solve(mono.B, mono.A, lam, what="B(mu_+)")

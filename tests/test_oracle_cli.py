@@ -317,9 +317,12 @@ def test_load_config_validation(tmp_path):
     ({"tolerances": {"algebra": -1.0}}, []),
     ({"tolerances": {"algebra": True}}, []),
     ({"seed": True}, []),
+    ({"model": dict(_n1_payload()["model"], xi=[[True, False]])}, []),
+    ({"model": dict(_n1_payload()["model"], kappa=[True])}, []),
     ({}, ["--tol", "nan"]),
     ({}, ["--tol", "-1"]),
-], ids=["tol-nan", "tol-negative", "tol-bool", "seed-bool", "cli-tol-nan", "cli-tol-negative"])
+], ids=["tol-nan", "tol-negative", "tol-bool", "seed-bool", "xi-bool-pair", "kappa-bool",
+        "cli-tol-nan", "cli-tol-negative"])
 def test_bad_tolerance_or_seed_rejected_at_load(tmp_path, capsys, payload, argv):
     cfg = _write_cfg(tmp_path, dict(_n1_payload(), **payload))
     assert main(["verify-all", "--config", cfg] + argv) == 2
