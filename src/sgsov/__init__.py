@@ -15,9 +15,10 @@ from .model_core import (OperatorLaurent, Monodromy, NotCentral,
                          lax_matrix, monodromy, transfer, digit_charge,
                          theta_charge, rmatrix,
                          yang_baxter_residual, a_coeff, d_coeff, abar_coeff,
-                         dbar_coeff, quantum_determinant,
-                         quantum_determinant_product, average_lax,
-                         average_monodromy, average_value, average_value_dense)
+                         dbar_coeff, a_laurent, quantum_determinant,
+                         quantum_determinant_product,
+                         average_monodromy_laurent, average_monodromy,
+                         average_value, average_value_dense)
 from .sov_basis import (SovGrid, SovBasis, SimplicityViolation,
                         DegenerateSpectrum, GaugeInconsistency, b_zeros,
                         build_sov_basis, identity_resolution_sov,

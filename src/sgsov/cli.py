@@ -2,7 +2,7 @@
 row-oriented result emission (JSON lines or CSV).
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 numerical degeneracy.
+3 numerical degeneracy, 141 standard output closed by its reader.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_CONFIG = 2
 EXIT_DEGENERATE = 3
+EXIT_CLOSED_OUTPUT = 141  # 128 + SIGPIPE
 
 # the only keys a configuration may hold, at the top level and in 'model'
 CONFIG_KEYS = ("model", "seed", "tolerances")
@@ -353,6 +355,13 @@ def main(argv=None):
     except SgSovError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except BrokenPipeError:
+        # the reader closed stdout (say ``| head``); pointing it at devnull
+        # keeps the interpreter's flush at exit quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_OUTPUT
     finally:
         writer.close()
 

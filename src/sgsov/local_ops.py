@@ -91,10 +91,12 @@ class ShiftedMonodromy:
 
     @cached_property
     def betas(self) -> np.ndarray:
-        binva, inv = self.binva, np.linalg.inv(self.binva)
-        return _read_only(np.stack([
-            np.linalg.matrix_power(binva, k) @ self.alpha0 @ np.linalg.matrix_power(inv, k - 1)
-            for k in range(self.params.p)]))
+        # beta_0 = alpha0 U and beta_k = U beta_{k-1} U^-1
+        U, Uinv = self.binva, np.linalg.inv(self.binva)
+        out = [self.alpha0 @ U]
+        for _ in range(1, self.params.p):
+            out.append(U @ out[-1] @ Uinv)
+        return _read_only(np.stack(out))
 
 
 def shifted_monodromy(params: ModelParams, n: int) -> ShiftedMonodromy:

@@ -22,9 +22,10 @@ __all__ = [
     "local_lax", "lax_matrix", "monodromy", "transfer",
     "digit_charge", "scatter_blocks",
     "theta_charge", "rmatrix", "yang_baxter_residual",
-    "a_coeff", "d_coeff", "abar_coeff", "dbar_coeff",
+    "a_coeff", "d_coeff", "abar_coeff", "dbar_coeff", "a_laurent",
     "quantum_determinant", "quantum_determinant_product",
-    "average_lax", "average_monodromy", "average_value", "average_value_dense",
+    "laurent_product", "average_monodromy_laurent",
+    "average_monodromy", "average_value", "average_value_dense",
     "frob", "rel_err",
 ]
 
@@ -222,34 +223,6 @@ def lax_matrix(params: ModelParams, n: int):
             for row in local_lax(params, n)]
 
 
-def lax_projector_factorization(params: ModelParams, n: int, sign: str):
-    """Rank-one factorization of the Lax matrix at a quantum-determinant zero.
-
-    Returns (P, Q, const) with P a column pair and Q a row pair of dense
-    operators such that L_n(mu_{n,sign}) = const * P_i Q_j entrywise.  The
-    half-shift is realized as the (p+1)/2 power of the cyclic shift, which
-    conjugates the clock by (-1)^{p'/2} sqrt(q); the resulting parity
-    constant is (-1)^{p'/2}."""
-    if sign not in "+-":
-        raise ValueError("sign must be '+' or '-'")
-    p = params.p
-    kap = params.kappa[n - 1]
-    U, V = weyl_generators(p, params.u[n - 1], params.v[n - 1], params.p_prime)
-    half = np.linalg.matrix_power(U, (p + 1) // 2)
-    Ue = site_embed(params, n, half)
-    Uei = np.linalg.inv(Ue)
-    Ve = site_embed(params, n, V)
-    Vei = np.linalg.inv(Ve)
-    if sign == "+":
-        P = [kap * Ue @ (Ve * kap + Vei / kap), kap * Uei @ (Ve / kap + Vei * kap)]
-        Q = [Ue, Uei]
-    else:
-        P = [kap * Ue, kap * Uei]
-        Q = [(Ve * kap + Vei / kap) @ Ue, (Ve / kap + Vei * kap) @ Uei]
-    const = (-1.0) ** (params.p_prime // 2)
-    return P, Q, const
-
-
 def _kron_entry(row, col):
     """Entry sum_c row[c] (x) col[c] of a product of 2x2 Laurent matrices
     acting on different tensor slots, the left factor on the slower slot;
@@ -433,32 +406,53 @@ def quantum_determinant_product(params: ModelParams, lam):
 # Average values
 # ---------------------------------------------------------------------------
 
-def average_lax(params: ModelParams, n: int, big_lam):
-    """2x2 scalar matrix of p-fold averages of the Lax entries at site n."""
-    big_lam = complex(big_lam)
+def laurent_product(factors):
+    """Coefficients, degrees -N..N ascending, of the ordered product
+    F_1 F_2 ... F_N of Laurent polynomials of degrees -1..1 with square
+    matrix coefficients (scalars as 1 x 1 matrices): ``factors[n, g]`` is
+    the coefficient of degree g - 1 of F_{n+1}, the leftmost factor first."""
+    out = factors[0]
+    for f in factors[1:]:
+        nxt = np.zeros((len(out) + 2,) + out.shape[1:], dtype=complex)
+        for g in range(3):
+            nxt[g:g + len(out)] += out @ f[g]
+        out = nxt
+    return out
+
+
+def a_laurent(params: ModelParams):
+    """Coefficients of ``a_coeff``, degrees -N..N ascending: the product of
+    the site factors -i (kappa xi / lam) (1 + i lam kappa / (xi sqrt q))
+    (1 + i lam / (kappa xi sqrt q)).  Those of ``d_coeff`` are
+    q^N (-q)^k a_k."""
+    kap, xi, sq = np.asarray(params.kappa), np.asarray(params.xi), params.sqrt_q
+    fac = -1j * np.stack([kap * xi, 1j * (kap ** 2 + 1) / sq, -kap / (xi * sq ** 2)], axis=1)
+    return laurent_product(fac[..., None, None])[:, 0, 0]
+
+
+def average_monodromy_laurent(params: ModelParams):
+    """Laurent coefficients in Lambda = lam^p, degrees -N..N, of the
+    averaged monodromy, shape (2N + 1, 2, 2): the ordered product, site N
+    leftmost, of the p-fold averaged Lax matrices, whose coefficient of
+    degree g - 1 at site n is ``lax[n - 1, g]``."""
     p = params.p
-    kap = params.kappa[n - 1] ** p
-    kap2 = params.kappa[n - 1] ** (2 * p)
-    xi = params.xi[n - 1] ** p
-    u = params.u[n - 1] ** p
-    v = params.v[n - 1] ** p
-    qp2 = params.sqrt_q ** p
-    ip = 1j ** p
-    return np.array([
-        [qp2 * u * (kap2 * v + 1.0 / v), kap * (big_lam * v / xi - xi / (big_lam * v)) / ip],
-        [kap * (big_lam / (v * xi) - xi * v / big_lam) / ip, qp2 / u * (kap2 / v + v)],
-    ], dtype=complex)
+    kap, xi, u, v = (np.asarray(x) ** p for x in (params.kappa, params.xi, params.u, params.v))
+    qp2, ip = params.sqrt_q ** p, 1j ** p
+    lax = np.zeros((params.n_sites, 3, 2, 2), dtype=complex)
+    lax[:, 1, 0, 0] = qp2 * u * (kap ** 2 * v + 1.0 / v)
+    lax[:, 1, 1, 1] = qp2 / u * (kap ** 2 / v + v)
+    lax[:, 2, 0, 1] = kap * v / (xi * ip)
+    lax[:, 0, 0, 1] = -kap * xi / (v * ip)
+    lax[:, 2, 1, 0] = kap / (v * xi * ip)
+    lax[:, 0, 1, 0] = -kap * xi * v / ip
+    return laurent_product(lax[::-1])
 
 
 def average_monodromy(params: ModelParams, big_lam):
-    """2x2 scalar matrix of averages of the monodromy entries, built as the
-    ordered product of per-site averaged Lax matrices."""
-    M = average_lax(params, params.n_sites, big_lam)
-    for n in range(params.n_sites - 1, 0, -1):
-        M = M @ average_lax(params, n, big_lam)
-    return M
+    """2x2 scalar matrix of averages of the monodromy entries at Lambda."""
+    powers = complex(big_lam) ** np.arange(-params.n_sites, params.n_sites + 1)
+    return np.tensordot(powers, average_monodromy_laurent(params), axes=1)
 
-_ENTRY_SLOT = {"A": (0, 0), "B": (0, 1), "C": (1, 0), "D": (1, 1)}
 CENTRAL_TOL = 1e-9  # relative deviation from a scalar of a central average
 
 
@@ -481,5 +475,5 @@ def average_value(params: ModelParams, entry: str, big_lam):
     """Average value of a monodromy entry as a function of Lambda = lam^p,
     from the 2x2 product of averaged Lax matrices (``average_value_dense``
     is the dense p-fold operator product it is checked against)."""
-    i, j = _ENTRY_SLOT[entry]
+    i, j = divmod("ABCD".index(entry), 2)
     return complex(average_monodromy(params, big_lam)[i, j])

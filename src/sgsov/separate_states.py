@@ -258,11 +258,11 @@ class Solution:
     and transfer coefficients ``t_rows``, the stacked
     ``covs``/``vecs``/``norms`` of ``eigen_dense`` and the table
     ``elementary_ops`` are built on first use, as read-only arrays, from the
-    seed streams
-    ``[seed, 1]`` (basis), ``[seed, 2]`` (diagonalization) and ``[seed, 3]``
-    (the sample points that every Baxter fit shares), so they do not
-    depend on the order of use.  The per-state steps run as one batch over
-    all states.  Nothing is modified after it is built."""
+    seed streams ``[seed, 1]`` (basis) and ``[seed, 2]``
+    (diagonalization), so they do not depend on the order of use; the
+    Baxter fit matches exact coefficients and draws no points.  The
+    per-state steps run as one batch over all states.  Nothing is modified
+    after it is built."""
     params: ModelParams
     seed: int
     mono: mc.Monodromy
@@ -281,8 +281,7 @@ class Solution:
         params, basis = self.params, self.basis
         states = diagonalize_transfer(params, self.mono, rng=self.rng(2))
         extract_Q_grids(states, basis)
-        polys, nds, gaps = fit_Q_polynomials(params, [st.t_coeffs for st in states],
-                                             self.rng(3))
+        polys, nds, gaps = fit_Q_polynomials(params, [st.t_coeffs for st in states])
         for st, poly, nd, gap in zip(states, polys, nds, gaps):
             st.q_poly, st.nullspace_dim = poly, nd
             st.qbar_poly = qbar_from_q(params, poly)

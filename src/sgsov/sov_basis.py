@@ -158,15 +158,10 @@ def b_zeros(params: ModelParams, rel_gap=1e-6) -> SovGrid:
 
     ``rel_gap`` is the minimal admissible separation of two zeros relative
     to the largest zero modulus."""
-    nsep = params.n_separate
-    # Laurent coefficients of the averaged B entry, of the parity of nsep, by
-    # a Vandermonde solve for Lambda^{-nsep..nsep}; nodes +-Lambda would make
-    # it singular, so they lie on a half circle, distinct in Lambda^2
-    degs = np.arange(-nsep, nsep + 1, 2)
-    pts = 1.3 * np.exp(1j * np.pi * (np.arange(len(degs)) + 0.37) / len(degs))
-    vals = np.array([mc.average_monodromy(params, L)[0, 1] for L in pts])
-    V = pts[:, None] ** degs[None, :]
-    coeffs = np.linalg.solve(V, vals)
+    nsep, N = params.n_separate, params.n_sites
+    # Laurent coefficients of the averaged B entry of the parity of nsep,
+    # degrees -nsep..nsep (on an even chain those of degree +-N vanish exactly)
+    coeffs = mc.average_monodromy_laurent(params)[N - nsep:N + nsep + 1:2, 0, 1]
     # polynomial in x = Lambda^2 of degree nsep: roots are the squared zeros
     poly = coeffs[::-1]  # highest Lambda power first
     roots_sq = np.roots(poly)
@@ -182,20 +177,13 @@ def b_zeros(params: ModelParams, rel_gap=1e-6) -> SovGrid:
                     f"zeros {a} and {b} collide within {gap:.1e}; perturb xi")
 
     kprod_p = params.kprod ** params.p
-    if params.even_chain:
-        # reference-variable scale from the leading Laurent coefficient
-        lead = coeffs[-1]  # coefficient of Lambda^{+nsep}
-        z_ref = lead * np.prod(z) / kprod_p
-        z_all = np.concatenate([z, [z_ref]])
-    else:
-        # overall sign of the factorized form fixes the sign of one root
-        probe = 1.7 + 0.3j
-        fac = kprod_p * np.prod(probe / z - z / probe)
-        actual = np.polyval(poly, probe ** 2) / probe ** nsep
-        ratio = actual / fac
-        if abs(ratio - 1) > abs(ratio + 1):
-            z[-1] = -z[-1]
-        z_all = z
+    # the leading coefficient is kprod^p z_ref / prod(z): it gives the
+    # reference-variable scale z_ref of an even chain, and on an odd chain
+    # (z_ref = 1) the sign of one root
+    ratio = coeffs[-1] * np.prod(z) / kprod_p
+    if not params.even_chain and abs(ratio - 1) > abs(ratio + 1):
+        z[-1] = -z[-1]
+    z_all = np.concatenate([z, [ratio]]) if params.even_chain else z
     eta0 = _pair_and_root(params, z_all)
     grid = SovGrid(params, z_all, eta0)
     # consistency: the factorized average must reproduce the 2x2 route

@@ -1,7 +1,7 @@
 """Transfer-matrix spectrum: joint diagonalization with the grading charge,
 eigenvalue Laurent coefficients, the p x p functional-equation verifier,
 and the two routes to the Baxter polynomial (grid extraction and nullspace
-fit of the functional difference equation).
+fit of the coefficients of the functional difference equation).
 """
 
 from __future__ import annotations
@@ -224,36 +224,38 @@ def extract_Q_grids(states, basis: SovBasis):
     return grid_ratios
 
 
-def fit_Q_polynomial(params: ModelParams, t_coeffs, rng):
+def fit_Q_polynomial(params: ModelParams, t_coeffs, rng=None):
     """Polynomial solution of the finite difference equation
     t(lam) Q(lam) = a(lam) Q(lam/q) + d(lam) Q(lam q), found as the SVD
-    nullspace of the sampled linear map; returns the null vector cut at its
-    highest coefficient of at least ``NULL_TOL`` times the largest, with
+    nullspace of the exact coefficient map; returns the null vector cut at
+    its highest coefficient of at least ``NULL_TOL`` times the largest, with
     leading coefficient one, and the nullspace dimension, which is always 1:
     a wider nullspace raises ``DegenerateSpectrum``, an empty one
-    ``EmptyNullspace``."""
-    polys, nds, _ = fit_Q_polynomials(params, [t_coeffs], rng)
+    ``EmptyNullspace``.  ``rng`` is not read: the fit draws no points."""
+    polys, nds, _ = fit_Q_polynomials(params, [t_coeffs])
     return polys[0], nds[0]
 
 
-def fit_Q_polynomials(params: ModelParams, t_coeffs, rng):
-    """``fit_Q_polynomial`` for every coefficient dict of ``t_coeffs`` at one
-    shared draw of sample points, with one stacked SVD; returns the
-    polynomials, the nullspace dimensions (all 1) and the fit gaps: per
-    state the smallest singular value above the null threshold over the
-    largest.  The first state whose nullspace is not one-dimensional
-    raises."""
-    deg_max = (params.p - 1) * params.n_sites
-    n_pts = 2 * (deg_max + params.n_sites) + 1
-    pts = np.array(params.spectral_samples(rng, n_pts))
-    q = params.q
-    mono_pow = np.arange(deg_max + 1)
-    W = (pts[:, None] ** mono_pow[None, :]) * (
-        eval_t_rows(t_coeffs, pts)[..., None]
-        - mc.a_coeff(params, pts)[:, None] * q ** (-mono_pow[None, :])
-        - mc.d_coeff(params, pts)[:, None] * q ** (mono_pow[None, :]))
-    # row scaling keeps the SVD threshold meaningful across samples
-    W = W / np.linalg.norm(W, axis=-1, keepdims=True)
+def fit_Q_polynomials(params: ModelParams, t_coeffs):
+    """``fit_Q_polynomial`` for every coefficient dict of ``t_coeffs``, with
+    one stacked SVD of the coefficient maps, each divided by its Frobenius
+    norm; returns the polynomials, the nullspace dimensions (all 1) and the
+    fit gaps: per state the smallest singular value above the null
+    threshold over the largest.  The first state whose nullspace is not
+    one-dimensional raises."""
+    N, q = params.n_sites, params.q
+    K = (params.p - 1) * N                        # top degree of Q
+    k, j = np.arange(-N, N + 1), np.arange(K + 1)
+    a = mc.a_laurent(params)
+    d = q ** N * (-q) ** k * a
+    t = np.zeros((len(t_coeffs), 2 * N + 1), dtype=complex)
+    t[:, N + np.array(list(t_coeffs[0]))] = [list(tc.values()) for tc in t_coeffs]
+    # W[:, N + k + j, j]: coefficient of lam^(k + j) in t Q - a Q(lam/q) - d Q(lam q)
+    # for Q = lam^j, one map of 2N + K + 1 degrees by K + 1 per state
+    W = np.zeros((len(t_coeffs), 2 * N + K + 1, K + 1), dtype=complex)
+    W[:, N + k[:, None] + j, j] = t[..., None] - a[:, None] * q ** (-j) - d[:, None] * q ** j
+    # a row can vanish exactly, so the maps are scaled as a whole
+    W = W / np.linalg.norm(W, axis=(1, 2), keepdims=True)
     _, svs, vhs = np.linalg.svd(W, full_matrices=False)
     polys, nds, gaps = [], [], []
     for sv, vh in zip(svs, vhs):

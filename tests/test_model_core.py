@@ -77,13 +77,41 @@ def test_lax_diagonal_entries_spectral_independent():
     assert mc.rel_err(L[0][0].evaluate(0.37 + 0.11j), expect) <= 1e-14
 
 
+def _lax_projector_factorization(params: ModelParams, n: int, sign: str):
+    """Rank-one factorization of the Lax matrix at a quantum-determinant zero.
+
+    Returns (P, Q, const) with P a column pair and Q a row pair of dense
+    operators such that L_n(mu_{n,sign}) = const * P_i Q_j entrywise.  The
+    half-shift is realized as the (p+1)/2 power of the cyclic shift, which
+    conjugates the clock by (-1)^{p'/2} sqrt(q); the resulting parity
+    constant is (-1)^{p'/2}."""
+    if sign not in "+-":
+        raise ValueError("sign must be '+' or '-'")
+    p = params.p
+    kap = params.kappa[n - 1]
+    U, V = mc.weyl_generators(p, params.u[n - 1], params.v[n - 1], params.p_prime)
+    half = np.linalg.matrix_power(U, (p + 1) // 2)
+    Ue = mc.site_embed(params, n, half)
+    Uei = np.linalg.inv(Ue)
+    Ve = mc.site_embed(params, n, V)
+    Vei = np.linalg.inv(Ve)
+    if sign == "+":
+        P = [kap * Ue @ (Ve * kap + Vei / kap), kap * Uei @ (Ve / kap + Vei * kap)]
+        Q = [Ue, Uei]
+    else:
+        P = [kap * Ue, kap * Uei]
+        Q = [(Ve * kap + Vei / kap) @ Ue, (Ve / kap + Vei * kap) @ Uei]
+    const = (-1.0) ** (params.p_prime // 2)
+    return P, Q, const
+
+
 @pytest.mark.parametrize("sign", ["+", "-"])
 def test_lax_projector_factorization(sign):
     params = cfg_a_params()
     for n in (1, 2, 3):
         L = mc.lax_matrix(params, n)
         mu = params.mu_plus[n - 1] if sign == "+" else params.mu_minus[n - 1]
-        P, Q, const = mc.lax_projector_factorization(params, n, sign)
+        P, Q, const = _lax_projector_factorization(params, n, sign)
         for i in range(2):
             for j in range(2):
                 tgt = L[i][j].evaluate(mu)
@@ -440,6 +468,40 @@ def test_average_commutes_with_generators(cfg_b):
     for name in "ABCD":
         X = mono.entry(name).evaluate(mu)
         assert mc.frob(prod @ X - X @ prod) <= 1e-9 * mc.frob(prod) * mc.frob(X)
+
+
+SHIPPED = KRON_CHAINS[:5]
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)
+def test_a_laurent_equals_the_pointwise_shift_coefficients(path):
+    params = load_config(str(path))[0]
+    N, q = params.n_sites, params.q
+    k = np.arange(-N, N + 1)
+    a = mc.a_laurent(params)
+    lam = np.array([0.7 + 0.3j, 1.4 - 0.6j, -0.5 + 1.1j, 0.2 - 1.9j])
+    for coeffs, pointwise in ((a, mc.a_coeff), (q ** N * (-q) ** k * a, mc.d_coeff)):
+        ref = pointwise(params, lam)
+        assert np.max(np.abs(lam[:, None] ** k @ coeffs - ref) / np.abs(ref)) <= 1e-13
+
+
+def _average_lax_at(params, n, big):
+    """The p-fold averages of the site-n Lax entries at Lambda, written out."""
+    p = params.p
+    kap, xi, u, v = (x[n - 1] ** p for x in (params.kappa, params.xi, params.u, params.v))
+    s, ip = params.sqrt_q ** p, 1j ** p
+    return np.array([[s * u * (kap ** 2 * v + 1 / v), kap * (big * v / xi - xi / (big * v)) / ip],
+                     [kap * (big / (v * xi) - xi * v / big) / ip, s / u * (kap ** 2 / v + v)]])
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda path: path.stem)
+def test_average_monodromy_is_the_product_of_the_site_averages(path):
+    params = load_config(str(path))[0]
+    for big in (0.8 + 0.6j, 1.7 - 0.4j, -2.2 + 0.3j, 0.4j):
+        ref = np.eye(2)
+        for n in range(params.n_sites, 0, -1):
+            ref = ref @ _average_lax_at(params, n, big)
+        assert mc.rel_err(mc.average_monodromy(params, big), ref) <= 1e-13
 
 
 def test_params_validation():

@@ -3,7 +3,9 @@ front end (exit codes, row formats, determinism)."""
 
 import json
 import csv as csv_mod
+import os
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from sgsov import oracle
 from sgsov import spectrum as sp
 from sgsov import separate_states as ss
 from sgsov.sov_basis import DegenerateSpectrum
-from sgsov.cli import main, load_config, ConfigError
+from sgsov.cli import main, load_config, ConfigError, EXIT_CLOSED_OUTPUT
 
 
 def test_direct_matrix_element_identity(cfg_a):
@@ -92,7 +94,7 @@ def test_fault_localization(cfg_a):
     res = sp.check_functional_equation(params, pert, cfg_a.rng(602))
     assert res > 1e-3
     with pytest.raises(sp.EmptyNullspace):
-        sp.fit_Q_polynomial(params, pert, cfg_a.rng(603))
+        sp.fit_Q_polynomial(params, pert)
 
 
 def test_report_serialization_roundtrip(cfg_b):
@@ -150,6 +152,30 @@ def test_cli_check_algebra_ok(tmp_path, capsys):
     assert rows and all(r["pass"] for r in rows)
 
 
+def test_cli_closed_stdout_exits_141_with_stdout_on_devnull(tmp_path, monkeypatch):
+    # a reader that closes the pipe (``| head``) is not a failed check
+    fd = os.open(tmp_path / "out", os.O_WRONLY | os.O_CREAT)
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    try:
+        code = main(["check-algebra", "--config", _write_cfg(tmp_path, _cfg_a_payload())])
+        assert code == EXIT_CLOSED_OUTPUT == 141
+        # the descriptor now writes to devnull, so the flush at exit stays quiet
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+
+
 def test_cli_rejects_even_p(tmp_path, capsys):
     payload = _cfg_a_payload()
     payload["model"]["p"] = 4
@@ -177,7 +203,7 @@ def test_wide_baxter_nullspace_raises(tmp_path, monkeypatch, cfg_a, capsys):
     st = cfg_a.states[0]
     monkeypatch.setattr(sp, "NULL_TOL", 1.01 * st.diagnostics["baxter_fit_gap"])
     with pytest.raises(DegenerateSpectrum) as info:
-        sp.fit_Q_polynomial(cfg_a.params, st.t_coeffs, cfg_a.rng(3))
+        sp.fit_Q_polynomial(cfg_a.params, st.t_coeffs)
     dim = re.search(r"nullspace has dimension (\d+)", str(info.value))
     assert dim and int(dim.group(1)) > 1
     assert main(["spectrum", "--config", _write_cfg(tmp_path, _cfg_a_payload())]) == 3

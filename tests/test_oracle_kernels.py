@@ -252,17 +252,23 @@ def test_yang_baxter_residual_equals_block_loop_on_a_broken_relation(sol):
 
 def test_baxter_fit_gap_is_the_per_state_singular_value_ratio(sol):
     """The batched fit's gap equals the first non-null singular value over the
-    largest from one SVD per state, and the spectrum section reports the
-    worst as a diagnostic row."""
+    largest from one SVD per state of the Frobenius-normalized coefficient
+    map, and the spectrum section reports the worst as a diagnostic row.
+
+    The map is rebuilt here from point values: lam^N times the residual of
+    Q = lam^j is a polynomial of degree below M = 2N + deg Q + 1, so its
+    values at the M-th roots of unity give its coefficients by one FFT."""
     params = sol.params
-    deg_max = (params.p - 1) * params.n_sites
-    pts = np.array(params.spectral_samples(sol.rng(3), 2 * (deg_max + params.n_sites) + 1))
-    powers = np.arange(deg_max + 1)
+    N, q = params.n_sites, params.q
+    M = 2 * N + (params.p - 1) * N + 1
+    pts = np.exp(2j * np.pi * np.arange(M) / M)
+    powers = np.arange(M - 2 * N)
     for st in sol.states:
-        W = pts[:, None] ** powers * (
-            st.t_at(pts)[:, None] - mc.a_coeff(params, pts)[:, None] * params.q ** (-powers)
-            - mc.d_coeff(params, pts)[:, None] * params.q ** powers)
-        sv = np.linalg.svd(W / np.linalg.norm(W, axis=1, keepdims=True), compute_uv=False)
+        vals = pts[:, None] ** (N + powers) * (
+            st.t_at(pts)[:, None] - mc.a_coeff(params, pts)[:, None] * q ** (-powers)
+            - mc.d_coeff(params, pts)[:, None] * q ** powers)
+        W = np.fft.fft(vals, axis=0) / M
+        sv = np.linalg.svd(W / np.linalg.norm(W), compute_uv=False)
         gap = sv[len(sv) - st.nullspace_dim - 1] / sv[0]
         assert abs(st.diagnostics["baxter_fit_gap"] - gap) <= 1e-12 * gap
         assert gap > sp.NULL_TOL
@@ -293,8 +299,7 @@ def test_batched_preparation_equals_batch_of_one(cfg_b):
     for st in cfg_b.states:
         fresh = sp.TransferEigenstate(st.t_coeffs, st.theta_m, st.vec_right, st.vec_left)
         sp.extract_Q_grid(fresh, basis)
-        fresh.q_poly, fresh.nullspace_dim = sp.fit_Q_polynomial(params, st.t_coeffs,
-                                                                cfg_b.rng(3))
+        fresh.q_poly, fresh.nullspace_dim = sp.fit_Q_polynomial(params, st.t_coeffs)
         fresh.qbar_poly = sp.qbar_from_q(params, fresh.q_poly)
         ss.attach_q_data(fresh, basis)
         for name in ("psi", "q_grid", "q_poly", "qbar_poly", "q_vals", "qbar_vals"):

@@ -7,7 +7,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "sgsov"
 
 # arguments kept unread because the benchmark calls them by these signatures
-ALLOWED = {"verify_suite.threads", "eigenstate_separate_states.basis"}
+ALLOWED = {"verify_suite.threads", "eigenstate_separate_states.basis",
+           "fit_Q_polynomial.rng"}
 
 
 def _unread_arguments(tree):

@@ -277,22 +277,20 @@ def test_reference_shift_closes_cycle(cfg_b):
 
 
 def test_b_zeros_well_conditioned_on_long_chain(monkeypatch):
-    # the Laurent fit of the averaged B entry must not rest on a singular
-    # Vandermonde; with nodes paired as +-Lambda an N=5 chain lost the
-    # conjugate pairing of its zeros
-    conds = []
+    # the zeros of the averaged B entry come from its exact Laurent
+    # coefficients, with no linear solve; with a Vandermonde fit on nodes
+    # paired as +-Lambda an N=5 chain lost the conjugate pairing of its zeros
+    solves = []
     solve = np.linalg.solve
-
-    def recording_solve(a, b):
-        conds.append(np.linalg.cond(a))
-        return solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(a) or solve(*a))
     params = ModelParams(5, 3, 2, kappa=[1.1j, 1.3j, 0.7j, 0.9j, 1.2j],
                          xi=[1.0, 1.2, 0.9, 1.1, 0.8])
     grid = sb.b_zeros(params)
     assert grid.z.shape == (5,)
-    assert conds and max(conds) < 1e10
+    assert solves == []
+    ref = abs(mc.average_value(params, "B", 1.5 * np.max(np.abs(grid.z))))
+    for z in grid.z:
+        assert abs(mc.average_value(params, "B", z)) <= 1e-12 * ref
 
 
 @pytest.mark.parametrize("n_sites, p, kappa, xi", [

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from sgsov import model_core as mc
+from sgsov import sov_basis as sb
 from sgsov import spectrum as sp
+from sgsov.params import ModelParams
 from sgsov.spectrum import polyval_ascending
 
 
@@ -183,7 +185,22 @@ def test_no_solution_for_invalid_eigenvalue(cfg_a):
     key = sorted(pert)[0]
     pert[key] = pert[key] + 0.1
     with pytest.raises(sp.EmptyNullspace):
-        sp.fit_Q_polynomial(cfg_a.params, pert, cfg_a.rng(306))
+        sp.fit_Q_polynomial(cfg_a.params, pert)
+
+
+@pytest.mark.parametrize("name", ["cfg_a", "cfg_b"])
+def test_b_zeros_and_the_baxter_fit_draw_no_points(name, request, monkeypatch):
+    sol = request.getfixturevalue(name)
+    t_coeffs = [st.t_coeffs for st in sol.states]
+    calls = []
+    draw = ModelParams.spectral_samples
+    monkeypatch.setattr(ModelParams, "spectral_samples",
+                        lambda *a, **k: calls.append(a) or draw(*a, **k))
+    sb.b_zeros(sol.params)
+    polys, _, _ = sp.fit_Q_polynomials(sol.params, t_coeffs)
+    assert calls == []
+    for got, st in zip(polys, sol.states):
+        assert np.array_equal(got, st.q_poly)
 
 
 def test_mixed_eigenvector_fails_the_residual_check(cfg_a, monkeypatch):
