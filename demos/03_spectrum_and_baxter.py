@@ -15,10 +15,12 @@ basis, states = sol.basis, sol.states
 print(f"{len(states)} joint eigenstates of the transfer family and the charge\n")
 print("idx  sector   eigenvalue coefficients (degree: value)        "
       "funcEq     Baxter-fit deg")
+degrees = range(-params.n_bar, params.n_bar + 1, 2)    # the columns of st.t_coeffs
 for i, st in enumerate(states):
     fe = check_functional_equation(params, st.t_coeffs, np.random.default_rng(3))
-    coeffs = "  ".join(f"{dg}: {c.real:+.4f}" for dg, c in sorted(st.t_coeffs.items()))
-    print(f"{i:3d}    q^{st.theta_m}   {coeffs}   {fe:.1e}   {len(st.q_poly) - 1}")
+    coeffs = "  ".join(f"{dg}: {c.real:+.4f}" for dg, c in zip(degrees, st.t_coeffs))
+    deg = np.flatnonzero(st.q_poly)[-1]
+    print(f"{i:3d}    q^{st.theta_m}   {coeffs}   {fe:.1e}   {deg}")
 
 st = states[4]
 print(f"\nstate 4: the fitted polynomial against the wavefunction ratios")
@@ -30,9 +32,7 @@ for a in range(params.n_separate):
     print(f"  variable {a + 1}: worst rel. diff across the grid = "
           f"{np.max(np.abs(rp - rg)):.2e}")
 
-pert = dict(st.t_coeffs)
-key = sorted(pert)[0]
-pert[key] = pert[key] + 0.1
+pert = st.t_coeffs + 0.1 * np.eye(len(st.t_coeffs))[0]    # the lowest degree
 print(f"\nperturbing one eigenvalue coefficient by 0.1:")
 print(f"  functional-equation residual jumps to "
       f"{check_functional_equation(params, pert, np.random.default_rng(3)):.2e}")

@@ -186,22 +186,20 @@ class RowWriter:
             self.fh.close()
 
 
-def _emit_reports(reports, writer):
-    ok = True
-    for r in reports:
-        writer.emit(r.row())
-        ok = ok and r.passed
-    return ok
-
-
 # commands that emit the report rows of verify_suite on these sections
 _SUITE_SECTIONS = {"check-algebra": {"algebra"}, "scalar": {"scalar"},
                    "verify-all": None}
 
 
 def cmd_verify(params, seed, tolerances, writer, sections):
-    reports = oracle.verify_suite(params, seed, tolerances, sections=sections)
-    return EXIT_OK if _emit_reports(reports, writer) else EXIT_CHECK_FAILED
+    sol = ss.prepare(params, seed, tolerances)
+    ok = True
+    # each section's rows go out as soon as it finishes
+    for reports in oracle.section_reports(sol, tolerances, sections):
+        for r in reports:
+            writer.emit(r.row())
+            ok = ok and r.passed
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_sov_build(params, seed, tolerances, writer):
@@ -223,8 +221,8 @@ def cmd_sov_build(params, seed, tolerances, writer):
 def cmd_spectrum(params, seed, tolerances, writer):
     tol = {**oracle.DEFAULT_TOLERANCES, **tolerances}
     sol = ss.prepare(params, seed, tolerances)
-    degrees = list(range(-params.n_bar, params.n_bar + 1, 2))
-    fes = sp.check_functional_equations(params, [st.t_coeffs for st in sol.states], sol.rng(4))
+    degrees = range(-params.n_bar, params.n_bar + 1, 2)
+    fes = sp.check_functional_equations(params, sol.t_rows, sol.rng(4))
     for i, (st, fe) in enumerate(zip(sol.states, fes)):
         bax = st.diagnostics.get("factorization_residual", 0.0)
         row = {"index": i,
@@ -232,13 +230,8 @@ def cmd_spectrum(params, seed, tolerances, writer):
                "functional_eq_residual": fe,
                "factorization_residual": bax,
                "nullspace_dim": st.nullspace_dim}
-        for dg in degrees:
-            row[f"t[{dg}]"] = fmt_complex(st.t_coeffs[dg])
-        for k, c in enumerate(st.q_poly):
-            row[f"q[{k}]"] = fmt_complex(c)
-        # fixed-width Q columns for a stable CSV header
-        for k in range(len(st.q_poly), (params.p - 1) * params.n_sites + 1):
-            row[f"q[{k}]"] = fmt_complex(0.0)
+        row.update((f"t[{dg}]", fmt_complex(c)) for dg, c in zip(degrees, st.t_coeffs))
+        row.update((f"q[{k}]", fmt_complex(c)) for k, c in enumerate(st.q_poly))
         writer.emit(row)
     return EXIT_OK if np.all(fes <= tol["functional_eq"]) else EXIT_CHECK_FAILED
 

@@ -21,8 +21,8 @@ from . import separate_states as ss
 from . import form_factors as ffm
 from . import local_ops as lo
 
-__all__ = ["ComparisonReport", "direct_matrix_element", "verify_suite",
-           "verify_solution", "reports_to_jsonl", "table_rel_err", "npoint_errors",
+__all__ = ["ComparisonReport", "direct_matrix_element", "verify_suite", "verify_solution",
+           "section_reports", "reports_to_jsonl", "table_rel_err", "npoint_errors",
            "DEFAULT_TOLERANCES", "NOT_ERROR_BOUNDS"]
 
 
@@ -167,23 +167,22 @@ def verify_suite(params: ModelParams, seed: int = 0, tolerances=None,
 def verify_solution(sol: ss.Solution, tolerances=None, sections=None):
     """``verify_suite`` on a prepared solution; only the parts of it that
     the chosen sections use get built."""
+    return [r for part in section_reports(sol, tolerances, sections) for r in part]
+
+
+def section_reports(sol: ss.Solution, tolerances=None, sections=None):
+    """The reports of ``verify_solution``, one list per section, each
+    yielded as soon as its section finishes."""
     s = _Suite(sol, tolerances)
-    want = (lambda name: sections is None or name in sections)
-    # a basis that cannot be built fails the run before the algebra section
-    basis = sol.basis if sections is None or set(sections) - {"algebra"} else None
-    if want("algebra"):
-        _algebra_section(s, sol.mono)
-    if want("sov"):
-        _sov_section(s, sol.mono, basis)
-    if want("spectrum"):
-        _spectrum_section(s, sol)
-    if want("scalar"):
-        _scalar_section(s, sol)
-    if want("local"):
-        _local_section(s, sol)
-    if want("ff"):
-        _ff_section(s, sol)
-    return s.reports
+    if sections is None or set(sections) - {"algebra"}:
+        sol.basis     # a basis that cannot be built fails the run before any section
+    for name, section in (("algebra", _algebra_section), ("sov", _sov_section),
+                          ("spectrum", _spectrum_section), ("scalar", _scalar_section),
+                          ("local", _local_section), ("ff", _ff_section)):
+        if sections is None or name in sections:
+            s.reports = []
+            section(s, sol)
+            yield s.reports
 
 
 # -- sections ---------------------------------------------------------------
@@ -194,8 +193,8 @@ def _column_cond(M):
     return float(np.linalg.cond(M / np.linalg.norm(M, axis=0)))
 
 
-def _algebra_section(s, mono):
-    params = s.params
+def _algebra_section(s, sol):
+    params, mono = s.params, sol.mono
     rng = s.rng(10)
     d = params.dim
     for i in range(10):
@@ -288,8 +287,8 @@ def _algebra_section(s, mono):
                 "average", scale=mc.frob(prodB) * mc.frob(X))
 
 
-def _sov_section(s, mono, basis):
-    params = s.params
+def _sov_section(s, sol):
+    params, mono, basis = s.params, sol.mono, sol.basis
     d = params.dim
     grid = basis.grid
     nsep = params.n_separate
@@ -360,12 +359,11 @@ def _spectrum_section(s, sol):
     basis, states = sol.basis, sol.states
     d = params.dim
     s.check("state_count", 0.0 if len(states) == d else 1.0, "functional_eq")
-    worst_t = float(np.max(sp.check_functional_equations(
-        params, [st.t_coeffs for st in states], s.rng(33))))
+    t_rows = sol.t_rows
+    worst_t = float(np.max(sp.check_functional_equations(params, t_rows, s.rng(33))))
     s.check("functional_equation_true", worst_t, "functional_eq")
-    perturbed = [dict(states[0].t_coeffs) for _ in states[0].t_coeffs]
-    for pert, key in zip(perturbed, sorted(states[0].t_coeffs)):
-        pert[key] = pert[key] + 0.1
+    # one row per coefficient of the first state, moved by 0.1
+    perturbed = t_rows[0] + 0.1 * np.eye(params.n_bar + 1)
     rej = float(np.max(sp.check_functional_equations(params, perturbed, s.rng(33))))
     # a fixed perturbation dilutes with the matrix order and the coefficient
     # scale; the scale-free criterion is the separation from true eigenvalues
@@ -374,10 +372,9 @@ def _spectrum_section(s, sol):
     s.check("functional_equation_reject", 0.0 if separated else 1.0,
             "functional_eq", residual=rej, floor=floor)
     if params.self_adjoint:
-        s.check("eigenvalue_reality", np.max(np.abs(sol.t_rows.imag)), "functional_eq",
-                scale=np.max(np.abs(sol.t_rows)))
-    worst = _baxter_grid_residual(params, basis, [st.t_coeffs for st in states],
-                                  np.array([st.psi for st in states]))
+        s.check("eigenvalue_reality", np.max(np.abs(t_rows.imag)), "functional_eq",
+                scale=np.max(np.abs(t_rows)))
+    worst = _baxter_grid_residual(params, basis, t_rows, np.array([st.psi for st in states]))
     s.check("baxter_grid", worst, "baxter_grid")
     s.check("wavefunction_factorization",
             max(st.diagnostics["factorization_residual"] for st in states),
@@ -387,11 +384,11 @@ def _spectrum_section(s, sol):
                 max(st.diagnostics["reference_phase_residual"] for st in states),
                 "factorization")
         pref = np.prod(np.asarray(params.kappa) / (1j * np.asarray(params.xi)))
-        worst = max(abs(st.t_coeffs[params.n_sites]
-                        - pref * (params.q ** st.theta_m + params.q ** (-st.theta_m)))
-                    for st in states)
+        # the top column is degree n_bar = N
+        worst = np.max(np.abs(t_rows[:, -1] - pref * (params.q ** sol.theta_m
+                                                      + params.q ** (-sol.theta_m))))
         s.check("sector_asymptotics", worst, "functional_eq",
-                scale=max(abs(st.t_coeffs[params.n_sites]) for st in states))
+                scale=np.max(np.abs(t_rows[:, -1])))
     # how close each Baxter fit came to a second null direction (reported,
     # not asserted)
     s.check("baxter_fit_gap", min(st.diagnostics["baxter_fit_gap"] for st in states), 0.0,
@@ -402,14 +399,13 @@ def _spectrum_section(s, sol):
         sol.q_vals, np.array([st.q_grid[:nsep] for st in states]),
         np.array([st.q_anchor for st in states])[:, :nsep]), "baxter_grid")
     # conjugate-gauge difference equation for the transformed polynomial
-    worst = 0.0
-    for st in states[: min(6, len(states))]:
-        for lam in params.spectral_samples(s.rng(34), 5):
-            lhs = st.t_at(lam) * sp.polyval_ascending(st.qbar_poly, lam)
-            rhs = mc.dbar_coeff(params, lam) * sp.polyval_ascending(st.qbar_poly, lam / params.q) \
-                + mc.abar_coeff(params, lam) * sp.polyval_ascending(st.qbar_poly, lam * params.q)
-            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-    s.check("qbar_difference_eq", worst, "baxter_grid")
+    lam = np.asarray(params.spectral_samples(s.rng(34), 5))
+    qbar = np.array([st.qbar_poly for st in states[:6]])[:, None]
+    lhs = sp.eval_t(t_rows[:6, None], lam) * sp.polyval_ascending(qbar, lam)
+    rhs = mc.dbar_coeff(params, lam) * sp.polyval_ascending(qbar, lam / params.q) \
+        + mc.abar_coeff(params, lam) * sp.polyval_ascending(qbar, lam * params.q)
+    s.check("qbar_difference_eq", np.max(np.abs(lhs - rhs) / np.maximum(
+        np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)), "baxter_grid")
     # separate-state representations reproduce the eigenvectors
     R = np.array([st.vec_right for st in states])
     s.check("eigenstate_collinearity", _collinearity_defect(
@@ -673,10 +669,10 @@ def _rows_norm(x):
     return np.linalg.norm(x, axis=-1)
 
 
-def _baxter_grid_residual(params, basis, t_coeffs, psi):
+def _baxter_grid_residual(params, basis, t_rows, psi):
     """Worst relative residual of the discrete Baxter relations
     t(eta) psi_j = a(eta) psi_{j - e_a} + d(eta) psi_{j + e_a} of the states
-    with transfer coefficients ``t_coeffs`` and SOV wavefunctions ``psi``
+    with transfer coefficient rows ``t_rows`` and SOV wavefunctions ``psi``
     (states, d), at every label j and separate variable a; a and d are
     evaluated here, not read from the basis tables."""
     nsep = params.n_separate
@@ -685,7 +681,7 @@ def _baxter_grid_residual(params, basis, t_coeffs, psi):
     a_lab = mc.a_coeff(params, eta_sep)[rows, tup]
     d_lab = mc.d_coeff(params, eta_sep)[rows, tup]
     down, up = (params.shifted_indices(delta)[:, :nsep] for delta in (-1, +1))
-    lhs = sp.eval_t_rows(t_coeffs, eta_sep[rows, tup]) * psi[..., None]
+    lhs = sp.eval_t(t_rows[:, None, None], eta_sep[rows, tup]) * psi[..., None]
     rhs = a_lab * psi[:, down] + d_lab * psi[:, up]
     pmax = np.max(np.abs(psi), axis=1)[:, None, None]
     return float(np.max(

@@ -22,7 +22,7 @@ from . import local_ops as lo
 from .sov_basis import (SovBasis, _read_only, build_sov_basis, moment_weights,
                         vandermonde_weights)
 from .spectrum import (TransferEigenstate, diagonalize_transfer, extract_Q_grids,
-                       fit_Q_polynomials, polyval_rows, qbar_from_q)
+                       fit_Q_polynomials, polyval_ascending, qbar_from_q)
 
 __all__ = [
     "SeparateState", "IncompleteSpectrum", "materialize",
@@ -118,12 +118,15 @@ def attach_q_data(state: TransferEigenstate, basis: SovBasis):
 
 
 def attach_q_tables(states, basis: SovBasis):
-    """``attach_q_data`` on every state of ``states`` at once."""
+    """``attach_q_data`` on every state of ``states`` at once; the tables
+    are read-only."""
     if any(st.q_poly is None for st in states):
         raise SgSovError("fit the Baxter polynomial before attaching Q data")
     grids = basis.grid.grid[:basis.params.n_separate]
-    q_vals = polyval_rows([st.q_poly for st in states], grids)
-    qbar_vals = polyval_rows([st.qbar_poly for st in states], grids)
+    q = np.stack([st.q_poly for st in states])[:, None, None]
+    qbar = np.stack([st.qbar_poly for st in states])[:, None, None]
+    q_vals = _read_only(polyval_ascending(q, grids))
+    qbar_vals = _read_only(polyval_ascending(qbar, grids))
     for st, q, qbar in zip(states, q_vals, qbar_vals):
         st.q_vals, st.qbar_vals = q, qbar
     return states
@@ -253,8 +256,10 @@ class Solution:
     data, shared by every scalar product, form factor and reconstruction of
     one chain.
 
-    The basis, the eigenstates, their stacked Baxter grid tables
-    ``qbar_vals``/``q_vals`` (shape (d, nsep, p)), sector labels ``theta_m``
+    The basis, the eigenstates (every array they carry, the fixed-width
+    coefficient rows ``t_coeffs``, ``q_poly`` and ``qbar_poly`` included),
+    their stacked Baxter grid tables ``qbar_vals``/``q_vals``
+    (shape (d, nsep, p)), sector labels ``theta_m``
     and transfer coefficients ``t_rows``, the stacked
     ``covs``/``vecs``/``norms`` of ``eigen_dense`` and the table
     ``elementary_ops`` are built on first use, as read-only arrays, from the
@@ -281,10 +286,10 @@ class Solution:
         params, basis = self.params, self.basis
         states = diagonalize_transfer(params, self.mono, rng=self.rng(2))
         extract_Q_grids(states, basis)
-        polys, nds, gaps = fit_Q_polynomials(params, [st.t_coeffs for st in states])
-        for st, poly, nd, gap in zip(states, polys, nds, gaps):
-            st.q_poly, st.nullspace_dim = poly, nd
-            st.qbar_poly = qbar_from_q(params, poly)
+        polys, nds, gaps = fit_Q_polynomials(params, np.stack([st.t_coeffs for st in states]))
+        for st, poly, qbar, nd, gap in zip(states, polys, qbar_from_q(params, polys),
+                                           nds, gaps):
+            st.q_poly, st.qbar_poly, st.nullspace_dim = poly, qbar, nd
             st.diagnostics["baxter_fit_gap"] = float(gap)
         return tuple(attach_q_tables(states, basis))
 
@@ -300,9 +305,7 @@ class Solution:
     def t_rows(self) -> np.ndarray:
         """Transfer coefficients, shape (d, n_bar + 1); column c holds the
         degree 2c - n_bar."""
-        degrees = range(-self.params.n_bar, self.params.n_bar + 1, 2)
-        return _read_only(np.array([[st.t_coeffs[dg] for dg in degrees]
-                                    for st in self.states]))
+        return _read_only(np.stack([st.t_coeffs for st in self.states]))
 
     @cached_property
     def _dense(self):

@@ -12,13 +12,13 @@ import numpy as np
 
 from .params import ModelParams, SgSovError
 from . import model_core as mc
-from .sov_basis import SovBasis, DegenerateSpectrum, rayleigh_pairings
+from .sov_basis import SovBasis, DegenerateSpectrum, _read_only, rayleigh_pairings
 
 __all__ = [
     "TransferEigenstate", "EmptyNullspace", "ZeroReference",
     "diagonalize_transfer", "check_functional_equation", "check_functional_equations",
     "extract_Q_grid", "extract_Q_grids", "fit_Q_polynomial", "fit_Q_polynomials",
-    "qbar_from_q", "eval_t", "eval_t_rows", "polyval_ascending", "polyval_rows",
+    "qbar_from_q", "eval_t", "polyval_ascending",
 ]
 
 
@@ -40,58 +40,40 @@ class ZeroReference(SgSovError):
 class TransferEigenstate:
     """One joint eigenstate of the commuting transfer family (and of the
     grading charge on even chains)."""
-    t_coeffs: dict                      # even degree -> complex coefficient
+    t_coeffs: np.ndarray                # (n_bar + 1,), column c is degree 2c - n_bar
     theta_m: int                        # Z_p exponent of the charge eigenvalue, 0 on odd chains
     vec_right: np.ndarray
     vec_left: np.ndarray                # covector (row)
     psi: np.ndarray = None              # wavefunction on SOV labels
     q_grid: np.ndarray = None           # per-variable ratio tables (nsep or N, p)
     q_anchor: tuple = None              # label tuple used to anchor the ratios
-    q_poly: np.ndarray = None           # ascending coefficients, leading coeff 1
-    qbar_poly: np.ndarray = None
+    q_poly: np.ndarray = None           # ((p - 1) N + 1,) ascending, top nonzero coeff 1
+    qbar_poly: np.ndarray = None        # ((p - 1) N + 1 + N mod p,) ascending
     nullspace_dim: int = 0
     q_vals: np.ndarray = None           # Q on the grids, (nsep, p)
     qbar_vals: np.ndarray = None
     diagnostics: dict = field(default_factory=dict)
 
-    def t_at(self, lam):
-        return eval_t(self.t_coeffs, lam)
 
-
-def eval_t(t_coeffs, lam):
-    out = eval_t_rows([t_coeffs], lam)[0]
-    return complex(out) if out.ndim == 0 else out
-
-
-def eval_t_rows(t_coeffs, lam):
-    """``eval_t`` of each coefficient dict of ``t_coeffs`` (sharing their
-    degrees) at the points ``lam``, shape (len(t_coeffs),) + lam.shape."""
-    lam = np.asarray(lam, dtype=complex)
-    rows = np.array([list(t.values()) for t in t_coeffs]).reshape(
-        (len(t_coeffs), -1) + (1,) * lam.ndim)
-    out = np.zeros(rows.shape[:1] + lam.shape, dtype=complex)
-    for c, deg in enumerate(t_coeffs[0]):
-        out = out + rows[:, c] * lam ** deg
+def eval_t(t_rows, lam):
+    """Transfer eigenvalue of the coefficient rows ``t_rows``
+    (..., n_bar + 1), column c holding degree 2c - n_bar, at ``lam``; the
+    leading axes of the rows broadcast against ``lam``."""
+    t_rows, lam = np.asarray(t_rows), np.asarray(lam, dtype=complex)
+    n_bar = t_rows.shape[-1] - 1
+    out = 0
+    for c in range(n_bar + 1):
+        out = out + t_rows[..., c] * lam ** (2 * c - n_bar)
     return out
 
 
 def polyval_ascending(coeffs, lam):
-    out = polyval_rows([coeffs], lam)[0]
-    return complex(out) if out.ndim == 0 else out
-
-
-def polyval_rows(coeffs, lam):
-    """``polyval_ascending`` of each coefficient list of ``coeffs`` at the
-    points ``lam``, shape (len(coeffs),) + lam.shape; shorter lists are
-    padded with zero coefficients."""
-    lam = np.asarray(lam, dtype=complex)
-    K = max(len(c) for c in coeffs)
-    rows = np.zeros((len(coeffs), K), dtype=complex)
-    for row, c in zip(rows, coeffs):
-        row[:len(c)] = c
-    out = np.zeros((len(coeffs),) + lam.shape, dtype=complex)
-    for k in range(K):
-        out = out + rows[:, k].reshape((-1,) + (1,) * lam.ndim) * lam ** k
+    """Polynomial of the ascending coefficient rows ``coeffs`` (..., K + 1)
+    at ``lam``; the leading axes of the rows broadcast against ``lam``."""
+    coeffs, lam = np.asarray(coeffs), np.asarray(lam, dtype=complex)
+    out = 0
+    for k in range(coeffs.shape[-1]):
+        out = out + coeffs[..., k] * lam ** k
     return out
 
 
@@ -102,7 +84,8 @@ def diagonalize_transfer(params: ModelParams, mono, rng) -> list[TransferEigenst
     are diagonalized separately, which makes the joint labels exact.  The
     eigenvectors are those of T at one spectral point; a degenerate pair
     there shows as a label collision or as an eigen-residual at a fresh
-    point, and raises."""
+    point, and raises.  Each state's ``t_coeffs`` is a row of one read-only
+    (d, n_bar + 1) stack, and its eigenvectors are read-only views."""
     d = params.dim
     T0 = mc.transfer(mono, params.spectral_samples(rng, 1)[0])
     if params.even_chain:
@@ -119,16 +102,15 @@ def diagonalize_transfer(params: ModelParams, mono, rng) -> list[TransferEigenst
         R[idx, col:col + len(idx)] = v[:, order]
         ms.extend([m] * len(idx))
         col += len(idx)
-    L = np.linalg.inv(R)
+    L = _read_only(np.linalg.inv(_read_only(R)))
 
     # Rayleigh pairings l C r / l r of every state, one product per degree
     degrees = list(range(-params.n_bar, params.n_bar + 1, 2))
     norm = np.sum(L * R.T, axis=1)
-    vecs = np.stack([rayleigh_pairings(L, mono.A.coeff(deg) + mono.D.coeff(deg), R) / norm
-                     for deg in degrees], axis=1)            # (d, len(degrees))
-    states = [TransferEigenstate(t_coeffs=dict(zip(degrees, map(complex, vecs[i]))),
-                                 theta_m=ms[i], vec_right=R[:, i], vec_left=L[i])
-              for i in range(d)]
+    vecs = _read_only(np.stack(
+        [rayleigh_pairings(L, mono.A.coeff(deg) + mono.D.coeff(deg), R) / norm
+         for deg in degrees], axis=1))                       # (d, n_bar + 1)
+    states = [TransferEigenstate(vecs[i], ms[i], R[:, i], L[i]) for i in range(d)]
 
     # joint-label simplicity: no two states of one sector share their labels
     scale = max(np.max(np.abs(vecs)), 1e-300)
@@ -153,20 +135,21 @@ def diagonalize_transfer(params: ModelParams, mono, rng) -> list[TransferEigenst
 
 def check_functional_equation(params: ModelParams, t_coeffs, rng):
     """Maximal normalized determinant of the cyclic tridiagonal family built
-    from the candidate eigenvalue and the gauge coefficients, over
+    from the candidate eigenvalue row and the gauge coefficients, over
     ``FE_POINTS`` spectral points; vanishes exactly on the spectrum."""
-    return float(check_functional_equations(params, [t_coeffs], rng)[0])
+    return float(check_functional_equations(params, t_coeffs, rng))
 
 
-def check_functional_equations(params: ModelParams, t_coeffs, rng):
-    """``check_functional_equation`` of every coefficient dict of
-    ``t_coeffs`` at one shared draw of spectral points."""
+def check_functional_equations(params: ModelParams, t_rows, rng):
+    """``check_functional_equation`` of the coefficient rows ``t_rows``
+    (..., n_bar + 1) at one shared draw of spectral points, shape (...)."""
+    t_rows = np.asarray(t_rows)
     pts = params.spectral_samples(rng, FE_POINTS)
     p = params.p
     lams = np.asarray(pts)[:, None] * params.q ** np.arange(p)     # (points, p)
     j = np.arange(p)
-    D = np.zeros((len(t_coeffs), len(pts), p, p), dtype=complex)
-    D[..., j, j] = eval_t_rows(t_coeffs, lams)
+    D = np.zeros(t_rows.shape[:-1] + (len(pts), p, p), dtype=complex)
+    D[..., j, j] = eval_t(t_rows[..., None, None, :], lams)
     D[..., j, (j + 1) % p] = -mc.d_coeff(params, lams)
     D[..., j, (j - 1) % p] = -mc.a_coeff(params, lams)
     rownorms = np.linalg.norm(D, axis=-1)
@@ -182,12 +165,13 @@ def extract_Q_grid(state: TransferEigenstate, basis: SovBasis):
 
 def extract_Q_grids(states, basis: SovBasis):
     """``extract_Q_grid`` on every state of ``states`` at once, shape
-    (len(states), N, p); the first state that fails raises."""
+    (len(states), N, p); the first state that fails raises.  The
+    wavefunctions and ratio tables are read-only."""
     params = basis.params
     p = params.p
     R = np.stack([st.vec_right for st in states])
     # one matrix-vector product per state, stacked
-    psi = (basis.left @ R[..., None])[..., 0]                 # (states, d)
+    psi = _read_only((basis.left @ R[..., None])[..., 0])     # (states, d)
     rows = np.arange(len(states))[:, None]
     j0 = np.argmax(np.abs(psi), axis=1)
     ref = psi[rows[:, 0], j0]
@@ -197,7 +181,7 @@ def extract_Q_grids(states, basis: SovBasis):
     nvar = params.n_sites
     # index of each anchor with variable a set to h, shape (states, nvar, p)
     idx = j0[:, None, None] + (np.arange(p) - anchor[..., None]) * p ** np.arange(nvar)[:, None]
-    grid_ratios = psi[rows[..., None], idx] / ref[:, None, None]
+    grid_ratios = _read_only(psi[rows[..., None], idx] / ref[:, None, None])
     # factorization across the whole label set
     predicted = np.prod(np.ascontiguousarray(
         grid_ratios[rows[..., None], np.arange(nvar), params.tuples]), axis=-1) * ref[:, None]
@@ -229,58 +213,64 @@ def fit_Q_polynomial(params: ModelParams, t_coeffs, rng=None):
     t(lam) Q(lam) = a(lam) Q(lam/q) + d(lam) Q(lam q), found as the SVD
     nullspace of the exact coefficient map; returns the null vector cut at
     its highest coefficient of at least ``NULL_TOL`` times the largest, with
-    leading coefficient one, and the nullspace dimension, which is always 1:
-    a wider nullspace raises ``DegenerateSpectrum``, an empty one
-    ``EmptyNullspace``.  ``rng`` is not read: the fit draws no points."""
-    polys, nds, _ = fit_Q_polynomials(params, [t_coeffs])
+    that coefficient one and zeros above it up to degree (p - 1) N, and the
+    nullspace dimension, which is always 1: a wider nullspace raises
+    ``DegenerateSpectrum``, an empty one ``EmptyNullspace``.  ``rng`` is not
+    read: the fit draws no points."""
+    polys, nds, _ = fit_Q_polynomials(params, np.asarray(t_coeffs)[None])
     return polys[0], nds[0]
 
 
-def fit_Q_polynomials(params: ModelParams, t_coeffs):
-    """``fit_Q_polynomial`` for every coefficient dict of ``t_coeffs``, with
-    one stacked SVD of the coefficient maps, each divided by its Frobenius
-    norm; returns the polynomials, the nullspace dimensions (all 1) and the
-    fit gaps: per state the smallest singular value above the null
-    threshold over the largest.  The first state whose nullspace is not
+def fit_Q_polynomials(params: ModelParams, t_rows):
+    """``fit_Q_polynomial`` for every row of ``t_rows`` (states, n_bar + 1),
+    with one stacked SVD of the coefficient maps, each divided by its
+    Frobenius norm; returns the read-only polynomial rows
+    (states, (p - 1) N + 1), the nullspace dimensions (all 1) and the fit
+    gaps: per state the smallest singular value above the null threshold
+    over the largest.  The first state whose nullspace is not
     one-dimensional raises."""
     N, q = params.n_sites, params.q
     K = (params.p - 1) * N                        # top degree of Q
     k, j = np.arange(-N, N + 1), np.arange(K + 1)
     a = mc.a_laurent(params)
     d = q ** N * (-q) ** k * a
-    t = np.zeros((len(t_coeffs), 2 * N + 1), dtype=complex)
-    t[:, N + np.array(list(t_coeffs[0]))] = [list(tc.values()) for tc in t_coeffs]
+    n = len(t_rows)
+    t = np.zeros((n, 2 * N + 1), dtype=complex)
+    t[:, N - params.n_bar:N + params.n_bar + 1:2] = t_rows
     # W[:, N + k + j, j]: coefficient of lam^(k + j) in t Q - a Q(lam/q) - d Q(lam q)
     # for Q = lam^j, one map of 2N + K + 1 degrees by K + 1 per state
-    W = np.zeros((len(t_coeffs), 2 * N + K + 1, K + 1), dtype=complex)
+    W = np.zeros((n, 2 * N + K + 1, K + 1), dtype=complex)
     W[:, N + k[:, None] + j, j] = t[..., None] - a[:, None] * q ** (-j) - d[:, None] * q ** j
     # a row can vanish exactly, so the maps are scaled as a whole
     W = W / np.linalg.norm(W, axis=(1, 2), keepdims=True)
     _, svs, vhs = np.linalg.svd(W, full_matrices=False)
-    polys, nds, gaps = [], [], []
-    for sv, vh in zip(svs, vhs):
-        nd = int(np.sum(sv <= NULL_TOL * sv[0]))
-        if nd == 0:
-            raise EmptyNullspace(
-                f"no polynomial solution at threshold {NULL_TOL:.1e}; smallest "
-                f"singular value {sv[-1] / sv[0]:.3e}")
-        if nd > 1:
-            raise DegenerateSpectrum(
-                f"Baxter nullspace has dimension {nd} at threshold {NULL_TOL:.1e}, "
-                "not 1")
-        v = vh[-1].conj()
-        top = np.flatnonzero(np.abs(v) >= NULL_TOL * np.max(np.abs(v)))[-1]
-        poly = v[:top + 1] / v[top]
-        polys.append(poly / poly[-1])     # complex x / x need not round to 1
-        nds.append(nd)
-        gaps.append(float(sv[-2] / sv[0]))
-    return polys, nds, np.array(gaps)
+    nds = np.sum(svs <= NULL_TOL * svs[:, :1], axis=1)
+    bad = np.flatnonzero(nds != 1)
+    if bad.size and nds[bad[0]] == 0:
+        sv = svs[bad[0]]
+        raise EmptyNullspace(
+            f"no polynomial solution at threshold {NULL_TOL:.1e}; smallest "
+            f"singular value {sv[-1] / sv[0]:.3e}")
+    if bad.size:
+        raise DegenerateSpectrum(
+            f"Baxter nullspace has dimension {nds[bad[0]]} at threshold {NULL_TOL:.1e}, "
+            "not 1")
+    v = vhs[:, -1].conj()
+    big = np.abs(v) >= NULL_TOL * np.max(np.abs(v), axis=1, keepdims=True)
+    top = (K - np.argmax(big[:, ::-1], axis=1))[:, None]
+    polys = v / np.take_along_axis(v, top, axis=1)
+    # complex x / x need not round to 1
+    polys = polys / np.take_along_axis(polys, top, axis=1)
+    return (_read_only(np.where(j <= top, polys, 0)), nds.tolist(),
+            svs[:, -2] / svs[:, 0])
 
 
 def qbar_from_q(params: ModelParams, q_poly):
-    """Image of the Baxter polynomial solving the conjugate difference
-    equation in the reference gauge: lam^{N mod p} * Q(-lam)."""
+    """Image of the Baxter polynomial rows ``q_poly`` (..., K + 1) solving the
+    conjugate difference equation in the reference gauge:
+    lam^{N mod p} * Q(-lam), read-only rows (..., K + 1 + N mod p)."""
+    q_poly = np.asarray(q_poly)
     chi = params.n_sites % params.p
-    out = np.zeros(len(q_poly) + chi, dtype=complex)
-    out[chi:] = q_poly * (-1.0) ** np.arange(len(q_poly))
-    return out
+    out = np.zeros(q_poly.shape[:-1] + (q_poly.shape[-1] + chi,), dtype=complex)
+    out[..., chi:] = q_poly * (-1.0) ** np.arange(q_poly.shape[-1])
+    return _read_only(out)

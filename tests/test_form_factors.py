@@ -174,9 +174,8 @@ def test_ff_values_do_not_depend_on_basis_normalization(cfg_a):
         v1 = ff.ff_u(cfg_a.params, cfg_a.basis, cfg_a.states[i], cfg_a.states[j], 1).value
         # identify the matching states in the rebuilt bundle by eigenvalue
         def match(st):
-            key = min(range(len(other.states)), key=lambda m: sum(
-                abs(other.states[m].t_coeffs[dg] - st.t_coeffs[dg])
-                for dg in st.t_coeffs))
+            key = min(range(len(other.states)), key=lambda m: np.sum(
+                np.abs(other.states[m].t_coeffs - st.t_coeffs)))
             return other.states[key]
         v2 = ff.ff_u(other.params, other.basis, match(cfg_a.states[i]),
                      match(cfg_a.states[j]), 1).value

@@ -16,6 +16,7 @@ from sgsov import oracle
 from sgsov import spectrum as sp
 from sgsov import separate_states as ss
 from sgsov.sov_basis import DegenerateSpectrum
+from sgsov.local_ops import SingularMatrix
 from sgsov.cli import main, load_config, ConfigError, EXIT_CLOSED_OUTPUT
 
 
@@ -31,7 +32,7 @@ def test_direct_matrix_element_eigen_relation(cfg_a):
     for i, j in ((0, 0), (2, 5)):
         me = oracle.direct_matrix_element(cfg_a.covs[i], T, cfg_a.vecs[j])
         pairing = cfg_a.covs[i] @ cfg_a.vecs[j]
-        expect = cfg_a.states[j].t_at(lam) * pairing
+        expect = sp.eval_t(cfg_a.states[j].t_coeffs, lam) * pairing
         scale = max(abs(me), mc.frob(T) * np.linalg.norm(cfg_a.covs[i])
                     * np.linalg.norm(cfg_a.vecs[j]) / cfg_a.params.dim)
         assert abs(me - expect) <= 1e-9 * scale
@@ -88,9 +89,8 @@ def test_fault_localization(cfg_a):
     params = cfg_a.params
     algebra = oracle.verify_suite(params, seed=3, sections={"algebra"})
     assert all(r.passed for r in algebra)
-    pert = dict(cfg_a.states[0].t_coeffs)
-    key = sorted(pert)[0]
-    pert[key] = pert[key] + 0.1
+    t_coeffs = cfg_a.states[0].t_coeffs
+    pert = t_coeffs + 0.1 * np.eye(len(t_coeffs))[0]    # the lowest degree
     res = sp.check_functional_equation(params, pert, cfg_a.rng(602))
     assert res > 1e-3
     with pytest.raises(sp.EmptyNullspace):
@@ -174,6 +174,23 @@ def test_cli_closed_stdout_exits_141_with_stdout_on_devnull(tmp_path, monkeypatc
         assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
     finally:
         os.close(fd)
+
+
+def test_verify_all_writes_each_section_as_it_finishes(tmp_path, monkeypatch, capsys):
+    # a later section that raises exits 3 with the rows of the earlier
+    # sections already written
+    def singular(*args):
+        raise SingularMatrix("local section")
+
+    monkeypatch.setattr(oracle, "_local_section", singular)
+    cfg = _write_cfg(tmp_path, _cfg_a_payload())
+    assert main(["verify-all", "--config", cfg]) == 3
+    out = capsys.readouterr()
+    assert "numerical degeneracy: local section" in out.err
+    params, seed, tolerances = load_config(cfg)
+    earlier = oracle.verify_suite(params, seed, tolerances,
+                                  sections={"algebra", "sov", "spectrum", "scalar"})
+    assert out.out == oracle.reports_to_jsonl(earlier)
 
 
 def test_cli_rejects_even_p(tmp_path, capsys):

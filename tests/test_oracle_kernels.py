@@ -163,8 +163,8 @@ def _binvA_power_sov_ref(params, basis, k, lam):
 def test_functional_equations_equal_per_state_loop(sol):
     params = sol.params
     rng = np.random.default_rng(7)
-    true = [st.t_coeffs for st in sol.states]
-    off = [{dg: c + 0.05 * rng.standard_normal() for dg, c in t.items()} for t in true]
+    true = sol.t_rows
+    off = true + 0.05 * rng.standard_normal(true.shape)
     for t_all, close in ((true, _noise_close), (off, _close)):
         got = sp.check_functional_equations(params, t_all, sol.rng(33))
         for g, t in zip(got, t_all):
@@ -174,7 +174,7 @@ def test_functional_equations_equal_per_state_loop(sol):
 
 def test_baxter_grid_equals_per_state_loop(sol):
     params, basis = sol.params, sol.basis
-    t_all = [st.t_coeffs for st in sol.states]
+    t_all = sol.t_rows
     psi = np.array([st.psi for st in sol.states])
     _noise_close(oracle._baxter_grid_residual(params, basis, t_all, psi),
                  _baxter_grid_ref(params, basis, t_all, psi))
@@ -265,7 +265,7 @@ def test_baxter_fit_gap_is_the_per_state_singular_value_ratio(sol):
     powers = np.arange(M - 2 * N)
     for st in sol.states:
         vals = pts[:, None] ** (N + powers) * (
-            st.t_at(pts)[:, None] - mc.a_coeff(params, pts)[:, None] * q ** (-powers)
+            sp.eval_t(st.t_coeffs, pts)[:, None] - mc.a_coeff(params, pts)[:, None] * q ** (-powers)
             - mc.d_coeff(params, pts)[:, None] * q ** powers)
         W = np.fft.fft(vals, axis=0) / M
         sv = np.linalg.svd(W / np.linalg.norm(W), compute_uv=False)

@@ -157,13 +157,13 @@ def test_t_coeffs_equal_per_state_pairings(request, name):
         l, r = st.vec_left, st.vec_right
         want = np.array([l @ (A.coeff(dg) + D.coeff(dg)) @ r / (l @ r)
                          for dg in _degrees(sol.params)])
-        got = np.array([st.t_coeffs[dg] for dg in _degrees(sol.params)])
+        got = st.t_coeffs
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _first_collision(states, degrees, gap_tol):
+def _first_collision(states, gap_tol):
     """First same-sector pair (i < j) whose labels agree below ``gap_tol``."""
-    vecs = np.array([[st.t_coeffs[dg] for dg in degrees] for st in states])
+    vecs = np.array([st.t_coeffs for st in states])
     scale = np.max(np.abs(vecs))
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
@@ -176,15 +176,15 @@ def _first_collision(states, degrees, gap_tol):
 @pytest.mark.parametrize("name", ["cfg_b", "cfg_a"])
 def test_label_collision_raises_on_first_pair(request, monkeypatch, name):
     sol = request.getfixturevalue(name)
-    params, degrees = sol.params, _degrees(sol.params)
-    vecs = np.array([[st.t_coeffs[dg] for dg in degrees] for st in sol.states])
+    params = sol.params
+    vecs = sol.t_rows
     theta = np.array([-1 if st.theta_m is None else st.theta_m for st in sol.states])
     same = np.triu(theta[:, None] == theta[None, :], 1)
     gaps = np.sort(np.max(np.abs(vecs[:, None] - vecs[None]), axis=2)[same])
     gaps = gaps / np.max(np.abs(vecs))
     # between the smallest same-sector gaps, and past every gap
     for gap_tol in (0.5 * (gaps[2] + gaps[3]), 10.0):
-        want = _first_collision(sol.states, degrees, gap_tol)
+        want = _first_collision(sol.states, gap_tol)
         assert want is not None
         monkeypatch.setattr(sp, "LABEL_GAP_TOL", gap_tol)
         with pytest.raises(sb.DegenerateSpectrum, match="collide") as info:

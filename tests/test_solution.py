@@ -47,7 +47,7 @@ def test_prepare_matches_per_state_pipeline_bitwise(name, request):
     states, covs, vecs = _per_state_pipeline(sol.params, SEED)
     assert len(sol.states) == len(states)
     for got, ref in zip(sol.states, states):
-        assert got.t_coeffs == ref.t_coeffs
+        assert np.array_equal(got.t_coeffs, ref.t_coeffs)
         assert got.theta_m == ref.theta_m
         assert np.array_equal(got.q_poly, ref.q_poly)
         assert np.array_equal(got.q_vals, ref.q_vals)
@@ -88,6 +88,29 @@ def test_basis_and_grid_arrays_are_read_only(name, request):
     for field in dataclasses.fields(grid):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(grid, field.name, None)
+
+
+@pytest.mark.parametrize("name", ["n1", "cfg_b", "cfg_a", "hom3", "stretch"])
+def test_eigenstate_arrays_are_read_only_fixed_width_rows(name, request):
+    """Every array an eigenstate of a solution carries is read-only and has a
+    fixed shape, and Q is exactly zero above its top coefficient, which is
+    exactly 1."""
+    sol = request.getfixturevalue(name)
+    params = sol.params
+    d, N, p, nsep = params.dim, params.n_sites, params.p, params.n_separate
+    K = (p - 1) * N
+    shapes = {"t_coeffs": (params.n_bar + 1,), "vec_right": (d,), "vec_left": (d,),
+              "psi": (d,), "q_grid": (N, p), "q_poly": (K + 1,),
+              "qbar_poly": (K + 1 + N % p,), "q_vals": (nsep, p), "qbar_vals": (nsep, p)}
+    for st in sol.states:
+        for field, shape in shapes.items():
+            arr = getattr(st, field)
+            assert arr.shape == shape, field
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+        top = np.flatnonzero(st.q_poly)[-1]
+        assert st.q_poly[top] == 1.0
+        assert np.all(st.q_poly[top + 1:] == 0)
 
 
 def _count_basis_builds(monkeypatch, fail=False):

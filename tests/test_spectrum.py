@@ -8,7 +8,7 @@ from sgsov import model_core as mc
 from sgsov import sov_basis as sb
 from sgsov import spectrum as sp
 from sgsov.params import ModelParams
-from sgsov.spectrum import polyval_ascending
+from sgsov.spectrum import eval_t, polyval_ascending
 
 
 def test_state_count_and_simplicity(desk_bundles):
@@ -19,8 +19,8 @@ def test_state_count_and_simplicity(desk_bundles):
 def test_single_site_spectrum_is_constant(n1):
     assert n1.params.n_bar == 0
     for st in n1.states:
-        assert list(st.t_coeffs) == [0]
-    vals = sorted(st.t_coeffs[0].real for st in n1.states)
+        assert st.t_coeffs.shape == (1,)
+    vals = sorted(n1.t_rows[:, 0].real)
     assert len(set(np.round(vals, 8))) == 3
 
 
@@ -29,28 +29,28 @@ def test_eigen_relation_at_fresh_points(desk_bundles):
         lam = bundle.params.spectral_samples(bundle.rng(301), 1)[0]
         T = mc.transfer(bundle.mono, lam)
         for st in bundle.states:
-            res = np.linalg.norm(T @ st.vec_right - st.t_at(lam) * st.vec_right)
+            res = np.linalg.norm(T @ st.vec_right - eval_t(st.t_coeffs, lam) * st.vec_right)
             assert res <= 1e-8 * mc.frob(T) * np.linalg.norm(st.vec_right)
-            resl = np.linalg.norm(st.vec_left @ T - st.t_at(lam) * st.vec_left)
+            resl = np.linalg.norm(st.vec_left @ T - eval_t(st.t_coeffs, lam) * st.vec_left)
             assert resl <= 1e-8 * mc.frob(T) * np.linalg.norm(st.vec_left)
 
 
 def test_eigenvalue_coefficients_real(desk_bundles):
     for bundle in desk_bundles.values():
         assert bundle.params.self_adjoint
-        scale = max(max(abs(c) for c in st.t_coeffs.values())
+        scale = max(max(abs(c) for c in st.t_coeffs)
                     for st in bundle.states)
         for st in bundle.states:
-            for c in st.t_coeffs.values():
+            for c in st.t_coeffs:
                 assert abs(c.imag) <= 1e-8 * scale
 
 
 def test_theta_sector_matches_asymptotics(cfg_b):
     params = cfg_b.params
     pref = np.prod(np.asarray(params.kappa) / (1j * np.asarray(params.xi)))
-    for st in cfg_b.states:
+    # on an even chain the top column of a coefficient row is degree n_bar = N
+    for st, got in zip(cfg_b.states, cfg_b.t_rows[:, -1]):
         expect = pref * (params.q ** st.theta_m + params.q ** (-st.theta_m))
-        got = st.t_coeffs[params.n_sites]
         assert abs(got - expect) <= 1e-8 * max(abs(expect), 1.0)
 
 
@@ -66,9 +66,7 @@ def test_functional_equation_rejects_perturbation(desk_bundles):
     for bundle in desk_bundles.values():
         st = bundle.states[0]
         worst = 0.0
-        for key in st.t_coeffs:
-            pert = dict(st.t_coeffs)
-            pert[key] = pert[key] + 0.1
+        for pert in st.t_coeffs + 0.1 * np.eye(len(st.t_coeffs)):
             worst = max(worst, sp.check_functional_equation(
                 bundle.params, pert, bundle.rng(302)))
         assert worst > 1e-3
@@ -77,9 +75,7 @@ def test_functional_equation_rejects_perturbation(desk_bundles):
 def test_functional_equation_discrimination_margin(cfg_a):
     st = cfg_a.states[0]
     true = sp.check_functional_equation(cfg_a.params, st.t_coeffs, cfg_a.rng(303))
-    pert = dict(st.t_coeffs)
-    key = sorted(pert)[0]
-    pert[key] = pert[key] + 0.1
+    pert = st.t_coeffs + 0.1 * np.eye(len(st.t_coeffs))[0]    # the lowest degree
     rej = sp.check_functional_equation(cfg_a.params, pert, cfg_a.rng(303))
     assert rej >= 1e5 * max(true, 1e-300)
 
@@ -100,7 +96,7 @@ def test_discrete_difference_relations_on_grid(desk_bundles):
                 tup = basis.params.tuples[j]
                 for r in range(params.n_separate):
                     eta = basis.grid.grid[r, tup[r]]
-                    lhs = st.t_at(eta) * psi[j]
+                    lhs = eval_t(st.t_coeffs, eta) * psi[j]
                     rhs = mc.a_coeff(params, eta) * psi[basis.shifted_index(j, r, -1)] \
                         + mc.d_coeff(params, eta) * psi[basis.shifted_index(j, r, +1)]
                     assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs), pmax)
@@ -120,7 +116,7 @@ def test_baxter_polynomial_solves_difference_equation(desk_bundles):
         pts = params.spectral_samples(bundle.rng(304), 7)
         for st in bundle.states:
             for lam in pts:
-                lhs = st.t_at(lam) * polyval_ascending(st.q_poly, lam)
+                lhs = eval_t(st.t_coeffs, lam) * polyval_ascending(st.q_poly, lam)
                 rhs = mc.a_coeff(params, lam) * polyval_ascending(st.q_poly, lam / params.q) \
                     + mc.d_coeff(params, lam) * polyval_ascending(st.q_poly, lam * params.q)
                 assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs),
@@ -145,7 +141,8 @@ def test_baxter_structure_constraints(desk_bundles):
         p, N = params.p, params.n_sites
         for st in bundle.states:
             coeffs = st.q_poly
-            deg = len(coeffs) - 1
+            assert coeffs.shape == ((p - 1) * N + 1,)
+            deg = np.flatnonzero(coeffs)[-1]
             assert deg <= (p - 1) * N
             b_t = (p - 1) * N - deg
             trailing = next(k for k in range(len(coeffs))
@@ -157,7 +154,7 @@ def test_baxter_structure_constraints(desk_bundles):
             else:
                 assert trailing == 0
                 assert b_t % p == 0
-            assert abs(coeffs[-1] - 1.0) <= 1e-12  # leading-one normalization
+            assert abs(coeffs[deg] - 1.0) <= 1e-12  # leading-one normalization
 
 
 def test_conjugate_polynomial_solves_partner_equation(desk_bundles):
@@ -167,7 +164,7 @@ def test_conjugate_polynomial_solves_partner_equation(desk_bundles):
         for st in bundle.states[:6]:
             qb = st.qbar_poly
             for lam in pts:
-                lhs = st.t_at(lam) * polyval_ascending(qb, lam)
+                lhs = eval_t(st.t_coeffs, lam) * polyval_ascending(qb, lam)
                 rhs = mc.dbar_coeff(params, lam) * polyval_ascending(qb, lam / params.q) \
                     + mc.abar_coeff(params, lam) * polyval_ascending(qb, lam * params.q)
                 assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs),
@@ -181,9 +178,8 @@ def test_nullspace_dimension_reported(desk_bundles):
 
 
 def test_no_solution_for_invalid_eigenvalue(cfg_a):
-    pert = dict(cfg_a.states[0].t_coeffs)
-    key = sorted(pert)[0]
-    pert[key] = pert[key] + 0.1
+    t_coeffs = cfg_a.states[0].t_coeffs
+    pert = t_coeffs + 0.1 * np.eye(len(t_coeffs))[0]    # the lowest degree
     with pytest.raises(sp.EmptyNullspace):
         sp.fit_Q_polynomial(cfg_a.params, pert)
 
@@ -191,7 +187,7 @@ def test_no_solution_for_invalid_eigenvalue(cfg_a):
 @pytest.mark.parametrize("name", ["cfg_a", "cfg_b"])
 def test_b_zeros_and_the_baxter_fit_draw_no_points(name, request, monkeypatch):
     sol = request.getfixturevalue(name)
-    t_coeffs = [st.t_coeffs for st in sol.states]
+    t_coeffs = sol.t_rows
     calls = []
     draw = ModelParams.spectral_samples
     monkeypatch.setattr(ModelParams, "spectral_samples",
