@@ -10,7 +10,7 @@ against brute-force dense linear algebra on the p^N state space.
 """
 
 from .params import ModelParams, SgSovError, OddChain, DegenerateKappa
-from .model_core import (OperatorLaurent, Monodromy, NotCentral,
+from .model_core import (Graded, OperatorLaurent, Monodromy, NotCentral,
                          NotGraded, weyl_generators, site_embed, embedded_u,
                          lax_matrix, monodromy, transfer, digit_charge,
                          theta_charge, rmatrix,

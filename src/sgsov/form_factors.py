@@ -16,7 +16,7 @@ import numpy as np
 from .params import ModelParams, SgSovError
 from .sov_basis import SovBasis, cross_product, vandermonde
 from .spectrum import TransferEigenstate
-from .separate_states import (IncompleteSpectrum, _cmul, phi_moments,
+from .separate_states import (IncompleteSpectrum, _cmul, bra_blocks, phi_moments,
                               require_q_data, sector_zero, stacked_tables)
 from .local_ops import ElementaryBasisElement
 
@@ -92,13 +92,17 @@ def ff_u(params: ModelParams, basis: SovBasis, bra: TransferEigenstate,
 def ff_u_table(params: ModelParams, basis: SovBasis, bras, kets, n: int = 1,
                shift_ratio=None):
     """``ff_u`` from every bra to every ket, shape (len(bras), len(kets)), as
-    one batched determinant, and the mask of the selection zeros.  For n > 1,
+    one batched determinant per block of bras, and the mask of the selection
+    zeros.  For n > 1,
     ``shift_ratio`` holds the chain-shift eigenvalue ratio of each pair (or
     broadcasts to that shape)."""
     _require_shift(params, n, shift_ratio)
     qbar, _, theta_bra = stacked_tables(bras)
     _, q, theta_ket = stacked_tables(kets)
-    values = np.linalg.det(_ff_u_matrices(basis, qbar[:, None], q[None], theta_ket, n))
+    values = np.empty((len(bras), len(kets)), dtype=complex)
+    for rows in bra_blocks(len(bras)):
+        values[rows] = np.linalg.det(_ff_u_matrices(basis, qbar[rows, None], q[None],
+                                                    theta_ket, n))
     if shift_ratio is not None:
         values = _cmul(np.asarray(shift_ratio), values)
     zero = np.broadcast_to(sector_zero(params, theta_bra[:, None], theta_ket[None],

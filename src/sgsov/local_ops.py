@@ -1,19 +1,24 @@
 """Reconstruction of the local Weyl generators from the Yang-Baxter algebra,
 q-combinatorics, separated representations of operator monomials, and the
 elementary shift operators with their exchange algebra.
+
+Every operator built here from the monodromy is kept on its charge blocks,
+as a ``model_core.Graded`` operator; the ``reconstruct_*`` and ``binvA_*``
+functions and ``to_dense`` scatter only their dense return values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import add
 
 import numpy as np
 
 from .params import ModelParams, DegenerateKappa, SgSovError
 from . import model_core as mc
 from .model_core import Monodromy
-from .sov_basis import SovBasis, cross_product, grid_values, sov_diagonal, _read_only
+from .sov_basis import SovBasis, cross_product, grid_values, sov_diagonal
 
 __all__ = [
     "SingularMatrix", "ShiftedMonodromy", "ElementaryBasisElement",
@@ -40,7 +45,7 @@ RANK_TOL = 1e-8  # relative singular-value threshold of ``spanning_rank``
 def _solve(X, Y, lam, what):
     """X(lam)^{-1} Y(lam) for two entries of one monodromy, one
     pivoted-LU solve per charge block, with a condition check; returns the
-    solution as a dense read-only array, and the 2-norm condition number of
+    solution as a ``Graded`` operator, and the 2-norm condition number of
     X(lam) (named ``what`` in the error): its singular values are those of
     its blocks."""
     shift = Y.shift - X.shift
@@ -52,8 +57,7 @@ def _solve(X, Y, lam, what):
         cond = float(np.max(sv) / np.min(sv))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularMatrix(f"condition number {cond:.3e} while inverting {what}")
-    sol = np.linalg.solve(xb, Y.blocks_at(lam))
-    return _read_only(mc.scatter_blocks(X.sectors, shift, sol)), cond
+    return mc.Graded(shift, np.linalg.solve(xb, Y.blocks_at(lam)), X.sectors), cond
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +70,10 @@ class ShiftedMonodromy:
     reordered so that site n is the rightmost factor (the dressing by the
     shift operator, without materializing it), and the solves that every
     local generator of site n is rebuilt from, each computed once, on first
-    use, as a read-only array: ``binva`` = B^{-1}A at mu_+ (the shift
+    use, as a ``Graded`` operator: ``binva`` = B^{-1}A at mu_+ (the shift
     generator U), ``alpha0`` = A^{-1}B at mu_-, and ``betas[k]`` = U^k alpha0
-    U^{1-k}, k = 0..p-1.  ``binva_cond`` and ``alpha0_cond`` are the
-    condition numbers of B(mu_+) and A(mu_-)."""
+    U^{1-k}, k = 0..p-1, as one table.  ``binva_cond`` and ``alpha0_cond``
+    are the condition numbers of B(mu_+) and A(mu_-)."""
     params: ModelParams
     n: int
     mono: Monodromy
@@ -90,13 +94,13 @@ class ShiftedMonodromy:
     alpha0_cond = property(lambda self: self._minus[1])
 
     @cached_property
-    def betas(self) -> np.ndarray:
+    def betas(self) -> mc.Graded:
         # beta_0 = alpha0 U and beta_k = U beta_{k-1} U^-1
-        U, Uinv = self.binva, np.linalg.inv(self.binva)
+        U, Uinv = self.binva, self.binva.inv()
         out = [self.alpha0 @ U]
         for _ in range(1, self.params.p):
             out.append(U @ out[-1] @ Uinv)
-        return _read_only(np.stack(out))
+        return mc.Graded.stack(out)
 
 
 def shifted_monodromy(params: ModelParams, n: int) -> ShiftedMonodromy:
@@ -109,24 +113,24 @@ def shifted_monodromy(params: ModelParams, n: int) -> ShiftedMonodromy:
 def reconstruct_u(frame: ShiftedMonodromy, k: int = 1):
     """k-th power of the frame site's shift generator from the reordered
     monodromy evaluated at the first quantum-determinant zero."""
-    return np.linalg.matrix_power(frame.binva, k)
+    return (frame.binva ** k).dense()
 
 
 def reconstruct_u_via_dc(frame: ShiftedMonodromy):
     """Alternative route through the lower row of the monodromy."""
     mono, lam = frame.mono, frame.params.mu_plus[frame.n - 1]
-    return _solve(mono.D, mono.C, lam, what="D(mu_+)")[0]
+    return _solve(mono.D, mono.C, lam, what="D(mu_+)")[0].dense()
 
 
 def reconstruct_alpha0(frame: ShiftedMonodromy):
     """The rational local operator obtained at the second determinant zero."""
-    return frame.alpha0
+    return frame.alpha0.dense()
 
 
 def reconstruct_beta(frame: ShiftedMonodromy, k: int):
     """Conjugate of the rational local operator by the k-th shift power
     (p-periodic in k, as U^p is central)."""
-    return frame.betas[k % frame.params.p]
+    return frame.betas[k % frame.params.p].dense()
 
 
 def beta_target(params: ModelParams, n: int, k: int):
@@ -178,7 +182,8 @@ def reconstruct_v2k(frame: ShiftedMonodromy, k: int):
     if not 1 <= k <= frame.params.p - 1:
         raise IndexError("power index must lie in 1..p-1")
     phases, pref = v2k_fourier_weights(frame.params, frame.n, [k])
-    return pref[0] * np.tensordot(phases[0], frame.betas, axes=1)
+    return pref[0] * mc.scatter_blocks(frame.betas.sectors, frame.betas.shift,
+                                       np.tensordot(phases[0], frame.betas.blocks, axes=1))
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +261,8 @@ def q_multinomial_direct(q, k: int, alphas):
 # ---------------------------------------------------------------------------
 
 def binvA_dense(mono: Monodromy, lam, k: int = 1):
-    """k-th power of B^{-1}(lam) A(lam) by a dense solve."""
-    binva = _solve(mono.B, mono.A, lam, what="B(lam)")[0]
-    return np.linalg.matrix_power(binva, k)
+    """k-th power of B^{-1}(lam) A(lam) by a blockwise solve."""
+    return (_solve(mono.B, mono.A, lam, what="B(lam)")[0] ** k).dense()
 
 
 def binvA_power_sov(params: ModelParams, basis: SovBasis, k: int, lam):
@@ -313,24 +317,31 @@ def v2k_shift_sums(params: ModelParams, basis: SovBasis, ks):
     assembled entirely from separated shift sums (odd chains): the Fourier
     combination of the rational family, with every factor realized through
     the multinomial representation and the central full-period scalars.
-    The p+1 shift powers and the p products of the family are built once;
-    each k is a phase-weighted sum of the products.  Shape (len(ks), d, d)."""
+    The p+1 shift powers (B^{-1}A moves the charge by -1) and the p products
+    of the family are built once, on their charge blocks; each k is a
+    phase-weighted sum of the products.  Shape (len(ks), d, d)."""
     if params.even_chain:
         raise SgSovError("the separated shift-sum route is stated for odd chains")
-    p, d = params.p, params.dim
+    p = params.p
+    sectors = mc.charge_sectors(mc.digit_charge(params), p)
+
+    def power(k, lam):
+        return mc.Graded.project(binvA_power_sov(params, basis, k, lam), sectors, -k)[0]
+
     phases, pref = v2k_fourier_weights(params, 1, ks)
     mu_p = complex(params.mu_plus[0])
     mu_m = complex(params.mu_minus[0])
     big_p, big_m = mu_p ** p, mu_m ** p
     central_p = mc.average_value(params, "A", big_p) / mc.average_value(params, "B", big_p)
     central_m = mc.average_value(params, "B", big_m) / mc.average_value(params, "A", big_m)
-    mid = binvA_power_sov(params, basis, p - 1, mu_m) * central_m
-    powers = {m: binvA_power_sov(params, basis, m, mu_p) for m in range(1, p + 1)}
+    mid = power(p - 1, mu_m) * central_m
+    powers = {m: power(m, mu_p) for m in range(1, p + 1)}
     # product m: (B^{-1}A)^m mid (B^{-1}A)^{p+1-m} / central_p, and mid B^{-1}A at m = 0
-    products = np.array([(powers[m] if m else np.eye(d, dtype=complex)) @ mid
-                         @ (powers[p + 1 - m] / central_p if m else powers[1])
-                         for m in range(p)])
-    return np.einsum("k,km,mij->kij", pref, phases, products)
+    products = mc.Graded.stack([(powers[m] if m else mc.Graded.eye(sectors)) @ mid
+                                @ (powers[p + 1 - m] / central_p if m else powers[1])
+                                for m in range(p)])
+    return mc.scatter_blocks(sectors, 0, np.einsum("k,km,m...->k...", pref, phases,
+                                                   products.blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -354,32 +365,34 @@ def eta_interp_operator(basis: SovBasis, power: int = 1):
 
 
 def elementary_O(params: ModelParams, basis: SovBasis, a: int, k: int,
-                 mono: Monodromy) -> np.ndarray:
+                 mono: Monodromy) -> mc.Graded:
     """Elementary lowering operator O_{a,k} on variable ``a`` at grid index
-    ``k``: the normalized product of p-1 B evaluations and one A evaluation,
-    a weighted lowering shift of that separate variable.  A prepared
+    ``k``: the normalized product of p-1 B evaluations and one A evaluation
+    on their charge blocks, a weighted lowering shift of that separate
+    variable; on an even chain times the graded factor
+    ``basis.eta_ref_lowering`` of the default site order.  A prepared
     ``Solution`` holds the whole family as ``elementary_ops``."""
     nsep = params.n_separate
     if not 0 <= a < nsep or not 0 <= k < params.p:
         raise IndexError("variable or grid index out of range")
     grid = basis.grid.grid
-    op = mono.A.evaluate(grid[a, k % params.p])
+    op = mono.A.at(grid[a, k % params.p])
     for j in range(k + 1, k + params.p):
-        op = mono.B.evaluate(grid[a, j % params.p]) @ op
+        op = mono.B.at(grid[a, j % params.p]) @ op
     z = basis.grid.z
     op = op / (params.p * params.kprod ** (params.p - 1) * cross_product(z[a], z[:nsep], a))
     if params.even_chain:
-        op = op @ eta_ref_operator(basis, -(params.p - 1))
+        op = op @ basis.eta_ref_lowering[0]
     return op
 
 
-def elementary_O_power(ops, a: int, k: int, alpha: int):
+def elementary_O_power(ops: mc.Graded, a: int, k: int, alpha: int) -> mc.Graded:
     """Descending product O_{a,k} O_{a,k-1} ... of length alpha, read from
-    the table ``ops[a, k]`` = O_{a,k} of shape (nsep, p, d, d)."""
+    the graded table ``ops[a, k]`` = O_{a,k} of batch shape (nsep, p)."""
     if alpha < 1:
         raise IndexError("power must be >= 1")
-    p, d = ops.shape[1], ops.shape[-1]
-    out = np.eye(d, dtype=complex)
+    p = ops.blocks.shape[1]
+    out = mc.Graded.eye(ops.sectors)
     for j in range(alpha):
         out = out @ ops[a, (k - j) % p]
     return out
@@ -399,26 +412,22 @@ def o_action_weights(params: ModelParams, basis: SovBasis, a: int, k: int):
 
 
 def binvA_interpolation(params: ModelParams, basis: SovBasis, lam, ops):
-    """Reassemble B^{-1}(lam) A(lam) from the elementary operators
+    """Reassemble B^{-1}(lam) A(lam) from the graded elementary operators
     ``ops[a, k]`` = O_{a,k} through the pole expansion over the
     separate-variable grid (plus the charge term on even chains, where the
-    charge acts on SOV labels as the unit shift of the reference variable)."""
+    charge acts on SOV labels as the unit shift of the reference variable);
+    a dense matrix."""
     lam = complex(lam)
-    d = params.dim
-    out = np.zeros((d, d), dtype=complex)
     grid = basis.grid.grid
-    for a in range(params.n_separate):
-        for k in range(params.p):
-            eta = grid[a, k]
-            out += ops[a, k] / (lam / eta - eta / lam)
-    out = out / params.kprod
+    out = reduce(add, [ops[a, k] / (lam / grid[a, k] - grid[a, k] / lam)
+                       for a in range(params.n_separate) for k in range(params.p)])
+    out = (out / params.kprod).dense()
     if params.even_chain:
+        # eta_ref^-1 (out + lam theta eta_A^-1 - eta_A theta^-1 / lam), theta diagonal
+        theta = np.diag(mc.theta_charge(params))
+        out = out + lam * theta[:, None] * eta_interp_operator(basis, -1) \
+            - eta_interp_operator(basis, +1) / (lam * theta)
         out = eta_ref_operator(basis, -1) @ out
-        theta = mc.theta_charge(params)
-        eta_a_inv = eta_interp_operator(basis, -1)
-        eta_a = eta_interp_operator(basis, +1)
-        even = lam * theta @ eta_a_inv - eta_a @ np.linalg.inv(theta) / lam
-        out = out + eta_ref_operator(basis, -1) @ even
     return out
 
 
@@ -500,8 +509,8 @@ class ElementaryBasisElement:
         return sum(f[2] for f in self.factors)
 
     def to_dense(self, params: ModelParams, basis: SovBasis, ops):
-        """Dense operator of the monomial, its factors read from the table
-        ``ops[a, k]`` = O_{a,k}."""
+        """Dense operator of the monomial, its factors read from the graded
+        table ``ops[a, k]`` = O_{a,k}."""
         out = np.eye(params.dim, dtype=complex)
         if params.even_chain and (self.theta_pow or self.theta_a_pow):
             theta = mc.theta_charge(params)
@@ -543,10 +552,11 @@ def spanning_rank(frame: ShiftedMonodromy):
     params, n, mono = frame.params, frame.n, frame.mono
     lam = params.mu_minus[n - 1]
     mid = _solve(mono.B, mono.A, lam, what="B(mu_-)")[0]
-    powers = [np.linalg.matrix_power(frame.binva, k) for k in range(params.p)]
+    powers = [frame.binva ** k for k in range(params.p)]
     gens = powers[1:] + [powers[k] @ mid @ powers[params.p - 1 - k]
                          for k in range(1, params.p)]
-    basis_ops = [np.eye(params.p, dtype=complex)] + [_local_block(params, n, g) for g in gens]
+    basis_ops = [np.eye(params.p, dtype=complex)] + [_local_block(params, n, g.dense())
+                                                     for g in gens]
     # close under products until the spanned dimension stabilizes
     def rank_of(mats):
         M = np.stack([m.reshape(-1) for m in mats])

@@ -2,25 +2,29 @@
 grading charge, quantum determinant and average values.
 
 Every monodromy entry moves the alternating digit charge by one fixed step,
-so it is stored as its p charge blocks of size d/p; it evaluates to a dense
-complex matrix on the p^N state space, so that every algebraic identity
-downstream can be checked against brute-force linear algebra.  The exchange
-relation is checked on the blocks.
+so it is stored as its p charge blocks of size d/p.  At a spectral point it
+is a ``Graded`` operator: the same p blocks, which every operator built from
+the monodromy (products, solves, inverses) keeps.  It also evaluates to a
+dense complex matrix on the p^N state space, so that the algebraic
+identities downstream can be checked against brute-force linear algebra.
+The exchange relation is checked on the blocks.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .params import ModelParams, OddChain, SgSovError
 
 __all__ = [
-    "OperatorLaurent", "Monodromy", "NotCentral", "NotGraded",
+    "Graded", "OperatorLaurent", "Monodromy", "NotCentral", "NotGraded",
     "weyl_generators", "site_embed", "embedded_u",
     "local_lax", "lax_matrix", "monodromy", "transfer",
-    "digit_charge", "scatter_blocks",
+    "digit_charge", "charge_sectors", "scatter_blocks",
     "theta_charge", "rmatrix", "yang_baxter_residual",
     "a_coeff", "d_coeff", "abar_coeff", "dbar_coeff", "a_laurent",
     "quantum_determinant", "quantum_determinant_product",
@@ -39,13 +43,15 @@ class NotGraded(SgSovError):
 
 
 def frob(x) -> float:
-    return float(np.linalg.norm(np.asarray(x)))
+    """Frobenius norm of an array, or of a ``Graded`` operator's blocks."""
+    return float(np.linalg.norm(x.blocks if isinstance(x, Graded) else np.asarray(x)))
 
 
 def rel_err(lhs, rhs, scale=None) -> float:
-    """Frobenius error of lhs-rhs relative to an explicit or implied scale."""
-    lhs = np.asarray(lhs)
-    rhs = np.asarray(rhs)
+    """Frobenius error of lhs-rhs relative to an explicit or implied scale;
+    two ``Graded`` operators are compared on their blocks."""
+    if not isinstance(lhs, Graded):
+        lhs, rhs = np.asarray(lhs), np.asarray(rhs)
     if scale is None:
         scale = max(frob(lhs), frob(rhs), 1e-300)
     return frob(lhs - rhs) / scale
@@ -55,13 +61,124 @@ def rel_err(lhs, rhs, scale=None) -> float:
 # Laurent polynomials stored as charge blocks
 # ---------------------------------------------------------------------------
 
+def charge_sectors(charge, p):
+    """Basis indices of each charge sector x in Z_p, in index order, as the
+    rows of a read-only (p, d/p) array."""
+    sectors = np.argsort(charge, kind="stable").reshape(p, -1)
+    sectors.flags.writeable = False
+    return sectors
+
+
+def _block_index(sectors, shift):
+    """Dense row and column indices of the p blocks of one shift: block x
+    maps charge sector x (its columns) to sector x + shift (its rows)."""
+    p = len(sectors)
+    return sectors[(np.arange(p) + shift) % p][:, :, None], sectors[:, None, :]
+
+
 def scatter_blocks(sectors, shift, blocks):
     """Dense matrix whose map from charge sector x to sector x + shift is
-    ``blocks[x]``, zero elsewhere."""
-    p, m = sectors.shape
-    out = np.zeros((p * m, p * m), dtype=blocks.dtype)
-    out[sectors[(np.arange(p) + shift) % p][:, :, None], sectors[:, None, :]] = blocks
+    ``blocks[..., x, :, :]``, zero elsewhere; leading axes are batch axes."""
+    out = np.zeros(blocks.shape[:-3] + (sectors.size,) * 2, dtype=blocks.dtype)
+    out[(Ellipsis,) + _block_index(sectors, shift)] = blocks
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class Graded:
+    """Operator that moves a Z_p charge by ``shift``, stored as its blocks in
+    the layout of ``OperatorLaurent``: ``blocks[..., x, :, :]`` (read-only,
+    shape (..., p, d/p, d/p)) maps sector x to sector x + shift, with the
+    sectors' basis indices in the rows of ``sectors``.  Leading axes are
+    batch axes (a table of operators of one shift), indexed by ``op[i]``.
+
+    ``@`` multiplies two of them blockwise (the shifts add), or applies one
+    (unbatched) to dense vectors or matrices on either side; ``+`` and ``-``
+    need equal shifts; ``*`` and ``/`` take scalars; ``**`` is the repeated
+    product; ``frob`` reads the blocks."""
+    shift: int
+    blocks: np.ndarray
+    sectors: np.ndarray
+    __array_ufunc__ = None        # ndarray @ Graded goes to __rmatmul__
+
+    def __post_init__(self):
+        object.__setattr__(self, "shift", int(self.shift) % len(self.sectors))
+        self.blocks.flags.writeable = False
+
+    @classmethod
+    def eye(cls, sectors):
+        m = sectors.shape[1]
+        return cls(0, np.broadcast_to(np.eye(m, dtype=complex), sectors.shape + (m,)), sectors)
+
+    @staticmethod
+    def stack(ops):
+        """Operators of one shift as one table on a new leading axis."""
+        return replace(ops[0], blocks=np.stack([ops[0]._same_shift(op).blocks for op in ops]))
+
+    @classmethod
+    def project(cls, dense, sectors, shift):
+        """The blocks of ``dense`` on the charge shift ``shift``, and the
+        Frobenius norm of the dropped rest over that of the kept blocks."""
+        index, rest = _block_index(sectors, shift), np.array(dense)
+        rest[index] = 0.0
+        return cls(shift, dense[index], sectors), frob(rest) / max(frob(dense[index]), 1e-300)
+
+    def __getitem__(self, index):
+        return replace(self, blocks=self.blocks[index])
+
+    def dense(self):
+        return scatter_blocks(self.sectors, self.shift, self.blocks)
+
+    def inv(self):
+        # block x of the inverse maps sector x back to x - shift
+        return Graded(-self.shift, np.linalg.inv(np.roll(self.blocks, self.shift, axis=-3)),
+                      self.sectors)
+
+    def __matmul__(self, other):
+        if isinstance(other, Graded):
+            # block x of other lands in sector x + other.shift
+            return Graded(self.shift + other.shift,
+                          np.roll(self.blocks, -other.shift, axis=-3) @ other.blocks, self.sectors)
+        other = np.asarray(other)
+        out = np.zeros(other.shape, dtype=complex)
+        blocks = self.blocks @ other[self.sectors].reshape(self.sectors.shape + (-1,))
+        out[self._rows] = blocks.reshape(self.sectors.shape + other.shape[1:])
+        return out
+
+    def __rmatmul__(self, other):
+        flat = np.asarray(other).reshape(-1, self.sectors.size)
+        out = np.zeros(flat.shape, dtype=complex)
+        rows = np.swapaxes(flat[:, self._rows], 0, 1)
+        out[:, self.sectors] = np.swapaxes(rows @ self.blocks, 0, 1)
+        return out.reshape(np.shape(other))
+
+    @cached_property
+    def _rows(self):
+        """Basis indices of the target sector of each block."""
+        return _block_index(self.sectors, self.shift)[0][:, :, 0]
+
+    def __pow__(self, k: int):
+        return reduce(operator.matmul, [self] * k) if k else Graded.eye(self.sectors)
+
+    def __mul__(self, scalar):
+        return replace(self, blocks=np.multiply(scalar, self.blocks))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        return replace(self, blocks=self.blocks / scalar)
+
+    def __add__(self, other):
+        return replace(self, blocks=self.blocks + self._same_shift(other).blocks)
+
+    def __sub__(self, other):
+        return replace(self, blocks=self.blocks - self._same_shift(other).blocks)
+
+    def _same_shift(self, other):
+        if other.shift != self.shift:
+            raise NotGraded(f"operators of charge shifts {self.shift} and {other.shift} "
+                            "do not add")
+        return other
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,30 +196,30 @@ class OperatorLaurent:
 
     @classmethod
     def gather(cls, coeffs, charge, p):
-        """The block form of the dense coefficients ``coeffs`` (degree ->
-        d x d matrix; all-zero ones are dropped) on the sectors of
-        ``charge`` (values in Z_p, each taken by d/p basis states).  The
-        shift is read off the largest entry of the lowest coefficient;
-        raises NotGraded if any nonzero entry of any coefficient lies off
-        it."""
-        sectors = np.argsort(charge, kind="stable").reshape(p, -1)
-        degrees = sorted(int(g) for g, c in coeffs.items() if np.any(c))
-        dense = [np.asarray(coeffs[g], dtype=complex) for g in degrees]
-        shift = 0
-        if dense:
-            row, col = np.unravel_index(np.argmax(np.abs(dense[0])), dense[0].shape)
-            shift = int(charge[row] - charge[col]) % p
-        rows = sectors[(np.arange(p) + shift) % p][:, :, None]
+        """The block form of the dense coefficients ``coeffs`` (pairs of a
+        degree and a d x d matrix, ascending in degree and taken one at a
+        time; all-zero ones are dropped) on the sectors of ``charge``
+        (values in Z_p, each taken by d/p basis states).  The shift is read
+        off the largest entry of the lowest coefficient; raises NotGraded if
+        any nonzero entry of any coefficient lies off it."""
+        sectors = charge_sectors(charge, p)
+        degrees, blocks, shift = [], [], None
+        for g, c in coeffs:
+            if not np.any(c):
+                continue
+            if shift is None:
+                row, col = np.unravel_index(np.argmax(np.abs(c)), c.shape)
+                shift = int(charge[row] - charge[col]) % p
+            block = c[_block_index(sectors, shift)]
+            dropped = np.count_nonzero(c) - np.count_nonzero(block)
+            if dropped:
+                raise NotGraded(f"{dropped} nonzero entries lie off the charge shift {shift}")
+            degrees.append(int(g))
+            blocks.append(block)
         m = sectors.shape[1]
-        blocks = np.empty((len(dense), p, m, m), dtype=complex)
-        for g, c in enumerate(dense):
-            blocks[g] = c[rows, sectors[:, None, :]]
-        dropped = sum(np.count_nonzero(c) for c in dense) - np.count_nonzero(blocks)
-        if dropped:
-            raise NotGraded(f"{dropped} nonzero entries lie off the charge shift {shift}")
+        blocks = np.array(blocks, dtype=complex).reshape(len(degrees), p, m, m)
         blocks.flags.writeable = False
-        sectors.flags.writeable = False
-        return cls(shift, degrees, blocks, sectors)
+        return cls(shift or 0, degrees, blocks, sectors)
 
     def coeff(self, deg):
         """Dense coefficient of degree ``deg`` (zero if absent)."""
@@ -114,8 +231,7 @@ class OperatorLaurent:
     @property
     def coeffs(self):
         """Dense coefficients by degree, scattered on each access."""
-        return {g: scatter_blocks(self.sectors, self.shift, b)
-                for g, b in zip(self.degrees, self.blocks)}
+        return dict(zip(self.degrees, scatter_blocks(self.sectors, self.shift, self.blocks)))
 
     def __mul__(self, scalar):
         blocks = scalar * self.blocks
@@ -132,9 +248,13 @@ class OperatorLaurent:
             out += (lam ** g) * b
         return out
 
+    def at(self, lam) -> Graded:
+        """The graded value at the given spectral point."""
+        return Graded(self.shift, self.blocks_at(lam), self.sectors)
+
     def evaluate(self, lam):
         """Dense value at the given spectral point."""
-        return scatter_blocks(self.sectors, self.shift, self.blocks_at(lam))
+        return self.at(lam).dense()
 
 
 @dataclass(eq=False)
@@ -218,23 +338,29 @@ def lax_matrix(params: ModelParams, n: int):
     local coefficients of ``local_lax`` embedded on tensor slot n, on the
     sectors of the site-n digit."""
     digit = params.tuples[:, n - 1]
-    return [[OperatorLaurent.gather({dg: site_embed(params, n, c) for dg, c in entry.items()},
-                                    digit, params.p) for entry in row]
-            for row in local_lax(params, n)]
+    return [[OperatorLaurent.gather(((dg, site_embed(params, n, c)) for dg, c in sorted(
+        entry.items())), digit, params.p) for entry in row] for row in local_lax(params, n)]
 
 
-def _kron_entry(row, col):
+def _kron_degrees(row, col, low):
     """Entry sum_c row[c] (x) col[c] of a product of 2x2 Laurent matrices
-    acting on different tensor slots, the left factor on the slower slot;
-    each entry maps a degree to its coefficient."""
-    out = {}
+    acting on different tensor slots (each entry maps a degree to its
+    coefficient), the left factor's slot placed above the ``low`` fastest
+    basis states of the right factor's slots; as (degree, coefficient)
+    pairs ascending in degree, each formed only when it is taken."""
+    terms = {}
     for left, right in zip(row, col):
         for d1, a in left.items():
             for d2, b in right.items():
-                k = (a[:, None, :, None] * b[None, :, None, :]).reshape(
-                    a.shape[0] * b.shape[0], -1)
-                out[d1 + d2] = out[d1 + d2] + k if d1 + d2 in out else k
-    return out
+                terms.setdefault(d1 + d2, []).append((a, b))
+    for g in sorted(terms):
+        out = None
+        for a, b in terms[g]:
+            high = b.shape[0] // low
+            k = (a[None, :, None, None, :, None] * b.reshape(high, 1, low, high, 1, low))
+            k = k.reshape(a.shape[0] * b.shape[0], -1)
+            out = k if out is None else out + k
+        yield g, out
 
 
 def digit_charge(params: ModelParams, site_order=None):
@@ -254,23 +380,20 @@ def digit_charge(params: ModelParams, site_order=None):
     return chi
 
 
-def _kron_coeffs(params: ModelParams, site_order):
-    """Dense coefficients (2x2 list of degree -> d x d dicts) of the ordered
-    product of Lax matrices, in the basis order: the Kronecker recursion
-    M_ij = sum_c L[i][c] (x) M'_cj over the local p x p coefficients of
-    ``local_lax``, with the leftmost factor on the slowest slot; a reordered
-    chain then gets one permutation of the tensor slots (site 1 is the
-    fastest digit)."""
-    N, p = params.n_sites, params.p
-    M = local_lax(params, site_order[-1])
-    for n in reversed(site_order[:-1]):
+def _lax_product(params: ModelParams, site_order):
+    """Dense coefficients (2x2 list of degree -> p^n x p^n dicts) of the
+    ordered product of the Lax matrices of the n sites of ``site_order``,
+    on the tensor product of their slots (the lowest site the fastest
+    digit): the Kronecker recursion M_ij = sum_c L[i][c] (x) M'_cj over the
+    local p x p coefficients of ``local_lax``, each site on its own slot;
+    the unit matrix of 1 x 1 coefficients when n = 0."""
+    one = np.ones((1, 1), dtype=complex)
+    M = [[{0: one}, {}], [{}, {0: one}]]
+    for pos, n in reversed(list(enumerate(site_order))):
         L = local_lax(params, n)
-        M = [[_kron_entry(L[i], [M[0][j], M[1][j]]) for j in range(2)] for i in range(2)]
-    # index of each basis state in the factor-ordered tensor product
-    perm = params.tuples[:, np.asarray(site_order) - 1] @ p ** np.arange(N - 1, -1, -1)
-    if np.any(perm != np.arange(params.dim)):
-        M = [[{dg: c.take(perm, 0).take(perm, 1) for dg, c in entry.items()} for entry in row]
-             for row in M]
+        low = params.p ** sum(m < n for m in site_order[pos + 1:])
+        M = [[dict(_kron_degrees(L[i], [M[0][j], M[1][j]], low)) for j in range(2)]
+             for i in range(2)]
     return M
 
 
@@ -278,15 +401,21 @@ def monodromy(params: ModelParams, site_order=None) -> Monodromy:
     """Ordered product of Lax matrices, site N leftmost by default.
 
     ``site_order`` gives the left-to-right factor order and allows cyclic
-    reorderings of the chain.  Each entry is gathered once from the dense
-    coefficients of ``_kron_coeffs`` onto the sectors of the
-    ``digit_charge`` of the same order, which the result records; the
-    dense coefficients are not kept."""
+    reorderings of the chain.  Every site keeps its own tensor slot, so the
+    coefficients come out in the basis order.  The product of all factors
+    but the leftmost is formed densely on its p^(N-1) states; the last
+    Kronecker step is formed one degree at a time, and each degree is
+    gathered straight into the blocks of the sectors of the
+    ``digit_charge`` of the same order, which the result records."""
     if site_order is None:
         site_order = list(range(params.n_sites, 0, -1))
     charge = digit_charge(params, site_order)
-    A, B, C, D = (OperatorLaurent.gather(entry, charge, params.p)
-                  for row in _kron_coeffs(params, site_order) for entry in row)
+    rest = _lax_product(params, site_order[1:])
+    first = site_order[0]
+    L = local_lax(params, first)
+    A, B, C, D = (OperatorLaurent.gather(_kron_degrees(L[i], [rest[0][j], rest[1][j]],
+                                                       params.p ** (first - 1)), charge, params.p)
+                  for i, j in np.ndindex(2, 2))
     return Monodromy(A=A, B=B, C=C, D=D, charge=charge, p=params.p)
 
 
@@ -457,15 +586,14 @@ CENTRAL_TOL = 1e-9  # relative deviation from a scalar of a central average
 
 
 def average_value_dense(params: ModelParams, entry: str, lam, mono: Monodromy):
-    """Oracle route: multiply the p operators O(q^k lam) and reduce the
-    (necessarily central) product to its scalar.  Raises NotCentral if the
-    product is not proportional to the identity."""
+    """Oracle route: multiply the p operators O(q^k lam) on their charge
+    blocks and reduce the (necessarily central) product to its scalar.
+    Raises NotCentral if the product is not proportional to the identity."""
     op = mono.entry(entry)
-    prod = np.eye(params.dim, dtype=complex)
-    for k in range(1, params.p + 1):
-        prod = prod @ op.evaluate(params.q ** k * lam)
-    scalar = np.trace(prod) / params.dim
-    dev = frob(prod - scalar * np.eye(params.dim))
+    prod = reduce(operator.matmul, [op.at(params.q ** k * lam) for k in range(1, params.p + 1)])
+    # p steps of one shift move no charge: the trace is that of the blocks
+    scalar = np.trace(prod.blocks, axis1=-2, axis2=-1).sum() / params.dim
+    dev = frob(prod - Graded.eye(prod.sectors) * scalar)
     if dev > CENTRAL_TOL * max(frob(prod), 1e-300):
         raise NotCentral(f"average of {entry} deviates from scalar*Id by {dev:.3e}")
     return complex(scalar), dev

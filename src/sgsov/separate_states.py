@@ -34,6 +34,16 @@ __all__ = [
 ]
 
 
+# bra rows per block of an all-pairs table: bounds its (bras, kets, ...)
+# transients; each determinant is formed on its own, so no value depends on it
+BRA_BLOCK = 64
+
+
+def bra_blocks(n):
+    """Slices of at most ``BRA_BLOCK`` of n bra rows."""
+    return [slice(i, i + BRA_BLOCK) for i in range(0, n, BRA_BLOCK)]
+
+
 class IncompleteSpectrum(SgSovError):
     """Fewer eigenstates than the dimension of the state space."""
 
@@ -261,8 +271,8 @@ class Solution:
     their stacked Baxter grid tables ``qbar_vals``/``q_vals``
     (shape (d, nsep, p)), sector labels ``theta_m``
     and transfer coefficients ``t_rows``, the stacked
-    ``covs``/``vecs``/``norms`` of ``eigen_dense`` and the table
-    ``elementary_ops`` are built on first use, as read-only arrays, from the
+    ``covs``/``vecs``/``norms`` of ``eigen_dense`` and the graded table
+    ``elementary_ops`` are built on first use, read-only, from the
     seed streams ``[seed, 1]`` (basis) and ``[seed, 2]``
     (diagonalization), so they do not depend on the order of use; the
     Baxter fit matches exact coefficients and draws no points.  The
@@ -316,13 +326,13 @@ class Solution:
     norms = property(lambda self: self._dense[2])
 
     @cached_property
-    def elementary_ops(self) -> np.ndarray:
-        """The elementary lowering operators, ``[a, k]`` = O_{a,k}, shape
-        (nsep, p, d, d)."""
+    def elementary_ops(self) -> mc.Graded:
+        """The elementary lowering operators as one graded table,
+        ``[a, k]`` = O_{a,k}, of batch shape (nsep, p)."""
         params, basis = self.params, self.basis
-        return _read_only(np.array([[lo.elementary_O(params, basis, a, k, self.mono)
-                                     for k in range(params.p)]
-                                    for a in range(params.n_separate)]))
+        return mc.Graded.stack([mc.Graded.stack([lo.elementary_O(params, basis, a, k, self.mono)
+                                                 for k in range(params.p)])
+                                for a in range(params.n_separate)])
 
     @cached_property
     def _frame1(self) -> lo.ShiftedMonodromy:

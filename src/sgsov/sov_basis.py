@@ -1,18 +1,25 @@
 """Numerical construction of the separated (SOV) bases.
 
 The commuting family B(lam) is diagonalized once via a random linear
-combination at a handful of probe points; eigenvectors are labeled by
-matching their measured eigenvalue patterns against the factorized form
-b_k(lam).  Normalizations are then calibrated along a spanning tree of
-shift moves so that the separated actions of the Yang-Baxter generators
-hold with the reference gauge coefficients, and the left/right pairing
-reproduces the closed-form diagonal measure; on an even chain the grading
-charge carries them along the reference variable.
+combination at a handful of probe points, evaluated on its charge blocks;
+eigenvectors are labeled by matching their measured eigenvalue patterns
+against the factorized form b_k(lam).  On an odd chain B moves no charge and
+the label h sits in the charge sector -sum(h) mod p, so the combination is
+diagonalized block by block and each label is matched within its sector; an
+even chain's B moves the charge, and its combination is diagonalized as one
+dense matrix.  Normalizations are then calibrated along a spanning tree of
+shift moves, with the blocks of D and A on the grid, so that the separated
+actions of the Yang-Baxter generators hold with the reference gauge
+coefficients, and the left/right pairing reproduces the closed-form diagonal
+measure; on an even chain the grading charge carries them along the
+reference variable.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -212,13 +219,16 @@ def b_pattern(params: ModelParams, grid: SovGrid, tuples, lam):
 
 def rayleigh_pairings(L, op, R):
     """``L[i] @ op @ R[:, i]`` for every row i of ``L``, as one matrix
-    product."""
-    return np.sum(L * (op @ R).T, axis=1)
+    product; leading axes are batch axes."""
+    return np.sum(L * np.swapaxes(op @ R, -1, -2), axis=-1)
 
 
 def _label_eigenvectors(params, grid, b_ops, rng):
-    """Diagonalize a random combination of the B probes and give each label
-    the eigenvector whose measured pattern is nearest to its own.
+    """Diagonalize a random combination of the graded B probes ``b_ops``
+    (pairs of a point and ``Graded`` operator) and give each label the
+    eigenvector whose measured pattern is nearest to its own.  On an odd
+    chain this runs per charge block (one batched ``eig``): the labels of
+    sector x are matched against the eigenvectors of block x.
 
     Past ``b_zeros`` the spectrum of B is simple, so the labels have distinct
     patterns; a nearest match that is a bijection with every mismatch below
@@ -227,25 +237,35 @@ def _label_eigenvectors(params, grid, b_ops, rng):
 
     Returns (right eigvec matrix R with columns in label order, rows of
     R^{-1} in label order, worst relative pattern mismatch)."""
-    d = params.dim
+    d, p = params.dim, params.p
     probes = len(b_ops)
     patterns = np.stack([b_pattern(params, grid, params.tuples, lam) for lam, _ in b_ops],
                         axis=1)
     pat_scale = np.maximum(np.linalg.norm(patterns, axis=1), 1e-300)
     c = rng.standard_normal(probes) + 1j * rng.standard_normal(probes)
-    S = sum(ci * op for ci, (_, op) in zip(c, b_ops))
+    S = reduce(operator.add, [ci * op for ci, (_, op) in zip(c, b_ops)])
+    if params.even_chain:
+        # one block: every label against the whole space
+        rows = labels = np.arange(d)[None]
+        S, ops = S.dense()[None], [op.dense()[None] for _, op in b_ops]
+    else:
+        rows, labels = S.sectors, mc.charge_sectors(-params.tuples.sum(axis=1) % p, p)
+        S, ops = S.blocks, [op.blocks for _, op in b_ops]
     _, R = np.linalg.eig(S)
     Linv = np.linalg.inv(R)
     # measured per-probe eigenvalues via the Rayleigh pairing l B r / l r
-    measured = np.stack([rayleigh_pairings(Linv, op, R) for _, op in b_ops], axis=1)
-    cost = np.linalg.norm(measured[None, :, :] - patterns[:, None, :], axis=2) \
-        / pat_scale[:, None]
-    perm = np.argmin(cost, axis=1)
-    worst = cost[np.arange(d), perm].max()
-    if worst < LABEL_TOL and np.unique(perm).size == d:
-        return R[:, perm], Linv[perm, :], worst
+    measured = np.stack([rayleigh_pairings(Linv, op, R) for op in ops], axis=-1)
+    cost = np.linalg.norm(measured[:, None] - patterns[labels][:, :, None], axis=-1) \
+        / pat_scale[labels][..., None]
+    perm = np.argmin(cost, axis=-1)
+    worst = np.take_along_axis(cost, perm[..., None], axis=-1).max()
+    if worst < LABEL_TOL and all(np.unique(row).size == row.size for row in perm):
+        R_out, L_out = np.zeros((d, d), dtype=complex), np.zeros((d, d), dtype=complex)
+        R_out[rows[:, :, None], labels[:, None, :]] = np.take_along_axis(R, perm[:, None], 2)
+        L_out[labels[:, :, None], rows[:, None, :]] = np.take_along_axis(Linv, perm[..., None], 1)
+        return R_out, L_out, worst
     # l_i r_i = 1, so |l_i| |r_i| is the condition number of eigenvalue i
-    cond = np.max(np.linalg.norm(Linv, axis=1) * np.linalg.norm(R, axis=0))
+    cond = np.max(np.linalg.norm(Linv, axis=-1) * np.linalg.norm(R, axis=-2))
     cause = "mismatch above bound" if worst >= LABEL_TOL else "nearest match not a bijection"
     raise DegenerateSpectrum(
         f"B-eigenvalue labeling failed ({cause}): worst pattern mismatch {worst:.3e} "
@@ -265,8 +285,9 @@ class SovBasis:
     ``right`` read-only in place and derives the diagonal pairings ``mjj``,
     the measure ``measure[j] = 1 / mjj[j]`` entering the resolution of the
     identity, and the gauge table ``omega``, all read-only; nothing is
-    modified afterwards.  ``label_mismatch`` is the worst relative mismatch
-    between measured and predicted B-eigenvalue patterns of the labeling
+    modified afterwards (``eta_ref_lowering`` is built on first use).
+    ``label_mismatch`` is the worst relative mismatch between measured and
+    predicted B-eigenvalue patterns of the labeling
     (bound ``LABEL_TOL``), ``calibration_residual`` the worst relative
     residual of a calibration step (bound ``CALIBRATION_TOL``).
 
@@ -306,6 +327,18 @@ class SovBasis:
         object.__setattr__(self, "pairing_weights",
                            _read_only(moment_weights(self, range(0, 2 * nsep, 2))))
         object.__setattr__(self, "ff_u_weights", _read_only(_ff_u_weights(self)))
+
+    @cached_property
+    def eta_ref_lowering(self):
+        """On an even chain, eta_ref^-(p-1), the SOV-diagonal factor of every
+        elementary operator, projected once onto its charge shift (that of
+        B: both lower the reference digit) as a ``Graded`` operator on the
+        sectors of the default site order; and the norm of the dropped
+        off-shift rest over that of the kept blocks."""
+        params = self.params
+        p = params.p
+        dense = sov_diagonal(self, self.grid.grid[-1, params.tuples[:, -1]] ** -(p - 1))
+        return mc.Graded.project(dense, mc.charge_sectors(mc.digit_charge(params), p), -1)
 
     def shifted_index(self, j, a, delta) -> int:
         """Index of tuple j with digit a moved by ``delta``, one label at a
@@ -396,12 +429,12 @@ def build_sov_basis(params: ModelParams, mono, rng, grid: SovGrid = None,
 
     exclude = grid.grid.reshape(-1)
     probe_pts = params.spectral_samples(rng, nsep + 1, exclude=exclude)
-    b_ops = [(lam, mono.B.evaluate(lam)) for lam in probe_pts]
+    b_ops = [(lam, mono.B.at(lam)) for lam in probe_pts]
     R_raw, L_raw, label_mismatch = _label_eigenvectors(params, grid, b_ops, rng)
 
-    # precompute generator evaluations on the grid
-    d_ops = {(a, h): mono.D.evaluate(grid.grid[a, h]) for a in range(nsep) for h in range(p)}
-    a_ops = {(a, h): mono.A.evaluate(grid.grid[a, h]) for a in range(nsep) for h in range(p)}
+    # the blocks of the generators on the grid
+    d_ops = {(a, h): mono.D.at(grid.grid[a, h]) for a in range(nsep) for h in range(p)}
+    a_ops = {(a, h): mono.A.at(grid.grid[a, h]) for a in range(nsep) for h in range(p)}
     worst_step = 0.0
 
     def calibrate(raw, x0, act, step_ops, step_vals, s):
@@ -426,7 +459,7 @@ def build_sov_basis(params: ModelParams, mono, rng, grid: SovGrid = None,
     # left: anchored at the zero tuple with a unit-modulus largest entry
     anchor = L_raw[0] / np.linalg.norm(L_raw[0])
     phase = anchor[np.argmax(np.abs(anchor))]
-    left = calibrate(L_raw, anchor * (abs(phase) / phase), np.matmul,
+    left = calibrate(L_raw, anchor * (abs(phase) / phase), lambda x, M: x @ M,
                      d_ops, grid.d_vals, -1)
     if params.even_chain:
         # closure around the reference direction: the action of A(lam) on
@@ -434,7 +467,7 @@ def build_sov_basis(params: ModelParams, mono, rng, grid: SovGrid = None,
         # c_+ <jb + e_N| + c_- <jb - e_N|, with jb the tuple (0, ..., 0, p - 1)
         jb = down[0, n_ref]
         lam = params.spectral_samples(rng, 1, exclude=exclude)[0]
-        r = left[jb] @ mono.A.evaluate(lam)
+        r = left[jb] @ mono.A.at(lam)
         cw = _interp_weights(params, grid, tuples[jb], lam)
         for a in range(nsep):
             r = r - cw[a] * grid.a_vals[a, 0] * left[down[jb, a]]

@@ -250,7 +250,7 @@ def test_criterion_7_elementary_operators(desk_bundles):
     for bundle in desk_bundles.values():
         params, basis, mono = bundle.params, bundle.basis, bundle.mono
         p, d = params.p, params.dim
-        ops = {(a, k): lo.elementary_O(params, basis, a, k, mono)
+        ops = {(a, k): lo.elementary_O(params, basis, a, k, mono).dense()
                for a in range(params.n_separate) for k in range(p)}
         for a in range(params.n_separate):
             for k in range(p):
@@ -270,7 +270,7 @@ def test_criterion_7_elementary_operators(desk_bundles):
                         worst = max(worst, float(
                             np.linalg.norm(prod)
                             / (np.linalg.norm(ops[(a, k)]) * np.linalg.norm(ops[(a, h)]))))
-            lhs = lo.elementary_O_power(bundle.elementary_ops, a, 1, p + 1)
+            lhs = lo.elementary_O_power(bundle.elementary_ops, a, 1, p + 1).dense()
             denom = 1.0 + 0.0j
             for b in range(params.n_separate):
                 if b != a:

@@ -239,3 +239,16 @@ def test_npoint_requires_full_spectrum(cfg_a):
     table = short.covs @ embedded_u(cfg_a.params, 1) @ short.vecs.T
     with pytest.raises(ss.IncompleteSpectrum):
         ff.npoint(short, 0, [table, table])
+
+
+def test_bra_blocks_leave_the_pair_tables_unchanged(cfg_a, monkeypatch):
+    # every determinant of an all-pairs table is formed on its own, so the
+    # size of the bra blocks moves no value
+    from sgsov import oracle
+    params, basis, states = cfg_a.params, cfg_a.basis, cfg_a.states
+    values = ff.ff_u_table(params, basis, states, states, 1)[0]
+    rows = [r.row() for r in oracle.verify_solution(cfg_a, sections={"scalar"})]
+    monkeypatch.setattr(ss, "BRA_BLOCK", 5)
+    assert len(ss.bra_blocks(params.dim)) == 6
+    assert np.array_equal(ff.ff_u_table(params, basis, states, states, 1)[0], values)
+    assert [r.row() for r in oracle.verify_solution(cfg_a, sections={"scalar"})] == rows

@@ -35,6 +35,27 @@ def _order(sh):
     return list(range(sh.n - 1, 0, -1)) + list(range(N, sh.n - 1, -1))
 
 
+def _dense_kron(params, order):
+    """Dense coefficients (2x2 list of degree -> d x d dicts, all-zero ones
+    dropped) of the product of the Lax matrices in the factor order
+    ``order``, built here: M_ij = sum_c L[i][c] (x) M'_cj over the local
+    coefficients, the leftmost factor on the slowest tensor slot, then one
+    permutation of the slots into the basis order (site 1 fastest)."""
+    p, N = params.p, params.n_sites
+    M = [[{0: np.ones((1, 1))}, {}], [{}, {0: np.ones((1, 1))}]]
+    for n in reversed(order):
+        L = mc.local_lax(params, n)
+        prod = [[{}, {}], [{}, {}]]
+        for i, j, c in np.ndindex(2, 2, 2):
+            for d1, a in L[i][c].items():
+                for d2, b in M[c][j].items():
+                    prod[i][j][d1 + d2] = prod[i][j].get(d1 + d2, 0) + np.kron(a, b)
+        M = prod
+    perm = params.tuples[:, np.asarray(order) - 1] @ p ** np.arange(N - 1, -1, -1)
+    return [[{g: c[np.ix_(perm, perm)] for g, c in entry.items() if np.any(c)}
+             for entry in row] for row in M]
+
+
 def _telescoped_shift(N, i, j):
     """Charge step of entry (i, j): the alternating sum of the digit steps
     i_pos + i_pos+1 - 1 of the Lax factors telescopes to this."""
@@ -48,7 +69,7 @@ def test_block_view_scatters_back_to_every_dense_coefficient(chain):
     for sh in _frames(params):
         mono = sh.mono
         assert np.array_equal(mono.charge, mc.digit_charge(params, _order(sh)))
-        kron = mc._kron_coeffs(params, _order(sh))
+        kron = _dense_kron(params, _order(sh))
         for name, (i, j) in zip("ABCD", np.ndindex(2, 2)):
             op, ref = mono.entry(name), kron[i][j]
             assert op.shift == _telescoped_shift(N, i, j) % p
@@ -84,7 +105,7 @@ def test_evaluate_is_the_degree_ordered_dense_sum(chain):
     params = CHAINS[chain]()
     lam = params.spectral_samples(np.random.default_rng(5), 1)[0]
     for sh in _frames(params):
-        kron = mc._kron_coeffs(params, _order(sh))
+        kron = _dense_kron(params, _order(sh))
         for name, (i, j) in zip("ABCD", np.ndindex(2, 2)):
             want = np.zeros((params.dim, params.dim), dtype=complex)
             for deg in sorted(kron[i][j]):
@@ -95,14 +116,24 @@ def test_evaluate_is_the_degree_ordered_dense_sum(chain):
 def test_entry_off_its_shift_is_refused(cfg_b, monkeypatch):
     params, mono, p = cfg_b.params, cfg_b.mono, cfg_b.params.p
     chi = mono.charge
-    kron = mc._kron_coeffs(params, list(range(params.n_sites, 0, -1)))
-    coeffs = kron[0][1]
+    coeffs = _dense_kron(params, list(range(params.n_sites, 0, -1)))[0][1]
     deg = mono.B.degrees[0]
     row, col = np.argwhere((chi[:, None] - chi[None, :] - mono.B.shift) % p != 0)[0]
     coeffs[deg][row, col] = 1e-30
     with pytest.raises(mc.NotGraded, match="1 nonzero entries lie off"):
-        mc.OperatorLaurent.gather(coeffs, chi, p)
-    monkeypatch.setattr(mc, "_kron_coeffs", lambda *args: kron)
+        mc.OperatorLaurent.gather(sorted(coeffs.items()), chi, p)
+    # the clock coefficient of a local B entry keeps the digit; an entry that
+    # moves it reaches the product off its shift
+    local_lax = mc.local_lax
+
+    def tilted(params, n):
+        L = local_lax(params, n)
+        c = L[0][1][1].copy()
+        c[1, 0] = 1e-30
+        L[0][1] = {**L[0][1], 1: c}
+        return L
+
+    monkeypatch.setattr(mc, "local_lax", tilted)
     with pytest.raises(mc.NotGraded):
         mc.monodromy(params)
 
@@ -143,10 +174,10 @@ def test_blockwise_solve_matches_dense_solve_and_condition(chain):
         for x, y, lam in _solve_cases(sh):
             X, Y = mono.entry(x).evaluate(lam), mono.entry(y).evaluate(lam)
             got, cond = lo._solve(mono.entry(x), mono.entry(y), lam, what=x)
+            assert not got.blocks.flags.writeable
             ref = np.linalg.solve(X, Y)
-            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.linalg.norm(got.dense() - ref) <= 1e-12 * np.linalg.norm(ref)
             assert abs(cond - np.linalg.cond(X)) <= 1e-10 * np.linalg.cond(X)
-            assert not got.flags.writeable
 
 
 def test_condition_limit_is_the_dense_condition_number(cfg_a, monkeypatch):
@@ -158,3 +189,47 @@ def test_condition_limit_is_the_dense_condition_number(cfg_a, monkeypatch):
         lo._solve(mono.B, mono.A, lam, what="B(mu_+)")
     monkeypatch.setattr(lo, "COND_LIMIT", dense * (1 + 1e-8))
     lo._solve(mono.B, mono.A, lam, what="B(mu_+)")
+
+
+@pytest.mark.parametrize("chain", CHAINS)
+def test_graded_algebra_matches_the_dense_route(chain):
+    # products (the shifts add), inverse, power, sums at equal shift and the
+    # products with dense vectors on either side, against dense linear algebra
+    params = CHAINS[chain]()
+    mono, d = mc.monodromy(params), params.dim
+    rng = np.random.default_rng(7)
+    lam, mu = params.spectral_samples(rng, 2)
+    A, A2, B = mono.A.at(lam), mono.A.at(mu), mono.B.at(mu)
+    dA, dA2, dB = A.dense(), A2.dense(), B.dense()
+    assert np.array_equal(dA, mono.A.evaluate(lam)) and np.array_equal(dB, mono.B.evaluate(mu))
+    cases = [(A @ B, dA @ dB), (B @ A @ B, dB @ dA @ dB), (A ** 3, dA @ dA @ dA),
+             (B.inv() @ A, np.linalg.solve(dB, dA)), (A + A2, dA + dA2),
+             (A - 0.5 * A2 / 3.0, dA - 0.5 * dA2 / 3.0)]
+    for got, want in cases:
+        assert not got.blocks.flags.writeable
+        assert mc.rel_err(got.dense(), want) <= 1e-13
+    assert (A @ B).shift == (A.shift + B.shift) % params.p
+    assert (B.inv() @ A).shift == (A.shift - B.shift) % params.p
+    assert np.array_equal((A ** 0).dense(), np.eye(d))
+    covs = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
+    assert mc.rel_err(covs @ B, covs @ dB) <= 1e-13
+    assert mc.rel_err(covs[0] @ B, covs[0] @ dB) <= 1e-13
+    assert mc.rel_err(B @ covs.T, dB @ covs.T) <= 1e-13
+    assert mc.rel_err(B @ covs[1], dB @ covs[1]) <= 1e-13
+    assert abs(mc.frob(B) - np.linalg.norm(dB)) <= 1e-13 * np.linalg.norm(dB)
+    table = mc.Graded.stack([A, A2])
+    assert table.blocks.shape == (2, params.p, d // params.p, d // params.p)
+    assert np.array_equal(table[1].dense(), dA2)
+    with pytest.raises(mc.NotGraded, match="do not add"):
+        A + B
+
+
+def test_projection_keeps_one_shift_and_measures_the_rest(cfg_b):
+    mono = cfg_b.mono
+    B = mono.B.evaluate(0.7 + 0.3j)
+    got, rest = mc.Graded.project(B, mono.B.sectors, mono.B.shift)
+    assert np.array_equal(got.dense(), B) and rest == 0.0
+    D = mono.D.evaluate(0.7 + 0.3j)
+    got, rest = mc.Graded.project(B + 1e-3 * D, mono.B.sectors, mono.B.shift)
+    assert np.array_equal(got.dense(), B)
+    assert abs(rest - 1e-3 * np.linalg.norm(D) / np.linalg.norm(B)) <= 1e-12 * rest

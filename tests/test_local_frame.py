@@ -89,11 +89,11 @@ def test_frame_is_immutable(cfg_a):
     for name in ("params", "n", "mono", "binva"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(sh, name, None)
-    for arr in (sh.binva, sh.alpha0, sh.betas):
+    for op in (sh.binva, sh.alpha0, sh.betas):
         with pytest.raises(ValueError):
-            arr[(0,) * arr.ndim] = 1.0
+            op.blocks[(0,) * op.blocks.ndim] = 1.0
     assert sh.binva_cond >= 1.0 and sh.alpha0_cond >= 1.0
-    assert np.shares_memory(lo.reconstruct_alpha0(sh), sh.alpha0)
+    assert np.array_equal(lo.reconstruct_alpha0(sh), sh.alpha0.dense())
 
 
 def test_local_block_is_the_site_trace(cfg_a):
@@ -117,32 +117,32 @@ def test_solution_owns_the_elementary_table_and_the_frames(sol):
     params, basis, mono = sol.params, sol.basis, sol.mono
     p, nsep, d = params.p, params.n_separate, params.dim
     ops = sol.elementary_ops
-    assert ops.shape == (nsep, p, d, d)
+    assert ops.blocks.shape == (nsep, p, p, d // p, d // p)
     with pytest.raises(ValueError):
-        ops[0, 0, 0, 0] = 1.0
+        ops.blocks[0, 0, 0, 0, 0] = 1.0
     ref = [[lo.elementary_O(params, basis, a, k, mono) for k in range(p)]
            for a in range(nsep)]
     for a in range(nsep):
         for k in range(p):
-            assert np.array_equal(ops[a, k], ref[a][k])
+            assert ops[a, k].shift == ref[a][k].shift
+            assert np.array_equal(ops[a, k].blocks, ref[a][k].blocks)
         for k, alpha in ((1, 1), (2, 2), (1, p + 1)):
-            prod = np.eye(d, dtype=complex)
-            for j in range(alpha):
+            prod = ref[a][k]
+            for j in range(1, alpha):
                 prod = prod @ ref[a][(k - j) % p]
-            assert np.array_equal(lo.elementary_O_power(ops, a, k, alpha), prod)
+            assert np.array_equal(lo.elementary_O_power(ops, a, k, alpha).blocks, prod.blocks)
     lam = params.spectral_samples(sol.rng(951), 1, exclude=basis.grid.grid.reshape(-1))[0]
     total = np.zeros((d, d), dtype=complex)
     for a in range(nsep):
         for k in range(p):
             eta = basis.grid.grid[a, k]
-            total += ref[a][k] / (lam / eta - eta / lam)
+            total += ref[a][k].dense() / (lam / eta - eta / lam)
     total = total / params.kprod
     if params.even_chain:
-        theta = mc.theta_charge(params)
-        even = lam * theta @ lo.eta_interp_operator(basis, -1) \
-            - lo.eta_interp_operator(basis, 1) @ np.linalg.inv(theta) / lam
+        theta = np.diag(mc.theta_charge(params))
+        total = total + lam * theta[:, None] * lo.eta_interp_operator(basis, -1) \
+            - lo.eta_interp_operator(basis, 1) / (lam * theta)
         total = lo.eta_ref_operator(basis, -1) @ total
-        total = total + lo.eta_ref_operator(basis, -1) @ even
     assert np.array_equal(lo.binvA_interpolation(params, basis, lam, ops), total)
 
     assert sol.frame(1).mono is mono
@@ -168,3 +168,22 @@ def test_one_verification_builds_each_operator_once(monkeypatch):
     # nsep * p = 9 elementary operators; the reordered monodromies of sites
     # 2 and 3 (site 1's frame reuses the solution's monodromy)
     assert calls == {"elementary_O": 9, "monodromy": 2}
+
+
+@pytest.mark.parametrize("chain", ["cfg_b", "cfg_a"])
+def test_eta_ref_grading_residual_is_a_diagnostic_row_of_even_chains(chain, request):
+    sol = request.getfixturevalue(chain)
+    rows = {r.label: r for r in oracle.verify_solution(sol, sections={"local"})}
+    if not sol.params.even_chain:
+        assert "eta_ref_grading_residual" not in rows
+        return
+    factor, residual = sol.basis.eta_ref_lowering
+    row = rows["eta_ref_grading_residual"]
+    assert row.context == {"diagnostic": True, "bound": oracle.DEFAULT_TOLERANCES["elementary"]}
+    assert row.passed and row.margin is None and row.rel_err == residual
+    assert 0.0 <= residual <= 1e-12
+    # the kept blocks are eta_ref^-(p-1) on the charge shift of B
+    p = sol.params.p
+    dense = lo.eta_ref_operator(sol.basis, -(p - 1))
+    assert factor.shift == sol.mono.B.shift
+    assert mc.rel_err(factor.dense(), dense) <= 1e-12

@@ -277,7 +277,7 @@ def test_elementary_action_weights(desk_bundles):
         params, basis, mono = bundle.params, bundle.basis, bundle.mono
         for a in range(params.n_separate):
             for k in range(params.p):
-                O = lo.elementary_O(params, basis, a, k, mono)
+                O = lo.elementary_O(params, basis, a, k, mono).dense()
                 sc = np.linalg.norm(O)
                 for j in range(params.dim):
                     got = basis.left[j] @ O
@@ -292,7 +292,7 @@ def test_elementary_adjacency_rule(desk_bundles):
     for bundle in desk_bundles.values():
         params, basis, mono = bundle.params, bundle.basis, bundle.mono
         p = params.p
-        ops = [lo.elementary_O(params, basis, 0, k, mono) for k in range(p)]
+        ops = [lo.elementary_O(params, basis, 0, k, mono).dense() for k in range(p)]
         for k in range(p):
             for h in range(p):
                 prod = ops[k] @ ops[h]
@@ -363,7 +363,7 @@ def test_pole_expansion_single_site_has_three_terms(n1):
     total = np.zeros((3, 3), dtype=complex)
     for k in range(3):
         eta = basis.grid.grid[0, k]
-        total += lo.elementary_O(params, basis, 0, k, mono) \
+        total += lo.elementary_O(params, basis, 0, k, mono).dense() \
             / (lam / eta - eta / lam)
     total = total / params.kprod
     assert mc.rel_err(total, lo.binvA_dense(mono, lam, 1)) <= 1e-10
@@ -399,7 +399,7 @@ def test_monomial_reduction_folds_full_cycle(cfg_a):
     dense_in = np.eye(params.dim, dtype=complex)
     for a, k in seq:
         dense_in = dense_in @ lo.elementary_O(params, basis, a, k, mono)
-    dense_out = lo.elementary_O(params, basis, 0, 1, mono)
+    dense_out = lo.elementary_O(params, basis, 0, 1, mono).dense()
     assert mc.rel_err(dense_in, scal * dense_out) <= 1e-8
 
 

@@ -224,9 +224,9 @@ def test_elementary_action_equals_per_label_loop(sol):
     params, basis = sol.params, sol.basis
     ops = sol.elementary_ops
     _noise_close(oracle._elementary_action_residual(params, basis, ops),
-                 _elementary_action_ref(params, basis, ops))
-    ops = _perturbed(ops, np.random.default_rng(12))
-    ref = _elementary_action_ref(params, basis, ops)
+                 _elementary_action_ref(params, basis, ops.dense()))
+    ops = mc.Graded(ops.shift, _perturbed(ops.blocks, np.random.default_rng(12)), ops.sectors)
+    ref = _elementary_action_ref(params, basis, ops.dense())
     assert ref > 1e-5
     _close(oracle._elementary_action_residual(params, basis, ops), ref)
 

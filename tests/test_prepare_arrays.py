@@ -231,7 +231,8 @@ def test_label_mismatch_is_the_pattern_mismatch_of_the_basis(request, name):
 
 def test_calibration_residual_is_the_worst_shift_step(cfg_a):
     # on an odd chain both sweeps calibrate every label but the zero tuple
-    # by one shift step from the label one lower in its first nonzero entry
+    # by one shift step from the label one lower in its first nonzero entry,
+    # a matrix-vector product with the charge blocks of D or A on the grid
     params, basis, mono = cfg_a.params, cfg_a.basis, cfg_a.mono
     nsep = params.n_separate
     abar = mc.abar_coeff(params, basis.grid.grid[:nsep])
@@ -241,9 +242,9 @@ def test_calibration_residual_is_the_worst_shift_step(cfg_a):
         jprev = basis.shifted_index(j, a, -1)
         h = basis.params.tuples[jprev][a]
         eta = basis.grid.grid[a, h]
-        for w, got in ((basis.left[jprev] @ mono.D.evaluate(eta) / basis.grid.d_vals[a, h],
+        for w, got in ((basis.left[jprev] @ mono.D.at(eta) / basis.grid.d_vals[a, h],
                         basis.left[j]),
-                       (mono.A.evaluate(eta) @ basis.right[:, jprev] / abar[a, h],
+                       (mono.A.at(eta) @ basis.right[:, jprev] / abar[a, h],
                         basis.right[:, j])):
             worst = max(worst, np.linalg.norm(w - got) / np.linalg.norm(w))
     assert worst > 0.0

@@ -125,7 +125,7 @@ def _probe_ops(sol, seed):
     params, mono = sol.params, sol.mono
     pts = params.spectral_samples(np.random.default_rng(seed), params.n_separate + 1,
                                   exclude=sol.basis.grid.grid.reshape(-1))
-    return [(lam, mono.B.evaluate(lam)) for lam in pts]
+    return [(lam, mono.B.at(lam)) for lam in pts]
 
 
 def test_labeling_of_foreign_probes_fails_after_one_eig(cfg_a, hom3, monkeypatch):
@@ -143,17 +143,50 @@ def test_labeling_of_foreign_probes_fails_after_one_eig(cfg_a, hom3, monkeypatch
 
 
 def test_labeling_refuses_a_nearest_match_that_is_not_a_bijection(cfg_a, monkeypatch):
-    # label 1 predicted with label 0's pattern: both pick one eigenvector
+    # a label of label 0's charge sector (the labels of one sector are matched
+    # against one block) predicted with label 0's pattern: both pick one
+    # eigenvector
     grid, b_ops, pattern = cfg_a.basis.grid, _probe_ops(cfg_a, 5), sb.b_pattern
+    tuples, p = cfg_a.params.tuples, cfg_a.params.p
+    twin = next(j for j in range(1, len(tuples)) if tuples[j].sum() % p == 0)
 
-    def label_1_copies_label_0(params, grid, tuples, lam):
+    def twin_copies_label_0(params, grid, tuples, lam):
         out = pattern(params, grid, tuples, lam)
-        out[1] = out[0]
+        out[twin] = out[0]
         return out
 
-    monkeypatch.setattr(sb, "b_pattern", label_1_copies_label_0)
+    monkeypatch.setattr(sb, "b_pattern", twin_copies_label_0)
     with pytest.raises(sb.DegenerateSpectrum, match="not a bijection.*condition number"):
         sb._label_eigenvectors(cfg_a.params, grid, b_ops, np.random.default_rng(6))
+
+
+@pytest.mark.parametrize("chain", ["n1", "cfg_a", "hom3", "stretch"])
+def test_per_block_labeling_assigns_as_one_global_eig(chain, request):
+    # odd chains label per charge block; one global eig of the same random
+    # combination S of the probes, matched over all labels, gives every label
+    # the same eigenvector (up to the calibration scale)
+    sol = request.getfixturevalue(chain)
+    params, basis, mono = sol.params, sol.basis, sol.mono
+    rng = sol.rng(1)                          # the stream of build_sov_basis
+    probes = params.spectral_samples(rng, params.n_separate + 1,
+                                     exclude=basis.grid.grid.reshape(-1))
+    c = rng.standard_normal(len(probes)) + 1j * rng.standard_normal(len(probes))
+    ops = [mono.B.evaluate(lam) for lam in probes]
+    S = sum(ci * op for ci, op in zip(c, ops))
+    _, R = np.linalg.eig(S)
+    Linv = np.linalg.inv(R)
+    measured = np.stack([np.einsum("ij,jk,ki->i", Linv, op, R) for op in ops], axis=1)
+    patterns = np.stack([sb.b_pattern(params, basis.grid, params.tuples, lam)
+                         for lam in probes], axis=1)
+    cost = np.linalg.norm(measured[None] - patterns[:, None], axis=2) \
+        / np.linalg.norm(patterns, axis=1)[:, None]
+    perm = np.argmin(cost, axis=1)
+    assert np.unique(perm).size == params.dim
+    assert np.max(cost[np.arange(params.dim), perm]) < sb.LABEL_TOL
+    glob = R[:, perm]
+    cos = np.abs(np.sum(glob.conj() * basis.right, axis=0)) \
+        / (np.linalg.norm(glob, axis=0) * np.linalg.norm(basis.right, axis=0))
+    assert np.max(1 - cos) <= 1e-10
 
 
 def test_numpy_is_the_only_third_party_import():
