@@ -59,22 +59,18 @@ def _u_step(n: int):
     return 1 if n % 2 == 1 else -1
 
 
-def _ff_u_matrices(basis: SovBasis, qbar, q, theta, n):
-    """The site-n ff_u determinant matrices of Qbar tables ``qbar`` against Q
-    tables ``q``, (..., nsep, p) each, broadcast over the leading axes, for
-    kets in the charge sectors ``theta`` (0 on odd chains).  Each Q table is
-    contracted with the weights of its sector first, so a pair table weights
-    every ket once."""
-    ket = (q[..., None, None, :] @ basis.ff_u_weights[n - 1, theta])[..., 0, :]
+def _ff_u_matrices(qbar, ket):
+    """The ff_u matrices of Qbar tables ``qbar`` (..., nsep, p) against one
+    site's rows ``ket`` (..., nsep, p, nsep) of the kets' ``ff_u_ket``."""
     return (qbar[..., None, :] @ ket)[..., 0, :]
 
 
 def ff_u(params: ModelParams, basis: SovBasis, bra: TransferEigenstate,
          ket: TransferEigenstate, n: int = 1, shift_ratio=None,
          keep_matrix=False) -> FormFactorResult:
-    """Matrix element of the site-n shift generator between eigenstates, as a
-    single determinant that differs from the scalar-product moment matrix in
-    its last column.
+    """Matrix element of the site-n shift generator between eigenstates, as
+    ``basis.ff_u_pref`` times the determinant of the matrix (kept by
+    ``keep_matrix``) that differs from the moment matrix in its last column.
 
     For n > 1 the prefactor ratio of chain-shift eigenvalues must be supplied
     (available on homogeneous chains)."""
@@ -82,8 +78,8 @@ def ff_u(params: ModelParams, basis: SovBasis, bra: TransferEigenstate,
     _require_shift(params, n, shift_ratio)
     if sector_zero(params, bra.theta_m, ket.theta_m, _u_step(n)):
         return FormFactorResult(0.0 + 0.0j, selection_zero=True)
-    U = _ff_u_matrices(basis, bra.qbar_vals, ket.q_vals, ket.theta_m, n)
-    value = np.linalg.det(U)
+    U = _ff_u_matrices(bra.qbar_vals, ket.ff_u_ket[n - 1])
+    value = basis.ff_u_pref * np.linalg.det(U)
     if shift_ratio is not None:
         value = shift_ratio * value
     return FormFactorResult(value, matrix=U if keep_matrix else None)
@@ -92,17 +88,18 @@ def ff_u(params: ModelParams, basis: SovBasis, bra: TransferEigenstate,
 def ff_u_table(params: ModelParams, basis: SovBasis, bras, kets, n: int = 1,
                shift_ratio=None):
     """``ff_u`` from every bra to every ket, shape (len(bras), len(kets)), as
-    one batched determinant per block of bras, and the mask of the selection
-    zeros.  For n > 1,
+    one batched determinant per block of bras against the kets' ``ff_u_ket``
+    tables, and the mask of the selection zeros.  For n > 1,
     ``shift_ratio`` holds the chain-shift eigenvalue ratio of each pair (or
     broadcasts to that shape)."""
     _require_shift(params, n, shift_ratio)
     qbar, _, theta_bra = stacked_tables(bras)
-    _, q, theta_ket = stacked_tables(kets)
+    theta_ket = stacked_tables(kets)[2]
+    ket = np.array([st.ff_u_ket[n - 1] for st in kets])
     values = np.empty((len(bras), len(kets)), dtype=complex)
     for rows in bra_blocks(len(bras)):
-        values[rows] = np.linalg.det(_ff_u_matrices(basis, qbar[rows, None], q[None],
-                                                    theta_ket, n))
+        values[rows] = np.linalg.det(_ff_u_matrices(qbar[rows, None], ket[None]))
+    values = _cmul(basis.ff_u_pref, values)
     if shift_ratio is not None:
         values = _cmul(np.asarray(shift_ratio), values)
     zero = np.broadcast_to(sector_zero(params, theta_bra[:, None], theta_ket[None],

@@ -425,9 +425,9 @@ def binvA_interpolation(params: ModelParams, basis: SovBasis, lam, ops):
     if params.even_chain:
         # eta_ref^-1 (out + lam theta eta_A^-1 - eta_A theta^-1 / lam), theta diagonal
         theta = np.diag(mc.theta_charge(params))
-        out = out + lam * theta[:, None] * eta_interp_operator(basis, -1) \
-            - eta_interp_operator(basis, +1) / (lam * theta)
-        out = eta_ref_operator(basis, -1) @ out
+        eta_a_inv, eta_a, eta_ref_inv = basis.eta_charge_operators
+        out = out + lam * theta[:, None] * eta_a_inv - eta_a / (lam * theta)
+        out = eta_ref_inv @ out
     return out
 
 

@@ -600,7 +600,7 @@ def _local_section(s, sol):
         prod_in, prod_out = (reduce(matmul, [ops[f] for f in fs]) for fs in (seq, ordered))
         s.check("monomial_reduction", mc.rel_err(prod_in, scal * prod_out), "elementary")
     if params.even_chain:
-        etaA = lo.eta_interp_operator(basis, 1)
+        etaA = basis.eta_charge_operators[1]
         O = ops[0, 1]
         s.check("eta_interp_exchange",
                 mc.rel_err(etaA @ O, O @ etaA / params.q), "elementary")

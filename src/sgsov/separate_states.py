@@ -22,7 +22,7 @@ from . import local_ops as lo
 from .sov_basis import (SovBasis, _read_only, build_sov_basis, moment_weights,
                         vandermonde_weights)
 from .spectrum import (TransferEigenstate, diagonalize_transfer, extract_Q_grids,
-                       fit_Q_polynomials, polyval_ascending, qbar_from_q)
+                       fit_Q_polynomials, power_sum, qbar_from_q)
 
 __all__ = [
     "SeparateState", "IncompleteSpectrum", "materialize",
@@ -128,24 +128,26 @@ def attach_q_data(state: TransferEigenstate, basis: SovBasis):
 
 
 def attach_q_tables(states, basis: SovBasis):
-    """``attach_q_data`` on every state of ``states`` at once; the tables
-    are read-only."""
+    """``attach_q_data`` on every state of ``states`` at once, the ``ff_u``
+    ket tables (Q against the ``ff_u_weights`` of the state's sector) as one
+    product per sector; the tables are read-only."""
     if any(st.q_poly is None for st in states):
         raise SgSovError("fit the Baxter polynomial before attaching Q data")
-    grids = basis.grid.grid[:basis.params.n_separate]
-    q = np.stack([st.q_poly for st in states])[:, None, None]
-    qbar = np.stack([st.qbar_poly for st in states])[:, None, None]
-    q_vals = _read_only(polyval_ascending(q, grids))
-    qbar_vals = _read_only(polyval_ascending(qbar, grids))
-    for st, q, qbar in zip(states, q_vals, qbar_vals):
-        st.q_vals, st.qbar_vals = q, qbar
+    q_vals, qbar_vals = (_read_only(power_sum(np.stack(rows)[:, None, None], basis.grid.powers))
+                         for rows in zip(*[(st.q_poly, st.qbar_poly) for st in states]))
+    weights, theta = basis.ff_u_weights, np.array([st.theta_m for st in states])
+    kets = np.empty((len(states),) + weights[:, 0, ..., 0, :].shape, dtype=complex)
+    for m in range(weights.shape[1]):
+        kets[theta == m] = (q_vals[theta == m][:, None, :, None, None] @ weights[:, m])[..., 0, :]
+    for st, q, qbar, ket in zip(states, q_vals, qbar_vals, _read_only(kets)):
+        st.q_vals, st.qbar_vals, st.ff_u_ket = q, qbar, ket
     return states
 
 
 def require_q_data(*states):
-    """Raise unless every eigenstate carries its Baxter grid tables."""
+    """Raise unless every eigenstate carries its Baxter and ket tables."""
     for st in states:
-        if st.q_vals is None or st.qbar_vals is None:
+        if st.q_vals is None or st.qbar_vals is None or st.ff_u_ket is None:
             raise SgSovError("attach Baxter grid data to the eigenstates first")
 
 
@@ -268,8 +270,8 @@ class Solution:
 
     The basis, the eigenstates (every array they carry, the fixed-width
     coefficient rows ``t_coeffs``, ``q_poly`` and ``qbar_poly`` included),
-    their stacked Baxter grid tables ``qbar_vals``/``q_vals``
-    (shape (d, nsep, p)), sector labels ``theta_m``
+    their stacked Baxter grid tables ``qbar_vals``/``q_vals`` (shape
+    (d, nsep, p)), ket tables ``ff_u_kets``, sector labels ``theta_m``
     and transfer coefficients ``t_rows``, the stacked
     ``covs``/``vecs``/``norms`` of ``eigen_dense`` and the graded table
     ``elementary_ops`` are built on first use, read-only, from the
@@ -310,6 +312,11 @@ class Solution:
     qbar_vals = property(lambda self: self._tables[0])
     q_vals = property(lambda self: self._tables[1])
     theta_m = property(lambda self: self._tables[2])
+
+    @cached_property
+    def ff_u_kets(self) -> np.ndarray:
+        """The ``ff_u`` ket tables of the states, shape (d, N, nsep, p, nsep)."""
+        return _read_only(np.array([st.ff_u_ket for st in self.states]))
 
     @cached_property
     def t_rows(self) -> np.ndarray:

@@ -103,13 +103,15 @@ class SovGrid:
 
     The constructor also tabulates, on the separate-variable grids, the shift
     coefficients ``a_vals[a, h] = a(eta_a^{(h)})`` and ``d_vals``, shape
-    (nsep, p); it marks every array read-only, ``z`` and ``eta0`` in place."""
+    (nsep, p), and ``powers[k] = grid[:nsep] ** k`` up to the degree of Qbar;
+    it marks every array read-only, ``z`` and ``eta0`` in place."""
     params: ModelParams
     z: np.ndarray
     eta0: np.ndarray
     grid: np.ndarray = field(init=False)
     a_vals: np.ndarray = field(init=False)
     d_vals: np.ndarray = field(init=False)
+    powers: np.ndarray = field(init=False)
 
     def __post_init__(self):
         params, nsep = self.params, self.params.n_separate
@@ -118,6 +120,9 @@ class SovGrid:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "a_vals", _read_only(mc.a_coeff(params, grid[:nsep])))
         object.__setattr__(self, "d_vals", _read_only(mc.d_coeff(params, grid[:nsep])))
+        top = (params.p - 1) * params.n_sites + params.n_sites % params.p
+        powers = [grid[:nsep] ** k for k in range(top + 1)]   # as ``polyval_ascending`` has it
+        object.__setattr__(self, "powers", _read_only(np.stack(powers)))
 
 
 def _pair_and_root(params, z_values):
@@ -284,8 +289,8 @@ class SovBasis:
     j-th tuple ``params.tuples[j]``.  The constructor marks ``left`` and
     ``right`` read-only in place and derives the diagonal pairings ``mjj``,
     the measure ``measure[j] = 1 / mjj[j]`` entering the resolution of the
-    identity, and the gauge table ``omega``, all read-only; nothing is
-    modified afterwards (``eta_ref_lowering`` is built on first use).
+    identity, and the gauge table ``omega``, all read-only; nothing is modified
+    afterwards (``eta_ref_lowering``, ``eta_charge_operators``: on first use).
     ``label_mismatch`` is the worst relative mismatch between measured and
     predicted B-eigenvalue patterns of the labeling
     (bound ``LABEL_TOL``), ``calibration_residual`` the worst relative
@@ -299,10 +304,12 @@ class SovBasis:
     - ``ff_u_weights[n - 1, m, a, g, h, k]``, shape (N, S, nsep, p, p, nsep)
       with S = p sectors on even chains and S = 1 on odd ones: the weight of
       Qbar(eta_a^{(g)}) Q(eta_a^{(h)}) in column k of the site-n ``ff_u``
-      matrix for a ket in sector m.  Its diagonal g = h holds the moment
+      matrix for a ket in sector m; ``ff_u`` is ``ff_u_pref`` =
+      c_ref / (kprod eta0_ref**e_N), the normalization of that last
+      column, times the determinant.  Its diagonal g = h holds the moment
       columns eta**(2k+1) / omega and, on even chains, the theta-sector
-      terms in the last column; the last column also holds the pole terms
-      at g = h + 1 (mod p)."""
+      terms over ``ff_u_pref`` in the last column; the last column also
+      holds the pole terms at g = h + 1 (mod p)."""
     params: ModelParams
     grid: SovGrid
     left: np.ndarray
@@ -314,6 +321,7 @@ class SovBasis:
     measure: np.ndarray = field(init=False)
     omega: np.ndarray = field(init=False)   # omega_a(eta_a^{(h)}) = (eta_a^{(h)})^{nsep-1}
     pairing_weights: np.ndarray = field(init=False)
+    ff_u_pref: complex = field(init=False)
     ff_u_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -326,6 +334,8 @@ class SovBasis:
         object.__setattr__(self, "omega", _read_only(self.grid.grid[:nsep] ** (nsep - 1)))
         object.__setattr__(self, "pairing_weights",
                            _read_only(moment_weights(self, range(0, 2 * nsep, 2))))
+        object.__setattr__(self, "ff_u_pref", complex(
+            self.c_ref / (self.params.kprod * self.grid.eta0[-1] ** self.params.e_n)))
         object.__setattr__(self, "ff_u_weights", _read_only(_ff_u_weights(self)))
 
     @cached_property
@@ -339,6 +349,15 @@ class SovBasis:
         p = params.p
         dense = sov_diagonal(self, self.grid.grid[-1, params.tuples[:, -1]] ** -(p - 1))
         return mc.Graded.project(dense, mc.charge_sectors(mc.digit_charge(params), p), -1)
+
+    @cached_property
+    def eta_charge_operators(self):
+        """The lam-independent dense operators of the even-chain
+        ``binvA_interpolation``, built once: ``eta_interp_operator`` to the
+        powers -1 and 1 and ``eta_ref_operator`` to the power -1."""
+        eta_a = self.params.xi_prod / np.prod(grid_values(self), axis=1)
+        return tuple(_read_only(sov_diagonal(self, w)) for w in (
+            eta_a ** -1, eta_a ** 1, self.grid.grid[-1, self.params.tuples[:, -1]] ** -1))
 
     def shifted_index(self, j, a, delta) -> int:
         """Index of tuple j with digit a moved by ``delta``, one label at a
@@ -370,13 +389,12 @@ def _ff_u_weights(basis: SovBasis):
         hi, lo = np.moveaxis(moment_weights(basis, [2 * nsep - 1, -1]), -1, 0)
         m, lam_m = h[:, None, None], lam[:, None]
         out[..., h, h, -1] = np.sqrt(p) * (params.q ** m * (lam_m / params.xi_prod) * hi
-                                           - params.q ** -m * (params.xi_prod / lam_m) * lo)
+                                           - params.q ** -m * (params.xi_prod / lam_m) * lo) \
+            / basis.ff_u_pref
     # pole terms, Qbar at g = h+1 against Q at h:
-    # a(eta^{(g)}) / (lam/eta^{(g)} - eta^{(g)}/lam) (eta^{(h)})^{nsep-1} / omega,
-    # with the normalization of the substituted column
+    # a(eta^{(g)}) / (lam/eta^{(g)} - eta^{(g)}/lam) (eta^{(h)})^{nsep-1} / omega
     eta = grid.grid[:nsep]
-    pole = np.roll(basis.c_ref / (params.kprod * grid.eta0[-1] ** params.e_n)
-                   * grid.a_vals / (lam / eta - eta / lam), -1, axis=-1) \
+    pole = np.roll(grid.a_vals / (lam / eta - eta / lam), -1, axis=-1) \
         * moment_weights(basis, [nsep - 1])[..., 0]
     out[..., (h + 1) % p, h, -1] += pole[:, None]
     return out

@@ -18,7 +18,7 @@ __all__ = [
     "TransferEigenstate", "EmptyNullspace", "ZeroReference",
     "diagonalize_transfer", "check_functional_equation", "check_functional_equations",
     "extract_Q_grid", "extract_Q_grids", "fit_Q_polynomial", "fit_Q_polynomials",
-    "qbar_from_q", "eval_t", "polyval_ascending",
+    "qbar_from_q", "eval_t", "polyval_ascending", "power_sum",
 ]
 
 
@@ -52,6 +52,7 @@ class TransferEigenstate:
     nullspace_dim: int = 0
     q_vals: np.ndarray = None           # Q on the grids, (nsep, p)
     qbar_vals: np.ndarray = None
+    ff_u_ket: np.ndarray = None         # Q against its sector's ff_u_weights, (N, nsep, p, nsep)
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -70,10 +71,17 @@ def eval_t(t_rows, lam):
 def polyval_ascending(coeffs, lam):
     """Polynomial of the ascending coefficient rows ``coeffs`` (..., K + 1)
     at ``lam``; the leading axes of the rows broadcast against ``lam``."""
-    coeffs, lam = np.asarray(coeffs), np.asarray(lam, dtype=complex)
+    lam = np.asarray(lam, dtype=complex)
+    return power_sum(coeffs, (lam ** k for k in range(np.shape(coeffs)[-1])))
+
+
+def power_sum(coeffs, powers):
+    """sum_k coeffs[..., k] * powers[k] over the ascending coefficient rows
+    ``coeffs`` (..., K + 1): the sum of ``polyval_ascending``."""
+    coeffs = np.asarray(coeffs)
     out = 0
-    for k in range(coeffs.shape[-1]):
-        out = out + coeffs[..., k] * lam ** k
+    for k, power in zip(range(coeffs.shape[-1]), powers):
+        out = out + coeffs[..., k] * power
     return out
 
 

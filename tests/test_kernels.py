@@ -8,6 +8,8 @@ terms in another order, so results agree to rounding: 1e-12 relative to the
 sum of the moduli of the terms of each entry, and to the Hadamard bound of
 each determinant."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -66,9 +68,12 @@ def moment_matrix_ref(basis, left, right, exponents):
 
 
 def ff_u_matrix_ref(params, basis, bra, ket, n=1):
+    """Prefactor (the normalization of the substituted last column), matrix
+    and matrix term scales of ``ff_u``, entry by entry."""
     lam = complex(params.mu_plus[n - 1])
     nsep, p = params.n_separate, params.p
     grid, omega = basis.grid.grid, basis.omega
+    pref = basis.c_ref / (params.kprod * basis.grid.eta0[-1] ** params.e_n)
     U, S = moment_matrix_ref(basis, bra.qbar_vals, ket.q_vals, range(1, 2 * nsep, 2))
     for a in range(nsep):
         terms = [ket.q_vals[a, h] * bra.qbar_vals[a, (h + 1) % p]
@@ -76,18 +81,46 @@ def ff_u_matrix_ref(params, basis, bra, ket, n=1):
                  * grid[a, h] ** (nsep - 1) / omega[a, h]
                  / (lam / grid[a, (h + 1) % p] - grid[a, (h + 1) % p] / lam)
                  for h in range(p)]
-        pref = basis.c_ref / (params.kprod * basis.grid.eta0[-1] ** params.e_n)
-        U[a, -1] = pref * sum(terms)
-        S[a, -1] = abs(pref) * sum(abs(t) for t in terms)
+        U[a, -1] = sum(terms)
+        S[a, -1] = sum(abs(t) for t in terms)
         if params.even_chain:
             m = ket.theta_m
             (hi, s_hi), (lo_, s_lo) = (
                 moment_ref(basis, bra.qbar_vals, ket.q_vals, a, e) for e in (2 * nsep - 1, -1))
             c_hi = np.sqrt(p) * params.q ** m * (lam / params.xi_prod)
             c_lo = np.sqrt(p) * params.q ** (-m) * (params.xi_prod / lam)
-            U[a, -1] += c_hi * hi - c_lo * lo_
-            S[a, -1] += abs(c_hi) * s_hi + abs(c_lo) * s_lo
-    return U, S
+            U[a, -1] += (c_hi * hi - c_lo * lo_) / pref
+            S[a, -1] += (abs(c_hi) * s_hi + abs(c_lo) * s_lo) / abs(pref)
+    return pref, U, S
+
+
+def ff_u_ket_ref(params, basis, ket, n=1):
+    """The site-n ``ff_u`` ket table of ``ket``, entry by entry: its Q table
+    against the weights of its sector, written out as in ``ff_u_matrix_ref``
+    (row g of variable a is what Qbar(eta_a^{(g)}) multiplies), and the term
+    scales."""
+    lam = complex(params.mu_plus[n - 1])
+    nsep, p = params.n_separate, params.p
+    grid, omega, q = basis.grid.grid, basis.omega, ket.q_vals
+    pref = basis.c_ref / (params.kprod * basis.grid.eta0[-1] ** params.e_n)
+    out = np.zeros((nsep, p, nsep), dtype=complex)
+    scale = np.zeros((nsep, p, nsep))
+    for a in range(nsep):
+        for g in range(p):
+            eta, h = grid[a, g], (g - 1) % p
+            terms = [[q[a, g] * eta ** (2 * k + 1) / omega[a, g]] for k in range(nsep - 1)]
+            last = [q[a, h] * mc.a_coeff(params, eta) * grid[a, h] ** (nsep - 1)
+                    / omega[a, h] / (lam / eta - eta / lam)]
+            if params.even_chain:
+                m = ket.theta_m
+                c_hi = np.sqrt(p) * params.q ** m * (lam / params.xi_prod)
+                c_lo = np.sqrt(p) * params.q ** (-m) * (params.xi_prod / lam)
+                last += [q[a, g] * c_hi * eta ** (2 * nsep - 1) / omega[a, g] / pref,
+                         -q[a, g] * c_lo * eta ** (-1) / omega[a, g] / pref]
+            for k, column in enumerate(terms + [last]):
+                out[a, g, k] = sum(column)
+                scale[a, g, k] = sum(abs(t) for t in column)
+    return out, scale
 
 
 def ff_elementary_ref(params, basis, bra, ket, elem):
@@ -230,19 +263,19 @@ def test_ff_u_sector_tables_match_theta_column_formula(cfg_b):
     h = np.arange(p)
     for n in range(1, params.n_sites + 1):
         lam = complex(params.mu_plus[n - 1])
+        pref = basis.c_ref / (params.kprod * basis.grid.eta0[-1] ** params.e_n)
         pole = np.zeros((nsep, p, p), dtype=complex)
         for a in range(nsep):
             for k in range(p):
                 g = (k + 1) % p
-                pole[a, g, k] = (basis.c_ref * mc.a_coeff(params, eta[a, g])
+                pole[a, g, k] = (mc.a_coeff(params, eta[a, g])
                                  / (lam / eta[a, g] - eta[a, g] / lam)
-                                 * eta[a, k] ** (nsep - 1) / omega[a, k]
-                                 / (params.kprod * basis.grid.eta0[-1] ** params.e_n))
+                                 * eta[a, k] ** (nsep - 1) / omega[a, k])
         for m in range(p):
             table = basis.ff_u_weights[n - 1, m]
             w_hi, w_lo = _theta_sector_weights(params, m, n)
-            hi = np.sqrt(p) * w_hi * eta ** (2 * nsep - 1) / omega
-            lo_ = np.sqrt(p) * w_lo * eta ** (-1) / omega
+            hi = np.sqrt(p) * w_hi * eta ** (2 * nsep - 1) / omega / pref
+            lo_ = np.sqrt(p) * w_lo * eta ** (-1) / omega / pref
             ref = np.zeros_like(table)
             ref[:, h, h, :nsep - 1] = [[eta[a, k] ** np.arange(1, 2 * nsep - 2, 2) / omega[a, k]
                                         for k in range(p)] for a in range(nsep)]
@@ -251,6 +284,17 @@ def test_ff_u_sector_tables_match_theta_column_formula(cfg_b):
             scale = np.abs(ref)
             scale[:, h, h, -1] = np.abs(hi) + np.abs(lo_)
             _assert_matrix_close(table, ref, scale)
+
+
+def test_ff_u_ket_tables_match_scalar_formula(sol):
+    params, basis = sol.params, sol.basis
+    N, nsep, p = params.n_sites, params.n_separate, params.p
+    # every state; every fourth on the d = 125 chain
+    for st in sol.states[::max(1, params.dim // 27)]:
+        assert st.ff_u_ket.shape == (N, nsep, p, nsep)
+        for n in range(1, N + 1):
+            ref, scale = ff_u_ket_ref(params, basis, st, n)
+            _assert_matrix_close(st.ff_u_ket[n - 1], ref, scale)
 
 
 def test_shifted_indices_match_scalar_shifts(sol):
@@ -304,9 +348,11 @@ def test_ff_u_matches_scalar_formula(sol):
             zeros += 1
             assert res.value == 0.0
             continue
-        ref, scale = ff_u_matrix_ref(params, basis, states[i], states[j])
+        pref, ref, scale = ff_u_matrix_ref(params, basis, states[i], states[j])
         _assert_matrix_close(res.matrix, ref, scale)
-        _assert_det_close(res.value, np.linalg.det(ref), scale)
+        # the Hadamard bound of the matrix with its last column normalized
+        scale[:, -1] *= abs(pref)
+        _assert_det_close(res.value, pref * np.linalg.det(ref), scale)
     assert zeros > 0 if params.even_chain else zeros == 0
 
 
@@ -385,6 +431,7 @@ def test_determinant_kernels_make_no_einsum_call(chain, request, monkeypatch):
         raise AssertionError("np.einsum called by a determinant kernel")
 
     monkeypatch.setattr(np, "einsum", refuse)
+    ss.attach_q_tables([dataclasses.replace(st) for st in states], basis)
     bra, ket = states[1], states[2]
     ff.ff_u(params, basis, bra, ket, 1)
     ss.eigen_action(basis, bra, ket)
@@ -405,13 +452,15 @@ def test_stacked_tables_on_solution(sol):
     params, states = sol.params, sol.states
     d, nsep, p = params.dim, params.n_separate, params.p
     assert sol.q_vals.shape == sol.qbar_vals.shape == (d, nsep, p)
+    assert sol.ff_u_kets.shape == (d, params.n_sites, nsep, p, nsep)
     assert sol.t_rows.shape == (d, params.n_bar + 1)
     for i, st in enumerate(states):
         assert np.array_equal(sol.q_vals[i], st.q_vals)
         assert np.array_equal(sol.qbar_vals[i], st.qbar_vals)
+        assert np.array_equal(sol.ff_u_kets[i], st.ff_u_ket)
         assert sol.theta_m[i] == (st.theta_m if params.even_chain else 0)
         assert np.array_equal(sol.t_rows[i], st.t_coeffs)
-    for table in (sol.q_vals, sol.qbar_vals, sol.theta_m, sol.t_rows,
+    for table in (sol.q_vals, sol.qbar_vals, sol.ff_u_kets, sol.theta_m, sol.t_rows,
                   sol.covs, sol.vecs, sol.norms):
         with pytest.raises(ValueError):
             table[0] = 0

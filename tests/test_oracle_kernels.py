@@ -302,7 +302,8 @@ def test_batched_preparation_equals_batch_of_one(cfg_b):
         fresh.q_poly, fresh.nullspace_dim = sp.fit_Q_polynomial(params, st.t_coeffs)
         fresh.qbar_poly = sp.qbar_from_q(params, fresh.q_poly)
         ss.attach_q_data(fresh, basis)
-        for name in ("psi", "q_grid", "q_poly", "qbar_poly", "q_vals", "qbar_vals"):
+        for name in ("psi", "q_grid", "q_poly", "qbar_poly", "q_vals", "qbar_vals",
+                     "ff_u_ket"):
             assert np.array_equal(getattr(fresh, name), getattr(st, name)), name
         assert fresh.q_anchor == st.q_anchor
         assert fresh.nullspace_dim == st.nullspace_dim

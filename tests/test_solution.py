@@ -52,6 +52,7 @@ def test_prepare_matches_per_state_pipeline_bitwise(name, request):
         assert np.array_equal(got.q_poly, ref.q_poly)
         assert np.array_equal(got.q_vals, ref.q_vals)
         assert np.array_equal(got.qbar_vals, ref.qbar_vals)
+        assert np.array_equal(got.ff_u_ket, ref.ff_u_ket)
     assert np.array_equal(sol.covs, covs)
     assert np.array_equal(sol.vecs, vecs)
     norms = [ss.eigen_action(sol.basis, st, st) for st in sol.states]
@@ -101,7 +102,8 @@ def test_eigenstate_arrays_are_read_only_fixed_width_rows(name, request):
     K = (p - 1) * N
     shapes = {"t_coeffs": (params.n_bar + 1,), "vec_right": (d,), "vec_left": (d,),
               "psi": (d,), "q_grid": (N, p), "q_poly": (K + 1,),
-              "qbar_poly": (K + 1 + N % p,), "q_vals": (nsep, p), "qbar_vals": (nsep, p)}
+              "qbar_poly": (K + 1 + N % p,), "q_vals": (nsep, p), "qbar_vals": (nsep, p),
+              "ff_u_ket": (N, nsep, p, nsep)}
     for st in sol.states:
         for field, shape in shapes.items():
             arr = getattr(st, field)
@@ -148,6 +150,13 @@ def test_separate_states_need_attached_q_data(cfg_b):
     assert bare.q_vals is None
     with pytest.raises(SgSovError):
         ff.ff_u(cfg_b.params, cfg_b.basis, bare, cfg_b.states[1], 1)
+    no_ket = dataclasses.replace(cfg_b.states[0], ff_u_ket=None)
+    with pytest.raises(SgSovError):
+        ss.require_q_data(cfg_b.states[1], no_ket)
+    with pytest.raises(SgSovError):
+        ff.ff_u(cfg_b.params, cfg_b.basis, cfg_b.states[1], no_ket, 1)
+    with pytest.raises(SgSovError):
+        ff.ff_u_table(cfg_b.params, cfg_b.basis, cfg_b.states, [no_ket], 1)
 
 
 def test_pair_products_match_explicit_loops():
