@@ -4,13 +4,14 @@
 import numpy as np
 
 from sgsov import ModelParams, prepare, check_functional_equation
-from sgsov.spectrum import polyval_ascending
+from sgsov.spectrum import extract_Q_grids, polyval_ascending
 
 params = ModelParams(2, 3, 2, kappa=[1.1j, 0.8j], xi=[1.0, 1.3])
-# the eigenstates arrive with the wavefunction ratios of extract_Q_grid and
-# the fitted polynomials of fit_Q_polynomial
+# the eigenstates arrive with the fitted polynomials of fit_Q_polynomials;
+# the wavefunction ratios come from the dense SOV basis
 sol = prepare(params, seed=5)
-basis, states = sol.basis, sol.states
+states = sol.states
+_, q_grid, anchors, _, _ = extract_Q_grids(states, sol.basis)
 
 print(f"{len(states)} joint eigenstates of the transfer family and the charge\n")
 print("idx  sector   eigenvalue coefficients (degree: value)        "
@@ -24,11 +25,11 @@ for i, st in enumerate(states):
 
 st = states[4]
 print(f"\nstate 4: the fitted polynomial against the wavefunction ratios")
-anchor = np.array(st.q_anchor)
+anchor, ratios = anchors[4], q_grid[4]
 for a in range(params.n_separate):
-    pv = polyval_ascending(st.q_poly, basis.grid.grid[a])
+    pv = polyval_ascending(st.q_poly, sol.grid.grid[a])
     rp = pv / pv[anchor[a]]
-    rg = st.q_grid[a] / st.q_grid[a][anchor[a]]
+    rg = ratios[a] / ratios[a][anchor[a]]
     print(f"  variable {a + 1}: worst rel. diff across the grid = "
           f"{np.max(np.abs(rp - rg)):.2e}")
 

@@ -19,7 +19,7 @@ for trial in range(5):
     be = rng.standard_normal((nsep, 3)) + 1j * rng.standard_normal((nsep, 3))
     left = SeparateState("left", al)
     right = SeparateState("right", be)
-    det = scalar_product_det(left, right, basis)
+    det = scalar_product_det(left, right, sol.grid)
     dense = materialize(left, basis) @ materialize(right, basis)
     print(f"  pair {trial}: det = {det:+.6f}   dense = {dense:+.6f}"
           f"   rel.diff = {abs(det - dense) / abs(det):.1e}")
@@ -27,7 +27,7 @@ for trial in range(5):
 states = sol.states
 
 print("\neigenstate pairings <t|t'> (moment-matrix determinants), first five states:")
-pairings, _ = eigen_action_table(basis, states[:5], states[:5])
+pairings, _ = eigen_action_table(sol.grid, states[:5], states[:5])
 for row in np.abs(pairings):
     print("  " + "  ".join(f"{x:9.2e}" for x in row))
 print("  (off-diagonal entries vanish: distinct eigenvalues are orthogonal)")

@@ -36,7 +36,7 @@ print(f"  all {27 * 27} pairs agree; worst relative deviation = {worst:.2e}")
 
 elem = ElementaryBasisElement(((0, 1, 1), (1, 2, 1)))
 dense_op = elem.to_dense(params, basis, sol.elementary_ops)
-det = ff_elementary(params, basis, states[3], states[11], elem).value
+det = ff_elementary(params, sol.grid, states[3], states[11], elem).value
 dense = covs[3] @ dense_op @ vecs[11]
 print(f"\ntwo-variable elementary monomial between states 3 and 11:")
 print(f"  determinant {det:+.6e}   dense {dense:+.6e}")

@@ -224,11 +224,9 @@ def cmd_spectrum(params, seed, tolerances, writer):
     degrees = range(-params.n_bar, params.n_bar + 1, 2)
     fes = sp.check_functional_equations(params, sol.t_rows, sol.rng(4))
     for i, (st, fe) in enumerate(zip(sol.states, fes)):
-        bax = st.diagnostics.get("factorization_residual", 0.0)
         row = {"index": i,
                "theta_sector": st.theta_m if params.even_chain else "",
                "functional_eq_residual": fe,
-               "factorization_residual": bax,
                "nullspace_dim": st.nullspace_dim}
         row.update((f"t[{dg}]", fmt_complex(c)) for dg, c in zip(degrees, st.t_coeffs))
         row.update((f"q[{k}]", fmt_complex(c)) for k, c in enumerate(st.q_poly))
@@ -239,7 +237,7 @@ def cmd_spectrum(params, seed, tolerances, writer):
 def cmd_ff(params, seed, tolerances, writer, kind, site, factors, ops):
     tol = {**oracle.DEFAULT_TOLERANCES, **tolerances}
     sol = ss.prepare(params, seed, tolerances)
-    basis, states = sol.basis, sol.states
+    grid, states = sol.grid, sol.states
     if kind == "npoint":
         mats = [lo.reconstruct_v2k(sol.frame(n), 1) if name == "v2"
                 else mc.embedded_u(params, n) for name, n in ops]
@@ -256,12 +254,12 @@ def cmd_ff(params, seed, tolerances, writer, kind, site, factors, ops):
         if site != 1:
             phi = ffm.shift_eigenvalues(sol, lo.cyclic_shift_permutation(params, site))
             ratio = phi[:, None] / phi[None, :]
-        values, zeros = ffm.ff_u_table(params, basis, states, states, site,
+        values, zeros = ffm.ff_u_table(params, grid, states, states, site,
                                        shift_ratio=ratio)
     elif kind == "elementary":
         elem = lo.ElementaryBasisElement(tuple(factors))
-        dense_op, tol_key = elem.to_dense(params, basis, sol.elementary_ops), "ff_elementary"
-        values, zeros = ffm.ff_elementary_table(params, basis, states, states, elem)
+        dense_op, tol_key = elem.to_dense(params, sol.basis, sol.elementary_ops), "ff_elementary"
+        values, zeros = ffm.ff_elementary_table(params, grid, states, states, elem)
     else:
         raise ConfigError(f"unknown form-factor kind '{kind}'")
     dense, rel = oracle.table_rel_err(sol, dense_op, values)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ModelParams, SgSovError
-from .sov_basis import SovBasis, cross_product, vandermonde
+from .sov_basis import SovBasis, SovGrid, cross_product, vandermonde
 from .spectrum import TransferEigenstate
 from .separate_states import (IncompleteSpectrum, _cmul, bra_blocks, phi_moments,
                               require_q_data, sector_zero, stacked_tables)
@@ -46,6 +46,10 @@ def shift_eigenvalues(sol, w_matrix):
 
 
 def _require_shift(params: ModelParams, n: int, shift_ratio):
+    """Raise unless n is a site of the chain and, for n > 1, the chain-shift
+    eigenvalue ratio is given."""
+    if not 1 <= n <= params.n_sites:
+        raise IndexError(f"site index {n} out of range 1..{params.n_sites}")
     if n != 1 and shift_ratio is None:
         if not params.homogeneous:
             raise ShiftUnavailable(
@@ -69,7 +73,7 @@ def ff_u(params: ModelParams, basis: SovBasis, bra: TransferEigenstate,
          ket: TransferEigenstate, n: int = 1, shift_ratio=None,
          keep_matrix=False) -> FormFactorResult:
     """Matrix element of the site-n shift generator between eigenstates, as
-    ``basis.ff_u_pref`` times the determinant of the matrix (kept by
+    ``basis.grid.ff_u_pref`` times the determinant of the matrix (kept by
     ``keep_matrix``) that differs from the moment matrix in its last column.
 
     For n > 1 the prefactor ratio of chain-shift eigenvalues must be supplied
@@ -79,13 +83,13 @@ def ff_u(params: ModelParams, basis: SovBasis, bra: TransferEigenstate,
     if sector_zero(params, bra.theta_m, ket.theta_m, _u_step(n)):
         return FormFactorResult(0.0 + 0.0j, selection_zero=True)
     U = _ff_u_matrices(bra.qbar_vals, ket.ff_u_ket[n - 1])
-    value = basis.ff_u_pref * np.linalg.det(U)
+    value = basis.grid.ff_u_pref * np.linalg.det(U)
     if shift_ratio is not None:
         value = shift_ratio * value
     return FormFactorResult(value, matrix=U if keep_matrix else None)
 
 
-def ff_u_table(params: ModelParams, basis: SovBasis, bras, kets, n: int = 1,
+def ff_u_table(params: ModelParams, grid: SovGrid, bras, kets, n: int = 1,
                shift_ratio=None):
     """``ff_u`` from every bra to every ket, shape (len(bras), len(kets)), as
     one batched determinant per block of bras against the kets' ``ff_u_ket``
@@ -99,7 +103,7 @@ def ff_u_table(params: ModelParams, basis: SovBasis, bras, kets, n: int = 1,
     values = np.empty((len(bras), len(kets)), dtype=complex)
     for rows in bra_blocks(len(bras)):
         values[rows] = np.linalg.det(_ff_u_matrices(qbar[rows, None], ket[None]))
-    values = _cmul(basis.ff_u_pref, values)
+    values = _cmul(grid.ff_u_pref, values)
     if shift_ratio is not None:
         values = _cmul(np.asarray(shift_ratio), values)
     zero = np.broadcast_to(sector_zero(params, theta_bra[:, None], theta_ket[None],
@@ -111,7 +115,7 @@ def ff_u_table(params: ModelParams, basis: SovBasis, bras, kets, n: int = 1,
 # Elementary-operator form factors
 # ---------------------------------------------------------------------------
 
-def _ff_elementary_values(params: ModelParams, basis: SovBasis, qbar, q, theta,
+def _ff_elementary_values(params: ModelParams, grid: SovGrid, qbar, q, theta,
                           elem: ElementaryBasisElement):
     """The elementary form factors of ``elem`` for Qbar tables ``qbar`` against
     Q tables ``q``, (..., nsep, p) each, broadcast over the leading axes, for
@@ -120,7 +124,7 @@ def _ff_elementary_values(params: ModelParams, basis: SovBasis, qbar, q, theta,
     the prefactor are built once; per pair only the spectator moments, the
     Q.Qbar factor and the sector factor are formed."""
     p, nsep = params.p, params.n_separate
-    grid, omega, z = basis.grid.grid, basis.omega, basis.grid.z
+    roots, omega, z = grid.grid, grid.omega, grid.z
     factors = elem.factors
     r = len(factors)
     g = sum(alpha for _, _, alpha in factors)
@@ -130,10 +134,10 @@ def _ff_elementary_values(params: ModelParams, basis: SovBasis, qbar, q, theta,
     size = nsep + r * p - g
     # a block of grid-power columns for every excited variable, then the
     # moment columns of the spectator variables
-    col_roots = [grid[a, (k + j) % p] for a, k, alpha in factors
+    col_roots = [roots[a, (k + j) % p] for a, k, alpha in factors
                  for j in range(p - alpha + 1)]
     powers = (np.array(col_roots, dtype=complex) ** 2) ** np.arange(size)[:, None]
-    mom = phi_moments(basis, qbar, q, range(h0 + g, 2 * size + h0 + g, 2))[..., spectators, :]
+    mom = phi_moments(grid, qbar, q, range(h0 + g, 2 * size + h0 + g, 2))[..., spectators, :]
     M = np.empty(mom.shape[:-2] + (size, size), dtype=complex)
     M[..., :len(col_roots)] = powers
     M[..., len(col_roots):] = np.swapaxes(mom, -1, -2)
@@ -141,9 +145,9 @@ def _ff_elementary_values(params: ModelParams, basis: SovBasis, qbar, q, theta,
     # grid part of the scalar prefactor
     f_num = 1.0 + 0.0j
     for a, k, alpha in factors:
-        f_num *= grid[a, k] ** (h0 + alpha * (nsep - r)) / omega[a, k]
+        f_num *= roots[a, k] ** (h0 + alpha * (nsep - r)) / omega[a, k]
         for h in range(alpha):
-            f_num *= basis.grid.a_vals[a, (k - h) % p]
+            f_num *= grid.a_vals[a, (k - h) % p]
     # cross factors between excited variables follow the operator order:
     # the i-th factor still sees variable a_j at its original grid index,
     # while the j-th factor sees a_i already lowered by alpha_i (i < j)
@@ -151,24 +155,24 @@ def _ff_elementary_values(params: ModelParams, basis: SovBasis, qbar, q, theta,
     for i, (ai, ki, alphai) in enumerate(factors):
         for aj, kj, alphaj in factors[i + 1:]:
             for h in range(alphai):
-                x, y = grid[ai, (ki - h) % p], grid[aj, kj]
+                x, y = roots[ai, (ki - h) % p], roots[aj, kj]
                 f_den *= x / y - y / x
             for h in range(alphaj):
-                x, y = grid[aj, (kj - h) % p], grid[ai, (ki - alphai) % p]
+                x, y = roots[aj, (kj - h) % p], roots[ai, (ki - alphai) % p]
                 f_den *= x / y - y / x
     # variable order, then the operator-ordering orientation of the excited blocks
     sign = (-1.0) ** (sum(a - i for i, a in enumerate(excited)) + (r - 1) * (g - r))
     qpow = np.prod([params.q ** (-(nsep - r) * alpha * (alpha - 1) / 2)
                     for _, _, alpha in factors])
-    v_small = vandermonde([grid[a, k] for a, k, _ in factors], squares=True)
+    v_small = vandermonde([roots[a, k] for a, k, _ in factors], squares=True)
     v_big = vandermonde(col_roots, squares=True)
     z_cross = np.prod([cross_product(z[a], z[spectators], squares=True)
                        for a in excited])
     pref = sign * qpow * f_num * v_small / (f_den * z_cross * v_big)
     if params.even_chain:
         # the sector factor of every ket sector, read by label
-        pref = _cmul(np.array([basis.c_ref * params.q ** (h0 * m)
-                               / (basis.grid.eta0[-1] ** elem.theta_pow
+        pref = _cmul(np.array([grid.c_ref * params.q ** (h0 * m)
+                               / (grid.eta0[-1] ** elem.theta_pow
                                   * params.xi_prod ** h0)
                                for m in range(p)])[theta], pref)
     for a, k, alpha in factors:
@@ -176,7 +180,7 @@ def _ff_elementary_values(params: ModelParams, basis: SovBasis, qbar, q, theta,
     return _cmul(pref, np.linalg.det(M)), M
 
 
-def ff_elementary(params: ModelParams, basis: SovBasis,
+def ff_elementary(params: ModelParams, grid: SovGrid,
                   bra: TransferEigenstate, ket: TransferEigenstate,
                   elem: ElementaryBasisElement,
                   keep_matrix=False) -> FormFactorResult:
@@ -186,19 +190,19 @@ def ff_elementary(params: ModelParams, basis: SovBasis,
     require_q_data(bra, ket)
     if sector_zero(params, bra.theta_m, ket.theta_m, elem.theta_pow):
         return FormFactorResult(0.0 + 0.0j, selection_zero=True)
-    value, M = _ff_elementary_values(params, basis, bra.qbar_vals, ket.q_vals,
+    value, M = _ff_elementary_values(params, grid, bra.qbar_vals, ket.q_vals,
                                      ket.theta_m, elem)
     return FormFactorResult(value[()], matrix=M if keep_matrix else None)
 
 
-def ff_elementary_table(params: ModelParams, basis: SovBasis, bras, kets,
+def ff_elementary_table(params: ModelParams, grid: SovGrid, bras, kets,
                         elem: ElementaryBasisElement):
     """``ff_elementary`` from every bra to every ket, shape
     (len(bras), len(kets)), through the same kernel on the stacked tables,
     and the mask of the selection zeros."""
     qbar, _, theta_bra = stacked_tables(bras)
     _, q, theta_ket = stacked_tables(kets)
-    values = _ff_elementary_values(params, basis, qbar[:, None], q[None], theta_ket, elem)[0]
+    values = _ff_elementary_values(params, grid, qbar[:, None], q[None], theta_ket, elem)[0]
     zero = np.broadcast_to(sector_zero(params, theta_bra[:, None], theta_ket[None],
                                        elem.theta_pow), values.shape)
     return np.where(zero, 0.0, values), zero

@@ -359,7 +359,7 @@ def _sov_section(s, sol):
 
 def _spectrum_section(s, sol):
     params = s.params
-    basis, states = sol.basis, sol.states
+    states = sol.states
     d = params.dim
     s.check("state_count", 0.0 if len(states) == d else 1.0, "functional_eq")
     t_rows = sol.t_rows
@@ -377,15 +377,12 @@ def _spectrum_section(s, sol):
     if params.self_adjoint:
         s.check("eigenvalue_reality", np.max(np.abs(t_rows.imag)), "functional_eq",
                 scale=np.max(np.abs(t_rows)))
-    worst = _baxter_grid_residual(params, basis, t_rows, np.array([st.psi for st in states]))
-    s.check("baxter_grid", worst, "baxter_grid")
-    s.check("wavefunction_factorization",
-            max(st.diagnostics["factorization_residual"] for st in states),
-            "factorization")
+    # the wavefunctions in the SOV basis and their ratio tables
+    psi, q_grid, anchors, resid, phase_dev = sp.extract_Q_grids(states, sol.basis)
+    s.check("baxter_grid", _baxter_grid_residual(params, sol.grid, t_rows, psi), "baxter_grid")
+    s.check("wavefunction_factorization", np.max(resid), "factorization")
     if params.even_chain:
-        s.check("reference_phase",
-                max(st.diagnostics["reference_phase_residual"] for st in states),
-                "factorization")
+        s.check("reference_phase", np.max(phase_dev), "factorization")
         pref = np.prod(np.asarray(params.kappa) / (1j * np.asarray(params.xi)))
         # the top column is degree n_bar = N
         worst = np.max(np.abs(t_rows[:, -1] - pref * (params.q ** sol.theta_m
@@ -398,9 +395,8 @@ def _spectrum_section(s, sol):
             diagnostic=True, bound=sp.NULL_TOL)
     # two-route agreement of the Baxter function
     nsep = params.n_separate
-    s.check("q_two_routes", _two_route_gap(
-        sol.q_vals, np.array([st.q_grid[:nsep] for st in states]),
-        np.array([st.q_anchor for st in states])[:, :nsep]), "baxter_grid")
+    s.check("q_two_routes", _two_route_gap(sol.q_vals, q_grid[:, :nsep], anchors[:, :nsep]),
+            "baxter_grid")
     # conjugate-gauge difference equation for the transformed polynomial
     lam = np.asarray(params.spectral_samples(s.rng(34), 5))
     qbar = np.array([st.qbar_poly for st in states[:6]])[:, None]
@@ -422,7 +418,7 @@ def _scalar_section(s, sol):
     d = params.dim
     rng = s.rng(40)
     nsep = params.n_separate
-    basis = sol.basis
+    basis, grid = sol.basis, sol.grid
     covs, vecs, norms = sol.covs, sol.vecs, sol.norms
     worst = 0.0
     for _ in range(20):
@@ -435,7 +431,7 @@ def _scalar_section(s, sol):
         cov = ss.materialize(a_st, basis)
         vec = ss.materialize(b_st, basis)
         dense = cov @ vec
-        det = ss.scalar_product_det(a_st, b_st, basis)
+        det = ss.scalar_product_det(a_st, b_st, grid)
         scale = max(abs(det), np.linalg.norm(cov) * np.linalg.norm(vec))
         worst = max(worst, abs(dense - det) / scale)
     s.check("scalar_product_random_pairs", worst, "scalar_product")
@@ -451,9 +447,9 @@ def _scalar_section(s, sol):
     ref2 = np.sqrt(np.outer(diag_dets, diag_dets))
     worst_orth = worst_null = 0.0
     for rows in ss.bra_blocks(d):
-        phi = ss.phi_moments(basis, sol.qbar_vals[rows, None], sol.q_vals[None],
+        phi = ss.phi_moments(grid, sol.qbar_vals[rows, None], sol.q_vals[None],
                              range(0, 2 * nsep, 2))
-        det = np.abs(np.linalg.det(phi)) * abs(basis.c_ref)
+        det = np.abs(np.linalg.det(phi)) * abs(grid.c_ref)
         worst_orth = max(worst_orth, float(np.max((det / ref2[rows])[pairs[rows]],
                                                   initial=0.0)))
         V = ss.t_coeff_null_vector(params, sol.t_rows[rows, None], sol.t_rows[None])
@@ -632,7 +628,7 @@ def _ff_section(s, sol):
     basis, states = sol.basis, sol.states
     u1 = mc.embedded_u(params, 1)
 
-    det = ffm.ff_u_table(params, basis, states, states, 1)[0]
+    det = ffm.ff_u_table(params, sol.grid, states, states, 1)[0]
     s.check("ff_u_full_sweep", float(np.max(table_rel_err(sol, u1, det)[1])), "ff_u",
             pairs=d * d)
 
@@ -648,7 +644,7 @@ def _ff_section(s, sol):
     for e_idx, elem in enumerate(elems):
         # the sampled pairs are the diagonal of the table over the sampled states
         dense_op = elem.to_dense(params, basis, sol.elementary_ops)
-        det = ffm.ff_elementary_table(params, basis, [states[i] for i in bras],
+        det = ffm.ff_elementary_table(params, sol.grid, [states[i] for i in bras],
                                       [states[j] for j in kets], elem)[0]
         err = table_rel_err(sol, dense_op, det, bras, kets)[1]
         s.check(f"ff_elementary[{e_idx}]", float(np.max(np.diagonal(err))),
@@ -677,14 +673,14 @@ def _rows_norm(x):
     return np.linalg.norm(x, axis=-1)
 
 
-def _baxter_grid_residual(params, basis, t_rows, psi):
+def _baxter_grid_residual(params, grid, t_rows, psi):
     """Worst relative residual of the discrete Baxter relations
     t(eta) psi_j = a(eta) psi_{j - e_a} + d(eta) psi_{j + e_a} of the states
     with transfer coefficient rows ``t_rows`` and SOV wavefunctions ``psi``
     (states, d), at every label j and separate variable a; a and d are
-    evaluated here, not read from the basis tables."""
+    evaluated here, not read from the grid tables."""
     nsep = params.n_separate
-    eta_sep = basis.grid.grid[:nsep]
+    eta_sep = grid.grid[:nsep]
     rows, tup = np.arange(nsep), params.tuples[:, :nsep]
     a_lab = mc.a_coeff(params, eta_sep)[rows, tup]
     d_lab = mc.d_coeff(params, eta_sep)[rows, tup]

@@ -19,10 +19,10 @@ import numpy as np
 from .params import ModelParams, SgSovError
 from . import model_core as mc
 from . import local_ops as lo
-from .sov_basis import (SovBasis, _read_only, build_sov_basis, moment_weights,
-                        vandermonde_weights)
-from .spectrum import (TransferEigenstate, diagonalize_transfer, extract_Q_grids,
-                       fit_Q_polynomials, power_sum, qbar_from_q)
+from .sov_basis import (SovBasis, SovGrid, _read_only, b_zeros, build_sov_basis,
+                        moment_weights, vandermonde_weights)
+from .spectrum import (TransferEigenstate, diagonalize_transfer, fit_Q_polynomials,
+                       power_sum, qbar_from_q)
 
 __all__ = [
     "SeparateState", "IncompleteSpectrum", "materialize",
@@ -87,29 +87,28 @@ def _materialize(basis: SovBasis, side, coeff, theta_m):
     return (basis.right @ w[..., :, None])[..., 0]
 
 
-def scalar_product_det(alpha: SeparateState, beta: SeparateState,
-                       basis: SovBasis):
+def scalar_product_det(alpha: SeparateState, beta: SeparateState, grid: SovGrid):
     """Pairing of a left and a right separate state as a single determinant.
 
     The entries are grid-moment sums; the determinant carries the reference
-    normalization constant of the basis, and on even chains the charge
+    normalization constant ``grid.c_ref``, and on even chains the charge
     sectors must match for a nonzero result."""
     if alpha.side != "left" or beta.side != "right":
         raise ValueError("scalar_product_det expects (left, right) states")
-    if sector_zero(basis.params, alpha.theta_m, beta.theta_m):
+    if sector_zero(grid.params, alpha.theta_m, beta.theta_m):
         return 0.0 + 0.0j
-    return basis.c_ref * _pairing_dets(basis, alpha.coeff, beta.coeff)
+    return grid.c_ref * _pairing_dets(grid, alpha.coeff, beta.coeff)
 
 
-def phi_moments(basis: SovBasis, left, right, exponents):
+def phi_moments(grid: SovGrid, left, right, exponents):
     """Weighted grid moments of two coefficient tables of shape (..., nsep, p),
     broadcast against each other over the leading axes:
     ``out[..., a, k] = sum_h left[..., a, h] * right[..., a, h]
     * eta_a^{(h)}**e_k / omega[a, h]`` for every separate variable a and
     exponent e_k, shape (..., nsep, len(exponents)).  The fixed exponents of
-    the pairings and of ``ff_u`` read the weight tables of the basis
+    the pairings and of ``ff_u`` read the weight tables of the grid
     instead."""
-    return _moments(left, right, moment_weights(basis, exponents))
+    return _moments(left, right, moment_weights(grid, exponents))
 
 
 def _moments(left, right, weights):
@@ -124,18 +123,18 @@ def _moments(left, right, weights):
 def attach_q_data(state: TransferEigenstate, basis: SovBasis):
     """Evaluate the fitted Baxter polynomial and its conjugate partner on the
     separate-variable grids and cache the tables on the eigenstate."""
-    return attach_q_tables([state], basis)[0]
+    return attach_q_tables([state], basis.grid)[0]
 
 
-def attach_q_tables(states, basis: SovBasis):
+def attach_q_tables(states, grid: SovGrid):
     """``attach_q_data`` on every state of ``states`` at once, the ``ff_u``
     ket tables (Q against the ``ff_u_weights`` of the state's sector) as one
     product per sector; the tables are read-only."""
     if any(st.q_poly is None for st in states):
         raise SgSovError("fit the Baxter polynomial before attaching Q data")
-    q_vals, qbar_vals = (_read_only(power_sum(np.stack(rows)[:, None, None], basis.grid.powers))
+    q_vals, qbar_vals = (_read_only(power_sum(np.stack(rows)[:, None, None], grid.powers))
                          for rows in zip(*[(st.q_poly, st.qbar_poly) for st in states]))
-    weights, theta = basis.ff_u_weights, np.array([st.theta_m for st in states])
+    weights, theta = grid.ff_u_weights, np.array([st.theta_m for st in states])
     kets = np.empty((len(states),) + weights[:, 0, ..., 0, :].shape, dtype=complex)
     for m in range(weights.shape[1]):
         kets[theta == m] = (q_vals[theta == m][:, None, :, None, None] @ weights[:, m])[..., 0, :]
@@ -159,19 +158,19 @@ def eigenstate_separate_states(state: TransferEigenstate, basis: SovBasis):
     return left, right
 
 
-def phi_general(basis: SovBasis, bra: TransferEigenstate,
+def phi_general(grid: SovGrid, bra: TransferEigenstate,
                 ket: TransferEigenstate, a: int, exponent: int):
     """Weighted grid moment of the two Baxter functions on variable ``a``:
     sum_h Qbar_bra * Q_ket * eta^exponent / omega."""
-    return complex(phi_moments(basis, bra.qbar_vals, ket.q_vals, [exponent])[a, 0])
+    return complex(phi_moments(grid, bra.qbar_vals, ket.q_vals, [exponent])[a, 0])
 
 
-def phi_matrix(basis: SovBasis, bra: TransferEigenstate,
+def phi_matrix(grid: SovGrid, bra: TransferEigenstate,
                ket: TransferEigenstate, half_shift: int = 0):
     """Moment matrix of the eigenstate pairing; ``half_shift`` moves every
     column exponent by that many half-steps (in units of eta)."""
-    nsep = basis.params.n_separate
-    return phi_moments(basis, bra.qbar_vals, ket.q_vals,
+    nsep = grid.params.n_separate
+    return phi_moments(grid, bra.qbar_vals, ket.q_vals,
                        range(half_shift, 2 * nsep + half_shift, 2))
 
 
@@ -182,11 +181,11 @@ def sector_zero(params: ModelParams, bra_theta, ket_theta, step: int = 0):
     return params.even_chain and (bra_theta - ket_theta - step) % params.p != 0
 
 
-def _pairing_dets(basis: SovBasis, qbar, q):
+def _pairing_dets(grid: SovGrid, qbar, q):
     """Determinants of the moment matrices of Qbar tables against Q tables,
     (..., nsep, p) each, broadcast over the leading axes, contracted against
-    ``basis.pairing_weights``; the pairings are ``c_ref`` times these."""
-    return np.linalg.det(_moments(qbar, q, basis.pairing_weights))
+    ``grid.pairing_weights``; the pairings are ``c_ref`` times these."""
+    return np.linalg.det(_moments(qbar, q, grid.pairing_weights))
 
 
 def _cmul(a, b):
@@ -200,9 +199,10 @@ def eigen_action(basis: SovBasis, bra: TransferEigenstate,
                  ket: TransferEigenstate):
     """Pairing <bra|ket> of the separate-state representations, as the
     determinant of the moment matrix (with the sector rule on even chains)."""
-    if sector_zero(basis.params, bra.theta_m, ket.theta_m):
+    grid = basis.grid
+    if sector_zero(grid.params, bra.theta_m, ket.theta_m):
         return 0.0 + 0.0j
-    return basis.c_ref * _pairing_dets(basis, bra.qbar_vals, ket.q_vals)
+    return grid.c_ref * _pairing_dets(grid, bra.qbar_vals, ket.q_vals)
 
 
 def stacked_tables(states):
@@ -215,14 +215,14 @@ def stacked_tables(states):
             _read_only(np.array([st.theta_m for st in states], dtype=int)))
 
 
-def eigen_action_table(basis: SovBasis, bras, kets):
+def eigen_action_table(grid: SovGrid, bras, kets):
     """Pairings <bra|ket> of every bra with every ket, shape
     (len(bras), len(kets)), as one batched determinant, and the mask of the
     pairs that the sector rule sets to zero."""
     qbar, _, theta_bra = stacked_tables(bras)
     _, q, theta_ket = stacked_tables(kets)
-    values = _cmul(basis.c_ref, _pairing_dets(basis, qbar[:, None], q[None]))
-    zero = np.broadcast_to(sector_zero(basis.params, theta_bra[:, None],
+    values = _cmul(grid.c_ref, _pairing_dets(grid, qbar[:, None], q[None]))
+    zero = np.broadcast_to(sector_zero(grid.params, theta_bra[:, None],
                                        theta_ket[None]), values.shape)
     return np.where(zero, 0.0, values), zero
 
@@ -234,7 +234,7 @@ def eigen_dense(states, basis: SovBasis):
     pairs."""
     qbar, q, theta = stacked_tables(states)
     return (_materialize(basis, "left", qbar, theta), _materialize(basis, "right", q, theta),
-            _cmul(basis.c_ref, _pairing_dets(basis, qbar, q)))
+            _cmul(basis.grid.c_ref, _pairing_dets(basis.grid, qbar, q)))
 
 
 def identity_resolution_T(sol):
@@ -263,23 +263,23 @@ def t_coeff_null_vector(params: ModelParams, bra_t, ket_t):
 
 @dataclass(frozen=True, eq=False)
 class Solution:
-    """The monodromy, the calibrated SOV basis, the transfer eigenstates
-    with their Baxter polynomials and grid tables, and the local-operator
-    data, shared by every scalar product, form factor and reconstruction of
-    one chain.
+    """The monodromy, the SOV grid, the transfer eigenstates with their
+    Baxter polynomials and grid tables, the calibrated SOV basis and the
+    local-operator data of one chain.
 
-    The basis, the eigenstates (every array they carry, the fixed-width
-    coefficient rows ``t_coeffs``, ``q_poly`` and ``qbar_poly`` included),
-    their stacked Baxter grid tables ``qbar_vals``/``q_vals`` (shape
-    (d, nsep, p)), ket tables ``ff_u_kets``, sector labels ``theta_m``
-    and transfer coefficients ``t_rows``, the stacked
-    ``covs``/``vecs``/``norms`` of ``eigen_dense`` and the graded table
-    ``elementary_ops`` are built on first use, read-only, from the
+    The grid (``b_zeros``), the eigenstates (every array they carry, the
+    fixed-width coefficient rows ``t_coeffs``, ``q_poly`` and ``qbar_poly``
+    included), their stacked Baxter grid tables ``qbar_vals``/``q_vals``
+    (shape (d, nsep, p)), ket tables ``ff_u_kets``, sector labels
+    ``theta_m`` and transfer coefficients ``t_rows``, the basis, the
+    stacked ``covs``/``vecs``/``norms`` of ``eigen_dense`` and the graded
+    table ``elementary_ops`` are built on first use, read-only, from the
     seed streams ``[seed, 1]`` (basis) and ``[seed, 2]``
     (diagonalization), so they do not depend on the order of use; the
-    Baxter fit matches exact coefficients and draws no points.  The
-    per-state steps run as one batch over all states.  Nothing is modified
-    after it is built."""
+    Baxter fit draws no points.  The eigenstates and their tables read the
+    grid only; the basis is built for the parts that read its vectors.
+    The per-state steps run as one batch over all states.  Nothing is
+    modified after it is built."""
     params: ModelParams
     seed: int
     mono: mc.Monodromy
@@ -289,21 +289,23 @@ class Solution:
         return np.random.default_rng(np.random.SeedSequence([self.seed, salt]))
 
     @cached_property
+    def grid(self) -> SovGrid:
+        return b_zeros(self.params, rel_gap=self.rel_gap)
+
+    @cached_property
     def basis(self) -> SovBasis:
-        return build_sov_basis(self.params, mono=self.mono, rng=self.rng(1),
-                               rel_gap=self.rel_gap)
+        return build_sov_basis(self.params, mono=self.mono, rng=self.rng(1), grid=self.grid)
 
     @cached_property
     def states(self) -> tuple:
-        params, basis = self.params, self.basis
+        params = self.params
         states = diagonalize_transfer(params, self.mono, rng=self.rng(2))
-        extract_Q_grids(states, basis)
         polys, nds, gaps = fit_Q_polynomials(params, np.stack([st.t_coeffs for st in states]))
         for st, poly, qbar, nd, gap in zip(states, polys, qbar_from_q(params, polys),
                                            nds, gaps):
             st.q_poly, st.qbar_poly, st.nullspace_dim = poly, qbar, nd
             st.diagnostics["baxter_fit_gap"] = float(gap)
-        return tuple(attach_q_tables(states, basis))
+        return tuple(attach_q_tables(states, self.grid))
 
     @cached_property
     def _tables(self):

@@ -95,7 +95,8 @@ def _read_only(x):
 
 @dataclass(frozen=True, eq=False)
 class SovGrid:
-    """Zeros of the averaged B entry and the chosen p-th root grids.
+    """Zeros of the averaged B entry, the chosen p-th root grids and every
+    table of the determinant kernels that depends on them only.
 
     ``z`` has length N; for an even chain the last entry is the reference
     variable fixed by the overall scale of the average rather than a root of
@@ -103,8 +104,23 @@ class SovGrid:
 
     The constructor also tabulates, on the separate-variable grids, the shift
     coefficients ``a_vals[a, h] = a(eta_a^{(h)})`` and ``d_vals``, shape
-    (nsep, p), and ``powers[k] = grid[:nsep] ** k`` up to the degree of Qbar;
-    it marks every array read-only, ``z`` and ``eta0`` in place."""
+    (nsep, p), ``powers[k] = grid[:nsep] ** k`` up to the degree of Qbar, the
+    gauge table ``omega[a, h] = (eta_a^{(h)})**(nsep - 1)`` and the reference
+    constant ``c_ref = (eta0_ref sqrt(p))**e_N`` of the closed-form measure.
+    The weight tables of the determinant kernels, which contract a Qbar table
+    against a Q table, both (nsep, p), are:
+    - ``pairing_weights[a, h, k] = eta_a^{(h)}**(2k) / omega[a, h]``, shape
+      (nsep, p, nsep): the moment matrix of a pairing;
+    - ``ff_u_weights[n - 1, m, a, g, h, k]``, shape (N, S, nsep, p, p, nsep)
+      with S = p sectors on even chains and S = 1 on odd ones: the weight of
+      Qbar(eta_a^{(g)}) Q(eta_a^{(h)}) in column k of the site-n ``ff_u``
+      matrix for a ket in sector m; ``ff_u`` is ``ff_u_pref`` =
+      c_ref / (kprod eta0_ref**e_N), the normalization of that last
+      column, times the determinant.  Its diagonal g = h holds the moment
+      columns eta**(2k+1) / omega and, on even chains, the theta-sector
+      terms over ``ff_u_pref`` in the last column; the last column also
+      holds the pole terms at g = h + 1 (mod p).
+    Every array is read-only, ``z`` and ``eta0`` marked in place."""
     params: ModelParams
     z: np.ndarray
     eta0: np.ndarray
@@ -112,6 +128,11 @@ class SovGrid:
     a_vals: np.ndarray = field(init=False)
     d_vals: np.ndarray = field(init=False)
     powers: np.ndarray = field(init=False)
+    omega: np.ndarray = field(init=False)
+    c_ref: complex = field(init=False)
+    pairing_weights: np.ndarray = field(init=False)
+    ff_u_pref: complex = field(init=False)
+    ff_u_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         params, nsep = self.params, self.params.n_separate
@@ -123,6 +144,14 @@ class SovGrid:
         top = (params.p - 1) * params.n_sites + params.n_sites % params.p
         powers = [grid[:nsep] ** k for k in range(top + 1)]   # as ``polyval_ascending`` has it
         object.__setattr__(self, "powers", _read_only(np.stack(powers)))
+        object.__setattr__(self, "omega", _read_only(grid[:nsep] ** (nsep - 1)))
+        c_ref = complex((self.eta0[-1] * np.sqrt(params.p)) ** params.e_n)
+        object.__setattr__(self, "c_ref", c_ref)
+        object.__setattr__(self, "pairing_weights",
+                           _read_only(moment_weights(self, range(0, 2 * nsep, 2))))
+        object.__setattr__(self, "ff_u_pref", complex(
+            c_ref / (params.kprod * self.eta0[-1] ** params.e_n)))
+        object.__setattr__(self, "ff_u_weights", _read_only(_ff_u_weights(self)))
 
 
 def _pair_and_root(params, z_values):
@@ -287,56 +316,30 @@ class SovBasis:
 
     ``left[j]`` is the covector (row) and ``right[:, j]`` the vector for the
     j-th tuple ``params.tuples[j]``.  The constructor marks ``left`` and
-    ``right`` read-only in place and derives the diagonal pairings ``mjj``,
+    ``right`` read-only in place and derives the diagonal pairings ``mjj`` and
     the measure ``measure[j] = 1 / mjj[j]`` entering the resolution of the
-    identity, and the gauge table ``omega``, all read-only; nothing is modified
-    afterwards (``eta_ref_lowering``, ``eta_charge_operators``: on first use).
+    identity, both read-only; nothing is modified afterwards
+    (``eta_ref_lowering``, ``eta_charge_operators``: on first use).
     ``label_mismatch`` is the worst relative mismatch between measured and
     predicted B-eigenvalue patterns of the labeling
     (bound ``LABEL_TOL``), ``calibration_residual`` the worst relative
-    residual of a calibration step (bound ``CALIBRATION_TOL``).
-
-    The constructor also builds the read-only weight tables of the
-    determinant kernels, which contract a Qbar table against a Q table,
-    both (nsep, p):
-    - ``pairing_weights[a, h, k] = eta_a^{(h)}**(2k) / omega[a, h]``, shape
-      (nsep, p, nsep): the moment matrix of a pairing;
-    - ``ff_u_weights[n - 1, m, a, g, h, k]``, shape (N, S, nsep, p, p, nsep)
-      with S = p sectors on even chains and S = 1 on odd ones: the weight of
-      Qbar(eta_a^{(g)}) Q(eta_a^{(h)}) in column k of the site-n ``ff_u``
-      matrix for a ket in sector m; ``ff_u`` is ``ff_u_pref`` =
-      c_ref / (kprod eta0_ref**e_N), the normalization of that last
-      column, times the determinant.  Its diagonal g = h holds the moment
-      columns eta**(2k+1) / omega and, on even chains, the theta-sector
-      terms over ``ff_u_pref`` in the last column; the last column also
-      holds the pole terms at g = h + 1 (mod p)."""
+    residual of a calibration step (bound ``CALIBRATION_TOL``).  The tables
+    that depend on the grid only live on ``grid``."""
     params: ModelParams
     grid: SovGrid
     left: np.ndarray
     right: np.ndarray
-    c_ref: complex = 1.0
     label_mismatch: float = 0.0
     calibration_residual: float = 0.0
     mjj: np.ndarray = field(init=False)
     measure: np.ndarray = field(init=False)
-    omega: np.ndarray = field(init=False)   # omega_a(eta_a^{(h)}) = (eta_a^{(h)})^{nsep-1}
-    pairing_weights: np.ndarray = field(init=False)
-    ff_u_pref: complex = field(init=False)
-    ff_u_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         mjj = np.einsum("jd,dj->j", _read_only(self.left), _read_only(self.right))
         if np.min(np.abs(mjj)) < 1e-12 * np.max(np.abs(mjj)):
             raise GaugeInconsistency("a diagonal pairing vanished; measure is singular")
-        nsep = self.params.n_separate
         object.__setattr__(self, "mjj", _read_only(mjj))
         object.__setattr__(self, "measure", _read_only(1.0 / mjj))
-        object.__setattr__(self, "omega", _read_only(self.grid.grid[:nsep] ** (nsep - 1)))
-        object.__setattr__(self, "pairing_weights",
-                           _read_only(moment_weights(self, range(0, 2 * nsep, 2))))
-        object.__setattr__(self, "ff_u_pref", complex(
-            self.c_ref / (self.params.kprod * self.grid.eta0[-1] ** self.params.e_n)))
-        object.__setattr__(self, "ff_u_weights", _read_only(_ff_u_weights(self)))
 
     @cached_property
     def eta_ref_lowering(self):
@@ -367,35 +370,35 @@ class SovBasis:
         return int(self.params.flat_indices(h))
 
 
-def moment_weights(basis: SovBasis, exponents):
+def moment_weights(grid: SovGrid, exponents):
     """``eta_a^{(h)}**e_k / omega[a, h]`` on the separate-variable grids, shape
     (nsep, p, len(exponents)): the weights that turn the product of two
     coefficient tables into grid moments."""
-    eta = basis.grid.grid[:basis.params.n_separate, :, None]
-    return eta ** np.asarray(exponents, dtype=int) / basis.omega[..., None]
+    eta = grid.grid[:grid.params.n_separate, :, None]
+    return eta ** np.asarray(exponents, dtype=int) / grid.omega[..., None]
 
 
-def _ff_u_weights(basis: SovBasis):
-    """The ``ff_u_weights`` table of every site and sector (see ``SovBasis``)."""
-    params, grid = basis.params, basis.grid
+def _ff_u_weights(grid: SovGrid):
+    """The ``ff_u_weights`` table of every site and sector (see ``SovGrid``)."""
+    params = grid.params
     nsep, p = params.n_separate, params.p
     lam = np.asarray(params.mu_plus, dtype=complex)[:, None, None]      # site n: mu_+[n-1]
     h = np.arange(p)
     out = np.zeros((params.n_sites, p if params.even_chain else 1, nsep, p, p, nsep),
                    dtype=complex)
-    out[..., h, h, :nsep - 1] = moment_weights(basis, range(1, 2 * nsep - 2, 2))
+    out[..., h, h, :nsep - 1] = moment_weights(grid, range(1, 2 * nsep - 2, 2))
     if params.even_chain:
         # sector m: sqrt(p) (q^m lam / xi_prod eta^{2 nsep - 1} - q^-m xi_prod / lam eta^-1) / omega
-        hi, lo = np.moveaxis(moment_weights(basis, [2 * nsep - 1, -1]), -1, 0)
+        hi, lo = np.moveaxis(moment_weights(grid, [2 * nsep - 1, -1]), -1, 0)
         m, lam_m = h[:, None, None], lam[:, None]
         out[..., h, h, -1] = np.sqrt(p) * (params.q ** m * (lam_m / params.xi_prod) * hi
                                            - params.q ** -m * (params.xi_prod / lam_m) * lo) \
-            / basis.ff_u_pref
+            / grid.ff_u_pref
     # pole terms, Qbar at g = h+1 against Q at h:
     # a(eta^{(g)}) / (lam/eta^{(g)} - eta^{(g)}/lam) (eta^{(h)})^{nsep-1} / omega
     eta = grid.grid[:nsep]
     pole = np.roll(grid.a_vals / (lam / eta - eta / lam), -1, axis=-1) \
-        * moment_weights(basis, [nsep - 1])[..., 0]
+        * moment_weights(grid, [nsep - 1])[..., 0]
     out[..., (h + 1) % p, h, -1] += pole[:, None]
     return out
 
@@ -499,8 +502,7 @@ def build_sov_basis(params: ModelParams, mono, rng, grid: SovGrid = None,
                 f"reference-direction cycle fails to close: residual {cyc:.3e}")
 
     # right: anchored by the closed-form pairing at the zero tuple
-    c_ref = (grid.eta0[-1] * np.sqrt(p)) ** params.e_n
-    m00 = c_ref / vandermonde(grid.grid[:nsep, 0])
+    m00 = grid.c_ref / vandermonde(grid.grid[:nsep, 0])
     raw = R_raw.T
     right = calibrate(raw, raw[0] * (m00 / (left[0] @ raw[0])), lambda v, M: M @ v,
                       a_ops, abar_vals, +1)
@@ -511,7 +513,7 @@ def build_sov_basis(params: ModelParams, mono, rng, grid: SovGrid = None,
             "labels or parameters are degenerate")
 
     return SovBasis(params, grid, left, np.ascontiguousarray(right.T),
-                    c_ref=complex(c_ref), label_mismatch=float(label_mismatch),
+                    label_mismatch=float(label_mismatch),
                     calibration_residual=float(worst_step))
 
 
@@ -525,19 +527,19 @@ def vandermonde_weights(basis: SovBasis):
     """Squared-difference Vandermonde over the separate-variable grid values
     for every label tuple, divided by the gauge functions."""
     nsep = basis.params.n_separate
-    wgt = np.prod(basis.omega[np.arange(nsep)[None, :], basis.params.tuples[:, :nsep]], axis=1)
+    wgt = np.prod(basis.grid.omega[np.arange(nsep)[None, :], basis.params.tuples[:, :nsep]], axis=1)
     return vandermonde(grid_values(basis), squares=True) / wgt
 
 
 def mjj_formula(basis: SovBasis):
     """Closed form of the diagonal pairings in the reference gauge."""
-    return basis.c_ref / vandermonde(grid_values(basis))
+    return basis.grid.c_ref / vandermonde(grid_values(basis))
 
 
 def measure_weights_formula(basis: SovBasis):
     """Explicit identity-decomposition weights: squared-difference Vandermonde
     over the gauge functions and the reference constant."""
-    return vandermonde_weights(basis) / basis.c_ref
+    return vandermonde_weights(basis) / basis.grid.c_ref
 
 
 def sov_diagonal(basis: SovBasis, weights=1.0, rows=slice(None)):

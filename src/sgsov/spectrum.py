@@ -44,9 +44,6 @@ class TransferEigenstate:
     theta_m: int                        # Z_p exponent of the charge eigenvalue, 0 on odd chains
     vec_right: np.ndarray
     vec_left: np.ndarray                # covector (row)
-    psi: np.ndarray = None              # wavefunction on SOV labels
-    q_grid: np.ndarray = None           # per-variable ratio tables (nsep or N, p)
-    q_anchor: tuple = None              # label tuple used to anchor the ratios
     q_poly: np.ndarray = None           # ((p - 1) N + 1,) ascending, top nonzero coeff 1
     qbar_poly: np.ndarray = None        # ((p - 1) N + 1 + N mod p,) ascending
     nullspace_dim: int = 0
@@ -167,14 +164,18 @@ def check_functional_equations(params: ModelParams, t_rows, rng):
 
 def extract_Q_grid(state: TransferEigenstate, basis: SovBasis):
     """Wavefunction components in the SOV basis and the per-variable ratio
-    tables of the Baxter function; validates the separated factorization."""
-    return extract_Q_grids([state], basis)[0]
+    tables of the Baxter function; validates the separated factorization.
+    Returns the state's entry of each of the ``extract_Q_grids`` results."""
+    return tuple(None if x is None else x[0] for x in extract_Q_grids([state], basis))
 
 
 def extract_Q_grids(states, basis: SovBasis):
-    """``extract_Q_grid`` on every state of ``states`` at once, shape
-    (len(states), N, p); the first state that fails raises.  The
-    wavefunctions and ratio tables are read-only."""
+    """``extract_Q_grid`` on every state of ``states`` at once; the first
+    state that fails raises.  Returns the read-only wavefunctions psi
+    (states, d), ratio tables (states, N, p), anchor label tuples
+    (states, N), factorization residuals (states,) and, on even chains,
+    the deviations of the reference-variable ratios from the pure charge
+    phase (states,), None on odd ones.  Nothing is written to the states."""
     params = basis.params
     p = params.p
     R = np.stack([st.vec_right for st in states])
@@ -185,7 +186,7 @@ def extract_Q_grids(states, basis: SovBasis):
     ref = psi[rows[:, 0], j0]
     zero = np.abs(ref) <= 1e-13 * np.linalg.norm(R, axis=1)
     ref = np.where(zero, 1.0, ref)            # those states raise below
-    anchor = params.tuples[j0]
+    anchor = _read_only(params.tuples[j0])
     nvar = params.n_sites
     # index of each anchor with variable a set to h, shape (states, nvar, p)
     idx = j0[:, None, None] + (np.arange(p) - anchor[..., None]) * p ** np.arange(nvar)[:, None]
@@ -193,27 +194,21 @@ def extract_Q_grids(states, basis: SovBasis):
     # factorization across the whole label set
     predicted = np.prod(np.ascontiguousarray(
         grid_ratios[rows[..., None], np.arange(nvar), params.tuples]), axis=-1) * ref[:, None]
-    resid = np.max(np.abs(predicted - psi), axis=1) \
-        / np.maximum(np.max(np.abs(psi), axis=1), 1e-300)
+    resid = _read_only(np.max(np.abs(predicted - psi), axis=1)
+                       / np.maximum(np.max(np.abs(psi), axis=1), 1e-300))
     bad = np.flatnonzero(zero | (resid > FACTORIZATION_TOL))
     if bad.size and zero[bad[0]]:
         raise ZeroReference("all SOV components of the eigenvector vanish")
     if bad.size:
         raise DegenerateSpectrum("wavefunction does not factorize over the separate "
                                  f"variables: {resid[bad[0]]:.2e}")
+    phase_dev = None
     if params.even_chain:
         # the reference-variable dependence is the pure charge phase
         m = np.array([st.theta_m for st in states])
         expect = params.q ** (-m[:, None] * (np.arange(p) - anchor[:, -1:]))
-        phase_dev = np.max(np.abs(grid_ratios[:, -1] - expect), axis=1)
-    for i, st in enumerate(states):
-        st.psi = psi[i]
-        st.q_grid = grid_ratios[i]
-        st.q_anchor = tuple(anchor[i])
-        st.diagnostics["factorization_residual"] = float(resid[i])
-        if params.even_chain:
-            st.diagnostics["reference_phase_residual"] = float(phase_dev[i])
-    return grid_ratios
+        phase_dev = _read_only(np.max(np.abs(grid_ratios[:, -1] - expect), axis=1))
+    return psi, grid_ratios, anchor, resid, phase_dev
 
 
 def fit_Q_polynomial(params: ModelParams, t_coeffs, rng=None):

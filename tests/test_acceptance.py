@@ -105,12 +105,12 @@ def test_criterion_3_spectrum(desk_bundles):
     for bundle in desk_bundles.values():
         params, basis = bundle.params, bundle.basis
         labels = set()
-        for st in bundle.states:
+        psis, _, _, resid, _ = sp.extract_Q_grids(bundle.states, basis)
+        worst_fact = max(worst_fact, max(resid))
+        for st, psi in zip(bundle.states, psis):
             labels.add((st.theta_m,) + tuple(np.round(st.t_coeffs, 9)))
             worst_true = max(worst_true, sp.check_functional_equation(
                 params, st.t_coeffs, bundle.rng(903)))
-            worst_fact = max(worst_fact, st.diagnostics["factorization_residual"])
-            psi = st.psi
             pmax = np.max(np.abs(psi))
             for j in range(params.dim):
                 tup = basis.params.tuples[j]
@@ -152,7 +152,7 @@ def test_criterion_4_scalar_products(desk_bundles):
             b_st = ss.SeparateState("right", be, mr)
             cov = ss.materialize(a_st, basis)
             vec = ss.materialize(b_st, basis)
-            det = ss.scalar_product_det(a_st, b_st, basis)
+            det = ss.scalar_product_det(a_st, b_st, bundle.grid)
             worst_pairs = max(worst_pairs, abs(cov @ vec - det)
                               / max(abs(det), np.linalg.norm(cov) * np.linalg.norm(vec)))
         diag = [abs(ss.eigen_action(basis, st, st)) for st in bundle.states]
@@ -162,7 +162,7 @@ def test_criterion_4_scalar_products(desk_bundles):
                     continue
                 val = ss.eigen_action(basis, si, sj)
                 worst_orth = max(worst_orth, abs(val) / np.sqrt(diag[i] * diag[j]))
-                phi = ss.phi_matrix(basis, si, sj)
+                phi = ss.phi_matrix(bundle.grid, si, sj)
                 V = ss.t_coeff_null_vector(params, bundle.t_rows[i], bundle.t_rows[j])
                 ref = max(mc.frob(phi),
                           (diag[i] * diag[j]) ** (0.5 * (nsep - 1) / nsep)
@@ -336,7 +336,7 @@ def test_criterion_8_form_factors(cfg_a, cfg_b):
             opn = np.linalg.norm(dense_op)
             for i, j in pairs:
                 dense = bundle.covs[i] @ dense_op @ bundle.vecs[j]
-                res = ff.ff_elementary(params, basis, bundle.states[i],
+                res = ff.ff_elementary(params, bundle.grid, bundle.states[i],
                                        bundle.states[j], elem)
                 scale = max(abs(dense), abs(res.value),
                             np.linalg.norm(bundle.covs[i]) * np.linalg.norm(bundle.vecs[j])

@@ -56,7 +56,7 @@ def test_ff_u_matrix_shares_columns_with_moment_matrix(cfg_a):
     params, basis = cfg_a.params, cfg_a.basis
     bra, ket = cfg_a.states[1], cfg_a.states[4]
     res = ff.ff_u(params, basis, bra, ket, 1, keep_matrix=True)
-    phi_half = ss.phi_matrix(basis, bra, ket, half_shift=1)
+    phi_half = ss.phi_matrix(cfg_a.grid, bra, ket, half_shift=1)
     nsep = params.n_separate
     for b in range(nsep - 1):
         assert np.allclose(res.matrix[:, b], phi_half[:, b], rtol=1e-12)
@@ -106,7 +106,7 @@ def test_ff_elementary_single_lowering(desk_bundles):
             opn = np.linalg.norm(dense_op)
             for i in range(0, d, 3):
                 for j in range(0, d, 4):
-                    res = ff.ff_elementary(params, basis, bundle.states[i],
+                    res = ff.ff_elementary(params, bundle.grid, bundle.states[i],
                                            bundle.states[j], elem)
                     dense = bundle.covs[i] @ dense_op @ bundle.vecs[j]
                     scale = max(abs(dense), abs(res.value),
@@ -127,7 +127,7 @@ def test_ff_elementary_two_variable_cases(cfg_a):
         opn = np.linalg.norm(dense_op)
         for i in range(0, d, 5):
             for j in range(0, d, 6):
-                res = ff.ff_elementary(params, basis, cfg_a.states[i],
+                res = ff.ff_elementary(params, cfg_a.grid, cfg_a.states[i],
                                        cfg_a.states[j], elem)
                 dense = cfg_a.covs[i] @ dense_op @ cfg_a.vecs[j]
                 scale = max(abs(dense), abs(res.value), _pair_scale(cfg_a, i, j, opn))
@@ -144,7 +144,7 @@ def test_ff_elementary_pure_charge_insertion(cfg_b):
         opn = np.linalg.norm(dense_op)
         for i in range(d):
             for j in range(d):
-                res = ff.ff_elementary(params, basis, cfg_b.states[i],
+                res = ff.ff_elementary(params, cfg_b.grid, cfg_b.states[i],
                                        cfg_b.states[j], elem)
                 dense = cfg_b.covs[i] @ dense_op @ cfg_b.vecs[j]
                 scale = max(abs(dense), abs(res.value), _pair_scale(cfg_b, i, j, opn))
@@ -157,7 +157,7 @@ def test_ff_elementary_sector_rule(cfg_b):
     dense_op = elem.to_dense(params, basis, cfg_b.elementary_ops)
     for i, sti in enumerate(cfg_b.states):
         for j, stj in enumerate(cfg_b.states):
-            res = ff.ff_elementary(params, basis, sti, stj, elem)
+            res = ff.ff_elementary(params, cfg_b.grid, sti, stj, elem)
             allowed = (sti.theta_m - stj.theta_m - 1) % params.p == 0
             assert res.selection_zero == (not allowed)
             if not allowed:
@@ -201,9 +201,9 @@ def test_npoint_two_point_expansion(desk_bundles):
 
 
 def test_npoint_two_point_with_determinant_route(cfg_a):
-    params, basis = cfg_a.params, cfg_a.basis
+    params, grid = cfg_a.params, cfg_a.grid
     u1 = embedded_u(cfg_a.params, 1)
-    det_table = ff.ff_u_table(params, basis, cfg_a.states, cfg_a.states, 1)[0]
+    det_table = ff.ff_u_table(params, grid, cfg_a.states, cfg_a.states, 1)[0]
     val = ff.npoint(cfg_a, 2, [det_table, det_table])
     dense = (cfg_a.covs[2] @ u1 @ u1 @ cfg_a.vecs[2]) / cfg_a.norms[2]
     assert abs(val - dense) <= 1e-6 * max(abs(dense), 1e-300)
@@ -245,10 +245,10 @@ def test_bra_blocks_leave_the_pair_tables_unchanged(cfg_a, monkeypatch):
     # every determinant of an all-pairs table is formed on its own, so the
     # size of the bra blocks moves no value
     from sgsov import oracle
-    params, basis, states = cfg_a.params, cfg_a.basis, cfg_a.states
-    values = ff.ff_u_table(params, basis, states, states, 1)[0]
+    params, grid, states = cfg_a.params, cfg_a.grid, cfg_a.states
+    values = ff.ff_u_table(params, grid, states, states, 1)[0]
     rows = [r.row() for r in oracle.verify_solution(cfg_a, sections={"scalar"})]
     monkeypatch.setattr(ss, "BRA_BLOCK", 5)
     assert len(ss.bra_blocks(params.dim)) == 6
-    assert np.array_equal(ff.ff_u_table(params, basis, states, states, 1)[0], values)
+    assert np.array_equal(ff.ff_u_table(params, grid, states, states, 1)[0], values)
     assert [r.row() for r in oracle.verify_solution(cfg_a, sections={"scalar"})] == rows

@@ -18,7 +18,7 @@ from sgsov import separate_states as ss
 from sgsov import form_factors as ff
 from sgsov import local_ops as lo
 from sgsov import oracle
-from sgsov.sov_basis import SovBasis, cross_product, moment_weights, vandermonde
+from sgsov.sov_basis import SovGrid, cross_product, moment_weights, vandermonde
 
 RTOL = 1e-12
 CHAINS = ("n1", "cfg_b", "cfg_a", "stretch")   # nsep = 1; even chain; N = 3, p = 3; nsep = 3, p = 5
@@ -50,43 +50,43 @@ def _assert_matrix_close(M, ref, scale):
 
 # -- per-entry references ----------------------------------------------------
 
-def moment_ref(basis, left, right, a, exponent):
+def moment_ref(grid, left, right, a, exponent):
     """sum_h left * right * eta^exponent / omega on variable a, point by
     point, and the sum of the moduli of its terms."""
-    eta, omega = basis.grid.grid[a], basis.omega[a]
+    eta, omega = grid.grid[a], grid.omega[a]
     terms = [left[a, h] * right[a, h] * eta[h] ** exponent / omega[h]
              for h in range(len(eta))]
     return sum(terms), sum(abs(t) for t in terms)
 
 
-def moment_matrix_ref(basis, left, right, exponents):
+def moment_matrix_ref(grid, left, right, exponents):
     """Moments (rows: variables, columns: exponents) and their term scales."""
-    nsep = basis.params.n_separate
-    out = np.array([[moment_ref(basis, left, right, a, e) for e in exponents]
+    nsep = grid.params.n_separate
+    out = np.array([[moment_ref(grid, left, right, a, e) for e in exponents]
                     for a in range(nsep)])
     return out[..., 0], out[..., 1].real
 
 
-def ff_u_matrix_ref(params, basis, bra, ket, n=1):
+def ff_u_matrix_ref(params, grid, bra, ket, n=1):
     """Prefactor (the normalization of the substituted last column), matrix
     and matrix term scales of ``ff_u``, entry by entry."""
     lam = complex(params.mu_plus[n - 1])
     nsep, p = params.n_separate, params.p
-    grid, omega = basis.grid.grid, basis.omega
-    pref = basis.c_ref / (params.kprod * basis.grid.eta0[-1] ** params.e_n)
-    U, S = moment_matrix_ref(basis, bra.qbar_vals, ket.q_vals, range(1, 2 * nsep, 2))
+    roots, omega = grid.grid, grid.omega
+    pref = grid.c_ref / (params.kprod * grid.eta0[-1] ** params.e_n)
+    U, S = moment_matrix_ref(grid, bra.qbar_vals, ket.q_vals, range(1, 2 * nsep, 2))
     for a in range(nsep):
         terms = [ket.q_vals[a, h] * bra.qbar_vals[a, (h + 1) % p]
-                 * mc.a_coeff(params, grid[a, (h + 1) % p])
-                 * grid[a, h] ** (nsep - 1) / omega[a, h]
-                 / (lam / grid[a, (h + 1) % p] - grid[a, (h + 1) % p] / lam)
+                 * mc.a_coeff(params, roots[a, (h + 1) % p])
+                 * roots[a, h] ** (nsep - 1) / omega[a, h]
+                 / (lam / roots[a, (h + 1) % p] - roots[a, (h + 1) % p] / lam)
                  for h in range(p)]
         U[a, -1] = sum(terms)
         S[a, -1] = sum(abs(t) for t in terms)
         if params.even_chain:
             m = ket.theta_m
             (hi, s_hi), (lo_, s_lo) = (
-                moment_ref(basis, bra.qbar_vals, ket.q_vals, a, e) for e in (2 * nsep - 1, -1))
+                moment_ref(grid, bra.qbar_vals, ket.q_vals, a, e) for e in (2 * nsep - 1, -1))
             c_hi = np.sqrt(p) * params.q ** m * (lam / params.xi_prod)
             c_lo = np.sqrt(p) * params.q ** (-m) * (params.xi_prod / lam)
             U[a, -1] += (c_hi * hi - c_lo * lo_) / pref
@@ -94,22 +94,22 @@ def ff_u_matrix_ref(params, basis, bra, ket, n=1):
     return pref, U, S
 
 
-def ff_u_ket_ref(params, basis, ket, n=1):
+def ff_u_ket_ref(params, grid, ket, n=1):
     """The site-n ``ff_u`` ket table of ``ket``, entry by entry: its Q table
     against the weights of its sector, written out as in ``ff_u_matrix_ref``
     (row g of variable a is what Qbar(eta_a^{(g)}) multiplies), and the term
     scales."""
     lam = complex(params.mu_plus[n - 1])
     nsep, p = params.n_separate, params.p
-    grid, omega, q = basis.grid.grid, basis.omega, ket.q_vals
-    pref = basis.c_ref / (params.kprod * basis.grid.eta0[-1] ** params.e_n)
+    roots, omega, q = grid.grid, grid.omega, ket.q_vals
+    pref = grid.c_ref / (params.kprod * grid.eta0[-1] ** params.e_n)
     out = np.zeros((nsep, p, nsep), dtype=complex)
     scale = np.zeros((nsep, p, nsep))
     for a in range(nsep):
         for g in range(p):
-            eta, h = grid[a, g], (g - 1) % p
+            eta, h = roots[a, g], (g - 1) % p
             terms = [[q[a, g] * eta ** (2 * k + 1) / omega[a, g]] for k in range(nsep - 1)]
-            last = [q[a, h] * mc.a_coeff(params, eta) * grid[a, h] ** (nsep - 1)
+            last = [q[a, h] * mc.a_coeff(params, eta) * roots[a, h] ** (nsep - 1)
                     / omega[a, h] / (lam / eta - eta / lam)]
             if params.even_chain:
                 m = ket.theta_m
@@ -123,11 +123,11 @@ def ff_u_ket_ref(params, basis, ket, n=1):
     return out, scale
 
 
-def ff_elementary_ref(params, basis, bra, ket, elem):
+def ff_elementary_ref(params, grid, bra, ket, elem):
     """Prefactor, matrix and matrix term scales of the elementary form
     factor, entry by entry."""
     p, nsep = params.p, params.n_separate
-    grid, omega = basis.grid.grid, basis.omega
+    roots, omega = grid.grid, grid.omega
     factors = list(elem.factors)
     r = len(factors)
     g = sum(f[2] for f in factors)
@@ -142,44 +142,44 @@ def ff_elementary_ref(params, basis, bra, ket, elem):
     col_roots = []
     for (a, k, alpha) in factors:
         for j in range(p - alpha + 1):
-            col_roots.append(grid[a, (k + j) % p])
+            col_roots.append(roots[a, (k + j) % p])
             M[:, col] = (col_roots[-1] ** 2) ** np.arange(size)
             S[:, col] = np.abs(M[:, col])
             col += 1
     for b in spectators:
         for row in range(size):
-            M[row, col], S[row, col] = moment_ref(basis, bra.qbar_vals, ket.q_vals, b,
+            M[row, col], S[row, col] = moment_ref(grid, bra.qbar_vals, ket.q_vals, b,
                                                   2 * row + h0 + g)
         col += 1
     f_num = 1.0 + 0.0j
     for (a, k, alpha) in factors:
         f_num *= (ket.q_vals[a, (k - alpha) % p] * bra.qbar_vals[a, k]
-                  * grid[a, k] ** (h0 + alpha * (nsep - r)) / omega[a, k])
+                  * roots[a, k] ** (h0 + alpha * (nsep - r)) / omega[a, k])
         for h in range(alpha):
-            f_num *= mc.a_coeff(params, grid[a, (k - h) % p])
+            f_num *= mc.a_coeff(params, roots[a, (k - h) % p])
     f_den = 1.0 + 0.0j
     for i, (ai, ki, alphai) in enumerate(factors):
         for (aj, kj, alphaj) in factors[i + 1:]:
             for h in range(alphai):
-                x, y = grid[ai, (ki - h) % p], grid[aj, kj]
+                x, y = roots[ai, (ki - h) % p], roots[aj, kj]
                 f_den *= x / y - y / x
             for h in range(alphaj):
-                x, y = grid[aj, (kj - h) % p], grid[ai, (ki - alphai) % p]
+                x, y = roots[aj, (kj - h) % p], roots[ai, (ki - alphai) % p]
                 f_den *= x / y - y / x
     sign = (-1.0) ** sum(a - i for i, (a, _, _) in enumerate(factors))
     sign *= (-1.0) ** ((r - 1) * (g - r)) if r else 1.0
     qpow = np.prod([params.q ** (-(nsep - r) * alpha * (alpha - 1) / 2)
                     for (_, _, alpha) in factors]) if factors else 1.0
-    z = basis.grid.z
-    v_small = vandermonde([grid[a, k] for (a, k, _) in factors], squares=True)
+    z = grid.z
+    v_small = vandermonde([roots[a, k] for (a, k, _) in factors], squares=True)
     v_big = vandermonde(col_roots, squares=True)
     z_cross = np.prod([cross_product(z[a], z[spectators], squares=True)
                        for a in excited])
     pref = sign * qpow * f_num * v_small / (f_den * z_cross * v_big)
     sector = 1.0 + 0.0j
     if params.even_chain:
-        sector = basis.c_ref * params.q ** (h0 * ket.theta_m) \
-            / (basis.grid.eta0[-1] ** hN * params.xi_prod ** h0)
+        sector = grid.c_ref * params.q ** (h0 * ket.theta_m) \
+            / (grid.eta0[-1] ** hN * params.xi_prod ** h0)
     return sector * pref, M, S
 
 
@@ -209,26 +209,27 @@ def test_grid_tables_match_scalar_coefficients(sol):
 
 
 def test_grid_tables_are_read_only(sol):
-    basis = sol.basis
-    for table in (basis.grid.a_vals, basis.grid.d_vals, basis.omega):
+    grid = sol.grid
+    for table in (grid.a_vals, grid.d_vals, grid.omega):
         with pytest.raises(ValueError):
             table[0, 0] = 1.0
 
 
 def test_weight_tables_are_built_read_only_by_the_constructor(sol, monkeypatch):
-    params, basis, states = sol.params, sol.basis, sol.states
+    params, basis, grid, states = sol.params, sol.basis, sol.grid, sol.states
     nsep, p, n_sites = params.n_separate, params.p, params.n_sites
-    fresh = SovBasis(params, basis.grid, basis.left, basis.right,
-                     c_ref=basis.c_ref)
+    fresh = SovGrid(params, grid.z, grid.eta0)
     sectors = p if params.even_chain else 1
-    for name, shape in (("pairing_weights", (nsep, p, nsep)),
+    for name, shape in (("omega", (nsep, p)), ("pairing_weights", (nsep, p, nsep)),
                         ("ff_u_weights", (n_sites, sectors, nsep, p, p, nsep))):
         table = vars(fresh)[name]          # an instance field, not built on use
         assert table.shape == shape
-        assert np.array_equal(table, getattr(basis, name))
+        assert np.array_equal(table, getattr(grid, name))
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 1.0
-    assert np.array_equal(basis.pairing_weights, moment_weights(basis, range(0, 2 * nsep, 2)))
+    assert vars(fresh)["c_ref"] == grid.c_ref == (grid.eta0[-1] * np.sqrt(p)) ** params.e_n
+    assert vars(fresh)["ff_u_pref"] == grid.ff_u_pref
+    assert np.array_equal(grid.pairing_weights, moment_weights(grid, range(0, 2 * nsep, 2)))
     # the per-pair kernels read the tables: no moment is computed per call
     calls = []
     moments = ss.phi_moments
@@ -239,7 +240,7 @@ def test_weight_tables_are_built_read_only_by_the_constructor(sol, monkeypatch):
 
     for module in (ss, ff):
         monkeypatch.setattr(module, "phi_moments", counting)
-    ss.phi_matrix(basis, states[0], states[0])      # the counter is in place
+    ss.phi_matrix(grid, states[0], states[0])       # the counter is in place
     assert len(calls) == 1
     calls.clear()
     for i, j in _pairs(sol, count=4):
@@ -257,13 +258,13 @@ def _theta_sector_weights(params, m, n):
 
 
 def test_ff_u_sector_tables_match_theta_column_formula(cfg_b):
-    params, basis = cfg_b.params, cfg_b.basis
+    params, grid = cfg_b.params, cfg_b.grid
     nsep, p = params.n_separate, params.p
-    eta, omega = basis.grid.grid[:nsep], basis.omega
+    eta, omega = grid.grid[:nsep], grid.omega
     h = np.arange(p)
     for n in range(1, params.n_sites + 1):
         lam = complex(params.mu_plus[n - 1])
-        pref = basis.c_ref / (params.kprod * basis.grid.eta0[-1] ** params.e_n)
+        pref = grid.c_ref / (params.kprod * grid.eta0[-1] ** params.e_n)
         pole = np.zeros((nsep, p, p), dtype=complex)
         for a in range(nsep):
             for k in range(p):
@@ -272,7 +273,7 @@ def test_ff_u_sector_tables_match_theta_column_formula(cfg_b):
                                  / (lam / eta[a, g] - eta[a, g] / lam)
                                  * eta[a, k] ** (nsep - 1) / omega[a, k])
         for m in range(p):
-            table = basis.ff_u_weights[n - 1, m]
+            table = grid.ff_u_weights[n - 1, m]
             w_hi, w_lo = _theta_sector_weights(params, m, n)
             hi = np.sqrt(p) * w_hi * eta ** (2 * nsep - 1) / omega / pref
             lo_ = np.sqrt(p) * w_lo * eta ** (-1) / omega / pref
@@ -287,13 +288,13 @@ def test_ff_u_sector_tables_match_theta_column_formula(cfg_b):
 
 
 def test_ff_u_ket_tables_match_scalar_formula(sol):
-    params, basis = sol.params, sol.basis
+    params, grid = sol.params, sol.grid
     N, nsep, p = params.n_sites, params.n_separate, params.p
     # every state; every fourth on the d = 125 chain
     for st in sol.states[::max(1, params.dim // 27)]:
         assert st.ff_u_ket.shape == (N, nsep, p, nsep)
         for n in range(1, N + 1):
-            ref, scale = ff_u_ket_ref(params, basis, st, n)
+            ref, scale = ff_u_ket_ref(params, grid, st, n)
             _assert_matrix_close(st.ff_u_ket[n - 1], ref, scale)
 
 
@@ -309,34 +310,34 @@ def test_shifted_indices_match_scalar_shifts(sol):
 # -- determinant kernels ---------------------------------------------------------
 
 def test_phi_matrix_and_eigen_action_match_scalar_sums(sol):
-    params, basis, states = sol.params, sol.basis, sol.states
+    params, basis, grid, states = sol.params, sol.basis, sol.grid, sol.states
     nsep = params.n_separate
     for i, j in _pairs(sol):
         bra, ket = states[i], states[j]
-        ref, scale = moment_matrix_ref(basis, bra.qbar_vals, ket.q_vals, range(0, 2 * nsep, 2))
-        _assert_matrix_close(ss.phi_matrix(basis, bra, ket), ref, scale)
+        ref, scale = moment_matrix_ref(grid, bra.qbar_vals, ket.q_vals, range(0, 2 * nsep, 2))
+        _assert_matrix_close(ss.phi_matrix(grid, bra, ket), ref, scale)
         last = nsep - 1
-        assert abs(ss.phi_general(basis, bra, ket, last, 2 * last) - ref[last, last]) \
+        assert abs(ss.phi_general(grid, bra, ket, last, 2 * last) - ref[last, last]) \
             <= RTOL * scale[last, last]
         if params.even_chain and (bra.theta_m - ket.theta_m) % params.p != 0:
             assert ss.eigen_action(basis, bra, ket) == 0.0
             continue
         _assert_det_close(ss.eigen_action(basis, bra, ket),
-                          basis.c_ref * np.linalg.det(ref), scale, basis.c_ref)
+                          grid.c_ref * np.linalg.det(ref), scale, grid.c_ref)
 
 
 def test_scalar_product_det_matches_scalar_sums(sol):
-    params, basis = sol.params, sol.basis
+    params, grid = sol.params, sol.grid
     nsep, p = params.n_separate, params.p
     rng = sol.rng(901)
     for _ in range(5):
         left, right = (rng.standard_normal((nsep, p)) + 1j * rng.standard_normal((nsep, p))
                        for _ in range(2))
         m = 0
-        ref, scale = moment_matrix_ref(basis, left, right, range(0, 2 * nsep, 2))
+        ref, scale = moment_matrix_ref(grid, left, right, range(0, 2 * nsep, 2))
         got = ss.scalar_product_det(ss.SeparateState("left", left, m),
-                                    ss.SeparateState("right", right, m), basis)
-        _assert_det_close(got, basis.c_ref * np.linalg.det(ref), scale, basis.c_ref)
+                                    ss.SeparateState("right", right, m), grid)
+        _assert_det_close(got, grid.c_ref * np.linalg.det(ref), scale, grid.c_ref)
 
 
 def test_ff_u_matches_scalar_formula(sol):
@@ -348,7 +349,7 @@ def test_ff_u_matches_scalar_formula(sol):
             zeros += 1
             assert res.value == 0.0
             continue
-        pref, ref, scale = ff_u_matrix_ref(params, basis, states[i], states[j])
+        pref, ref, scale = ff_u_matrix_ref(params, sol.grid, states[i], states[j])
         _assert_matrix_close(res.matrix, ref, scale)
         # the Hadamard bound of the matrix with its last column normalized
         scale[:, -1] *= abs(pref)
@@ -357,14 +358,14 @@ def test_ff_u_matches_scalar_formula(sol):
 
 
 def test_ff_elementary_matches_scalar_formula(sol):
-    params, basis, states = sol.params, sol.basis, sol.states
+    params, grid, states = sol.params, sol.grid, sol.states
     for elem in _elements(params):
         for i, j in _pairs(sol, count=4):
-            res = ff.ff_elementary(params, basis, states[i], states[j], elem,
+            res = ff.ff_elementary(params, grid, states[i], states[j], elem,
                                    keep_matrix=True)
             if res.selection_zero:
                 continue
-            pref, ref, scale = ff_elementary_ref(params, basis, states[i], states[j], elem)
+            pref, ref, scale = ff_elementary_ref(params, grid, states[i], states[j], elem)
             _assert_matrix_close(res.matrix, ref, scale)
             _assert_det_close(res.value, pref * np.linalg.det(ref), scale, pref)
 
@@ -373,7 +374,7 @@ def test_ff_elementary_matches_scalar_formula(sol):
 
 def test_ff_u_table_equals_per_pair_calls(sol):
     params, basis, states = sol.params, sol.basis, sol.states
-    values, zeros = ff.ff_u_table(params, basis, states, states, 1)
+    values, zeros = ff.ff_u_table(params, sol.grid, states, states, 1)
     per_pair = [[ff.ff_u(params, basis, bra, ket, 1) for ket in states] for bra in states]
     assert values.shape == zeros.shape == (params.dim, params.dim)
     # the same operations in the same order: bit-identical
@@ -383,12 +384,12 @@ def test_ff_u_table_equals_per_pair_calls(sol):
 
 
 def test_ff_elementary_table_equals_per_pair_calls(sol):
-    params, basis, states = sol.params, sol.basis, sol.states
+    params, grid, states = sol.params, sol.grid, sol.states
     # every pair; every tenth bra on the d = 125 chain
     bras = states if params.dim <= 27 else states[::10]
     for elem in _elements(params):
-        values, zeros = ff.ff_elementary_table(params, basis, bras, states, elem)
-        per_pair = [[ff.ff_elementary(params, basis, bra, ket, elem) for ket in states]
+        values, zeros = ff.ff_elementary_table(params, grid, bras, states, elem)
+        per_pair = [[ff.ff_elementary(params, grid, bra, ket, elem) for ket in states]
                     for bra in bras]
         assert values.shape == zeros.shape == (len(bras), params.dim)
         # one kernel, the same operations in the same order: bit-identical
@@ -400,19 +401,29 @@ def test_ff_elementary_table_equals_per_pair_calls(sol):
 def test_ff_u_table_at_a_shifted_site(hom3):
     params, basis, states = hom3.params, hom3.basis, hom3.states
     with pytest.raises(ff.ShiftUnavailable):
-        ff.ff_u_table(params, basis, states, states, 2)
+        ff.ff_u_table(params, hom3.grid, states, states, 2)
     shift = np.linspace(0.5, 1.5, params.dim) * np.exp(1j * np.arange(params.dim))
     ratio = shift[:, None] / shift[None, :]
-    values, _ = ff.ff_u_table(params, basis, states[:4], states, 2, shift_ratio=ratio[:4])
+    values, _ = ff.ff_u_table(params, hom3.grid, states[:4], states, 2, shift_ratio=ratio[:4])
     for i in range(4):
         for j, ket in enumerate(states):
             ref = ff.ff_u(params, basis, states[i], ket, 2, shift_ratio=ratio[i, j]).value
             assert values[i, j] == ref
 
 
+@pytest.mark.parametrize("n", [0, -1, 4])
+def test_ff_u_rejects_a_site_outside_the_chain(hom3, n):
+    # a negative index would silently read the table of a site from the end
+    params, states = hom3.params, hom3.states
+    with pytest.raises(IndexError):
+        ff.ff_u(params, hom3.basis, states[0], states[1], n, shift_ratio=1.0)
+    with pytest.raises(IndexError):
+        ff.ff_u_table(params, hom3.grid, states, states, n, shift_ratio=1.0)
+
+
 def test_eigen_action_table_equals_per_pair_calls(sol):
     params, basis, states = sol.params, sol.basis, sol.states
-    values, zeros = ss.eigen_action_table(basis, states, states)
+    values, zeros = ss.eigen_action_table(sol.grid, states, states)
     ref = np.array([[ss.eigen_action(basis, bra, ket) for ket in states] for bra in states])
     theta = np.array([st.theta_m or 0 for st in states])
     assert np.array_equal(zeros, params.even_chain & ((theta[:, None] - theta) % params.p != 0))
@@ -431,16 +442,17 @@ def test_determinant_kernels_make_no_einsum_call(chain, request, monkeypatch):
         raise AssertionError("np.einsum called by a determinant kernel")
 
     monkeypatch.setattr(np, "einsum", refuse)
-    ss.attach_q_tables([dataclasses.replace(st) for st in states], basis)
+    grid = sol.grid
+    ss.attach_q_tables([dataclasses.replace(st) for st in states], grid)
     bra, ket = states[1], states[2]
     ff.ff_u(params, basis, bra, ket, 1)
     ss.eigen_action(basis, bra, ket)
-    ff.ff_u_table(params, basis, states[:3], states, 1)
-    ss.eigen_action_table(basis, states[:3], states)
-    ss.phi_moments(basis, bra.qbar_vals, ket.q_vals, [0, 2, 5])
+    ff.ff_u_table(params, grid, states[:3], states, 1)
+    ss.eigen_action_table(grid, states[:3], states)
+    ss.phi_moments(grid, bra.qbar_vals, ket.q_vals, [0, 2, 5])
     for elem in _elements(params):
-        ff.ff_elementary(params, basis, bra, ket, elem)
-        ff.ff_elementary_table(params, basis, states[:3], states, elem)
+        ff.ff_elementary(params, grid, bra, ket, elem)
+        ff.ff_elementary_table(params, grid, states[:3], states, elem)
 
 
 def test_eigen_dense_norms_equal_per_state_pairings(sol):
@@ -468,7 +480,7 @@ def test_stacked_tables_on_solution(sol):
 
 def _scalar_worst_by_pair_loop(sol):
     """The orthogonality and null-vector worst values, one pair at a time."""
-    params, basis, states = sol.params, sol.basis, sol.states
+    params, grid, states = sol.params, sol.grid, sol.states
     nsep = params.n_separate
     diag_dets = np.abs(sol.norms)
     worst_orth = worst_null = 0.0
@@ -476,8 +488,8 @@ def _scalar_worst_by_pair_loop(sol):
         for j, stj in enumerate(states):
             if i == j or (params.even_chain and sti.theta_m != stj.theta_m):
                 continue
-            phi = ss.phi_matrix(basis, sti, stj)
-            det = abs(np.linalg.det(phi)) * abs(basis.c_ref)
+            phi = ss.phi_matrix(grid, sti, stj)
+            det = abs(np.linalg.det(phi)) * abs(grid.c_ref)
             worst_orth = max(worst_orth, det / np.sqrt(diag_dets[i] * diag_dets[j]))
             V = ss.t_coeff_null_vector(params, sol.t_rows[i], sol.t_rows[j])
             ref = np.sqrt(np.sqrt(diag_dets[i] * diag_dets[j]))

@@ -175,20 +175,20 @@ def test_functional_equations_equal_per_state_loop(sol):
 def test_baxter_grid_equals_per_state_loop(sol):
     params, basis = sol.params, sol.basis
     t_all = sol.t_rows
-    psi = np.array([st.psi for st in sol.states])
-    _noise_close(oracle._baxter_grid_residual(params, basis, t_all, psi),
+    psi = sp.extract_Q_grids(sol.states, basis)[0]
+    _noise_close(oracle._baxter_grid_residual(params, sol.grid, t_all, psi),
                  _baxter_grid_ref(params, basis, t_all, psi))
     psi = _perturbed(psi, np.random.default_rng(8))
     ref = _baxter_grid_ref(params, basis, t_all, psi)
     assert ref > 1e-5
-    _close(oracle._baxter_grid_residual(params, basis, t_all, psi), ref)
+    _close(oracle._baxter_grid_residual(params, sol.grid, t_all, psi), ref)
 
 
 def test_two_routes_equal_per_state_loop(sol):
     params, basis, nsep = sol.params, sol.basis, sol.params.n_separate
     polys = [st.q_poly for st in sol.states]
-    anchors = np.array([st.q_anchor for st in sol.states])[:, :nsep]
-    q_grid = np.array([st.q_grid[:nsep] for st in sol.states])
+    _, q_grid, anchors, _, _ = sp.extract_Q_grids(sol.states, basis)
+    q_grid, anchors = q_grid[:, :nsep], anchors[:, :nsep]
     _noise_close(oracle._two_route_gap(sol.q_vals, q_grid, anchors),
                  _two_route_ref(params, basis, polys, q_grid, anchors))
     q_grid = _perturbed(q_grid, np.random.default_rng(9))
@@ -296,14 +296,16 @@ def test_batched_preparation_equals_batch_of_one(cfg_b):
     that the benchmark makes are one code path: every state agrees bit for
     bit, the SOV wavefunction and its ratio tables included."""
     params, basis = cfg_b.params, cfg_b.basis
-    for st in cfg_b.states:
+    psi, q_grid, anchors, resid, phase_dev = sp.extract_Q_grids(cfg_b.states, basis)
+    for i, st in enumerate(cfg_b.states):
         fresh = sp.TransferEigenstate(st.t_coeffs, st.theta_m, st.vec_right, st.vec_left)
-        sp.extract_Q_grid(fresh, basis)
+        got = sp.extract_Q_grid(fresh, basis)
+        for name, value, batch in zip(("psi", "q_grid", "anchor", "resid", "phase"), got,
+                                      (psi, q_grid, anchors, resid, phase_dev)):
+            assert np.array_equal(value, batch[i]), name
         fresh.q_poly, fresh.nullspace_dim = sp.fit_Q_polynomial(params, st.t_coeffs)
         fresh.qbar_poly = sp.qbar_from_q(params, fresh.q_poly)
         ss.attach_q_data(fresh, basis)
-        for name in ("psi", "q_grid", "q_poly", "qbar_poly", "q_vals", "qbar_vals",
-                     "ff_u_ket"):
+        for name in ("q_poly", "qbar_poly", "q_vals", "qbar_vals", "ff_u_ket"):
             assert np.array_equal(getattr(fresh, name), getattr(st, name)), name
-        assert fresh.q_anchor == st.q_anchor
         assert fresh.nullspace_dim == st.nullspace_dim

@@ -50,7 +50,7 @@ def test_scalar_product_determinant_vs_dense(desk_bundles):
             cov = ss.materialize(a_st, basis)
             vec = ss.materialize(b_st, basis)
             dense = cov @ vec
-            det = ss.scalar_product_det(a_st, b_st, basis)
+            det = ss.scalar_product_det(a_st, b_st, bundle.grid)
             scale = max(abs(det), np.linalg.norm(cov) * np.linalg.norm(vec))
             assert abs(dense - det) <= 1e-8 * scale
 
@@ -63,7 +63,7 @@ def test_scalar_product_sector_rule(cfg_b):
             a_st = _random_state(cfg_b, rng, "left")
             b_st = _random_state(cfg_b, rng, "right")
             a_st.theta_m, b_st.theta_m = ml, mr
-            det = ss.scalar_product_det(a_st, b_st, basis)
+            det = ss.scalar_product_det(a_st, b_st, cfg_b.grid)
             dense = ss.materialize(a_st, basis) @ ss.materialize(b_st, basis)
             if ml != mr:
                 assert det == 0.0
@@ -77,15 +77,15 @@ def test_scalar_product_sector_rule(cfg_b):
 def test_scalar_product_vanishing_first_moment(cfg_a):
     # making every row's zeroth moment vanish kills the first column of the
     # moment matrix and hence the determinant
-    params, basis = cfg_a.params, cfg_a.basis
+    params, basis, grid = cfg_a.params, cfg_a.basis, cfg_a.grid
     rng = cfg_a.rng(404)
     beta = _random_state(cfg_a, rng, "right")
     alpha = _random_state(cfg_a, rng, "left")
     for a in range(params.n_separate):
-        w = beta.coeff[a] / basis.omega[a]
+        w = beta.coeff[a] / grid.omega[a]
         alpha.coeff[a] = alpha.coeff[a] - (np.sum(alpha.coeff[a] * w) / np.sum(w * w)) * w
-        assert abs(np.sum(alpha.coeff[a] * beta.coeff[a] / basis.omega[a])) <= 1e-10
-    det = ss.scalar_product_det(alpha, beta, basis)
+        assert abs(np.sum(alpha.coeff[a] * beta.coeff[a] / grid.omega[a])) <= 1e-10
+    det = ss.scalar_product_det(alpha, beta, grid)
     dense = ss.materialize(alpha, basis) @ ss.materialize(beta, basis)
     scale = np.linalg.norm(ss.materialize(alpha, basis)) \
         * np.linalg.norm(ss.materialize(beta, basis))
@@ -127,7 +127,7 @@ def test_orthogonality_null_vector(desk_bundles):
             for j, sj in enumerate(states):
                 if i == j or (params.even_chain and si.theta_m != sj.theta_m):
                     continue
-                phi = ss.phi_matrix(basis, si, sj)
+                phi = ss.phi_matrix(bundle.grid, si, sj)
                 V = ss.t_coeff_null_vector(params, bundle.t_rows[i], bundle.t_rows[j])
                 ref = max(mc.frob(phi),
                           (diag[i] * diag[j]) ** (0.5 * (nsep - 1) / nsep)
@@ -172,13 +172,13 @@ def test_hermitian_dual_proportionality(desk_bundles):
 
 
 def test_moment_matrix_entries_match_direct_sum(cfg_a):
-    basis = cfg_a.basis
+    grid = cfg_a.grid
     st1, st2 = cfg_a.states[2], cfg_a.states[7]
-    phi = ss.phi_matrix(basis, st1, st2)
+    phi = ss.phi_matrix(grid, st1, st2)
     a, b = 1, 2
     direct = 0.0 + 0.0j
     for c in range(cfg_a.params.p):
-        eta = basis.grid.grid[a, c]
+        eta = grid.grid[a, c]
         direct += st1.qbar_vals[a, c] * st2.q_vals[a, c] * eta ** (2 * b) \
-            / basis.omega[a, c]
+            / grid.omega[a, c]
     assert abs(phi[a, b] - direct) <= 1e-12 * max(abs(direct), 1e-300)

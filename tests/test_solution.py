@@ -12,13 +12,15 @@ from sgsov import sov_basis as sb
 from sgsov import spectrum as sp
 from sgsov import separate_states as ss
 from sgsov import form_factors as ff
+from sgsov import local_ops as lo
 from sgsov import oracle
 from sgsov.cli import main
 from sgsov.params import SgSovError
 
-from conftest import SEED, n1_params
+from conftest import SEED, cfg_a_params, cfg_b_params, n1_params
 
-N1_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "n1.json")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+N1_CONFIG, CFG_A_CONFIG = str(CONFIGS / "n1.json"), str(CONFIGS / "cfg_a.json")
 
 
 def _rng(seed, salt):
@@ -67,22 +69,21 @@ def test_solution_and_basis_are_frozen(cfg_b):
     basis = cfg_b.basis
     with pytest.raises(dataclasses.FrozenInstanceError):
         basis.measure = None
-    fresh = sb.SovBasis(basis.params, basis.grid, basis.left,
-                        basis.right, c_ref=basis.c_ref)
+    fresh = sb.SovBasis(basis.params, basis.grid, basis.left, basis.right)
     assert np.array_equal(fresh.mjj, np.einsum("jd,dj->j", basis.left, basis.right))
     assert np.array_equal(fresh.measure, 1.0 / fresh.mjj)
     nsep = basis.params.n_separate
-    assert np.array_equal(fresh.omega, basis.grid.grid[:nsep] ** (nsep - 1))
+    assert np.array_equal(fresh.grid.omega, basis.grid.grid[:nsep] ** (nsep - 1))
 
 
 @pytest.mark.parametrize("name", ["cfg_b", "cfg_a"])
 def test_basis_and_grid_arrays_are_read_only(name, request):
     basis = request.getfixturevalue(name).basis
     grid = basis.grid
-    arrays = {f: getattr(basis, f) for f in ("left", "right", "mjj", "measure", "omega",
-                                             "pairing_weights", "ff_u_weights")}
+    arrays = {f: getattr(basis, f) for f in ("left", "right", "mjj", "measure")}
     arrays.update({f"grid.{f}": getattr(grid, f)
-                   for f in ("z", "eta0", "grid", "a_vals", "d_vals")})
+                   for f in ("z", "eta0", "grid", "a_vals", "d_vals", "powers", "omega",
+                             "pairing_weights", "ff_u_weights")})
     for label, arr in arrays.items():
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 1.0
@@ -101,7 +102,7 @@ def test_eigenstate_arrays_are_read_only_fixed_width_rows(name, request):
     d, N, p, nsep = params.dim, params.n_sites, params.p, params.n_separate
     K = (p - 1) * N
     shapes = {"t_coeffs": (params.n_bar + 1,), "vec_right": (d,), "vec_left": (d,),
-              "psi": (d,), "q_grid": (N, p), "q_poly": (K + 1,),
+              "q_poly": (K + 1,),
               "qbar_poly": (K + 1 + N % p,), "q_vals": (nsep, p), "qbar_vals": (nsep, p),
               "ff_u_ket": (N, nsep, p, nsep)}
     for st in sol.states:
@@ -143,6 +144,43 @@ def test_algebra_section_builds_no_basis(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("make", [cfg_b_params, cfg_a_params])   # even; odd
+def test_spectrum_and_determinant_tables_build_no_basis(make):
+    sol = ss.prepare(make(), SEED)
+    grid, states = sol.grid, sol.states
+    for table in (sol.q_vals, sol.ff_u_kets, sol.t_rows):
+        assert len(table) == sol.params.dim
+    ff.ff_u_table(sol.params, grid, states, states, 1)
+    ss.eigen_action_table(grid, states, states)
+    ff.ff_elementary_table(sol.params, grid, states, states,
+                           lo.ElementaryBasisElement(((0, 1, 1),)))
+    assert "basis" not in vars(sol)
+
+
+def test_labeling_failure_stops_only_the_commands_that_read_the_basis(monkeypatch, tmp_path):
+    def refuse(*args):
+        raise sb.DegenerateSpectrum("labeling refused")
+    monkeypatch.setattr(sb, "_label_eigenvectors", refuse)
+    rows = tmp_path / "rows.jsonl"
+    assert main(["spectrum", "--config", CFG_A_CONFIG, "--json", str(rows)]) == 0
+    assert len(rows.read_text().splitlines()) == 27
+    assert main(["check-algebra", "--config", CFG_A_CONFIG, "--json", str(rows)]) == 0
+    for command in ("verify-all", "scalar"):
+        assert main([command, "--config", CFG_A_CONFIG, "--json", str(rows)]) == 3
+
+
+@pytest.mark.parametrize("make", [cfg_b_params, cfg_a_params])
+def test_verification_writes_nothing_to_the_eigenstates(make):
+    sol = ss.prepare(make(), SEED)
+    before = [dict(vars(st)) for st in sol.states]
+    diagnostics = [dict(st.diagnostics) for st in sol.states]
+    assert all(r.passed for r in oracle.verify_solution(sol))
+    for st, fields, diag in zip(sol.states, before, diagnostics):
+        assert vars(st).keys() == fields.keys()
+        assert all(vars(st)[name] is value for name, value in fields.items())
+        assert st.diagnostics == diag
+
+
 def test_separate_states_need_attached_q_data(cfg_b):
     bare = dataclasses.replace(cfg_b.states[0], q_vals=None, qbar_vals=None)
     with pytest.raises(SgSovError):
@@ -156,7 +194,7 @@ def test_separate_states_need_attached_q_data(cfg_b):
     with pytest.raises(SgSovError):
         ff.ff_u(cfg_b.params, cfg_b.basis, cfg_b.states[1], no_ket, 1)
     with pytest.raises(SgSovError):
-        ff.ff_u_table(cfg_b.params, cfg_b.basis, cfg_b.states, [no_ket], 1)
+        ff.ff_u_table(cfg_b.params, cfg_b.grid, cfg_b.states, [no_ket], 1)
 
 
 def test_pair_products_match_explicit_loops():

@@ -370,10 +370,10 @@ def test_label_shifts_invert_and_close(cfg_a):
 
 
 def test_gauge_table(cfg_a):
-    basis = cfg_a.basis
+    grid = cfg_a.grid
     nsep = cfg_a.params.n_separate
-    expect = basis.grid.grid[:nsep] ** (nsep - 1)
-    assert np.array_equal(basis.omega, expect)
+    expect = grid.grid[:nsep] ** (nsep - 1)
+    assert np.array_equal(grid.omega, expect)
 
 
 def test_stretch_basis_builds(stretch):

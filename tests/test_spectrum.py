@@ -82,15 +82,15 @@ def test_functional_equation_discrimination_margin(cfg_a):
 
 def test_wavefunction_factorization(desk_bundles):
     for bundle in desk_bundles.values():
-        for st in bundle.states:
-            assert st.diagnostics["factorization_residual"] <= 1e-7
+        resid = sp.extract_Q_grids(bundle.states, bundle.basis)[3]
+        assert np.all(resid <= 1e-7)
 
 
 def test_discrete_difference_relations_on_grid(desk_bundles):
     for bundle in desk_bundles.values():
         params, basis = bundle.params, bundle.basis
-        for st in bundle.states:
-            psi = st.psi
+        psis = sp.extract_Q_grids(bundle.states, basis)[0]
+        for st, psi in zip(bundle.states, psis):
             pmax = np.max(np.abs(psi))
             for j in range(params.dim):
                 tup = basis.params.tuples[j]
@@ -104,10 +104,10 @@ def test_discrete_difference_relations_on_grid(desk_bundles):
 
 def test_reference_direction_charge_phases(cfg_b):
     params = cfg_b.params
-    for st in cfg_b.states:
-        anchor = st.q_anchor[-1]
+    _, q_grid, anchors, _, _ = sp.extract_Q_grids(cfg_b.states, cfg_b.basis)
+    for st, ratios, anchor in zip(cfg_b.states, q_grid, anchors[:, -1]):
         expect = params.q ** (-st.theta_m * (np.arange(params.p) - anchor))
-        assert np.max(np.abs(st.q_grid[-1] - expect)) <= 1e-7
+        assert np.max(np.abs(ratios[-1] - expect)) <= 1e-7
 
 
 def test_baxter_polynomial_solves_difference_equation(desk_bundles):
@@ -126,12 +126,12 @@ def test_baxter_polynomial_solves_difference_equation(desk_bundles):
 def test_baxter_two_routes_agree(desk_bundles):
     for bundle in desk_bundles.values():
         params, basis = bundle.params, bundle.basis
-        for st in bundle.states:
-            anchor = np.array(st.q_anchor)
+        _, q_grid, anchors, _, _ = sp.extract_Q_grids(bundle.states, basis)
+        for st, ratios, anchor in zip(bundle.states, q_grid, anchors):
             for a in range(params.n_separate):
                 pv = polyval_ascending(st.q_poly, basis.grid.grid[a])
                 rp = pv / pv[anchor[a]]
-                rg = st.q_grid[a] / st.q_grid[a][anchor[a]]
+                rg = ratios[a] / ratios[a][anchor[a]]
                 assert np.max(np.abs(rp - rg)) <= 1e-6 * max(np.max(np.abs(rp)), 1e-300)
 
 
