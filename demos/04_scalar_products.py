@@ -24,10 +24,9 @@ for trial in range(5):
     print(f"  pair {trial}: det = {det:+.6f}   dense = {dense:+.6f}"
           f"   rel.diff = {abs(det - dense) / abs(det):.1e}")
 
-states = sol.states
-
 print("\neigenstate pairings <t|t'> (moment-matrix determinants), first five states:")
-pairings, _ = eigen_action_table(sol.grid, states[:5], states[:5])
+first = np.arange(5)
+pairings, _ = eigen_action_table(sol.grid, sol.states, first, first)
 for row in np.abs(pairings):
     print("  " + "  ".join(f"{x:9.2e}" for x in row))
 print("  (off-diagonal entries vanish: distinct eigenvalues are orthogonal)")

@@ -4,7 +4,7 @@
 import numpy as np
 
 from sgsov import (ModelParams, prepare, embedded_u, reconstruct_u,
-                   reconstruct_v2k, ff_u, ff_elementary, npoint,
+                   reconstruct_v2k, ff_u_table, ff_elementary_table, npoint,
                    ElementaryBasisElement)
 from sgsov.local_ops import v_power_target
 from sgsov.model_core import rel_err
@@ -21,14 +21,15 @@ for n in (1, 2, 3):
     print(f"  site {n}: shift generator {err_u:.1e}   clock squared {err_v:.1e}")
 
 # dense covectors and vectors of the eigenstates, for the comparisons
-states, covs, vecs = sol.states, sol.covs, sol.vecs
+covs, vecs = sol.covs, sol.vecs
 
 u1 = embedded_u(params, 1)
 print("\nform factors of the first-site shift generator (determinant vs dense):")
+dets = ff_u_table(params, sol.grid, sol.states, 1)[0]    # every pair, one batch
 worst = 0.0
 for i in range(27):
     for j in range(27):
-        det = ff_u(params, basis, states[i], states[j], 1).value
+        det = dets[i, j]
         dense = covs[i] @ u1 @ vecs[j]
         scale = max(abs(dense), np.linalg.norm(covs[i]) * np.linalg.norm(vecs[j]) / 5)
         worst = max(worst, abs(det - dense) / scale)
@@ -36,7 +37,7 @@ print(f"  all {27 * 27} pairs agree; worst relative deviation = {worst:.2e}")
 
 elem = ElementaryBasisElement(((0, 1, 1), (1, 2, 1)))
 dense_op = elem.to_dense(params, basis, sol.elementary_ops)
-det = ff_elementary(params, sol.grid, states[3], states[11], elem).value
+det = ff_elementary_table(params, sol.grid, sol.states, elem, [3], [11])[0][0, 0]
 dense = covs[3] @ dense_op @ vecs[11]
 print(f"\ntwo-variable elementary monomial between states 3 and 11:")
 print(f"  determinant {det:+.6e}   dense {dense:+.6e}")

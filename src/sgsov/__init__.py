@@ -23,7 +23,7 @@ from .sov_basis import (SovGrid, SovBasis, SimplicityViolation,
                         DegenerateSpectrum, GaugeInconsistency, b_zeros,
                         build_sov_basis, identity_resolution_sov,
                         measure_weights_formula)
-from .spectrum import (TransferEigenstate, EmptyNullspace, ZeroReference,
+from .spectrum import (Spectrum, TransferEigenstate, EmptyNullspace, ZeroReference,
                        diagonalize_transfer, check_functional_equation,
                        extract_Q_grid, fit_Q_polynomial, qbar_from_q)
 from .separate_states import (SeparateState, IncompleteSpectrum, materialize,

@@ -222,14 +222,15 @@ def cmd_spectrum(params, seed, tolerances, writer):
     tol = {**oracle.DEFAULT_TOLERANCES, **tolerances}
     sol = ss.prepare(params, seed, tolerances)
     degrees = range(-params.n_bar, params.n_bar + 1, 2)
-    fes = sp.check_functional_equations(params, sol.t_rows, sol.rng(4))
-    for i, (st, fe) in enumerate(zip(sol.states, fes)):
+    spec = sol.states
+    fes = sp.check_functional_equations(params, spec.t_rows, sol.rng(4))
+    for i, fe in enumerate(fes):
         row = {"index": i,
-               "theta_sector": st.theta_m if params.even_chain else "",
+               "theta_sector": int(spec.theta_m[i]) if params.even_chain else "",
                "functional_eq_residual": fe,
-               "nullspace_dim": st.nullspace_dim}
-        row.update((f"t[{dg}]", fmt_complex(c)) for dg, c in zip(degrees, st.t_coeffs))
-        row.update((f"q[{k}]", fmt_complex(c)) for k, c in enumerate(st.q_poly))
+               "nullspace_dim": int(spec.nullspace_dim[i])}
+        row.update((f"t[{dg}]", fmt_complex(c)) for dg, c in zip(degrees, spec.t_rows[i]))
+        row.update((f"q[{k}]", fmt_complex(c)) for k, c in enumerate(spec.q_poly[i]))
         writer.emit(row)
     return EXIT_OK if np.all(fes <= tol["functional_eq"]) else EXIT_CHECK_FAILED
 
@@ -237,7 +238,7 @@ def cmd_spectrum(params, seed, tolerances, writer):
 def cmd_ff(params, seed, tolerances, writer, kind, site, factors, ops):
     tol = {**oracle.DEFAULT_TOLERANCES, **tolerances}
     sol = ss.prepare(params, seed, tolerances)
-    grid, states = sol.grid, sol.states
+    grid, spec = sol.grid, sol.states
     if kind == "npoint":
         mats = [lo.reconstruct_v2k(sol.frame(n), 1) if name == "v2"
                 else mc.embedded_u(params, n) for name, n in ops]
@@ -254,12 +255,11 @@ def cmd_ff(params, seed, tolerances, writer, kind, site, factors, ops):
         if site != 1:
             phi = ffm.shift_eigenvalues(sol, lo.cyclic_shift_permutation(params, site))
             ratio = phi[:, None] / phi[None, :]
-        values, zeros = ffm.ff_u_table(params, grid, states, states, site,
-                                       shift_ratio=ratio)
+        values, zeros = ffm.ff_u_table(params, grid, spec, site, shift_ratio=ratio)
     elif kind == "elementary":
         elem = lo.ElementaryBasisElement(tuple(factors))
         dense_op, tol_key = elem.to_dense(params, sol.basis, sol.elementary_ops), "ff_elementary"
-        values, zeros = ffm.ff_elementary_table(params, grid, states, states, elem)
+        values, zeros = ffm.ff_elementary_table(params, grid, spec, elem)
     else:
         raise ConfigError(f"unknown form-factor kind '{kind}'")
     dense, rel = oracle.table_rel_err(sol, dense_op, values)

@@ -15,9 +15,9 @@ import numpy as np
 
 from .params import ModelParams, SgSovError
 from .sov_basis import SovBasis, SovGrid, cross_product, vandermonde
-from .spectrum import TransferEigenstate
+from .spectrum import Spectrum, TransferEigenstate
 from .separate_states import (IncompleteSpectrum, _cmul, bra_blocks, phi_moments,
-                              require_q_data, sector_zero, stacked_tables)
+                              require_q_data, sector_zero)
 from .local_ops import ElementaryBasisElement
 
 __all__ = [
@@ -89,19 +89,18 @@ def ff_u(params: ModelParams, basis: SovBasis, bra: TransferEigenstate,
     return FormFactorResult(value, matrix=U if keep_matrix else None)
 
 
-def ff_u_table(params: ModelParams, grid: SovGrid, bras, kets, n: int = 1,
-               shift_ratio=None):
-    """``ff_u`` from every bra to every ket, shape (len(bras), len(kets)), as
-    one batched determinant per block of bras against the kets' ``ff_u_ket``
-    tables, and the mask of the selection zeros.  For n > 1,
-    ``shift_ratio`` holds the chain-shift eigenvalue ratio of each pair (or
-    broadcasts to that shape)."""
+def ff_u_table(params: ModelParams, grid: SovGrid, spec: Spectrum, n: int = 1,
+               shift_ratio=None, bras=slice(None), kets=slice(None)):
+    """``ff_u`` from the rows ``bras`` to the rows ``kets`` of ``spec`` (index
+    arrays or slices, all rows by default), as one batched determinant per
+    block of bras against the kets' ``ff_u_kets``, and the mask of the
+    selection zeros.  For n > 1, ``shift_ratio`` holds the chain-shift
+    eigenvalue ratio of each pair (or broadcasts to that shape)."""
     _require_shift(params, n, shift_ratio)
-    qbar, _, theta_bra = stacked_tables(bras)
-    theta_ket = stacked_tables(kets)[2]
-    ket = np.array([st.ff_u_ket[n - 1] for st in kets])
-    values = np.empty((len(bras), len(kets)), dtype=complex)
-    for rows in bra_blocks(len(bras)):
+    qbar, theta_bra, theta_ket = spec.qbar_vals[bras], spec.theta_m[bras], spec.theta_m[kets]
+    ket = np.ascontiguousarray(spec.ff_u_kets[kets, n - 1])   # one site's rows, as stacked
+    values = np.empty((len(qbar), len(ket)), dtype=complex)
+    for rows in bra_blocks(len(qbar)):
         values[rows] = np.linalg.det(_ff_u_matrices(qbar[rows, None], ket[None]))
     values = _cmul(grid.ff_u_pref, values)
     if shift_ratio is not None:
@@ -195,15 +194,15 @@ def ff_elementary(params: ModelParams, grid: SovGrid,
     return FormFactorResult(value[()], matrix=M if keep_matrix else None)
 
 
-def ff_elementary_table(params: ModelParams, grid: SovGrid, bras, kets,
-                        elem: ElementaryBasisElement):
-    """``ff_elementary`` from every bra to every ket, shape
-    (len(bras), len(kets)), through the same kernel on the stacked tables,
-    and the mask of the selection zeros."""
-    qbar, _, theta_bra = stacked_tables(bras)
-    _, q, theta_ket = stacked_tables(kets)
-    values = _ff_elementary_values(params, grid, qbar[:, None], q[None], theta_ket, elem)[0]
-    zero = np.broadcast_to(sector_zero(params, theta_bra[:, None], theta_ket[None],
+def ff_elementary_table(params: ModelParams, grid: SovGrid, spec: Spectrum,
+                        elem: ElementaryBasisElement, bras=slice(None), kets=slice(None)):
+    """``ff_elementary`` from the rows ``bras`` to the rows ``kets`` of
+    ``spec`` (index arrays or slices, all rows by default), through the same
+    kernel on the stacked tables, and the mask of the selection zeros."""
+    theta_ket = spec.theta_m[kets]
+    values = _ff_elementary_values(params, grid, spec.qbar_vals[bras][:, None],
+                                   spec.q_vals[kets][None], theta_ket, elem)[0]
+    zero = np.broadcast_to(sector_zero(params, spec.theta_m[bras][:, None], theta_ket[None],
                                        elem.theta_pow), values.shape)
     return np.where(zero, 0.0, values), zero
 
@@ -213,10 +212,10 @@ def ff_elementary_table(params: ModelParams, grid: SovGrid, bras, kets,
 # ---------------------------------------------------------------------------
 
 def npoint(sol, index: int, tables):
-    """Normalized expectation <t| O_1 ... O_m |t> / <t|t> of the eigenstate
-    ``sol.states[index]``, expanded over the full eigenbasis of ``sol``: a
-    ``Solution``, or any object with ``params`` and the determinant norms
-    ``norms`` of ``eigen_dense``.
+    """Normalized expectation <t| O_1 ... O_m |t> / <t|t> of row ``index``
+    of the spectrum of ``sol``, expanded over the full eigenbasis: ``sol``
+    is a ``Solution``, or any object with ``params`` and the determinant
+    norms ``norms``.
 
     ``tables[s][i, j]`` is the matrix element <t_i| O_s |t_j> between
     eigenstates, from dense contraction (``sol.covs @ O @ sol.vecs.T``) or

@@ -18,7 +18,7 @@ import numpy as np
 from .params import ModelParams, DegenerateKappa, SgSovError
 from . import model_core as mc
 from .model_core import Monodromy
-from .sov_basis import SovBasis, cross_product, grid_values, sov_diagonal
+from .sov_basis import SovBasis, cross_product, sov_diagonal
 
 __all__ = [
     "SingularMatrix", "ShiftedMonodromy", "ElementaryBasisElement",
@@ -275,7 +275,6 @@ def binvA_power_sov(params: ModelParams, basis: SovBasis, k: int, lam):
     p, nsep, d = params.p, params.n_separate, params.dim
     q = params.q
     lam = complex(lam)
-    grid = basis.grid.grid
     kpref = params.kprod ** (-k)
 
     def compositions(total, parts):
@@ -287,7 +286,7 @@ def binvA_power_sov(params: ModelParams, basis: SovBasis, k: int, lam):
                 yield (first,) + rest
 
     tup = params.tuples                 # odd chains: one digit per separate variable
-    eta = grid[np.arange(nsep), tup]
+    eta = basis.grid.grid_values
     # the left action of every composition, <y_j| -> coeff_j <y_{j - alpha}|,
     # gathered into one (labels, d) array of shifted covectors
     shifted = np.zeros((d, d), dtype=complex)
@@ -360,8 +359,8 @@ def eta_ref_operator(basis: SovBasis, power: int = 1):
 
 def eta_interp_operator(basis: SovBasis, power: int = 1):
     """Diagonal operator with eigenvalue (prod xi / prod_{a<=nsep} eta_a)^power."""
-    params = basis.params
-    return sov_diagonal(basis, (params.xi_prod / np.prod(grid_values(basis), axis=1)) ** power)
+    eta_a = basis.params.xi_prod / np.prod(basis.grid.grid_values, axis=1)
+    return sov_diagonal(basis, eta_a ** power)
 
 
 def elementary_O(params: ModelParams, basis: SovBasis, a: int, k: int,
@@ -406,7 +405,7 @@ def o_action_weight(params: ModelParams, basis: SovBasis, a: int, k: int, j: int
 
 def o_action_weights(params: ModelParams, basis: SovBasis, a: int, k: int):
     """``o_action_weight`` of every label tuple, shape (d,)."""
-    vals = grid_values(basis)
+    vals = basis.grid.grid_values
     cross = cross_product(vals[:, a], vals.T, a)
     return np.where(params.tuples[:, a] == k, basis.grid.a_vals[a, k] / cross, 0.0)
 

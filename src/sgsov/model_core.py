@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -559,11 +559,13 @@ def a_laurent(params: ModelParams):
     return laurent_product(fac[..., None, None])[:, 0, 0]
 
 
+@lru_cache(maxsize=8)          # the chains in use; each entry is (2N + 1, 2, 2)
 def average_monodromy_laurent(params: ModelParams):
     """Laurent coefficients in Lambda = lam^p, degrees -N..N, of the
     averaged monodromy, shape (2N + 1, 2, 2): the ordered product, site N
     leftmost, of the p-fold averaged Lax matrices, whose coefficient of
-    degree g - 1 at site n is ``lax[n - 1, g]``."""
+    degree g - 1 at site n is ``lax[n - 1, g]``.  Built once per parameter
+    set and returned read-only."""
     p = params.p
     kap, xi, u, v = (np.asarray(x) ** p for x in (params.kappa, params.xi, params.u, params.v))
     qp2, ip = params.sqrt_q ** p, 1j ** p
@@ -574,7 +576,9 @@ def average_monodromy_laurent(params: ModelParams):
     lax[:, 0, 0, 1] = -kap * xi / (v * ip)
     lax[:, 2, 1, 0] = kap / (v * xi * ip)
     lax[:, 0, 1, 0] = -kap * xi * v / ip
-    return laurent_product(lax[::-1])
+    out = laurent_product(lax[::-1])
+    out.flags.writeable = False
+    return out
 
 
 def average_monodromy(params: ModelParams, big_lam):

@@ -359,10 +359,10 @@ def _sov_section(s, sol):
 
 def _spectrum_section(s, sol):
     params = s.params
-    states = sol.states
+    spec = sol.states
     d = params.dim
-    s.check("state_count", 0.0 if len(states) == d else 1.0, "functional_eq")
-    t_rows = sol.t_rows
+    s.check("state_count", 0.0 if len(spec) == d else 1.0, "functional_eq")
+    t_rows = spec.t_rows
     worst_t = float(np.max(sp.check_functional_equations(params, t_rows, s.rng(33))))
     s.check("functional_equation_true", worst_t, "functional_eq")
     # one row per coefficient of the first state, moved by 0.1
@@ -378,37 +378,37 @@ def _spectrum_section(s, sol):
         s.check("eigenvalue_reality", np.max(np.abs(t_rows.imag)), "functional_eq",
                 scale=np.max(np.abs(t_rows)))
     # the wavefunctions in the SOV basis and their ratio tables
-    psi, q_grid, anchors, resid, phase_dev = sp.extract_Q_grids(states, sol.basis)
+    R = np.ascontiguousarray(spec.R.T)          # the eigenvectors as rows
+    psi, q_grid, anchors, resid, phase_dev = sp.extract_Q_grids(R, spec.theta_m, sol.basis)
     s.check("baxter_grid", _baxter_grid_residual(params, sol.grid, t_rows, psi), "baxter_grid")
     s.check("wavefunction_factorization", np.max(resid), "factorization")
     if params.even_chain:
         s.check("reference_phase", np.max(phase_dev), "factorization")
         pref = np.prod(np.asarray(params.kappa) / (1j * np.asarray(params.xi)))
         # the top column is degree n_bar = N
-        worst = np.max(np.abs(t_rows[:, -1] - pref * (params.q ** sol.theta_m
-                                                      + params.q ** (-sol.theta_m))))
+        worst = np.max(np.abs(t_rows[:, -1] - pref * (params.q ** spec.theta_m
+                                                      + params.q ** (-spec.theta_m))))
         s.check("sector_asymptotics", worst, "functional_eq",
                 scale=np.max(np.abs(t_rows[:, -1])))
     # how close each Baxter fit came to a second null direction (reported,
     # not asserted)
-    s.check("baxter_fit_gap", min(st.diagnostics["baxter_fit_gap"] for st in states), 0.0,
+    s.check("baxter_fit_gap", float(np.min(spec.fit_gap)), 0.0,
             diagnostic=True, bound=sp.NULL_TOL)
     # two-route agreement of the Baxter function
     nsep = params.n_separate
-    s.check("q_two_routes", _two_route_gap(sol.q_vals, q_grid[:, :nsep], anchors[:, :nsep]),
+    s.check("q_two_routes", _two_route_gap(spec.q_vals, q_grid[:, :nsep], anchors[:, :nsep]),
             "baxter_grid")
     # conjugate-gauge difference equation for the transformed polynomial
     lam = np.asarray(params.spectral_samples(s.rng(34), 5))
-    qbar = np.array([st.qbar_poly for st in states[:6]])[:, None]
+    qbar = spec.qbar_poly[:6, None]
     lhs = sp.eval_t(t_rows[:6, None], lam) * sp.polyval_ascending(qbar, lam)
     rhs = mc.dbar_coeff(params, lam) * sp.polyval_ascending(qbar, lam / params.q) \
         + mc.abar_coeff(params, lam) * sp.polyval_ascending(qbar, lam * params.q)
     s.check("qbar_difference_eq", np.max(np.abs(lhs - rhs) / np.maximum(
         np.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)), "baxter_grid")
     # separate-state representations reproduce the eigenvectors
-    R = np.array([st.vec_right for st in states])
     s.check("eigenstate_collinearity", _collinearity_defect(
-        sol.covs, sol.vecs, np.array([st.vec_left for st in states]), R), "factorization")
+        sol.covs, sol.vecs, spec.L, R), "factorization")
     s.check("transfer_eigvec_cond", _column_cond(R.T), 0.0,
             diagnostic=True, bound=lo.COND_LIMIT)
 
@@ -442,17 +442,18 @@ def _scalar_section(s, sol):
     s.check("eigen_pairing_det",
             float(np.max(np.abs(dense - norms) / np.maximum(np.abs(dense), 1e-300))),
             "scalar_product")
-    pairs = ~np.eye(d, dtype=bool) & (sol.theta_m[:, None] == sol.theta_m[None])
+    spec = sol.states
+    pairs = ~np.eye(d, dtype=bool) & (spec.theta_m[:, None] == spec.theta_m[None])
     diag_dets = np.abs(norms)
     ref2 = np.sqrt(np.outer(diag_dets, diag_dets))
     worst_orth = worst_null = 0.0
     for rows in ss.bra_blocks(d):
-        phi = ss.phi_moments(grid, sol.qbar_vals[rows, None], sol.q_vals[None],
+        phi = ss.phi_moments(grid, spec.qbar_vals[rows, None], spec.q_vals[None],
                              range(0, 2 * nsep, 2))
         det = np.abs(np.linalg.det(phi)) * abs(grid.c_ref)
         worst_orth = max(worst_orth, float(np.max((det / ref2[rows])[pairs[rows]],
                                                   initial=0.0)))
-        V = ss.t_coeff_null_vector(params, sol.t_rows[rows, None], sol.t_rows[None])
+        V = ss.t_coeff_null_vector(params, spec.t_rows[rows, None], spec.t_rows[None])
         norm_v = np.linalg.norm(V, axis=-1)
         ref = np.sqrt(ref2[rows])
         null = np.linalg.norm((phi @ V[..., None])[..., 0], axis=-1) / np.maximum(
@@ -625,10 +626,10 @@ def _local_section(s, sol):
 def _ff_section(s, sol):
     params = s.params
     d = params.dim
-    basis, states = sol.basis, sol.states
+    basis = sol.basis
     u1 = mc.embedded_u(params, 1)
 
-    det = ffm.ff_u_table(params, sol.grid, states, states, 1)[0]
+    det = ffm.ff_u_table(params, sol.grid, sol.states, 1)[0]
     s.check("ff_u_full_sweep", float(np.max(table_rel_err(sol, u1, det)[1])), "ff_u",
             pairs=d * d)
 
@@ -644,8 +645,7 @@ def _ff_section(s, sol):
     for e_idx, elem in enumerate(elems):
         # the sampled pairs are the diagonal of the table over the sampled states
         dense_op = elem.to_dense(params, basis, sol.elementary_ops)
-        det = ffm.ff_elementary_table(params, sol.grid, [states[i] for i in bras],
-                                      [states[j] for j in kets], elem)[0]
+        det = ffm.ff_elementary_table(params, sol.grid, sol.states, elem, bras, kets)[0]
         err = table_rel_err(sol, dense_op, det, bras, kets)[1]
         s.check(f"ff_elementary[{e_idx}]", float(np.max(np.diagonal(err))),
                 "ff_elementary", factors=str(elem.factors))

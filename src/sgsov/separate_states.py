@@ -20,14 +20,14 @@ from .params import ModelParams, SgSovError
 from . import model_core as mc
 from . import local_ops as lo
 from .sov_basis import (SovBasis, SovGrid, _read_only, b_zeros, build_sov_basis,
-                        moment_weights, vandermonde_weights)
-from .spectrum import (TransferEigenstate, diagonalize_transfer, fit_Q_polynomials,
-                       power_sum, qbar_from_q)
+                        moment_weights)
+from .spectrum import (Spectrum, TransferEigenstate, fit_Q_polynomials, power_sum,
+                       qbar_from_q, transfer_eigensystem)
 
 __all__ = [
     "SeparateState", "IncompleteSpectrum", "materialize",
     "scalar_product_det", "phi_moments", "phi_general", "phi_matrix",
-    "sector_zero", "eigen_action", "eigen_action_table", "stacked_tables",
+    "sector_zero", "eigen_action", "eigen_action_table",
     "identity_resolution_T", "attach_q_data", "attach_q_tables", "require_q_data",
     "eigenstate_separate_states", "eigen_dense", "t_coeff_null_vector",
     "Solution", "prepare",
@@ -76,7 +76,7 @@ def _materialize(basis: SovBasis, side, coeff, theta_m):
     params = basis.params
     nsep = params.n_separate
     # contiguous, so that each product over the variables rounds alike in a batch
-    w = vandermonde_weights(basis) * np.prod(np.ascontiguousarray(
+    w = basis.grid.vandermonde_weights * np.prod(np.ascontiguousarray(
         coeff[..., np.arange(nsep)[None, :], params.tuples[:, :nsep]]), axis=-1)
     if params.even_chain:
         sign = 1 if side == "left" else -1
@@ -123,24 +123,25 @@ def _moments(left, right, weights):
 def attach_q_data(state: TransferEigenstate, basis: SovBasis):
     """Evaluate the fitted Baxter polynomial and its conjugate partner on the
     separate-variable grids and cache the tables on the eigenstate."""
-    return attach_q_tables([state], basis.grid)[0]
-
-
-def attach_q_tables(states, grid: SovGrid):
-    """``attach_q_data`` on every state of ``states`` at once, the ``ff_u``
-    ket tables (Q against the ``ff_u_weights`` of the state's sector) as one
-    product per sector; the tables are read-only."""
-    if any(st.q_poly is None for st in states):
+    if state.q_poly is None:
         raise SgSovError("fit the Baxter polynomial before attaching Q data")
-    q_vals, qbar_vals = (_read_only(power_sum(np.stack(rows)[:, None, None], grid.powers))
-                         for rows in zip(*[(st.q_poly, st.qbar_poly) for st in states]))
-    weights, theta = grid.ff_u_weights, np.array([st.theta_m for st in states])
-    kets = np.empty((len(states),) + weights[:, 0, ..., 0, :].shape, dtype=complex)
+    state.q_vals, state.qbar_vals, state.ff_u_ket = (x[0] for x in attach_q_tables(
+        basis.grid, state.q_poly[None], state.qbar_poly[None], [state.theta_m]))
+    return state
+
+
+def attach_q_tables(grid: SovGrid, q_poly, qbar_poly, theta_m):
+    """The read-only Q and Qbar tables (states, nsep, p) of the Baxter rows
+    ``q_poly`` and ``qbar_poly`` on the separate-variable grids, and the
+    ``ff_u`` ket tables (states, N, nsep, p, nsep), Q against the
+    ``ff_u_weights`` of each state's sector ``theta_m``, one product per sector."""
+    q_vals, qbar_vals = (_read_only(power_sum(np.asarray(rows)[:, None, None], grid.powers))
+                         for rows in (q_poly, qbar_poly))
+    weights, theta = grid.ff_u_weights, np.asarray(theta_m)
+    kets = np.empty((len(theta),) + weights[:, 0, ..., 0, :].shape, dtype=complex)
     for m in range(weights.shape[1]):
         kets[theta == m] = (q_vals[theta == m][:, None, :, None, None] @ weights[:, m])[..., 0, :]
-    for st, q, qbar, ket in zip(states, q_vals, qbar_vals, _read_only(kets)):
-        st.q_vals, st.qbar_vals, st.ff_u_ket = q, qbar, ket
-    return states
+    return q_vals, qbar_vals, _read_only(kets)
 
 
 def require_q_data(*states):
@@ -205,43 +206,29 @@ def eigen_action(basis: SovBasis, bra: TransferEigenstate,
     return grid.c_ref * _pairing_dets(grid, bra.qbar_vals, ket.q_vals)
 
 
-def stacked_tables(states):
-    """The Qbar and Q grid tables of eigenstates stacked on a leading axis,
-    shape (len(states), nsep, p) each, and their charge-sector labels (0 on
-    odd chains, which have none); read-only arrays."""
-    require_q_data(*states)
-    return (_read_only(np.array([st.qbar_vals for st in states])),
-            _read_only(np.array([st.q_vals for st in states])),
-            _read_only(np.array([st.theta_m for st in states], dtype=int)))
-
-
-def eigen_action_table(grid: SovGrid, bras, kets):
-    """Pairings <bra|ket> of every bra with every ket, shape
-    (len(bras), len(kets)), as one batched determinant, and the mask of the
-    pairs that the sector rule sets to zero."""
-    qbar, _, theta_bra = stacked_tables(bras)
-    _, q, theta_ket = stacked_tables(kets)
-    values = _cmul(grid.c_ref, _pairing_dets(grid, qbar[:, None], q[None]))
-    zero = np.broadcast_to(sector_zero(grid.params, theta_bra[:, None],
-                                       theta_ket[None]), values.shape)
+def eigen_action_table(grid: SovGrid, spec: Spectrum, bras=slice(None), kets=slice(None)):
+    """Pairings <bra|ket> from the rows ``bras`` to the rows ``kets`` of
+    ``spec`` (index arrays or slices, all rows by default), as one batched
+    determinant, and the mask of the pairs that the sector rule zeroes."""
+    values = _cmul(grid.c_ref, _pairing_dets(grid, spec.qbar_vals[bras][:, None],
+                                             spec.q_vals[kets][None]))
+    zero = np.broadcast_to(sector_zero(grid.params, spec.theta_m[bras][:, None],
+                                       spec.theta_m[kets][None]), values.shape)
     return np.where(zero, 0.0, values), zero
 
 
-def eigen_dense(states, basis: SovBasis):
+def eigen_dense(spec: Spectrum, basis: SovBasis):
     """Stacked dense covectors and vectors of the separate-state
-    representations of ``states``, shape (len(states), d) each, and the
-    determinant norms <t|t>, one batched determinant over the diagonal
-    pairs."""
-    qbar, q, theta = stacked_tables(states)
-    return (_materialize(basis, "left", qbar, theta), _materialize(basis, "right", q, theta),
-            _cmul(basis.grid.c_ref, _pairing_dets(basis.grid, qbar, q)))
+    representations of the rows of ``spec``, shape (len(spec), d) each."""
+    return (_materialize(basis, "left", spec.qbar_vals, spec.theta_m),
+            _materialize(basis, "right", spec.q_vals, spec.theta_m))
 
 
 def identity_resolution_T(sol):
     """Sum of |t><t| / <t|t> over the whole spectrum, from the
     separate-state materializations and determinant pairings of ``sol``: a
-    ``Solution``, or any object with ``params`` and the stacked
-    ``covs``/``vecs``/``norms`` of ``eigen_dense``."""
+    ``Solution``, or any object with ``params`` and its stacked
+    ``covs``/``vecs``/``norms``."""
     dim = sol.params.dim
     if len(sol.norms) < dim:
         raise IncompleteSpectrum(f"need {dim} eigenstates, got {len(sol.norms)}")
@@ -251,7 +238,7 @@ def identity_resolution_T(sol):
 def t_coeff_null_vector(params: ModelParams, bra_t, ket_t):
     """Difference of the interior eigenvalue coefficients, of the degrees
     2b - nsep - 1 (b = 1..nsep), of two rows of transfer coefficients
-    (``Solution.t_rows``), broadcast over the leading axes; annihilates the
+    (``Spectrum.t_rows``), broadcast over the leading axes; annihilates the
     moment matrix of two distinct eigenstates."""
     interior = slice(params.e_n, params.e_n + params.n_separate)
     return ket_t[..., interior] - bra_t[..., interior]
@@ -263,23 +250,17 @@ def t_coeff_null_vector(params: ModelParams, bra_t, ket_t):
 
 @dataclass(frozen=True, eq=False)
 class Solution:
-    """The monodromy, the SOV grid, the transfer eigenstates with their
-    Baxter polynomials and grid tables, the calibrated SOV basis and the
+    """The monodromy, the SOV grid, the transfer spectrum with its Baxter
+    polynomials and grid tables, the calibrated SOV basis and the
     local-operator data of one chain.
 
-    The grid (``b_zeros``), the eigenstates (every array they carry, the
-    fixed-width coefficient rows ``t_coeffs``, ``q_poly`` and ``qbar_poly``
-    included), their stacked Baxter grid tables ``qbar_vals``/``q_vals``
-    (shape (d, nsep, p)), ket tables ``ff_u_kets``, sector labels
-    ``theta_m`` and transfer coefficients ``t_rows``, the basis, the
-    stacked ``covs``/``vecs``/``norms`` of ``eigen_dense`` and the graded
-    table ``elementary_ops`` are built on first use, read-only, from the
-    seed streams ``[seed, 1]`` (basis) and ``[seed, 2]``
-    (diagonalization), so they do not depend on the order of use; the
-    Baxter fit draws no points.  The eigenstates and their tables read the
-    grid only; the basis is built for the parts that read its vectors.
-    The per-state steps run as one batch over all states.  Nothing is
-    modified after it is built."""
+    The grid (``b_zeros``), the ``Spectrum`` ``states``, the basis, the
+    ``covs``/``vecs`` of ``eigen_dense``, the determinant ``norms`` and the
+    graded table ``elementary_ops`` are built on first use, read-only, from
+    the seed streams ``[seed, 1]`` (basis) and ``[seed, 2]``
+    (diagonalization), so they do not depend on the order of use; the Baxter
+    fit draws no points.  The spectrum and the norms read the grid only; the
+    basis is built for the parts that read its vectors."""
     params: ModelParams
     seed: int
     mono: mc.Monodromy
@@ -297,34 +278,13 @@ class Solution:
         return build_sov_basis(self.params, mono=self.mono, rng=self.rng(1), grid=self.grid)
 
     @cached_property
-    def states(self) -> tuple:
+    def states(self) -> Spectrum:
         params = self.params
-        states = diagonalize_transfer(params, self.mono, rng=self.rng(2))
-        polys, nds, gaps = fit_Q_polynomials(params, np.stack([st.t_coeffs for st in states]))
-        for st, poly, qbar, nd, gap in zip(states, polys, qbar_from_q(params, polys),
-                                           nds, gaps):
-            st.q_poly, st.qbar_poly, st.nullspace_dim = poly, qbar, nd
-            st.diagnostics["baxter_fit_gap"] = float(gap)
-        return tuple(attach_q_tables(states, self.grid))
-
-    @cached_property
-    def _tables(self):
-        return stacked_tables(self.states)
-
-    qbar_vals = property(lambda self: self._tables[0])
-    q_vals = property(lambda self: self._tables[1])
-    theta_m = property(lambda self: self._tables[2])
-
-    @cached_property
-    def ff_u_kets(self) -> np.ndarray:
-        """The ``ff_u`` ket tables of the states, shape (d, N, nsep, p, nsep)."""
-        return _read_only(np.array([st.ff_u_ket for st in self.states]))
-
-    @cached_property
-    def t_rows(self) -> np.ndarray:
-        """Transfer coefficients, shape (d, n_bar + 1); column c holds the
-        degree 2c - n_bar."""
-        return _read_only(np.stack([st.t_coeffs for st in self.states]))
+        t_rows, theta_m, R, L = transfer_eigensystem(params, self.mono, rng=self.rng(2))
+        polys, nds, gaps = fit_Q_polynomials(params, t_rows)
+        qbar = qbar_from_q(params, polys)
+        return Spectrum(t_rows, theta_m, R, L, polys, qbar, nds, gaps,
+                        *attach_q_tables(self.grid, polys, qbar, theta_m))
 
     @cached_property
     def _dense(self):
@@ -332,7 +292,13 @@ class Solution:
 
     covs = property(lambda self: self._dense[0])
     vecs = property(lambda self: self._dense[1])
-    norms = property(lambda self: self._dense[2])
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """The determinant norms <t|t>, one batched determinant over the
+        diagonal pairs."""
+        grid, spec = self.grid, self.states
+        return _read_only(_cmul(grid.c_ref, _pairing_dets(grid, spec.qbar_vals, spec.q_vals)))
 
     @cached_property
     def elementary_ops(self) -> mc.Graded:

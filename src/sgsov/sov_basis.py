@@ -31,7 +31,7 @@ __all__ = [
     "GaugeInconsistency", "b_zeros", "build_sov_basis",
     "identity_resolution_sov", "measure_weights_formula",
     "mjj_formula", "b_pattern", "vandermonde", "cross_product",
-    "grid_values", "vandermonde_weights", "rayleigh_pairings",
+    "rayleigh_pairings",
     "sov_diagonal", "moment_weights",
     "LABEL_TOL", "CALIBRATION_TOL",
 ]
@@ -105,8 +105,11 @@ class SovGrid:
     The constructor also tabulates, on the separate-variable grids, the shift
     coefficients ``a_vals[a, h] = a(eta_a^{(h)})`` and ``d_vals``, shape
     (nsep, p), ``powers[k] = grid[:nsep] ** k`` up to the degree of Qbar, the
-    gauge table ``omega[a, h] = (eta_a^{(h)})**(nsep - 1)`` and the reference
-    constant ``c_ref = (eta0_ref sqrt(p))**e_N`` of the closed-form measure.
+    gauge table ``omega[a, h] = (eta_a^{(h)})**(nsep - 1)``, the reference
+    constant ``c_ref = (eta0_ref sqrt(p))**e_N`` of the closed-form measure,
+    and per label tuple j ``grid_values[j, a] = eta_a^{(h_a)}``, shape
+    (d, nsep), and ``vandermonde_weights[j]``, the squared-difference
+    Vandermonde of that row over the product of its gauge functions.
     The weight tables of the determinant kernels, which contract a Qbar table
     against a Q table, both (nsep, p), are:
     - ``pairing_weights[a, h, k] = eta_a^{(h)}**(2k) / omega[a, h]``, shape
@@ -130,6 +133,8 @@ class SovGrid:
     powers: np.ndarray = field(init=False)
     omega: np.ndarray = field(init=False)
     c_ref: complex = field(init=False)
+    grid_values: np.ndarray = field(init=False)
+    vandermonde_weights: np.ndarray = field(init=False)
     pairing_weights: np.ndarray = field(init=False)
     ff_u_pref: complex = field(init=False)
     ff_u_weights: np.ndarray = field(init=False)
@@ -147,6 +152,11 @@ class SovGrid:
         object.__setattr__(self, "omega", _read_only(grid[:nsep] ** (nsep - 1)))
         c_ref = complex((self.eta0[-1] * np.sqrt(params.p)) ** params.e_n)
         object.__setattr__(self, "c_ref", c_ref)
+        values = _read_only(grid[np.arange(nsep), params.tuples[:, :nsep]])
+        gauge = np.prod(self.omega[np.arange(nsep), params.tuples[:, :nsep]], axis=1)
+        object.__setattr__(self, "grid_values", values)
+        object.__setattr__(self, "vandermonde_weights",
+                           _read_only(vandermonde(values, squares=True) / gauge))
         object.__setattr__(self, "pairing_weights",
                            _read_only(moment_weights(self, range(0, 2 * nsep, 2))))
         object.__setattr__(self, "ff_u_pref", complex(
@@ -358,7 +368,7 @@ class SovBasis:
         """The lam-independent dense operators of the even-chain
         ``binvA_interpolation``, built once: ``eta_interp_operator`` to the
         powers -1 and 1 and ``eta_ref_operator`` to the power -1."""
-        eta_a = self.params.xi_prod / np.prod(grid_values(self), axis=1)
+        eta_a = self.params.xi_prod / np.prod(self.grid.grid_values, axis=1)
         return tuple(_read_only(sov_diagonal(self, w)) for w in (
             eta_a ** -1, eta_a ** 1, self.grid.grid[-1, self.params.tuples[:, -1]] ** -1))
 
@@ -517,29 +527,15 @@ def build_sov_basis(params: ModelParams, mono, rng, grid: SovGrid = None,
                     calibration_residual=float(worst_step))
 
 
-def grid_values(basis: SovBasis):
-    """(d, nsep) grid values of the separate variables for every label tuple."""
-    nsep = basis.params.n_separate
-    return basis.grid.grid[np.arange(nsep)[None, :], basis.params.tuples[:, :nsep]]
-
-
-def vandermonde_weights(basis: SovBasis):
-    """Squared-difference Vandermonde over the separate-variable grid values
-    for every label tuple, divided by the gauge functions."""
-    nsep = basis.params.n_separate
-    wgt = np.prod(basis.grid.omega[np.arange(nsep)[None, :], basis.params.tuples[:, :nsep]], axis=1)
-    return vandermonde(grid_values(basis), squares=True) / wgt
-
-
 def mjj_formula(basis: SovBasis):
     """Closed form of the diagonal pairings in the reference gauge."""
-    return basis.grid.c_ref / vandermonde(grid_values(basis))
+    return basis.grid.c_ref / vandermonde(basis.grid.grid_values)
 
 
 def measure_weights_formula(basis: SovBasis):
     """Explicit identity-decomposition weights: squared-difference Vandermonde
     over the gauge functions and the reference constant."""
-    return vandermonde_weights(basis) / basis.grid.c_ref
+    return basis.grid.vandermonde_weights / basis.grid.c_ref
 
 
 def sov_diagonal(basis: SovBasis, weights=1.0, rows=slice(None)):

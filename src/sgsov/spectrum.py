@@ -6,7 +6,7 @@ fit of the coefficients of the functional difference equation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -15,8 +15,9 @@ from . import model_core as mc
 from .sov_basis import SovBasis, DegenerateSpectrum, _read_only, rayleigh_pairings
 
 __all__ = [
-    "TransferEigenstate", "EmptyNullspace", "ZeroReference",
-    "diagonalize_transfer", "check_functional_equation", "check_functional_equations",
+    "TransferEigenstate", "Spectrum", "EmptyNullspace", "ZeroReference",
+    "transfer_eigensystem", "diagonalize_transfer", "check_functional_equation",
+    "check_functional_equations",
     "extract_Q_grid", "extract_Q_grids", "fit_Q_polynomial", "fit_Q_polynomials",
     "qbar_from_q", "eval_t", "polyval_ascending", "power_sum",
 ]
@@ -38,8 +39,8 @@ class ZeroReference(SgSovError):
 
 @dataclass
 class TransferEigenstate:
-    """One joint eigenstate of the commuting transfer family (and of the
-    grading charge on even chains)."""
+    """One joint eigenstate of the transfer family (and of the grading charge
+    on even chains) for the per-pair kernels: ``Spectrum.eigenstate``."""
     t_coeffs: np.ndarray                # (n_bar + 1,), column c is degree 2c - n_bar
     theta_m: int                        # Z_p exponent of the charge eigenvalue, 0 on odd chains
     vec_right: np.ndarray
@@ -50,19 +51,45 @@ class TransferEigenstate:
     q_vals: np.ndarray = None           # Q on the grids, (nsep, p)
     qbar_vals: np.ndarray = None
     ff_u_ket: np.ndarray = None         # Q against its sector's ff_u_weights, (N, nsep, p, nsep)
-    diagnostics: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """The transfer spectrum of one chain, one row per joint eigenstate, as
+    stacked arrays that the constructor marks read-only in place."""
+    t_rows: np.ndarray                  # (d, n_bar + 1), column c is degree 2c - n_bar
+    theta_m: np.ndarray                 # (d,) charge sectors, 0 on odd chains
+    R: np.ndarray                       # (d, d), the right eigenvectors as columns
+    L: np.ndarray                       # R^-1, the left eigenvectors as rows
+    q_poly: np.ndarray                  # (d, (p - 1) N + 1) ascending
+    qbar_poly: np.ndarray               # (d, (p - 1) N + 1 + N mod p) ascending
+    nullspace_dim: np.ndarray           # (d,) of the Baxter fit
+    fit_gap: np.ndarray                 # (d,) least non-null singular value over the top one
+    q_vals: np.ndarray                  # Q on the grids, (d, nsep, p)
+    qbar_vals: np.ndarray
+    ff_u_kets: np.ndarray               # Q against ff_u_weights, (d, N, nsep, p, nsep)
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _read_only(np.asarray(getattr(self, f.name))))
+
+    def __len__(self):
+        return len(self.t_rows)
+
+    def eigenstate(self, i) -> TransferEigenstate:
+        """The per-pair kernels' view of row i, sharing its memory."""
+        return TransferEigenstate(
+            self.t_rows[i], int(self.theta_m[i]), self.R[:, i], self.L[i], self.q_poly[i],
+            self.qbar_poly[i], int(self.nullspace_dim[i]), self.q_vals[i], self.qbar_vals[i],
+            self.ff_u_kets[i])
 
 
 def eval_t(t_rows, lam):
     """Transfer eigenvalue of the coefficient rows ``t_rows``
     (..., n_bar + 1), column c holding degree 2c - n_bar, at ``lam``; the
     leading axes of the rows broadcast against ``lam``."""
-    t_rows, lam = np.asarray(t_rows), np.asarray(lam, dtype=complex)
-    n_bar = t_rows.shape[-1] - 1
-    out = 0
-    for c in range(n_bar + 1):
-        out = out + t_rows[..., c] * lam ** (2 * c - n_bar)
-    return out
+    lam, n_bar = np.asarray(lam, dtype=complex), np.shape(t_rows)[-1] - 1
+    return power_sum(t_rows, (lam ** (2 * c - n_bar) for c in range(n_bar + 1)))
 
 
 def polyval_ascending(coeffs, lam):
@@ -83,14 +110,21 @@ def power_sum(coeffs, powers):
 
 
 def diagonalize_transfer(params: ModelParams, mono, rng) -> list[TransferEigenstate]:
+    """The rows of ``transfer_eigensystem``, one eigenstate of read-only views each."""
+    t_rows, theta_m, R, L = transfer_eigensystem(params, mono, rng)
+    return [TransferEigenstate(t, int(m), r, l) for t, m, r, l in zip(t_rows, theta_m, R.T, L)]
+
+
+def transfer_eigensystem(params: ModelParams, mono, rng):
     """Joint eigenstates of the transfer family, with eigenvalue Laurent
     coefficients recovered from left/right pairings of the coefficient
     operators.  On even chains the digit-charge sectors (``mono.A.sectors``)
     are diagonalized separately, which makes the joint labels exact.  The
     eigenvectors are those of T at one spectral point; a degenerate pair
     there shows as a label collision or as an eigen-residual at a fresh
-    point, and raises.  Each state's ``t_coeffs`` is a row of one read-only
-    (d, n_bar + 1) stack, and its eigenvectors are read-only views."""
+    point, and raises.  Returns the read-only coefficient rows
+    (d, n_bar + 1), charge sectors (d,), right eigenvectors as the columns
+    of R (d, d) and L = R^-1."""
     d = params.dim
     T0 = mc.transfer(mono, params.spectral_samples(rng, 1)[0])
     if params.even_chain:
@@ -115,11 +149,10 @@ def diagonalize_transfer(params: ModelParams, mono, rng) -> list[TransferEigenst
     vecs = _read_only(np.stack(
         [rayleigh_pairings(L, mono.A.coeff(deg) + mono.D.coeff(deg), R) / norm
          for deg in degrees], axis=1))                       # (d, n_bar + 1)
-    states = [TransferEigenstate(vecs[i], ms[i], R[:, i], L[i]) for i in range(d)]
+    sector = _read_only(np.array(ms))
 
     # joint-label simplicity: no two states of one sector share their labels
     scale = max(np.max(np.abs(vecs)), 1e-300)
-    sector = np.array(ms)
     gap = np.zeros((d, d))
     for k in range(len(degrees)):
         gap = np.maximum(gap, np.abs(vecs[:, None, k] - vecs[None, :, k]))
@@ -135,7 +168,7 @@ def diagonalize_transfer(params: ModelParams, mono, rng) -> list[TransferEigenst
     bad = np.flatnonzero(res > 1e-8 * np.linalg.norm(T2) * np.linalg.norm(R, axis=0))
     if bad.size:
         raise DegenerateSpectrum(f"eigenvector residual {res[bad[0]]:.3e} too large")
-    return states
+    return vecs, sector, R, L
 
 
 def check_functional_equation(params: ModelParams, t_coeffs, rng):
@@ -166,22 +199,23 @@ def extract_Q_grid(state: TransferEigenstate, basis: SovBasis):
     """Wavefunction components in the SOV basis and the per-variable ratio
     tables of the Baxter function; validates the separated factorization.
     Returns the state's entry of each of the ``extract_Q_grids`` results."""
-    return tuple(None if x is None else x[0] for x in extract_Q_grids([state], basis))
+    return tuple(None if x is None else x[0]
+                 for x in extract_Q_grids(state.vec_right[None], [state.theta_m], basis))
 
 
-def extract_Q_grids(states, basis: SovBasis):
-    """``extract_Q_grid`` on every state of ``states`` at once; the first
-    state that fails raises.  Returns the read-only wavefunctions psi
-    (states, d), ratio tables (states, N, p), anchor label tuples
-    (states, N), factorization residuals (states,) and, on even chains,
-    the deviations of the reference-variable ratios from the pure charge
-    phase (states,), None on odd ones.  Nothing is written to the states."""
+def extract_Q_grids(vec_right, theta_m, basis: SovBasis):
+    """``extract_Q_grid`` on the rows ``vec_right`` (states, d) of right
+    eigenvectors in the charge sectors ``theta_m`` (states,); the first state
+    that fails raises.  Returns the read-only wavefunctions psi (states, d),
+    ratio tables (states, N, p), anchor label tuples (states, N), residuals
+    of the factorization (states,) and, on even chains, the deviations of the
+    reference-variable ratios from the pure charge phase, None on odd ones."""
     params = basis.params
     p = params.p
-    R = np.stack([st.vec_right for st in states])
+    R = np.ascontiguousarray(vec_right)
     # one matrix-vector product per state, stacked
     psi = _read_only((basis.left @ R[..., None])[..., 0])     # (states, d)
-    rows = np.arange(len(states))[:, None]
+    rows = np.arange(len(R))[:, None]
     j0 = np.argmax(np.abs(psi), axis=1)
     ref = psi[rows[:, 0], j0]
     zero = np.abs(ref) <= 1e-13 * np.linalg.norm(R, axis=1)
@@ -205,7 +239,7 @@ def extract_Q_grids(states, basis: SovBasis):
     phase_dev = None
     if params.even_chain:
         # the reference-variable dependence is the pure charge phase
-        m = np.array([st.theta_m for st in states])
+        m = np.asarray(theta_m)
         expect = params.q ** (-m[:, None] * (np.arange(p) - anchor[:, -1:]))
         phase_dev = _read_only(np.max(np.abs(grid_ratios[:, -1] - expect), axis=1))
     return psi, grid_ratios, anchor, resid, phase_dev

@@ -7,6 +7,7 @@ import pytest
 from sgsov.params import ModelParams
 from sgsov.model_core import embedded_u  # noqa: F401  (imported by the tests)
 from sgsov.separate_states import prepare
+from sgsov.spectrum import extract_Q_grids
 
 SEED = 1234
 
@@ -14,8 +15,18 @@ SEED = 1234
 def short_spectrum(sol, missing):
     """The eigenbasis of ``sol`` without its last ``missing`` eigenstates."""
     keep = slice(0, sol.params.dim - missing)
-    return SimpleNamespace(params=sol.params, states=sol.states[keep],
-                           covs=sol.covs[keep], vecs=sol.vecs[keep], norms=sol.norms[keep])
+    return SimpleNamespace(params=sol.params, covs=sol.covs[keep], vecs=sol.vecs[keep],
+                           norms=sol.norms[keep])
+
+
+def eigenstates(sol):
+    """The per-pair API's view of every row of the spectrum of ``sol``."""
+    return [sol.states.eigenstate(i) for i in range(len(sol.states))]
+
+
+def q_grids(sol):
+    """``extract_Q_grids`` on every right eigenvector of the spectrum of ``sol``."""
+    return extract_Q_grids(sol.states.R.T, sol.states.theta_m, sol.basis)
 
 
 def cfg_a_params():

@@ -16,7 +16,7 @@ from sgsov import form_factors as ff
 from sgsov import local_ops as lo
 from sgsov import oracle
 
-from conftest import embedded_u
+from conftest import eigenstates, embedded_u, q_grids
 
 
 def _report(num, title, worst, tol, extra=""):
@@ -105,9 +105,9 @@ def test_criterion_3_spectrum(desk_bundles):
     for bundle in desk_bundles.values():
         params, basis = bundle.params, bundle.basis
         labels = set()
-        psis, _, _, resid, _ = sp.extract_Q_grids(bundle.states, basis)
+        psis, _, _, resid, _ = q_grids(bundle)
         worst_fact = max(worst_fact, max(resid))
-        for st, psi in zip(bundle.states, psis):
+        for st, psi in zip(eigenstates(bundle), psis):
             labels.add((st.theta_m,) + tuple(np.round(st.t_coeffs, 9)))
             worst_true = max(worst_true, sp.check_functional_equation(
                 params, st.t_coeffs, bundle.rng(903)))
@@ -121,7 +121,7 @@ def test_criterion_3_spectrum(desk_bundles):
                         + mc.d_coeff(params, eta) * psi[basis.shifted_index(j, r, +1)]
                     worst_bax = max(worst_bax, abs(lhs - rhs) / max(abs(lhs), abs(rhs), pmax))
         assert len(labels) == params.dim
-        t_coeffs = bundle.states[0].t_coeffs
+        t_coeffs = bundle.states.t_rows[0]
         rej = 0.0
         for pp in t_coeffs + 0.1 * np.eye(len(t_coeffs)):
             rej = max(rej, sp.check_functional_equation(params, pp, bundle.rng(903)))
@@ -155,15 +155,17 @@ def test_criterion_4_scalar_products(desk_bundles):
             det = ss.scalar_product_det(a_st, b_st, bundle.grid)
             worst_pairs = max(worst_pairs, abs(cov @ vec - det)
                               / max(abs(det), np.linalg.norm(cov) * np.linalg.norm(vec)))
-        diag = [abs(ss.eigen_action(basis, st, st)) for st in bundle.states]
-        for i, si in enumerate(bundle.states):
-            for j, sj in enumerate(bundle.states):
+        states = eigenstates(bundle)
+        diag = [abs(ss.eigen_action(basis, st, st)) for st in states]
+        for i, si in enumerate(states):
+            for j, sj in enumerate(states):
                 if i == j or (params.even_chain and si.theta_m != sj.theta_m):
                     continue
                 val = ss.eigen_action(basis, si, sj)
                 worst_orth = max(worst_orth, abs(val) / np.sqrt(diag[i] * diag[j]))
                 phi = ss.phi_matrix(bundle.grid, si, sj)
-                V = ss.t_coeff_null_vector(params, bundle.t_rows[i], bundle.t_rows[j])
+                V = ss.t_coeff_null_vector(params, bundle.states.t_rows[i],
+                                           bundle.states.t_rows[j])
                 ref = max(mc.frob(phi),
                           (diag[i] * diag[j]) ** (0.5 * (nsep - 1) / nsep)
                           if nsep > 1 else np.sqrt(diag[i] * diag[j]))
@@ -304,10 +306,11 @@ def test_criterion_8_form_factors(cfg_a, cfg_b):
         params, basis = bundle.params, bundle.basis
         d = params.dim
         u1 = embedded_u(bundle.params, 1)
+        states = eigenstates(bundle)
         for i in range(d):
             for j in range(d):
                 dense = bundle.covs[i] @ u1 @ bundle.vecs[j]
-                res = ff.ff_u(params, basis, bundle.states[i], bundle.states[j], 1)
+                res = ff.ff_u(params, basis, states[i], states[j], 1)
                 if res.selection_zero:
                     assert res.value == 0.0
                 scale = max(abs(dense), abs(res.value),
@@ -331,13 +334,13 @@ def test_criterion_8_form_factors(cfg_a, cfg_b):
         d = params.dim
         rng = bundle.rng(908)
         pairs = [(int(rng.integers(0, d)), int(rng.integers(0, d))) for _ in range(12)]
+        states = eigenstates(bundle)
         for elem in elems:
             dense_op = elem.to_dense(params, basis, bundle.elementary_ops)
             opn = np.linalg.norm(dense_op)
             for i, j in pairs:
                 dense = bundle.covs[i] @ dense_op @ bundle.vecs[j]
-                res = ff.ff_elementary(params, bundle.grid, bundle.states[i],
-                                       bundle.states[j], elem)
+                res = ff.ff_elementary(params, bundle.grid, states[i], states[j], elem)
                 scale = max(abs(dense), abs(res.value),
                             np.linalg.norm(bundle.covs[i]) * np.linalg.norm(bundle.vecs[j])
                             * opn / d)

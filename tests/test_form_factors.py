@@ -8,7 +8,7 @@ from sgsov import separate_states as ss
 from sgsov import form_factors as ff
 from sgsov import local_ops as lo
 
-from conftest import cfg_a_params, embedded_u, short_spectrum
+from conftest import cfg_a_params, eigenstates, embedded_u, short_spectrum
 from sgsov.separate_states import prepare
 
 
@@ -27,10 +27,11 @@ def test_ff_u_full_sweep(desk_bundles):
         params, basis = bundle.params, bundle.basis
         d = params.dim
         u1 = embedded_u(bundle.params, 1)
+        states = eigenstates(bundle)
         for i in range(d):
             for j in range(d):
                 dense = bundle.covs[i] @ u1 @ bundle.vecs[j]
-                res = ff.ff_u(params, basis, bundle.states[i], bundle.states[j], 1)
+                res = ff.ff_u(params, basis, states[i], states[j], 1)
                 scale = max(abs(dense), abs(res.value), _pair_scale(bundle, i, j))
                 assert abs(dense - res.value) <= 1e-7 * scale
 
@@ -39,11 +40,11 @@ def test_ff_u_selection_rule_even_chain(cfg_b):
     params, basis = cfg_b.params, cfg_b.basis
     d = params.dim
     u1 = embedded_u(cfg_b.params, 1)
+    states = eigenstates(cfg_b)
     for i in range(d):
         for j in range(d):
-            res = ff.ff_u(params, basis, cfg_b.states[i], cfg_b.states[j], 1)
-            allowed = (cfg_b.states[i].theta_m
-                       - cfg_b.states[j].theta_m - 1) % params.p == 0
+            res = ff.ff_u(params, basis, states[i], states[j], 1)
+            allowed = (states[i].theta_m - states[j].theta_m - 1) % params.p == 0
             assert res.selection_zero == (not allowed)
             if not allowed:
                 assert res.value == 0.0
@@ -54,7 +55,7 @@ def test_ff_u_selection_rule_even_chain(cfg_b):
 def test_ff_u_matrix_shares_columns_with_moment_matrix(cfg_a):
     # all but the last column coincide with the half-shifted moment matrix
     params, basis = cfg_a.params, cfg_a.basis
-    bra, ket = cfg_a.states[1], cfg_a.states[4]
+    bra, ket = cfg_a.states.eigenstate(1), cfg_a.states.eigenstate(4)
     res = ff.ff_u(params, basis, bra, ket, 1, keep_matrix=True)
     phi_half = ss.phi_matrix(cfg_a.grid, bra, ket, half_shift=1)
     nsep = params.n_separate
@@ -67,13 +68,14 @@ def test_ff_u_matrix_shares_columns_with_moment_matrix(cfg_a):
 def test_ff_u_shifted_site_homogeneous(hom3):
     params, basis = hom3.params, hom3.basis
     d = params.dim
+    states = eigenstates(hom3)
     for n in (2, 3):
         W = lo.cyclic_shift_permutation(params, n)
         un = embedded_u(hom3.params, n)
         phis = ff.shift_eigenvalues(hom3, W)
         for i in range(0, d, 5):
             for j in range(0, d, 7):
-                res = ff.ff_u(params, basis, hom3.states[i], hom3.states[j], n,
+                res = ff.ff_u(params, basis, states[i], states[j], n,
                               shift_ratio=phis[i] / phis[j])
                 dense = hom3.covs[i] @ un @ hom3.vecs[j]
                 scale = max(abs(dense), abs(res.value), _pair_scale(hom3, i, j))
@@ -82,7 +84,8 @@ def test_ff_u_shifted_site_homogeneous(hom3):
 
 def test_ff_u_shifted_site_requires_homogeneity(cfg_a):
     with pytest.raises(ff.ShiftUnavailable):
-        ff.ff_u(cfg_a.params, cfg_a.basis, cfg_a.states[0], cfg_a.states[1], 2)
+        ff.ff_u(cfg_a.params, cfg_a.basis, cfg_a.states.eigenstate(0),
+                cfg_a.states.eigenstate(1), 2)
 
 
 def test_shift_eigenvalue_diagnostic_homogeneous(hom3):
@@ -100,14 +103,14 @@ def test_ff_elementary_single_lowering(desk_bundles):
     for bundle in desk_bundles.values():
         params, basis = bundle.params, bundle.basis
         d = params.dim
+        states = eigenstates(bundle)
         for a in range(params.n_separate):
             elem = lo.ElementaryBasisElement(((a, 1, 1),))
             dense_op = elem.to_dense(params, basis, bundle.elementary_ops)
             opn = np.linalg.norm(dense_op)
             for i in range(0, d, 3):
                 for j in range(0, d, 4):
-                    res = ff.ff_elementary(params, bundle.grid, bundle.states[i],
-                                           bundle.states[j], elem)
+                    res = ff.ff_elementary(params, bundle.grid, states[i], states[j], elem)
                     dense = bundle.covs[i] @ dense_op @ bundle.vecs[j]
                     scale = max(abs(dense), abs(res.value),
                                 _pair_scale(bundle, i, j, opn))
@@ -120,6 +123,7 @@ def test_ff_elementary_two_variable_cases(cfg_a):
     cases = [lo.ElementaryBasisElement(((0, 1, 1), (1, 2, 1))),
              lo.ElementaryBasisElement(((0, 2, 2), (1, 0, 1))),
              lo.ElementaryBasisElement(((1, 0, 1), (2, 1, 2)))]
+    states = eigenstates(cfg_a)
     for elem in cases:
         size = params.n_separate + len(elem.factors) * params.p - elem.total_power()
         assert size == 3 + 2 * 3 - elem.total_power()
@@ -127,8 +131,7 @@ def test_ff_elementary_two_variable_cases(cfg_a):
         opn = np.linalg.norm(dense_op)
         for i in range(0, d, 5):
             for j in range(0, d, 6):
-                res = ff.ff_elementary(params, cfg_a.grid, cfg_a.states[i],
-                                       cfg_a.states[j], elem)
+                res = ff.ff_elementary(params, cfg_a.grid, states[i], states[j], elem)
                 dense = cfg_a.covs[i] @ dense_op @ cfg_a.vecs[j]
                 scale = max(abs(dense), abs(res.value), _pair_scale(cfg_a, i, j, opn))
                 assert abs(dense - res.value) <= 1e-6 * scale
@@ -138,14 +141,14 @@ def test_ff_elementary_pure_charge_insertion(cfg_b):
     # no lowering factors at all: a moment determinant with shifted columns
     params, basis = cfg_b.params, cfg_b.basis
     d = params.dim
+    states = eigenstates(cfg_b)
     for hN, h0 in ((0, 0), (1, 0), (0, 1), (2, 1)):
         elem = lo.ElementaryBasisElement((), theta_pow=hN, theta_a_pow=h0)
         dense_op = elem.to_dense(params, basis, cfg_b.elementary_ops)
         opn = np.linalg.norm(dense_op)
         for i in range(d):
             for j in range(d):
-                res = ff.ff_elementary(params, cfg_b.grid, cfg_b.states[i],
-                                       cfg_b.states[j], elem)
+                res = ff.ff_elementary(params, cfg_b.grid, states[i], states[j], elem)
                 dense = cfg_b.covs[i] @ dense_op @ cfg_b.vecs[j]
                 scale = max(abs(dense), abs(res.value), _pair_scale(cfg_b, i, j, opn))
                 assert abs(dense - res.value) <= 1e-6 * scale
@@ -155,8 +158,9 @@ def test_ff_elementary_sector_rule(cfg_b):
     params, basis = cfg_b.params, cfg_b.basis
     elem = lo.ElementaryBasisElement((), theta_pow=1, theta_a_pow=0)
     dense_op = elem.to_dense(params, basis, cfg_b.elementary_ops)
-    for i, sti in enumerate(cfg_b.states):
-        for j, stj in enumerate(cfg_b.states):
+    states = eigenstates(cfg_b)
+    for i, sti in enumerate(states):
+        for j, stj in enumerate(states):
             res = ff.ff_elementary(params, cfg_b.grid, sti, stj, elem)
             allowed = (sti.theta_m - stj.theta_m - 1) % params.p == 0
             assert res.selection_zero == (not allowed)
@@ -170,15 +174,15 @@ def test_ff_values_do_not_depend_on_basis_normalization(cfg_a):
     # a basis rebuilt from a different random stream carries different raw
     # eigenvector scales; the separated form factors must not change
     other = prepare(cfg_a_params(), 777)
+    states = eigenstates(cfg_a)
     for i, j in ((0, 1), (3, 9), (12, 20)):
-        v1 = ff.ff_u(cfg_a.params, cfg_a.basis, cfg_a.states[i], cfg_a.states[j], 1).value
+        v1 = ff.ff_u(cfg_a.params, cfg_a.basis, states[i], states[j], 1).value
         # identify the matching states in the rebuilt bundle by eigenvalue
         def match(st):
             key = min(range(len(other.states)), key=lambda m: np.sum(
-                np.abs(other.states[m].t_coeffs - st.t_coeffs)))
-            return other.states[key]
-        v2 = ff.ff_u(other.params, other.basis, match(cfg_a.states[i]),
-                     match(cfg_a.states[j]), 1).value
+                np.abs(other.states.t_rows[m] - st.t_coeffs)))
+            return other.states.eigenstate(key)
+        v2 = ff.ff_u(other.params, other.basis, match(states[i]), match(states[j]), 1).value
         assert abs(v1 - v2) <= 1e-7 * max(abs(v1), 1e-300)
 
 
@@ -203,7 +207,7 @@ def test_npoint_two_point_expansion(desk_bundles):
 def test_npoint_two_point_with_determinant_route(cfg_a):
     params, grid = cfg_a.params, cfg_a.grid
     u1 = embedded_u(cfg_a.params, 1)
-    det_table = ff.ff_u_table(params, grid, cfg_a.states, cfg_a.states, 1)[0]
+    det_table = ff.ff_u_table(params, grid, cfg_a.states, 1)[0]
     val = ff.npoint(cfg_a, 2, [det_table, det_table])
     dense = (cfg_a.covs[2] @ u1 @ u1 @ cfg_a.vecs[2]) / cfg_a.norms[2]
     assert abs(val - dense) <= 1e-6 * max(abs(dense), 1e-300)
@@ -245,10 +249,10 @@ def test_bra_blocks_leave_the_pair_tables_unchanged(cfg_a, monkeypatch):
     # every determinant of an all-pairs table is formed on its own, so the
     # size of the bra blocks moves no value
     from sgsov import oracle
-    params, grid, states = cfg_a.params, cfg_a.grid, cfg_a.states
-    values = ff.ff_u_table(params, grid, states, states, 1)[0]
+    params, grid, spec = cfg_a.params, cfg_a.grid, cfg_a.states
+    values = ff.ff_u_table(params, grid, spec, 1)[0]
     rows = [r.row() for r in oracle.verify_solution(cfg_a, sections={"scalar"})]
     monkeypatch.setattr(ss, "BRA_BLOCK", 5)
     assert len(ss.bra_blocks(params.dim)) == 6
-    assert np.array_equal(ff.ff_u_table(params, grid, states, states, 1)[0], values)
+    assert np.array_equal(ff.ff_u_table(params, grid, spec, 1)[0], values)
     assert [r.row() for r in oracle.verify_solution(cfg_a, sections={"scalar"})] == rows

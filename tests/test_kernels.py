@@ -8,8 +8,6 @@ terms in another order, so results agree to rounding: 1e-12 relative to the
 sum of the moduli of the terms of each entry, and to the Hadamard bound of
 each determinant."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -19,6 +17,8 @@ from sgsov import form_factors as ff
 from sgsov import local_ops as lo
 from sgsov import oracle
 from sgsov.sov_basis import SovGrid, cross_product, moment_weights, vandermonde
+
+from conftest import eigenstates
 
 RTOL = 1e-12
 CHAINS = ("n1", "cfg_b", "cfg_a", "stretch")   # nsep = 1; even chain; N = 3, p = 3; nsep = 3, p = 5
@@ -216,12 +216,14 @@ def test_grid_tables_are_read_only(sol):
 
 
 def test_weight_tables_are_built_read_only_by_the_constructor(sol, monkeypatch):
-    params, basis, grid, states = sol.params, sol.basis, sol.grid, sol.states
+    params, basis, grid, states = sol.params, sol.basis, sol.grid, eigenstates(sol)
     nsep, p, n_sites = params.n_separate, params.p, params.n_sites
     fresh = SovGrid(params, grid.z, grid.eta0)
     sectors = p if params.even_chain else 1
     for name, shape in (("omega", (nsep, p)), ("pairing_weights", (nsep, p, nsep)),
-                        ("ff_u_weights", (n_sites, sectors, nsep, p, p, nsep))):
+                        ("ff_u_weights", (n_sites, sectors, nsep, p, p, nsep)),
+                        ("grid_values", (params.dim, nsep)),
+                        ("vandermonde_weights", (params.dim,))):
         table = vars(fresh)[name]          # an instance field, not built on use
         assert table.shape == shape
         assert np.array_equal(table, getattr(grid, name))
@@ -291,7 +293,7 @@ def test_ff_u_ket_tables_match_scalar_formula(sol):
     params, grid = sol.params, sol.grid
     N, nsep, p = params.n_sites, params.n_separate, params.p
     # every state; every fourth on the d = 125 chain
-    for st in sol.states[::max(1, params.dim // 27)]:
+    for st in eigenstates(sol)[::max(1, params.dim // 27)]:
         assert st.ff_u_ket.shape == (N, nsep, p, nsep)
         for n in range(1, N + 1):
             ref, scale = ff_u_ket_ref(params, grid, st, n)
@@ -310,7 +312,7 @@ def test_shifted_indices_match_scalar_shifts(sol):
 # -- determinant kernels ---------------------------------------------------------
 
 def test_phi_matrix_and_eigen_action_match_scalar_sums(sol):
-    params, basis, grid, states = sol.params, sol.basis, sol.grid, sol.states
+    params, basis, grid, states = sol.params, sol.basis, sol.grid, eigenstates(sol)
     nsep = params.n_separate
     for i, j in _pairs(sol):
         bra, ket = states[i], states[j]
@@ -341,7 +343,7 @@ def test_scalar_product_det_matches_scalar_sums(sol):
 
 
 def test_ff_u_matches_scalar_formula(sol):
-    params, basis, states = sol.params, sol.basis, sol.states
+    params, basis, states = sol.params, sol.basis, eigenstates(sol)
     zeros = 0
     for i, j in _pairs(sol):
         res = ff.ff_u(params, basis, states[i], states[j], 1, keep_matrix=True)
@@ -358,7 +360,7 @@ def test_ff_u_matches_scalar_formula(sol):
 
 
 def test_ff_elementary_matches_scalar_formula(sol):
-    params, grid, states = sol.params, sol.grid, sol.states
+    params, grid, states = sol.params, sol.grid, eigenstates(sol)
     for elem in _elements(params):
         for i, j in _pairs(sol, count=4):
             res = ff.ff_elementary(params, grid, states[i], states[j], elem,
@@ -373,8 +375,8 @@ def test_ff_elementary_matches_scalar_formula(sol):
 # -- pair tables -----------------------------------------------------------------
 
 def test_ff_u_table_equals_per_pair_calls(sol):
-    params, basis, states = sol.params, sol.basis, sol.states
-    values, zeros = ff.ff_u_table(params, sol.grid, states, states, 1)
+    params, basis, states = sol.params, sol.basis, eigenstates(sol)
+    values, zeros = ff.ff_u_table(params, sol.grid, sol.states, 1)
     per_pair = [[ff.ff_u(params, basis, bra, ket, 1) for ket in states] for bra in states]
     assert values.shape == zeros.shape == (params.dim, params.dim)
     # the same operations in the same order: bit-identical
@@ -384,14 +386,14 @@ def test_ff_u_table_equals_per_pair_calls(sol):
 
 
 def test_ff_elementary_table_equals_per_pair_calls(sol):
-    params, grid, states = sol.params, sol.grid, sol.states
+    params, grid, states = sol.params, sol.grid, eigenstates(sol)
     # every pair; every tenth bra on the d = 125 chain
-    bras = states if params.dim <= 27 else states[::10]
+    rows = slice(None) if params.dim <= 27 else slice(None, None, 10)
     for elem in _elements(params):
-        values, zeros = ff.ff_elementary_table(params, grid, bras, states, elem)
+        values, zeros = ff.ff_elementary_table(params, grid, sol.states, elem, rows)
         per_pair = [[ff.ff_elementary(params, grid, bra, ket, elem) for ket in states]
-                    for bra in bras]
-        assert values.shape == zeros.shape == (len(bras), params.dim)
+                    for bra in states[rows]]
+        assert values.shape == zeros.shape == (len(states[rows]), params.dim)
         # one kernel, the same operations in the same order: bit-identical
         assert np.array_equal(values, [[r.value for r in row] for row in per_pair])
         assert np.array_equal(zeros, [[r.selection_zero for r in row] for row in per_pair])
@@ -399,12 +401,13 @@ def test_ff_elementary_table_equals_per_pair_calls(sol):
 
 
 def test_ff_u_table_at_a_shifted_site(hom3):
-    params, basis, states = hom3.params, hom3.basis, hom3.states
+    params, basis, states = hom3.params, hom3.basis, eigenstates(hom3)
     with pytest.raises(ff.ShiftUnavailable):
-        ff.ff_u_table(params, hom3.grid, states, states, 2)
+        ff.ff_u_table(params, hom3.grid, hom3.states, 2)
     shift = np.linspace(0.5, 1.5, params.dim) * np.exp(1j * np.arange(params.dim))
     ratio = shift[:, None] / shift[None, :]
-    values, _ = ff.ff_u_table(params, hom3.grid, states[:4], states, 2, shift_ratio=ratio[:4])
+    values, _ = ff.ff_u_table(params, hom3.grid, hom3.states, 2, shift_ratio=ratio[:4],
+                              bras=slice(0, 4))
     for i in range(4):
         for j, ket in enumerate(states):
             ref = ff.ff_u(params, basis, states[i], ket, 2, shift_ratio=ratio[i, j]).value
@@ -414,16 +417,16 @@ def test_ff_u_table_at_a_shifted_site(hom3):
 @pytest.mark.parametrize("n", [0, -1, 4])
 def test_ff_u_rejects_a_site_outside_the_chain(hom3, n):
     # a negative index would silently read the table of a site from the end
-    params, states = hom3.params, hom3.states
+    params, spec = hom3.params, hom3.states
     with pytest.raises(IndexError):
-        ff.ff_u(params, hom3.basis, states[0], states[1], n, shift_ratio=1.0)
+        ff.ff_u(params, hom3.basis, spec.eigenstate(0), spec.eigenstate(1), n, shift_ratio=1.0)
     with pytest.raises(IndexError):
-        ff.ff_u_table(params, hom3.grid, states, states, n, shift_ratio=1.0)
+        ff.ff_u_table(params, hom3.grid, spec, n, shift_ratio=1.0)
 
 
 def test_eigen_action_table_equals_per_pair_calls(sol):
-    params, basis, states = sol.params, sol.basis, sol.states
-    values, zeros = ss.eigen_action_table(sol.grid, states, states)
+    params, basis, states = sol.params, sol.basis, eigenstates(sol)
+    values, zeros = ss.eigen_action_table(sol.grid, sol.states)
     ref = np.array([[ss.eigen_action(basis, bra, ket) for ket in states] for bra in states])
     theta = np.array([st.theta_m or 0 for st in states])
     assert np.array_equal(zeros, params.even_chain & ((theta[:, None] - theta) % params.p != 0))
@@ -436,43 +439,43 @@ def test_determinant_kernels_make_no_einsum_call(chain, request, monkeypatch):
     # the Q-table contractions are stacked BLAS products, not NumPy's generic
     # einsum loops
     sol = request.getfixturevalue(chain)
-    params, basis, states = sol.params, sol.basis, sol.states
+    params, basis, spec = sol.params, sol.basis, sol.states
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.einsum called by a determinant kernel")
 
     monkeypatch.setattr(np, "einsum", refuse)
     grid = sol.grid
-    ss.attach_q_tables([dataclasses.replace(st) for st in states], grid)
-    bra, ket = states[1], states[2]
+    ss.attach_q_tables(grid, spec.q_poly, spec.qbar_poly, spec.theta_m)
+    bra, ket = spec.eigenstate(1), spec.eigenstate(2)
     ff.ff_u(params, basis, bra, ket, 1)
     ss.eigen_action(basis, bra, ket)
-    ff.ff_u_table(params, grid, states[:3], states, 1)
-    ss.eigen_action_table(grid, states[:3], states)
+    ff.ff_u_table(params, grid, spec, 1, bras=slice(0, 3))
+    ss.eigen_action_table(grid, spec, slice(0, 3))
     ss.phi_moments(grid, bra.qbar_vals, ket.q_vals, [0, 2, 5])
     for elem in _elements(params):
         ff.ff_elementary(params, grid, bra, ket, elem)
-        ff.ff_elementary_table(params, grid, states[:3], states, elem)
+        ff.ff_elementary_table(params, grid, spec, elem, slice(0, 3))
 
 
 def test_eigen_dense_norms_equal_per_state_pairings(sol):
-    ref = [ss.eigen_action(sol.basis, st, st) for st in sol.states]
+    ref = [ss.eigen_action(sol.basis, st, st) for st in eigenstates(sol)]
     assert np.array_equal(sol.norms, ref)
 
 
 def test_stacked_tables_on_solution(sol):
-    params, states = sol.params, sol.states
+    params, spec = sol.params, sol.states
     d, nsep, p = params.dim, params.n_separate, params.p
-    assert sol.q_vals.shape == sol.qbar_vals.shape == (d, nsep, p)
-    assert sol.ff_u_kets.shape == (d, params.n_sites, nsep, p, nsep)
-    assert sol.t_rows.shape == (d, params.n_bar + 1)
-    for i, st in enumerate(states):
-        assert np.array_equal(sol.q_vals[i], st.q_vals)
-        assert np.array_equal(sol.qbar_vals[i], st.qbar_vals)
-        assert np.array_equal(sol.ff_u_kets[i], st.ff_u_ket)
-        assert sol.theta_m[i] == (st.theta_m if params.even_chain else 0)
-        assert np.array_equal(sol.t_rows[i], st.t_coeffs)
-    for table in (sol.q_vals, sol.qbar_vals, sol.ff_u_kets, sol.theta_m, sol.t_rows,
+    assert spec.q_vals.shape == spec.qbar_vals.shape == (d, nsep, p)
+    assert spec.ff_u_kets.shape == (d, params.n_sites, nsep, p, nsep)
+    assert spec.t_rows.shape == (d, params.n_bar + 1)
+    for i, st in enumerate(eigenstates(sol)):
+        assert np.array_equal(spec.q_vals[i], st.q_vals)
+        assert np.array_equal(spec.qbar_vals[i], st.qbar_vals)
+        assert np.array_equal(spec.ff_u_kets[i], st.ff_u_ket)
+        assert spec.theta_m[i] == (st.theta_m if params.even_chain else 0)
+        assert np.array_equal(spec.t_rows[i], st.t_coeffs)
+    for table in (spec.q_vals, spec.qbar_vals, spec.ff_u_kets, spec.theta_m, spec.t_rows,
                   sol.covs, sol.vecs, sol.norms):
         with pytest.raises(ValueError):
             table[0] = 0
@@ -480,7 +483,7 @@ def test_stacked_tables_on_solution(sol):
 
 def _scalar_worst_by_pair_loop(sol):
     """The orthogonality and null-vector worst values, one pair at a time."""
-    params, grid, states = sol.params, sol.grid, sol.states
+    params, grid, states = sol.params, sol.grid, eigenstates(sol)
     nsep = params.n_separate
     diag_dets = np.abs(sol.norms)
     worst_orth = worst_null = 0.0
@@ -491,7 +494,7 @@ def _scalar_worst_by_pair_loop(sol):
             phi = ss.phi_matrix(grid, sti, stj)
             det = abs(np.linalg.det(phi)) * abs(grid.c_ref)
             worst_orth = max(worst_orth, det / np.sqrt(diag_dets[i] * diag_dets[j]))
-            V = ss.t_coeff_null_vector(params, sol.t_rows[i], sol.t_rows[j])
+            V = ss.t_coeff_null_vector(params, states[i].t_coeffs, states[j].t_coeffs)
             ref = np.sqrt(np.sqrt(diag_dets[i] * diag_dets[j]))
             worst_null = max(worst_null, float(
                 np.linalg.norm(phi @ V)

@@ -10,6 +10,7 @@ import pytest
 from sgsov.cli import load_config
 from sgsov.params import ModelParams, OddChain
 from sgsov import model_core as mc
+from sgsov.sov_basis import b_zeros
 
 from conftest import cfg_a_params, cfg_b_params, n1_params
 
@@ -516,3 +517,24 @@ def test_params_validation():
     # p' sharing a factor with p breaks primitivity
     with pytest.raises(ValueError):
         ModelParams(1, 3, 6, kappa=[1j], xi=[1.0])
+
+
+@pytest.mark.parametrize("make", [cfg_b_params, cfg_a_params])   # even; odd
+def test_average_monodromy_laurent_is_built_once_per_chain(make):
+    params = make()
+    mc.average_monodromy_laurent.cache_clear()
+    first_zeros = b_zeros(params)            # builds the coefficients
+    coeffs = mc.average_monodromy_laurent(params)
+    assert mc.average_monodromy_laurent(params) is coeffs
+    with pytest.raises(ValueError):
+        coeffs[0, 0, 0] = 1.0
+    # the cached table gives the values of a fresh build
+    fresh = mc.average_monodromy_laurent.__wrapped__(params)
+    assert np.array_equal(coeffs, fresh)
+    zeros = b_zeros(params)
+    assert np.array_equal(zeros.z, first_zeros.z)
+    assert np.array_equal(zeros.eta0, first_zeros.eta0)
+    powers = (0.9 + 0.4j) ** np.arange(-params.n_sites, params.n_sites + 1)
+    for k, entry in enumerate("ABCD"):
+        assert mc.average_value(params, entry, 0.9 + 0.4j) \
+            == complex(np.tensordot(powers, fresh, axes=1)[divmod(k, 2)])

@@ -32,7 +32,7 @@ def test_direct_matrix_element_eigen_relation(cfg_a):
     for i, j in ((0, 0), (2, 5)):
         me = oracle.direct_matrix_element(cfg_a.covs[i], T, cfg_a.vecs[j])
         pairing = cfg_a.covs[i] @ cfg_a.vecs[j]
-        expect = sp.eval_t(cfg_a.states[j].t_coeffs, lam) * pairing
+        expect = sp.eval_t(cfg_a.states.t_rows[j], lam) * pairing
         scale = max(abs(me), mc.frob(T) * np.linalg.norm(cfg_a.covs[i])
                     * np.linalg.norm(cfg_a.vecs[j]) / cfg_a.params.dim)
         assert abs(me - expect) <= 1e-9 * scale
@@ -89,7 +89,7 @@ def test_fault_localization(cfg_a):
     params = cfg_a.params
     algebra = oracle.verify_suite(params, seed=3, sections={"algebra"})
     assert all(r.passed for r in algebra)
-    t_coeffs = cfg_a.states[0].t_coeffs
+    t_coeffs = cfg_a.states.t_rows[0]
     pert = t_coeffs + 0.1 * np.eye(len(t_coeffs))[0]    # the lowest degree
     res = sp.check_functional_equation(params, pert, cfg_a.rng(602))
     assert res > 1e-3
@@ -217,10 +217,10 @@ def test_cli_degenerate_exit(tmp_path):
 def test_wide_baxter_nullspace_raises(tmp_path, monkeypatch, cfg_a, capsys):
     # a null threshold just above state 0's fit gap takes in a second null
     # direction: the fit names the dimension and the CLI exits 3
-    st = cfg_a.states[0]
-    monkeypatch.setattr(sp, "NULL_TOL", 1.01 * st.diagnostics["baxter_fit_gap"])
+    spec = cfg_a.states
+    monkeypatch.setattr(sp, "NULL_TOL", 1.01 * spec.fit_gap[0])
     with pytest.raises(DegenerateSpectrum) as info:
-        sp.fit_Q_polynomial(cfg_a.params, st.t_coeffs)
+        sp.fit_Q_polynomial(cfg_a.params, spec.t_rows[0])
     dim = re.search(r"nullspace has dimension (\d+)", str(info.value))
     assert dim and int(dim.group(1)) > 1
     assert main(["spectrum", "--config", _write_cfg(tmp_path, _cfg_a_payload())]) == 3

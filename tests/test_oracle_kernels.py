@@ -15,7 +15,7 @@ from sgsov import separate_states as ss
 from sgsov import spectrum as sp
 from sgsov.separate_states import prepare
 
-from conftest import SEED, cfg_a_params
+from conftest import SEED, cfg_a_params, eigenstates, q_grids
 from test_model_core import _block_residual
 
 RTOL = 1e-13
@@ -163,7 +163,7 @@ def _binvA_power_sov_ref(params, basis, k, lam):
 def test_functional_equations_equal_per_state_loop(sol):
     params = sol.params
     rng = np.random.default_rng(7)
-    true = sol.t_rows
+    true = sol.states.t_rows
     off = true + 0.05 * rng.standard_normal(true.shape)
     for t_all, close in ((true, _noise_close), (off, _close)):
         got = sp.check_functional_equations(params, t_all, sol.rng(33))
@@ -174,8 +174,8 @@ def test_functional_equations_equal_per_state_loop(sol):
 
 def test_baxter_grid_equals_per_state_loop(sol):
     params, basis = sol.params, sol.basis
-    t_all = sol.t_rows
-    psi = sp.extract_Q_grids(sol.states, basis)[0]
+    t_all = sol.states.t_rows
+    psi = q_grids(sol)[0]
     _noise_close(oracle._baxter_grid_residual(params, sol.grid, t_all, psi),
                  _baxter_grid_ref(params, basis, t_all, psi))
     psi = _perturbed(psi, np.random.default_rng(8))
@@ -186,20 +186,20 @@ def test_baxter_grid_equals_per_state_loop(sol):
 
 def test_two_routes_equal_per_state_loop(sol):
     params, basis, nsep = sol.params, sol.basis, sol.params.n_separate
-    polys = [st.q_poly for st in sol.states]
-    _, q_grid, anchors, _, _ = sp.extract_Q_grids(sol.states, basis)
+    polys = list(sol.states.q_poly)
+    _, q_grid, anchors, _, _ = q_grids(sol)
     q_grid, anchors = q_grid[:, :nsep], anchors[:, :nsep]
-    _noise_close(oracle._two_route_gap(sol.q_vals, q_grid, anchors),
+    _noise_close(oracle._two_route_gap(sol.states.q_vals, q_grid, anchors),
                  _two_route_ref(params, basis, polys, q_grid, anchors))
     q_grid = _perturbed(q_grid, np.random.default_rng(9))
     ref = _two_route_ref(params, basis, polys, q_grid, anchors)
     assert ref > 1e-5
-    _close(oracle._two_route_gap(sol.q_vals, q_grid, anchors), ref)
+    _close(oracle._two_route_gap(sol.states.q_vals, q_grid, anchors), ref)
 
 
 def test_collinearity_equals_per_state_loop(sol):
-    L = np.array([st.vec_left for st in sol.states])
-    R = np.array([st.vec_right for st in sol.states])
+    L = np.array(sol.states.L)
+    R = np.array(sol.states.R.T)
     _noise_close(oracle._collinearity_defect(sol.covs, sol.vecs, L, R),
                  _collinearity_ref(sol.covs, sol.vecs, L, R))
     # 1 - |cos| cancels: perturb far enough that it is not rounding-sized
@@ -263,19 +263,20 @@ def test_baxter_fit_gap_is_the_per_state_singular_value_ratio(sol):
     M = 2 * N + (params.p - 1) * N + 1
     pts = np.exp(2j * np.pi * np.arange(M) / M)
     powers = np.arange(M - 2 * N)
-    for st in sol.states:
+    spec = sol.states
+    for t, nd, fit_gap in zip(spec.t_rows, spec.nullspace_dim, spec.fit_gap):
         vals = pts[:, None] ** (N + powers) * (
-            sp.eval_t(st.t_coeffs, pts)[:, None] - mc.a_coeff(params, pts)[:, None] * q ** (-powers)
+            sp.eval_t(t, pts)[:, None] - mc.a_coeff(params, pts)[:, None] * q ** (-powers)
             - mc.d_coeff(params, pts)[:, None] * q ** powers)
         W = np.fft.fft(vals, axis=0) / M
         sv = np.linalg.svd(W / np.linalg.norm(W), compute_uv=False)
-        gap = sv[len(sv) - st.nullspace_dim - 1] / sv[0]
-        assert abs(st.diagnostics["baxter_fit_gap"] - gap) <= 1e-12 * gap
+        gap = sv[len(sv) - nd - 1] / sv[0]
+        assert abs(fit_gap - gap) <= 1e-12 * gap
         assert gap > sp.NULL_TOL
     row, = [r for r in oracle.verify_solution(sol, sections={"spectrum"})
             if r.label == "baxter_fit_gap"]
     assert row.context == {"diagnostic": True, "bound": sp.NULL_TOL}
-    assert row.rel_err == min(st.diagnostics["baxter_fit_gap"] for st in sol.states)
+    assert row.rel_err == min(spec.fit_gap)
 
 
 def test_site_one_frame_is_cached_and_solved_once(monkeypatch):
@@ -296,8 +297,8 @@ def test_batched_preparation_equals_batch_of_one(cfg_b):
     that the benchmark makes are one code path: every state agrees bit for
     bit, the SOV wavefunction and its ratio tables included."""
     params, basis = cfg_b.params, cfg_b.basis
-    psi, q_grid, anchors, resid, phase_dev = sp.extract_Q_grids(cfg_b.states, basis)
-    for i, st in enumerate(cfg_b.states):
+    psi, q_grid, anchors, resid, phase_dev = q_grids(cfg_b)
+    for i, st in enumerate(eigenstates(cfg_b)):
         fresh = sp.TransferEigenstate(st.t_coeffs, st.theta_m, st.vec_right, st.vec_left)
         got = sp.extract_Q_grid(fresh, basis)
         for name, value, batch in zip(("psi", "q_grid", "anchor", "resid", "phase"), got,

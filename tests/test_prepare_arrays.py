@@ -15,7 +15,7 @@ from sgsov import spectrum as sp
 from sgsov.oracle import verify_solution
 from sgsov.separate_states import prepare
 
-from conftest import SEED, cfg_b_params
+from conftest import SEED, cfg_b_params, eigenstates, q_grids
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +92,7 @@ def test_spectral_samples_guard_matches_scalar_loop(cfg_a, exclude, min_dist, se
 def _fresh(state, vec_right=None):
     """A copy of ``state``, with another right eigenvector if given."""
     vec = state.vec_right if vec_right is None else vec_right
-    return dataclasses.replace(state, vec_right=vec, diagnostics={})
+    return dataclasses.replace(state, vec_right=vec)
 
 
 def _per_label_grid(state, basis):
@@ -116,8 +116,8 @@ def _per_label_grid(state, basis):
 @pytest.mark.parametrize("name", ["n1", "cfg_b", "hom3"])
 def test_extract_q_grid_equals_per_label_reference(request, name):
     sol = request.getfixturevalue(name)
-    batch = sp.extract_Q_grids(sol.states, sol.basis)
-    for i, st in enumerate(sol.states):
+    batch = q_grids(sol)
+    for i, st in enumerate(eigenstates(sol)):
         ratios, resid, anchor = _per_label_grid(st, sol.basis)
         got = sp.extract_Q_grid(st, sol.basis)
         assert np.array_equal(got[1], ratios)
@@ -130,13 +130,13 @@ def test_extract_q_grid_equals_per_label_reference(request, name):
 @pytest.mark.parametrize("name", ["cfg_a", "hom3"])
 def test_extract_q_grid_rejects_non_factorizing_vector(request, name):
     sol = request.getfixturevalue(name)
-    a, b = sol.states[0], sol.states[1]
+    a, b = sol.states.eigenstate(0), sol.states.eigenstate(1)
     with pytest.raises(sb.DegenerateSpectrum):
         sp.extract_Q_grid(_fresh(a, a.vec_right + b.vec_right), sol.basis)
 
 
 def test_extract_q_grid_rejects_zero_vector(cfg_b):
-    st = cfg_b.states[0]
+    st = cfg_b.states.eigenstate(0)
     with pytest.raises(sp.ZeroReference):
         sp.extract_Q_grid(_fresh(st, np.zeros_like(st.vec_right)), cfg_b.basis)
 
@@ -153,7 +153,7 @@ def _degrees(params):
 def test_t_coeffs_equal_per_state_pairings(request, name):
     sol = request.getfixturevalue(name)
     A, D = sol.mono.A, sol.mono.D
-    for st in sol.states:
+    for st in eigenstates(sol):
         l, r = st.vec_left, st.vec_right
         want = np.array([l @ (A.coeff(dg) + D.coeff(dg)) @ r / (l @ r)
                          for dg in _degrees(sol.params)])
@@ -177,14 +177,14 @@ def _first_collision(states, gap_tol):
 def test_label_collision_raises_on_first_pair(request, monkeypatch, name):
     sol = request.getfixturevalue(name)
     params = sol.params
-    vecs = sol.t_rows
-    theta = np.array([-1 if st.theta_m is None else st.theta_m for st in sol.states])
+    vecs = sol.states.t_rows
+    theta = sol.states.theta_m
     same = np.triu(theta[:, None] == theta[None, :], 1)
     gaps = np.sort(np.max(np.abs(vecs[:, None] - vecs[None]), axis=2)[same])
     gaps = gaps / np.max(np.abs(vecs))
     # between the smallest same-sector gaps, and past every gap
     for gap_tol in (0.5 * (gaps[2] + gaps[3]), 10.0):
-        want = _first_collision(sol.states, gap_tol)
+        want = _first_collision(eigenstates(sol), gap_tol)
         assert want is not None
         monkeypatch.setattr(sp, "LABEL_GAP_TOL", gap_tol)
         with pytest.raises(sb.DegenerateSpectrum, match="collide") as info:

@@ -7,7 +7,7 @@ import pytest
 from sgsov import model_core as mc
 from sgsov import separate_states as ss
 
-from conftest import short_spectrum
+from conftest import eigenstates, short_spectrum
 
 
 def _random_state(bundle, rng, side):
@@ -95,7 +95,7 @@ def test_scalar_product_vanishing_first_moment(cfg_a):
 
 def test_eigenstate_pairing_det_vs_dense(desk_bundles):
     for bundle in desk_bundles.values():
-        for i, st in enumerate(bundle.states):
+        for i, st in enumerate(eigenstates(bundle)):
             dense = bundle.covs[i] @ bundle.vecs[i]
             det = ss.eigen_action(bundle.basis, st, st)
             assert abs(dense - det) <= 1e-8 * abs(dense)
@@ -104,7 +104,7 @@ def test_eigenstate_pairing_det_vs_dense(desk_bundles):
 def test_eigenstate_orthogonality(desk_bundles):
     for bundle in desk_bundles.values():
         params, basis = bundle.params, bundle.basis
-        states = bundle.states
+        states = eigenstates(bundle)
         diag = [abs(ss.eigen_action(basis, st, st)) for st in states]
         for i, si in enumerate(states):
             for j, sj in enumerate(states):
@@ -120,7 +120,7 @@ def test_eigenstate_orthogonality(desk_bundles):
 def test_orthogonality_null_vector(desk_bundles):
     for bundle in desk_bundles.values():
         params, basis = bundle.params, bundle.basis
-        states = bundle.states
+        states = eigenstates(bundle)
         diag = [abs(ss.eigen_action(basis, st, st)) for st in states]
         nsep = params.n_separate
         for i, si in enumerate(states):
@@ -128,7 +128,8 @@ def test_orthogonality_null_vector(desk_bundles):
                 if i == j or (params.even_chain and si.theta_m != sj.theta_m):
                     continue
                 phi = ss.phi_matrix(bundle.grid, si, sj)
-                V = ss.t_coeff_null_vector(params, bundle.t_rows[i], bundle.t_rows[j])
+                V = ss.t_coeff_null_vector(params, bundle.states.t_rows[i],
+                                           bundle.states.t_rows[j])
                 ref = max(mc.frob(phi),
                           (diag[i] * diag[j]) ** (0.5 * (nsep - 1) / nsep)
                           if nsep > 1 else np.sqrt(diag[i] * diag[j]))
@@ -149,7 +150,7 @@ def test_identity_resolution_requires_full_spectrum(cfg_a):
 
 
 def test_eigen_action_equals_dense_cross_pairings(cfg_a):
-    states = cfg_a.states
+    states = eigenstates(cfg_a)
     for i in (0, 5, 11):
         for j in (0, 3, 20):
             dense = cfg_a.covs[i] @ cfg_a.vecs[j]
@@ -164,7 +165,7 @@ def test_hermitian_dual_proportionality(desk_bundles):
     # one up to the norm ratio
     for bundle in desk_bundles.values():
         assert bundle.params.self_adjoint
-        for i, st in enumerate(bundle.states):
+        for i, st in enumerate(eigenstates(bundle)):
             dual = np.conj(bundle.vecs[i])
             alpha = np.linalg.norm(bundle.vecs[i]) ** 2 / (bundle.covs[i] @ bundle.vecs[i])
             res = np.linalg.norm(dual - alpha * bundle.covs[i])
@@ -173,7 +174,7 @@ def test_hermitian_dual_proportionality(desk_bundles):
 
 def test_moment_matrix_entries_match_direct_sum(cfg_a):
     grid = cfg_a.grid
-    st1, st2 = cfg_a.states[2], cfg_a.states[7]
+    st1, st2 = cfg_a.states.eigenstate(2), cfg_a.states.eigenstate(7)
     phi = ss.phi_matrix(grid, st1, st2)
     a, b = 1, 2
     direct = 0.0 + 0.0j

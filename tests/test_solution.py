@@ -28,7 +28,9 @@ def _rng(seed, salt):
 
 
 def _per_state_pipeline(params, seed):
-    """The public per-state calls in the order the benchmark makes them."""
+    """The public per-state calls in the order the benchmark makes them:
+    ``diagonalize_transfer``, then per state ``fit_Q_polynomial``,
+    ``qbar_from_q`` and ``attach_q_data``."""
     mono = mc.monodromy(params)
     basis = sb.build_sov_basis(params, mono=mono, rel_gap=1e-6, rng=_rng(seed, 1))
     states = sp.diagonalize_transfer(params, mono, rng=_rng(seed, 2))
@@ -45,20 +47,33 @@ def _per_state_pipeline(params, seed):
 
 @pytest.mark.parametrize("name", ["cfg_a", "cfg_b"])
 def test_prepare_matches_per_state_pipeline_bitwise(name, request):
+    """The per-state chain that the benchmark runs, down to the per-pair
+    ``ff_u`` and ``eigen_action`` calls, gives the rows and the pair tables
+    of the ``Spectrum`` bit for bit."""
     sol = request.getfixturevalue(name)
-    states, covs, vecs = _per_state_pipeline(sol.params, SEED)
-    assert len(sol.states) == len(states)
-    for got, ref in zip(sol.states, states):
-        assert np.array_equal(got.t_coeffs, ref.t_coeffs)
-        assert got.theta_m == ref.theta_m
-        assert np.array_equal(got.q_poly, ref.q_poly)
-        assert np.array_equal(got.q_vals, ref.q_vals)
-        assert np.array_equal(got.qbar_vals, ref.qbar_vals)
-        assert np.array_equal(got.ff_u_ket, ref.ff_u_ket)
+    params, spec = sol.params, sol.states
+    states, covs, vecs = _per_state_pipeline(params, SEED)
+    assert len(spec) == len(states)
+    for i, ref in enumerate(states):
+        assert np.array_equal(spec.t_rows[i], ref.t_coeffs)
+        assert spec.theta_m[i] == ref.theta_m
+        assert np.array_equal(spec.R[:, i], ref.vec_right)
+        assert np.array_equal(spec.L[i], ref.vec_left)
+        assert np.array_equal(spec.q_poly[i], ref.q_poly)
+        assert np.array_equal(spec.qbar_poly[i], ref.qbar_poly)
+        assert spec.nullspace_dim[i] == ref.nullspace_dim
+        assert np.array_equal(spec.q_vals[i], ref.q_vals)
+        assert np.array_equal(spec.qbar_vals[i], ref.qbar_vals)
+        assert np.array_equal(spec.ff_u_kets[i], ref.ff_u_ket)
     assert np.array_equal(sol.covs, covs)
     assert np.array_equal(sol.vecs, vecs)
-    norms = [ss.eigen_action(sol.basis, st, st) for st in sol.states]
-    assert np.array_equal(sol.norms, norms)
+    ff_u = [[ff.ff_u(params, sol.basis, bra, ket, 1) for ket in states] for bra in states]
+    values, zeros = ff.ff_u_table(params, sol.grid, spec, 1)
+    assert np.array_equal(values, [[r.value for r in row] for row in ff_u])
+    assert np.array_equal(zeros, [[r.selection_zero for r in row] for row in ff_u])
+    pairings = [[ss.eigen_action(sol.basis, bra, ket) for ket in states] for bra in states]
+    assert np.array_equal(ss.eigen_action_table(sol.grid, spec)[0], pairings)
+    assert np.array_equal(sol.norms, np.diagonal(pairings))
 
 
 def test_solution_and_basis_are_frozen(cfg_b):
@@ -94,26 +109,40 @@ def test_basis_and_grid_arrays_are_read_only(name, request):
 
 @pytest.mark.parametrize("name", ["n1", "cfg_b", "cfg_a", "hom3", "stretch"])
 def test_eigenstate_arrays_are_read_only_fixed_width_rows(name, request):
-    """Every array an eigenstate of a solution carries is read-only and has a
-    fixed shape, and Q is exactly zero above its top coefficient, which is
-    exactly 1."""
+    """Every field of the spectrum of a solution is read-only and has a fixed
+    shape, an eigenstate view shares the memory of its rows, and Q is
+    exactly zero above its top coefficient, which is exactly 1."""
     sol = request.getfixturevalue(name)
-    params = sol.params
+    params, spec = sol.params, sol.states
     d, N, p, nsep = params.dim, params.n_sites, params.p, params.n_separate
     K = (p - 1) * N
-    shapes = {"t_coeffs": (params.n_bar + 1,), "vec_right": (d,), "vec_left": (d,),
-              "q_poly": (K + 1,),
-              "qbar_poly": (K + 1 + N % p,), "q_vals": (nsep, p), "qbar_vals": (nsep, p),
-              "ff_u_ket": (N, nsep, p, nsep)}
-    for st in sol.states:
-        for field, shape in shapes.items():
-            arr = getattr(st, field)
-            assert arr.shape == shape, field
-            with pytest.raises(ValueError):
-                arr[(0,) * arr.ndim] = 1.0
-        top = np.flatnonzero(st.q_poly)[-1]
-        assert st.q_poly[top] == 1.0
-        assert np.all(st.q_poly[top + 1:] == 0)
+    shapes = {"t_rows": (d, params.n_bar + 1), "theta_m": (d,), "R": (d, d), "L": (d, d),
+              "q_poly": (d, K + 1), "qbar_poly": (d, K + 1 + N % p),
+              "nullspace_dim": (d,), "fit_gap": (d,), "q_vals": (d, nsep, p),
+              "qbar_vals": (d, nsep, p), "ff_u_kets": (d, N, nsep, p, nsep)}
+    assert [f.name for f in dataclasses.fields(spec)] == list(shapes)
+    assert len(spec) == d
+    for field, shape in shapes.items():
+        arr = getattr(spec, field)
+        assert arr.shape == shape, field
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, field, None)
+    rows = {"t_coeffs": spec.t_rows, "vec_right": spec.R.T, "vec_left": spec.L,
+            "q_poly": spec.q_poly, "qbar_poly": spec.qbar_poly, "q_vals": spec.q_vals,
+            "qbar_vals": spec.qbar_vals, "ff_u_ket": spec.ff_u_kets}
+    for i in (0, d // 2, d - 1):
+        st = spec.eigenstate(i)
+        assert type(st.theta_m) is int and st.theta_m == spec.theta_m[i]
+        assert type(st.nullspace_dim) is int and st.nullspace_dim == spec.nullspace_dim[i]
+        for field, table in rows.items():
+            assert np.shares_memory(getattr(st, field), table), field
+            assert np.array_equal(getattr(st, field), table[i]), field
+    for q_poly in spec.q_poly:
+        top = np.flatnonzero(q_poly)[-1]
+        assert q_poly[top] == 1.0
+        assert np.all(q_poly[top + 1:] == 0)
 
 
 def _count_basis_builds(monkeypatch, fail=False):
@@ -147,14 +176,22 @@ def test_algebra_section_builds_no_basis(monkeypatch):
 @pytest.mark.parametrize("make", [cfg_b_params, cfg_a_params])   # even; odd
 def test_spectrum_and_determinant_tables_build_no_basis(make):
     sol = ss.prepare(make(), SEED)
-    grid, states = sol.grid, sol.states
-    for table in (sol.q_vals, sol.ff_u_kets, sol.t_rows):
+    grid, spec = sol.grid, sol.states
+    for table in (spec.q_vals, spec.ff_u_kets, spec.t_rows):
         assert len(table) == sol.params.dim
-    ff.ff_u_table(sol.params, grid, states, states, 1)
-    ss.eigen_action_table(grid, states, states)
-    ff.ff_elementary_table(sol.params, grid, states, states,
-                           lo.ElementaryBasisElement(((0, 1, 1),)))
+    ff.ff_u_table(sol.params, grid, spec, 1)
+    ss.eigen_action_table(grid, spec)
+    ff.ff_elementary_table(sol.params, grid, spec, lo.ElementaryBasisElement(((0, 1, 1),)))
     assert "basis" not in vars(sol)
+
+
+@pytest.mark.parametrize("make", [cfg_b_params, cfg_a_params])   # even; odd
+def test_npoint_over_determinant_tables_builds_no_basis(make):
+    # the norms are grid determinants: no dense covector or vector is needed
+    sol = ss.prepare(make(), SEED)
+    table = ff.ff_u_table(sol.params, sol.grid, sol.states, 1)[0]
+    ff.npoint(sol, 0, [table, table])
+    assert "basis" not in vars(sol) and "_dense" not in vars(sol)
 
 
 def test_labeling_failure_stops_only_the_commands_that_read_the_basis(monkeypatch, tmp_path):
@@ -172,29 +209,28 @@ def test_labeling_failure_stops_only_the_commands_that_read_the_basis(monkeypatc
 @pytest.mark.parametrize("make", [cfg_b_params, cfg_a_params])
 def test_verification_writes_nothing_to_the_eigenstates(make):
     sol = ss.prepare(make(), SEED)
-    before = [dict(vars(st)) for st in sol.states]
-    diagnostics = [dict(st.diagnostics) for st in sol.states]
+    spec = sol.states
+    before = dict(vars(spec))
+    copies = {name: value.copy() for name, value in before.items()}
     assert all(r.passed for r in oracle.verify_solution(sol))
-    for st, fields, diag in zip(sol.states, before, diagnostics):
-        assert vars(st).keys() == fields.keys()
-        assert all(vars(st)[name] is value for name, value in fields.items())
-        assert st.diagnostics == diag
+    assert sol.states is spec and vars(spec).keys() == before.keys()
+    for name, value in before.items():
+        assert vars(spec)[name] is value and not value.flags.writeable
+        assert np.array_equal(value, copies[name])
 
 
 def test_separate_states_need_attached_q_data(cfg_b):
-    bare = dataclasses.replace(cfg_b.states[0], q_vals=None, qbar_vals=None)
+    bare = dataclasses.replace(cfg_b.states.eigenstate(0), q_vals=None, qbar_vals=None)
     with pytest.raises(SgSovError):
         ss.eigenstate_separate_states(bare, cfg_b.basis)
     assert bare.q_vals is None
     with pytest.raises(SgSovError):
-        ff.ff_u(cfg_b.params, cfg_b.basis, bare, cfg_b.states[1], 1)
-    no_ket = dataclasses.replace(cfg_b.states[0], ff_u_ket=None)
+        ff.ff_u(cfg_b.params, cfg_b.basis, bare, cfg_b.states.eigenstate(1), 1)
+    no_ket = dataclasses.replace(cfg_b.states.eigenstate(0), ff_u_ket=None)
     with pytest.raises(SgSovError):
-        ss.require_q_data(cfg_b.states[1], no_ket)
+        ss.require_q_data(cfg_b.states.eigenstate(1), no_ket)
     with pytest.raises(SgSovError):
-        ff.ff_u(cfg_b.params, cfg_b.basis, cfg_b.states[1], no_ket, 1)
-    with pytest.raises(SgSovError):
-        ff.ff_u_table(cfg_b.params, cfg_b.grid, cfg_b.states, [no_ket], 1)
+        ff.ff_u(cfg_b.params, cfg_b.basis, cfg_b.states.eigenstate(1), no_ket, 1)
 
 
 def test_pair_products_match_explicit_loops():

@@ -14,7 +14,7 @@ from sgsov import sov_basis as sb
 
 from sgsov.params import ModelParams
 
-from conftest import SEED, n1_params, cfg_a_params
+from conftest import SEED, eigenstates, n1_params, cfg_a_params
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -47,8 +47,8 @@ def test_label_encoding_owner(p, n_sites):
 
 def test_odd_chain_sectors_are_integer_zero(cfg_a):
     assert not cfg_a.params.even_chain
-    assert all(type(st.theta_m) is int and st.theta_m == 0 for st in cfg_a.states)
-    assert np.array_equal(cfg_a.theta_m, np.zeros(cfg_a.params.dim, dtype=int))
+    assert all(type(st.theta_m) is int and st.theta_m == 0 for st in eigenstates(cfg_a))
+    assert np.array_equal(cfg_a.states.theta_m, np.zeros(cfg_a.params.dim, dtype=int))
 
 
 def test_single_site_zero_is_xi_cubed():

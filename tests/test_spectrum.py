@@ -10,6 +10,8 @@ from sgsov import spectrum as sp
 from sgsov.params import ModelParams
 from sgsov.spectrum import eval_t, polyval_ascending
 
+from conftest import eigenstates, q_grids
+
 
 def test_state_count_and_simplicity(desk_bundles):
     for bundle in desk_bundles.values():
@@ -18,9 +20,9 @@ def test_state_count_and_simplicity(desk_bundles):
 
 def test_single_site_spectrum_is_constant(n1):
     assert n1.params.n_bar == 0
-    for st in n1.states:
+    for st in eigenstates(n1):
         assert st.t_coeffs.shape == (1,)
-    vals = sorted(n1.t_rows[:, 0].real)
+    vals = sorted(n1.states.t_rows[:, 0].real)
     assert len(set(np.round(vals, 8))) == 3
 
 
@@ -28,7 +30,7 @@ def test_eigen_relation_at_fresh_points(desk_bundles):
     for bundle in desk_bundles.values():
         lam = bundle.params.spectral_samples(bundle.rng(301), 1)[0]
         T = mc.transfer(bundle.mono, lam)
-        for st in bundle.states:
+        for st in eigenstates(bundle):
             res = np.linalg.norm(T @ st.vec_right - eval_t(st.t_coeffs, lam) * st.vec_right)
             assert res <= 1e-8 * mc.frob(T) * np.linalg.norm(st.vec_right)
             resl = np.linalg.norm(st.vec_left @ T - eval_t(st.t_coeffs, lam) * st.vec_left)
@@ -39,8 +41,8 @@ def test_eigenvalue_coefficients_real(desk_bundles):
     for bundle in desk_bundles.values():
         assert bundle.params.self_adjoint
         scale = max(max(abs(c) for c in st.t_coeffs)
-                    for st in bundle.states)
-        for st in bundle.states:
+                    for st in eigenstates(bundle))
+        for st in eigenstates(bundle):
             for c in st.t_coeffs:
                 assert abs(c.imag) <= 1e-8 * scale
 
@@ -49,14 +51,14 @@ def test_theta_sector_matches_asymptotics(cfg_b):
     params = cfg_b.params
     pref = np.prod(np.asarray(params.kappa) / (1j * np.asarray(params.xi)))
     # on an even chain the top column of a coefficient row is degree n_bar = N
-    for st, got in zip(cfg_b.states, cfg_b.t_rows[:, -1]):
+    for st, got in zip(eigenstates(cfg_b), cfg_b.states.t_rows[:, -1]):
         expect = pref * (params.q ** st.theta_m + params.q ** (-st.theta_m))
         assert abs(got - expect) <= 1e-8 * max(abs(expect), 1.0)
 
 
 def test_functional_equation_accepts_spectrum(desk_bundles):
     for bundle in desk_bundles.values():
-        for st in bundle.states:
+        for st in eigenstates(bundle):
             res = sp.check_functional_equation(bundle.params, st.t_coeffs,
                                                bundle.rng(302))
             assert res <= 1e-8
@@ -64,7 +66,7 @@ def test_functional_equation_accepts_spectrum(desk_bundles):
 
 def test_functional_equation_rejects_perturbation(desk_bundles):
     for bundle in desk_bundles.values():
-        st = bundle.states[0]
+        st = bundle.states.eigenstate(0)
         worst = 0.0
         for pert in st.t_coeffs + 0.1 * np.eye(len(st.t_coeffs)):
             worst = max(worst, sp.check_functional_equation(
@@ -73,7 +75,7 @@ def test_functional_equation_rejects_perturbation(desk_bundles):
 
 
 def test_functional_equation_discrimination_margin(cfg_a):
-    st = cfg_a.states[0]
+    st = cfg_a.states.eigenstate(0)
     true = sp.check_functional_equation(cfg_a.params, st.t_coeffs, cfg_a.rng(303))
     pert = st.t_coeffs + 0.1 * np.eye(len(st.t_coeffs))[0]    # the lowest degree
     rej = sp.check_functional_equation(cfg_a.params, pert, cfg_a.rng(303))
@@ -82,15 +84,15 @@ def test_functional_equation_discrimination_margin(cfg_a):
 
 def test_wavefunction_factorization(desk_bundles):
     for bundle in desk_bundles.values():
-        resid = sp.extract_Q_grids(bundle.states, bundle.basis)[3]
+        resid = q_grids(bundle)[3]
         assert np.all(resid <= 1e-7)
 
 
 def test_discrete_difference_relations_on_grid(desk_bundles):
     for bundle in desk_bundles.values():
         params, basis = bundle.params, bundle.basis
-        psis = sp.extract_Q_grids(bundle.states, basis)[0]
-        for st, psi in zip(bundle.states, psis):
+        psis = q_grids(bundle)[0]
+        for st, psi in zip(eigenstates(bundle), psis):
             pmax = np.max(np.abs(psi))
             for j in range(params.dim):
                 tup = basis.params.tuples[j]
@@ -104,8 +106,8 @@ def test_discrete_difference_relations_on_grid(desk_bundles):
 
 def test_reference_direction_charge_phases(cfg_b):
     params = cfg_b.params
-    _, q_grid, anchors, _, _ = sp.extract_Q_grids(cfg_b.states, cfg_b.basis)
-    for st, ratios, anchor in zip(cfg_b.states, q_grid, anchors[:, -1]):
+    _, q_grid, anchors, _, _ = q_grids(cfg_b)
+    for st, ratios, anchor in zip(eigenstates(cfg_b), q_grid, anchors[:, -1]):
         expect = params.q ** (-st.theta_m * (np.arange(params.p) - anchor))
         assert np.max(np.abs(ratios[-1] - expect)) <= 1e-7
 
@@ -114,7 +116,7 @@ def test_baxter_polynomial_solves_difference_equation(desk_bundles):
     for bundle in desk_bundles.values():
         params = bundle.params
         pts = params.spectral_samples(bundle.rng(304), 7)
-        for st in bundle.states:
+        for st in eigenstates(bundle):
             for lam in pts:
                 lhs = eval_t(st.t_coeffs, lam) * polyval_ascending(st.q_poly, lam)
                 rhs = mc.a_coeff(params, lam) * polyval_ascending(st.q_poly, lam / params.q) \
@@ -126,8 +128,8 @@ def test_baxter_polynomial_solves_difference_equation(desk_bundles):
 def test_baxter_two_routes_agree(desk_bundles):
     for bundle in desk_bundles.values():
         params, basis = bundle.params, bundle.basis
-        _, q_grid, anchors, _, _ = sp.extract_Q_grids(bundle.states, basis)
-        for st, ratios, anchor in zip(bundle.states, q_grid, anchors):
+        _, q_grid, anchors, _, _ = q_grids(bundle)
+        for st, ratios, anchor in zip(eigenstates(bundle), q_grid, anchors):
             for a in range(params.n_separate):
                 pv = polyval_ascending(st.q_poly, basis.grid.grid[a])
                 rp = pv / pv[anchor[a]]
@@ -139,7 +141,7 @@ def test_baxter_structure_constraints(desk_bundles):
     for bundle in desk_bundles.values():
         params = bundle.params
         p, N = params.p, params.n_sites
-        for st in bundle.states:
+        for st in eigenstates(bundle):
             coeffs = st.q_poly
             assert coeffs.shape == ((p - 1) * N + 1,)
             deg = np.flatnonzero(coeffs)[-1]
@@ -161,7 +163,7 @@ def test_conjugate_polynomial_solves_partner_equation(desk_bundles):
     for bundle in desk_bundles.values():
         params = bundle.params
         pts = params.spectral_samples(bundle.rng(305), 5)
-        for st in bundle.states[:6]:
+        for st in eigenstates(bundle)[:6]:
             qb = st.qbar_poly
             for lam in pts:
                 lhs = eval_t(st.t_coeffs, lam) * polyval_ascending(qb, lam)
@@ -173,12 +175,12 @@ def test_conjugate_polynomial_solves_partner_equation(desk_bundles):
 
 def test_nullspace_dimension_reported(desk_bundles):
     for bundle in desk_bundles.values():
-        for st in bundle.states:
+        for st in eigenstates(bundle):
             assert st.nullspace_dim >= 1
 
 
 def test_no_solution_for_invalid_eigenvalue(cfg_a):
-    t_coeffs = cfg_a.states[0].t_coeffs
+    t_coeffs = cfg_a.states.t_rows[0]
     pert = t_coeffs + 0.1 * np.eye(len(t_coeffs))[0]    # the lowest degree
     with pytest.raises(sp.EmptyNullspace):
         sp.fit_Q_polynomial(cfg_a.params, pert)
@@ -187,7 +189,7 @@ def test_no_solution_for_invalid_eigenvalue(cfg_a):
 @pytest.mark.parametrize("name", ["cfg_a", "cfg_b"])
 def test_b_zeros_and_the_baxter_fit_draw_no_points(name, request, monkeypatch):
     sol = request.getfixturevalue(name)
-    t_coeffs = sol.t_rows
+    t_coeffs = sol.states.t_rows
     calls = []
     draw = ModelParams.spectral_samples
     monkeypatch.setattr(ModelParams, "spectral_samples",
@@ -195,8 +197,7 @@ def test_b_zeros_and_the_baxter_fit_draw_no_points(name, request, monkeypatch):
     sb.b_zeros(sol.params)
     polys, _, _ = sp.fit_Q_polynomials(sol.params, t_coeffs)
     assert calls == []
-    for got, st in zip(polys, sol.states):
-        assert np.array_equal(got, st.q_poly)
+    assert np.array_equal(polys, sol.states.q_poly)
 
 
 def test_mixed_eigenvector_fails_the_residual_check(cfg_a, monkeypatch):
@@ -218,6 +219,6 @@ def test_mixed_eigenvector_fails_the_residual_check(cfg_a, monkeypatch):
 
 def test_stretch_spectrum_complete(stretch):
     assert len(stretch.states) == 125
-    for st in stretch.states[:10]:
+    for st in eigenstates(stretch)[:10]:
         assert sp.check_functional_equation(stretch.params, st.t_coeffs,
                                             stretch.rng(307)) <= 1e-8
