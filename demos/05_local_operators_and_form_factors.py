@@ -11,7 +11,6 @@ from sgsov.model_core import rel_err
 
 params = ModelParams(3, 3, 2, kappa=[1.1j, 1.3j, 0.7j], xi=[1.0, 1.2, 0.9])
 sol = prepare(params, seed=5)
-basis = sol.basis
 
 print("inverse problem: reconstructed local operators vs embedded generators")
 for n in (1, 2, 3):
@@ -36,7 +35,7 @@ for i in range(27):
 print(f"  all {27 * 27} pairs agree; worst relative deviation = {worst:.2e}")
 
 elem = ElementaryBasisElement(((0, 1, 1), (1, 2, 1)))
-dense_op = elem.to_dense(params, basis, sol.elementary_ops)
+dense_op = elem.to_dense(params, sol.charge_ops, sol.elementary_ops)
 det = ff_elementary_table(params, sol.grid, sol.states, elem, [3], [11])[0][0, 0]
 dense = covs[3] @ dense_op @ vecs[11]
 print(f"\ntwo-variable elementary monomial between states 3 and 11:")

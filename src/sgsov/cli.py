@@ -258,7 +258,8 @@ def cmd_ff(params, seed, tolerances, writer, kind, site, factors, ops):
         values, zeros = ffm.ff_u_table(params, grid, spec, site, shift_ratio=ratio)
     elif kind == "elementary":
         elem = lo.ElementaryBasisElement(tuple(factors))
-        dense_op, tol_key = elem.to_dense(params, sol.basis, sol.elementary_ops), "ff_elementary"
+        dense_op = elem.to_dense(params, sol.charge_ops, sol.elementary_ops)
+        tol_key = "ff_elementary"
         values, zeros = ffm.ff_elementary_table(params, grid, spec, elem)
     else:
         raise ConfigError(f"unknown form-factor kind '{kind}'")

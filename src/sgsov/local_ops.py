@@ -18,7 +18,7 @@ import numpy as np
 from .params import ModelParams, DegenerateKappa, SgSovError
 from . import model_core as mc
 from .model_core import Monodromy
-from .sov_basis import SovBasis, cross_product, sov_diagonal
+from .sov_basis import SovBasis, SovGrid, cross_product
 
 __all__ = [
     "SingularMatrix", "ShiftedMonodromy", "ElementaryBasisElement",
@@ -26,9 +26,8 @@ __all__ = [
     "reconstruct_alpha0", "reconstruct_beta", "beta_target", "beta_sum_target",
     "reconstruct_v2k", "v_power_target", "fourier_degenerate", "v2k_fourier_weights",
     "q_number", "q_factorial", "q_multinomial", "q_multinomial_direct",
-    "binvA_power_sov", "binvA_dense",
+    "binvA_power_sov", "binvA_dense", "sov_charge_operators",
     "elementary_O", "elementary_O_power", "o_action_weight", "o_action_weights",
-    "eta_diag_operator", "eta_ref_operator", "eta_interp_operator",
     "binvA_interpolation", "reduce_O_monomial", "ZERO_MONOMIAL",
     "cyclic_shift_permutation", "spanning_rank", "v2k_shift_sums",
 ]
@@ -347,41 +346,46 @@ def v2k_shift_sums(params: ModelParams, basis: SovBasis, ks):
 # Elementary shift operators
 # ---------------------------------------------------------------------------
 
-def eta_diag_operator(basis: SovBasis, a: int, power: int = 1):
-    """Operator diagonal in the SOV basis with eigenvalue eta_a^{(k_a)}^power."""
-    return sov_diagonal(basis, basis.grid.grid[a, basis.params.tuples[:, a]] ** power)
+def sov_charge_operators(params: ModelParams, grid: SovGrid, mono: Monodromy):
+    """The SOV-diagonal operators (eta_ref, eta_ref^-1, eta_A, eta_A^-1) of
+    an even chain, eta_A = xi_prod / prod_a eta_a, as ``Graded`` operators
+    from the end coefficients of B, with no basis vector, inverse or
+    projection: B_top (degree nsep) = kprod eta_ref / prod_a eta_a and B_bot
+    (degree -nsep) = (-1)^nsep kprod eta_ref prod_a eta_a, so
+    Y = (-1)^nsep B_top B_bot / kprod^2 = eta_ref^2, while
+    eta_ref^p = z_ref = eta0_ref^p (p odd).  None on an odd chain."""
+    if not params.even_chain:
+        return None
+    nsep, p, kprod, B = params.n_separate, params.p, params.kprod, mono.B
+    top, bot = (mc.Graded(B.shift, B.blocks[B.degrees.index(g)], B.sectors)
+                for g in (nsep, -nsep))
+    sign = (-1) ** nsep
+    y = top @ bot * (sign / kprod ** 2)
+    z_ref = grid.eta0[-1] ** p
+    eta_ref, eta_ref_inv = (y ** ((p + s) // 2) / z_ref for s in (1, -1))
+    return (eta_ref, eta_ref_inv, top @ eta_ref_inv * (params.xi_prod / kprod),
+            bot @ eta_ref_inv * (sign / (kprod * params.xi_prod)))
 
 
-def eta_ref_operator(basis: SovBasis, power: int = 1):
-    """Diagonal operator of the reference (last) variable on even chains."""
-    return eta_diag_operator(basis, basis.params.n_sites - 1, power)
-
-
-def eta_interp_operator(basis: SovBasis, power: int = 1):
-    """Diagonal operator with eigenvalue (prod xi / prod_{a<=nsep} eta_a)^power."""
-    eta_a = basis.params.xi_prod / np.prod(basis.grid.grid_values, axis=1)
-    return sov_diagonal(basis, eta_a ** power)
-
-
-def elementary_O(params: ModelParams, basis: SovBasis, a: int, k: int,
+def elementary_O(params: ModelParams, grid: SovGrid, charge_ops, a: int, k: int,
                  mono: Monodromy) -> mc.Graded:
     """Elementary lowering operator O_{a,k} on variable ``a`` at grid index
     ``k``: the normalized product of p-1 B evaluations and one A evaluation
     on their charge blocks, a weighted lowering shift of that separate
-    variable; on an even chain times the graded factor
-    ``basis.eta_ref_lowering`` of the default site order.  A prepared
-    ``Solution`` holds the whole family as ``elementary_ops``."""
+    variable; on an even chain times eta_ref^-(p-1) = eta_ref / z_ref from
+    ``charge_ops``, the ``sov_charge_operators`` (None on an odd chain).  A
+    prepared ``Solution`` holds the whole family as ``elementary_ops``."""
     nsep = params.n_separate
     if not 0 <= a < nsep or not 0 <= k < params.p:
         raise IndexError("variable or grid index out of range")
-    grid = basis.grid.grid
-    op = mono.A.at(grid[a, k % params.p])
+    roots = grid.grid
+    op = mono.A.at(roots[a, k % params.p])
     for j in range(k + 1, k + params.p):
-        op = mono.B.at(grid[a, j % params.p]) @ op
-    z = basis.grid.z
+        op = mono.B.at(roots[a, j % params.p]) @ op
+    z = grid.z
     op = op / (params.p * params.kprod ** (params.p - 1) * cross_product(z[a], z[:nsep], a))
     if params.even_chain:
-        op = op @ basis.eta_ref_lowering[0]
+        op = op @ charge_ops[0] / grid.eta0[-1] ** params.p
     return op
 
 
@@ -397,37 +401,37 @@ def elementary_O_power(ops: mc.Graded, a: int, k: int, alpha: int) -> mc.Graded:
     return out
 
 
-def o_action_weight(params: ModelParams, basis: SovBasis, a: int, k: int, j: int):
+def o_action_weight(params: ModelParams, grid: SovGrid, a: int, k: int, j: int):
     """Left-action weight of the elementary operator on the covector with
     label tuple j (nonzero only when that tuple sits at grid index k)."""
-    return complex(o_action_weights(params, basis, a, k)[j])
+    return complex(o_action_weights(params, grid, a, k)[j])
 
 
-def o_action_weights(params: ModelParams, basis: SovBasis, a: int, k: int):
+def o_action_weights(params: ModelParams, grid: SovGrid, a: int, k: int):
     """``o_action_weight`` of every label tuple, shape (d,)."""
-    vals = basis.grid.grid_values
+    vals = grid.grid_values
     cross = cross_product(vals[:, a], vals.T, a)
-    return np.where(params.tuples[:, a] == k, basis.grid.a_vals[a, k] / cross, 0.0)
+    return np.where(params.tuples[:, a] == k, grid.a_vals[a, k] / cross, 0.0)
 
 
-def binvA_interpolation(params: ModelParams, basis: SovBasis, lam, ops):
+def binvA_interpolation(params: ModelParams, grid: SovGrid, charge_ops, lam, ops):
     """Reassemble B^{-1}(lam) A(lam) from the graded elementary operators
     ``ops[a, k]`` = O_{a,k} through the pole expansion over the
-    separate-variable grid (plus the charge term on even chains, where the
-    charge acts on SOV labels as the unit shift of the reference variable);
-    a dense matrix."""
+    separate-variable grid (plus the charge term of the ``charge_ops`` on
+    even chains, where the charge acts on SOV labels as the unit shift of
+    the reference variable); a dense matrix."""
     lam = complex(lam)
-    grid = basis.grid.grid
-    out = reduce(add, [ops[a, k] / (lam / grid[a, k] - grid[a, k] / lam)
+    roots = grid.grid
+    out = reduce(add, [ops[a, k] / (lam / roots[a, k] - roots[a, k] / lam)
                        for a in range(params.n_separate) for k in range(params.p)])
-    out = (out / params.kprod).dense()
+    out = out / params.kprod
     if params.even_chain:
-        # eta_ref^-1 (out + lam theta eta_A^-1 - eta_A theta^-1 / lam), theta diagonal
-        theta = np.diag(mc.theta_charge(params))
-        eta_a_inv, eta_a, eta_ref_inv = basis.eta_charge_operators
-        out = out + lam * theta[:, None] * eta_a_inv - eta_a / (lam * theta)
-        out = eta_ref_inv @ out
-    return out
+        # eta_ref^-1 (out + lam theta eta_A^-1 - eta_A theta^-1 / lam); every
+        # term keeps the charge, on whose sector x theta is one scalar
+        _, eta_ref_inv, eta_a, eta_a_inv = charge_ops
+        theta = np.diag(mc.theta_charge(params))[out.sectors[:, :1], None]
+        out = eta_ref_inv @ (out + eta_a_inv * (lam * theta) - eta_a / (lam * theta))
+    return out.dense()
 
 
 # ---------------------------------------------------------------------------
@@ -437,17 +441,17 @@ def binvA_interpolation(params: ModelParams, basis: SovBasis, lam, ops):
 ZERO_MONOMIAL = object()
 
 
-def _exchange_ratio(basis: SovBasis, a, k, b, h):
+def _exchange_ratio(grid: SovGrid, a, k, b, h):
     """Scalar relating O_{a,k} O_{b,h} to O_{b,h} O_{a,k} for a != b."""
-    q = basis.params.q
-    eta_a0 = basis.grid.eta0[a]
-    eta_b0 = basis.grid.eta0[b]
+    q = grid.params.q
+    eta_a0 = grid.eta0[a]
+    eta_b0 = grid.eta0[b]
     up = q ** (k - h + 1) * eta_a0 / eta_b0 - eta_b0 / (q ** (k - h + 1) * eta_a0)
     dn = q ** (k - h - 1) * eta_a0 / eta_b0 - eta_b0 / (q ** (k - h - 1) * eta_a0)
     return up / dn
 
 
-def reduce_O_monomial(params: ModelParams, basis: SovBasis, factors):
+def reduce_O_monomial(params: ModelParams, grid: SovGrid, factors):
     """Normal-order a product of elementary operators: variables ascending,
     same-variable runs contiguous and consecutive-descending in grid index.
 
@@ -463,7 +467,7 @@ def reduce_O_monomial(params: ModelParams, basis: SovBasis, factors):
         for i in range(len(seq) - 1):
             (a1, k1), (a2, k2) = seq[i], seq[i + 1]
             if a1 > a2:
-                scalar *= _exchange_ratio(basis, a1, k1, a2, k2)
+                scalar *= _exchange_ratio(grid, a1, k1, a2, k2)
                 seq[i], seq[i + 1] = seq[i + 1], seq[i]
                 changed = True
     # same-variable runs must descend by one step
@@ -481,7 +485,7 @@ def reduce_O_monomial(params: ModelParams, basis: SovBasis, factors):
             j += 1
         run = seq[i:j]
         while len(run) > params.p:
-            z = basis.grid.z[:params.n_separate]
+            z = grid.z[:params.n_separate]
             scalar *= mc.average_value(params, "A", z[a]) / cross_product(z[a], z, a)
             run = run[:1] + run[1 + params.p:]
             if run[:1] and len(run) > 1 and (run[1][1] - run[0][1]) % params.p != params.p - 1:
@@ -507,16 +511,17 @@ class ElementaryBasisElement:
     def total_power(self):
         return sum(f[2] for f in self.factors)
 
-    def to_dense(self, params: ModelParams, basis: SovBasis, ops):
+    def to_dense(self, params: ModelParams, charge_ops, ops):
         """Dense operator of the monomial, its factors read from the graded
-        table ``ops[a, k]`` = O_{a,k}."""
+        table ``ops[a, k]`` = O_{a,k} and its even-chain charge dressing
+        eta_ref^-theta_pow (theta eta_A^-1)^theta_a_pow from ``charge_ops``."""
         out = np.eye(params.dim, dtype=complex)
         if params.even_chain and (self.theta_pow or self.theta_a_pow):
-            theta = mc.theta_charge(params)
-            pre = eta_ref_operator(basis, -self.theta_pow)
-            mid = np.linalg.matrix_power(
-                theta @ eta_interp_operator(basis, -1), self.theta_a_pow)
-            out = pre @ mid
+            eta_ref, eta_ref_inv, _, eta_a_inv = charge_ops
+            h = self.theta_pow
+            pre = eta_ref_inv ** h if h >= 0 else eta_ref ** -h
+            out = pre @ np.linalg.matrix_power(mc.theta_charge(params) @ eta_a_inv,
+                                               self.theta_a_pow)
         for a, k, alpha in self.factors:
             out = out @ elementary_O_power(ops, a, k, alpha)
         return out

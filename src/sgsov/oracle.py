@@ -587,17 +587,17 @@ def _local_section(s, sol):
         for k in range(p):
             for h in range(p):
                 Oa, Ob = ops[0, k], ops[1, h]
-                ratio = lo._exchange_ratio(basis, 0, k, 1, h)
+                ratio = lo._exchange_ratio(sol.grid, 0, k, 1, h)
                 lhs, rhs = Oa @ Ob, ratio * (Ob @ Oa)
                 worst = max(worst, mc.rel_err(lhs, rhs,
                             scale=max(mc.frob(lhs), mc.frob(rhs), 1e-300)))
         s.check("elementary_exchange", worst, "elementary")
         seq = [(1, 2), (0, 1)]
-        scal, ordered = lo.reduce_O_monomial(params, basis, seq)
+        scal, ordered = lo.reduce_O_monomial(params, sol.grid, seq)
         prod_in, prod_out = (reduce(matmul, [ops[f] for f in fs]) for fs in (seq, ordered))
         s.check("monomial_reduction", mc.rel_err(prod_in, scal * prod_out), "elementary")
     if params.even_chain:
-        etaA = basis.eta_charge_operators[1]
+        eta_ref, _, etaA, _ = sol.charge_ops
         O = ops[0, 1]
         s.check("eta_interp_exchange",
                 mc.rel_err(etaA @ O, O @ etaA / params.q), "elementary")
@@ -605,12 +605,14 @@ def _local_section(s, sol):
         s.check("theta_elementary_commute",
                 mc.frob(theta @ O - O @ theta) / (mc.frob(theta) * mc.frob(O)),
                 "elementary")
-        # how far the SOV-diagonal factor of the elementary operators lies off
-        # its charge shift (reported, not asserted)
-        s.check("eta_ref_grading_residual", basis.eta_ref_lowering[1], 0.0,
+        # eta_ref diagonalized by the dense basis against its graded form from
+        # B's end coefficients (reported, not asserted: it reads the basis)
+        eta_labels = basis.grid.grid[-1, params.tuples[:, -1]]
+        s.check("eta_ref_basis_gap",
+                mc.rel_err(sb.sov_diagonal(basis, eta_labels), eta_ref.dense()), 0.0,
                 diagnostic=True, bound=s.tol["elementary"])
     for i, lam in enumerate(params.spectral_samples(rng, 3, exclude=excl)):
-        got = lo.binvA_interpolation(params, basis, lam, ops)
+        got = lo.binvA_interpolation(params, sol.grid, sol.charge_ops, lam, ops)
         tgt = lo.binvA_dense(mono, lam)
         s.check(f"interpolation_identity[{i}]", mc.rel_err(got, tgt), "elementary")
     # homogeneous chains: permutation realization and shift diagnostics
@@ -626,7 +628,6 @@ def _local_section(s, sol):
 def _ff_section(s, sol):
     params = s.params
     d = params.dim
-    basis = sol.basis
     u1 = mc.embedded_u(params, 1)
 
     det = ffm.ff_u_table(params, sol.grid, sol.states, 1)[0]
@@ -644,7 +645,7 @@ def _ff_section(s, sol):
                            for _ in range(10)]).T
     for e_idx, elem in enumerate(elems):
         # the sampled pairs are the diagonal of the table over the sampled states
-        dense_op = elem.to_dense(params, basis, sol.elementary_ops)
+        dense_op = elem.to_dense(params, sol.charge_ops, sol.elementary_ops)
         det = ffm.ff_elementary_table(params, sol.grid, sol.states, elem, bras, kets)[0]
         err = table_rel_err(sol, dense_op, det, bras, kets)[1]
         s.check(f"ff_elementary[{e_idx}]", float(np.max(np.diagonal(err))),
@@ -730,7 +731,7 @@ def _elementary_action_residual(params, basis, ops):
     down = params.shifted_indices(-1)
     left_norms = _rows_norm(basis.left)
     for a, k in np.ndindex(ops.blocks.shape[:2]):
-        tgt = lo.o_action_weights(params, basis, a, k)[:, None] * basis.left[down[:, a]]
+        tgt = lo.o_action_weights(params, basis.grid, a, k)[:, None] * basis.left[down[:, a]]
         worst = max(worst, float(np.max(_rows_norm(basis.left @ ops[a, k] - tgt)
                                         / (left_norms * mc.frob(ops[a, k])))))
     return worst

@@ -255,12 +255,13 @@ class Solution:
     local-operator data of one chain.
 
     The grid (``b_zeros``), the ``Spectrum`` ``states``, the basis, the
-    ``covs``/``vecs`` of ``eigen_dense``, the determinant ``norms`` and the
-    graded table ``elementary_ops`` are built on first use, read-only, from
-    the seed streams ``[seed, 1]`` (basis) and ``[seed, 2]``
-    (diagonalization), so they do not depend on the order of use; the Baxter
-    fit draws no points.  The spectrum and the norms read the grid only; the
-    basis is built for the parts that read its vectors."""
+    ``covs``/``vecs`` of ``eigen_dense``, the determinant ``norms``, the
+    even-chain ``charge_ops`` and the graded table ``elementary_ops`` are
+    built on first use, read-only, from the seed streams ``[seed, 1]``
+    (basis) and ``[seed, 2]`` (diagonalization), so they do not depend on
+    the order of use; the Baxter fit draws no points.  The spectrum, the
+    norms and the local-operator tables read the grid and the monodromy
+    only; the basis is built for the parts that read its vectors."""
     params: ModelParams
     seed: int
     mono: mc.Monodromy
@@ -301,11 +302,17 @@ class Solution:
         return _read_only(_cmul(grid.c_ref, _pairing_dets(grid, spec.qbar_vals, spec.q_vals)))
 
     @cached_property
+    def charge_ops(self):
+        """The ``sov_charge_operators`` (eta_ref, eta_ref^-1, eta_A,
+        eta_A^-1) of an even chain, None on an odd chain."""
+        return lo.sov_charge_operators(self.params, self.grid, self.mono)
+
+    @cached_property
     def elementary_ops(self) -> mc.Graded:
         """The elementary lowering operators as one graded table,
         ``[a, k]`` = O_{a,k}, of batch shape (nsep, p)."""
-        params, basis = self.params, self.basis
-        return mc.Graded.stack([mc.Graded.stack([lo.elementary_O(params, basis, a, k, self.mono)
+        params, grid, eta, mono = self.params, self.grid, self.charge_ops, self.mono
+        return mc.Graded.stack([mc.Graded.stack([lo.elementary_O(params, grid, eta, a, k, mono)
                                                  for k in range(params.p)])
                                 for a in range(params.n_separate)])
 

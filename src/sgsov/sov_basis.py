@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -328,8 +328,7 @@ class SovBasis:
     j-th tuple ``params.tuples[j]``.  The constructor marks ``left`` and
     ``right`` read-only in place and derives the diagonal pairings ``mjj`` and
     the measure ``measure[j] = 1 / mjj[j]`` entering the resolution of the
-    identity, both read-only; nothing is modified afterwards
-    (``eta_ref_lowering``, ``eta_charge_operators``: on first use).
+    identity, both read-only; nothing is modified afterwards.
     ``label_mismatch`` is the worst relative mismatch between measured and
     predicted B-eigenvalue patterns of the labeling
     (bound ``LABEL_TOL``), ``calibration_residual`` the worst relative
@@ -350,27 +349,6 @@ class SovBasis:
             raise GaugeInconsistency("a diagonal pairing vanished; measure is singular")
         object.__setattr__(self, "mjj", _read_only(mjj))
         object.__setattr__(self, "measure", _read_only(1.0 / mjj))
-
-    @cached_property
-    def eta_ref_lowering(self):
-        """On an even chain, eta_ref^-(p-1), the SOV-diagonal factor of every
-        elementary operator, projected once onto its charge shift (that of
-        B: both lower the reference digit) as a ``Graded`` operator on the
-        sectors of the default site order; and the norm of the dropped
-        off-shift rest over that of the kept blocks."""
-        params = self.params
-        p = params.p
-        dense = sov_diagonal(self, self.grid.grid[-1, params.tuples[:, -1]] ** -(p - 1))
-        return mc.Graded.project(dense, mc.charge_sectors(mc.digit_charge(params), p), -1)
-
-    @cached_property
-    def eta_charge_operators(self):
-        """The lam-independent dense operators of the even-chain
-        ``binvA_interpolation``, built once: ``eta_interp_operator`` to the
-        powers -1 and 1 and ``eta_ref_operator`` to the power -1."""
-        eta_a = self.params.xi_prod / np.prod(self.grid.grid_values, axis=1)
-        return tuple(_read_only(sov_diagonal(self, w)) for w in (
-            eta_a ** -1, eta_a ** 1, self.grid.grid[-1, self.params.tuples[:, -1]] ** -1))
 
     def shifted_index(self, j, a, delta) -> int:
         """Index of tuple j with digit a moved by ``delta``, one label at a
@@ -538,10 +516,10 @@ def measure_weights_formula(basis: SovBasis):
     return basis.grid.vandermonde_weights / basis.grid.c_ref
 
 
-def sov_diagonal(basis: SovBasis, weights=1.0, rows=slice(None)):
-    """sum_j weights[j] |j><rows[j]| / <j|j>, taking the covector <j| to
-    weights[j] <rows[j]|; diagonal in the SOV basis for the default rows."""
-    return (basis.right * (weights * basis.measure)) @ basis.left[rows]
+def sov_diagonal(basis: SovBasis, weights=1.0):
+    """sum_j weights[j] |j><j| / <j|j>: the operator diagonal in the SOV
+    basis with the eigenvalue weights[j] on label j."""
+    return (basis.right * (weights * basis.measure)) @ basis.left
 
 
 def identity_resolution_sov(basis: SovBasis):

@@ -252,7 +252,8 @@ def test_criterion_7_elementary_operators(desk_bundles):
     for bundle in desk_bundles.values():
         params, basis, mono = bundle.params, bundle.basis, bundle.mono
         p, d = params.p, params.dim
-        ops = {(a, k): lo.elementary_O(params, basis, a, k, mono).dense()
+        ops = {(a, k): lo.elementary_O(params, bundle.grid, bundle.charge_ops, a, k,
+                                       mono).dense()
                for a in range(params.n_separate) for k in range(p)}
         for a in range(params.n_separate):
             for k in range(p):
@@ -260,7 +261,7 @@ def test_criterion_7_elementary_operators(desk_bundles):
                 sc = np.linalg.norm(O)
                 for j in range(d):
                     got = basis.left[j] @ O
-                    w = lo.o_action_weight(params, basis, a, k, j)
+                    w = lo.o_action_weight(params, bundle.grid, a, k, j)
                     tgt = w * basis.left[basis.shifted_index(j, a, -1)] \
                         if w else np.zeros_like(got)
                     worst = max(worst, float(np.linalg.norm(got - tgt)
@@ -284,13 +285,15 @@ def test_criterion_7_elementary_operators(desk_bundles):
             for k in range(p):
                 for h in range(p):
                     lhs = ops[(0, k)] @ ops[(1, h)]
-                    rhs = lo._exchange_ratio(basis, 0, k, 1, h) * (ops[(1, h)] @ ops[(0, k)])
+                    rhs = lo._exchange_ratio(bundle.grid, 0, k, 1, h) \
+                        * (ops[(1, h)] @ ops[(0, k)])
                     worst = max(worst, mc.frob(lhs - rhs)
                                 / max(mc.frob(lhs), mc.frob(rhs), 1e-300))
         rng = bundle.rng(907)
         for lam in params.spectral_samples(rng, 3, exclude=basis.grid.grid.reshape(-1)):
             worst = max(worst, mc.rel_err(
-                lo.binvA_interpolation(params, basis, lam, bundle.elementary_ops),
+                lo.binvA_interpolation(params, bundle.grid, bundle.charge_ops, lam,
+                                       bundle.elementary_ops),
                 lo.binvA_dense(mono, lam, 1)))
         for n in range(1, params.n_sites + 1):
             ranks_ok = ranks_ok and lo.spanning_rank(lo.shifted_monodromy(params, n)) == p * p
@@ -336,7 +339,7 @@ def test_criterion_8_form_factors(cfg_a, cfg_b):
         pairs = [(int(rng.integers(0, d)), int(rng.integers(0, d))) for _ in range(12)]
         states = eigenstates(bundle)
         for elem in elems:
-            dense_op = elem.to_dense(params, basis, bundle.elementary_ops)
+            dense_op = elem.to_dense(params, bundle.charge_ops, bundle.elementary_ops)
             opn = np.linalg.norm(dense_op)
             for i, j in pairs:
                 dense = bundle.covs[i] @ dense_op @ bundle.vecs[j]

@@ -101,12 +101,12 @@ def test_shift_eigenvalue_diagnostic_homogeneous(hom3):
 
 def test_ff_elementary_single_lowering(desk_bundles):
     for bundle in desk_bundles.values():
-        params, basis = bundle.params, bundle.basis
+        params = bundle.params
         d = params.dim
         states = eigenstates(bundle)
         for a in range(params.n_separate):
             elem = lo.ElementaryBasisElement(((a, 1, 1),))
-            dense_op = elem.to_dense(params, basis, bundle.elementary_ops)
+            dense_op = elem.to_dense(params, bundle.charge_ops, bundle.elementary_ops)
             opn = np.linalg.norm(dense_op)
             for i in range(0, d, 3):
                 for j in range(0, d, 4):
@@ -118,7 +118,7 @@ def test_ff_elementary_single_lowering(desk_bundles):
 
 
 def test_ff_elementary_two_variable_cases(cfg_a):
-    params, basis = cfg_a.params, cfg_a.basis
+    params = cfg_a.params
     d = params.dim
     cases = [lo.ElementaryBasisElement(((0, 1, 1), (1, 2, 1))),
              lo.ElementaryBasisElement(((0, 2, 2), (1, 0, 1))),
@@ -127,7 +127,7 @@ def test_ff_elementary_two_variable_cases(cfg_a):
     for elem in cases:
         size = params.n_separate + len(elem.factors) * params.p - elem.total_power()
         assert size == 3 + 2 * 3 - elem.total_power()
-        dense_op = elem.to_dense(params, basis, cfg_a.elementary_ops)
+        dense_op = elem.to_dense(params, cfg_a.charge_ops, cfg_a.elementary_ops)
         opn = np.linalg.norm(dense_op)
         for i in range(0, d, 5):
             for j in range(0, d, 6):
@@ -139,12 +139,12 @@ def test_ff_elementary_two_variable_cases(cfg_a):
 
 def test_ff_elementary_pure_charge_insertion(cfg_b):
     # no lowering factors at all: a moment determinant with shifted columns
-    params, basis = cfg_b.params, cfg_b.basis
+    params = cfg_b.params
     d = params.dim
     states = eigenstates(cfg_b)
     for hN, h0 in ((0, 0), (1, 0), (0, 1), (2, 1)):
         elem = lo.ElementaryBasisElement((), theta_pow=hN, theta_a_pow=h0)
-        dense_op = elem.to_dense(params, basis, cfg_b.elementary_ops)
+        dense_op = elem.to_dense(params, cfg_b.charge_ops, cfg_b.elementary_ops)
         opn = np.linalg.norm(dense_op)
         for i in range(d):
             for j in range(d):
@@ -155,9 +155,9 @@ def test_ff_elementary_pure_charge_insertion(cfg_b):
 
 
 def test_ff_elementary_sector_rule(cfg_b):
-    params, basis = cfg_b.params, cfg_b.basis
+    params = cfg_b.params
     elem = lo.ElementaryBasisElement((), theta_pow=1, theta_a_pow=0)
-    dense_op = elem.to_dense(params, basis, cfg_b.elementary_ops)
+    dense_op = elem.to_dense(params, cfg_b.charge_ops, cfg_b.elementary_ops)
     states = eigenstates(cfg_b)
     for i, sti in enumerate(states):
         for j, stj in enumerate(states):

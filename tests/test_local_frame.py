@@ -5,6 +5,8 @@ partial trace.  The prepared solution owns the elementary-operator table and
 the site frames, and one verification builds each of them once."""
 
 import dataclasses
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -12,9 +14,11 @@ import pytest
 from sgsov import model_core as mc
 from sgsov import local_ops as lo
 from sgsov import oracle
+from sgsov import sov_basis as sb
+from sgsov.params import ModelParams
 from sgsov.separate_states import prepare
 
-from conftest import SEED, cfg_a_params
+from conftest import SEED, cfg_a_params, cfg_b_params
 
 CHAINS = ("cfg_a", "cfg_b")
 
@@ -114,13 +118,17 @@ def test_local_block_is_the_site_trace(cfg_a):
 
 
 def test_solution_owns_the_elementary_table_and_the_frames(sol):
-    params, basis, mono = sol.params, sol.basis, sol.mono
+    params, grid, mono = sol.params, sol.grid, sol.mono
     p, nsep, d = params.p, params.n_separate, params.dim
     ops = sol.elementary_ops
     assert ops.blocks.shape == (nsep, p, p, d // p, d // p)
     with pytest.raises(ValueError):
         ops.blocks[0, 0, 0, 0, 0] = 1.0
-    ref = [[lo.elementary_O(params, basis, a, k, mono) for k in range(p)]
+    charge_ops = lo.sov_charge_operators(params, grid, mono)
+    assert (charge_ops is None) == (sol.charge_ops is None) == (not params.even_chain)
+    for op, got in zip(charge_ops or (), sol.charge_ops or ()):
+        assert got.shift == op.shift and np.array_equal(got.blocks, op.blocks)
+    ref = [[lo.elementary_O(params, grid, charge_ops, a, k, mono) for k in range(p)]
            for a in range(nsep)]
     for a in range(nsep):
         for k in range(p):
@@ -131,19 +139,17 @@ def test_solution_owns_the_elementary_table_and_the_frames(sol):
             for j in range(1, alpha):
                 prod = prod @ ref[a][(k - j) % p]
             assert np.array_equal(lo.elementary_O_power(ops, a, k, alpha).blocks, prod.blocks)
-    lam = params.spectral_samples(sol.rng(951), 1, exclude=basis.grid.grid.reshape(-1))[0]
-    total = np.zeros((d, d), dtype=complex)
-    for a in range(nsep):
-        for k in range(p):
-            eta = basis.grid.grid[a, k]
-            total += ref[a][k].dense() / (lam / eta - eta / lam)
-    total = total / params.kprod
+    lam = params.spectral_samples(sol.rng(951), 1, exclude=grid.grid.reshape(-1))[0]
+    eta = grid.grid
+    total = reduce(add, [ref[a][k] / (lam / eta[a, k] - eta[a, k] / lam)
+                         for a in range(nsep) for k in range(p)]) / params.kprod
     if params.even_chain:
-        theta = np.diag(mc.theta_charge(params))
-        total = total + lam * theta[:, None] * lo.eta_interp_operator(basis, -1) \
-            - lo.eta_interp_operator(basis, 1) / (lam * theta)
-        total = lo.eta_ref_operator(basis, -1) @ total
-    assert np.array_equal(lo.binvA_interpolation(params, basis, lam, ops), total)
+        # theta is one scalar on each charge sector
+        _, eta_ref_inv, eta_a, eta_a_inv = charge_ops
+        theta = np.diag(mc.theta_charge(params))[total.sectors[:, 0]][:, None, None]
+        total = eta_ref_inv @ (total + eta_a_inv * (lam * theta) - eta_a / (lam * theta))
+    got = lo.binvA_interpolation(params, grid, sol.charge_ops, lam, ops)
+    assert np.array_equal(got, total.dense())
 
     assert sol.frame(1).mono is mono
     assert sol.frame(2) is not sol.frame(2)
@@ -171,19 +177,42 @@ def test_one_verification_builds_each_operator_once(monkeypatch):
 
 
 @pytest.mark.parametrize("chain", ["cfg_b", "cfg_a"])
-def test_eta_ref_grading_residual_is_a_diagnostic_row_of_even_chains(chain, request):
+def test_eta_ref_basis_gap_is_a_diagnostic_row_of_even_chains(chain, request):
     sol = request.getfixturevalue(chain)
     rows = {r.label: r for r in oracle.verify_solution(sol, sections={"local"})}
     if not sol.params.even_chain:
-        assert "eta_ref_grading_residual" not in rows
+        assert "eta_ref_basis_gap" not in rows and sol.charge_ops is None
         return
-    factor, residual = sol.basis.eta_ref_lowering
-    row = rows["eta_ref_grading_residual"]
+    # eta_ref diagonalized by the dense basis matches its graded form from B
+    eta_ref = sol.charge_ops[0]
+    dense = sb.sov_diagonal(sol.basis, sol.grid.grid[-1, sol.params.tuples[:, -1]])
+    gap = mc.rel_err(dense, eta_ref.dense())
+    row = rows["eta_ref_basis_gap"]
     assert row.context == {"diagnostic": True, "bound": oracle.DEFAULT_TOLERANCES["elementary"]}
-    assert row.passed and row.margin is None and row.rel_err == residual
-    assert 0.0 <= residual <= 1e-12
-    # the kept blocks are eta_ref^-(p-1) on the charge shift of B
-    p = sol.params.p
-    dense = lo.eta_ref_operator(sol.basis, -(p - 1))
-    assert factor.shift == sol.mono.B.shift
-    assert mc.rel_err(factor.dense(), dense) <= 1e-12
+    assert row.passed and row.margin is None and row.rel_err == gap
+    assert 0.0 < gap <= 1e-12
+    # eta_ref lowers the reference digit, as B does
+    assert eta_ref.shift == sol.mono.B.shift
+
+
+def _n4p3_params():
+    """The chain of ``perfbench/configs/dense_wall_even.json`` at p = 3 (d = 81)."""
+    return ModelParams(4, 3, 2, kappa=[1.1j, 1.3j, 0.7j, 0.9j], xi=[1.0, 1.2, 0.9, 1.1])
+
+
+@pytest.mark.parametrize("make", [cfg_b_params, _n4p3_params])
+def test_charge_operators_from_the_end_coefficients_of_B(make):
+    sol = prepare(make(), SEED)
+    params, grid, mono = sol.params, sol.grid, sol.mono
+    eta_ref, eta_ref_inv, eta_a, eta_a_inv = sol.charge_ops
+    one = mc.Graded.eye(eta_ref.sectors)
+    z_ref = grid.eta0[-1] ** params.p
+    assert mc.rel_err(eta_ref ** params.p, z_ref * one) <= 1e-11
+    assert mc.rel_err(eta_ref @ eta_ref_inv, one) <= 1e-11
+    assert mc.rel_err(eta_a @ eta_a_inv, one) <= 1e-11
+    # every one of them is diagonal in the SOV basis, so commutes with B
+    for lam in params.spectral_samples(sol.rng(962), 2):
+        B = mono.B.at(lam)
+        for eta in sol.charge_ops:
+            assert mc.frob(eta @ B - B @ eta) <= 1e-11 * mc.frob(eta) * mc.frob(B)
+    assert "basis" not in vars(sol)

@@ -277,11 +277,11 @@ def test_elementary_action_weights(desk_bundles):
         params, basis, mono = bundle.params, bundle.basis, bundle.mono
         for a in range(params.n_separate):
             for k in range(params.p):
-                O = lo.elementary_O(params, basis, a, k, mono).dense()
+                O = lo.elementary_O(params, bundle.grid, bundle.charge_ops, a, k, mono).dense()
                 sc = np.linalg.norm(O)
                 for j in range(params.dim):
                     got = basis.left[j] @ O
-                    w = lo.o_action_weight(params, basis, a, k, j)
+                    w = lo.o_action_weight(params, bundle.grid, a, k, j)
                     tgt = w * basis.left[basis.shifted_index(j, a, -1)] \
                         if w else np.zeros_like(got)
                     assert np.linalg.norm(got - tgt) <= \
@@ -290,9 +290,10 @@ def test_elementary_action_weights(desk_bundles):
 
 def test_elementary_adjacency_rule(desk_bundles):
     for bundle in desk_bundles.values():
-        params, basis, mono = bundle.params, bundle.basis, bundle.mono
+        params, grid, mono = bundle.params, bundle.grid, bundle.mono
         p = params.p
-        ops = [lo.elementary_O(params, basis, 0, k, mono).dense() for k in range(p)]
+        ops = [lo.elementary_O(params, grid, bundle.charge_ops, 0, k, mono).dense()
+               for k in range(p)]
         for k in range(p):
             for h in range(p):
                 prod = ops[k] @ ops[h]
@@ -305,27 +306,26 @@ def test_elementary_adjacency_rule(desk_bundles):
 
 def test_elementary_full_cycle_scalar(desk_bundles):
     for bundle in desk_bundles.values():
-        params, basis, mono = bundle.params, bundle.basis, bundle.mono
+        params, grid, mono = bundle.params, bundle.grid, bundle.mono
         for a in range(params.n_separate):
             lhs = lo.elementary_O_power(bundle.elementary_ops, a, 1, params.p + 1)
             denom = 1.0 + 0.0j
             for b in range(params.n_separate):
                 if b != a:
-                    denom *= basis.grid.z[a] / basis.grid.z[b] \
-                        - basis.grid.z[b] / basis.grid.z[a]
-            scal = mc.average_value(params, "A", basis.grid.z[a]) / denom
-            rhs = scal * lo.elementary_O(params, basis, a, 1, mono)
+                    denom *= grid.z[a] / grid.z[b] - grid.z[b] / grid.z[a]
+            scal = mc.average_value(params, "A", grid.z[a]) / denom
+            rhs = scal * lo.elementary_O(params, grid, bundle.charge_ops, a, 1, mono)
             assert mc.rel_err(lhs, rhs) <= 1e-8
 
 
 def test_elementary_exchange_ratio(cfg_a):
-    params, basis, mono = cfg_a.params, cfg_a.basis, cfg_a.mono
+    params, grid, mono = cfg_a.params, cfg_a.grid, cfg_a.mono
     for (a, b) in ((0, 1), (0, 2), (1, 2)):
         for k in range(params.p):
             for h in range(params.p):
-                Oa = lo.elementary_O(params, basis, a, k, mono)
-                Ob = lo.elementary_O(params, basis, b, h, mono)
-                ratio = lo._exchange_ratio(basis, a, k, b, h)
+                Oa = lo.elementary_O(params, grid, None, a, k, mono)
+                Ob = lo.elementary_O(params, grid, None, b, h, mono)
+                ratio = lo._exchange_ratio(grid, a, k, b, h)
                 lhs = Oa @ Ob
                 rhs = ratio * (Ob @ Oa)
                 sc = max(mc.frob(lhs), mc.frob(rhs), 1e-300)
@@ -333,10 +333,9 @@ def test_elementary_exchange_ratio(cfg_a):
 
 
 def test_elementary_charge_commutations(cfg_b):
-    params, basis, mono = cfg_b.params, cfg_b.basis, cfg_b.mono
-    O = lo.elementary_O(params, basis, 0, 1, mono)
-    etaA = lo.eta_interp_operator(basis, 1)
-    etaN = lo.eta_ref_operator(basis, 1)
+    params, mono = cfg_b.params, cfg_b.mono
+    O = lo.elementary_O(params, cfg_b.grid, cfg_b.charge_ops, 0, 1, mono)
+    etaN, _, etaA, _ = cfg_b.charge_ops
     theta = mc.theta_charge(params)
     # the interpolation variable sits in the denominator, so lowering a
     # separate label multiplies it by q: eta_A O = q^{-1} O eta_A
@@ -347,59 +346,59 @@ def test_elementary_charge_commutations(cfg_b):
 
 def test_pole_expansion_reassembles_shift_combination(desk_bundles):
     for bundle in desk_bundles.values():
-        params, basis, mono = bundle.params, bundle.basis, bundle.mono
+        params, grid, mono = bundle.params, bundle.grid, bundle.mono
         rng = bundle.rng(506)
-        excl = basis.grid.grid.reshape(-1)
+        excl = grid.grid.reshape(-1)
         for lam in params.spectral_samples(rng, 3, exclude=excl):
-            got = lo.binvA_interpolation(params, basis, lam, bundle.elementary_ops)
+            got = lo.binvA_interpolation(params, grid, bundle.charge_ops, lam,
+                                         bundle.elementary_ops)
             tgt = lo.binvA_dense(mono, lam, 1)
             assert mc.rel_err(got, tgt) <= 1e-8
 
 
 def test_pole_expansion_single_site_has_three_terms(n1):
-    params, basis, mono = n1.params, n1.basis, n1.mono
-    lam = params.spectral_samples(n1.rng(507), 1,
-                                  exclude=basis.grid.grid.reshape(-1))[0]
+    params, grid, mono = n1.params, n1.grid, n1.mono
+    lam = params.spectral_samples(n1.rng(507), 1, exclude=grid.grid.reshape(-1))[0]
     total = np.zeros((3, 3), dtype=complex)
     for k in range(3):
-        eta = basis.grid.grid[0, k]
-        total += lo.elementary_O(params, basis, 0, k, mono).dense() \
+        eta = grid.grid[0, k]
+        total += lo.elementary_O(params, grid, None, 0, k, mono).dense() \
             / (lam / eta - eta / lam)
     total = total / params.kprod
     assert mc.rel_err(total, lo.binvA_dense(mono, lam, 1)) <= 1e-10
 
 
 def test_monomial_reduction_swap(cfg_a):
-    params, basis, mono = cfg_a.params, cfg_a.basis, cfg_a.mono
+    params, grid, mono = cfg_a.params, cfg_a.grid, cfg_a.mono
     seq = [(1, 2), (0, 1)]
-    scal, ordered = lo.reduce_O_monomial(params, basis, seq)
+    scal, ordered = lo.reduce_O_monomial(params, grid, seq)
     assert [a for a, _ in ordered] == [0, 1]
     dense_in = np.eye(params.dim, dtype=complex)
     for a, k in seq:
-        dense_in = dense_in @ lo.elementary_O(params, basis, a, k, mono)
+        dense_in = dense_in @ lo.elementary_O(params, grid, None, a, k, mono)
     dense_out = np.eye(params.dim, dtype=complex)
     for a, k in ordered:
-        dense_out = dense_out @ lo.elementary_O(params, basis, a, k, mono)
+        dense_out = dense_out @ lo.elementary_O(params, grid, None, a, k, mono)
     assert mc.rel_err(dense_in, scal * dense_out) <= 1e-9
 
 
 def test_monomial_reduction_zero(cfg_a):
-    assert lo.reduce_O_monomial(cfg_a.params, cfg_a.basis,
+    assert lo.reduce_O_monomial(cfg_a.params, cfg_a.grid,
                                 [(0, 1), (0, 1)]) is lo.ZERO_MONOMIAL
-    assert lo.reduce_O_monomial(cfg_a.params, cfg_a.basis,
+    assert lo.reduce_O_monomial(cfg_a.params, cfg_a.grid,
                                 [(0, 1), (0, 2)]) is lo.ZERO_MONOMIAL
 
 
 def test_monomial_reduction_folds_full_cycle(cfg_a):
-    params, basis, mono = cfg_a.params, cfg_a.basis, cfg_a.mono
+    params, grid, mono = cfg_a.params, cfg_a.grid, cfg_a.mono
     p = params.p
     seq = [(0, (1 - j) % p) for j in range(p + 1)]
-    scal, ordered = lo.reduce_O_monomial(params, basis, seq)
+    scal, ordered = lo.reduce_O_monomial(params, grid, seq)
     assert ordered == [(0, 1)]
     dense_in = np.eye(params.dim, dtype=complex)
     for a, k in seq:
-        dense_in = dense_in @ lo.elementary_O(params, basis, a, k, mono)
-    dense_out = lo.elementary_O(params, basis, 0, 1, mono).dense()
+        dense_in = dense_in @ lo.elementary_O(params, grid, None, a, k, mono)
+    dense_out = lo.elementary_O(params, grid, None, 0, 1, mono).dense()
     assert mc.rel_err(dense_in, scal * dense_out) <= 1e-8
 
 

@@ -117,7 +117,7 @@ def _elementary_action_ref(params, basis, ops):
             sc = np.linalg.norm(O)
             for j in range(params.dim):
                 got = basis.left[j] @ O
-                w = lo.o_action_weight(params, basis, a, k, j)
+                w = lo.o_action_weight(params, basis.grid, a, k, j)
                 tgt = w * basis.left[basis.shifted_index(j, a, -1)] if w else 0 * got
                 worst = max(worst, float(np.linalg.norm(got - tgt)
                                          / (np.linalg.norm(basis.left[j]) * sc)))

@@ -194,6 +194,21 @@ def test_npoint_over_determinant_tables_builds_no_basis(make):
     assert "basis" not in vars(sol) and "_dense" not in vars(sol)
 
 
+@pytest.mark.parametrize("make", [cfg_b_params, cfg_a_params])   # even; odd
+def test_elementary_operators_build_no_basis(make):
+    # the even-chain charge operators come from the end coefficients of B
+    sol = ss.prepare(make(), SEED)
+    params, ops = sol.params, sol.elementary_ops
+    lam = params.spectral_samples(sol.rng(961), 1, exclude=sol.grid.grid.reshape(-1))[0]
+    lo.binvA_interpolation(params, sol.grid, sol.charge_ops, lam, ops)
+    elems = [lo.ElementaryBasisElement(((0, 1, 1),))]
+    if params.even_chain:
+        elems.append(lo.ElementaryBasisElement((), theta_pow=1, theta_a_pow=1))
+    for elem in elems:
+        elem.to_dense(params, sol.charge_ops, ops)
+    assert "basis" not in vars(sol)
+
+
 def test_labeling_failure_stops_only_the_commands_that_read_the_basis(monkeypatch, tmp_path):
     def refuse(*args):
         raise sb.DegenerateSpectrum("labeling refused")
