@@ -16,8 +16,8 @@ import numpy as np
 from .params import ModelParams, SgSovError
 from .sov_basis import SovBasis, SovGrid, cross_product, vandermonde
 from .spectrum import Spectrum, TransferEigenstate
-from .separate_states import (IncompleteSpectrum, _cmul, bra_blocks, phi_moments,
-                              require_q_data, sector_zero)
+from .separate_states import (IncompleteSpectrum, _cmul, _ket_dets, _ket_matrices,
+                              bra_blocks, phi_moments, require_q_data, sector_zero)
 from .local_ops import ElementaryBasisElement
 
 __all__ = [
@@ -63,12 +63,6 @@ def _u_step(n: int):
     return 1 if n % 2 == 1 else -1
 
 
-def _ff_u_matrices(qbar, ket):
-    """The ff_u matrices of Qbar tables ``qbar`` (..., nsep, p) against one
-    site's rows ``ket`` (..., nsep, p, nsep) of the kets' ``ff_u_ket``."""
-    return (qbar[..., None, :] @ ket)[..., 0, :]
-
-
 def ff_u(params: ModelParams, basis: SovBasis, bra: TransferEigenstate,
          ket: TransferEigenstate, n: int = 1, shift_ratio=None,
          keep_matrix=False) -> FormFactorResult:
@@ -82,7 +76,7 @@ def ff_u(params: ModelParams, basis: SovBasis, bra: TransferEigenstate,
     _require_shift(params, n, shift_ratio)
     if sector_zero(params, bra.theta_m, ket.theta_m, _u_step(n)):
         return FormFactorResult(0.0 + 0.0j, selection_zero=True)
-    U = _ff_u_matrices(bra.qbar_vals, ket.ff_u_ket[n - 1])
+    U = _ket_matrices(bra.qbar_vals, ket.ff_u_ket[n - 1])
     value = basis.grid.ff_u_pref * np.linalg.det(U)
     if shift_ratio is not None:
         value = shift_ratio * value
@@ -101,7 +95,7 @@ def ff_u_table(params: ModelParams, grid: SovGrid, spec: Spectrum, n: int = 1,
     ket = np.ascontiguousarray(spec.ff_u_kets[kets, n - 1])   # one site's rows, as stacked
     values = np.empty((len(qbar), len(ket)), dtype=complex)
     for rows in bra_blocks(len(qbar)):
-        values[rows] = np.linalg.det(_ff_u_matrices(qbar[rows, None], ket[None]))
+        values[rows] = _ket_dets(qbar[rows, None], ket[None])
     values = _cmul(grid.ff_u_pref, values)
     if shift_ratio is not None:
         values = _cmul(np.asarray(shift_ratio), values)

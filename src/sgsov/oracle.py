@@ -448,8 +448,7 @@ def _scalar_section(s, sol):
     ref2 = np.sqrt(np.outer(diag_dets, diag_dets))
     worst_orth = worst_null = 0.0
     for rows in ss.bra_blocks(d):
-        phi = ss.phi_moments(grid, spec.qbar_vals[rows, None], spec.q_vals[None],
-                             range(0, 2 * nsep, 2))
+        phi = ss._ket_matrices(spec.qbar_vals[rows, None], spec.pair_kets[None])
         det = np.abs(np.linalg.det(phi)) * abs(grid.c_ref)
         worst_orth = max(worst_orth, float(np.max((det / ref2[rows])[pairs[rows]],
                                                   initial=0.0)))

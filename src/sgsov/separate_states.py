@@ -97,7 +97,7 @@ def scalar_product_det(alpha: SeparateState, beta: SeparateState, grid: SovGrid)
         raise ValueError("scalar_product_det expects (left, right) states")
     if sector_zero(grid.params, alpha.theta_m, beta.theta_m):
         return 0.0 + 0.0j
-    return grid.c_ref * _pairing_dets(grid, alpha.coeff, beta.coeff)
+    return grid.c_ref * _ket_dets(alpha.coeff, beta.coeff[..., None] * grid.pairing_weights)
 
 
 def phi_moments(grid: SovGrid, left, right, exponents):
@@ -105,15 +105,21 @@ def phi_moments(grid: SovGrid, left, right, exponents):
     broadcast against each other over the leading axes:
     ``out[..., a, k] = sum_h left[..., a, h] * right[..., a, h]
     * eta_a^{(h)}**e_k / omega[a, h]`` for every separate variable a and
-    exponent e_k, shape (..., nsep, len(exponents)).  The fixed exponents of
-    the pairings and of ``ff_u`` read the weight tables of the grid
-    instead."""
-    return _moments(left, right, moment_weights(grid, exponents))
+    exponent e_k, shape (..., nsep, len(exponents)).  The pairings and
+    ``ff_u`` read the states' ket tables instead (``_ket_matrices``)."""
+    return ((left * right)[..., None, :] @ moment_weights(grid, exponents))[..., 0, :]
 
 
-def _moments(left, right, weights):
-    """``phi_moments`` against a weight table ``weights[a, h, k]``."""
-    return ((left * right)[..., None, :] @ weights)[..., 0, :]
+def _ket_matrices(qbar, ket):
+    """The matrices of Qbar tables ``qbar`` (..., nsep, p) against ket tables
+    ``ket`` (..., nsep, p, nsep), broadcast over the leading axes; a ket table
+    is a state's ``pair_ket``, or one site's rows of its ``ff_u_ket``."""
+    return (qbar[..., None, :] @ ket)[..., 0, :]
+
+
+def _ket_dets(qbar, ket):
+    """The determinants of the ``_ket_matrices``."""
+    return np.linalg.det(_ket_matrices(qbar, ket))
 
 
 # ---------------------------------------------------------------------------
@@ -125,29 +131,33 @@ def attach_q_data(state: TransferEigenstate, basis: SovBasis):
     separate-variable grids and cache the tables on the eigenstate."""
     if state.q_poly is None:
         raise SgSovError("fit the Baxter polynomial before attaching Q data")
-    state.q_vals, state.qbar_vals, state.ff_u_ket = (x[0] for x in attach_q_tables(
-        basis.grid, state.q_poly[None], state.qbar_poly[None], [state.theta_m]))
+    tables = attach_q_tables(basis.grid, state.q_poly[None], state.qbar_poly[None],
+                             [state.theta_m])
+    state.q_vals, state.qbar_vals, state.ff_u_ket, state.pair_ket = (x[0] for x in tables)
     return state
 
 
 def attach_q_tables(grid: SovGrid, q_poly, qbar_poly, theta_m):
     """The read-only Q and Qbar tables (states, nsep, p) of the Baxter rows
-    ``q_poly`` and ``qbar_poly`` on the separate-variable grids, and the
+    ``q_poly`` and ``qbar_poly`` on the separate-variable grids; the
     ``ff_u`` ket tables (states, N, nsep, p, nsep), Q against the
-    ``ff_u_weights`` of each state's sector ``theta_m``, one product per sector."""
+    ``ff_u_weights`` of each state's sector ``theta_m``, one product per
+    sector; and the pairing ket tables (states, nsep, p, nsep), Q times the
+    ``pairing_weights``, the same in every sector."""
     q_vals, qbar_vals = (_read_only(power_sum(np.asarray(rows)[:, None, None], grid.powers))
                          for rows in (q_poly, qbar_poly))
     weights, theta = grid.ff_u_weights, np.asarray(theta_m)
     kets = np.empty((len(theta),) + weights[:, 0, ..., 0, :].shape, dtype=complex)
     for m in range(weights.shape[1]):
         kets[theta == m] = (q_vals[theta == m][:, None, :, None, None] @ weights[:, m])[..., 0, :]
-    return q_vals, qbar_vals, _read_only(kets)
+    pair_kets = _read_only(q_vals[..., None] * grid.pairing_weights)
+    return q_vals, qbar_vals, _read_only(kets), pair_kets
 
 
 def require_q_data(*states):
     """Raise unless every eigenstate carries its Baxter and ket tables."""
     for st in states:
-        if st.q_vals is None or st.qbar_vals is None or st.ff_u_ket is None:
+        if st.q_vals is None or st.qbar_vals is None or st.ff_u_ket is None or st.pair_ket is None:
             raise SgSovError("attach Baxter grid data to the eigenstates first")
 
 
@@ -182,13 +192,6 @@ def sector_zero(params: ModelParams, bra_theta, ket_theta, step: int = 0):
     return params.even_chain and (bra_theta - ket_theta - step) % params.p != 0
 
 
-def _pairing_dets(grid: SovGrid, qbar, q):
-    """Determinants of the moment matrices of Qbar tables against Q tables,
-    (..., nsep, p) each, broadcast over the leading axes, contracted against
-    ``grid.pairing_weights``; the pairings are ``c_ref`` times these."""
-    return np.linalg.det(_moments(qbar, q, grid.pairing_weights))
-
-
 def _cmul(a, b):
     """Elementwise complex product ``a * b``, rounded as the scalar complex
     product is (NumPy's vectorized one may round otherwise), so that the
@@ -200,18 +203,20 @@ def eigen_action(basis: SovBasis, bra: TransferEigenstate,
                  ket: TransferEigenstate):
     """Pairing <bra|ket> of the separate-state representations, as the
     determinant of the moment matrix (with the sector rule on even chains)."""
+    if bra.qbar_vals is None or ket.pair_ket is None:
+        require_q_data(bra, ket)      # the per-pair path checks only the two tables it reads
     grid = basis.grid
     if sector_zero(grid.params, bra.theta_m, ket.theta_m):
         return 0.0 + 0.0j
-    return grid.c_ref * _pairing_dets(grid, bra.qbar_vals, ket.q_vals)
+    return grid.c_ref * _ket_dets(bra.qbar_vals, ket.pair_ket)
 
 
 def eigen_action_table(grid: SovGrid, spec: Spectrum, bras=slice(None), kets=slice(None)):
     """Pairings <bra|ket> from the rows ``bras`` to the rows ``kets`` of
     ``spec`` (index arrays or slices, all rows by default), as one batched
     determinant, and the mask of the pairs that the sector rule zeroes."""
-    values = _cmul(grid.c_ref, _pairing_dets(grid, spec.qbar_vals[bras][:, None],
-                                             spec.q_vals[kets][None]))
+    values = _cmul(grid.c_ref, _ket_dets(spec.qbar_vals[bras][:, None],
+                                         spec.pair_kets[kets][None]))
     zero = np.broadcast_to(sector_zero(grid.params, spec.theta_m[bras][:, None],
                                        spec.theta_m[kets][None]), values.shape)
     return np.where(zero, 0.0, values), zero
@@ -299,7 +304,7 @@ class Solution:
         """The determinant norms <t|t>, one batched determinant over the
         diagonal pairs."""
         grid, spec = self.grid, self.states
-        return _read_only(_cmul(grid.c_ref, _pairing_dets(grid, spec.qbar_vals, spec.q_vals)))
+        return _read_only(_cmul(grid.c_ref, _ket_dets(spec.qbar_vals, spec.pair_kets)))
 
     @cached_property
     def charge_ops(self):

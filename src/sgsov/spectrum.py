@@ -51,6 +51,7 @@ class TransferEigenstate:
     q_vals: np.ndarray = None           # Q on the grids, (nsep, p)
     qbar_vals: np.ndarray = None
     ff_u_ket: np.ndarray = None         # Q against its sector's ff_u_weights, (N, nsep, p, nsep)
+    pair_ket: np.ndarray = None         # Q times the pairing_weights, (nsep, p, nsep)
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +69,7 @@ class Spectrum:
     q_vals: np.ndarray                  # Q on the grids, (d, nsep, p)
     qbar_vals: np.ndarray
     ff_u_kets: np.ndarray               # Q against ff_u_weights, (d, N, nsep, p, nsep)
+    pair_kets: np.ndarray               # Q times pairing_weights, (d, nsep, p, nsep)
 
     def __post_init__(self):
         for f in fields(self):
@@ -81,7 +83,7 @@ class Spectrum:
         return TransferEigenstate(
             self.t_rows[i], int(self.theta_m[i]), self.R[:, i], self.L[i], self.q_poly[i],
             self.qbar_poly[i], int(self.nullspace_dim[i]), self.q_vals[i], self.qbar_vals[i],
-            self.ff_u_kets[i])
+            self.ff_u_kets[i], self.pair_kets[i])
 
 
 def eval_t(t_rows, lam):

@@ -248,6 +248,10 @@ def test_weight_tables_are_built_read_only_by_the_constructor(sol, monkeypatch):
     for i, j in _pairs(sol, count=4):
         ff.ff_u(params, basis, states[i], states[j], 1)
         ss.eigen_action(basis, states[i], states[j])
+    # nor by the pair tables, the norms (built afresh) and the scalar section
+    ss.eigen_action_table(grid, sol.states, slice(0, 3))
+    ss.Solution.norms.func(sol)
+    assert oracle.verify_solution(sol, sections={"scalar"})
     assert calls == []
 
 
@@ -298,6 +302,16 @@ def test_ff_u_ket_tables_match_scalar_formula(sol):
         for n in range(1, N + 1):
             ref, scale = ff_u_ket_ref(params, grid, st, n)
             _assert_matrix_close(st.ff_u_ket[n - 1], ref, scale)
+
+
+def test_pair_ket_tables_match_scalar_formula(sol):
+    grid, spec = sol.grid, sol.states
+    nsep, p = sol.params.n_separate, sol.params.p
+    # every state; every fourth on the d = 125 chain
+    for i in range(0, len(spec), max(1, sol.params.dim // 27)):
+        ref = np.array([[[spec.q_vals[i, a, h] * grid.grid[a, h] ** (2 * k) / grid.omega[a, h]
+                          for k in range(nsep)] for h in range(p)] for a in range(nsep)])
+        _assert_matrix_close(spec.pair_kets[i], ref, np.abs(ref))
 
 
 def test_shifted_indices_match_scalar_shifts(sol):
@@ -468,21 +482,24 @@ def test_stacked_tables_on_solution(sol):
     d, nsep, p = params.dim, params.n_separate, params.p
     assert spec.q_vals.shape == spec.qbar_vals.shape == (d, nsep, p)
     assert spec.ff_u_kets.shape == (d, params.n_sites, nsep, p, nsep)
+    assert spec.pair_kets.shape == (d, nsep, p, nsep)
     assert spec.t_rows.shape == (d, params.n_bar + 1)
     for i, st in enumerate(eigenstates(sol)):
         assert np.array_equal(spec.q_vals[i], st.q_vals)
         assert np.array_equal(spec.qbar_vals[i], st.qbar_vals)
         assert np.array_equal(spec.ff_u_kets[i], st.ff_u_ket)
+        assert np.array_equal(spec.pair_kets[i], st.pair_ket)
         assert spec.theta_m[i] == (st.theta_m if params.even_chain else 0)
         assert np.array_equal(spec.t_rows[i], st.t_coeffs)
-    for table in (spec.q_vals, spec.qbar_vals, spec.ff_u_kets, spec.theta_m, spec.t_rows,
-                  sol.covs, sol.vecs, sol.norms):
+    for table in (spec.q_vals, spec.qbar_vals, spec.ff_u_kets, spec.pair_kets, spec.theta_m,
+                  spec.t_rows, sol.covs, sol.vecs, sol.norms):
         with pytest.raises(ValueError):
             table[0] = 0
 
 
 def _scalar_worst_by_pair_loop(sol):
-    """The orthogonality and null-vector worst values, one pair at a time."""
+    """The orthogonality and null-vector worst values, one pair at a time,
+    from the per-pair moment matrix of ``eigen_action``."""
     params, grid, states = sol.params, sol.grid, eigenstates(sol)
     nsep = params.n_separate
     diag_dets = np.abs(sol.norms)
@@ -491,7 +508,7 @@ def _scalar_worst_by_pair_loop(sol):
         for j, stj in enumerate(states):
             if i == j or (params.even_chain and sti.theta_m != stj.theta_m):
                 continue
-            phi = ss.phi_matrix(grid, sti, stj)
+            phi = ss._ket_matrices(sti.qbar_vals, stj.pair_ket)
             det = abs(np.linalg.det(phi)) * abs(grid.c_ref)
             worst_orth = max(worst_orth, det / np.sqrt(diag_dets[i] * diag_dets[j]))
             V = ss.t_coeff_null_vector(params, states[i].t_coeffs, states[j].t_coeffs)

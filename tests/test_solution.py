@@ -65,6 +65,7 @@ def test_prepare_matches_per_state_pipeline_bitwise(name, request):
         assert np.array_equal(spec.q_vals[i], ref.q_vals)
         assert np.array_equal(spec.qbar_vals[i], ref.qbar_vals)
         assert np.array_equal(spec.ff_u_kets[i], ref.ff_u_ket)
+        assert np.array_equal(spec.pair_kets[i], ref.pair_ket)
     assert np.array_equal(sol.covs, covs)
     assert np.array_equal(sol.vecs, vecs)
     ff_u = [[ff.ff_u(params, sol.basis, bra, ket, 1) for ket in states] for bra in states]
@@ -119,7 +120,8 @@ def test_eigenstate_arrays_are_read_only_fixed_width_rows(name, request):
     shapes = {"t_rows": (d, params.n_bar + 1), "theta_m": (d,), "R": (d, d), "L": (d, d),
               "q_poly": (d, K + 1), "qbar_poly": (d, K + 1 + N % p),
               "nullspace_dim": (d,), "fit_gap": (d,), "q_vals": (d, nsep, p),
-              "qbar_vals": (d, nsep, p), "ff_u_kets": (d, N, nsep, p, nsep)}
+              "qbar_vals": (d, nsep, p), "ff_u_kets": (d, N, nsep, p, nsep),
+              "pair_kets": (d, nsep, p, nsep)}
     assert [f.name for f in dataclasses.fields(spec)] == list(shapes)
     assert len(spec) == d
     for field, shape in shapes.items():
@@ -131,7 +133,8 @@ def test_eigenstate_arrays_are_read_only_fixed_width_rows(name, request):
             setattr(spec, field, None)
     rows = {"t_coeffs": spec.t_rows, "vec_right": spec.R.T, "vec_left": spec.L,
             "q_poly": spec.q_poly, "qbar_poly": spec.qbar_poly, "q_vals": spec.q_vals,
-            "qbar_vals": spec.qbar_vals, "ff_u_ket": spec.ff_u_kets}
+            "qbar_vals": spec.qbar_vals, "ff_u_ket": spec.ff_u_kets,
+            "pair_ket": spec.pair_kets}
     for i in (0, d // 2, d - 1):
         st = spec.eigenstate(i)
         assert type(st.theta_m) is int and st.theta_m == spec.theta_m[i]
@@ -241,11 +244,18 @@ def test_separate_states_need_attached_q_data(cfg_b):
     assert bare.q_vals is None
     with pytest.raises(SgSovError):
         ff.ff_u(cfg_b.params, cfg_b.basis, bare, cfg_b.states.eigenstate(1), 1)
+    with pytest.raises(SgSovError):
+        ss.eigen_action(cfg_b.basis, bare, cfg_b.states.eigenstate(1))
     no_ket = dataclasses.replace(cfg_b.states.eigenstate(0), ff_u_ket=None)
     with pytest.raises(SgSovError):
         ss.require_q_data(cfg_b.states.eigenstate(1), no_ket)
     with pytest.raises(SgSovError):
         ff.ff_u(cfg_b.params, cfg_b.basis, cfg_b.states.eigenstate(1), no_ket, 1)
+    no_pair_ket = dataclasses.replace(cfg_b.states.eigenstate(0), pair_ket=None)
+    with pytest.raises(SgSovError):
+        ss.require_q_data(no_pair_ket)
+    with pytest.raises(SgSovError):
+        ss.eigen_action(cfg_b.basis, cfg_b.states.eigenstate(1), no_pair_ket)
 
 
 def test_pair_products_match_explicit_loops():
