@@ -72,7 +72,8 @@ def ff_u(params: ModelParams, basis: SovBasis, bra: TransferEigenstate,
 
     For n > 1 the prefactor ratio of chain-shift eigenvalues must be supplied
     (available on homogeneous chains)."""
-    require_q_data(bra, ket)
+    if bra.qbar_vals is None or ket.ff_u_ket is None:
+        require_q_data(bra, ket)      # the per-pair path checks only the two tables it reads
     _require_shift(params, n, shift_ratio)
     if sector_zero(params, bra.theta_m, ket.theta_m, _u_step(n)):
         return FormFactorResult(0.0 + 0.0j, selection_zero=True)
@@ -91,16 +92,15 @@ def ff_u_table(params: ModelParams, grid: SovGrid, spec: Spectrum, n: int = 1,
     selection zeros.  For n > 1, ``shift_ratio`` holds the chain-shift
     eigenvalue ratio of each pair (or broadcasts to that shape)."""
     _require_shift(params, n, shift_ratio)
-    qbar, theta_bra, theta_ket = spec.qbar_vals[bras], spec.theta_m[bras], spec.theta_m[kets]
-    ket = np.ascontiguousarray(spec.ff_u_kets[kets, n - 1])   # one site's rows, as stacked
+    qbar, ket = spec.qbar_vals[bras], spec.ff_u_kets[kets, n - 1]
     values = np.empty((len(qbar), len(ket)), dtype=complex)
     for rows in bra_blocks(len(qbar)):
         values[rows] = _ket_dets(qbar[rows, None], ket[None])
     values = _cmul(grid.ff_u_pref, values)
     if shift_ratio is not None:
         values = _cmul(np.asarray(shift_ratio), values)
-    zero = np.broadcast_to(sector_zero(params, theta_bra[:, None], theta_ket[None],
-                                       _u_step(n)), values.shape)
+    zero = np.broadcast_to(sector_zero(params, spec.theta_m[bras][:, None],
+                                       spec.theta_m[kets][None], _u_step(n)), values.shape)
     return np.where(zero, 0.0, values), zero
 
 

@@ -96,7 +96,7 @@ class ModelParams:
     def dim(self) -> int:
         return self.p ** self.n_sites
 
-    @property
+    @cached_property
     def even_chain(self) -> bool:
         return self.n_sites % 2 == 0
 

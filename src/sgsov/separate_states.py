@@ -97,7 +97,7 @@ def scalar_product_det(alpha: SeparateState, beta: SeparateState, grid: SovGrid)
         raise ValueError("scalar_product_det expects (left, right) states")
     if sector_zero(grid.params, alpha.theta_m, beta.theta_m):
         return 0.0 + 0.0j
-    return grid.c_ref * _ket_dets(alpha.coeff, beta.coeff[..., None] * grid.pairing_weights)
+    return grid.c_ref * _ket_dets(alpha.coeff, _pair_kets(grid, beta.coeff))
 
 
 def phi_moments(grid: SovGrid, left, right, exponents):
@@ -112,9 +112,14 @@ def phi_moments(grid: SovGrid, left, right, exponents):
 
 def _ket_matrices(qbar, ket):
     """The matrices of Qbar tables ``qbar`` (..., nsep, p) against ket tables
-    ``ket`` (..., nsep, p, nsep), broadcast over the leading axes; a ket table
-    is a state's ``pair_ket``, or one site's rows of its ``ff_u_ket``."""
-    return (qbar[..., None, :] @ ket)[..., 0, :]
+    ``ket`` [..., a, k, g] (g the Qbar grid index), broadcast over the leading
+    axes; a ket table is a state's ``pair_ket``, or one site of its ``ff_u_ket``."""
+    return np.matvec(ket, qbar)
+
+
+def _pair_kets(grid: SovGrid, q_vals):
+    """Q tables (..., nsep, p) times the ``pairing_weights``, as C-contiguous ket tables."""
+    return np.multiply(q_vals[..., None, :], grid.pairing_weights.swapaxes(-1, -2), order="C")
 
 
 def _ket_dets(qbar, ket):
@@ -129,7 +134,7 @@ def _ket_dets(qbar, ket):
 def attach_q_data(state: TransferEigenstate, basis: SovBasis):
     """Evaluate the fitted Baxter polynomial and its conjugate partner on the
     separate-variable grids and cache the tables on the eigenstate."""
-    if state.q_poly is None:
+    if state.q_poly is None or state.qbar_poly is None:
         raise SgSovError("fit the Baxter polynomial before attaching Q data")
     tables = attach_q_tables(basis.grid, state.q_poly[None], state.qbar_poly[None],
                              [state.theta_m])
@@ -139,19 +144,19 @@ def attach_q_data(state: TransferEigenstate, basis: SovBasis):
 
 def attach_q_tables(grid: SovGrid, q_poly, qbar_poly, theta_m):
     """The read-only Q and Qbar tables (states, nsep, p) of the Baxter rows
-    ``q_poly`` and ``qbar_poly`` on the separate-variable grids; the
-    ``ff_u`` ket tables (states, N, nsep, p, nsep), Q against the
-    ``ff_u_weights`` of each state's sector ``theta_m``, one product per
-    sector; and the pairing ket tables (states, nsep, p, nsep), Q times the
-    ``pairing_weights``, the same in every sector."""
+    ``q_poly`` and ``qbar_poly`` on the separate-variable grids, and the
+    C-contiguous ket tables of ``_ket_matrices``: for ``ff_u`` (states, N,
+    nsep, nsep, p), Q against the ``ff_u_weights`` of each state's sector
+    ``theta_m``, one product per sector; for the pairings (states, nsep,
+    nsep, p), Q times the ``pairing_weights``, the same in every sector."""
     q_vals, qbar_vals = (_read_only(power_sum(np.asarray(rows)[:, None, None], grid.powers))
                          for rows in (q_poly, qbar_poly))
-    weights, theta = grid.ff_u_weights, np.asarray(theta_m)
-    kets = np.empty((len(theta),) + weights[:, 0, ..., 0, :].shape, dtype=complex)
+    weights, theta, pair_kets = grid.ff_u_weights, np.asarray(theta_m), _pair_kets(grid, q_vals)
+    kets = np.empty((len(theta), len(weights)) + pair_kets.shape[1:], dtype=complex)
     for m in range(weights.shape[1]):
-        kets[theta == m] = (q_vals[theta == m][:, None, :, None, None] @ weights[:, m])[..., 0, :]
-    pair_kets = _read_only(q_vals[..., None] * grid.pairing_weights)
-    return q_vals, qbar_vals, _read_only(kets), pair_kets
+        kets[theta == m] = np.swapaxes(
+            (q_vals[theta == m][:, None, :, None, None] @ weights[:, m])[..., 0, :], -1, -2)
+    return q_vals, qbar_vals, _read_only(kets), _read_only(pair_kets)
 
 
 def require_q_data(*states):

@@ -97,14 +97,14 @@ def ff_u_matrix_ref(params, grid, bra, ket, n=1):
 def ff_u_ket_ref(params, grid, ket, n=1):
     """The site-n ``ff_u`` ket table of ``ket``, entry by entry: its Q table
     against the weights of its sector, written out as in ``ff_u_matrix_ref``
-    (row g of variable a is what Qbar(eta_a^{(g)}) multiplies), and the term
-    scales."""
+    (entry [a, k, g] is what Qbar(eta_a^{(g)}) multiplies in column k), and
+    the term scales."""
     lam = complex(params.mu_plus[n - 1])
     nsep, p = params.n_separate, params.p
     roots, omega, q = grid.grid, grid.omega, ket.q_vals
     pref = grid.c_ref / (params.kprod * grid.eta0[-1] ** params.e_n)
-    out = np.zeros((nsep, p, nsep), dtype=complex)
-    scale = np.zeros((nsep, p, nsep))
+    out = np.zeros((nsep, nsep, p), dtype=complex)
+    scale = np.zeros((nsep, nsep, p))
     for a in range(nsep):
         for g in range(p):
             eta, h = roots[a, g], (g - 1) % p
@@ -118,8 +118,8 @@ def ff_u_ket_ref(params, grid, ket, n=1):
                 last += [q[a, g] * c_hi * eta ** (2 * nsep - 1) / omega[a, g] / pref,
                          -q[a, g] * c_lo * eta ** (-1) / omega[a, g] / pref]
             for k, column in enumerate(terms + [last]):
-                out[a, g, k] = sum(column)
-                scale[a, g, k] = sum(abs(t) for t in column)
+                out[a, k, g] = sum(column)
+                scale[a, k, g] = sum(abs(t) for t in column)
     return out, scale
 
 
@@ -298,7 +298,7 @@ def test_ff_u_ket_tables_match_scalar_formula(sol):
     N, nsep, p = params.n_sites, params.n_separate, params.p
     # every state; every fourth on the d = 125 chain
     for st in eigenstates(sol)[::max(1, params.dim // 27)]:
-        assert st.ff_u_ket.shape == (N, nsep, p, nsep)
+        assert st.ff_u_ket.shape == (N, nsep, nsep, p) and st.ff_u_ket.flags.c_contiguous
         for n in range(1, N + 1):
             ref, scale = ff_u_ket_ref(params, grid, st, n)
             _assert_matrix_close(st.ff_u_ket[n - 1], ref, scale)
@@ -307,10 +307,11 @@ def test_ff_u_ket_tables_match_scalar_formula(sol):
 def test_pair_ket_tables_match_scalar_formula(sol):
     grid, spec = sol.grid, sol.states
     nsep, p = sol.params.n_separate, sol.params.p
+    assert spec.pair_kets.shape == (len(spec), nsep, nsep, p) and spec.pair_kets.flags.c_contiguous
     # every state; every fourth on the d = 125 chain
     for i in range(0, len(spec), max(1, sol.params.dim // 27)):
         ref = np.array([[[spec.q_vals[i, a, h] * grid.grid[a, h] ** (2 * k) / grid.omega[a, h]
-                          for k in range(nsep)] for h in range(p)] for a in range(nsep)])
+                          for h in range(p)] for k in range(nsep)] for a in range(nsep)])
         _assert_matrix_close(spec.pair_kets[i], ref, np.abs(ref))
 
 
@@ -481,8 +482,9 @@ def test_stacked_tables_on_solution(sol):
     params, spec = sol.params, sol.states
     d, nsep, p = params.dim, params.n_separate, params.p
     assert spec.q_vals.shape == spec.qbar_vals.shape == (d, nsep, p)
-    assert spec.ff_u_kets.shape == (d, params.n_sites, nsep, p, nsep)
-    assert spec.pair_kets.shape == (d, nsep, p, nsep)
+    assert spec.ff_u_kets.shape == (d, params.n_sites, nsep, nsep, p)
+    assert spec.pair_kets.shape == (d, nsep, nsep, p)
+    assert spec.ff_u_kets.flags.c_contiguous and spec.pair_kets.flags.c_contiguous
     assert spec.t_rows.shape == (d, params.n_bar + 1)
     for i, st in enumerate(eigenstates(sol)):
         assert np.array_equal(spec.q_vals[i], st.q_vals)

@@ -120,8 +120,8 @@ def test_eigenstate_arrays_are_read_only_fixed_width_rows(name, request):
     shapes = {"t_rows": (d, params.n_bar + 1), "theta_m": (d,), "R": (d, d), "L": (d, d),
               "q_poly": (d, K + 1), "qbar_poly": (d, K + 1 + N % p),
               "nullspace_dim": (d,), "fit_gap": (d,), "q_vals": (d, nsep, p),
-              "qbar_vals": (d, nsep, p), "ff_u_kets": (d, N, nsep, p, nsep),
-              "pair_kets": (d, nsep, p, nsep)}
+              "qbar_vals": (d, nsep, p), "ff_u_kets": (d, N, nsep, nsep, p),
+              "pair_kets": (d, nsep, nsep, p)}
     assert [f.name for f in dataclasses.fields(spec)] == list(shapes)
     assert len(spec) == d
     for field, shape in shapes.items():
@@ -131,6 +131,7 @@ def test_eigenstate_arrays_are_read_only_fixed_width_rows(name, request):
             arr[(0,) * arr.ndim] = 1
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(spec, field, None)
+    assert spec.ff_u_kets.flags.c_contiguous and spec.pair_kets.flags.c_contiguous
     rows = {"t_coeffs": spec.t_rows, "vec_right": spec.R.T, "vec_left": spec.L,
             "q_poly": spec.q_poly, "qbar_poly": spec.qbar_poly, "q_vals": spec.q_vals,
             "qbar_vals": spec.qbar_vals, "ff_u_ket": spec.ff_u_kets,
@@ -251,6 +252,9 @@ def test_separate_states_need_attached_q_data(cfg_b):
         ss.require_q_data(cfg_b.states.eigenstate(1), no_ket)
     with pytest.raises(SgSovError):
         ff.ff_u(cfg_b.params, cfg_b.basis, cfg_b.states.eigenstate(1), no_ket, 1)
+    no_qbar_poly = dataclasses.replace(cfg_b.states.eigenstate(0), qbar_poly=None)
+    with pytest.raises(SgSovError):
+        ss.attach_q_data(no_qbar_poly, cfg_b.basis)
     no_pair_ket = dataclasses.replace(cfg_b.states.eigenstate(0), pair_ket=None)
     with pytest.raises(SgSovError):
         ss.require_q_data(no_pair_ket)
