@@ -21,8 +21,7 @@ from .model_core import (Graded, OperatorLaurent, Monodromy, NotCentral,
                          average_value, average_value_dense)
 from .sov_basis import (SovGrid, SovBasis, SimplicityViolation,
                         DegenerateSpectrum, GaugeInconsistency, b_zeros,
-                        build_sov_basis, identity_resolution_sov,
-                        measure_weights_formula)
+                        build_sov_basis, identity_resolution_sov)
 from .spectrum import (Spectrum, TransferEigenstate, EmptyNullspace, ZeroReference,
                        diagonalize_transfer, check_functional_equation,
                        extract_Q_grid, fit_Q_polynomial, qbar_from_q)

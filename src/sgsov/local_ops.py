@@ -27,7 +27,7 @@ __all__ = [
     "reconstruct_v2k", "v_power_target", "fourier_degenerate", "v2k_fourier_weights",
     "q_number", "q_factorial", "q_multinomial", "q_multinomial_direct",
     "binvA_power_sov", "binvA_dense", "sov_charge_operators",
-    "elementary_O", "elementary_O_power", "o_action_weight", "o_action_weights",
+    "elementary_O", "elementary_O_power", "o_action_weights",
     "binvA_interpolation", "reduce_O_monomial", "ZERO_MONOMIAL",
     "cyclic_shift_permutation", "spanning_rank", "v2k_shift_sums",
 ]
@@ -285,7 +285,7 @@ def binvA_power_sov(params: ModelParams, basis: SovBasis, k: int, lam):
                 yield (first,) + rest
 
     tup = params.tuples                 # odd chains: one digit per separate variable
-    eta = basis.grid.grid_values
+    eta = basis.grid_values
     # the left action of every composition, <y_j| -> coeff_j <y_{j - alpha}|,
     # gathered into one (labels, d) array of shifted covectors
     shifted = np.zeros((d, d), dtype=complex)
@@ -401,17 +401,12 @@ def elementary_O_power(ops: mc.Graded, a: int, k: int, alpha: int) -> mc.Graded:
     return out
 
 
-def o_action_weight(params: ModelParams, grid: SovGrid, a: int, k: int, j: int):
-    """Left-action weight of the elementary operator on the covector with
-    label tuple j (nonzero only when that tuple sits at grid index k)."""
-    return complex(o_action_weights(params, grid, a, k)[j])
-
-
-def o_action_weights(params: ModelParams, grid: SovGrid, a: int, k: int):
-    """``o_action_weight`` of every label tuple, shape (d,)."""
-    vals = grid.grid_values
+def o_action_weights(basis: SovBasis, a: int, k: int):
+    """Left-action weight of the elementary operator O_{a,k} on the covector
+    of every label tuple, shape (d,); nonzero only where digit a is k."""
+    vals = basis.grid_values
     cross = cross_product(vals[:, a], vals.T, a)
-    return np.where(params.tuples[:, a] == k, grid.a_vals[a, k] / cross, 0.0)
+    return np.where(basis.params.tuples[:, a] == k, basis.grid.a_vals[a, k] / cross, 0.0)
 
 
 def binvA_interpolation(params: ModelParams, grid: SovGrid, charge_ops, lam, ops):

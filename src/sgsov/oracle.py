@@ -730,7 +730,7 @@ def _elementary_action_residual(params, basis, ops):
     down = params.shifted_indices(-1)
     left_norms = _rows_norm(basis.left)
     for a, k in np.ndindex(ops.blocks.shape[:2]):
-        tgt = lo.o_action_weights(params, basis.grid, a, k)[:, None] * basis.left[down[:, a]]
+        tgt = lo.o_action_weights(basis, a, k)[:, None] * basis.left[down[:, a]]
         worst = max(worst, float(np.max(_rows_norm(basis.left @ ops[a, k] - tgt)
                                         / (left_norms * mc.frob(ops[a, k])))))
     return worst

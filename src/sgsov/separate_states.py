@@ -76,7 +76,7 @@ def _materialize(basis: SovBasis, side, coeff, theta_m):
     params = basis.params
     nsep = params.n_separate
     # contiguous, so that each product over the variables rounds alike in a batch
-    w = basis.grid.vandermonde_weights * np.prod(np.ascontiguousarray(
+    w = basis.vandermonde_weights * np.prod(np.ascontiguousarray(
         coeff[..., np.arange(nsep)[None, :], params.tuples[:, :nsep]]), axis=-1)
     if params.even_chain:
         sign = 1 if side == "left" else -1

@@ -29,9 +29,8 @@ from . import model_core as mc
 __all__ = [
     "SovGrid", "SovBasis", "SimplicityViolation", "DegenerateSpectrum",
     "GaugeInconsistency", "b_zeros", "build_sov_basis",
-    "identity_resolution_sov", "measure_weights_formula",
-    "mjj_formula", "b_pattern", "vandermonde", "cross_product",
-    "rayleigh_pairings",
+    "identity_resolution_sov", "mjj_formula", "b_pattern", "vandermonde",
+    "cross_product", "rayleigh_pairings",
     "sov_diagonal", "moment_weights",
     "LABEL_TOL", "CALIBRATION_TOL",
 ]
@@ -96,7 +95,8 @@ def _read_only(x):
 @dataclass(frozen=True, eq=False)
 class SovGrid:
     """Zeros of the averaged B entry, the chosen p-th root grids and every
-    table of the determinant kernels that depends on them only.
+    table of the determinant kernels that depends on them only; none is
+    indexed by the p^N labels, which only ``SovBasis`` holds.
 
     ``z`` has length N; for an even chain the last entry is the reference
     variable fixed by the overall scale of the average rather than a root of
@@ -105,11 +105,8 @@ class SovGrid:
     The constructor also tabulates, on the separate-variable grids, the shift
     coefficients ``a_vals[a, h] = a(eta_a^{(h)})`` and ``d_vals``, shape
     (nsep, p), ``powers[k] = grid[:nsep] ** k`` up to the degree of Qbar, the
-    gauge table ``omega[a, h] = (eta_a^{(h)})**(nsep - 1)``, the reference
-    constant ``c_ref = (eta0_ref sqrt(p))**e_N`` of the closed-form measure,
-    and per label tuple j ``grid_values[j, a] = eta_a^{(h_a)}``, shape
-    (d, nsep), and ``vandermonde_weights[j]``, the squared-difference
-    Vandermonde of that row over the product of its gauge functions.
+    gauge table ``omega[a, h] = (eta_a^{(h)})**(nsep - 1)`` and the reference
+    constant ``c_ref = (eta0_ref sqrt(p))**e_N`` of the closed-form measure.
     The weight tables of the determinant kernels, which contract a Qbar table
     against a Q table, both (nsep, p), are:
     - ``pairing_weights[a, h, k] = eta_a^{(h)}**(2k) / omega[a, h]``, shape
@@ -133,8 +130,6 @@ class SovGrid:
     powers: np.ndarray = field(init=False)
     omega: np.ndarray = field(init=False)
     c_ref: complex = field(init=False)
-    grid_values: np.ndarray = field(init=False)
-    vandermonde_weights: np.ndarray = field(init=False)
     pairing_weights: np.ndarray = field(init=False)
     ff_u_pref: complex = field(init=False)
     ff_u_weights: np.ndarray = field(init=False)
@@ -152,11 +147,6 @@ class SovGrid:
         object.__setattr__(self, "omega", _read_only(grid[:nsep] ** (nsep - 1)))
         c_ref = complex((self.eta0[-1] * np.sqrt(params.p)) ** params.e_n)
         object.__setattr__(self, "c_ref", c_ref)
-        values = _read_only(grid[np.arange(nsep), params.tuples[:, :nsep]])
-        gauge = np.prod(self.omega[np.arange(nsep), params.tuples[:, :nsep]], axis=1)
-        object.__setattr__(self, "grid_values", values)
-        object.__setattr__(self, "vandermonde_weights",
-                           _read_only(vandermonde(values, squares=True) / gauge))
         object.__setattr__(self, "pairing_weights",
                            _read_only(moment_weights(self, range(0, 2 * nsep, 2))))
         object.__setattr__(self, "ff_u_pref", complex(
@@ -332,8 +322,13 @@ class SovBasis:
     ``label_mismatch`` is the worst relative mismatch between measured and
     predicted B-eigenvalue patterns of the labeling
     (bound ``LABEL_TOL``), ``calibration_residual`` the worst relative
-    residual of a calibration step (bound ``CALIBRATION_TOL``).  The tables
-    that depend on the grid only live on ``grid``."""
+    residual of a calibration step (bound ``CALIBRATION_TOL``).
+
+    The tables indexed by the labels live here, read-only, and the tables
+    that depend on the grid only live on ``grid``: per label tuple j
+    ``grid_values[j, a] = eta_a^{(h_a)}``, shape (d, nsep), and
+    ``vandermonde_weights[j]``, the squared-difference Vandermonde of that
+    row over the product of its gauge functions, shape (d,)."""
     params: ModelParams
     grid: SovGrid
     left: np.ndarray
@@ -342,6 +337,8 @@ class SovBasis:
     calibration_residual: float = 0.0
     mjj: np.ndarray = field(init=False)
     measure: np.ndarray = field(init=False)
+    grid_values: np.ndarray = field(init=False)
+    vandermonde_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         mjj = np.einsum("jd,dj->j", _read_only(self.left), _read_only(self.right))
@@ -349,6 +346,13 @@ class SovBasis:
             raise GaugeInconsistency("a diagonal pairing vanished; measure is singular")
         object.__setattr__(self, "mjj", _read_only(mjj))
         object.__setattr__(self, "measure", _read_only(1.0 / mjj))
+        nsep = self.params.n_separate
+        rows, tup = np.arange(nsep), self.params.tuples[:, :nsep]
+        values = _read_only(self.grid.grid[rows, tup])
+        gauge = np.prod(self.grid.omega[rows, tup], axis=1)
+        object.__setattr__(self, "grid_values", values)
+        object.__setattr__(self, "vandermonde_weights",
+                           _read_only(vandermonde(values, squares=True) / gauge))
 
     def shifted_index(self, j, a, delta) -> int:
         """Index of tuple j with digit a moved by ``delta``, one label at a
@@ -507,13 +511,7 @@ def build_sov_basis(params: ModelParams, mono, rng, grid: SovGrid = None,
 
 def mjj_formula(basis: SovBasis):
     """Closed form of the diagonal pairings in the reference gauge."""
-    return basis.grid.c_ref / vandermonde(basis.grid.grid_values)
-
-
-def measure_weights_formula(basis: SovBasis):
-    """Explicit identity-decomposition weights: squared-difference Vandermonde
-    over the gauge functions and the reference constant."""
-    return basis.grid.vandermonde_weights / basis.grid.c_ref
+    return basis.grid.c_ref / vandermonde(basis.grid_values)
 
 
 def sov_diagonal(basis: SovBasis, weights=1.0):

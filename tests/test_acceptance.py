@@ -259,9 +259,10 @@ def test_criterion_7_elementary_operators(desk_bundles):
             for k in range(p):
                 O = ops[(a, k)]
                 sc = np.linalg.norm(O)
+                weights = lo.o_action_weights(basis, a, k)
                 for j in range(d):
                     got = basis.left[j] @ O
-                    w = lo.o_action_weight(params, bundle.grid, a, k, j)
+                    w = weights[j]
                     tgt = w * basis.left[basis.shifted_index(j, a, -1)] \
                         if w else np.zeros_like(got)
                     worst = max(worst, float(np.linalg.norm(got - tgt)

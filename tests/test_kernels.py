@@ -16,7 +16,7 @@ from sgsov import separate_states as ss
 from sgsov import form_factors as ff
 from sgsov import local_ops as lo
 from sgsov import oracle
-from sgsov.sov_basis import SovGrid, cross_product, moment_weights, vandermonde
+from sgsov.sov_basis import SovBasis, SovGrid, cross_product, moment_weights, vandermonde
 
 from conftest import eigenstates
 
@@ -221,12 +221,19 @@ def test_weight_tables_are_built_read_only_by_the_constructor(sol, monkeypatch):
     fresh = SovGrid(params, grid.z, grid.eta0)
     sectors = p if params.even_chain else 1
     for name, shape in (("omega", (nsep, p)), ("pairing_weights", (nsep, p, nsep)),
-                        ("ff_u_weights", (n_sites, sectors, nsep, p, p, nsep)),
-                        ("grid_values", (params.dim, nsep)),
-                        ("vandermonde_weights", (params.dim,))):
+                        ("ff_u_weights", (n_sites, sectors, nsep, p, p, nsep))):
         table = vars(fresh)[name]          # an instance field, not built on use
         assert table.shape == shape
         assert np.array_equal(table, getattr(grid, name))
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 1.0
+    # the tables indexed by the labels live on the basis
+    fresh_basis = SovBasis(params, grid, basis.left, basis.right)
+    for name, shape in (("grid_values", (params.dim, nsep)),
+                        ("vandermonde_weights", (params.dim,))):
+        table = vars(fresh_basis)[name]
+        assert table.shape == shape
+        assert np.array_equal(table, getattr(basis, name))
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 1.0
     assert vars(fresh)["c_ref"] == grid.c_ref == (grid.eta0[-1] * np.sqrt(p)) ** params.e_n

@@ -279,9 +279,10 @@ def test_elementary_action_weights(desk_bundles):
             for k in range(params.p):
                 O = lo.elementary_O(params, bundle.grid, bundle.charge_ops, a, k, mono).dense()
                 sc = np.linalg.norm(O)
+                weights = lo.o_action_weights(basis, a, k)
                 for j in range(params.dim):
                     got = basis.left[j] @ O
-                    w = lo.o_action_weight(params, bundle.grid, a, k, j)
+                    w = weights[j]
                     tgt = w * basis.left[basis.shifted_index(j, a, -1)] \
                         if w else np.zeros_like(got)
                     assert np.linalg.norm(got - tgt) <= \

@@ -115,9 +115,10 @@ def _elementary_action_ref(params, basis, ops):
         for k in range(params.p):
             O = ops[a, k]
             sc = np.linalg.norm(O)
+            weights = lo.o_action_weights(basis, a, k)
             for j in range(params.dim):
                 got = basis.left[j] @ O
-                w = lo.o_action_weight(params, basis.grid, a, k, j)
+                w = weights[j]
                 tgt = w * basis.left[basis.shifted_index(j, a, -1)] if w else 0 * got
                 worst = max(worst, float(np.linalg.norm(got - tgt)
                                          / (np.linalg.norm(basis.left[j]) * sc)))

@@ -96,7 +96,8 @@ def test_solution_and_basis_are_frozen(cfg_b):
 def test_basis_and_grid_arrays_are_read_only(name, request):
     basis = request.getfixturevalue(name).basis
     grid = basis.grid
-    arrays = {f: getattr(basis, f) for f in ("left", "right", "mjj", "measure")}
+    arrays = {f: getattr(basis, f) for f in ("left", "right", "mjj", "measure", "grid_values",
+                                             "vandermonde_weights")}
     arrays.update({f"grid.{f}": getattr(grid, f)
                    for f in ("z", "eta0", "grid", "a_vals", "d_vals", "powers", "omega",
                              "pairing_weights", "ff_u_weights")})

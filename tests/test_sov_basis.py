@@ -291,7 +291,7 @@ def test_identity_resolution(desk_bundles):
 def test_identity_resolution_explicit_weights(desk_bundles):
     for bundle in desk_bundles.values():
         basis = bundle.basis
-        w = sb.measure_weights_formula(basis)
+        w = basis.vandermonde_weights / basis.grid.c_ref
         ident = (basis.right * w[None, :]) @ basis.left
         d = bundle.params.dim
         assert mc.frob(ident - np.eye(d)) <= 1e-8 * d
@@ -324,6 +324,19 @@ def test_b_zeros_well_conditioned_on_long_chain(monkeypatch):
     ref = abs(mc.average_value(params, "B", 1.5 * np.max(np.abs(grid.z))))
     for z in grid.z:
         assert abs(mc.average_value(params, "B", z)) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("n_sites", [12, 13])
+def test_b_zeros_builds_no_table_per_label(n_sites):
+    # the grid holds no table indexed by the p^N labels and never builds
+    # them: on the ladder chain at N = 13 a (p^N, nsep) table would have
+    # 2.1e7 entries, against at most N^3 p^3 for every grid table
+    k = np.arange(n_sites)
+    params = ModelParams(n_sites, 3, 2, kappa=1j * (0.7 + 0.1 * k), xi=0.85 + 0.06 * k)
+    grid = sb.b_zeros(params)
+    sizes = {f: a.size for f, a in vars(grid).items() if isinstance(a, np.ndarray)}
+    assert max(sizes.values()) <= (n_sites * params.p) ** 3, sizes
+    assert "tuples" not in vars(params)
 
 
 @pytest.mark.parametrize("n_sites, p, kappa, xi", [
