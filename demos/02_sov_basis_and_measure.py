@@ -4,7 +4,7 @@
 import numpy as np
 
 from sgsov import ModelParams, monodromy, b_zeros, build_sov_basis
-from sgsov.sov_basis import mjj_formula, identity_resolution_sov
+from sgsov.sov_basis import mjj_formula, sov_diagonal
 from sgsov.model_core import frob
 
 params = ModelParams(3, 3, 2, kappa=[1.1j, 1.3j, 0.7j], xi=[1.0, 1.2, 0.9])
@@ -32,6 +32,6 @@ for j in (0, 5, 13, 26):
     tup = "".join(map(str, params.tuples[j]))
     print(f"  labels {tup}: weight = {basis.measure[j]:.6f}")
 
-ident = identity_resolution_sov(basis)
+ident = sov_diagonal(basis)   # sum_j |j><j| / <j|j>
 print(f"\nresolution of the identity: |sum - 1| = "
       f"{frob(ident - np.eye(params.dim)):.2e}")

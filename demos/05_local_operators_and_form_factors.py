@@ -24,7 +24,7 @@ covs, vecs = sol.covs, sol.vecs
 
 u1 = embedded_u(params, 1)
 print("\nform factors of the first-site shift generator (determinant vs dense):")
-dets = ff_u_table(params, sol.grid, sol.states, 1)[0]    # every pair, one batch
+dets = ff_u_table(sol.grid, sol.states, 1)[0]    # every pair, one batched table
 worst = 0.0
 for i in range(27):
     for j in range(27):
@@ -36,7 +36,7 @@ print(f"  all {27 * 27} pairs agree; worst relative deviation = {worst:.2e}")
 
 elem = ElementaryBasisElement(((0, 1, 1), (1, 2, 1)))
 dense_op = elem.to_dense(params, sol.charge_ops, sol.elementary_ops)
-det = ff_elementary_table(params, sol.grid, sol.states, elem, [3], [11])[0][0, 0]
+det = ff_elementary_table(sol.grid, sol.states, elem, [3], [11])[0][0, 0]
 dense = covs[3] @ dense_op @ vecs[11]
 print(f"\ntwo-variable elementary monomial between states 3 and 11:")
 print(f"  determinant {det:+.6e}   dense {dense:+.6e}")

@@ -21,13 +21,13 @@ from .model_core import (Graded, OperatorLaurent, Monodromy, NotCentral,
                          average_value, average_value_dense)
 from .sov_basis import (SovGrid, SovBasis, SimplicityViolation,
                         DegenerateSpectrum, GaugeInconsistency, b_zeros,
-                        build_sov_basis, identity_resolution_sov)
+                        build_sov_basis)
 from .spectrum import (Spectrum, TransferEigenstate, EmptyNullspace, ZeroReference,
                        diagonalize_transfer, check_functional_equation,
                        extract_Q_grid, fit_Q_polynomial, qbar_from_q)
 from .separate_states import (SeparateState, IncompleteSpectrum, materialize,
                               scalar_product_det, phi_moments, phi_general,
-                              phi_matrix, eigen_action, eigen_action_table,
+                              phi_matrix, pair_table, eigen_action, eigen_action_table,
                               identity_resolution_T,
                               attach_q_data, eigenstate_separate_states,
                               eigen_dense, Solution, prepare)
@@ -40,7 +40,7 @@ from .local_ops import (SingularMatrix, ShiftedMonodromy,
                         spanning_rank, v2k_shift_sums)
 from .form_factors import (FormFactorResult, ShiftUnavailable, ff_u, ff_u_table,
                            ff_elementary, ff_elementary_table, npoint, shift_eigenvalues)
-from .oracle import (ComparisonReport, direct_matrix_element, verify_suite,
+from .oracle import (ComparisonReport, verify_suite,
                      verify_solution, reports_to_jsonl, DEFAULT_TOLERANCES)
 
 __version__ = "0.1.0"

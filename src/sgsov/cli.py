@@ -251,16 +251,14 @@ def cmd_ff(params, seed, tolerances, writer, kind, site, factors, ops):
         return EXIT_OK if passed.all() else EXIT_CHECK_FAILED
     if kind == "u":
         dense_op, tol_key = mc.embedded_u(params, site), "ff_u"
-        ratio = None
-        if site != 1:
-            phi = ffm.shift_eigenvalues(sol, lo.cyclic_shift_permutation(params, site))
-            ratio = phi[:, None] / phi[None, :]
-        values, zeros = ffm.ff_u_table(params, grid, spec, site, shift_ratio=ratio)
+        shift = None if site == 1 else ffm.shift_eigenvalues(
+            sol, lo.cyclic_shift_permutation(params, site))
+        values, zeros = ffm.ff_u_table(grid, spec, site, shift)
     elif kind == "elementary":
         elem = lo.ElementaryBasisElement(tuple(factors))
         dense_op = elem.to_dense(params, sol.charge_ops, sol.elementary_ops)
         tol_key = "ff_elementary"
-        values, zeros = ffm.ff_elementary_table(params, grid, spec, elem)
+        values, zeros = ffm.ff_elementary_table(grid, spec, elem)
     else:
         raise ConfigError(f"unknown form-factor kind '{kind}'")
     dense, rel = oracle.table_rel_err(sol, dense_op, values)

@@ -17,7 +17,7 @@ from .params import ModelParams, SgSovError
 from .sov_basis import SovBasis, SovGrid, cross_product, vandermonde
 from .spectrum import Spectrum, TransferEigenstate
 from .separate_states import (IncompleteSpectrum, _cmul, _ket_dets, _ket_matrices,
-                              bra_blocks, phi_moments, require_q_data, sector_zero)
+                              pair_table, phi_moments, require_q_data, sector_zero)
 from .local_ops import ElementaryBasisElement
 
 __all__ = [
@@ -45,17 +45,17 @@ def shift_eigenvalues(sol, w_matrix):
         / np.sum(sol.covs * sol.vecs, axis=1)
 
 
-def _require_shift(params: ModelParams, n: int, shift_ratio):
-    """Raise unless n is a site of the chain and, for n > 1, the chain-shift
-    eigenvalue ratio is given."""
+def _require_shift(params: ModelParams, n: int, shift):
+    """Raise unless n is a site of the chain and, for n > 1, the chain is
+    homogeneous and its chain-shift eigenvalues ``shift`` are given."""
     if not 1 <= n <= params.n_sites:
         raise IndexError(f"site index {n} out of range 1..{params.n_sites}")
-    if n != 1 and shift_ratio is None:
-        if not params.homogeneous:
-            raise ShiftUnavailable(
-                "site shifts need the chain-shift eigenvalue ratio, computable "
-                "on homogeneous chains only")
-        raise ShiftUnavailable("pass shift_ratio for n > 1")
+    if n != 1 and not params.homogeneous:
+        raise ShiftUnavailable(
+            "site shifts need the per-state chain-shift eigenvalue, which exists "
+            "on homogeneous chains only")
+    if n != 1 and shift is None:
+        raise ShiftUnavailable("pass the per-state chain-shift eigenvalues for n > 1")
 
 
 def _u_step(n: int):
@@ -70,8 +70,8 @@ def ff_u(params: ModelParams, basis: SovBasis, bra: TransferEigenstate,
     ``basis.grid.ff_u_pref`` times the determinant of the matrix (kept by
     ``keep_matrix``) that differs from the moment matrix in its last column.
 
-    For n > 1 the prefactor ratio of chain-shift eigenvalues must be supplied
-    (available on homogeneous chains)."""
+    For n > 1 the ratio ``shift_ratio`` of the bra's and the ket's chain-shift
+    eigenvalues must be supplied (they exist on homogeneous chains only)."""
     if bra.qbar_vals is None or ket.ff_u_ket is None:
         require_q_data(bra, ket)      # the per-pair path checks only the two tables it reads
     _require_shift(params, n, shift_ratio)
@@ -84,24 +84,21 @@ def ff_u(params: ModelParams, basis: SovBasis, bra: TransferEigenstate,
     return FormFactorResult(value, matrix=U if keep_matrix else None)
 
 
-def ff_u_table(params: ModelParams, grid: SovGrid, spec: Spectrum, n: int = 1,
-               shift_ratio=None, bras=slice(None), kets=slice(None)):
-    """``ff_u`` from the rows ``bras`` to the rows ``kets`` of ``spec`` (index
-    arrays or slices, all rows by default), as one batched determinant per
-    block of bras against the kets' ``ff_u_kets``, and the mask of the
-    selection zeros.  For n > 1, ``shift_ratio`` holds the chain-shift
-    eigenvalue ratio of each pair (or broadcasts to that shape)."""
-    _require_shift(params, n, shift_ratio)
-    qbar, ket = spec.qbar_vals[bras], spec.ff_u_kets[kets, n - 1]
-    values = np.empty((len(qbar), len(ket)), dtype=complex)
-    for rows in bra_blocks(len(qbar)):
-        values[rows] = _ket_dets(qbar[rows, None], ket[None])
-    values = _cmul(grid.ff_u_pref, values)
-    if shift_ratio is not None:
-        values = _cmul(np.asarray(shift_ratio), values)
-    zero = np.broadcast_to(sector_zero(params, spec.theta_m[bras][:, None],
-                                       spec.theta_m[kets][None], _u_step(n)), values.shape)
-    return np.where(zero, 0.0, values), zero
+def ff_u_table(grid: SovGrid, spec: Spectrum, n: int = 1, shift=None,
+               bras=slice(None), kets=slice(None)):
+    """``ff_u`` from the rows ``bras`` to the rows ``kets`` of ``spec`` (all
+    rows by default), as a ``pair_table`` of batched determinants against the
+    kets' ``ff_u_kets``, and the mask of the selection zeros.  For n > 1,
+    ``shift`` holds the chain-shift eigenvalue of each row of ``spec``, shape
+    (d,); each pair is scaled by the bra's over the ket's."""
+    _require_shift(grid.params, n, shift)
+
+    def values_of(b, k):
+        values = _cmul(grid.ff_u_pref, _ket_dets(spec.qbar_vals[b][:, None],
+                                                 spec.ff_u_kets[k, n - 1][None]))
+        return values if shift is None else _cmul(shift[b][:, None] / shift[k][None], values)
+
+    return pair_table(grid.params, spec, bras, kets, _u_step(n), values_of)
 
 
 # ---------------------------------------------------------------------------
@@ -188,17 +185,14 @@ def ff_elementary(params: ModelParams, grid: SovGrid,
     return FormFactorResult(value[()], matrix=M if keep_matrix else None)
 
 
-def ff_elementary_table(params: ModelParams, grid: SovGrid, spec: Spectrum,
-                        elem: ElementaryBasisElement, bras=slice(None), kets=slice(None)):
+def ff_elementary_table(grid: SovGrid, spec: Spectrum, elem: ElementaryBasisElement,
+                        bras=slice(None), kets=slice(None)):
     """``ff_elementary`` from the rows ``bras`` to the rows ``kets`` of
-    ``spec`` (index arrays or slices, all rows by default), through the same
-    kernel on the stacked tables, and the mask of the selection zeros."""
-    theta_ket = spec.theta_m[kets]
-    values = _ff_elementary_values(params, grid, spec.qbar_vals[bras][:, None],
-                                   spec.q_vals[kets][None], theta_ket, elem)[0]
-    zero = np.broadcast_to(sector_zero(params, spec.theta_m[bras][:, None], theta_ket[None],
-                                       elem.theta_pow), values.shape)
-    return np.where(zero, 0.0, values), zero
+    ``spec`` (all rows by default), as a ``pair_table`` of the same kernel
+    on the stacked tables, and the mask of the selection zeros."""
+    return pair_table(grid.params, spec, bras, kets, elem.theta_pow, lambda b, k: (
+        _ff_elementary_values(grid.params, grid, spec.qbar_vals[b][:, None],
+                              spec.q_vals[k][None], spec.theta_m[k], elem)[0]))
 
 
 # ---------------------------------------------------------------------------

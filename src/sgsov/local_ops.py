@@ -503,9 +503,6 @@ class ElementaryBasisElement:
         if sorted(avars) != avars or len(set(avars)) != len(avars):
             raise ValueError("factor variables must be strictly ascending")
 
-    def total_power(self):
-        return sum(f[2] for f in self.factors)
-
     def to_dense(self, params: ModelParams, charge_ops, ops):
         """Dense operator of the monomial, its factors read from the graded
         table ``ops[a, k]`` = O_{a,k} and its even-chain charge dressing

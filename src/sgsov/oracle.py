@@ -26,7 +26,7 @@ from . import separate_states as ss
 from . import form_factors as ffm
 from . import local_ops as lo
 
-__all__ = ["ComparisonReport", "direct_matrix_element", "verify_suite", "verify_solution",
+__all__ = ["ComparisonReport", "verify_suite", "verify_solution",
            "section_reports", "reports_to_jsonl", "table_rel_err", "npoint_errors",
            "DEFAULT_TOLERANCES", "NOT_ERROR_BOUNDS"]
 
@@ -118,17 +118,6 @@ def npoint_errors(sol, ops, index):
     scale = np.maximum(np.abs(dense), np.linalg.norm(covs, axis=1)
                        * np.linalg.norm(vecs, axis=1) / np.abs(norms))
     return values, dense, err, err / scale
-
-
-def direct_matrix_element(left_state, operator, right_state):
-    """Covector . matrix . vector with shape validation."""
-    left_state = np.asarray(left_state)
-    right_state = np.asarray(right_state)
-    operator = np.asarray(operator)
-    if operator.shape != (left_state.size, right_state.size):
-        raise ValueError(
-            f"dimension mismatch: {left_state.size} x {operator.shape} x {right_state.size}")
-    return complex(left_state @ operator @ right_state)
 
 
 class _Suite:
@@ -327,7 +316,7 @@ def _sov_section(s, sol):
             "measure")
     s.check("measure_nonzero", 0.0 if np.min(np.abs(basis.measure)) > 0 else 1.0,
             "measure")
-    ident = sb.identity_resolution_sov(basis)
+    ident = sb.sov_diagonal(basis)
     s.check("sov_identity", mc.frob(ident - np.eye(d)) / d, "sov_identity")
     # gauge cycles
     for a in range(nsep):
@@ -629,7 +618,7 @@ def _ff_section(s, sol):
     d = params.dim
     u1 = mc.embedded_u(params, 1)
 
-    det = ffm.ff_u_table(params, sol.grid, sol.states, 1)[0]
+    det = ffm.ff_u_table(sol.grid, sol.states, 1)[0]
     s.check("ff_u_full_sweep", float(np.max(table_rel_err(sol, u1, det)[1])), "ff_u",
             pairs=d * d)
 
@@ -645,7 +634,7 @@ def _ff_section(s, sol):
     for e_idx, elem in enumerate(elems):
         # the sampled pairs are the diagonal of the table over the sampled states
         dense_op = elem.to_dense(params, sol.charge_ops, sol.elementary_ops)
-        det = ffm.ff_elementary_table(params, sol.grid, sol.states, elem, bras, kets)[0]
+        det = ffm.ff_elementary_table(sol.grid, sol.states, elem, bras, kets)[0]
         err = table_rel_err(sol, dense_op, det, bras, kets)[1]
         s.check(f"ff_elementary[{e_idx}]", float(np.max(np.diagonal(err))),
                 "ff_elementary", factors=str(elem.factors))

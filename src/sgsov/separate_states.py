@@ -27,7 +27,7 @@ from .spectrum import (Spectrum, TransferEigenstate, fit_Q_polynomials, power_su
 __all__ = [
     "SeparateState", "IncompleteSpectrum", "materialize",
     "scalar_product_det", "phi_moments", "phi_general", "phi_matrix",
-    "sector_zero", "eigen_action", "eigen_action_table",
+    "sector_zero", "pair_table", "eigen_action", "eigen_action_table",
     "identity_resolution_T", "attach_q_data", "attach_q_tables", "require_q_data",
     "eigenstate_separate_states", "eigen_dense", "t_coeff_null_vector",
     "Solution", "prepare",
@@ -216,15 +216,29 @@ def eigen_action(basis: SovBasis, bra: TransferEigenstate,
     return grid.c_ref * _ket_dets(bra.qbar_vals, ket.pair_ket)
 
 
-def eigen_action_table(grid: SovGrid, spec: Spectrum, bras=slice(None), kets=slice(None)):
-    """Pairings <bra|ket> from the rows ``bras`` to the rows ``kets`` of
-    ``spec`` (index arrays or slices, all rows by default), as one batched
-    determinant, and the mask of the pairs that the sector rule zeroes."""
-    values = _cmul(grid.c_ref, _ket_dets(spec.qbar_vals[bras][:, None],
-                                         spec.pair_kets[kets][None]))
-    zero = np.broadcast_to(sector_zero(grid.params, spec.theta_m[bras][:, None],
-                                       spec.theta_m[kets][None]), values.shape)
+def pair_table(params: ModelParams, spec: Spectrum, bras, kets, step, values_of):
+    """The table of matrix elements from the rows ``bras`` to the rows
+    ``kets`` of ``spec`` (index arrays, repeats allowed, or slices), and the
+    mask of the pairs that the sector rule at charge step ``step`` zeroes.
+    ``values_of(b, k)`` gives the values of the bra rows ``b`` against the
+    ket rows ``k`` (index arrays into ``spec``); it is called on blocks of at
+    most ``BRA_BLOCK`` bras, so its temporaries stay bounded."""
+    index = np.arange(len(spec))
+    bras, kets = index[bras], index[kets]
+    values = np.empty((len(bras), len(kets)), dtype=complex)
+    for rows in bra_blocks(len(bras)):
+        values[rows] = values_of(bras[rows], kets)
+    zero = np.broadcast_to(sector_zero(params, spec.theta_m[bras][:, None],
+                                       spec.theta_m[kets][None], step), values.shape)
     return np.where(zero, 0.0, values), zero
+
+
+def eigen_action_table(grid: SovGrid, spec: Spectrum, bras=slice(None), kets=slice(None)):
+    """``eigen_action`` from the rows ``bras`` to the rows ``kets`` of
+    ``spec`` (all rows by default), as a ``pair_table`` of batched
+    determinants, and the mask of the pairs that the sector rule zeroes."""
+    return pair_table(grid.params, spec, bras, kets, 0, lambda b, k: _cmul(
+        grid.c_ref, _ket_dets(spec.qbar_vals[b][:, None], spec.pair_kets[k][None])))
 
 
 def eigen_dense(spec: Spectrum, basis: SovBasis):

@@ -28,9 +28,8 @@ from . import model_core as mc
 
 __all__ = [
     "SovGrid", "SovBasis", "SimplicityViolation", "DegenerateSpectrum",
-    "GaugeInconsistency", "b_zeros", "build_sov_basis",
-    "identity_resolution_sov", "mjj_formula", "b_pattern", "vandermonde",
-    "cross_product", "rayleigh_pairings",
+    "GaugeInconsistency", "b_zeros", "build_sov_basis", "mjj_formula",
+    "b_pattern", "vandermonde", "cross_product", "rayleigh_pairings",
     "sov_diagonal", "moment_weights",
     "LABEL_TOL", "CALIBRATION_TOL",
 ]
@@ -519,7 +518,3 @@ def sov_diagonal(basis: SovBasis, weights=1.0):
     basis with the eigenvalue weights[j] on label j."""
     return (basis.right * (weights * basis.measure)) @ basis.left
 
-
-def identity_resolution_sov(basis: SovBasis):
-    """Sum of measure-weighted outer products; equals the identity."""
-    return sov_diagonal(basis)

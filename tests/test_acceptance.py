@@ -89,7 +89,7 @@ def test_criterion_2_sov_basis(desk_bundles):
         worst_orth = max(worst_orth, float(np.max(np.abs(off) / (nl[:, None] * nr[None, :]))))
         mf = sb.mjj_formula(basis)
         worst_measure = max(worst_measure, float(np.max(np.abs(basis.mjj - mf) / np.abs(mf))))
-        ident = sb.identity_resolution_sov(basis)
+        ident = sb.sov_diagonal(basis)
         worst_ident = max(worst_ident, mc.frob(ident - np.eye(d)) / d)
     _report(2, "B-eigenvalue patterns", worst_pattern, 1e-8)
     _report(2, "left/right biorthogonality", worst_orth, 1e-9)

@@ -83,9 +83,16 @@ def test_ff_u_shifted_site_homogeneous(hom3):
 
 
 def test_ff_u_shifted_site_requires_homogeneity(cfg_a):
+    params, spec = cfg_a.params, cfg_a.states
+    bra, ket = spec.eigenstate(0), spec.eigenstate(1)
     with pytest.raises(ff.ShiftUnavailable):
-        ff.ff_u(cfg_a.params, cfg_a.basis, cfg_a.states.eigenstate(0),
-                cfg_a.states.eigenstate(1), 2)
+        ff.ff_u(params, cfg_a.basis, bra, ket, 2)
+    # W does not commute with T on cfg_a, so no chain-shift eigenvalue exists:
+    # a shift passed anyway must not yield numbers
+    with pytest.raises(ff.ShiftUnavailable):
+        ff.ff_u(params, cfg_a.basis, bra, ket, 2, shift_ratio=1.0)
+    with pytest.raises(ff.ShiftUnavailable):
+        ff.ff_u_table(cfg_a.grid, spec, 2, shift=np.ones(params.dim))
 
 
 def test_shift_eigenvalue_diagnostic_homogeneous(hom3):
@@ -125,8 +132,9 @@ def test_ff_elementary_two_variable_cases(cfg_a):
              lo.ElementaryBasisElement(((1, 0, 1), (2, 1, 2)))]
     states = eigenstates(cfg_a)
     for elem in cases:
-        size = params.n_separate + len(elem.factors) * params.p - elem.total_power()
-        assert size == 3 + 2 * 3 - elem.total_power()
+        total_power = sum(alpha for _, _, alpha in elem.factors)
+        size = params.n_separate + len(elem.factors) * params.p - total_power
+        assert size == 3 + 2 * 3 - total_power
         dense_op = elem.to_dense(params, cfg_a.charge_ops, cfg_a.elementary_ops)
         opn = np.linalg.norm(dense_op)
         for i in range(0, d, 5):
@@ -207,7 +215,7 @@ def test_npoint_two_point_expansion(desk_bundles):
 def test_npoint_two_point_with_determinant_route(cfg_a):
     params, grid = cfg_a.params, cfg_a.grid
     u1 = embedded_u(cfg_a.params, 1)
-    det_table = ff.ff_u_table(params, grid, cfg_a.states, 1)[0]
+    det_table = ff.ff_u_table(grid, cfg_a.states, 1)[0]
     val = ff.npoint(cfg_a, 2, [det_table, det_table])
     dense = (cfg_a.covs[2] @ u1 @ u1 @ cfg_a.vecs[2]) / cfg_a.norms[2]
     assert abs(val - dense) <= 1e-6 * max(abs(dense), 1e-300)
@@ -250,9 +258,9 @@ def test_bra_blocks_leave_the_pair_tables_unchanged(cfg_a, monkeypatch):
     # size of the bra blocks moves no value
     from sgsov import oracle
     params, grid, spec = cfg_a.params, cfg_a.grid, cfg_a.states
-    values = ff.ff_u_table(params, grid, spec, 1)[0]
+    values = ff.ff_u_table(grid, spec, 1)[0]
     rows = [r.row() for r in oracle.verify_solution(cfg_a, sections={"scalar"})]
     monkeypatch.setattr(ss, "BRA_BLOCK", 5)
     assert len(ss.bra_blocks(params.dim)) == 6
-    assert np.array_equal(ff.ff_u_table(params, grid, spec, 1)[0], values)
+    assert np.array_equal(ff.ff_u_table(grid, spec, 1)[0], values)
     assert [r.row() for r in oracle.verify_solution(cfg_a, sections={"scalar"})] == rows

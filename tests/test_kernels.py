@@ -398,7 +398,7 @@ def test_ff_elementary_matches_scalar_formula(sol):
 
 def test_ff_u_table_equals_per_pair_calls(sol):
     params, basis, states = sol.params, sol.basis, eigenstates(sol)
-    values, zeros = ff.ff_u_table(params, sol.grid, sol.states, 1)
+    values, zeros = ff.ff_u_table(sol.grid, sol.states, 1)
     per_pair = [[ff.ff_u(params, basis, bra, ket, 1) for ket in states] for bra in states]
     assert values.shape == zeros.shape == (params.dim, params.dim)
     # the same operations in the same order: bit-identical
@@ -412,7 +412,7 @@ def test_ff_elementary_table_equals_per_pair_calls(sol):
     # every pair; every tenth bra on the d = 125 chain
     rows = slice(None) if params.dim <= 27 else slice(None, None, 10)
     for elem in _elements(params):
-        values, zeros = ff.ff_elementary_table(params, grid, sol.states, elem, rows)
+        values, zeros = ff.ff_elementary_table(grid, sol.states, elem, rows)
         per_pair = [[ff.ff_elementary(params, grid, bra, ket, elem) for ket in states]
                     for bra in states[rows]]
         assert values.shape == zeros.shape == (len(states[rows]), params.dim)
@@ -425,11 +425,10 @@ def test_ff_elementary_table_equals_per_pair_calls(sol):
 def test_ff_u_table_at_a_shifted_site(hom3):
     params, basis, states = hom3.params, hom3.basis, eigenstates(hom3)
     with pytest.raises(ff.ShiftUnavailable):
-        ff.ff_u_table(params, hom3.grid, hom3.states, 2)
+        ff.ff_u_table(hom3.grid, hom3.states, 2)
     shift = np.linspace(0.5, 1.5, params.dim) * np.exp(1j * np.arange(params.dim))
     ratio = shift[:, None] / shift[None, :]
-    values, _ = ff.ff_u_table(params, hom3.grid, hom3.states, 2, shift_ratio=ratio[:4],
-                              bras=slice(0, 4))
+    values, _ = ff.ff_u_table(hom3.grid, hom3.states, 2, shift, bras=slice(0, 4))
     for i in range(4):
         for j, ket in enumerate(states):
             ref = ff.ff_u(params, basis, states[i], ket, 2, shift_ratio=ratio[i, j]).value
@@ -443,7 +442,7 @@ def test_ff_u_rejects_a_site_outside_the_chain(hom3, n):
     with pytest.raises(IndexError):
         ff.ff_u(params, hom3.basis, spec.eigenstate(0), spec.eigenstate(1), n, shift_ratio=1.0)
     with pytest.raises(IndexError):
-        ff.ff_u_table(params, hom3.grid, spec, n, shift_ratio=1.0)
+        ff.ff_u_table(hom3.grid, spec, n, shift=np.ones(params.dim))
 
 
 def test_eigen_action_table_equals_per_pair_calls(sol):
@@ -454,6 +453,41 @@ def test_eigen_action_table_equals_per_pair_calls(sol):
     assert np.array_equal(zeros, params.even_chain & ((theta[:, None] - theta) % params.p != 0))
     assert np.all(values[zeros] == 0.0) and np.all(ref[zeros] == 0.0)
     assert np.array_equal(values, ref)
+
+
+@pytest.mark.parametrize("chain", ["cfg_a", "cfg_b"])   # odd, d = 27; even, d = 9
+def test_every_pair_table_forms_at_most_bra_block_bras(chain, request, hom3, monkeypatch):
+    sol = request.getfixturevalue(chain)
+    grid, spec = sol.grid, sol.states
+    shift = ff.shift_eigenvalues(hom3, lo.cyclic_shift_permutation(hom3.params, 2))
+
+    def tables():
+        out = [ss.eigen_action_table(grid, spec), ff.ff_u_table(grid, spec, 1),
+               ff.ff_u_table(hom3.grid, hom3.states, 2, shift)]
+        return out + [ff.ff_elementary_table(grid, spec, elem) for elem in _elements(sol.params)]
+
+    single = tables()           # the default BRA_BLOCK of 64: one block
+    # repeated index rows read the rows of the full table
+    rows = np.array([3, 3, 0, 8])
+    assert np.array_equal(ss.eigen_action_table(grid, spec, rows, rows[::-1])[0],
+                          single[0][0][rows][:, rows[::-1]])
+    bras = []
+
+    def spy(kernel, qbar_arg):
+        # the Qbar tables of the bras, stacked (bras, 1, nsep, p)
+        def counted(*args):
+            bras.append(len(args[qbar_arg]))
+            return kernel(*args)
+        return counted
+
+    for module in (ss, ff):       # form_factors imports the kernel by name
+        monkeypatch.setattr(module, "_ket_dets", spy(ss._ket_dets, 0))
+    monkeypatch.setattr(ff, "_ff_elementary_values", spy(ff._ff_elementary_values, 2))
+    monkeypatch.setattr(ss, "BRA_BLOCK", 4)
+    blocked = tables()
+    assert bras and max(bras) <= 4
+    for (values, zeros), (ref, ref_zeros) in zip(blocked, single):
+        assert np.array_equal(values, ref) and np.array_equal(zeros, ref_zeros)
 
 
 @pytest.mark.parametrize("chain", ["cfg_b", "cfg_a"])   # even; odd
@@ -472,12 +506,12 @@ def test_determinant_kernels_make_no_einsum_call(chain, request, monkeypatch):
     bra, ket = spec.eigenstate(1), spec.eigenstate(2)
     ff.ff_u(params, basis, bra, ket, 1)
     ss.eigen_action(basis, bra, ket)
-    ff.ff_u_table(params, grid, spec, 1, bras=slice(0, 3))
+    ff.ff_u_table(grid, spec, 1, bras=slice(0, 3))
     ss.eigen_action_table(grid, spec, slice(0, 3))
     ss.phi_moments(grid, bra.qbar_vals, ket.q_vals, [0, 2, 5])
     for elem in _elements(params):
         ff.ff_elementary(params, grid, bra, ket, elem)
-        ff.ff_elementary_table(params, grid, spec, elem, slice(0, 3))
+        ff.ff_elementary_table(grid, spec, elem, slice(0, 3))
 
 
 def test_eigen_dense_norms_equal_per_state_pairings(sol):

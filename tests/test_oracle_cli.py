@@ -20,27 +20,16 @@ from sgsov.local_ops import SingularMatrix
 from sgsov.cli import main, load_config, ConfigError, EXIT_CLOSED_OUTPUT
 
 
-def test_direct_matrix_element_identity(cfg_a):
-    cov, vec = cfg_a.covs[3], cfg_a.vecs[3]
-    me = oracle.direct_matrix_element(cov, np.eye(cfg_a.params.dim), vec)
-    assert abs(me - cov @ vec) <= 1e-12 * abs(me)
-
-
-def test_direct_matrix_element_eigen_relation(cfg_a):
+def test_transfer_acts_on_eigenstate_vectors_by_its_eigenvalue(cfg_a):
     lam = cfg_a.params.spectral_samples(cfg_a.rng(601), 1)[0]
     T = mc.transfer(cfg_a.mono, lam)
     for i, j in ((0, 0), (2, 5)):
-        me = oracle.direct_matrix_element(cfg_a.covs[i], T, cfg_a.vecs[j])
+        me = complex(cfg_a.covs[i] @ T @ cfg_a.vecs[j])
         pairing = cfg_a.covs[i] @ cfg_a.vecs[j]
         expect = sp.eval_t(cfg_a.states.t_rows[j], lam) * pairing
         scale = max(abs(me), mc.frob(T) * np.linalg.norm(cfg_a.covs[i])
                     * np.linalg.norm(cfg_a.vecs[j]) / cfg_a.params.dim)
         assert abs(me - expect) <= 1e-9 * scale
-
-
-def test_direct_matrix_element_dimension_mismatch(cfg_a):
-    with pytest.raises(ValueError):
-        oracle.direct_matrix_element(cfg_a.covs[0], np.eye(5), cfg_a.vecs[0])
 
 
 def test_verify_suite_all_pass(desk_bundles):

@@ -69,7 +69,7 @@ def test_prepare_matches_per_state_pipeline_bitwise(name, request):
     assert np.array_equal(sol.covs, covs)
     assert np.array_equal(sol.vecs, vecs)
     ff_u = [[ff.ff_u(params, sol.basis, bra, ket, 1) for ket in states] for bra in states]
-    values, zeros = ff.ff_u_table(params, sol.grid, spec, 1)
+    values, zeros = ff.ff_u_table(sol.grid, spec, 1)
     assert np.array_equal(values, [[r.value for r in row] for row in ff_u])
     assert np.array_equal(zeros, [[r.selection_zero for r in row] for row in ff_u])
     pairings = [[ss.eigen_action(sol.basis, bra, ket) for ket in states] for bra in states]
@@ -184,9 +184,9 @@ def test_spectrum_and_determinant_tables_build_no_basis(make):
     grid, spec = sol.grid, sol.states
     for table in (spec.q_vals, spec.ff_u_kets, spec.t_rows):
         assert len(table) == sol.params.dim
-    ff.ff_u_table(sol.params, grid, spec, 1)
+    ff.ff_u_table(grid, spec, 1)
     ss.eigen_action_table(grid, spec)
-    ff.ff_elementary_table(sol.params, grid, spec, lo.ElementaryBasisElement(((0, 1, 1),)))
+    ff.ff_elementary_table(grid, spec, lo.ElementaryBasisElement(((0, 1, 1),)))
     assert "basis" not in vars(sol)
 
 
@@ -194,7 +194,7 @@ def test_spectrum_and_determinant_tables_build_no_basis(make):
 def test_npoint_over_determinant_tables_builds_no_basis(make):
     # the norms are grid determinants: no dense covector or vector is needed
     sol = ss.prepare(make(), SEED)
-    table = ff.ff_u_table(sol.params, sol.grid, sol.states, 1)[0]
+    table = ff.ff_u_table(sol.grid, sol.states, 1)[0]
     ff.npoint(sol, 0, [table, table])
     assert "basis" not in vars(sol) and "_dense" not in vars(sol)
 

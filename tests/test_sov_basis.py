@@ -284,7 +284,7 @@ def test_identity_resolution(desk_bundles):
     tols = {"n1": 1e-12, "cfg_b": 1e-9, "cfg_a": 1e-8}
     for name, bundle in desk_bundles.items():
         d = bundle.params.dim
-        ident = sb.identity_resolution_sov(bundle.basis)
+        ident = sb.sov_diagonal(bundle.basis)
         assert mc.frob(ident - np.eye(d)) <= tols[name] * d
 
 
@@ -392,5 +392,5 @@ def test_gauge_table(cfg_a):
 def test_stretch_basis_builds(stretch):
     d = stretch.params.dim
     assert d == 125
-    ident = sb.identity_resolution_sov(stretch.basis)
+    ident = sb.sov_diagonal(stretch.basis)
     assert mc.frob(ident - np.eye(d)) <= 1e-8 * d
