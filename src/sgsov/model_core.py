@@ -24,7 +24,7 @@ __all__ = [
     "Graded", "OperatorLaurent", "Monodromy", "NotCentral", "NotGraded",
     "weyl_generators", "site_embed", "embedded_u",
     "local_lax", "lax_matrix", "monodromy", "transfer",
-    "digit_charge", "charge_sectors", "scatter_blocks",
+    "digit_charge", "digit_negation", "charge_sectors", "scatter_blocks",
     "theta_charge", "rmatrix", "yang_baxter_residual",
     "a_coeff", "d_coeff", "abar_coeff", "dbar_coeff", "a_laurent",
     "quantum_determinant", "quantum_determinant_product",
@@ -380,6 +380,16 @@ def digit_charge(params: ModelParams, site_order=None):
     return chi
 
 
+def digit_negation(params: ModelParams):
+    """Index of every basis state's digit tuple with each digit negated mod
+    p (read-only): the permutation of the digit parity P, an involution
+    that fixes only the all-zero tuple and maps the ``digit_charge`` chi to
+    -chi.  T commutes with P on every chain with u = v = 1."""
+    neg = params.flat_indices(-params.tuples)
+    neg.flags.writeable = False
+    return neg
+
+
 def _lax_product(params: ModelParams, site_order):
     """Dense coefficients (2x2 list of degree -> p^n x p^n dicts) of the
     ordered product of the Lax matrices of the n sites of ``site_order``,
@@ -549,14 +559,17 @@ def laurent_product(factors):
     return out
 
 
+@lru_cache(maxsize=8)          # the chains in use; the Baxter fit asks once per state
 def a_laurent(params: ModelParams):
     """Coefficients of ``a_coeff``, degrees -N..N ascending: the product of
     the site factors -i (kappa xi / lam) (1 + i lam kappa / (xi sqrt q))
     (1 + i lam / (kappa xi sqrt q)).  Those of ``d_coeff`` are
-    q^N (-q)^k a_k."""
+    q^N (-q)^k a_k.  Built once per parameter set and returned read-only."""
     kap, xi, sq = np.asarray(params.kappa), np.asarray(params.xi), params.sqrt_q
     fac = -1j * np.stack([kap * xi, 1j * (kap ** 2 + 1) / sq, -kap / (xi * sq ** 2)], axis=1)
-    return laurent_product(fac[..., None, None])[:, 0, 0]
+    out = laurent_product(fac[..., None, None])[:, 0, 0]
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=8)          # the chains in use; each entry is (2N + 1, 2, 2)

@@ -253,6 +253,14 @@ def _algebra_section(s, sol):
         T = mc.transfer(mono, lam_r)
         s.check("transfer_selfadjoint", mc.frob(T - T.conj().T), "algebra",
                 scale=mc.frob(T))
+    # digit parity: asserts nothing, since a chain with u, v phases lacks it;
+    # the context says whether the spectrum (stream 2 of Solution.states)
+    # was diagonalized by parity block
+    lam = params.spectral_samples(s.rng(13), 1)[0]
+    s.check("digit_parity_commutes",
+            sp.digit_parity_defect(mc.transfer(mono, lam), mc.digit_negation(params)),
+            0.0, diagnostic=True, lam=lam, bound=sp.PARITY_TOL,
+            parity_blocks=bool(sp.diagonalization_point(params, mono, s.rng(2))[1]))
     # averages: centrality, the two routes, and the u=v=1 symmetry
     lam = params.spectral_samples(s.rng(11), 1)[0]
     big = lam ** params.p

@@ -16,7 +16,8 @@ from .sov_basis import SovBasis, DegenerateSpectrum, _read_only, rayleigh_pairin
 
 __all__ = [
     "TransferEigenstate", "Spectrum", "EmptyNullspace", "ZeroReference",
-    "transfer_eigensystem", "diagonalize_transfer", "check_functional_equation",
+    "transfer_eigensystem", "diagonalize_transfer", "diagonalization_point",
+    "digit_parity_defect", "check_functional_equation",
     "check_functional_equations",
     "extract_Q_grid", "extract_Q_grids", "fit_Q_polynomial", "fit_Q_polynomials",
     "qbar_from_q", "eval_t", "polyval_ascending", "power_sum",
@@ -27,6 +28,7 @@ FE_POINTS = 10            # spectral points of the functional-equation check
 FACTORIZATION_TOL = 1e-7  # worst relative factorization residual of a wavefunction
 NULL_TOL = 1e-9           # relative SVD-null and top-coefficient threshold of the Baxter fit
 LABEL_GAP_TOL = 1e-8      # relative gap below which two joint transfer labels collide
+PARITY_TOL = 1e-12        # relative ||P T P - T|| up to which T is split by digit parity
 
 
 class EmptyNullspace(SgSovError):
@@ -117,6 +119,32 @@ def diagonalize_transfer(params: ModelParams, mono, rng) -> list[TransferEigenst
     return [TransferEigenstate(t, int(m), r, l) for t, m, r, l in zip(t_rows, theta_m, R.T, L)]
 
 
+def digit_parity_defect(T, neg):
+    """||P T P - T||_F / ||T||_F of the digit negation P whose index map is
+    ``neg`` (``model_core.digit_negation``)."""
+    return mc.frob(T[np.ix_(neg, neg)] - T) / max(mc.frob(T), 1e-300)
+
+
+def diagonalization_point(params: ModelParams, mono, rng):
+    """T at the one spectral point that ``transfer_eigensystem`` draws from
+    ``rng``, and whether it splits T by digit parity there: when
+    ``digit_parity_defect`` is at most ``PARITY_TOL``."""
+    T0 = mc.transfer(mono, params.spectral_samples(rng, 1)[0])
+    return T0, digit_parity_defect(T0, mc.digit_negation(params)) <= PARITY_TOL
+
+
+def _parity_blocks(idx, neg):
+    """The P-even and P-odd blocks of the P-closed index set ``idx``, each
+    as (r, Pr, c, s): basis vector k is c_k e_r_k + s_k e_Pr_k over the
+    orbit representatives r (1/sqrt2 and +-1/sqrt2 on a digit pair, 1 and 0
+    on the fixed all-zero tuple, which only the even block has)."""
+    r = idx[idx <= neg[idx]]
+    pair = r != neg[r]
+    c = np.where(pair, np.sqrt(0.5), 1.0)
+    return [(r, neg[r], c, np.where(pair, c, 0.0)),
+            (r[pair], neg[r[pair]], c[pair], -c[pair])]
+
+
 def transfer_eigensystem(params: ModelParams, mono, rng):
     """Joint eigenstates of the transfer family, with eigenvalue Laurent
     coefficients recovered from left/right pairings of the coefficient
@@ -124,26 +152,48 @@ def transfer_eigensystem(params: ModelParams, mono, rng):
     are diagonalized separately, which makes the joint labels exact.  The
     eigenvectors are those of T at one spectral point; a degenerate pair
     there shows as a label collision or as an eigen-residual at a fresh
-    point, and raises.  Returns the read-only coefficient rows
-    (d, n_bar + 1), charge sectors (d,), right eigenvectors as the columns
-    of R (d, d) and L = R^-1."""
+    point, and raises.
+
+    Where T commutes with the digit negation P at that point
+    (``diagonalization_point``), every P-closed sector (the whole odd
+    chain, sector 0 of an even one) is diagonalized as its P-even and P-odd
+    blocks, and sector p - m of an even chain is P times sector m, with no
+    ``eig``.  Within a sector the states are sorted by their eigenvalue w at
+    the point, key ``w.real * 1e6 + w.imag``, over both parity blocks.
+    Returns the read-only coefficient rows (d, n_bar + 1), charge sectors
+    (d,), right eigenvectors as the columns of R (d, d) and L = R^-1,
+    inverted per block."""
     d = params.dim
-    T0 = mc.transfer(mono, params.spectral_samples(rng, 1)[0])
-    if params.even_chain:
-        blocks = list(enumerate(mono.A.sectors))
-    else:
-        blocks = [(0, np.arange(d))]
+    T0, split = diagonalization_point(params, mono, rng)
+    neg = mc.digit_negation(params)
+    sectors = mono.A.sectors if params.even_chain else np.arange(d)[None]
+    count, n = sectors.shape
 
     R = np.zeros((d, d), dtype=complex)
-    col = 0
-    ms = []
-    for m, idx in blocks:
-        w, v = np.linalg.eig(T0[np.ix_(idx, idx)])
-        order = np.argsort(w.real * 1e6 + w.imag)
-        R[idx, col:col + len(idx)] = v[:, order]
-        ms.extend([m] * len(idx))
-        col += len(idx)
-    L = _read_only(np.linalg.inv(_read_only(R)))
+    L = np.zeros((d, d), dtype=complex)
+    for m, idx in enumerate(sectors):
+        cols = m * n + np.arange(n)
+        if split and m > count // 2:
+            # P maps sector p - m, diagonalized above, onto sector m
+            src = (count - m) * n + np.arange(n)
+            R[:, cols], L[cols] = R[neg][:, src], L[src][:, neg]
+            continue
+        # a plain sector is one block of index columns
+        blocks = (_parity_blocks(idx, neg) if split and m == 0
+                  else [(idx, idx, np.ones(n), np.zeros(n))])
+        eigs = [np.linalg.eig((T0[np.ix_(r, r)] * c + T0[np.ix_(r, pr)] * s) / c[:, None])
+                for r, pr, c, s in blocks]
+        w = np.concatenate([e[0] for e in eigs])
+        at = np.empty(n, dtype=int)
+        at[np.argsort(w.real * 1e6 + w.imag)] = cols
+        for (r, pr, c, s), (_, v), col in zip(
+                blocks, eigs, np.split(at, np.cumsum([len(b[0]) for b in blocks])[:-1])):
+            vi = np.linalg.inv(v)
+            R[r[:, None], col] = c[:, None] * v
+            R[pr[:, None], col] += s[:, None] * v
+            L[col[:, None], r] = vi * c
+            L[col[:, None], pr] += vi * s
+    R, L = _read_only(R), _read_only(L)
 
     # Rayleigh pairings l C r / l r of every state, one product per degree
     degrees = list(range(-params.n_bar, params.n_bar + 1, 2))
@@ -151,7 +201,7 @@ def transfer_eigensystem(params: ModelParams, mono, rng):
     vecs = _read_only(np.stack(
         [rayleigh_pairings(L, mono.A.coeff(deg) + mono.D.coeff(deg), R) / norm
          for deg in degrees], axis=1))                       # (d, n_bar + 1)
-    sector = _read_only(np.array(ms))
+    sector = _read_only(np.repeat(np.arange(count), n))
 
     # joint-label simplicity: no two states of one sector share their labels
     scale = max(np.max(np.abs(vecs)), 1e-300)

@@ -1,6 +1,7 @@
 """Ground-truth helpers, the verification battery, and the command-line
 front end (exit codes, row formats, determinism)."""
 
+import dataclasses
 import json
 import csv as csv_mod
 import os
@@ -128,9 +129,15 @@ def test_report_margin_in_reports_and_cli_rows(tmp_path):
     out = tmp_path / "rows.json"
     assert main(["check-algebra", "--config", _write_cfg(tmp_path, _n1_payload()),
                  "--json", str(out)]) == 0
-    for line in out.read_text().splitlines():
-        row = json.loads(line)
-        assert row["margin"] == row["relErr"] / row["tolerance"]
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    # the algebra section's one diagnostic row is digit_parity_commutes
+    diagnostic = [json.loads(r["context"]).get("diagnostic", False) for r in rows]
+    assert [r["label"] for r, diag in zip(rows, diagnostic) if diag] == ["digit_parity_commutes"]
+    for row, diag in zip(rows, diagnostic):
+        if diag:
+            assert row["margin"] is None
+        else:
+            assert row["margin"] == row["relErr"] / row["tolerance"]
 
 
 def test_cli_check_algebra_ok(tmp_path, capsys):
@@ -429,3 +436,17 @@ def test_unknown_config_keys_rejected_at_load(tmp_path, capsys, payload, key):
     assert main(["verify-all", "--config", _write_cfg(tmp_path, payload)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "config error" in captured.err and f"'{key}'" in captured.err
+
+
+def test_digit_parity_row_reports_the_spectrum_route(cfg_a):
+    # diagnostic: the chain with site phases lacks the parity but passes
+    phases = dict(u=np.exp(1j * np.array([0.3, -0.7, 1.1])),
+                  v=np.exp(1j * np.array([0.5, 0.2, -0.9])))
+    for params, split in ((cfg_a.params, True),
+                          (dataclasses.replace(cfg_a.params, **phases), False)):
+        row, = [r for r in oracle.verify_suite(params, seed=5, sections={"algebra"})
+                if r.label == "digit_parity_commutes"]
+        assert row.passed and row.margin is None
+        assert row.context["bound"] == sp.PARITY_TOL
+        assert row.context["parity_blocks"] is split
+        assert (row.rel_err <= sp.PARITY_TOL) is split
