@@ -50,7 +50,7 @@ def _solve(X, Y, lam, what):
     shift = Y.shift - X.shift
     # block x of the solution maps sector x to x + shift, and block x of Y
     # lands in sector x + Y.shift, which block x + shift of X maps onto
-    xb = np.roll(X.blocks_at(lam), -shift, axis=0)
+    xb = mc._rotate(X.blocks_at(lam), shift)
     sv = np.linalg.svd(xb, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = float(np.max(sv) / np.min(sv))

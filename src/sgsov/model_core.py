@@ -13,7 +13,7 @@ The exchange relation is checked on the blocks.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
@@ -76,6 +76,12 @@ def _block_index(sectors, shift):
     return sectors[(np.arange(p) + shift) % p][:, :, None], sectors[:, None, :]
 
 
+def _rotate(blocks, shift):
+    """``np.roll(blocks, -shift, axis=-3)`` as one index gather: block x + shift at x."""
+    p = blocks.shape[-3]
+    return blocks[..., (np.arange(p) + shift) % p, :, :] if shift % p else blocks
+
+
 def scatter_blocks(sectors, shift, blocks):
     """Dense matrix whose map from charge sector x to sector x + shift is
     ``blocks[..., x, :, :]``, zero elsewhere; leading axes are batch axes."""
@@ -113,32 +119,33 @@ class Graded:
     @staticmethod
     def stack(ops):
         """Operators of one shift as one table on a new leading axis."""
-        return replace(ops[0], blocks=np.stack([ops[0]._same_shift(op).blocks for op in ops]))
+        op = ops[0]
+        return Graded(op.shift, np.stack([op._same_shift(o).blocks for o in ops]), op.sectors)
 
     @classmethod
     def project(cls, dense, sectors, shift):
         """The blocks of ``dense`` on the charge shift ``shift``, and the
         Frobenius norm of the dropped rest over that of the kept blocks."""
         index, rest = _block_index(sectors, shift), np.array(dense)
-        rest[index] = 0.0
-        return cls(shift, dense[index], sectors), frob(rest) / max(frob(dense[index]), 1e-300)
+        kept, rest[index] = dense[index], 0.0
+        return cls(shift, kept, sectors), frob(rest) / max(frob(kept), 1e-300)
 
     def __getitem__(self, index):
-        return replace(self, blocks=self.blocks[index])
+        return Graded(self.shift, self.blocks[index], self.sectors)
 
     def dense(self):
         return scatter_blocks(self.sectors, self.shift, self.blocks)
 
     def inv(self):
         # block x of the inverse maps sector x back to x - shift
-        return Graded(-self.shift, np.linalg.inv(np.roll(self.blocks, self.shift, axis=-3)),
+        return Graded(-self.shift, np.linalg.inv(_rotate(self.blocks, -self.shift)),
                       self.sectors)
 
     def __matmul__(self, other):
         if isinstance(other, Graded):
             # block x of other lands in sector x + other.shift
             return Graded(self.shift + other.shift,
-                          np.roll(self.blocks, -other.shift, axis=-3) @ other.blocks, self.sectors)
+                          _rotate(self.blocks, other.shift) @ other.blocks, self.sectors)
         other = np.asarray(other)
         out = np.zeros(other.shape, dtype=complex)
         blocks = self.blocks @ other[self.sectors].reshape(self.sectors.shape + (-1,))
@@ -161,18 +168,18 @@ class Graded:
         return reduce(operator.matmul, [self] * k) if k else Graded.eye(self.sectors)
 
     def __mul__(self, scalar):
-        return replace(self, blocks=np.multiply(scalar, self.blocks))
+        return Graded(self.shift, np.multiply(scalar, self.blocks), self.sectors)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        return replace(self, blocks=self.blocks / scalar)
+        return Graded(self.shift, self.blocks / scalar, self.sectors)
 
     def __add__(self, other):
-        return replace(self, blocks=self.blocks + self._same_shift(other).blocks)
+        return Graded(self.shift, self.blocks + self._same_shift(other).blocks, self.sectors)
 
     def __sub__(self, other):
-        return replace(self, blocks=self.blocks - self._same_shift(other).blocks)
+        return Graded(self.shift, self.blocks - self._same_shift(other).blocks, self.sectors)
 
     def _same_shift(self, other):
         if other.shift != self.shift:
@@ -193,6 +200,9 @@ class OperatorLaurent:
     degrees: list
     blocks: np.ndarray
     sectors: np.ndarray
+
+    def __post_init__(self):
+        self.blocks.flags.writeable = False
 
     @classmethod
     def gather(cls, coeffs, charge, p):
@@ -218,7 +228,6 @@ class OperatorLaurent:
             blocks.append(block)
         m = sectors.shape[1]
         blocks = np.array(blocks, dtype=complex).reshape(len(degrees), p, m, m)
-        blocks.flags.writeable = False
         return cls(shift or 0, degrees, blocks, sectors)
 
     def coeff(self, deg):
@@ -234,9 +243,7 @@ class OperatorLaurent:
         return dict(zip(self.degrees, scatter_blocks(self.sectors, self.shift, self.blocks)))
 
     def __mul__(self, scalar):
-        blocks = scalar * self.blocks
-        blocks.flags.writeable = False
-        return replace(self, blocks=blocks)
+        return OperatorLaurent(self.shift, self.degrees, scalar * self.blocks, self.sectors)
 
     def blocks_at(self, lam):
         """The p blocks at the given spectral point, shape (p, d/p, d/p),
@@ -299,10 +306,11 @@ def site_embed(params: ModelParams, n: int, X):
     p, N = params.p, params.n_sites
     if not 1 <= n <= N:
         raise IndexError(f"site index {n} out of range 1..{N}")
-    X = np.asarray(X, dtype=complex)
-    left = np.eye(p ** (N - n), dtype=complex)
-    right = np.eye(p ** (n - 1), dtype=complex)
-    return np.kron(left, np.kron(X, right))
+    # the index is (slower sites, site n, faster sites): X scattered on the spectators' diagonal
+    high, low = np.ogrid[:p ** (N - n), :p ** (n - 1)]
+    out = np.zeros((high.size, p, low.size) * 2, dtype=complex)
+    out[high, :, low, high, :, low] = X
+    return out.reshape(p ** N, p ** N)
 
 
 def embedded_u(params: ModelParams, n: int, power: int = 1):
@@ -342,25 +350,31 @@ def lax_matrix(params: ModelParams, n: int):
         entry.items())), digit, params.p) for entry in row] for row in local_lax(params, n)]
 
 
-def _kron_degrees(row, col, low):
+def _kron_degrees(row, col, p, low, size, rows, cols):
     """Entry sum_c row[c] (x) col[c] of a product of 2x2 Laurent matrices
-    acting on different tensor slots (each entry maps a degree to its
-    coefficient), the left factor's slot placed above the ``low`` fastest
-    basis states of the right factor's slots; as (degree, coefficient)
-    pairs ascending in degree, each formed only when it is taken."""
+    acting on different tensor slots (the left factor's entries map a degree
+    to its p x p coefficient, the right one's are pairs of ascending degrees
+    and stacked size x size coefficients), the left factor's slot placed
+    above the ``low`` fastest basis states of the right factor's slots,
+    formed only at the broadcasting index arrays ``rows`` and ``cols``: the
+    same pair, all-zero degrees dropped, each degree's terms summed in the
+    order of c."""
     terms = {}
     for left, right in zip(row, col):
         for d1, a in left.items():
-            for d2, b in right.items():
+            for d2, b in zip(*right):
                 terms.setdefault(d1 + d2, []).append((a, b))
-    for g in sorted(terms):
-        out = None
-        for a, b in terms[g]:
-            high = b.shape[0] // low
-            k = (a[None, :, None, None, :, None] * b.reshape(high, 1, low, high, 1, low))
-            k = k.reshape(a.shape[0] * b.shape[0], -1)
-            out = k if out is None else out + k
-        yield g, out
+    degrees = sorted(terms)
+    # each index as the left factor's digit and the right factor's index, and
+    # the flat index of each entry in the left and in the right coefficients
+    (yr, rr), (yc, rc) = ((i // low % p, i // (p * low) * low + i % low) for i in (rows, cols))
+    at_a, at_b = yr * p + yc, rr * size + rc
+    out = np.empty((len(degrees),) + at_a.shape, dtype=complex)
+    for values, g in zip(out, degrees):
+        values[...] = reduce(operator.add, (np.take(a, at_a) * np.take(b, at_b)
+                                            for a, b in terms[g]))
+    keep = out.any(axis=tuple(range(1, out.ndim)))
+    return [g for g, k in zip(degrees, keep) if k], out if keep.all() else out[keep]
 
 
 def digit_charge(params: ModelParams, site_order=None):
@@ -390,43 +404,49 @@ def digit_negation(params: ModelParams):
     return neg
 
 
-def _lax_product(params: ModelParams, site_order):
-    """Dense coefficients (2x2 list of degree -> p^n x p^n dicts) of the
-    ordered product of the Lax matrices of the n sites of ``site_order``,
-    on the tensor product of their slots (the lowest site the fastest
-    digit): the Kronecker recursion M_ij = sum_c L[i][c] (x) M'_cj over the
-    local p x p coefficients of ``local_lax``, each site on its own slot;
-    the unit matrix of 1 x 1 coefficients when n = 0."""
-    one = np.ones((1, 1), dtype=complex)
-    M = [[{0: one}, {}], [{}, {0: one}]]
-    for pos, n in reversed(list(enumerate(site_order))):
-        L = local_lax(params, n)
-        low = params.p ** sum(m < n for m in site_order[pos + 1:])
-        M = [[dict(_kron_degrees(L[i], [M[0][j], M[1][j]], low)) for j in range(2)]
-             for i in range(2)]
-    return M
+def _graded_lax(params: ModelParams, n: int):
+    """``local_lax`` of site n; raises NotGraded, with the exact count, if a
+    coefficient of entry (i, c) has a nonzero entry that does not move the
+    digit by i + c - 1 (mod p), the premise of ``digit_charge``."""
+    L, p = local_lax(params, n), params.p
+    step = np.subtract.outer(np.arange(p), np.arange(p)) + 1   # row - column digit + 1
+    off = sum(np.count_nonzero(a[(step - i - c) % p != 0])
+              for i, c in np.ndindex(2, 2) for a in L[i][c].values())
+    if off:
+        raise NotGraded(f"{off} nonzero entries of the site-{n} Lax coefficients lie off "
+                        "their digit steps")
+    return L
 
 
 def monodromy(params: ModelParams, site_order=None) -> Monodromy:
     """Ordered product of Lax matrices, site N leftmost by default.
 
     ``site_order`` gives the left-to-right factor order and allows cyclic
-    reorderings of the chain.  Every site keeps its own tensor slot, so the
-    coefficients come out in the basis order.  The product of all factors
-    but the leftmost is formed densely on its p^(N-1) states; the last
-    Kronecker step is formed one degree at a time, and each degree is
-    gathered straight into the blocks of the sectors of the
-    ``digit_charge`` of the same order, which the result records."""
+    reorderings of the chain.  The product is the Kronecker recursion
+    M_ij = sum_c L[i][c] (x) M'_cj from the rightmost factor, over the local
+    coefficients of ``_graded_lax``, each site on its own tensor slot (the
+    lowest site the fastest digit), so the coefficients come out in the
+    basis order.  Every step but the last is dense; the last forms only the
+    charge blocks of each nonzero degree, in the sectors of the
+    ``digit_charge`` of the same order (recorded in the result), which
+    entry (i, j) moves by i - (-1)^N j - (N mod 2): every local factor is
+    checked to be graded, so no finite product entry lies off that shift."""
     if site_order is None:
         site_order = list(range(params.n_sites, 0, -1))
+    p, N = params.p, len(site_order)
     charge = digit_charge(params, site_order)
-    rest = _lax_product(params, site_order[1:])
-    first = site_order[0]
-    L = local_lax(params, first)
-    A, B, C, D = (OperatorLaurent.gather(_kron_degrees(L[i], [rest[0][j], rest[1][j]],
-                                                       params.p ** (first - 1)), charge, params.p)
-                  for i, j in np.ndindex(2, 2))
-    return Monodromy(A=A, B=B, C=C, D=D, charge=charge, p=params.p)
+    sectors = charge_sectors(charge, p)
+    shift = [[(i - (-1) ** N * j - N % 2) % p for j in range(2)] for i in range(2)]
+    one = ([0], np.ones((1, 1, 1), dtype=complex))
+    M = [[one, ([], ())], [([], ()), one]]
+    for pos, n in reversed(list(enumerate(site_order))):
+        L, size = _graded_lax(params, n), p ** (N - pos - 1)
+        low, idx = p ** sum(m < n for m in site_order[pos + 1:]), np.arange(p * size)
+        M = [[_kron_degrees(L[i], [M[0][j], M[1][j]], p, low, size, *(
+            _block_index(sectors, shift[i][j]) if pos == 0 else (idx[:, None], idx)))
+            for j in range(2)] for i in range(2)]
+    A, B, C, D = (OperatorLaurent(shift[i][j], *M[i][j], sectors) for i, j in np.ndindex(2, 2))
+    return Monodromy(A=A, B=B, C=C, D=D, charge=charge, p=p)
 
 
 def transfer(mono: Monodromy, lam):

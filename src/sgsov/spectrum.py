@@ -198,9 +198,19 @@ def transfer_eigensystem(params: ModelParams, mono, rng):
     # Rayleigh pairings l C r / l r of every state, one product per degree
     degrees = list(range(-params.n_bar, params.n_bar + 1, 2))
     norm = np.sum(L * R.T, axis=1)
-    vecs = _read_only(np.stack(
-        [rayleigh_pairings(L, mono.A.coeff(deg) + mono.D.coeff(deg), R) / norm
-         for deg in degrees], axis=1))                       # (d, n_bar + 1)
+    if params.even_chain:
+        # A and D keep the charge: sector m pairs with block m of A + D only
+        cols = np.arange(d).reshape(count, n)
+        Lb, Rb = L[cols[:, :, None], sectors[:, None]], R[sectors[:, :, None], cols[:, None]]
+
+        def pairing(deg):
+            op = sum((e.blocks[e.degrees.index(deg)] for e in (mono.A, mono.D)
+                      if deg in e.degrees), np.zeros(Lb.shape, dtype=complex))
+            return rayleigh_pairings(Lb, op, Rb).ravel()
+    else:
+        def pairing(deg):
+            return rayleigh_pairings(L, mono.A.coeff(deg) + mono.D.coeff(deg), R)
+    vecs = _read_only(np.stack([pairing(g) for g in degrees], axis=1) / norm[:, None])
     sector = _read_only(np.repeat(np.arange(count), n))
 
     # joint-label simplicity: no two states of one sector share their labels

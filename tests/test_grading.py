@@ -1,12 +1,14 @@
 """The charge grading of the monodromy: every entry moves the alternating
 digit charge by one fixed step and is stored only as its charge blocks,
 which scatter back to the dense coefficients of the Kronecker recursion bit
-for bit and evaluate to their degree-ordered dense sum bit for bit; an
+for bit and evaluate to their degree-ordered dense sum bit for bit, and
+which are built without a dense coefficient of the last Kronecker step; an
 entry off its shift is refused, and the blockwise solves of the local
 reconstructions agree with dense linear algebra, condition number
-included."""
+included.  The site embedding is the Kronecker embedding, entry for entry."""
 
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +138,53 @@ def test_entry_off_its_shift_is_refused(cfg_b, monkeypatch):
     monkeypatch.setattr(mc, "local_lax", tilted)
     with pytest.raises(mc.NotGraded):
         mc.monodromy(params)
+
+
+def test_local_factor_off_its_digit_step_is_counted(monkeypatch):
+    # one nonzero entry off the step of a local clock coefficient, at the
+    # rightmost factor, which the recursion takes first
+    params = cfg_b_params()
+    local_lax = mc.local_lax
+
+    def tilted(params, n):
+        L = local_lax(params, n)
+        if n == 1:
+            c = L[1][0][-1].copy()
+            c[2, 0] = 1e-300
+            L[1][0] = {**L[1][0], -1: c}
+        return L
+
+    monkeypatch.setattr(mc, "local_lax", tilted)
+    with pytest.raises(mc.NotGraded, match="1 nonzero entries of the site-1 Lax coefficients"):
+        mc.monodromy(params)
+
+
+def test_monodromy_build_peaks_below_its_blocks_and_two_dense_coefficients():
+    # the last Kronecker step is gathered block by block; forming each of
+    # its degrees as a dense d x d matrix first peaks at 46.5 MB here
+    params = CHAINS["dense_wall_even"]()
+    tracemalloc.start()
+    try:
+        mono = mc.monodromy(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stored = sum(mono.entry(name).blocks.nbytes for name in "ABCD")
+    dense = params.dim ** 2 * np.dtype(complex).itemsize
+    assert peak <= stored + 2 * dense, (peak, stored, dense)
+
+
+@pytest.mark.parametrize("chain", CHAINS)
+def test_site_embed_is_the_kronecker_embedding(chain):
+    params = CHAINS[chain]()
+    p, N = params.p, params.n_sites
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+    for n in range(1, N + 1):
+        U, V = mc.weyl_generators(p, params.u[n - 1], params.v[n - 1], params.p_prime)
+        for op in (X, U, V):
+            want = np.kron(np.eye(p ** (N - n)), np.kron(op, np.eye(p ** (n - 1))))
+            assert np.array_equal(mc.site_embed(params, n, op), want), n
 
 
 def test_exchange_relation_refuses_shifts_that_mix_sectors(cfg_b):
