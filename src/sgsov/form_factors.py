@@ -77,7 +77,7 @@ def ff_u(params: ModelParams, basis: SovBasis, bra: TransferEigenstate,
     _require_shift(params, n, shift_ratio)
     if sector_zero(params, bra.theta_m, ket.theta_m, _u_step(n)):
         return FormFactorResult(0.0 + 0.0j, selection_zero=True)
-    U = _ket_matrices(bra.qbar_vals, ket.ff_u_ket[n - 1])
+    U = _ket_matrices(bra.qbar_vals, ket.ff_u_ket)
     value = basis.grid.ff_u_pref * np.linalg.det(U)
     if shift_ratio is not None:
         value = shift_ratio * value
@@ -95,7 +95,7 @@ def ff_u_table(grid: SovGrid, spec: Spectrum, n: int = 1, shift=None,
 
     def values_of(b, k):
         values = _cmul(grid.ff_u_pref, _ket_dets(spec.qbar_vals[b][:, None],
-                                                 spec.ff_u_kets[k, n - 1][None]))
+                                                 spec.ff_u_kets[k][None]))
         return values if shift is None else _cmul(shift[b][:, None] / shift[k][None], values)
 
     return pair_table(grid.params, spec, bras, kets, _u_step(n), values_of)

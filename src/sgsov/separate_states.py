@@ -113,7 +113,7 @@ def phi_moments(grid: SovGrid, left, right, exponents):
 def _ket_matrices(qbar, ket):
     """The matrices of Qbar tables ``qbar`` (..., nsep, p) against ket tables
     ``ket`` [..., a, k, g] (g the Qbar grid index), broadcast over the leading
-    axes; a ket table is a state's ``pair_ket``, or one site of its ``ff_u_ket``."""
+    axes; a ket table is a state's ``pair_ket`` or ``ff_u_ket``."""
     return np.matvec(ket, qbar)
 
 
@@ -145,17 +145,17 @@ def attach_q_data(state: TransferEigenstate, basis: SovBasis):
 def attach_q_tables(grid: SovGrid, q_poly, qbar_poly, theta_m):
     """The read-only Q and Qbar tables (states, nsep, p) of the Baxter rows
     ``q_poly`` and ``qbar_poly`` on the separate-variable grids, and the
-    C-contiguous ket tables of ``_ket_matrices``: for ``ff_u`` (states, N,
-    nsep, nsep, p), Q against the ``ff_u_weights`` of each state's sector
-    ``theta_m``, one product per sector; for the pairings (states, nsep,
-    nsep, p), Q times the ``pairing_weights``, the same in every sector."""
+    C-contiguous ket tables of ``_ket_matrices``, (states, nsep, nsep, p)
+    each: for ``ff_u``, Q against the ``ff_u_weights`` of each state's sector
+    ``theta_m``, one product per sector; for the pairings, Q times the
+    ``pairing_weights``, the same in every sector."""
     q_vals, qbar_vals = (_read_only(power_sum(np.asarray(rows)[:, None, None], grid.powers))
                          for rows in (q_poly, qbar_poly))
-    weights, theta, pair_kets = grid.ff_u_weights, np.asarray(theta_m), _pair_kets(grid, q_vals)
-    kets = np.empty((len(theta), len(weights)) + pair_kets.shape[1:], dtype=complex)
-    for m in range(weights.shape[1]):
+    theta, pair_kets = np.asarray(theta_m), _pair_kets(grid, q_vals)
+    kets = np.empty_like(pair_kets)
+    for m, sector in enumerate(grid.ff_u_weights):
         kets[theta == m] = np.swapaxes(
-            (q_vals[theta == m][:, None, :, None, None] @ weights[:, m])[..., 0, :], -1, -2)
+            (q_vals[theta == m][:, :, None, None] @ sector)[..., 0, :], -1, -2)
     return q_vals, qbar_vals, _read_only(kets), _read_only(pair_kets)
 
 

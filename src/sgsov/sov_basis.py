@@ -110,14 +110,14 @@ class SovGrid:
     against a Q table, both (nsep, p), are:
     - ``pairing_weights[a, h, k] = eta_a^{(h)}**(2k) / omega[a, h]``, shape
       (nsep, p, nsep): the moment matrix of a pairing;
-    - ``ff_u_weights[n - 1, m, a, g, h, k]``, shape (N, S, nsep, p, p, nsep)
-      with S = p sectors on even chains and S = 1 on odd ones: the weight of
-      Qbar(eta_a^{(g)}) Q(eta_a^{(h)}) in column k of the site-n ``ff_u``
-      matrix for a ket in sector m; ``ff_u`` is ``ff_u_pref`` =
-      c_ref / (kprod eta0_ref**e_N), the normalization of that last
-      column, times the determinant.  Its diagonal g = h holds the moment
-      columns eta**(2k+1) / omega and, on even chains, the theta-sector
-      terms over ``ff_u_pref`` in the last column; the last column also
+    - ``ff_u_weights[m, a, g, h, k]``, shape (S, nsep, p, p, nsep) with S = p
+      sectors on even chains and S = 1 on odd ones, at mu_+ of site 1, which
+      every site shares where ``ff_u`` exists: the weight of Qbar(eta_a^{(g)})
+      Q(eta_a^{(h)}) in column k of the ``ff_u`` matrix for a ket in sector m;
+      ``ff_u`` is ``ff_u_pref`` = c_ref / (kprod eta0_ref**e_N), the
+      normalization of that last column, times the determinant.  Its diagonal
+      g = h holds the moment columns eta**(2k+1) / omega and, on even chains,
+      the theta-sector terms over ``ff_u_pref`` in the last column, which also
       holds the pole terms at g = h + 1 (mod p).
     Every array is read-only, ``z`` and ``eta0`` marked in place."""
     params: ModelParams
@@ -370,27 +370,26 @@ def moment_weights(grid: SovGrid, exponents):
 
 
 def _ff_u_weights(grid: SovGrid):
-    """The ``ff_u_weights`` table of every site and sector (see ``SovGrid``)."""
+    """The ``ff_u_weights`` table of every sector (see ``SovGrid``)."""
     params = grid.params
     nsep, p = params.n_separate, params.p
-    lam = np.asarray(params.mu_plus, dtype=complex)[:, None, None]      # site n: mu_+[n-1]
+    lam = np.asarray(params.mu_plus, dtype=complex)[0]   # NumPy scalar: a complex rounds otherwise
     h = np.arange(p)
-    out = np.zeros((params.n_sites, p if params.even_chain else 1, nsep, p, p, nsep),
-                   dtype=complex)
+    out = np.zeros((p if params.even_chain else 1, nsep, p, p, nsep), dtype=complex)
     out[..., h, h, :nsep - 1] = moment_weights(grid, range(1, 2 * nsep - 2, 2))
     if params.even_chain:
         # sector m: sqrt(p) (q^m lam / xi_prod eta^{2 nsep - 1} - q^-m xi_prod / lam eta^-1) / omega
         hi, lo = np.moveaxis(moment_weights(grid, [2 * nsep - 1, -1]), -1, 0)
-        m, lam_m = h[:, None, None], lam[:, None]
-        out[..., h, h, -1] = np.sqrt(p) * (params.q ** m * (lam_m / params.xi_prod) * hi
-                                           - params.q ** -m * (params.xi_prod / lam_m) * lo) \
+        m = h[:, None, None]
+        out[..., h, h, -1] = np.sqrt(p) * (params.q ** m * (lam / params.xi_prod) * hi
+                                           - params.q ** -m * (params.xi_prod / lam) * lo) \
             / grid.ff_u_pref
     # pole terms, Qbar at g = h+1 against Q at h:
     # a(eta^{(g)}) / (lam/eta^{(g)} - eta^{(g)}/lam) (eta^{(h)})^{nsep-1} / omega
     eta = grid.grid[:nsep]
     pole = np.roll(grid.a_vals / (lam / eta - eta / lam), -1, axis=-1) \
         * moment_weights(grid, [nsep - 1])[..., 0]
-    out[..., (h + 1) % p, h, -1] += pole[:, None]
+    out[..., (h + 1) % p, h, -1] += pole
     return out
 
 

@@ -52,7 +52,7 @@ class TransferEigenstate:
     nullspace_dim: int = 0
     q_vals: np.ndarray = None           # Q on the grids, (nsep, p)
     qbar_vals: np.ndarray = None
-    ff_u_ket: np.ndarray = None         # Q against its sector's ff_u_weights, (N, nsep, nsep, p)
+    ff_u_ket: np.ndarray = None         # Q against its sector's ff_u_weights, (nsep, nsep, p)
     pair_ket: np.ndarray = None         # Q times the pairing_weights, (nsep, nsep, p)
 
 
@@ -70,7 +70,7 @@ class Spectrum:
     fit_gap: np.ndarray                 # (d,) least non-null singular value over the top one
     q_vals: np.ndarray                  # Q on the grids, (d, nsep, p)
     qbar_vals: np.ndarray
-    ff_u_kets: np.ndarray               # Q against ff_u_weights, (d, N, nsep, nsep, p)
+    ff_u_kets: np.ndarray               # Q against ff_u_weights, (d, nsep, nsep, p)
     pair_kets: np.ndarray               # Q times pairing_weights, (d, nsep, nsep, p)
 
     def __post_init__(self):

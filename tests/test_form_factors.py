@@ -95,6 +95,25 @@ def test_ff_u_shifted_site_requires_homogeneity(cfg_a):
         ff.ff_u_table(cfg_a.grid, spec, 2, shift=np.ones(params.dim))
 
 
+def test_ff_u_tables_hold_one_site(hom3, cfg_a):
+    """The ff_u weights and ket tables have no site axis: every site n of a
+    homogeneous chain reads the one table, times the shift ratios."""
+    for sol in (hom3, cfg_a):
+        params, spec = sol.params, sol.states
+        nsep, p = params.n_separate, params.p
+        assert sol.grid.ff_u_weights.shape == (1, nsep, p, p, nsep)     # odd: one sector
+        assert spec.ff_u_kets.shape == (params.dim, nsep, nsep, p)
+        assert spec.eigenstate(0).ff_u_ket.shape == (nsep, nsep, p)
+    grid, spec = hom3.grid, hom3.states
+    site1 = ff.ff_u_table(grid, spec, 1)[0]
+    for n in (2, 3):
+        shift = ff.shift_eigenvalues(hom3, lo.cyclic_shift_permutation(hom3.params, n))
+        assert np.array_equal(ff.ff_u_table(grid, spec, n, shift)[0],
+                              ss._cmul(shift[:, None] / shift[None], site1))
+    with pytest.raises(ff.ShiftUnavailable):
+        ff.ff_u_table(cfg_a.grid, cfg_a.states, 2, shift=np.ones(cfg_a.params.dim))
+
+
 def test_shift_eigenvalue_diagnostic_homogeneous(hom3):
     # the chain shift acts on eigenstates by phases consistent with a full
     # rotation being the identity; reported as a diagnostic

@@ -67,10 +67,10 @@ def moment_matrix_ref(grid, left, right, exponents):
     return out[..., 0], out[..., 1].real
 
 
-def ff_u_matrix_ref(params, grid, bra, ket, n=1):
+def ff_u_matrix_ref(params, grid, bra, ket):
     """Prefactor (the normalization of the substituted last column), matrix
     and matrix term scales of ``ff_u``, entry by entry."""
-    lam = complex(params.mu_plus[n - 1])
+    lam = complex(params.mu_plus[0])
     nsep, p = params.n_separate, params.p
     roots, omega = grid.grid, grid.omega
     pref = grid.c_ref / (params.kprod * grid.eta0[-1] ** params.e_n)
@@ -94,12 +94,12 @@ def ff_u_matrix_ref(params, grid, bra, ket, n=1):
     return pref, U, S
 
 
-def ff_u_ket_ref(params, grid, ket, n=1):
-    """The site-n ``ff_u`` ket table of ``ket``, entry by entry: its Q table
+def ff_u_ket_ref(params, grid, ket):
+    """The ``ff_u`` ket table of ``ket``, entry by entry: its Q table
     against the weights of its sector, written out as in ``ff_u_matrix_ref``
     (entry [a, k, g] is what Qbar(eta_a^{(g)}) multiplies in column k), and
     the term scales."""
-    lam = complex(params.mu_plus[n - 1])
+    lam = complex(params.mu_plus[0])
     nsep, p = params.n_separate, params.p
     roots, omega, q = grid.grid, grid.omega, ket.q_vals
     pref = grid.c_ref / (params.kprod * grid.eta0[-1] ** params.e_n)
@@ -217,11 +217,11 @@ def test_grid_tables_are_read_only(sol):
 
 def test_weight_tables_are_built_read_only_by_the_constructor(sol, monkeypatch):
     params, basis, grid, states = sol.params, sol.basis, sol.grid, eigenstates(sol)
-    nsep, p, n_sites = params.n_separate, params.p, params.n_sites
+    nsep, p = params.n_separate, params.p
     fresh = SovGrid(params, grid.z, grid.eta0)
     sectors = p if params.even_chain else 1
     for name, shape in (("omega", (nsep, p)), ("pairing_weights", (nsep, p, nsep)),
-                        ("ff_u_weights", (n_sites, sectors, nsep, p, p, nsep))):
+                        ("ff_u_weights", (sectors, nsep, p, p, nsep))):
         table = vars(fresh)[name]          # an instance field, not built on use
         assert table.shape == shape
         assert np.array_equal(table, getattr(grid, name))
@@ -262,10 +262,10 @@ def test_weight_tables_are_built_read_only_by_the_constructor(sol, monkeypatch):
     assert calls == []
 
 
-def _theta_sector_weights(params, m, n):
+def _theta_sector_weights(params, m):
     """The two theta-sector column weights of ``ff_u`` for a ket in sector m,
     as the per-pair kernel once formed them."""
-    lam = complex(params.mu_plus[n - 1])
+    lam = complex(params.mu_plus[0])
     return (params.q ** m * (lam / params.xi_prod),
             params.q ** (-m) * (params.xi_prod / lam))
 
@@ -275,40 +275,38 @@ def test_ff_u_sector_tables_match_theta_column_formula(cfg_b):
     nsep, p = params.n_separate, params.p
     eta, omega = grid.grid[:nsep], grid.omega
     h = np.arange(p)
-    for n in range(1, params.n_sites + 1):
-        lam = complex(params.mu_plus[n - 1])
-        pref = grid.c_ref / (params.kprod * grid.eta0[-1] ** params.e_n)
-        pole = np.zeros((nsep, p, p), dtype=complex)
-        for a in range(nsep):
-            for k in range(p):
-                g = (k + 1) % p
-                pole[a, g, k] = (mc.a_coeff(params, eta[a, g])
-                                 / (lam / eta[a, g] - eta[a, g] / lam)
-                                 * eta[a, k] ** (nsep - 1) / omega[a, k])
-        for m in range(p):
-            table = grid.ff_u_weights[n - 1, m]
-            w_hi, w_lo = _theta_sector_weights(params, m, n)
-            hi = np.sqrt(p) * w_hi * eta ** (2 * nsep - 1) / omega / pref
-            lo_ = np.sqrt(p) * w_lo * eta ** (-1) / omega / pref
-            ref = np.zeros_like(table)
-            ref[:, h, h, :nsep - 1] = [[eta[a, k] ** np.arange(1, 2 * nsep - 2, 2) / omega[a, k]
-                                        for k in range(p)] for a in range(nsep)]
-            ref[:, h, h, -1] = hi - lo_
-            ref[..., -1] += pole
-            scale = np.abs(ref)
-            scale[:, h, h, -1] = np.abs(hi) + np.abs(lo_)
-            _assert_matrix_close(table, ref, scale)
+    lam = complex(params.mu_plus[0])
+    pref = grid.c_ref / (params.kprod * grid.eta0[-1] ** params.e_n)
+    pole = np.zeros((nsep, p, p), dtype=complex)
+    for a in range(nsep):
+        for k in range(p):
+            g = (k + 1) % p
+            pole[a, g, k] = (mc.a_coeff(params, eta[a, g])
+                             / (lam / eta[a, g] - eta[a, g] / lam)
+                             * eta[a, k] ** (nsep - 1) / omega[a, k])
+    for m in range(p):
+        table = grid.ff_u_weights[m]
+        w_hi, w_lo = _theta_sector_weights(params, m)
+        hi = np.sqrt(p) * w_hi * eta ** (2 * nsep - 1) / omega / pref
+        lo_ = np.sqrt(p) * w_lo * eta ** (-1) / omega / pref
+        ref = np.zeros_like(table)
+        ref[:, h, h, :nsep - 1] = [[eta[a, k] ** np.arange(1, 2 * nsep - 2, 2) / omega[a, k]
+                                    for k in range(p)] for a in range(nsep)]
+        ref[:, h, h, -1] = hi - lo_
+        ref[..., -1] += pole
+        scale = np.abs(ref)
+        scale[:, h, h, -1] = np.abs(hi) + np.abs(lo_)
+        _assert_matrix_close(table, ref, scale)
 
 
 def test_ff_u_ket_tables_match_scalar_formula(sol):
     params, grid = sol.params, sol.grid
-    N, nsep, p = params.n_sites, params.n_separate, params.p
+    nsep, p = params.n_separate, params.p
     # every state; every fourth on the d = 125 chain
     for st in eigenstates(sol)[::max(1, params.dim // 27)]:
-        assert st.ff_u_ket.shape == (N, nsep, nsep, p) and st.ff_u_ket.flags.c_contiguous
-        for n in range(1, N + 1):
-            ref, scale = ff_u_ket_ref(params, grid, st, n)
-            _assert_matrix_close(st.ff_u_ket[n - 1], ref, scale)
+        assert st.ff_u_ket.shape == (nsep, nsep, p) and st.ff_u_ket.flags.c_contiguous
+        ref, scale = ff_u_ket_ref(params, grid, st)
+        _assert_matrix_close(st.ff_u_ket, ref, scale)
 
 
 def test_pair_ket_tables_match_scalar_formula(sol):
@@ -523,7 +521,7 @@ def test_stacked_tables_on_solution(sol):
     params, spec = sol.params, sol.states
     d, nsep, p = params.dim, params.n_separate, params.p
     assert spec.q_vals.shape == spec.qbar_vals.shape == (d, nsep, p)
-    assert spec.ff_u_kets.shape == (d, params.n_sites, nsep, nsep, p)
+    assert spec.ff_u_kets.shape == (d, nsep, nsep, p)
     assert spec.pair_kets.shape == (d, nsep, nsep, p)
     assert spec.ff_u_kets.flags.c_contiguous and spec.pair_kets.flags.c_contiguous
     assert spec.t_rows.shape == (d, params.n_bar + 1)

@@ -121,7 +121,7 @@ def test_eigenstate_arrays_are_read_only_fixed_width_rows(name, request):
     shapes = {"t_rows": (d, params.n_bar + 1), "theta_m": (d,), "R": (d, d), "L": (d, d),
               "q_poly": (d, K + 1), "qbar_poly": (d, K + 1 + N % p),
               "nullspace_dim": (d,), "fit_gap": (d,), "q_vals": (d, nsep, p),
-              "qbar_vals": (d, nsep, p), "ff_u_kets": (d, N, nsep, nsep, p),
+              "qbar_vals": (d, nsep, p), "ff_u_kets": (d, nsep, nsep, p),
               "pair_kets": (d, nsep, nsep, p)}
     assert [f.name for f in dataclasses.fields(spec)] == list(shapes)
     assert len(spec) == d
