@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from operator import add
+from itertools import groupby, product, zip_longest
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -204,27 +205,17 @@ def q_factorial(q, k: int):
 
 @lru_cache(maxsize=None)
 def _gauss_binom_poly(n, m):
-    """Gaussian binomial as an integer-coefficient polynomial (ascending), a
-    tuple of Python ints; cached, as the shift powers ask for the same few
-    again and again."""
+    """Gaussian binomial [n, m] as an integer-coefficient polynomial in
+    z = q^2 (ascending), a tuple of Python ints, by the rule
+    [n, m] = [n-1, m-1] + z^m [n-1, m]; cached, as the shift powers ask for
+    the same few again and again."""
     if m < 0 or m > n:
         return (0,)
-    row = [np.array([1], dtype=object)]  # binom(j, 0..j) built row by row
-    for j in range(1, n + 1):
-        prev = row
-        row = []
-        for i in range(j + 1):
-            left = prev[i - 1] if 1 <= i <= j else None  # binom(j-1, i-1)
-            right = prev[i] if i <= j - 1 else None      # binom(j-1, i)
-            acc = np.zeros(max(
-                len(left) if left is not None else 0,
-                (len(right) + i) if right is not None else 0, 1), dtype=object)
-            if left is not None:
-                acc[:len(left)] += left
-            if right is not None:
-                acc[i:i + len(right)] += right  # z^i * binom(j-1, i)
-            row.append(acc)
-    return tuple(row[m])
+    if m in (0, n):
+        return (1,)
+    right = (0,) * m + _gauss_binom_poly(n - 1, m)
+    return tuple(a + b for a, b in zip_longest(_gauss_binom_poly(n - 1, m - 1), right,
+                                               fillvalue=0))
 
 
 def q_multinomial(q, k: int, alphas):
@@ -276,20 +267,14 @@ def binvA_power_sov(params: ModelParams, basis: SovBasis, k: int, lam):
     lam = complex(lam)
     kpref = params.kprod ** (-k)
 
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
     tup = params.tuples                 # odd chains: one digit per separate variable
     eta = basis.grid_values
     # the left action of every composition, <y_j| -> coeff_j <y_{j - alpha}|,
     # gathered into one (labels, d) array of shifted covectors
     shifted = np.zeros((d, d), dtype=complex)
-    for alphas in compositions(k, nsep):
+    for alphas in product(range(k + 1), repeat=nsep):
+        if sum(alphas) != k:
+            continue
         multi = q_multinomial(q, k, alphas)
         if abs(multi) < 1e-14:
             continue
@@ -452,41 +437,27 @@ def reduce_O_monomial(params: ModelParams, grid: SovGrid, factors):
 
     Returns (scalar, ordered factor list) or ZERO_MONOMIAL when a
     same-variable adjacency rule forbids the product."""
-    factors = [(int(a), int(k) % params.p) for a, k in factors]
+    p = params.p
+    factors = [(int(a), int(k) % p) for a, k in factors]
+    # a stable sort by variable moves every pair that stands in descending
+    # variable order past each other once, at one exchange ratio each
     scalar = 1.0 + 0.0j
-    seq = list(factors)
-    # bubble exchange to ascending variable order (stable)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(seq) - 1):
-            (a1, k1), (a2, k2) = seq[i], seq[i + 1]
+    for i, (a1, k1) in enumerate(factors):
+        for a2, k2 in factors[i + 1:]:
             if a1 > a2:
                 scalar *= _exchange_ratio(grid, a1, k1, a2, k2)
-                seq[i], seq[i + 1] = seq[i + 1], seq[i]
-                changed = True
-    # same-variable runs must descend by one step
-    for i in range(len(seq) - 1):
-        (a1, k1), (a2, k2) = seq[i], seq[i + 1]
-        if a1 == a2 and (k2 - k1) % params.p != params.p - 1:
-            return ZERO_MONOMIAL
-    # fold cycles longer than a full period
     out = []
-    i = 0
-    while i < len(seq):
-        a = seq[i][0]
-        j = i
-        while j < len(seq) and seq[j][0] == a:
-            j += 1
-        run = seq[i:j]
-        while len(run) > params.p:
-            z = grid.z[:params.n_separate]
-            scalar *= mc.average_value(params, "A", z[a]) / cross_product(z[a], z, a)
-            run = run[:1] + run[1 + params.p:]
-            if run[:1] and len(run) > 1 and (run[1][1] - run[0][1]) % params.p != params.p - 1:
-                return ZERO_MONOMIAL
-        out.extend(run)
-        i = j
+    z = grid.z[:params.n_separate]
+    for a, run in groupby(sorted(factors, key=itemgetter(0)), key=itemgetter(0)):
+        run = list(run)
+        # same-variable runs must descend by one step
+        if any((k2 - k1) % p != p - 1 for (_, k1), (_, k2) in zip(run, run[1:])):
+            return ZERO_MONOMIAL
+        # fold each full period past the first factor into the central scalar
+        folds = (len(run) - 1) // p
+        if folds:
+            scalar *= (mc.average_value(params, "A", z[a]) / cross_product(z[a], z, a)) ** folds
+        out += run[:1] + run[1 + folds * p:]
     return scalar, out
 
 

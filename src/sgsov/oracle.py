@@ -166,10 +166,11 @@ def verify_solution(sol: ss.Solution, tolerances=None, sections=None):
 
 def section_reports(sol: ss.Solution, tolerances=None, sections=None):
     """The reports of ``verify_solution``, one list per section, each
-    yielded as soon as its section finishes."""
+    yielded as soon as its section finishes.  Each section builds the parts
+    of ``sol`` that it reads on first use, so a basis that cannot be built
+    fails the run at the first section that reads it, after the sections
+    before it have yielded their reports."""
     s = _Suite(sol, tolerances)
-    if sections is None or set(sections) - {"algebra"}:
-        sol.basis     # a basis that cannot be built fails the run before any section
     for name, section in (("algebra", _algebra_section), ("sov", _sov_section),
                           ("spectrum", _spectrum_section), ("scalar", _scalar_section),
                           ("local", _local_section), ("ff", _ff_section)):

@@ -2,6 +2,8 @@
 representations and the elementary shift algebra."""
 
 import itertools
+from functools import reduce
+from operator import matmul
 
 import numpy as np
 import pytest
@@ -121,6 +123,19 @@ def test_q_numbers_at_third_root():
     assert abs(lo.q_number(q, 2) + 1.0) <= 1e-14
     assert abs(lo.q_number(q, 3)) <= 1e-14
     assert abs(lo.q_factorial(q, 3)) <= 1e-14
+
+
+def test_gauss_binomial_counts_subsets_by_sum():
+    # the coefficient of z^j in [n, m] counts the m-subsets S of {0..n-1}
+    # with sum(S) - m(m-1)/2 = j
+    for n in range(10):
+        for m in range(n + 1):
+            counts = [0] * (m * (n - m) + 1)
+            for subset in itertools.combinations(range(n), m):
+                counts[sum(subset) - m * (m - 1) // 2] += 1
+            poly = lo._gauss_binom_poly(n, m)
+            assert poly == tuple(counts) and all(type(c) is int for c in poly)
+        assert lo._gauss_binom_poly(n, -1) == lo._gauss_binom_poly(n, n + 1) == (0,)
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -401,6 +416,25 @@ def test_monomial_reduction_folds_full_cycle(cfg_a):
         dense_in = dense_in @ lo.elementary_O(params, grid, None, a, k, mono)
     dense_out = lo.elementary_O(params, grid, None, 0, 1, mono).dense()
     assert mc.rel_err(dense_in, scal * dense_out) <= 1e-8
+
+
+@pytest.mark.parametrize("seq", [
+    [(2, 1), (1, 2), (2, 0), (0, 1), (2, 2), (2, 1)],
+    [(1, 0), (2, 2), (1, 2), (0, 0), (1, 1), (2, 1), (1, 0), (0, 2)],
+    [(2, 0), (2, 2), (1, 1), (2, 1), (0, 2), (2, 0), (2, 2), (1, 0)],
+])
+def test_monomial_reduction_sorts_and_folds_three_variables(cfg_a, seq):
+    # two or more inversions over three variables and a run longer than p
+    params, ops = cfg_a.params, cfg_a.elementary_ops
+    p = params.p
+    scal, ordered = lo.reduce_O_monomial(params, cfg_a.grid, seq)
+    assert len(ordered) < len(seq)
+    avars = [a for a, _ in ordered]
+    assert avars == sorted(avars) and set(avars) == {0, 1, 2}
+    for (a1, k1), (a2, k2) in zip(ordered, ordered[1:]):
+        assert a1 != a2 or (k2 - k1) % p == p - 1
+    dense_in, dense_out = (reduce(matmul, [ops[f] for f in fs]).dense() for fs in (seq, ordered))
+    assert mc.rel_err(dense_in, scal * dense_out) <= 1e-9
 
 
 def test_local_operator_space_spanned(desk_bundles):

@@ -53,9 +53,10 @@ def test_verify_suite_threaded_matches_serial(cfg_b):
     assert r1 == r2
 
 
-def test_verify_suite_fails_on_the_basis_before_the_algebra_section(n1, monkeypatch):
-    # every section past the algebra needs the basis: one that cannot be built
-    # ends the run before the algebra section computes rows that are lost
+def test_verify_all_writes_the_algebra_rows_before_the_basis_fails(n1, tmp_path,
+                                                                   monkeypatch, capsys):
+    # the algebra section reads no basis: one that cannot be built fails the
+    # run at the next section, after the algebra rows are written
     calls = []
     algebra = oracle._algebra_section
     monkeypatch.setattr(oracle, "_algebra_section",
@@ -67,10 +68,15 @@ def test_verify_suite_fails_on_the_basis_before_the_algebra_section(n1, monkeypa
     monkeypatch.setattr(ss, "build_sov_basis", degenerate)
     with pytest.raises(DegenerateSpectrum):
         oracle.verify_suite(n1.params, seed=3)
-    assert calls == []
-    # the algebra section alone needs no basis
-    assert all(r.passed for r in oracle.verify_suite(n1.params, seed=3, sections={"algebra"}))
     assert calls == [1]
+    cfg = _write_cfg(tmp_path, _n1_payload())
+    assert main(["verify-all", "--config", cfg]) == 3
+    out = capsys.readouterr()
+    assert "numerical degeneracy: no labeling" in out.err
+    params, seed, tolerances = load_config(cfg)
+    algebra_rows = oracle.verify_suite(params, seed, tolerances, sections={"algebra"})
+    assert algebra_rows and all(r.passed for r in algebra_rows)
+    assert out.out == oracle.reports_to_jsonl(algebra_rows)
 
 
 def test_fault_localization(cfg_a):
